@@ -1,7 +1,7 @@
 //! Repo-local source lint for the concurrency and allocation disciplines
 //! that `nc-check` verifies dynamically.
 //!
-//! Four rules, each tied to an invariant the model checker, the buffer
+//! Source rules, each tied to an invariant the model checker, the buffer
 //! pool, or the batched-I/O seam owns:
 //!
 //! * **thread-spawn** — raw `std::thread::spawn` outside `crates/pool`
@@ -32,6 +32,13 @@
 //!   specific bounds/availability arguments; a bare block is a missing
 //!   argument, not a style nit. (`unsafe fn` *declarations* are exempt —
 //!   they state a contract rather than discharge one.)
+//!
+//! And one rule over `.github/workflows/*.yml`:
+//!
+//! * **ci-missing-bin** — a workflow line that runs `-p nc-bench --bin X`
+//!   with no `crates/bench/src/bin/X.rs`. A lane that names a binary the
+//!   tree does not hold fails before it checks anything, so the checks it
+//!   was written for silently stop running.
 //!
 //! A finding is waived by a comment on the same line or the line above:
 //!
@@ -196,6 +203,51 @@ fn lint_file(root: &Path, rel: &str, findings: &mut Vec<String>) {
     audit_safety(rel, &lines, findings);
 }
 
+/// The `X` of every `--bin X` on a line that also names `-p nc-bench`.
+fn bench_bins_named(line: &str) -> Vec<&str> {
+    if !line.contains("-p nc-bench") {
+        return Vec::new();
+    }
+    let mut words = line.split_whitespace();
+    let mut bins = Vec::new();
+    while let Some(word) = words.next() {
+        if word == "--bin" {
+            bins.extend(words.next());
+        }
+    }
+    bins
+}
+
+/// Every workflow step that runs an `nc-bench` binary must name one whose
+/// source is in the tree.
+fn audit_workflows(root: &Path, findings: &mut Vec<String>) {
+    let Ok(entries) = std::fs::read_dir(root.join(".github/workflows")) else { return };
+    let mut workflows: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
+    workflows.sort();
+    for path in workflows {
+        let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
+        let text = match std::fs::read_to_string(&path) {
+            Ok(t) => t,
+            Err(e) => {
+                findings.push(format!("{rel}: unreadable: {e}"));
+                continue;
+            }
+        };
+        for (idx, line) in text.lines().enumerate() {
+            for bin in bench_bins_named(line) {
+                if !root.join(format!("crates/bench/src/bin/{bin}.rs")).exists() {
+                    findings.push(format!(
+                        "{rel}:{}: [ci-missing-bin] the workflow runs `--bin {bin}` but \
+                         crates/bench/src/bin/{bin}.rs does not exist\n    {}",
+                        idx + 1,
+                        line.trim()
+                    ));
+                }
+            }
+        }
+    }
+}
+
 /// Every tracked `.rs` file under `crates/` (vendor and target stay out of
 /// scope: we lint this repo's code, not its vendored dependencies).
 fn source_files(root: &Path) -> Vec<String> {
@@ -233,22 +285,29 @@ fn workspace_root() -> PathBuf {
     }
 }
 
-fn main() -> ExitCode {
-    let root = workspace_root();
-    let files = source_files(&root);
+/// Runs every rule over the tree; returns the number of source files
+/// looked at and the unwaived findings.
+fn lint_tree(root: &Path) -> (usize, Vec<String>) {
+    let files = source_files(root);
     let mut findings = Vec::new();
     for rel in &files {
         // The lint's own source spells out the forbidden patterns.
         if rel.ends_with("bin/lint.rs") {
             continue;
         }
-        lint_file(&root, rel, &mut findings);
+        lint_file(root, rel, &mut findings);
     }
+    audit_workflows(root, &mut findings);
+    (files.len(), findings)
+}
+
+fn main() -> ExitCode {
+    let (files, findings) = lint_tree(&workspace_root());
     if findings.is_empty() {
-        println!("lint: {} files clean", files.len());
+        println!("lint: {files} files clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!("lint: {} finding(s) in {} files:\n", findings.len(), files.len());
+        eprintln!("lint: {} finding(s) in {files} files:\n", findings.len());
         for f in &findings {
             eprintln!("{f}\n");
         }
@@ -310,6 +369,18 @@ mod tests {
     }
 
     #[test]
+    fn workflow_rule_reads_the_bin_of_nc_bench_commands_only() {
+        let run = "run: cargo run -p nc-bench --release --bin gf_next -- --smoke out.json";
+        assert_eq!(bench_bins_named(run), ["gf_next"]);
+        assert_eq!(
+            bench_bins_named("cargo build -p nc-bench --bin fig7 --bin all"),
+            ["fig7", "all"]
+        );
+        assert!(bench_bins_named("cargo run -p nc-check --bin explore").is_empty());
+        assert!(bench_bins_named("cargo build --release -p nc-gf256 -p nc-bench").is_empty());
+    }
+
+    #[test]
     fn waivers_match_exact_rule() {
         assert!(is_waiver_for("// lint: allow(thread-spawn) — test driver", "thread-spawn"));
         assert!(!is_waiver_for("// lint: allow(thread-spawn) — test driver", "vec-capacity"));
@@ -320,14 +391,7 @@ mod tests {
     fn the_repo_is_clean() {
         // The lint's own acceptance test: running it over the live tree
         // must produce zero unwaived findings.
-        let root = workspace_root();
-        let mut findings = Vec::new();
-        for rel in source_files(&root) {
-            if rel.ends_with("bin/lint.rs") {
-                continue;
-            }
-            lint_file(&root, &rel, &mut findings);
-        }
+        let (_, findings) = lint_tree(&workspace_root());
         assert!(findings.is_empty(), "unwaived lint findings:\n{}", findings.join("\n"));
     }
 }

@@ -1,4 +1,15 @@
-//! Progressive Gauss-Jordan decoding.
+//! Progressive decoding: eliminate coefficients as blocks arrive, multiply
+//! the payloads once.
+//!
+//! The paper's Sec. 5.2 splits decoding into inverting the small `n × n`
+//! coefficient matrix and one matrix product as regular as encoding. This
+//! module does exactly that, keeping the progressive rank check of Sec. 3:
+//! [`Elimination`] runs Gauss-Jordan over `[coefficients | transform]` rows
+//! of `2n` bytes as blocks arrive (O(n²) bytes per block), payloads are held
+//! untouched, and the block that completes the rank triggers
+//! `decoded = transform · payloads` through
+//! [`nc_gf256::region::matrix_mul_add_with`] — the `n²·k` work, done once by
+//! the tiled kernel instead of `n²` row operations over `k`-byte payloads.
 
 use crate::block::CodedBlock;
 use crate::error::Error;
@@ -6,15 +17,140 @@ use crate::segment::CodingConfig;
 use crate::stats::DecodeStats;
 use nc_gf256::region::Backend;
 use nc_gf256::{region, scalar};
+use nc_pool::{BlockArena, BytesPool};
 
-/// A progressive network decoder based on Gauss-Jordan elimination to
-/// reduced row-echelon form (the paper's Sec. 3).
+/// Progressive Gauss-Jordan elimination of coefficient vectors alone — the
+/// core shared by [`Decoder`] and [`crate::TwoStageDecoder`].
 ///
-/// Each arriving coded block is reduced against the rows accumulated so
-/// far. A linearly dependent block reduces to an all-zero row and is
-/// discarded — no explicit dependence check is ever needed. Once the
-/// coefficient part is the identity, the payload part *is* the decoded
-/// segment, with no back-substitution pass.
+/// Row `r` belongs to the `r`-th innovative vector and is
+/// `[coefficients | transform]`, `2n` bytes, starting out as `[c_r | e_r]`.
+/// The rows are kept in reduced row-echelon form, so at every moment
+/// `coefficients_r = Σ_j transform_r[j] · c_j`; once the rank is `n` the
+/// coefficient parts are the unit vectors and the transform parts, read in
+/// pivot order, are `C⁻¹`.
+#[derive(Clone, Debug)]
+pub(crate) struct Elimination {
+    config: CodingConfig,
+    /// `rank` rows of `2n` bytes, in arrival order.
+    rows: Vec<u8>,
+    /// `pivots[r]` is the pivot column of row `r`.
+    pivots: Vec<usize>,
+    backend: Backend,
+    /// Normalizations and eliminations executed, each over one `2n`-byte row.
+    row_ops: usize,
+}
+
+impl Elimination {
+    pub(crate) fn new(config: CodingConfig) -> Elimination {
+        Elimination {
+            config,
+            rows: Vec::new(),
+            pivots: Vec::new(),
+            backend: Backend::default(),
+            row_ops: 0,
+        }
+    }
+
+    pub(crate) fn set_backend(&mut self, backend: Backend) {
+        self.backend = backend;
+    }
+
+    #[inline]
+    pub(crate) fn backend(&self) -> Backend {
+        self.backend
+    }
+
+    #[inline]
+    pub(crate) fn rank(&self) -> usize {
+        self.pivots.len()
+    }
+
+    #[inline]
+    pub(crate) fn is_full(&self) -> bool {
+        self.rank() == self.config.blocks()
+    }
+
+    /// Absorbs one coefficient vector of length `n`. Returns `true` if it
+    /// was innovative (its row is kept and the rank grows); a dependent
+    /// vector reduces to a zero coefficient part and leaves no trace.
+    pub(crate) fn push(&mut self, coefficients: &[u8]) -> bool {
+        let n = self.config.blocks();
+        let width = 2 * n;
+        let rank = self.rank();
+        if rank == n {
+            return false;
+        }
+        if rank == 0 {
+            self.rows.reserve_exact(n * width);
+        }
+        // The candidate row is built in place behind the held rows and
+        // truncated away again if it turns out dependent.
+        let start = self.rows.len();
+        self.rows.extend_from_slice(coefficients);
+        self.rows.resize(start + width, 0);
+        self.rows[start + n + rank] = 1;
+        let (held, row) = self.rows.split_at_mut(start);
+
+        // Forward-reduce against every pivot. The held rows are in reduced
+        // form (zero in each other's pivot column), so the order is free.
+        for (existing, &pivot) in held.chunks_exact(width).zip(&self.pivots) {
+            let factor = row[pivot];
+            if factor != 0 {
+                region::mul_add_assign_with(self.backend, row, existing, factor);
+                self.row_ops += 1;
+            }
+        }
+        let Some(pivot) = row[..n].iter().position(|&c| c != 0) else {
+            self.rows.truncate(start);
+            return false;
+        };
+        // Normalize so the leading coefficient is 1.
+        let lead = row[pivot];
+        if lead != 1 {
+            region::mul_assign_with(self.backend, row, scalar::inv(lead));
+            self.row_ops += 1;
+        }
+        // Jordan step: clear the new pivot column from the held rows.
+        for existing in held.chunks_exact_mut(width) {
+            let factor = existing[pivot];
+            if factor != 0 {
+                region::mul_add_assign_with(self.backend, existing, row, factor);
+                self.row_ops += 1;
+            }
+        }
+        self.pivots.push(pivot);
+        true
+    }
+
+    /// `out ^= C⁻¹ · payloads`: source block `i` is
+    /// `Σ_j transform_i[j] · payloads[j]`, where `payloads[j]` came with the
+    /// `j`-th innovative vector. `out` is the `n·k`-byte segment buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the rank is `n` and the shapes match the configuration.
+    pub(crate) fn multiply_into(&self, payloads: &[&[u8]], out: &mut [u8]) {
+        assert!(self.is_full(), "the product needs the full inverse");
+        let n = self.config.blocks();
+        let mut transform: Vec<&[u8]> = vec![&[][..]; n];
+        for (row, &pivot) in self.rows.chunks_exact(2 * n).zip(&self.pivots) {
+            transform[pivot] = &row[n..];
+        }
+        let mut blocks: Vec<&mut [u8]> = out.chunks_exact_mut(self.config.block_size()).collect();
+        region::matrix_mul_add_with(self.backend, &mut blocks, payloads, &transform);
+    }
+}
+
+/// A progressive network decoder: Gauss-Jordan elimination of the
+/// coefficient vectors as blocks arrive (the paper's Sec. 3), then one
+/// matrix product over the payloads (its Sec. 5.2).
+///
+/// Each arriving block's coefficient vector is reduced against the rows
+/// accumulated so far. A linearly dependent block reduces to an all-zero
+/// row and is discarded — no explicit dependence check is ever needed. An
+/// innovative block's payload is stored as it came; the block that brings
+/// the rank to `n` multiplies the inverted coefficient matrix into the held
+/// payloads once, after which [`Decoder::recover`] is a copy.
 ///
 /// ```
 /// use nc_rlnc::{CodingConfig, Decoder, Encoder, Segment};
@@ -34,13 +170,13 @@ use nc_gf256::{region, scalar};
 #[derive(Clone, Debug)]
 pub struct Decoder {
     config: CodingConfig,
-    /// Decoding rows: `n + k` bytes each, coefficient part first.
-    rows: Vec<Vec<u8>>,
-    /// `pivots[i]` is the pivot column of `rows[i]`; rows are kept sorted by
-    /// pivot column.
-    pivots: Vec<usize>,
+    elimination: Elimination,
+    /// Payloads of the innovative blocks in arrival order (the column order
+    /// of the transform); handed back to the arena at completion.
+    payloads: Vec<Vec<u8>>,
+    /// The decoded segment, present once the rank is `n`.
+    decoded: Option<Vec<u8>>,
     stats: DecodeStats,
-    backend: Backend,
 }
 
 impl Decoder {
@@ -49,26 +185,24 @@ impl Decoder {
     pub fn new(config: CodingConfig) -> Decoder {
         Decoder {
             config,
-            // lint: allow(vec-capacity) — per-decoder row/pivot tables, built once per generation.
-            rows: Vec::with_capacity(config.blocks()),
-            // lint: allow(vec-capacity) — see above.
-            pivots: Vec::with_capacity(config.blocks()),
+            elimination: Elimination::new(config),
+            payloads: Vec::new(),
+            decoded: None,
             stats: DecodeStats::default(),
-            backend: Backend::default(),
         }
     }
 
-    /// Selects the GF(2^8) region backend used for row reduction (ablation;
-    /// the default is the host's fastest).
+    /// Selects the GF(2^8) region backend used for elimination and the
+    /// final product (ablation; the default is the host's fastest).
     pub fn with_backend(mut self, backend: Backend) -> Decoder {
-        self.backend = backend;
+        self.elimination.set_backend(backend);
         self
     }
 
-    /// The GF(2^8) region backend this decoder reduces with.
+    /// The GF(2^8) region backend this decoder works with.
     #[inline]
     pub fn backend(&self) -> Backend {
-        self.backend
+        self.elimination.backend()
     }
 
     /// The decoder's coding configuration.
@@ -80,24 +214,29 @@ impl Decoder {
     /// Current rank: number of linearly independent blocks absorbed.
     #[inline]
     pub fn rank(&self) -> usize {
-        self.rows.len()
+        self.elimination.rank()
     }
 
     /// Whether `n` independent blocks have been absorbed.
     #[inline]
     pub fn is_complete(&self) -> bool {
-        self.rank() == self.config.blocks()
+        self.elimination.is_full()
     }
 
     /// Lifetime statistics.
-    #[inline]
     pub fn stats(&self) -> DecodeStats {
-        self.stats
+        let (n, k) = (self.config.blocks() as u64, self.config.block_size() as u64);
+        let row_ops = self.elimination.row_ops;
+        let product = if self.decoded.is_some() { n * n * k } else { 0 };
+        DecodeStats { row_ops, gf_multiplications: row_ops as u64 * 2 * n + product, ..self.stats }
     }
 
     /// Absorbs one coded block. Returns `true` if the block was innovative
     /// (increased the rank), `false` if it was linearly dependent and
-    /// discarded.
+    /// discarded — which every block is once the decoder is complete.
+    ///
+    /// The push that completes the rank also runs the one payload product,
+    /// so it costs `n²·k` byte multiplications where the others cost O(n²).
     ///
     /// # Errors
     ///
@@ -106,79 +245,50 @@ impl Decoder {
     pub fn push(&mut self, block: CodedBlock) -> Result<bool, Error> {
         block.check(self.config)?;
         self.stats.received += 1;
-        crate::metrics::metrics().blocks_received.inc();
-        let n = self.config.blocks();
-        let width = n + self.config.block_size();
+        let metrics = crate::metrics::metrics();
+        metrics.blocks_received.inc();
 
-        let (coeffs, payload) = block.into_parts();
-        // lint: allow(vec-capacity) — becomes a long-lived RREF row owned until decode completes.
-        let mut row = Vec::with_capacity(width);
-        row.extend_from_slice(&coeffs);
-        row.extend_from_slice(&payload);
-        // The block's storage is fully copied into the RREF row; hand
-        // both vectors back to the arena so the encoder side (or the next
-        // received datagram's parse) reuses them.
-        nc_pool::BlockArena::global().recycle_block(coeffs, payload);
-
-        // Forward-reduce the incoming row against all existing pivots.
-        for (i, &pivot_col) in self.pivots.iter().enumerate() {
-            let factor = row[pivot_col];
-            if factor != 0 {
-                region::mul_add_assign_with(self.backend, &mut row, &self.rows[i], factor);
-                self.stats.row_ops += 1;
-                self.stats.gf_multiplications += width as u64;
-            }
-        }
-
-        // Locate this row's pivot; an all-zero coefficient part means the
-        // block was linearly dependent.
-        let Some(pivot_col) = row[..n].iter().position(|&c| c != 0) else {
+        // The coefficient vector is folded into an elimination row and goes
+        // straight back to the arena; the payload is kept (innovative) or
+        // follows it (dependent), so the encoder side or the next received
+        // datagram's parse reuses both.
+        let (coefficients, payload) = block.into_parts();
+        let arena = BlockArena::global();
+        let innovative = self.elimination.push(&coefficients);
+        arena.recycle_coeffs(coefficients);
+        if !innovative {
+            arena.recycle_payload(payload);
             self.stats.discarded_dependent += 1;
-            crate::metrics::metrics().blocks_dependent.inc();
+            metrics.blocks_dependent.inc();
             return Ok(false);
-        };
-
-        // Normalize so the leading coefficient is 1.
-        let lead = row[pivot_col];
-        if lead != 1 {
-            region::mul_assign_with(self.backend, &mut row, scalar::inv(lead));
-            self.stats.row_ops += 1;
-            self.stats.gf_multiplications += width as u64;
         }
-
-        // Jordan step: eliminate the new pivot column from existing rows so
-        // the coefficient part stays in reduced row-echelon form.
-        for (i, existing) in self.rows.iter_mut().enumerate() {
-            let _ = i;
-            let factor = existing[pivot_col];
-            if factor != 0 {
-                region::mul_add_assign_with(self.backend, existing, &row, factor);
-                self.stats.row_ops += 1;
-                self.stats.gf_multiplications += width as u64;
-            }
-        }
-
-        // Keep rows ordered by pivot column for O(1) recovery.
-        let insert_at = self.pivots.partition_point(|&p| p < pivot_col);
-        self.pivots.insert(insert_at, pivot_col);
-        self.rows.insert(insert_at, row);
+        self.payloads.push(payload);
         self.stats.innovative += 1;
-        crate::metrics::metrics().blocks_innovative.inc();
+        metrics.blocks_innovative.inc();
+        if self.elimination.is_full() {
+            self.finish();
+        }
         Ok(true)
     }
 
-    /// Returns the decoded segment once complete, or `None` while rank < n.
+    /// Runs `decoded = C⁻¹ · payloads` and releases the held payloads.
+    fn finish(&mut self) {
+        let mut decoded = BytesPool::global().take_vec(self.config.segment_bytes());
+        let held: Vec<&[u8]> = self.payloads.iter().map(Vec::as_slice).collect();
+        self.elimination.multiply_into(&held, &mut decoded);
+        self.decoded = Some(decoded);
+        self.release_payloads();
+    }
+
+    fn release_payloads(&mut self) {
+        let arena = BlockArena::global();
+        self.payloads.drain(..).for_each(|payload| arena.recycle_payload(payload));
+    }
+
+    /// Returns a copy of the decoded segment once complete, or `None` while
+    /// rank < n.
     pub fn recover(&self) -> Option<Vec<u8>> {
-        if !self.is_complete() {
-            return None;
-        }
-        let n = self.config.blocks();
-        // lint: allow(vec-capacity) — recovery output that escapes to the caller; no recycle edge.
-        let mut out = Vec::with_capacity(self.config.segment_bytes());
-        for row in &self.rows {
-            out.extend_from_slice(&row[n..]);
-        }
-        Some(out)
+        self.decoded.clone()
     }
 
     /// Returns the decoded segment, with a descriptive error while
@@ -192,21 +302,16 @@ impl Decoder {
         self.recover()
             .ok_or(Error::RankDeficient { rank: self.rank(), needed: self.config.blocks() })
     }
+}
 
-    /// The partially decoded source blocks currently available: block `i`
-    /// is returned once its pivot row has been fully reduced to the unit
-    /// vector `e_i` (useful for streaming playback of early blocks).
-    pub fn decoded_blocks(&self) -> Vec<(usize, &[u8])> {
-        let n = self.config.blocks();
-        self.rows
-            .iter()
-            .zip(&self.pivots)
-            .filter(|(row, p)| {
-                let p = **p;
-                row[..n].iter().enumerate().all(|(c, &v)| if c == p { v == 1 } else { v == 0 })
-            })
-            .map(|(row, &p)| (p, &row[n..]))
-            .collect()
+impl Drop for Decoder {
+    /// Hands the buffers still held — the payloads of an incomplete decoder,
+    /// the segment of a complete one — back to their pools.
+    fn drop(&mut self) {
+        self.release_payloads();
+        if let Some(decoded) = self.decoded.take() {
+            BytesPool::global().recycle(decoded);
+        }
     }
 }
 
@@ -304,27 +409,49 @@ mod tests {
     }
 
     #[test]
-    fn decoded_blocks_appear_progressively() {
-        let (data, encoder, _) = make(4, 8, 5);
-        let mut decoder = Decoder::new(encoder.config());
-        decoder.push(encoder.systematic(2)).unwrap();
-        let partial = decoder.decoded_blocks();
-        assert_eq!(partial.len(), 1);
-        assert_eq!(partial[0].0, 2);
-        assert_eq!(partial[0].1, &data[16..24]);
-    }
-
-    #[test]
     fn stats_track_complexity() {
         let (_, encoder, mut rng) = make(8, 64, 1);
         let mut decoder = Decoder::new(encoder.config());
         while !decoder.is_complete() {
+            let before = decoder.stats();
             decoder.push(encoder.encode(&mut rng)).unwrap();
+            // Until completion only 2n-byte rows are touched.
+            assert_eq!(before.gf_multiplications, before.row_ops as u64 * 16);
         }
         let s = decoder.stats();
         assert_eq!(s.innovative, 8);
-        // Gauss-Jordan is Θ(n²) row operations of length n + k.
+        // Gauss-Jordan is Θ(n²) row operations, here over rows of 2n bytes;
+        // the payloads cost one n × n by n × k product at completion.
         assert!(s.row_ops >= 8 * 8 / 2 && s.row_ops <= 3 * 8 * 8);
-        assert_eq!(s.gf_multiplications, s.row_ops as u64 * (8 + 64) as u64);
+        assert_eq!(s.gf_multiplications, s.row_ops as u64 * 16 + 8 * 8 * 64);
+    }
+
+    #[test]
+    fn recover_is_repeatable_and_late_blocks_are_dependent() {
+        let (data, encoder, mut rng) = make(6, 40, 21);
+        let mut decoder = Decoder::new(encoder.config());
+        while !decoder.is_complete() {
+            assert!(decoder.recover().is_none());
+            decoder.push(encoder.encode(&mut rng)).unwrap();
+        }
+        assert_eq!(decoder.recover().unwrap(), data);
+        assert!(!decoder.push(encoder.encode(&mut rng)).unwrap());
+        assert!(!decoder.push(encoder.systematic(0)).unwrap());
+        assert_eq!(decoder.stats().discarded_dependent, decoder.stats().received - 6);
+        assert_eq!(decoder.recover().unwrap(), data);
+        assert_eq!(decoder.clone().recover().unwrap(), data);
+    }
+
+    #[test]
+    fn every_backend_decodes() {
+        let (data, encoder, mut rng) = make(9, 70, 33);
+        let blocks: Vec<_> = (0..12).map(|_| encoder.encode(&mut rng)).collect();
+        for backend in Backend::ALL {
+            let mut decoder = Decoder::new(encoder.config()).with_backend(backend);
+            for block in &blocks {
+                decoder.push(block.clone()).unwrap();
+            }
+            assert_eq!(decoder.recover().unwrap(), data, "{backend:?}");
+        }
     }
 }

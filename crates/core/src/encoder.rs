@@ -89,17 +89,28 @@ impl Encoder {
     /// Generates `count` coded blocks (the streaming-server batch pattern:
     /// generate many, buffer, deliver on demand — Sec. 5.3).
     ///
-    /// The source-slice table is built once for the whole batch, so the
-    /// per-block path is allocation-free apart from each block's own
-    /// coefficient vector and payload.
+    /// All coefficient vectors are drawn first — in the order `count`
+    /// successive [`Encoder::encode`] calls would draw them, so the blocks
+    /// are bit-identical for a given RNG state — and the payloads are then
+    /// one matrix product over the segment.
     pub fn encode_batch(&self, rng: &mut impl Rng, count: usize) -> Vec<CodedBlock> {
+        self.encode_rows((0..count).map(|_| self.draw_coefficients(rng)).collect())
+    }
+
+    /// Coded blocks for a batch of coefficient vectors of length `n`, as one
+    /// matrix product ([`region::matrix_mul_add_with`]): each source line is
+    /// read once per tile of outputs instead of once per coded block.
+    pub(crate) fn encode_rows(&self, rows: Vec<Vec<u8>>) -> Vec<CodedBlock> {
+        let arena = BlockArena::global();
+        let block_size = self.config().block_size();
+        let mut payloads: Vec<Vec<u8>> =
+            rows.iter().map(|_| arena.take_payload(block_size)).collect();
         let sources: Vec<&[u8]> = self.segment.iter_blocks().collect();
-        (0..count)
-            .map(|_| {
-                let coeffs = self.draw_coefficients(rng);
-                self.encode_over_sources(&sources, coeffs)
-            })
-            .collect()
+        let coeffs: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
+        let mut outs: Vec<&mut [u8]> = payloads.iter_mut().map(Vec::as_mut_slice).collect();
+        region::matrix_mul_add_with(self.backend, &mut outs, &sources, &coeffs);
+        crate::metrics::metrics().blocks_coded.add(rows.len() as u64);
+        rows.into_iter().zip(payloads).map(|(c, p)| CodedBlock::new(c, p)).collect()
     }
 
     /// Generates the coded block for a caller-supplied coefficient vector.
@@ -136,14 +147,10 @@ impl Encoder {
 
     fn encode_with_coefficients_unchecked(&self, coefficients: Vec<u8>) -> CodedBlock {
         let sources: Vec<&[u8]> = self.segment.iter_blocks().collect();
-        self.encode_over_sources(&sources, coefficients)
-    }
-
-    fn encode_over_sources(&self, sources: &[&[u8]], coefficients: Vec<u8>) -> CodedBlock {
         // Recycled (and re-zeroed) payload storage: on a steady-state
         // encode path this is a shelf pop, not a heap allocation.
         let mut payload = BlockArena::global().take_payload(self.config().block_size());
-        region::dot_assign_with(self.backend, &mut payload, sources, &coefficients);
+        region::dot_assign_with(self.backend, &mut payload, &sources, &coefficients);
         crate::metrics::metrics().blocks_coded.inc();
         CodedBlock::new(coefficients, payload)
     }

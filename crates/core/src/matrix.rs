@@ -1,8 +1,8 @@
 //! Dense matrix algebra over GF(2^8).
 //!
-//! [`GfMatrix`] backs the [`crate::TwoStageDecoder`] ([C|I] inversion + the
-//! Eq. 1-style multiplication) and serves as ground truth when validating
-//! the GPU kernels.
+//! [`GfMatrix`] is the batch form of what the decoders do incrementally
+//! ([C|I] inversion + the Eq. 1-style multiplication) and serves as ground
+//! truth when validating them and the GPU kernels.
 
 use crate::error::Error;
 use nc_gf256::region::{self, Backend};
@@ -145,8 +145,8 @@ impl GfMatrix {
 
     /// Matrix product `self · rhs` with an explicit GF region backend.
     ///
-    /// Each output row is one blocked dot product
-    /// ([`region::dot_assign_with`]): `out[i] ^= Σ_j a[i][j] · rhs[j]`.
+    /// The whole product is one [`region::matrix_mul_add_with`] call:
+    /// `out[i] ^= Σ_j a[i][j] · rhs[j]` with `rhs`'s rows as the sources.
     ///
     /// # Errors
     ///
@@ -156,12 +156,10 @@ impl GfMatrix {
             return Err(Error::DimensionMismatch { op: "matrix multiply" });
         }
         let mut out = GfMatrix::zeros(self.rows, rhs.cols);
-        let sources: Vec<&[u8]> = (0..rhs.rows).map(|j| rhs.row(j)).collect();
-        for i in 0..self.rows {
-            let coeffs = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            region::dot_assign_with(backend, out_row, &sources, coeffs);
-        }
+        let sources: Vec<&[u8]> = rhs.data.chunks_exact(rhs.cols).collect();
+        let coeffs: Vec<&[u8]> = self.data.chunks_exact(self.cols).collect();
+        let mut out_rows: Vec<&mut [u8]> = out.data.chunks_exact_mut(rhs.cols).collect();
+        region::matrix_mul_add_with(backend, &mut out_rows, &sources, &coeffs);
         Ok(out)
     }
 

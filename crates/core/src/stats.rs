@@ -4,8 +4,9 @@
 ///
 /// The paper's complexity discussion (Sec. 3, Sec. 4.1) counts row
 /// operations and GF multiplications; these statistics expose the same
-/// quantities so experiments can verify complexity claims (e.g. that
-/// decoding performs ~n² row operations over rows of n + k bytes).
+/// quantities so experiments can verify complexity claims: ~n² row
+/// operations over `[coefficients | transform]` rows of 2n bytes while blocks
+/// arrive, then one n × n by n × k product over the payloads at completion.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Total coded blocks offered to the decoder.
@@ -15,9 +16,11 @@ pub struct DecodeStats {
     /// Blocks that reduced to an all-zero row (linearly dependent) and were
     /// discarded, exactly as the Gauss-Jordan process does implicitly.
     pub discarded_dependent: usize,
-    /// Row operations executed (normalizations + eliminations).
+    /// Row operations executed (normalizations + eliminations), each over
+    /// one 2n-byte `[coefficients | transform]` row.
     pub row_ops: usize,
-    /// Byte-wide GF multiplications executed across all row operations.
+    /// Byte-wide GF multiplications executed: 2n per row operation, plus the
+    /// n²·k of the payload product once the decoder is complete.
     pub gf_multiplications: u64,
 }
 

@@ -11,6 +11,7 @@ use crate::encoder::Encoder;
 use crate::error::Error;
 use crate::segment::{segment_stream, CodingConfig};
 use rand::Rng;
+use std::collections::BTreeMap;
 // The round-robin cursor goes through nc-check's shim so the checker can
 // explore concurrent `next_frame` callers (std re-export in normal builds).
 use nc_check::sync::atomic::{AtomicUsize, Ordering};
@@ -160,37 +161,53 @@ impl StreamEncoder {
 
     /// The next `count` frames, round-robin across segments, with the
     /// GF(2^8) coding fanned over the shared worker pool
-    /// ([`nc_pool::Pool::global`]).
+    /// ([`nc_pool::Pool::global`]), one task per segment.
     ///
     /// Coefficients are drawn serially from `rng` before any task runs,
     /// so for a given RNG state the frames are bit-identical to `count`
     /// successive [`StreamEncoder::next_frame`] calls — only the payload
-    /// computation parallelizes. This is the bulk-sender batch pattern of
+    /// computation is batched: the draws that fall on one segment become
+    /// one matrix product over it. This is the bulk-sender batch pattern of
     /// Sec. 5.3: generate many, buffer, deliver on demand.
     pub fn next_frames(&self, rng: &mut impl Rng, count: usize) -> Vec<StreamFrame> {
+        /// One segment's share of the batch: which frames, their draws,
+        /// then their coded blocks.
+        struct Group {
+            slots: Vec<usize>,
+            rows: Vec<Vec<u8>>,
+            blocks: Vec<CodedBlock>,
+        }
         let total = self.total_segments();
-        let draws: Vec<(usize, Vec<u8>)> = (0..count)
-            .map(|_| {
-                let segment = self.cursor.fetch_add(1, Ordering::AcqRel) % total;
-                (segment, self.encoders[segment].draw_coefficients(rng))
-            })
-            .collect();
-        let mut frames: Vec<Option<StreamFrame>> = (0..count).map(|_| None).collect();
+        let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
+        for slot in 0..count {
+            let segment = self.cursor.fetch_add(1, Ordering::AcqRel) % total;
+            let group = groups.entry(segment).or_insert_with(|| Group {
+                slots: Vec::new(),
+                rows: Vec::new(),
+                blocks: Vec::new(),
+            });
+            group.slots.push(slot);
+            group.rows.push(self.encoders[segment].draw_coefficients(rng));
+        }
         nc_pool::Pool::global().scope(|scope| {
-            for (slot, (segment, coeffs)) in frames.iter_mut().zip(draws) {
+            for (&segment, group) in groups.iter_mut() {
                 let encoder = &self.encoders[segment];
                 scope.spawn(move || {
-                    *slot = Some(StreamFrame {
-                        segment: segment as u32,
-                        total_segments: total as u32,
-                        block: encoder
-                            .encode_with_coefficients(coeffs)
-                            .expect("drawn coefficients have length n"),
-                    });
+                    group.blocks = encoder.encode_rows(std::mem::take(&mut group.rows));
                 });
             }
         });
-        frames.into_iter().map(|f| f.expect("every slot filled by its task")).collect()
+        let mut frames: Vec<Option<StreamFrame>> = (0..count).map(|_| None).collect();
+        for (segment, group) in groups {
+            for (slot, block) in group.slots.into_iter().zip(group.blocks) {
+                frames[slot] = Some(StreamFrame {
+                    segment: segment as u32,
+                    total_segments: total as u32,
+                    block,
+                });
+            }
+        }
+        frames.into_iter().map(|f| f.expect("every slot filled by its segment's task")).collect()
     }
 }
 

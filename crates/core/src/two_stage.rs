@@ -9,24 +9,26 @@
 //! 2. **Stage 2** — the recovery `b = C⁻¹ · x`, a matrix multiplication as
 //!    embarrassingly parallel as encoding.
 //!
-//! This host-side implementation is the functional reference for the GPU
-//! multi-segment decoder in `nc-gpu`, and is independently useful for
-//! offline bulk decoding (the Avalanche scenario).
+//! [`crate::Decoder`] is built the same way, on the same
+//! [`Elimination`] core; what this type adds is that it keeps the
+//! innovative blocks themselves ([`TwoStageDecoder::blocks`], the input the
+//! GPU multi-segment decoder in `nc-gpu` is fed and checked against) and
+//! runs stage 2 when asked rather than on the completing push.
 
 use crate::block::CodedBlock;
+use crate::decoder::Elimination;
 use crate::error::Error;
-use crate::matrix::GfMatrix;
 use crate::segment::CodingConfig;
 use nc_gf256::region::Backend;
+use std::time::{Duration, Instant};
 
-/// Collects `n` coded blocks, then decodes them in one shot via
-/// `[C | I]` inversion + matrix multiplication.
+/// Collects `n` innovative coded blocks, then recovers the segment with one
+/// matrix product.
 ///
-/// Unlike [`crate::Decoder`], which spends O(n·(n+k)) work *per block* as
-/// blocks arrive, the two-stage decoder defers all work to [`decode`]
-/// (`TwoStageDecoder::decode`). An incremental coefficient-only rank check
-/// rejects dependent blocks on arrival so the buffer only ever holds
-/// innovative blocks.
+/// Stage 1 is spread over the arrivals: each [`push`](Self::push) extends
+/// the `[C | I]` elimination by one row (O(n²) bytes), which is also what
+/// rejects dependent blocks, so the buffer only ever holds innovative
+/// blocks. All payload work is deferred to [`decode`](Self::decode).
 ///
 /// ```
 /// use nc_rlnc::{CodingConfig, Encoder, Segment, TwoStageDecoder};
@@ -48,11 +50,10 @@ use nc_gf256::region::Backend;
 pub struct TwoStageDecoder {
     config: CodingConfig,
     blocks: Vec<CodedBlock>,
-    /// Row-reduced copy of the buffered coefficient vectors, used only to
-    /// reject dependent blocks on arrival.
-    rank_probe: GfMatrix,
-    rank: usize,
-    backend: Backend,
+    elimination: Elimination,
+    /// Time the pushes have spent in stage 1, reported by `decode` as one
+    /// `core.stage1_invert_ns` sample (zero with telemetry off).
+    stage1: Duration,
 }
 
 impl TwoStageDecoder {
@@ -61,25 +62,23 @@ impl TwoStageDecoder {
     pub fn new(config: CodingConfig) -> TwoStageDecoder {
         TwoStageDecoder {
             config,
-            // lint: allow(vec-capacity) — per-segment container of blocks, built once per segment.
-            blocks: Vec::with_capacity(config.blocks()),
-            rank_probe: GfMatrix::zeros(config.blocks(), config.blocks()),
-            rank: 0,
-            backend: Backend::default(),
+            blocks: Vec::new(),
+            elimination: Elimination::new(config),
+            stage1: Duration::ZERO,
         }
     }
 
     /// Selects the GF(2^8) region backend used by both stages (ablation;
     /// the default is the host's fastest).
     pub fn with_backend(mut self, backend: Backend) -> TwoStageDecoder {
-        self.backend = backend;
+        self.elimination.set_backend(backend);
         self
     }
 
     /// The GF(2^8) region backend this decoder works with.
     #[inline]
     pub fn backend(&self) -> Backend {
-        self.backend
+        self.elimination.backend()
     }
 
     /// The decoder's coding configuration.
@@ -91,95 +90,52 @@ impl TwoStageDecoder {
     /// Number of innovative blocks buffered so far.
     #[inline]
     pub fn rank(&self) -> usize {
-        self.rank
+        self.elimination.rank()
     }
 
     /// Whether `n` innovative blocks have been buffered.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.rank == self.config.blocks()
+        self.elimination.is_full()
     }
 
-    /// Buffers one coded block; dependent blocks are rejected (returns
-    /// `false`) without being stored.
+    /// Buffers one coded block; dependent blocks — and every block once
+    /// full — are rejected (returns `false`) without being stored.
     ///
     /// # Errors
     ///
     /// Propagates [`CodedBlock::check`] failures.
     pub fn push(&mut self, block: CodedBlock) -> Result<bool, Error> {
         block.check(self.config)?;
-        if self.is_full() {
-            return Ok(false);
+        let started = nc_telemetry::enabled().then(Instant::now);
+        let innovative = self.elimination.push(block.coefficients());
+        self.stage1 += started.map_or(Duration::ZERO, |t| t.elapsed());
+        if innovative {
+            self.blocks.push(block);
         }
-        // Incremental elimination of the coefficient vector alone — the
-        // cheap O(n²) probe that lets us buffer only innovative blocks.
-        let n = self.config.blocks();
-        let mut probe = block.coefficients().to_vec();
-        for r in 0..self.rank {
-            let lead = self
-                .rank_probe
-                .row(r)
-                .iter()
-                .position(|&c| c != 0)
-                .expect("probe rows are non-zero");
-            let factor = probe[lead];
-            if factor != 0 {
-                let row = self.rank_probe.row(r).to_vec();
-                nc_gf256::region::mul_add_assign_with(self.backend, &mut probe, &row, factor);
-            }
-        }
-        if probe.iter().all(|&c| c == 0) {
-            return Ok(false);
-        }
-        // Normalize the probe row for cheap future eliminations.
-        let lead_pos = probe.iter().position(|&c| c != 0).expect("non-zero");
-        let inv = nc_gf256::scalar::inv(probe[lead_pos]);
-        nc_gf256::region::mul_assign_with(self.backend, &mut probe, inv);
-        // Keep probe rows sorted by leading position (insertion sort step).
-        let at = (0..self.rank)
-            .find(|&r| {
-                let other_lead =
-                    self.rank_probe.row(r).iter().position(|&c| c != 0).expect("non-zero");
-                other_lead > lead_pos
-            })
-            .unwrap_or(self.rank);
-        // Shift rows down to make room at `at`.
-        for r in (at..self.rank).rev() {
-            let src = self.rank_probe.row(r).to_vec();
-            self.rank_probe.row_mut(r + 1).copy_from_slice(&src);
-        }
-        self.rank_probe.row_mut(at)[..n].copy_from_slice(&probe);
-        self.blocks.push(block);
-        self.rank += 1;
-        Ok(true)
+        Ok(innovative)
     }
 
-    /// Runs both stages and returns the decoded segment.
+    /// Runs stage 2 over the buffered payloads and returns the decoded
+    /// segment.
     ///
     /// # Errors
     ///
-    /// [`Error::RankDeficient`] before `n` innovative blocks are buffered;
-    /// [`Error::SingularMatrix`] cannot occur in practice because dependent
-    /// blocks are rejected on arrival, but is propagated defensively.
+    /// [`Error::RankDeficient`] before `n` innovative blocks are buffered.
     pub fn decode(&self) -> Result<Vec<u8>, Error> {
-        let n = self.config.blocks();
         if !self.is_full() {
-            return Err(Error::RankDeficient { rank: self.rank, needed: n });
+            return Err(Error::RankDeficient { rank: self.rank(), needed: self.config.blocks() });
         }
         let m = crate::metrics::metrics();
-        // Stage 1: invert C.
-        let stage1 = m.stage1_invert_ns.span();
-        let coeff_rows: Vec<&[u8]> = self.blocks.iter().map(|b| b.coefficients()).collect();
-        let c = GfMatrix::from_rows(&coeff_rows)?;
-        let c_inv = c.invert_with(self.backend)?;
-        stage1.stop();
+        // Stage 1 (invert C) already happened, one row per push.
+        m.stage1_invert_ns.record_duration(self.stage1);
         // Stage 2: b = C⁻¹ · x.
         let stage2 = m.stage2_multiply_ns.span();
-        let payload_rows: Vec<&[u8]> = self.blocks.iter().map(|b| b.payload()).collect();
-        let x = GfMatrix::from_rows(&payload_rows)?;
-        let b = c_inv.mul_with(self.backend, &x)?;
+        let payloads: Vec<&[u8]> = self.blocks.iter().map(CodedBlock::payload).collect();
+        let mut decoded = vec![0; self.config.segment_bytes()];
+        self.elimination.multiply_into(&payloads, &mut decoded);
         stage2.stop();
-        Ok(b.as_flat().to_vec())
+        Ok(decoded)
     }
 
     /// The buffered innovative blocks.

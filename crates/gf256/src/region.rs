@@ -307,6 +307,52 @@ pub fn dot_assign_with(backend: Backend, dst: &mut [u8], sources: &[&[u8]], coef
     }
 }
 
+/// Accumulates `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` — the whole
+/// encoding matrix product (the paper's Eq. 1 for many coded blocks at
+/// once, and stage 2 of its Sec. 5.2 decoder) — with the default backend.
+///
+/// This is the only multi-output entry point; [`dot_assign`] remains the
+/// single-output one.
+///
+/// # Panics
+///
+/// As for [`matrix_mul_add_with`].
+#[inline]
+pub fn matrix_mul_add(outs: &mut [&mut [u8]], sources: &[&[u8]], coeffs: &[&[u8]]) {
+    matrix_mul_add_with(Backend::default(), outs, sources, coeffs);
+}
+
+/// Accumulates `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` with an explicit
+/// backend.
+///
+/// On [`Backend::Simd`] this runs
+/// [`crate::simd::matrix_mul_add_with_kernel`], whose GFNI rung holds a tile
+/// of eight outputs in registers so each source line is loaded once per
+/// tile instead of once per output. Scalar backends run the outputs one
+/// [`dot_assign_with`] at a time.
+///
+/// # Panics
+///
+/// Panics if `coeffs` and `outs` differ in length, a coefficient row's
+/// length differs from `sources.len()`, or the outputs and sources are not
+/// all the same length.
+pub fn matrix_mul_add_with(
+    backend: Backend,
+    outs: &mut [&mut [u8]],
+    sources: &[&[u8]],
+    coeffs: &[&[u8]],
+) {
+    match backend {
+        Backend::Simd => simd::matrix_mul_add(outs, sources, coeffs),
+        _ => {
+            assert_eq!(outs.len(), coeffs.len(), "coefficient row count mismatch");
+            for (out, row) in outs.iter_mut().zip(coeffs) {
+                dot_assign_with(backend, out, sources, row);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,6 +52,13 @@
 //! destination cache line is streamed once per group of four sources
 //! instead of once per source.
 //!
+//! The **multi-output product** behind [`crate::region::matrix_mul_add`] —
+//! many coded blocks from one set of sources, the encoder's and the
+//! decoder's shape — goes through [`matrix_mul_add_with_kernel`]: on GFNI a
+//! register tile of eight outputs takes each source line once per tile
+//! instead of once per output; every other rung runs the outputs one
+//! [`dot_assign_with_kernel`] at a time.
+//!
 //! All kernels are property-tested bit-identical against the scalar
 //! backends (see `tests/simd_dispatch.rs`), including the zero/one
 //! coefficient fast paths and every unaligned head/tail length.
@@ -278,6 +285,12 @@ pub fn xor_assign(dst: &mut [u8], src: &[u8]) {
 #[inline]
 pub fn dot_assign(dst: &mut [u8], sources: &[&[u8]], coeffs: &[u8]) {
     dot_assign_with_kernel(active_kernel(), dst, sources, coeffs);
+}
+
+/// `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` on the active kernel.
+#[inline]
+pub fn matrix_mul_add(outs: &mut [&mut [u8]], sources: &[&[u8]], coeffs: &[&[u8]]) {
+    matrix_mul_add_with_kernel(active_kernel(), outs, sources, coeffs);
 }
 
 // ---------------------------------------------------------------------------
@@ -517,6 +530,52 @@ pub fn dot_assign_with_kernel(
     }
     for j in 0..filled {
         mul_add_assign_with_kernel(kernel, dst, sources[idxs[j]], cs[j]);
+    }
+}
+
+/// `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` on an explicit kernel: the
+/// product of a coefficient matrix (one row per output) with the sources.
+///
+/// On [`SimdKernel::Gfni`] every full group of eight outputs runs as one
+/// register tile (eight outputs x a 128-byte column strip in accumulators,
+/// each source line loaded once per tile). The outputs left over, and every
+/// output on the other rungs, take [`dot_assign_with_kernel`] one row at a
+/// time.
+///
+/// # Panics
+///
+/// Panics if `coeffs` and `outs` differ in length, a coefficient row's
+/// length differs from `sources.len()`, or any output's or source's length
+/// differs from the first output's.
+pub fn matrix_mul_add_with_kernel(
+    kernel: SimdKernel,
+    outs: &mut [&mut [u8]],
+    sources: &[&[u8]],
+    coeffs: &[&[u8]],
+) {
+    assert_eq!(outs.len(), coeffs.len(), "coefficient row count mismatch");
+    let Some(len) = outs.first().map(|out| out.len()) else {
+        return;
+    };
+    for (out, row) in outs.iter().zip(coeffs) {
+        assert_eq!(out.len(), len, "region length mismatch");
+        assert_eq!(row.len(), sources.len(), "coefficient count mismatch");
+    }
+    for src in sources {
+        assert_eq!(src.len(), len, "region length mismatch");
+    }
+    let tiled = match kernel {
+        #[cfg(target_arch = "x86_64")]
+        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
+            // SAFETY: GFNI + AVX2 availability was verified on this host
+            // above; the asserts above are the equal-length and
+            // row-length contract, and `outs` holds distinct `&mut` slices.
+            unsafe { simd_gfni::matrix_mul_add(outs, sources, coeffs) }
+        }
+        _ => 0,
+    };
+    for (out, row) in outs[tiled..].iter_mut().zip(&coeffs[tiled..]) {
+        dot_assign_with_kernel(kernel, out, sources, row);
     }
 }
 

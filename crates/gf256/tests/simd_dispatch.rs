@@ -6,7 +6,10 @@
 //! of unaligned region lengths: 0, 1, around one vector (15/16/17), around
 //! two vectors (31/32/33), around one 512-bit vector (63/64/65, the
 //! masked-tail boundary of the `Avx512`/`Gfni` rungs), and 4 KiB ± 1 (the
-//! paper's streaming block size).
+//! paper's streaming block size). The multi-output product
+//! (`matrix_mul_add`) is pinned the same way against its row-at-a-time
+//! definition, across output counts around the eight-row register tile and
+//! lengths around its 128-byte column strip.
 //!
 //! Kernels the CPU lacks are still pushed through the dispatcher (they must
 //! degrade portably, not fault); `report_skipped_kernels` prints a visible
@@ -15,8 +18,8 @@
 use nc_gf256::region::{self, Backend};
 use nc_gf256::scalar::mul_loop;
 use nc_gf256::simd::{
-    self, dot_assign_with_kernel, mul_add_assign_with_kernel, mul_assign_with_kernel,
-    mul_into_with_kernel, xor_assign_with_kernel, SimdKernel, DOT_BLOCK,
+    self, dot_assign_with_kernel, matrix_mul_add_with_kernel, mul_add_assign_with_kernel,
+    mul_assign_with_kernel, mul_into_with_kernel, xor_assign_with_kernel, SimdKernel, DOT_BLOCK,
 };
 use proptest::prelude::*;
 
@@ -153,6 +156,110 @@ fn blocked_dot_matches_row_at_a_time() {
     }
 }
 
+/// One `matrix_mul_add` problem: coefficient rows with zeros and ones
+/// sprinkled in, sources, non-zero initial outputs, and the scalar
+/// reference result.
+struct MatrixCase {
+    coeffs: Vec<Vec<u8>>,
+    sources: Vec<Vec<u8>>,
+    outs0: Vec<Vec<u8>>,
+    want: Vec<Vec<u8>>,
+}
+
+impl MatrixCase {
+    fn new(outputs: usize, sources: usize, len: usize, salt: usize) -> MatrixCase {
+        let coeffs: Vec<Vec<u8>> = (0..outputs)
+            .map(|t| {
+                (0..sources)
+                    .map(|i| match (t * 5 + i * 3 + salt) % 7 {
+                        0 => 0,
+                        1 => 1,
+                        _ => (t * 89 + i * 151 + salt * 29 + 2) as u8,
+                    })
+                    .collect()
+            })
+            .collect();
+        let sources: Vec<Vec<u8>> = (0..sources).map(|i| pattern(len, salt + i * 13 + 1)).collect();
+        let outs0: Vec<Vec<u8>> = (0..outputs).map(|t| pattern(len, salt + t * 7 + 99)).collect();
+        let want = outs0
+            .iter()
+            .zip(&coeffs)
+            .map(|(out, row)| {
+                let mut want = out.clone();
+                for (src, &c) in sources.iter().zip(row) {
+                    for (d, &b) in want.iter_mut().zip(src) {
+                        *d ^= mul_loop(c, b);
+                    }
+                }
+                want
+            })
+            .collect();
+        MatrixCase { coeffs, sources, outs0, want }
+    }
+
+    /// Runs `product` on a fresh copy of the initial outputs and checks the
+    /// result against the scalar reference.
+    fn check(&self, what: &str, product: impl FnOnce(&mut [&mut [u8]], &[&[u8]], &[&[u8]])) {
+        let mut outs = self.outs0.clone();
+        let mut out_refs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        let sources: Vec<&[u8]> = self.sources.iter().map(Vec::as_slice).collect();
+        let coeffs: Vec<&[u8]> = self.coeffs.iter().map(Vec::as_slice).collect();
+        product(&mut out_refs, &sources, &coeffs);
+        let len = self.outs0.first().map_or(0, Vec::len);
+        assert!(
+            outs == self.want,
+            "{what}: outputs={}, sources={}, len={len}",
+            self.outs0.len(),
+            self.sources.len()
+        );
+    }
+}
+
+#[test]
+fn matrix_mul_add_matches_row_at_a_time_and_scalar() {
+    // Output counts around the eight-row tile (and the benchmark's 136),
+    // source counts around DOT_BLOCK (and the paper's 128), lengths around
+    // one and two 64-byte vectors of the 128-byte strip and 4 KiB ± 1.
+    for outputs in [0usize, 1, 7, 8, 9, 17, 136] {
+        for sources in [0usize, 1, 3, 4, 5, 128] {
+            for len in [0usize, 1, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097] {
+                let case = MatrixCase::new(outputs, sources, len, outputs + sources + len);
+                for kernel in kernels_under_test() {
+                    case.check(&format!("matrix_mul_add on {kernel:?}"), |outs, srcs, coeffs| {
+                        matrix_mul_add_with_kernel(kernel, outs, srcs, coeffs)
+                    });
+                    case.check(&format!("dot_assign rows on {kernel:?}"), |outs, srcs, coeffs| {
+                        for (out, row) in outs.iter_mut().zip(coeffs) {
+                            dot_assign_with_kernel(kernel, out, srcs, row);
+                        }
+                    });
+                }
+                for backend in Backend::ALL {
+                    case.check(&format!("matrix_mul_add on {backend:?}"), |outs, srcs, coeffs| {
+                        region::matrix_mul_add_with(backend, outs, srcs, coeffs)
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "coefficient count mismatch")]
+fn matrix_mul_add_rejects_short_coefficient_rows() {
+    let mut out = [0u8; 4];
+    let src = [1u8; 4];
+    region::matrix_mul_add(&mut [&mut out[..]], &[&src[..], &src[..]], &[&[7u8][..]]);
+}
+
+#[test]
+#[should_panic(expected = "region length mismatch")]
+fn matrix_mul_add_rejects_ragged_outputs() {
+    let (mut a, mut b) = ([0u8; 4], [0u8; 5]);
+    let src = [1u8; 4];
+    region::matrix_mul_add(&mut [&mut a[..], &mut b[..]], &[&src[..]], &[&[7u8][..], &[9u8][..]]);
+}
+
 #[test]
 fn report_skipped_kernels() {
     // Not an assertion: a visible audit trail. `cargo test -- --nocapture`
@@ -226,6 +333,24 @@ proptest! {
             mul_add_assign_with_kernel(kernel, &mut dst, &src, c);
             prop_assert_eq!(&dst, &want, "kernel {:?}, c={}, len={}", kernel, c, len);
         }
+    }
+
+    #[test]
+    fn proptest_matrix_tiling_is_invisible(
+        outputs in 0usize..20,
+        sources in 0usize..12,
+        len in 0usize..300,
+        salt in 0usize..1024,
+    ) {
+        let case = MatrixCase::new(outputs, sources, len, salt);
+        for kernel in kernels_under_test() {
+            case.check(&format!("matrix_mul_add on {kernel:?}"), |outs, srcs, coeffs| {
+                matrix_mul_add_with_kernel(kernel, outs, srcs, coeffs)
+            });
+        }
+        case.check("matrix_mul_add on the default backend", |outs, srcs, coeffs| {
+            region::matrix_mul_add(outs, srcs, coeffs)
+        });
     }
 
     #[test]

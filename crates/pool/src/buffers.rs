@@ -304,9 +304,10 @@ impl<const N: usize> PartialEq<&[u8; N]> for PooledBuf {
 /// coefficient vectors (short — `n` bytes), one for payloads (`k` bytes),
 /// so the two populations don't evict each other.
 ///
-/// Encoders take zeroed buffers from the arena; a decoder recycles both
-/// halves of every block it absorbs once their bytes are folded into its
-/// RREF rows.
+/// Encoders take zeroed buffers from the arena; a decoder hands a block's
+/// coefficient vector back as soon as it is folded into its elimination
+/// rows, and the payloads it holds once the segment is decoded (or the
+/// decoder is dropped).
 pub struct BlockArena {
     coeffs: BytesPool,
     payloads: BytesPool,
@@ -353,9 +354,13 @@ impl BlockArena {
         self.payloads.take_vec_copy(src)
     }
 
-    /// Recycles both halves of a consumed coded block.
-    pub fn recycle_block(&self, coeffs: Vec<u8>, payload: Vec<u8>) {
+    /// Recycles a coefficient vector whose bytes have been consumed.
+    pub fn recycle_coeffs(&self, coeffs: Vec<u8>) {
         self.coeffs.recycle(coeffs);
+    }
+
+    /// Recycles a payload vector whose bytes have been consumed.
+    pub fn recycle_payload(&self, payload: Vec<u8>) {
         self.payloads.recycle(payload);
     }
 }
@@ -465,7 +470,8 @@ mod tests {
     #[test]
     fn arena_keeps_coeffs_and_payloads_apart() {
         let arena = BlockArena::new(4);
-        arena.recycle_block(vec![1u8; 8], vec![2u8; 64]);
+        arena.recycle_coeffs(vec![1u8; 8]);
+        arena.recycle_payload(vec![2u8; 64]);
         let c = arena.take_coeffs(8);
         let p = arena.take_payload(64);
         assert!(c.iter().all(|&b| b == 0));

@@ -47,6 +47,9 @@ fn main() -> Result<(), Error> {
         stats.discarded_dependent,
         stats.dependence_overhead() * 100.0
     );
-    println!("row operations: {}, GF multiplications: {}", stats.row_ops, stats.gf_multiplications);
+    println!(
+        "row operations over 2n-byte coefficient rows: {}, GF multiplications incl. the one n x n by n x k payload product: {}",
+        stats.row_ops, stats.gf_multiplications
+    );
     Ok(())
 }
