@@ -11,16 +11,18 @@
 //! dense RLNC's O(n²) coefficient work per segment and O(n³) Gaussian
 //! elimination.
 //!
-//! Working shards come from the process [`BytesPool`] and go back to it,
-//! so steady-state coding does not allocate. Both paths record wall time
-//! into the `fft.encode_ns` / `fft.decode_ns` histograms; a decode whose
-//! originals all survived is the *systematic fast path* — counted in
-//! `fft.systematic_fast_path` and answered by pure copy.
+//! The working set of a call is one contiguous [`Arena`] taken from the
+//! process [`BytesPool`] and returned to it, so steady-state coding keeps
+//! two large buffers alive instead of allocating per shard; output shards
+//! are pool vectors filled by copy (no zeroing pass). Both paths record
+//! wall time into the `fft.encode_ns` / `fft.decode_ns` histograms; a
+//! decode whose originals all survived is the *systematic fast path* —
+//! counted in `fft.systematic_fast_path` and answered by pure copy.
 
-use crate::afft::{fft, formal_derivative, ifft};
+use crate::afft::{block_shards, fft, formal_derivative, ifft, Arena};
 use crate::metrics::metrics;
-use crate::simd;
-use crate::tables::{fwht, tables, MODULUS, ORDER};
+use crate::simd::{self, Gf16Kernel};
+use crate::tables::{add_mod, fwht, tables, MODULUS, ORDER};
 use nc_pool::BytesPool;
 use nc_rlnc::Error;
 use std::time::Instant;
@@ -44,13 +46,24 @@ fn shard_bytes_of<'a, I: Iterator<Item = &'a [u8]>>(mut shards: I) -> Result<usi
     Ok(bytes)
 }
 
-/// Produces `recovery_count` parity shards for `original`.
+/// Produces `recovery_count` parity shards for `original` on the active
+/// kernel.
 ///
 /// Shards must all be the same non-zero even length (GF(2^16) symbols).
 /// Capacity bound: with `m = recovery_count.next_power_of_two()`, the
 /// evaluation cosets `m·1 .. m·(chunks+1)` must fit the field, i.e.
 /// `m + original.len()` rounded up to chunks of `m` stays ≤ 2^16.
 pub fn encode_segment(original: &[&[u8]], recovery_count: usize) -> Result<Vec<Vec<u8>>, Error> {
+    encode_segment_with_kernel(simd::active_kernel(), original, recovery_count)
+}
+
+/// [`encode_segment`] on an explicit kernel (tests, ablation); a kernel
+/// the host lacks runs portably.
+pub fn encode_segment_with_kernel(
+    kernel: Gf16Kernel,
+    original: &[&[u8]],
+    recovery_count: usize,
+) -> Result<Vec<Vec<u8>>, Error> {
     if recovery_count == 0 {
         return Err(Error::InvalidConfig { reason: "recovery_count must be at least 1" });
     }
@@ -66,37 +79,31 @@ pub fn encode_segment(original: &[&[u8]], recovery_count: usize) -> Result<Vec<V
     let started = Instant::now();
     let t = tables();
     let pool = BytesPool::global();
+    let block = block_shards(shard_bytes);
 
     // Accumulate Σ_c IFFT(chunk c over coset m + c·m) into `work`.
-    let mut work: Vec<Vec<u8>> = (0..m).map(|_| pool.take_vec(shard_bytes)).collect();
-    let first = original.len().min(m);
-    for (w, o) in work.iter_mut().zip(&original[..first]) {
-        w.copy_from_slice(o);
-    }
-    ifft(&t, &mut work, m, first, m);
-    for c in 1..chunks {
-        let start = c * m;
-        let count = (original.len() - start).min(m);
-        let mut chunk: Vec<Vec<u8>> = (0..m).map(|_| pool.take_vec(shard_bytes)).collect();
-        for (w, o) in chunk.iter_mut().zip(&original[start..start + count]) {
-            w.copy_from_slice(o);
+    let transform = |arena: &mut Arena, c: usize, chunk: &[&[u8]]| {
+        chunk.iter().for_each(|shard| arena.push(shard));
+        arena.pad_zeroed(m);
+        ifft(&t, kernel, arena, m, chunk.len(), m + c * m, block);
+    };
+    let mut work = Arena::new(pool, m, shard_bytes);
+    transform(&mut work, 0, &original[..original.len().min(m)]);
+    if chunks > 1 {
+        let mut scratch = Arena::new(pool, m, shard_bytes);
+        for (c, chunk) in original.chunks(m).enumerate().skip(1) {
+            scratch.clear();
+            transform(&mut scratch, c, chunk);
+            work.xor_assign(&scratch);
         }
-        ifft(&t, &mut chunk, m, count, m + start);
-        for (w, x) in work.iter_mut().zip(&chunk) {
-            simd::xor_assign(w, x);
-        }
-        for v in chunk {
-            pool.recycle(v);
-        }
+        scratch.recycle(pool);
     }
 
     // Evaluate over the recovery coset (points 0..m); only the first
-    // `recovery_count` outputs leave the function.
-    fft(&t, &mut work, m, recovery_count, 0);
-    let mut recovery = work;
-    for v in recovery.drain(recovery_count..) {
-        pool.recycle(v);
-    }
+    // `recovery_count` outputs are computed and leave the function.
+    fft(&t, kernel, &mut work, m, 0..recovery_count, 0, block);
+    let recovery = (0..recovery_count).map(|i| pool.take_vec_copy(work.shard(i))).collect();
+    work.recycle(pool);
 
     let mx = metrics();
     mx.encode_ns.record(started.elapsed().as_nanos() as u64);
@@ -104,7 +111,8 @@ pub fn encode_segment(original: &[&[u8]], recovery_count: usize) -> Result<Vec<V
     Ok(recovery)
 }
 
-/// Recovers the full original shard list from whatever survived.
+/// Recovers the full original shard list from whatever survived, on the
+/// active kernel.
 ///
 /// `original[i]` / `recovery[i]` are `None` where the shard was lost.
 /// Succeeds whenever the erased originals are covered by surviving
@@ -114,6 +122,16 @@ pub fn encode_segment(original: &[&[u8]], recovery_count: usize) -> Result<Vec<V
 /// When every original survived this is the **systematic fast path**:
 /// pure copies, no transform, `fft.systematic_fast_path` incremented.
 pub fn decode_segment(
+    original: &[Option<&[u8]>],
+    recovery: &[Option<&[u8]>],
+) -> Result<Vec<Vec<u8>>, Error> {
+    decode_segment_with_kernel(simd::active_kernel(), original, recovery)
+}
+
+/// [`decode_segment`] on an explicit kernel (tests, ablation); a kernel
+/// the host lacks runs portably.
+pub fn decode_segment_with_kernel(
+    kernel: Gf16Kernel,
     original: &[Option<&[u8]>],
     recovery: &[Option<&[u8]>],
 ) -> Result<Vec<Vec<u8>>, Error> {
@@ -133,10 +151,10 @@ pub fn decode_segment(
     let shard_bytes =
         shard_bytes_of(original.iter().chain(recovery.iter()).filter_map(|s| s.as_deref()))?;
 
-    if original.iter().all(Option::is_some) {
+    let Some(first_erased) = original.iter().position(Option::is_none) else {
         metrics().systematic_fast_path.inc();
         return Ok(original.iter().map(|s| s.expect("all present").to_vec()).collect());
-    }
+    };
     let erased_originals = original.iter().filter(|s| s.is_none()).count();
     let present_recovery = recovery.iter().filter(|s| s.is_some()).count();
     if erased_originals > present_recovery {
@@ -150,63 +168,73 @@ pub fn decode_segment(
     let t = tables();
     let pool = BytesPool::global();
     let n_fft = (m + original_count).next_power_of_two();
+    let block = block_shards(shard_bytes);
 
     // Error locator: 1 at every erased position (padding recovery
     // positions count as erased), then two FWHTs against log_walsh turn
     // the indicator into the log-domain evaluations of the locator
-    // polynomial at every field point.
-    let mut err_loc = vec![0u16; ORDER];
-    for (e, r) in err_loc.iter_mut().zip(recovery.iter()) {
+    // polynomial at the field points. Only the first `n_fft` evaluations
+    // are read, so the second transform runs at length `n_fft` over the
+    // product folded modulo `n_fft` instead of at length `ORDER`.
+    let mut indicator = vec![0u16; ORDER];
+    for (e, r) in indicator.iter_mut().zip(recovery.iter()) {
         if r.is_none() {
             *e = 1;
         }
     }
-    for e in err_loc.iter_mut().take(m).skip(recovery_count) {
+    for e in indicator.iter_mut().take(m).skip(recovery_count) {
         *e = 1;
     }
     for (i, o) in original.iter().enumerate() {
         if o.is_none() {
-            err_loc[m + i] = 1;
+            indicator[m + i] = 1;
         }
     }
-    fwht(&mut err_loc, m + original_count);
-    for (e, &w) in err_loc.iter_mut().zip(t.log_walsh.iter()) {
-        *e = ((u32::from(*e) * u32::from(w)) % u32::from(MODULUS)) as u16;
+    fwht(&mut indicator, m + original_count);
+    let mut err_loc = vec![0u16; n_fft];
+    for (i, (&e, &w)) in indicator.iter().zip(t.log_walsh.iter()).enumerate() {
+        let product = ((u32::from(e) * u32::from(w)) % u32::from(MODULUS)) as u16;
+        let folded = &mut err_loc[i % n_fft];
+        *folded = add_mod(*folded, product);
     }
-    fwht(&mut err_loc, ORDER);
+    fwht(&mut err_loc, n_fft);
 
-    // Present shards scaled by the locator; erased positions zero.
-    let mut work: Vec<Vec<u8>> = (0..n_fft).map(|_| pool.take_vec(shard_bytes)).collect();
-    for (i, r) in recovery.iter().enumerate() {
-        if let Some(shard) = r {
-            simd::mul_into(&t, &mut work[i], shard, err_loc[i]);
+    // The work arena, filled in position order: present shards scaled by
+    // the locator, erased and padding positions zero. Nothing else is
+    // zeroed — the buffer arrives with stale contents.
+    let mut work = Arena::new(pool, n_fft, shard_bytes);
+    let mut place = |position: usize, shard: &Option<&[u8]>| {
+        work.pad_zeroed(position);
+        if let Some(shard) = shard {
+            work.push(shard);
+            simd::mul_assign_with_kernel(kernel, &t, work.shard_mut(position), err_loc[position]);
         }
-    }
-    for (i, o) in original.iter().enumerate() {
-        if let Some(shard) = o {
-            simd::mul_into(&t, &mut work[m + i], shard, err_loc[m + i]);
-        }
-    }
+    };
+    recovery.iter().enumerate().for_each(|(i, r)| place(i, r));
+    original.iter().enumerate().for_each(|(i, o)| place(m + i, o));
+    work.pad_zeroed(n_fft);
 
-    ifft(&t, &mut work, n_fft, m + original_count, 0);
-    formal_derivative(&mut work, n_fft);
-    fft(&t, &mut work, n_fft, n_fft, 0);
+    // Only the erased originals are read back, so only the outputs from
+    // the first to the last of them are evaluated.
+    let last_erased = original.iter().rposition(Option::is_none).expect("one is erased");
+    ifft(&t, kernel, &mut work, n_fft, m + original_count, 0, block);
+    formal_derivative(&mut work, n_fft, block);
+    fft(&t, kernel, &mut work, n_fft, m + first_erased..m + last_erased + 1, 0, block);
 
-    // lint: allow(vec-capacity) — container of shard handles, one per decode; the shard bytes themselves are pooled.
-    let mut out = Vec::with_capacity(original_count);
-    for (i, o) in original.iter().enumerate() {
-        match o {
-            Some(shard) => out.push(pool.take_vec_copy(shard)),
+    let out = original
+        .iter()
+        .enumerate()
+        .map(|(i, o)| match o {
+            Some(shard) => pool.take_vec_copy(shard),
             None => {
-                let mut recovered = pool.take_vec(shard_bytes);
-                simd::mul_into(&t, &mut recovered, &work[m + i], MODULUS - err_loc[m + i]);
-                out.push(recovered);
+                let mut recovered = pool.take_vec_copy(work.shard(m + i));
+                let unscale = MODULUS - err_loc[m + i];
+                simd::mul_assign_with_kernel(kernel, &t, &mut recovered, unscale);
+                recovered
             }
-        }
-    }
-    for v in work {
-        pool.recycle(v);
-    }
+        })
+        .collect();
+    work.recycle(pool);
 
     let mx = metrics();
     mx.decode_ns.record(started.elapsed().as_nanos() as u64);

@@ -17,14 +17,16 @@
 //!
 //! * [`tables`] — field construction: Cantor-basis log/exp, FFT skews,
 //!   LogWalsh; built once behind a model-checked [`cell::TableCell`].
-//! * [`simd`] — split-plane region kernels (PSHUFB / NEON nibble tables
-//!   with a portable fallback), runtime-dispatched like `nc_gf256::simd`,
+//! * [`simd`] — split-plane region kernels and the per-constant
+//!   [`simd::Multiplier`]: fused butterflies on GFNI / AVX2 / SSSE3 / NEON
+//!   with a portable fallback, runtime-dispatched like `nc_gf256::simd`,
 //!   overridable with `NC_GF16_BACKEND`.
-//! * [`afft`] — the additive FFT/IFFT butterflies and the formal
-//!   derivative, operating on whole shards region-at-a-time.
+//! * [`afft`] — the additive FFT/IFFT and the formal derivative over one
+//!   contiguous [`afft::Arena`] of shards, walked depth first so every
+//!   cache level is passed over a few times, not once per layer.
 //! * [`engine`] — [`engine::encode_segment`] / [`engine::decode_segment`]:
-//!   shard-level systematic encode and erasure decode with
-//!   [`nc_pool::BytesPool`]-recycled working state and
+//!   shard-level systematic encode and erasure decode over a
+//!   [`nc_pool::BytesPool`]-recycled arena, with
 //!   `fft.encode_ns` / `fft.decode_ns` telemetry.
 //! * [`stream`] — [`Fft16Codec`]: the [`nc_rlnc::codec::ErasureCodec`]
 //!   implementation nc-net negotiates per stream.

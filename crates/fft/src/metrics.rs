@@ -7,7 +7,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use nc_telemetry::{Counter, Histogram};
+use nc_telemetry::{Counter, Gauge, Histogram};
 
 pub(crate) struct FftMetrics {
     /// Wall time of one segment encode (IFFT sweep + FFT), nanoseconds.
@@ -21,6 +21,12 @@ pub(crate) struct FftMetrics {
     pub decodes: Arc<Counter>,
     /// Recovery shards produced by encodes.
     pub recovery_shards: Arc<Counter>,
+    /// Which GF(2^16) rung the process dispatches to
+    /// ([`crate::simd::Gf16Kernel::id`]), set when it is first selected.
+    pub kernel_id: Arc<Gauge>,
+    /// `NC_GF16_BACKEND` values that were ignored (unknown name, or a rung
+    /// this CPU lacks).
+    pub backend_override_unavailable: Arc<Counter>,
 }
 
 pub(crate) fn metrics() -> &'static FftMetrics {
@@ -33,6 +39,8 @@ pub(crate) fn metrics() -> &'static FftMetrics {
             systematic_fast_path: r.counter("fft.systematic_fast_path"),
             decodes: r.counter("fft.decodes"),
             recovery_shards: r.counter("fft.recovery_shards"),
+            kernel_id: r.gauge("fft.kernel_id"),
+            backend_override_unavailable: r.counter("fft.backend_override_unavailable"),
         }
     })
 }

@@ -133,8 +133,9 @@ impl StreamCodecSender for Fft16StreamSender {
 /// One segment's receive state.
 #[derive(Debug)]
 enum SegState {
-    /// Still collecting shards: `original`/`recovery` slot per position.
-    Collecting { original: Vec<Option<Vec<u8>>>, recovery: Vec<Option<Vec<u8>>> },
+    /// Still collecting shards: `original`/`recovery` slot per position,
+    /// `have` of them filled.
+    Collecting { original: Vec<Option<Vec<u8>>>, recovery: Vec<Option<Vec<u8>>>, have: usize },
     /// Decoded: the `n` original shards in order.
     Done(Vec<Vec<u8>>),
 }
@@ -163,7 +164,11 @@ impl Fft16StreamReceiver {
         }
         let n = config.blocks();
         let segments = (0..total_segments)
-            .map(|_| SegState::Collecting { original: vec![None; n], recovery: vec![None; n] })
+            .map(|_| SegState::Collecting {
+                original: vec![None; n],
+                recovery: vec![None; n],
+                have: 0,
+            })
             .collect();
         Ok(Fft16StreamReceiver { config, original_len, segments, complete: 0 })
     }
@@ -192,18 +197,18 @@ impl StreamCodecReceiver for Fft16StreamReceiver {
             return Err(Error::InvalidConfig { reason: "frame shard index beyond 2n" });
         }
         let state = &mut self.segments[segment];
-        let SegState::Collecting { original, recovery } = state else {
+        let SegState::Collecting { original, recovery, have } = state else {
             return Ok(Absorbed { segment, innovative: false, segment_complete: false });
         };
         let slot = if shard < n { &mut original[shard] } else { &mut recovery[shard - n] };
         if slot.is_some() {
             return Ok(Absorbed { segment, innovative: false, segment_complete: false });
         }
-        *slot = Some(frame[FRAME_HEADER_BYTES..].to_vec());
-
-        let have = original.iter().filter(|s| s.is_some()).count()
-            + recovery.iter().filter(|s| s.is_some()).count();
-        if have < n {
+        // Pool vectors: the collected shards go back to the pool after decode.
+        let pool = BytesPool::global();
+        *slot = Some(pool.take_vec_copy(&frame[FRAME_HEADER_BYTES..]));
+        *have += 1;
+        if *have < n {
             return Ok(Absorbed { segment, innovative: true, segment_complete: false });
         }
         // Any n distinct shards decode (all-originals is the systematic
@@ -211,7 +216,6 @@ impl StreamCodecReceiver for Fft16StreamReceiver {
         let orig_refs: Vec<Option<&[u8]>> = original.iter().map(|s| s.as_deref()).collect();
         let rec_refs: Vec<Option<&[u8]>> = recovery.iter().map(|s| s.as_deref()).collect();
         let decoded = decode_segment(&orig_refs, &rec_refs)?;
-        let pool = BytesPool::global();
         for shard in original.drain(..).chain(recovery.drain(..)).flatten() {
             pool.recycle(shard);
         }

@@ -58,6 +58,14 @@ pub struct Tables {
     pub skew: Box<[u16; ORDER]>,
     /// Walsh-Hadamard transform (mod [`MODULUS`]) of the log table.
     pub log_walsh: Box<[u16; ORDER]>,
+    /// `bit_products[i]` holds the 16 products `2^i · 2^j` over
+    /// representation bits as two byte vectors: byte `j` of `.0` is the
+    /// low byte of the product, byte `j` of `.1` the high byte. The
+    /// multiply is bilinear over GF(2), so the same two vectors for any
+    /// constant `m` are the XOR of the rows of `m`'s set bits — how
+    /// [`crate::simd::Multiplier`] gets a constant's column products from
+    /// one 512-byte table instead of 16 scattered `exp` lookups.
+    pub bit_products: [(u128, u128); BITS],
 }
 
 impl std::fmt::Debug for Tables {
@@ -158,6 +166,15 @@ impl Tables {
         log_walsh[0] = 0;
         fwht(&mut log_walsh, ORDER);
 
+        let mut bit_products = [(0u128, 0u128); BITS];
+        for (i, (lo, hi)) in bit_products.iter_mut().enumerate() {
+            for j in 0..BITS {
+                let p = u128::from(mul_tables(&log, &exp, 1 << i, 1 << j));
+                *lo |= (p & 0xFF) << (8 * j);
+                *hi |= (p >> 8) << (8 * j);
+            }
+        }
+
         fn into_array(b: Box<[u16]>) -> Box<[u16; ORDER]> {
             b.try_into().expect("built with ORDER entries")
         }
@@ -166,6 +183,7 @@ impl Tables {
             exp: into_array(exp),
             skew: into_array(skew),
             log_walsh: into_array(log_walsh),
+            bit_products,
         }
     }
 
@@ -221,18 +239,22 @@ fn mul_log_tables(log: &[u16], exp: &[u16], x: u16, log_m: u16) -> u16 {
     exp[usize::from(add_mod(log[usize::from(x)], log_m))]
 }
 
-/// In-place Walsh-Hadamard transform over `(Z / MODULUS, +)`, radix-2.
+/// In-place Walsh-Hadamard transform over `(Z / MODULUS, +)`, radix-2, of
+/// a power-of-two-length slice.
 ///
 /// `truncated` bounds the non-zero input prefix: butterfly groups whose
 /// inputs are all past it start as zero and stay zero, so they are
-/// skipped (the nonzero prefix is re-rounded up after every layer). The
-/// transform is length-[`ORDER`] always — that is what aligns it with the
-/// field's evaluation-point domain.
+/// skipped (the nonzero prefix is re-rounded up after every layer). At
+/// length [`ORDER`] the transform is aligned with the field's
+/// evaluation-point domain; its first `n` outputs (`n` a power of two)
+/// equal the length-`n` transform of the input folded modulo `n`, which
+/// is how the decoder avoids the layers it would not read.
 pub fn fwht(data: &mut [u16], truncated: usize) {
-    debug_assert_eq!(data.len(), ORDER);
-    let mut live = truncated.clamp(1, ORDER);
+    let len = data.len();
+    debug_assert!(len.is_power_of_two());
+    let mut live = truncated.clamp(1, len);
     let mut dist = 1usize;
-    while dist < ORDER {
+    while dist < len {
         let span = dist << 1;
         let mut r = 0;
         while r < live {
@@ -339,6 +361,25 @@ mod tests {
         fwht(&mut full, ORDER);
         fwht(&mut truncated, 1000);
         assert_eq!(full, truncated);
+    }
+
+    #[test]
+    fn fwht_prefix_equals_transform_of_the_folded_input() {
+        let mut full = vec![0u16; ORDER];
+        for (i, v) in full.iter_mut().enumerate() {
+            *v = (i * 37 % usize::from(MODULUS)) as u16;
+        }
+        let n = 512;
+        let mut folded = vec![0u16; n];
+        for (i, &v) in full.iter().enumerate() {
+            folded[i % n] = add_mod(folded[i % n], v);
+        }
+        fwht(&mut full, ORDER);
+        fwht(&mut folded, n);
+        // Equal as residues: 0 and MODULUS are the same log.
+        for (a, b) in full[..n].iter().zip(&folded) {
+            assert_eq!(a % MODULUS, b % MODULUS);
+        }
     }
 
     #[test]
