@@ -16,7 +16,6 @@ fn main() {
         ("misc", nc_bench::report::misc()),
         ("ablation", nc_bench::report::ablations()),
         ("streaming_capacity", nc_bench::report::streaming_capacity()),
-        ("transfer", nc_bench::report::transfer()),
     ] {
         println!("=============================== {name} ===============================");
         println!("{report}");

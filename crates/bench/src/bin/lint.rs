@@ -21,7 +21,7 @@
 //! * **raw-udp-io** — `.send_to(` / `.recv_from(` outside the transport's
 //!   I/O seam (`crates/net/src/channel.rs` and `crates/net/src/sysio.rs`).
 //!   Datagram I/O must route through `BatchSocket`/`UdpChannel` so the
-//!   `net.syscalls` accounting the capacity bench divides by stays exact,
+//!   `net.syscalls` accounting the benchmark divides by stays exact,
 //!   and so the batched Linux path and the portable fallback cannot
 //!   silently diverge at a call site.
 //! * **safety-comment** — an `unsafe {` block with no `// SAFETY:`

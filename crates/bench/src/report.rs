@@ -805,80 +805,6 @@ pub fn streaming_capacity() -> String {
     out
 }
 
-/// Loopback goodput vs. injected loss over the real UDP transport: a 2 MB
-/// stream through a seeded `FaultyChannel` around a `127.0.0.1` socket
-/// pair, recovered by rateless coding only (no retransmission path).
-pub fn transfer() -> String {
-    use nc_net::channel::{FaultProfile, FaultyChannel, UdpChannel};
-    use nc_net::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
-    use nc_net::sender::send_stream;
-    use nc_net::session::SenderConfig;
-    use nc_rlnc::stream::StreamEncoder;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let coding = CodingConfig::new(16, 2048).expect("valid"); // 32 KiB segments
-    let data: Vec<u8> =
-        (0..2 * 1024 * 1024).map(|i: usize| (i.wrapping_mul(2246822519) >> 11) as u8).collect();
-    let mut out = String::from("## Transport: loopback goodput vs. loss (real UDP)\n\n");
-    out.push_str(&format!(
-        "stream: {} MB, {} segments of 16 x 2 KiB; sender paced at 48 MB/s; seeded faults\n\n",
-        data.len() / (1024 * 1024),
-        data.len().div_ceil(coding.segment_bytes()),
-    ));
-    out.push_str(&format!(
-        "{:>6} {:>14} {:>10} {:>12} {:>12}\n",
-        "loss%", "goodput MB/s", "overhead", "frames sent", "elapsed ms"
-    ));
-
-    for (i, loss) in [0.0, 0.05, 0.10, 0.20].into_iter().enumerate() {
-        let encoder = Arc::new(StreamEncoder::new(coding, &data).expect("non-empty"));
-        let rx_socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
-        let tx_socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
-        rx_socket.connect(tx_socket.local_addr().expect("addr")).expect("connect");
-        tx_socket.connect(rx_socket.local_addr().expect("addr")).expect("connect");
-        let profile = FaultProfile::lossy(loss).with_reorder(0.05, 8);
-        let mut tx = FaultyChannel::new(UdpChannel::from_socket(tx_socket), profile, 40 + i as u64);
-
-        // lint: allow(thread-spawn) — bench measurement driver thread, not a product hot path.
-        let receiver = std::thread::spawn(move || {
-            let mut rx = UdpChannel::from_socket(rx_socket);
-            let config = ReceiverConfig {
-                idle_timeout: Duration::from_secs(10),
-                ..ReceiverConfig::default()
-            };
-            let mut session = ReceiverSession::new(1, config, Instant::now());
-            run_receiver(&mut rx, &mut session).expect("socket I/O");
-            session.into_recovered()
-        });
-        // Paced below the receiver's decode capability so the loss axis
-        // measures the injected faults, not socket-buffer overflow.
-        let sender_config = SenderConfig {
-            pace_bytes_per_s: Some(48.0e6),
-            initial_loss: loss,
-            idle_timeout: Duration::from_secs(10),
-            ..SenderConfig::default()
-        };
-        let report =
-            send_stream(&mut tx, encoder, 1, sender_config, 40 + i as u64).expect("socket I/O");
-        let recovered = receiver.join().expect("receiver thread");
-        let exact = recovered.as_deref() == Some(data.as_slice());
-        out.push_str(&format!(
-            "{:>6.0} {:>14.2} {:>10.3} {:>12} {:>12.1}{}\n",
-            loss * 100.0,
-            report.goodput_bytes_per_s().unwrap_or(0.0) / 1e6,
-            report.overhead_ratio().unwrap_or(f64::NAN),
-            report.frames_sent,
-            report.elapsed.as_secs_f64() * 1e3,
-            if exact { "" } else { "  [RECOVERY FAILED]" },
-        ));
-    }
-    out.push_str(
-        "\nrateless recovery only: loss costs ~1/(1-p) redundancy, never a retransmission.\n",
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     // Report generators are exercised end-to-end by the figure smoke tests

@@ -11,18 +11,15 @@
 //! * [`DeviceBackend`] — the executor: buffer management, uploads,
 //!   downloads, grid launches, per-launch [`LaunchStats`].
 //!
-//! Three executors implement [`DeviceBackend`]:
+//! Two executors implement [`DeviceBackend`]:
 //!
 //! * [`SimBackend`] — the cycle-model simulator (sanitizer and sampled
 //!   launches preserved); `elapsed_s` is **modeled** time.
 //! * [`HostDeviceBackend`] — kernel blocks executed in parallel on
 //!   [`nc_pool`] workers against atomic host memory; `elapsed_s` is
 //!   **measured** wall-clock time. This validates the simulator's cost
-//!   model against a real executor (see the `equivalence` bench figure)
-//!   and keeps every pipeline testable without a GPU.
-//! * `ComputeBackend` (feature `compute`, see [`crate::compute`]) — the
-//!   buffer/bind-group/dispatch command plumbing a real Vulkan-class device
-//!   would sit behind, executing on the host so CI compiles it GPU-free.
+//!   model against a real executor and keeps every pipeline testable
+//!   without a GPU.
 //!
 //! Bit-exactness versus the `nc-rlnc` CPU reference is the invariant: the
 //! same [`DeviceKernel`] must produce identical bytes on every backend.
@@ -411,7 +408,7 @@ impl DeviceBackend for SimBackend {
 ///
 /// Counters are functional tallies (ops, bytes, barriers) — the host has no
 /// coalescer or bank model; its authority is the wall clock.
-pub(crate) struct HostCtx<'a> {
+struct HostCtx<'a> {
     block_idx: usize,
     grid_blocks: usize,
     block_threads: usize,
@@ -423,7 +420,7 @@ pub(crate) struct HostCtx<'a> {
 }
 
 impl<'a> HostCtx<'a> {
-    pub(crate) fn new(
+    fn new(
         block_idx: usize,
         grid: GridConfig,
         spec: &'a DeviceSpec,
@@ -441,7 +438,7 @@ impl<'a> HostCtx<'a> {
         }
     }
 
-    pub(crate) fn into_counters(self) -> ExecCounters {
+    fn into_counters(self) -> ExecCounters {
         self.counters
     }
 

@@ -196,17 +196,12 @@ impl Channel for UdpChannel {
 /// which drains up to a batch per wait. Queue buffers are drawn from and
 /// recycled to the process-wide [`BytesPool`], so a steady-state server
 /// sends without allocating.
-///
-/// `send_one`/`recv_one` are the unbatched escape hatches the legacy
-/// single-socket [`crate::server::Server`] runs on; they keep its
-/// one-datagram-per-syscall behavior (it is the capacity bench's baseline)
-/// while still routing through this seam so syscall accounting holds.
 #[derive(Debug)]
 pub struct BatchSocket {
     socket: UdpSocket,
     slot_bytes: usize,
-    /// Receive slots, grown on demand: a socket that only ever uses
-    /// `recv_one` carries one slot, a batching shard carries `MAX_BATCH`.
+    /// Receive slots, allocated on the first receive: a socket that only
+    /// ever sends carries none, a receiving shard carries `MAX_BATCH`.
     slots: Vec<Vec<u8>>,
     meta: Vec<(usize, SocketAddr)>,
     out: Vec<(SocketAddr, Vec<u8>)>,
@@ -328,25 +323,6 @@ impl BatchSocket {
         Ok(sent)
     }
 
-    /// Sends one datagram immediately (flushing any staged batch first so
-    /// ordering is preserved).
-    ///
-    /// # Errors
-    ///
-    /// Non-loss I/O errors from the send path.
-    pub fn send_one(&mut self, to: SocketAddr, bytes: &[u8]) -> io::Result<()> {
-        self.flush()?;
-        let msg = [(to, BytesPool::global().take_vec_copy(bytes))];
-        let result = crate::sysio::send_to_batch(&self.socket, &msg);
-        let [(_, bytes)] = msg;
-        BytesPool::global().recycle(bytes);
-        let sent = result?;
-        let m = crate::metrics::metrics();
-        m.tx_batch.record(1);
-        m.tx_datagrams.add(sent as u64);
-        Ok(())
-    }
-
     /// Receives up to one batch of datagrams, waiting at most `timeout`
     /// for the first (zero polls). `on` sees each datagram's source and
     /// payload *borrowed from the receive slot* — no per-datagram copy.
@@ -377,33 +353,6 @@ impl BatchSocket {
             on(from, &self.slots[i][..len]);
         }
         Ok(got)
-    }
-
-    /// Receives at most one datagram — the unbatched path the legacy
-    /// single-socket server measures its baseline on.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the receive path.
-    pub fn recv_one(&mut self, timeout: Duration) -> io::Result<Option<(SocketAddr, PooledBuf)>> {
-        self.ensure_slots(1);
-        let got = crate::sysio::recv_from_batch(
-            &self.socket,
-            timeout,
-            &mut self.slots[..1],
-            &mut self.meta,
-        )?;
-        if got == 0 {
-            return Ok(None);
-        }
-        let (len, from) = self.meta[0];
-        if len == 0 {
-            return Ok(None);
-        }
-        let m = crate::metrics::metrics();
-        m.rx_datagrams.inc();
-        m.rx_bytes_copied.add(len as u64);
-        Ok(Some((from, BytesPool::global().take_copy(&self.slots[0][..len]))))
     }
 }
 
@@ -701,17 +650,7 @@ mod tests {
         }
         seen.sort();
         assert_eq!(seen, (0..20u8).map(|i| vec![i; 100]).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batch_socket_send_one_and_recv_one() {
-        let mut rx = BatchSocket::bind("127.0.0.1:0", 2048).unwrap();
-        let mut tx = BatchSocket::bind("127.0.0.1:0", 2048).unwrap();
-        tx.send_one(rx.local_addr().unwrap(), b"solo").unwrap();
-        let (from, buf) = rx.recv_one(Duration::from_secs(5)).unwrap().unwrap();
-        assert_eq!(from, tx.local_addr().unwrap());
-        assert_eq!(&buf[..], b"solo");
-        assert!(rx.recv_one(Duration::ZERO).unwrap().is_none());
+        assert_eq!(rx.recv_batch(Duration::ZERO, |_, _| {}).unwrap(), 0, "zero timeout polls");
     }
 
     #[test]

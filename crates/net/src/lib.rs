@@ -23,9 +23,9 @@
 //! | [`session`] | sans-I/O rateless sender state machine |
 //! | [`receiver`] | sans-I/O receiver state machine + blocking driver |
 //! | [`sender`] | blocking sender driver over any [`channel::Channel`] |
-//! | [`server`] | many concurrent receivers on one socket, per-session stats |
+//! | [`server`] | serving vocabulary: [`ServerConfig`], [`ServedTransfer`] (per-session stats) |
 //! | `sysio` | the platform seam: `SO_REUSEPORT` groups + `sendmmsg`/`recvmmsg` on Linux, `std` fallback elsewhere |
-//! | [`shard`] | multi-socket sharded server: one session map per `nc-pool` worker, batched syscalls |
+//! | [`shard`] | the server: one socket and session map per `nc-pool` worker (one shard is a single-socket server), batched syscalls |
 //!
 //! There is **no retransmission path**. Loss is repaired by sending fresh
 //! coded frames for whichever segments still lack rank — the rateless
@@ -91,7 +91,7 @@ pub use receiver::{
     run_receiver, ReceiverConfig, ReceiverOutcome, ReceiverReport, ReceiverSession,
 };
 pub use sender::{run_sender, send_stream};
-pub use server::{ServedTransfer, Server, ServerConfig};
+pub use server::{ServedTransfer, ServerConfig};
 pub use session::{SenderConfig, SenderOutcome, SenderReport, SenderSession};
 pub use shard::{ShardedServer, ShardedServerConfig};
 pub use wire::{Datagram, Payload, SegmentBitmap, StreamMeta, WireError};

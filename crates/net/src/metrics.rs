@@ -2,8 +2,8 @@
 //!
 //! Process-wide aggregates live in the default registry under `net.*`
 //! names; each [`crate::session::SenderSession`] additionally keeps its own
-//! pacing-wait histogram so the [`crate::server::Server`] can attach a
-//! per-session snapshot to every finished transfer.
+//! pacing-wait histogram so the [`crate::shard::ShardedServer`] can attach
+//! a per-session snapshot to every finished transfer.
 
 use std::sync::{Arc, OnceLock};
 

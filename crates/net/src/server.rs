@@ -1,25 +1,21 @@
-//! Multi-receiver serving: one UDP socket, many concurrent
-//! [`SenderSession`]s — the "seed node pushing to a swarm" role from the
-//! paper's Avalanche-style deployment, scaled down to a single box.
+//! The serving vocabulary shared by [`crate::shard::ShardedServer`] and its
+//! callers: [`ServerConfig`] (per-session and per-step tuning) and
+//! [`ServedTransfer`] (one reaped transfer with its report and telemetry).
 //!
-//! The server publishes streams under session ids. Any receiver that sends
-//! a `Request` for a published id gets its own independent sender session
-//! keyed by `(peer address, session id)`; sessions multiplex over the one
-//! socket and are polled round-robin with bounded per-step bursts so a
-//! fast peer cannot starve a slow one. Outgoing datagrams can optionally
-//! pass through a seeded [`FaultInjector`] — the same fault model the
-//! in-process tests use, applied per-destination.
+//! A server publishes streams under session ids. Any receiver that sends a
+//! `Request` for a published id gets its own independent sender session
+//! keyed by `(peer address, session id)`; sessions are polled round-robin
+//! with bounded per-step bursts so a fast peer cannot starve a slow one.
+//! Outgoing datagrams can optionally pass through a seeded
+//! [`FaultInjector`](crate::channel::FaultInjector) — the same fault model
+//! the in-process tests use, applied per-destination. The serve loop itself
+//! lives in [`crate::shard`].
 
-use nc_rlnc::codec::StreamCodecSender;
-use std::collections::HashMap;
-use std::io;
-use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::net::SocketAddr;
+use std::time::Duration;
 
-use crate::channel::{BatchSocket, FaultInjector, FaultProfile, FaultStats};
-use crate::session::{SenderConfig, SenderEvent, SenderReport, SenderSession};
-use crate::wire::{Datagram, Payload, MAX_DATAGRAM_BYTES};
+use crate::channel::FaultProfile;
+use crate::session::{SenderConfig, SenderReport};
 
 /// Tuning knobs for the server loop.
 #[derive(Clone, Debug)]
@@ -40,7 +36,8 @@ pub struct ServerConfig {
     /// Kernel receive-buffer size to request on the server socket(s), so
     /// feedback bursts from many concurrent receivers survive until the
     /// next batched drain. `None` keeps the kernel default; best-effort
-    /// on the portable path (see [`BatchSocket::set_recv_buffer`]).
+    /// on the portable path (see
+    /// [`BatchSocket::set_recv_buffer`](crate::channel::BatchSocket::set_recv_buffer)).
     pub recv_buffer_bytes: Option<usize>,
 }
 
@@ -63,348 +60,12 @@ pub struct ServedTransfer {
     pub peer: SocketAddr,
     /// The session id served.
     pub session: u64,
-    /// Which shard served it (always 0 on the single-socket [`Server`]).
+    /// Which shard served it: [`shard_owner`](crate::shard::shard_owner)
+    /// of `(peer, session)`.
     pub shard: usize,
     /// Full sender-side statistics for the transfer.
     pub report: SenderReport,
     /// Per-session telemetry (`session.*` metrics) captured at reap time;
     /// serializes via [`nc_telemetry::Snapshot::to_json`].
     pub metrics: nc_telemetry::Snapshot,
-}
-
-/// A multi-receiver coded-transport server on one UDP socket.
-///
-/// This is deliberately the *unsharded, unbatched* server: one socket, one
-/// datagram per syscall, every session in one map. It stays this way as
-/// the measured baseline for [`crate::shard::ShardedServer`] (the
-/// `server_capacity` bench reports the ratio between the two).
-pub struct Server {
-    socket: BatchSocket,
-    config: ServerConfig,
-    content: HashMap<u64, Arc<dyn StreamCodecSender>>,
-    sessions: HashMap<(SocketAddr, u64), SenderSession>,
-    /// Largest single-step burst each live session has emitted.
-    burst_max: HashMap<(SocketAddr, u64), u64>,
-    finished: Vec<ServedTransfer>,
-    injector: Option<FaultInjector<SocketAddr>>,
-    session_seed: u64,
-    /// Earliest quoted wake-up across sessions, from the previous step.
-    next_timeout: Duration,
-    steps: u64,
-}
-
-impl Server {
-    /// Binds a server socket.
-    ///
-    /// # Errors
-    ///
-    /// Any socket bind error.
-    pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Server> {
-        let socket = BatchSocket::bind(addr, MAX_DATAGRAM_BYTES)?;
-        if let Some(bytes) = config.recv_buffer_bytes {
-            socket.set_recv_buffer(bytes)?;
-        }
-        let injector = config.faults.map(|(profile, seed)| FaultInjector::new(profile, seed));
-        let next_timeout = config.poll_interval;
-        Ok(Server {
-            socket,
-            config,
-            content: HashMap::new(),
-            sessions: HashMap::new(),
-            burst_max: HashMap::new(),
-            finished: Vec::new(),
-            injector,
-            session_seed: 0,
-            next_timeout,
-            steps: 0,
-        })
-    }
-
-    /// The bound address (receivers request from here).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `UdpSocket::local_addr` errors.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-
-    /// Publishes a stream under `session` id; subsequent `Request`s for it
-    /// spawn sender sessions. Any codec backend works — the announce
-    /// carries its id, so receivers build the matching decoder.
-    pub fn publish(&mut self, session: u64, encoder: Arc<dyn StreamCodecSender>) {
-        self.content.insert(session, encoder);
-    }
-
-    /// Sessions currently in flight.
-    pub fn active_sessions(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Transfers finished so far (completed or timed out).
-    pub fn finished_transfers(&self) -> &[ServedTransfer] {
-        &self.finished
-    }
-
-    /// Outgoing fault counters, if fault injection is on.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.injector.as_ref().map(FaultInjector::stats)
-    }
-
-    /// Scheduling steps taken so far. A step is one wake-up of the serve
-    /// loop; an idle server should accumulate these at roughly
-    /// `1 / poll_interval` per second, not at a busy-wait rate (the
-    /// regression test for the old fixed 2ms tick watches this).
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Serves until `expected` transfers have finished or `deadline`
-    /// passes, returning every finished transfer's report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket I/O errors (datagram loss is not an error).
-    pub fn serve(
-        &mut self,
-        expected: usize,
-        deadline: Duration,
-    ) -> io::Result<Vec<ServedTransfer>> {
-        let start = Instant::now();
-        while self.finished.len() < expected && start.elapsed() < deadline {
-            self.step()?;
-        }
-        // Anything the fault model still holds is moot once serving stops.
-        if let Some(injector) = &mut self.injector {
-            injector.flush();
-        }
-        Ok(std::mem::take(&mut self.finished))
-    }
-
-    /// One scheduling step: drain the socket, advance every session, reap
-    /// finished ones. Public so callers can build custom serve loops.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket I/O errors.
-    pub fn step(&mut self) -> io::Result<()> {
-        self.steps += 1;
-        // Sleep until the earliest session deadline quoted on the previous
-        // pass (capped by `poll_interval`); an arriving datagram cuts the
-        // wait short. Then drain without waiting.
-        let mut timeout = self.next_timeout.min(self.config.poll_interval);
-        while let Some((peer, bytes)) = self.socket.recv_one(timeout)? {
-            self.dispatch(peer, &bytes);
-            timeout = Duration::ZERO;
-        }
-
-        let now = Instant::now();
-        let keys: Vec<(SocketAddr, u64)> = self.sessions.keys().copied().collect();
-        let mut next = self.config.poll_interval;
-        for key in keys {
-            if let Some(wait) = self.advance_session(key, now)? {
-                next = next.min(wait);
-            }
-        }
-        self.next_timeout = next;
-        Ok(())
-    }
-
-    /// Runs one session's burst. Returns the session's next wake-up quote
-    /// (`Duration::ZERO` = it still has budgeted work), or `None` if the
-    /// session finished and was reaped.
-    fn advance_session(
-        &mut self,
-        key: (SocketAddr, u64),
-        now: Instant,
-    ) -> io::Result<Option<Duration>> {
-        let mut burst = 0u64;
-        loop {
-            let Some(session) = self.sessions.get_mut(&key) else { return Ok(None) };
-            match session.poll(now) {
-                SenderEvent::Transmit(bytes) => {
-                    self.transmit(key.0, &bytes)?;
-                    // On the wire: recycle so the session's next encode
-                    // reuses the allocation.
-                    nc_pool::BytesPool::global().recycle(bytes);
-                    burst += 1;
-                    if burst >= u64::from(self.config.burst_per_step) {
-                        self.note_burst(key, burst);
-                        return Ok(Some(Duration::ZERO)); // fairness: yield
-                    }
-                }
-                SenderEvent::Wait(wait) => {
-                    self.note_burst(key, burst);
-                    return Ok(Some(wait));
-                }
-                SenderEvent::Finished => {
-                    self.note_burst(key, burst);
-                    let session = self.sessions.remove(&key).expect("session present");
-                    let mut metrics = session.metrics_snapshot(now);
-                    metrics
-                        .counters
-                        .insert("session.max_burst_per_step".into(), self.burst_max[&key]);
-                    self.burst_max.remove(&key);
-                    self.finished.push(ServedTransfer {
-                        peer: key.0,
-                        session: key.1,
-                        shard: 0,
-                        report: session.report(now),
-                        metrics,
-                    });
-                    return Ok(None);
-                }
-            }
-        }
-    }
-
-    fn note_burst(&mut self, key: (SocketAddr, u64), burst: u64) {
-        let max = self.burst_max.entry(key).or_insert(0);
-        *max = (*max).max(burst);
-    }
-
-    fn dispatch(&mut self, peer: SocketAddr, bytes: &[u8]) {
-        // Malformed traffic on a public socket is routine; drop silently.
-        let Ok(datagram) = Datagram::decode(bytes) else { return };
-        let key = (peer, datagram.session);
-        let now = Instant::now();
-        if let Some(session) = self.sessions.get_mut(&key) {
-            session.handle_datagram(&datagram, now);
-            return;
-        }
-        // A new request for published content spawns a session; anything
-        // else without a session (stale ACK/FIN after reap) is ignored.
-        if matches!(datagram.payload, Payload::Request) {
-            if let Some(encoder) = self.content.get(&datagram.session) {
-                self.session_seed += 1;
-                if let Ok(mut session) = SenderSession::new(
-                    Arc::clone(encoder),
-                    datagram.session,
-                    self.config.sender.clone(),
-                    self.session_seed,
-                    now,
-                ) {
-                    session.handle_datagram(&datagram, now);
-                    self.sessions.insert(key, session);
-                }
-            }
-        }
-    }
-
-    fn transmit(&mut self, peer: SocketAddr, bytes: &[u8]) -> io::Result<()> {
-        match &mut self.injector {
-            Some(injector) => {
-                for (to, wire) in injector.admit(peer, bytes) {
-                    self.socket.send_one(to, &wire)?;
-                }
-            }
-            None => self.socket.send_one(peer, bytes)?,
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::channel::UdpChannel;
-    use crate::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
-    use nc_rlnc::stream::StreamEncoder;
-    use nc_rlnc::CodingConfig;
-    use std::net::UdpSocket;
-
-    fn stream(len: usize, fill: impl Fn(usize) -> u8) -> (Arc<StreamEncoder>, Vec<u8>) {
-        let config = CodingConfig::new(8, 256).unwrap();
-        let data: Vec<u8> = (0..len).map(fill).collect();
-        (Arc::new(StreamEncoder::new(config, &data).unwrap()), data)
-    }
-
-    fn receive(server: SocketAddr, session: u64) -> (Option<Vec<u8>>, u64) {
-        let mut channel = UdpChannel::connect("127.0.0.1:0", server).unwrap();
-        let mut rx = ReceiverSession::new(session, ReceiverConfig::default(), Instant::now());
-        run_receiver(&mut channel, &mut rx).unwrap();
-        let innovative = rx.report().innovative;
-        (rx.into_recovered(), innovative)
-    }
-
-    #[test]
-    fn serves_two_concurrent_receivers_from_one_socket() {
-        let (encoder, data) = stream(40_000, |i| (i % 241) as u8);
-        let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        server.publish(9, encoder.clone());
-        let addr = server.local_addr().unwrap();
-
-        let handles: Vec<_> =
-            // lint: allow(thread-spawn) — test driver threads; product threading goes through nc-pool.
-            (0..2).map(|_| std::thread::spawn(move || receive(addr, 9))).collect();
-        let transfers = server.serve(2, Duration::from_secs(30)).unwrap();
-
-        for handle in handles {
-            let (recovered, _) = handle.join().unwrap();
-            assert_eq!(recovered.as_deref(), Some(data.as_slice()), "bit-exact recovery");
-        }
-        assert_eq!(transfers.len(), 2);
-        let peers: std::collections::HashSet<_> = transfers.iter().map(|t| t.peer).collect();
-        assert_eq!(peers.len(), 2, "one session per receiver");
-        for t in &transfers {
-            assert!(t.report.overhead_ratio().is_some());
-            assert_eq!(t.report.segments_completed, t.report.segments_total);
-        }
-    }
-
-    #[test]
-    fn survives_outgoing_faults() {
-        let (encoder, data) = stream(20_000, |i| (i % 199) as u8);
-        let config =
-            ServerConfig { faults: Some((FaultProfile::hostile(0.2), 11)), ..Default::default() };
-        let mut server = Server::bind("127.0.0.1:0", config).unwrap();
-        server.publish(3, encoder);
-        let addr = server.local_addr().unwrap();
-
-        // lint: allow(thread-spawn) — test driver thread; product threading goes through nc-pool.
-        let handle = std::thread::spawn(move || receive(addr, 3));
-        let transfers = server.serve(1, Duration::from_secs(30)).unwrap();
-        let (recovered, _) = handle.join().unwrap();
-
-        assert_eq!(recovered.as_deref(), Some(data.as_slice()));
-        assert_eq!(transfers.len(), 1);
-        let stats = server.fault_stats().unwrap();
-        assert!(stats.dropped > 0, "fault model was exercised: {stats:?}");
-    }
-
-    #[test]
-    fn unknown_session_requests_are_ignored() {
-        let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        let addr = server.local_addr().unwrap();
-        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let request = Datagram::new(12345, Payload::Request).encode().unwrap();
-        // lint: allow(raw-udp-io) — test client poking the server socket directly.
-        client.send_to(&request, addr).unwrap();
-        // lint: allow(raw-udp-io) — test client poking the server socket directly.
-        client.send_to(b"not a datagram at all", addr).unwrap();
-        for _ in 0..5 {
-            server.step().unwrap();
-        }
-        assert_eq!(server.active_sessions(), 0);
-    }
-
-    #[test]
-    fn idle_server_sleeps_instead_of_ticking() {
-        // Regression test for the fixed 2ms poll tick: with nothing to
-        // send and nobody connected, each step must sleep until the
-        // `poll_interval` cap, so half a second of idling is a handful of
-        // wake-ups — not the ~250 the old tick burned.
-        let (encoder, _) = stream(10_000, |i| (i % 251) as u8);
-        let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-        server.publish(1, encoder);
-        let start = Instant::now();
-        while start.elapsed() < Duration::from_millis(500) {
-            server.step().unwrap();
-        }
-        assert!(
-            server.steps() < 60,
-            "idle server busy-waited: {} wake-ups in 500ms",
-            server.steps()
-        );
-    }
 }

@@ -6,7 +6,7 @@
 //! receiver feedback (ACK bitmaps, FIN). The same machine therefore drives
 //! a point-to-point [`Channel`](crate::channel::Channel) (see
 //! [`run_sender`](crate::sender::run_sender)) and every per-peer session of
-//! the multi-receiver [`Server`](crate::server::Server).
+//! the multi-receiver [`ShardedServer`](crate::shard::ShardedServer).
 //!
 //! There is no retransmission path anywhere: a segment that lost frames
 //! simply receives *fresh* coded frames until its decoder reaches rank `n`
@@ -503,8 +503,8 @@ impl SenderSession {
     }
 
     /// A point-in-time [`Snapshot`] of this session's own metrics, under
-    /// `session.*` names. The [`Server`](crate::server::Server) attaches
-    /// one to every finished transfer.
+    /// `session.*` names. The [`ShardedServer`](crate::shard::ShardedServer)
+    /// attaches one to every finished transfer.
     pub fn metrics_snapshot(&self, now: Instant) -> Snapshot {
         let report = self.report(now);
         let mut snap = Snapshot::default();

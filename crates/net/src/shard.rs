@@ -1,9 +1,11 @@
-//! Sharded multi-socket serving: the §5.1.1 capacity configuration.
+//! The multi-receiver server — the "seed node pushing to a swarm" role
+//! from the paper's Avalanche-style deployment, in the §5.1.1 capacity
+//! configuration.
 //!
 //! The paper's headline serving claim is that once encoding is cheap, the
 //! bottleneck is pushing packets — so the server must scale across cores
-//! and amortize kernel crossings. This module is that scale-out of
-//! [`crate::server::Server`]:
+//! and amortize kernel crossings. [`ShardedServer`] is the crate's only
+//! serve loop; `shards: 1` is the single-socket server:
 //!
 //! * **One socket per shard**, bound as an `SO_REUSEPORT` group (portable
 //!   fallback: clones of one socket), so shards receive concurrently with
@@ -25,9 +27,7 @@
 //!   FINs), so forwarded volume is a small fraction of datagrams moved.
 //! * **Batched syscalls.** Frames are staged per shard and flushed with
 //!   `sendmmsg`; feedback drains with `poll` + `recvmmsg`
-//!   ([`crate::channel::BatchSocket`]). The legacy server keeps its
-//!   one-datagram-per-syscall loop precisely so the `server_capacity`
-//!   bench can report this module's ratio over it.
+//!   ([`crate::channel::BatchSocket`]).
 //!
 //! The concurrency protocol (exactly-one-owner dispatch, mailbox
 //! no-loss, finish-ledger stop) is mirrored as an `nc_check` model in
@@ -49,8 +49,8 @@ use crate::wire::{ack_wire_bytes, Datagram, Payload, MAX_SEGMENTS};
 /// Tuning for the sharded server.
 #[derive(Clone, Debug)]
 pub struct ShardedServerConfig {
-    /// Per-session and per-step tuning, shared with the single-socket
-    /// server (`poll_interval` is the per-shard sleep cap here too).
+    /// Per-session and per-step tuning (`poll_interval` is the per-shard
+    /// sleep cap).
     pub server: ServerConfig,
     /// Number of sockets/session-maps/pinned workers.
     pub shards: usize,
@@ -167,8 +167,7 @@ impl ServeShared {
 }
 
 /// A multi-receiver coded-transport server sharded across sockets and
-/// pool workers. Same protocol and per-session behavior as
-/// [`crate::server::Server`]; different capacity envelope.
+/// pool workers.
 pub struct ShardedServer {
     config: ShardedServerConfig,
     sockets: Vec<BatchSocket>,
@@ -491,6 +490,25 @@ mod tests {
         rx.into_recovered()
     }
 
+    /// Serves one published stream to `receivers` concurrent receivers and
+    /// checks every one recovered it bit-exact.
+    fn serve_to(receivers: usize, len: usize, config: ShardedServerConfig) -> Vec<ServedTransfer> {
+        let (encoder, data) = stream(len, |i| (i % 239) as u8);
+        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
+        server.publish(5, encoder);
+        let addr = server.local_addr().unwrap();
+        let handles: Vec<_> = (0..receivers)
+            // lint: allow(thread-spawn) — test driver threads; product threading goes through nc-pool.
+            .map(|_| std::thread::spawn(move || receive(addr, 5)))
+            .collect();
+        let transfers = server.serve(receivers, Duration::from_secs(60)).unwrap();
+        for handle in handles {
+            assert_eq!(handle.join().unwrap().as_deref(), Some(data.as_slice()), "bit-exact");
+        }
+        assert_eq!(transfers.len(), receivers);
+        transfers
+    }
+
     #[test]
     fn shard_owner_is_deterministic_and_in_range() {
         let peer: SocketAddr = "10.1.2.3:4567".parse().unwrap();
@@ -509,52 +527,62 @@ mod tests {
 
     #[test]
     fn sharded_server_serves_concurrent_receivers_bit_exact() {
-        let (encoder, data) = stream(60_000, |i| (i % 239) as u8);
-        let config = ShardedServerConfig { shards: 4, ..ShardedServerConfig::default() };
-        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
-        server.publish(5, encoder.clone());
-        let addr = server.local_addr().unwrap();
-
-        let handles: Vec<_> = (0..6)
-            // lint: allow(thread-spawn) — test driver threads; product threading goes through nc-pool.
-            .map(|_| std::thread::spawn(move || receive(addr, 5)))
-            .collect();
-        let transfers = server.serve(6, Duration::from_secs(60)).unwrap();
-
-        for handle in handles {
-            assert_eq!(handle.join().unwrap().as_deref(), Some(data.as_slice()), "bit-exact");
-        }
-        assert_eq!(transfers.len(), 6);
-        for t in &transfers {
-            assert!(t.shard < 4);
-            assert_eq!(t.report.segments_completed, t.report.segments_total);
-            assert_eq!(t.shard, shard_owner(t.peer, t.session, 4), "owner served it");
-            assert!(
-                t.metrics.counter("session.max_burst_per_step").is_some(),
-                "burst metric attached"
-            );
+        // `shards: 1` is the single-socket server: every session on one map.
+        for shards in [1, 4] {
+            let config = ShardedServerConfig { shards, ..ShardedServerConfig::default() };
+            let transfers = serve_to(6, 60_000, config);
+            let peers: std::collections::HashSet<_> = transfers.iter().map(|t| t.peer).collect();
+            assert_eq!(peers.len(), 6, "one session per receiver");
+            for t in &transfers {
+                assert!(t.report.overhead_ratio().is_some());
+                assert_eq!(t.report.segments_completed, t.report.segments_total);
+                assert_eq!(t.shard, shard_owner(t.peer, t.session, shards), "owner served it");
+                assert!(
+                    t.metrics.counter("session.max_burst_per_step").is_some(),
+                    "burst metric attached"
+                );
+            }
         }
     }
 
     #[test]
     fn sharded_server_survives_outgoing_faults() {
-        let (encoder, data) = stream(20_000, |i| (i % 211) as u8);
-        let config = ShardedServerConfig {
-            shards: 2,
-            server: ServerConfig {
-                faults: Some((crate::channel::FaultProfile::lossy(0.15), 3)),
-                ..ServerConfig::default()
-            },
-            ..ShardedServerConfig::default()
-        };
-        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
-        server.publish(8, encoder);
-        let addr = server.local_addr().unwrap();
+        use crate::channel::FaultProfile;
+        for (shards, faults) in
+            [(2, (FaultProfile::lossy(0.15), 3)), (1, (FaultProfile::hostile(0.2), 11))]
+        {
+            let config = ShardedServerConfig {
+                shards,
+                server: ServerConfig { faults: Some(faults), ..ServerConfig::default() },
+                ..ShardedServerConfig::default()
+            };
+            let transfers = serve_to(1, 20_000, config);
+            // More frames sent than the receiver found innovative: the
+            // fault model sat on the path.
+            let overhead = transfers[0].report.overhead_ratio().expect("completed");
+            assert!(overhead > 1.0, "fault model was exercised: overhead {overhead}");
+        }
+    }
 
-        // lint: allow(thread-spawn) — test driver thread; product threading goes through nc-pool.
-        let handle = std::thread::spawn(move || receive(addr, 8));
-        let transfers = server.serve(1, Duration::from_secs(60)).unwrap();
-        assert_eq!(handle.join().unwrap().as_deref(), Some(data.as_slice()));
-        assert_eq!(transfers.len(), 1);
+    #[test]
+    fn unpublished_session_and_garbage_are_ignored() {
+        let (encoder, _) = stream(10_000, |i| (i % 251) as u8);
+        let mut server =
+            ShardedServer::bind("127.0.0.1:0", ShardedServerConfig::default()).unwrap();
+        server.publish(1, encoder);
+        let addr = server.local_addr().unwrap();
+        let received = &crate::metrics::metrics().rx_datagrams;
+        let before = received.get();
+
+        let client = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        let request = Datagram::new(12345, Payload::Request).encode().unwrap();
+        // lint: allow(raw-udp-io) — test client poking the server socket directly.
+        client.send_to(&request, addr).unwrap();
+        // lint: allow(raw-udp-io) — test client poking the server socket directly.
+        client.send_to(b"not a datagram at all", addr).unwrap();
+
+        let transfers = server.serve(1, Duration::from_millis(300)).unwrap();
+        assert!(transfers.is_empty(), "nothing published under that id: {transfers:?}");
+        assert!(received.get() - before >= 2, "both datagrams reached a shard loop");
     }
 }

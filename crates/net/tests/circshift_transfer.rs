@@ -7,9 +7,8 @@
 use nc_net::channel::{memory_pair, FaultProfile, FaultyChannel};
 use nc_net::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
 use nc_net::sender::send_stream;
-use nc_net::server::{Server, ServerConfig};
 use nc_net::session::{SenderConfig, SenderOutcome};
-use nc_net::{make_sender, CodecId, UdpChannel};
+use nc_net::{make_sender, CodecId, ShardedServer, ShardedServerConfig, UdpChannel};
 use nc_rlnc::codec::StreamCodecSender;
 use nc_rlnc::CodingConfig;
 use std::sync::Arc;
@@ -75,7 +74,8 @@ fn circshift_stream_over_20pct_loss_is_bit_exact() {
 fn server_publishes_circshift_content_and_reports_the_codec_id() {
     let coding = CodingConfig::new(32, 256).expect("valid");
     let data = payload(40_000);
-    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let config = ShardedServerConfig { shards: 1, ..ShardedServerConfig::default() };
+    let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
     server.publish(11, circshift_sender(coding, &data));
     let addr = server.local_addr().unwrap();
 

@@ -8,9 +8,8 @@
 use nc_net::channel::{memory_pair, FaultProfile, FaultyChannel};
 use nc_net::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
 use nc_net::sender::send_stream;
-use nc_net::server::{Server, ServerConfig};
 use nc_net::session::{SenderConfig, SenderOutcome};
-use nc_net::{make_sender, CodecId, UdpChannel};
+use nc_net::{make_sender, CodecId, ShardedServer, ShardedServerConfig, UdpChannel};
 use nc_rlnc::codec::StreamCodecSender;
 use nc_rlnc::CodingConfig;
 use std::sync::Arc;
@@ -108,7 +107,8 @@ fn loss_free_fft_transfer_takes_the_systematic_fast_path() {
 fn server_publishes_fft_content_and_reports_the_codec_id() {
     let coding = CodingConfig::new(64, 512).expect("valid");
     let data = payload(100_000);
-    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let config = ShardedServerConfig { shards: 1, ..ShardedServerConfig::default() };
+    let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
     server.publish(9, fft_sender(coding, &data));
     let addr = server.local_addr().unwrap();
 

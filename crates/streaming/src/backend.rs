@@ -53,8 +53,7 @@ impl GpuBackend {
         )
     }
 
-    /// Any executor/scheme combination (sim, host workers, compute
-    /// plumbing, …).
+    /// Any executor/scheme combination (sim or host workers).
     pub fn with_device_backend(dev: Box<dyn DeviceBackend>, scheme: EncodeScheme) -> GpuBackend {
         GpuBackend { encoder: GpuEncoder::with_backend(dev, scheme) }
     }

@@ -146,3 +146,44 @@ fn parallel_segment_decoder_consumes_gpu_encoded_segments() {
     let decoder = ParallelSegmentDecoder::new(config, 4);
     assert_eq!(decoder.decode_segments(&inputs).expect("full rank"), expected);
 }
+
+#[test]
+fn every_scheme_is_bit_exact_on_both_executors() {
+    use extreme_nc::gpu::{DeviceBackend, HostDeviceBackend, SimBackend};
+
+    // One kernel body per scheme, two executors, one CPU reference: the
+    // device layer's invariant at a shape small enough for tier 1.
+    let config = CodingConfig::new(16, 128).expect("valid");
+    let (_, segment, mut rng) = random_segment(config, 5);
+    let coeffs = dense_rows(&mut rng, 3, 16);
+    let reference = Encoder::new(segment.clone());
+    let want: Vec<CodedBlock> = coeffs
+        .iter()
+        .map(|row| reference.encode_with_coefficients(row.clone()).expect("row length n"))
+        .collect();
+
+    // The simulator maps its whole device memory up front (~1 s of kernel
+    // time per 1 GB device here); 16 MB holds this shape many times over.
+    let spec = DeviceSpec { device_mem_bytes: 16 << 20, ..DeviceSpec::gtx280() };
+    let schemes = std::iter::once(EncodeScheme::LoopBased)
+        .chain(TableVariant::ALL.into_iter().map(EncodeScheme::Table));
+    for scheme in schemes {
+        let executors: [Box<dyn DeviceBackend>; 2] = [
+            Box::new(SimBackend::new(spec.clone())),
+            Box::new(HostDeviceBackend::new(spec.clone())),
+        ];
+        for dev in executors {
+            let mut gpu = GpuEncoder::with_backend(dev, scheme);
+            let (blocks, _) = gpu.encode_blocks(&segment, &coeffs);
+            assert_eq!(blocks.len(), want.len());
+            for (j, (got, want)) in blocks.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    got.payload(),
+                    want.payload(),
+                    "{} {scheme:?} block {j}",
+                    gpu.backend_name()
+                );
+            }
+        }
+    }
+}
