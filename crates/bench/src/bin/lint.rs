@@ -9,10 +9,13 @@
 //!   must go through `nc_pool::Pool` or `nc_check::thread`, or every
 //!   schedule the model checker explores is missing those threads.
 //! * **vec-capacity** — bare `Vec::with_capacity` in the net/coding hot
-//!   paths (`crates/net/src`, `crates/core/src`, `crates/fft/src`).
-//!   Per-frame and per-shard buffers must come from
-//!   `BytesPool`/`BlockArena` so the recycling edges added for the
-//!   transport keep steady-state traffic allocation-free.
+//!   paths (`crates/net/src`, `crates/core/src`, `crates/fft/src`), and
+//!   `.to_vec()` / `Vec::new()` in the four files every data datagram
+//!   passes through (`crates/net/src/{wire,session,receiver,shard}.rs`,
+//!   up to their trailing `#[cfg(test)]` module). Per-frame and per-shard
+//!   buffers must come from `BytesPool`/`BlockArena` so the recycling
+//!   edges added for the transport keep steady-state traffic
+//!   allocation-free.
 //! * **relaxed-invariant** — `Ordering::Relaxed` on an atomic named in a
 //!   checked invariant (`pending`, `outstanding`, `retained`, `cursor`,
 //!   `frames_sent`, `peer_received`). The nc-check models verify these
@@ -59,20 +62,32 @@ struct Rule {
     explain: &'static str,
     applies: fn(&str) -> bool,
     matches: fn(&str) -> bool,
+    /// Whether the rule stops at the file's trailing `#[cfg(test)]` module.
+    product_code_only: bool,
 }
+
+/// The files every data datagram passes through, where any allocation is
+/// per datagram unless shown otherwise.
+const DATAGRAM_PATH_FILES: [&str; 4] = [
+    "crates/net/src/wire.rs",
+    "crates/net/src/session.rs",
+    "crates/net/src/receiver.rs",
+    "crates/net/src/shard.rs",
+];
 
 /// Atomic field names that appear in nc-check model invariants; `Relaxed`
 /// on any of them weakens a protocol the checker verifies under SC.
 const INVARIANT_ATOMICS: [&str; 6] =
     ["pending", "outstanding", "retained", "cursor", "frames_sent", "peer_received"];
 
-const RULES: [Rule; 4] = [
+const RULES: [Rule; 5] = [
     Rule {
         name: "thread-spawn",
         explain: "raw std::thread::spawn outside crates/pool — use nc_pool::Pool or \
                   nc_check::thread so the model checker sees the thread",
         applies: |path| !path.starts_with("crates/pool/") && !path.starts_with("crates/check/"),
         matches: |code| code.contains("std::thread::spawn"),
+        product_code_only: false,
     },
     Rule {
         name: "vec-capacity",
@@ -84,6 +99,15 @@ const RULES: [Rule; 4] = [
                 || path.starts_with("crates/fft/src/")
         },
         matches: |code| code.contains("Vec::with_capacity"),
+        product_code_only: false,
+    },
+    Rule {
+        name: "vec-capacity",
+        explain: ".to_vec() / Vec::new() on the datagram path — a per-datagram heap allocation \
+                  unless shown otherwise; borrow, or take the buffer from BytesPool",
+        applies: |path| DATAGRAM_PATH_FILES.contains(&path),
+        matches: |code| code.contains(".to_vec()") || code.contains("Vec::new()"),
+        product_code_only: true,
     },
     Rule {
         name: "relaxed-invariant",
@@ -101,6 +125,7 @@ const RULES: [Rule; 4] = [
                     })
                 })
         },
+        product_code_only: false,
     },
     Rule {
         name: "raw-udp-io",
@@ -109,6 +134,7 @@ const RULES: [Rule; 4] = [
                   split stay correct",
         applies: |path| path != "crates/net/src/channel.rs" && path != "crates/net/src/sysio.rs",
         matches: |code| code.contains(".send_to(") || code.contains(".recv_from("),
+        product_code_only: false,
     },
 ];
 
@@ -178,11 +204,16 @@ fn lint_file(root: &Path, rel: &str, findings: &mut Vec<String>) {
         }
     };
     let lines: Vec<&str> = text.lines().collect();
+    let product_lines = lines
+        .windows(2)
+        .position(|w| w[0].trim() == "#[cfg(test)]" && w[1].trim_start().starts_with("mod "))
+        .unwrap_or(lines.len());
     for rule in &RULES {
         if !(rule.applies)(rel) {
             continue;
         }
-        for (idx, line) in lines.iter().enumerate() {
+        let scope = if rule.product_code_only { product_lines } else { lines.len() };
+        for (idx, line) in lines[..scope].iter().enumerate() {
             let code = code_part(line);
             if !(rule.matches)(code) {
                 continue;
@@ -329,7 +360,7 @@ mod tests {
 
     #[test]
     fn relaxed_rule_needs_an_invariant_receiver() {
-        let m = RULES[2].matches;
+        let m = RULES[3].matches;
         assert!(m("self.pending.load(Ordering::Relaxed)"));
         assert!(m("state.outstanding.fetch_add(1, Ordering::Relaxed);"));
         assert!(!m("total.fetch_add(1, Ordering::Relaxed);"));
@@ -340,7 +371,7 @@ mod tests {
 
     #[test]
     fn raw_udp_io_rule_matches_call_sites_only() {
-        let rule = &RULES[3];
+        let rule = &RULES[4];
         assert_eq!(rule.name, "raw-udp-io");
         assert!((rule.matches)("socket.send_to(&bytes, peer)?;"));
         assert!((rule.matches)("let (len, from) = sock.recv_from(&mut buf)?;"));
@@ -352,6 +383,41 @@ mod tests {
         assert!(!(rule.applies)("crates/net/src/sysio.rs"));
         assert!((rule.applies)("crates/net/src/server.rs"));
         assert!((rule.applies)("crates/bench/src/bin/server_bench.rs"));
+    }
+
+    #[test]
+    fn datagram_path_rule_flags_copies_outside_the_test_module_only() {
+        let rule = &RULES[2];
+        assert_eq!(rule.name, "vec-capacity");
+        assert!((rule.matches)("3 => Payload::Data(payload.to_vec()),"));
+        assert!((rule.matches)("let mut payload = Vec::new();"));
+        assert!(!(rule.matches)("queue: Mutex::new(VecDeque::new()),"));
+        assert!(!(rule.matches)("let v = pool.take_vec_copy(bytes);"));
+        assert!((rule.applies)("crates/net/src/wire.rs"));
+        assert!((rule.applies)("crates/net/src/shard.rs"));
+        assert!(!(rule.applies)("crates/net/src/channel.rs"));
+        assert!(!(rule.applies)("crates/core/src/stream.rs"));
+
+        // Through `lint_file`: the product line is a finding, the same
+        // line inside the trailing test module is not, a waiver clears it.
+        let dir = std::env::temp_dir().join(format!("nc-lint-{}", std::process::id()));
+        let file = dir.join("crates/net/src/wire.rs");
+        std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+        let test_module = "#[cfg(test)]\nmod tests {\n    fn g() { let _ = b\"x\".to_vec(); }\n}\n";
+        let findings_for = |product: &str| {
+            std::fs::write(&file, format!("{product}{test_module}")).unwrap();
+            let mut findings = Vec::new();
+            lint_file(&dir, "crates/net/src/wire.rs", &mut findings);
+            findings
+        };
+        let flagged = findings_for("fn f(p: &[u8]) -> Vec<u8> { p.to_vec() }\n");
+        assert_eq!(flagged.len(), 1, "{flagged:?}");
+        assert!(flagged[0].starts_with("crates/net/src/wire.rs:1: [vec-capacity]"));
+        let waived = findings_for(
+            "// lint: allow(vec-capacity) — owned copy by contract\nfn f(p: &[u8]) -> Vec<u8> { p.to_vec() }\n",
+        );
+        assert!(waived.is_empty(), "{waived:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

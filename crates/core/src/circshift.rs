@@ -286,12 +286,10 @@ impl CircShiftSender {
         self.ell
     }
 
-    /// Encodes the packet for evaluation `point` of `segment` into `out`
-    /// (appended; `out` gains exactly `L` bytes).
-    fn encode_into(&self, out: &mut Vec<u8>, segment: usize, point: usize) {
-        let start = out.len();
-        out.resize(start + self.ell, 0);
-        let payload = &mut out[start..];
+    /// Encodes the packet for evaluation `point` of `segment` over
+    /// `payload` (`L` bytes, overwritten).
+    fn encode_into(&self, payload: &mut [u8], segment: usize, point: usize) {
+        payload.fill(0);
         for (i, lifted) in self.segments[segment].iter().enumerate() {
             rotate_add(payload, lifted, (point * i) % self.ell);
         }
@@ -319,15 +317,15 @@ impl StreamCodecSender for CircShiftSender {
         HEADER_BYTES + self.ell
     }
 
-    fn frame_wire(&self, segment: usize, seq: u64, _rng: &mut dyn RngCore) -> Vec<u8> {
+    fn frame_into(&self, segment: usize, seq: u64, _rng: &mut dyn RngCore, out: &mut [u8]) {
         assert!(segment < self.segments.len(), "segment out of range");
+        assert_eq!(out.len(), HEADER_BYTES + self.ell, "frame buffer length");
         let point = (seq % self.ell as u64) as usize;
-        let mut out = nc_pool::BytesPool::global().take_capacity(HEADER_BYTES + self.ell);
-        out.extend_from_slice(&(segment as u32).to_le_bytes());
-        out.extend_from_slice(&(point as u16).to_le_bytes());
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        self.encode_into(&mut out, segment, point);
-        out
+        let (header, payload) = out.split_at_mut(HEADER_BYTES);
+        header[0..4].copy_from_slice(&(segment as u32).to_le_bytes());
+        header[4..6].copy_from_slice(&(point as u16).to_le_bytes());
+        header[6..8].copy_from_slice(&MAGIC.to_le_bytes());
+        self.encode_into(payload, segment, point);
     }
 }
 

@@ -9,8 +9,8 @@
 //!
 //! * [`CodecId`] — the one-byte identifier carried in the announce frame.
 //! * [`StreamCodecSender`] — what a sender session needs from a backend:
-//!   stream shape plus "give me wire bytes for one more frame of segment
-//!   `s`". Object-safe so sessions, servers, and the sharded server hold
+//!   stream shape plus "write one more frame of segment `s` into this
+//!   buffer". Object-safe so sessions, servers, and the sharded server hold
 //!   `Arc<dyn StreamCodecSender>` without caring which backend is inside.
 //! * [`StreamCodecReceiver`] — the receiving half: absorb raw frame bytes,
 //!   track per-segment completion, recover the stream.
@@ -20,12 +20,12 @@
 //! Dense RLNC draws *random* coefficients, so its sender consumes the
 //! session RNG and ignores the frame sequence number; deterministic
 //! codecs (systematic Reed–Solomon) ignore the RNG and index shards by the
-//! sequence number. [`StreamCodecSender::frame_wire`] carries both so one
+//! sequence number. [`StreamCodecSender::frame_into`] carries both so one
 //! call shape serves both families.
 
 use crate::error::Error;
 use crate::segment::CodingConfig;
-use crate::stream::{StreamDecoder, StreamEncoder, StreamFrame};
+use crate::stream::{StreamDecoder, StreamEncoder, StreamFrame, FRAME_HEADER_BYTES};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -111,18 +111,32 @@ pub trait StreamCodecSender: Send + Sync {
     /// size datagrams and pacing from it).
     fn frame_wire_bytes(&self) -> usize;
 
-    /// Wire bytes for one more frame of `segment`.
+    /// Writes the wire bytes of one more frame of `segment` into `out` —
+    /// the backend's one encode body. Every byte of `out` is overwritten,
+    /// so the caller may hand in any buffer (the transport passes the tail
+    /// of a pooled datagram, behind its header: the frame is written once).
     ///
     /// `seq` is how many frames the caller has already requested for this
     /// segment: deterministic codecs use it to pick the next shard, random
-    /// codecs ignore it and draw from `rng`. Buffers come from the
-    /// process-wide [`nc_pool::BytesPool`] so drivers can recycle them
-    /// after transmission.
+    /// codecs ignore it and draw from `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segment >= total_segments()` or
+    /// `out.len() != frame_wire_bytes()`.
+    fn frame_into(&self, segment: usize, seq: u64, rng: &mut dyn RngCore, out: &mut [u8]);
+
+    /// [`StreamCodecSender::frame_into`] a buffer from the process-wide
+    /// [`nc_pool::BytesPool`], which drivers recycle after transmission.
     ///
     /// # Panics
     ///
     /// Panics if `segment >= total_segments()`.
-    fn frame_wire(&self, segment: usize, seq: u64, rng: &mut dyn RngCore) -> Vec<u8>;
+    fn frame_wire(&self, segment: usize, seq: u64, rng: &mut dyn RngCore) -> Vec<u8> {
+        let mut out = nc_pool::BytesPool::global().take_vec(self.frame_wire_bytes());
+        self.frame_into(segment, seq, rng, &mut out);
+        out
+    }
 }
 
 /// The receiving half of a coding backend.
@@ -150,6 +164,12 @@ pub trait StreamCodecReceiver: Send {
 
     /// Reassembles the stream once complete (`None` before that).
     fn recover(&self) -> Option<Vec<u8>>;
+
+    /// Consumes the receiver for the stream. Backends that decode into one
+    /// buffer override this to hand that buffer over instead of copying it.
+    fn into_recovered(self: Box<Self>) -> Option<Vec<u8>> {
+        self.recover()
+    }
 }
 
 /// A coding backend: a [`CodecId`] plus factories for both stream halves.
@@ -205,16 +225,16 @@ impl StreamCodecSender for StreamEncoder {
     }
 
     fn frame_wire_bytes(&self) -> usize {
-        8 + self.config().coded_block_bytes()
+        FRAME_HEADER_BYTES + self.config().coded_block_bytes()
     }
 
-    fn frame_wire(&self, segment: usize, _seq: u64, mut rng: &mut dyn RngCore) -> Vec<u8> {
-        self.frame_for(segment, &mut rng).to_wire()
+    fn frame_into(&self, segment: usize, _seq: u64, mut rng: &mut dyn RngCore, out: &mut [u8]) {
+        StreamEncoder::frame_into(self, segment, &mut rng, out);
     }
 }
 
-/// Dense RLNC receiving half: a [`StreamDecoder`] plus the frame parsing
-/// and per-segment bookkeeping the transport previously did inline.
+/// Dense RLNC receiving half: a [`StreamDecoder`] fed borrowed frame parts
+/// (one copy per frame, into the decoder's own output buffer).
 #[derive(Debug)]
 pub struct DenseRlncReceiver {
     config: CodingConfig,
@@ -242,10 +262,9 @@ impl StreamCodecReceiver for DenseRlncReceiver {
     }
 
     fn absorb(&mut self, frame: &[u8]) -> Result<Absorbed, Error> {
-        let frame = StreamFrame::from_wire(self.config, frame)?;
-        let segment = frame.segment as usize;
+        let (segment, coefficients, payload) = StreamFrame::split_wire(self.config, frame)?;
         let was_complete = self.decoder.segment_complete(segment);
-        let innovative = self.decoder.push(frame)?;
+        let innovative = self.decoder.push_parts(segment, coefficients, payload)?;
         Ok(Absorbed {
             segment,
             innovative,
@@ -267,6 +286,10 @@ impl StreamCodecReceiver for DenseRlncReceiver {
 
     fn recover(&self) -> Option<Vec<u8>> {
         self.decoder.recover()
+    }
+
+    fn into_recovered(self: Box<Self>) -> Option<Vec<u8>> {
+        self.decoder.into_recovered()
     }
 }
 

@@ -81,7 +81,10 @@ impl Elimination {
             return false;
         }
         if rank == 0 {
+            // Everything a generation will ever hold, reserved by its first
+            // block, so no later push allocates.
             self.rows.reserve_exact(n * width);
+            self.pivots.reserve_exact(n);
         }
         // The candidate row is built in place behind the held rows and
         // truncated away again if it turns out dependent.

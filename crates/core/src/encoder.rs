@@ -8,6 +8,10 @@ use nc_gf256::region::{self, Backend};
 use nc_pool::BlockArena;
 use rand::Rng;
 
+/// Source blocks handed to the region kernel per call by the single-block
+/// coding body (a multiple of `nc_gf256::simd::DOT_BLOCK`).
+const SOURCE_GROUP: usize = 32;
+
 /// Produces coded blocks from one source segment (the paper's Eq. 1:
 /// `x_j = Σ_i c_ji · b_i`).
 ///
@@ -75,6 +79,24 @@ impl Encoder {
     pub fn encode(&self, rng: &mut impl Rng) -> CodedBlock {
         let coeffs = self.draw_coefficients(rng);
         self.encode_with_coefficients_unchecked(coeffs)
+    }
+
+    /// Codes one block straight into caller storage: the coefficient draw
+    /// (the same draw, in the same RNG order, as [`Encoder::encode`]) lands
+    /// in `coefficients` and the combination overwrites `payload`. This is
+    /// how a stream frame is written into a datagram buffer once, with no
+    /// intermediate [`CodedBlock`]. Panics unless `coefficients` is `n`
+    /// bytes and `payload` is `k` bytes.
+    pub(crate) fn encode_into(
+        &self,
+        rng: &mut impl Rng,
+        coefficients: &mut [u8],
+        payload: &mut [u8],
+    ) {
+        assert_eq!(coefficients.len(), self.config().blocks(), "coefficient count mismatch");
+        self.coeff_rng.fill(rng, coefficients);
+        payload.fill(0);
+        self.combine_into(payload, coefficients);
     }
 
     /// Draws one coefficient vector (recycled storage from the block
@@ -146,13 +168,28 @@ impl Encoder {
     }
 
     fn encode_with_coefficients_unchecked(&self, coefficients: Vec<u8>) -> CodedBlock {
-        let sources: Vec<&[u8]> = self.segment.iter_blocks().collect();
         // Recycled (and re-zeroed) payload storage: on a steady-state
         // encode path this is a shelf pop, not a heap allocation.
         let mut payload = BlockArena::global().take_payload(self.config().block_size());
-        region::dot_assign_with(self.backend, &mut payload, &sources, &coefficients);
-        crate::metrics::metrics().blocks_coded.inc();
+        self.combine_into(&mut payload, &coefficients);
         CodedBlock::new(coefficients, payload)
+    }
+
+    /// `payload ^= Σ coefficients[i] · b_i` — the one single-block coding
+    /// body. The source-block references are gathered [`SOURCE_GROUP`] at a
+    /// time on the stack (a multiple of the kernel's blocking factor, so the
+    /// destination streams exactly as often as with one call), keeping the
+    /// per-frame path free of heap allocation.
+    fn combine_into(&self, payload: &mut [u8], coefficients: &[u8]) {
+        let mut blocks = self.segment.iter_blocks();
+        for coeffs in coefficients.chunks(SOURCE_GROUP) {
+            let mut group: [&[u8]; SOURCE_GROUP] = [&[]; SOURCE_GROUP];
+            for (slot, block) in group.iter_mut().zip(blocks.by_ref().take(coeffs.len())) {
+                *slot = block;
+            }
+            region::dot_assign_with(self.backend, payload, &group[..coeffs.len()], coeffs);
+        }
+        crate::metrics::metrics().blocks_coded.inc();
     }
 }
 
@@ -211,6 +248,29 @@ mod tests {
         for i in 0..batch.len() {
             for j in i + 1..batch.len() {
                 assert_ne!(batch[i].coefficients(), batch[j].coefficients());
+            }
+        }
+    }
+
+    #[test]
+    fn encode_into_matches_encode_for_the_same_rng_state() {
+        // n = 70 spans two full source groups and a remainder; the sparse
+        // draw puts zero coefficients in the groups.
+        let config = CodingConfig::new(70, 48).unwrap();
+        let data: Vec<u8> = (0..config.segment_bytes()).map(|i| (i * 31 + 5) as u8).collect();
+        let segment = Segment::from_bytes(config, data).unwrap();
+        for encoder in [
+            Encoder::new(segment.clone()),
+            Encoder::with_coefficients(segment.clone(), CoefficientRng::sparse(0.3)),
+        ] {
+            let mut rng_a = rand::rngs::StdRng::seed_from_u64(17);
+            let mut rng_b = rand::rngs::StdRng::seed_from_u64(17);
+            for _ in 0..4 {
+                let block = encoder.encode(&mut rng_a);
+                let (mut coefficients, mut payload) = (vec![0xAA; 70], vec![0x55; 48]);
+                encoder.encode_into(&mut rng_b, &mut coefficients, &mut payload);
+                assert_eq!(coefficients, block.coefficients());
+                assert_eq!(payload, block.payload());
             }
         }
     }

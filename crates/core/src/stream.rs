@@ -6,7 +6,7 @@
 //! block, with a self-describing byte format.
 
 use crate::block::CodedBlock;
-use crate::decoder::Decoder;
+use crate::decoder::Elimination;
 use crate::encoder::Encoder;
 use crate::error::Error;
 use crate::segment::{segment_stream, CodingConfig};
@@ -15,6 +15,9 @@ use std::collections::BTreeMap;
 // The round-robin cursor goes through nc-check's shim so the checker can
 // explore concurrent `next_frame` callers (std re-export in normal builds).
 use nc_check::sync::atomic::{AtomicUsize, Ordering};
+
+/// Bytes in front of a frame's coded block: segment index + segment count.
+pub(crate) const FRAME_HEADER_BYTES: usize = 8;
 
 /// One wire frame: `(segment index, coded block)`.
 ///
@@ -35,7 +38,8 @@ impl StreamFrame {
     /// [`nc_pool::BytesPool`] so recycling transport drivers keep frame
     /// serialization allocation-free.
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = nc_pool::BytesPool::global().take_capacity(8 + self.block.wire_len());
+        let mut out =
+            nc_pool::BytesPool::global().take_capacity(FRAME_HEADER_BYTES + self.block.wire_len());
         out.extend_from_slice(&self.segment.to_le_bytes());
         out.extend_from_slice(&self.total_segments.to_le_bytes());
         out.extend_from_slice(self.block.coefficients());
@@ -49,16 +53,28 @@ impl StreamFrame {
     ///
     /// [`Error::SizeMismatch`] if the byte count is wrong.
     pub fn from_wire(config: CodingConfig, bytes: &[u8]) -> Result<StreamFrame, Error> {
-        if bytes.len() != 8 + config.coded_block_bytes() {
-            return Err(Error::SizeMismatch {
-                expected: 8 + config.coded_block_bytes(),
-                actual: bytes.len(),
-            });
-        }
-        let segment = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
+        let (segment, coefficients, payload) = StreamFrame::split_wire(config, bytes)?;
         let total_segments = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        let block = CodedBlock::from_wire(config, &bytes[8..])?;
-        Ok(StreamFrame { segment, total_segments, block })
+        // Recycled storage: the vectors a decoder handed back earlier.
+        let arena = nc_pool::BlockArena::global();
+        let block = CodedBlock::new(arena.copy_coeffs(coefficients), arena.copy_payload(payload));
+        Ok(StreamFrame { segment: segment as u32, total_segments, block })
+    }
+
+    /// Splits a frame's wire bytes into `(segment, coefficients, payload)`
+    /// without copying — what [`StreamDecoder::push_parts`] takes.
+    /// [`Error::SizeMismatch`] if the byte count is wrong.
+    pub(crate) fn split_wire(
+        config: CodingConfig,
+        bytes: &[u8],
+    ) -> Result<(usize, &[u8], &[u8]), Error> {
+        let expected = FRAME_HEADER_BYTES + config.coded_block_bytes();
+        if bytes.len() != expected {
+            return Err(Error::SizeMismatch { expected, actual: bytes.len() });
+        }
+        let segment = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+        let (coefficients, payload) = bytes[FRAME_HEADER_BYTES..].split_at(config.blocks());
+        Ok((segment, coefficients, payload))
     }
 }
 
@@ -152,6 +168,25 @@ impl StreamEncoder {
         }
     }
 
+    /// Writes one frame for `segment` in its wire format straight into
+    /// `out` (behind `StreamCodecSender::frame_into`): the same coefficient
+    /// draw (same RNG order) and payload as
+    /// [`StreamEncoder::frame_for`]`(segment, rng).to_wire()`, with every
+    /// byte written once and nothing allocated. Panics if `segment` is out
+    /// of range or `out` is not exactly one frame (`8 + n + k` bytes) long.
+    pub(crate) fn frame_into(&self, segment: usize, rng: &mut impl Rng, out: &mut [u8]) {
+        assert_eq!(
+            out.len(),
+            FRAME_HEADER_BYTES + self.config.coded_block_bytes(),
+            "frame buffer length"
+        );
+        let (header, block) = out.split_at_mut(FRAME_HEADER_BYTES);
+        header[0..4].copy_from_slice(&(segment as u32).to_le_bytes());
+        header[4..8].copy_from_slice(&(self.total_segments() as u32).to_le_bytes());
+        let (coefficients, payload) = block.split_at_mut(self.config.blocks());
+        self.encoders[segment].encode_into(rng, coefficients, payload);
+    }
+
     /// The next frame, cycling through segments round-robin (a simple
     /// sender schedule; smarter senders use [`StreamEncoder::frame_for`]).
     pub fn next_frame(&self, rng: &mut impl Rng) -> StreamFrame {
@@ -211,12 +246,28 @@ impl StreamEncoder {
     }
 }
 
-/// Receives frames for a whole stream and reassembles the original bytes.
+/// Receives frames for a whole stream and decodes them in place.
+///
+/// The decoder owns the stream's output buffer. Per segment it keeps only
+/// the coefficient elimination; while a segment's rank `r` is below
+/// `n`, its `n·k`-byte slice of the buffer holds the `r` innovative
+/// payloads in arrival order (a received payload is copied once, to there).
+/// The block that completes the rank multiplies `C⁻¹ · payloads` straight
+/// back into that slice, so [`StreamDecoder::into_recovered`] is a
+/// truncation, not a reassembly.
 #[derive(Clone, Debug)]
 pub struct StreamDecoder {
     config: CodingConfig,
-    decoders: Vec<Decoder>,
     original_len: usize,
+    segments: Vec<Elimination>,
+    complete: usize,
+    /// Segment after segment; grown (zero-filled) up to the highest segment
+    /// that has received a block, so an announced-but-never-sent stream
+    /// costs no memory.
+    output: Vec<u8>,
+    /// One segment's worth: the held payloads step aside into it while the
+    /// product writes their slice.
+    scratch: Vec<u8>,
 }
 
 impl StreamDecoder {
@@ -225,63 +276,125 @@ impl StreamDecoder {
     pub fn new(config: CodingConfig, total_segments: usize, original_len: usize) -> StreamDecoder {
         StreamDecoder {
             config,
-            decoders: (0..total_segments).map(|_| Decoder::new(config)).collect(),
             original_len,
+            segments: (0..total_segments).map(|_| Elimination::new(config)).collect(),
+            complete: 0,
+            output: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
-    /// Absorbs one frame; returns whether it was innovative.
+    /// Absorbs one frame; returns whether it was innovative. Frames for an
+    /// already complete segment are ignored.
     ///
     /// # Errors
     ///
-    /// [`Error::DimensionMismatch`] for out-of-range segment indices and
-    /// any block-shape error from the underlying decoder.
+    /// [`Error::DimensionMismatch`] for out-of-range segment indices,
+    /// [`Error::CoefficientCountMismatch`] / [`Error::SizeMismatch`] for a
+    /// block of the wrong shape, and [`Error::InvalidConfig`] if the stream
+    /// is too large to buffer on this host.
     pub fn push(&mut self, frame: StreamFrame) -> Result<bool, Error> {
-        let idx = frame.segment as usize;
-        let Some(decoder) = self.decoders.get_mut(idx) else {
+        let segment = frame.segment as usize;
+        let innovative =
+            self.push_parts(segment, frame.block.coefficients(), frame.block.payload());
+        let (coefficients, payload) = frame.block.into_parts();
+        let arena = nc_pool::BlockArena::global();
+        arena.recycle_coeffs(coefficients);
+        arena.recycle_payload(payload);
+        innovative
+    }
+
+    /// [`StreamDecoder::push`] for a block given as borrowed parts (see
+    /// [`StreamFrame::split_wire`]): the one decode body. The dense
+    /// receiver feeds it straight from the datagram, so a payload is copied
+    /// once, into `output`.
+    pub(crate) fn push_parts(
+        &mut self,
+        segment: usize,
+        coefficients: &[u8],
+        payload: &[u8],
+    ) -> Result<bool, Error> {
+        let (n, k) = (self.config.blocks(), self.config.block_size());
+        let Some(elimination) = self.segments.get_mut(segment) else {
             return Err(Error::DimensionMismatch { op: "stream frame segment index" });
         };
-        if decoder.is_complete() {
+        if coefficients.len() != n {
+            return Err(Error::CoefficientCountMismatch {
+                expected: n,
+                actual: coefficients.len(),
+            });
+        }
+        if payload.len() != k {
+            return Err(Error::SizeMismatch { expected: k, actual: payload.len() });
+        }
+        if elimination.is_full() {
             return Ok(false);
         }
-        decoder.push(frame.block)
+        const TOO_LARGE: Error = Error::InvalidConfig { reason: "stream too large to buffer" };
+        let segment_bytes = self.config.segment_bytes();
+        let end = (segment + 1).checked_mul(segment_bytes).ok_or(TOO_LARGE)?;
+        if self.output.len() < end {
+            self.output.try_reserve(end - self.output.len()).map_err(|_| TOO_LARGE)?;
+            self.output.resize(end, 0);
+        }
+        let metrics = crate::metrics::metrics();
+        metrics.blocks_received.inc();
+        let rank = elimination.rank();
+        if !elimination.push(coefficients) {
+            metrics.blocks_dependent.inc();
+            return Ok(false);
+        }
+        metrics.blocks_innovative.inc();
+        let held = &mut self.output[end - segment_bytes..end];
+        held[rank * k..(rank + 1) * k].copy_from_slice(payload);
+        if elimination.is_full() {
+            // decoded = C⁻¹ · payloads, written over the payloads' own slice.
+            self.scratch.clear();
+            self.scratch.extend_from_slice(held);
+            held.fill(0);
+            let payloads: Vec<&[u8]> = self.scratch.chunks_exact(k).collect();
+            elimination.multiply_into(&payloads, held);
+            self.complete += 1;
+        }
+        Ok(true)
     }
 
     /// Segments fully decoded so far.
     pub fn segments_complete(&self) -> usize {
-        self.decoders.iter().filter(|d| d.is_complete()).count()
+        self.complete
     }
 
     /// Whether one specific segment is fully decoded (out-of-range reads
     /// as false).
     pub fn segment_complete(&self, segment: usize) -> bool {
-        self.decoders.get(segment).is_some_and(Decoder::is_complete)
+        self.segments.get(segment).is_some_and(Elimination::is_full)
     }
 
     /// Whether every segment is decoded.
     pub fn is_complete(&self) -> bool {
-        self.decoders.iter().all(|d| d.is_complete())
+        self.complete == self.segments.len()
     }
 
     /// Overall progress as `(innovative blocks, needed blocks)`.
     pub fn progress(&self) -> (usize, usize) {
-        let have = self.decoders.iter().map(|d| d.rank()).sum();
-        let need = self.decoders.len() * self.config.blocks();
+        let have = self.segments.iter().map(Elimination::rank).sum();
+        let need = self.segments.len() * self.config.blocks();
         (have, need)
     }
 
-    /// Reassembles the stream once complete.
+    /// A copy of the stream once complete.
     pub fn recover(&self) -> Option<Vec<u8>> {
+        self.is_complete().then(|| self.output[..self.original_len.min(self.output.len())].to_vec())
+    }
+
+    /// The stream once complete, without copying it: the decoder's own
+    /// buffer, cut to the original length.
+    pub fn into_recovered(mut self) -> Option<Vec<u8>> {
         if !self.is_complete() {
             return None;
         }
-        // lint: allow(vec-capacity) — recovery output that escapes to the caller; no recycle edge.
-        let mut out = Vec::with_capacity(self.original_len);
-        for d in &self.decoders {
-            out.extend_from_slice(&d.recover().expect("complete"));
-        }
-        out.truncate(self.original_len);
-        Some(out)
+        self.output.truncate(self.original_len);
+        Some(self.output)
     }
 }
 
@@ -420,6 +533,58 @@ mod tests {
             }
         }
         assert_eq!(dec.recover().unwrap(), data);
+    }
+
+    #[test]
+    fn decode_into_place_matches_the_per_segment_decoder_bit_for_bit() {
+        use crate::decoder::Decoder;
+        // 2.34 segments, so the tail segment is zero-padded. Every frame
+        // goes to the stream decoder as borrowed wire parts and to one
+        // reference `Decoder` per segment as an owned block.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let data: Vec<u8> = (0..150).map(|_| rng.gen()).collect();
+        let enc = StreamEncoder::new(config(), &data).unwrap();
+        let mut dec = StreamDecoder::new(config(), enc.total_segments(), data.len());
+        let mut reference: Vec<Decoder> =
+            (0..enc.total_segments()).map(|_| Decoder::new(config())).collect();
+        let mut late = 0;
+        // Keep going past completion: late frames must change nothing.
+        while !dec.is_complete() || late < 8 {
+            late += usize::from(dec.is_complete());
+            let frame = enc.next_frame(&mut rng);
+            let wire = frame.to_wire();
+            let (segment, coefficients, payload) =
+                StreamFrame::split_wire(config(), &wire).unwrap();
+            let was_complete = reference[segment].is_complete();
+            let want = reference[segment].push(frame.block).unwrap();
+            assert_eq!(dec.push_parts(segment, coefficients, payload).unwrap(), want);
+            assert_eq!(dec.segment_complete(segment), reference[segment].is_complete());
+            assert!(!(was_complete && want), "a complete segment takes nothing more");
+        }
+        let mut want: Vec<u8> = reference.iter().flat_map(|d| d.recover().unwrap()).collect();
+        assert_eq!(want.len(), 3 * config().segment_bytes());
+        want.truncate(data.len());
+        assert_eq!(want, data);
+        assert_eq!(dec.recover().unwrap(), want);
+        assert_eq!(dec.into_recovered().unwrap(), want);
+    }
+
+    #[test]
+    fn malformed_parts_are_errors_and_incomplete_streams_do_not_recover() {
+        let mut dec = StreamDecoder::new(config(), 2, 100);
+        assert!(matches!(
+            dec.push_parts(0, &[1; 3], &[0; 16]),
+            Err(Error::CoefficientCountMismatch { expected: 4, actual: 3 })
+        ));
+        assert!(matches!(dec.push_parts(0, &[1; 4], &[0; 15]), Err(Error::SizeMismatch { .. })));
+        assert!(matches!(
+            dec.push_parts(2, &[1; 4], &[0; 16]),
+            Err(Error::DimensionMismatch { .. })
+        ));
+        assert!(dec.push_parts(1, &[1, 0, 0, 0], &[7; 16]).unwrap());
+        assert_eq!(dec.progress(), (1, 8));
+        assert!(dec.recover().is_none());
+        assert!(dec.into_recovered().is_none());
     }
 
     #[test]

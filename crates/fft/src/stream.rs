@@ -119,14 +119,14 @@ impl StreamCodecSender for Fft16StreamSender {
         FRAME_HEADER_BYTES + self.config.block_size()
     }
 
-    fn frame_wire(&self, segment: usize, seq: u64, _rng: &mut dyn RngCore) -> Vec<u8> {
+    fn frame_into(&self, segment: usize, seq: u64, _rng: &mut dyn RngCore, out: &mut [u8]) {
         let shards = &self.segments[segment];
         let shard = (seq % shards.len() as u64) as usize;
-        let mut out = BytesPool::global().take_capacity(self.frame_wire_bytes());
-        out.extend_from_slice(&(segment as u32).to_le_bytes());
-        out.extend_from_slice(&(shard as u32).to_le_bytes());
-        out.extend_from_slice(&shards[shard]);
-        out
+        assert_eq!(out.len(), self.frame_wire_bytes(), "frame buffer length");
+        let (header, payload) = out.split_at_mut(FRAME_HEADER_BYTES);
+        header[0..4].copy_from_slice(&(segment as u32).to_le_bytes());
+        header[4..8].copy_from_slice(&(shard as u32).to_le_bytes());
+        payload.copy_from_slice(&shards[shard]);
     }
 }
 

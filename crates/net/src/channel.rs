@@ -141,7 +141,10 @@ impl UdpChannel {
 impl Channel for UdpChannel {
     fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
         match self.socket.send(bytes) {
-            Ok(_) => Ok(()),
+            Ok(sent) => {
+                crate::metrics::metrics().tx_bytes.add(sent as u64);
+                Ok(())
+            }
             // A previous datagram hit a closed port (ICMP unreachable
             // surfaces on the *next* operation on Linux): best-effort
             // transports treat that as loss, not failure.
@@ -318,8 +321,9 @@ impl BatchSocket {
         for (_, bytes) in self.out.drain(..) {
             BytesPool::global().recycle(bytes);
         }
-        let sent = result?;
+        let (sent, sent_bytes) = result?;
         m.tx_datagrams.add(sent as u64);
+        m.tx_bytes.add(sent_bytes);
         Ok(sent)
     }
 
@@ -507,30 +511,36 @@ impl<T: Clone> FaultInjector<T> {
             crate::metrics::metrics().frames_dropped.inc();
             return out;
         }
-        let mut bytes = bytes.to_vec();
+        // Every copy the model makes is a pooled buffer; whoever puts it
+        // on the wire recycles it (`FaultyChannel::send`, `BatchSocket::flush`).
+        let pool = BytesPool::global();
+        let mut bytes = pool.take_vec_copy(bytes);
         if self.rng.gen_bool(self.profile.bit_flip) && !bytes.is_empty() {
             let bit = self.rng.gen_range(0..bytes.len() * 8);
             bytes[bit / 8] ^= 1 << (bit % 8);
             self.stats.bit_flipped += 1;
         }
         let duplicate = self.rng.gen_bool(self.profile.duplicate);
+        crate::metrics::metrics()
+            .tx_bytes_copied
+            .add(bytes.len() as u64 * (1 + u64::from(duplicate)));
         if self.profile.reorder_depth > 0 && self.rng.gen_bool(self.profile.reorder) {
             let delay = self.rng.gen_range(1..=self.profile.reorder_depth) as u64;
-            self.held.push((self.seq + delay, tag.clone(), bytes.clone()));
             self.stats.reordered += 1;
             if duplicate {
                 // The duplicate takes the fast path — classic mis-ordered
                 // duplicate delivery.
                 self.stats.duplicated += 1;
                 crate::metrics::metrics().frames_duplicated.inc();
-                out.push((tag, bytes));
+                out.push((tag.clone(), pool.take_vec_copy(&bytes)));
             }
+            self.held.push((self.seq + delay, tag, bytes));
             return out;
         }
         if duplicate {
             self.stats.duplicated += 1;
             crate::metrics::metrics().frames_duplicated.inc();
-            out.push((tag.clone(), bytes.clone()));
+            out.push((tag.clone(), pool.take_vec_copy(&bytes)));
         }
         out.push((tag, bytes));
         out
@@ -546,18 +556,14 @@ impl<T: Clone> FaultInjector<T> {
         self.stats
     }
 
+    /// Moves every held datagram whose release point has come out of
+    /// `held`, in the order it was held.
     fn release_due(&mut self) -> Vec<(T, Vec<u8>)> {
-        let mut due = Vec::new();
         let seq = self.seq;
-        self.held.retain(|(release_at, tag, bytes)| {
-            if *release_at <= seq {
-                due.push((tag.clone(), bytes.clone()));
-                false
-            } else {
-                true
-            }
-        });
-        due
+        self.held
+            .extract_if(.., |(release_at, _, _)| *release_at <= seq)
+            .map(|(_, tag, bytes)| (tag, bytes))
+            .collect()
     }
 }
 
@@ -590,7 +596,9 @@ impl<C: Channel> FaultyChannel<C> {
 impl<C: Channel> Channel for FaultyChannel<C> {
     fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
         for ((), wire) in self.injector.admit((), bytes) {
-            self.inner.send(&wire)?;
+            let sent = self.inner.send(&wire);
+            BytesPool::global().recycle(wire);
+            sent?;
         }
         Ok(())
     }

@@ -30,6 +30,16 @@ pub(crate) struct NetMetrics {
     /// buffer on the receive path — the one copy that remains after the
     /// per-datagram `to_vec` allocations were removed.
     pub rx_bytes_copied: Arc<Counter>,
+    /// User-space payload bytes copied on the send path: a data frame
+    /// copied into its datagram by `Datagram::encode`, and the fault
+    /// injector's copies. The sender session's encode-in-place path adds
+    /// nothing here.
+    pub tx_bytes_copied: Arc<Counter>,
+    /// Wire bytes handed to the kernel by `BatchSocket::flush` and
+    /// `UdpChannel::send` (one add per flush / send).
+    pub tx_bytes: Arc<Counter>,
+    /// Datagrams any parse rejected for a checksum mismatch.
+    pub rx_crc_rejected: Arc<Counter>,
     /// Most recent EMA loss estimate of any session.
     pub loss_estimate: Arc<Gauge>,
     /// Most recent redundancy factor (`1/(1-loss)`, clamped).
@@ -73,6 +83,9 @@ pub(crate) fn metrics() -> &'static NetMetrics {
             frames_dropped: r.counter("net.frames_dropped"),
             frames_duplicated: r.counter("net.frames_duplicated"),
             rx_bytes_copied: r.counter("net.rx_bytes_copied"),
+            tx_bytes_copied: r.counter("net.tx_bytes_copied"),
+            tx_bytes: r.counter("net.tx_bytes"),
+            rx_crc_rejected: r.counter("net.rx_crc_rejected"),
             loss_estimate: r.gauge("net.loss_estimate"),
             redundancy_factor: r.gauge("net.redundancy_factor"),
             window_occupancy: r.gauge("net.window_occupancy"),

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use crate::channel::Channel;
 use crate::codecs::codec_for;
-use crate::wire::{Datagram, Payload, SegmentBitmap, StreamMeta, WireError};
+use crate::wire::{Datagram, DatagramRef, Payload, SegmentBitmap, StreamMeta, WireError};
 
 /// Tuning knobs for a receiver session.
 #[derive(Clone, Debug)]
@@ -190,9 +190,11 @@ impl ReceiverSession {
     }
 
     /// Feeds one raw datagram off the wire into the session. Total over
-    /// arbitrary bytes: anything unparseable is counted and dropped.
+    /// arbitrary bytes: anything unparseable is counted and dropped. A data
+    /// frame is parsed where it lies — `bytes` may be a receive slot — and
+    /// copied once, into the decoder.
     pub fn handle_bytes(&mut self, bytes: &[u8], now: Instant) {
-        let datagram = match Datagram::decode(bytes) {
+        let datagram = match DatagramRef::parse(bytes) {
             Ok(d) => d,
             Err(WireError::ChecksumMismatch) => {
                 self.corrupt += 1;
@@ -220,7 +222,7 @@ impl ReceiverSession {
             }
             Payload::Data(frame_bytes) => {
                 self.last_activity = now;
-                self.handle_frame(&frame_bytes, now);
+                self.handle_frame(frame_bytes, now);
             }
             // Receiver-role traffic reflected back (or a confused peer).
             Payload::Request | Payload::Ack { .. } | Payload::Fin { .. } => {}
@@ -392,9 +394,15 @@ impl ReceiverSession {
             completed.set(absorbed.segment);
             self.ack_pending = true; // tell the sender immediately
             if decoder.is_complete() {
-                let data = decoder.recover().expect("complete stream recovers");
                 self.completed_at = Some(now);
                 self.ack_pending = false;
+                // The decoder is finished with: take its buffer, not a copy.
+                let idle = State::AwaitAnnounce { last_request: None };
+                let State::Receiving { decoder, .. } = std::mem::replace(&mut self.state, idle)
+                else {
+                    unreachable!("matched as receiving above")
+                };
+                let data = decoder.into_recovered().expect("complete stream recovers");
                 self.state = State::Done { data, fins_sent: 0 };
             }
         }

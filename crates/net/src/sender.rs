@@ -25,8 +25,8 @@ pub fn run_sender<C: Channel>(
         match session.poll(now) {
             SenderEvent::Transmit(bytes) => {
                 channel.send(&bytes)?;
-                // The datagram is on the wire; its allocation feeds the
-                // next `to_wire` via the shared pool.
+                // The datagram is on the wire; its allocation is the
+                // buffer the next `poll` encodes into, via the shared pool.
                 nc_pool::BytesPool::global().recycle(bytes);
                 // Drain feedback that arrived while we were sending so ACKs
                 // take effect before the next frame is budgeted.

@@ -25,7 +25,8 @@ use std::time::{Duration, Instant};
 use crate::metrics::metrics;
 use crate::pacing::{RedundancyController, TokenBucket};
 use crate::wire::{
-    Datagram, Payload, SegmentBitmap, StreamMeta, WireError, HEADER_BYTES, MAX_DATAGRAM_BYTES,
+    seal_data, Datagram, Payload, SegmentBitmap, StreamMeta, WireError, HEADER_BYTES,
+    MAX_DATAGRAM_BYTES,
 };
 
 /// Tuning knobs for a sender session.
@@ -420,11 +421,17 @@ impl SenderSession {
                     self.record_pacing_wait(wait);
                     return SenderEvent::Wait(wait);
                 }
-                let frame =
-                    self.encoder.frame_wire(segment, self.sent_per_segment[segment], &mut self.rng);
-                let bytes = Datagram::new(self.session, Payload::Data(frame))
-                    .encode()
-                    .expect("frame size was validated at construction");
+                // One pooled buffer, each byte written once: the codec
+                // encodes its frame behind the header's place, then the
+                // header goes in front with the checksum over both.
+                let mut bytes = nc_pool::BytesPool::global().take_vec(self.data_datagram_bytes);
+                self.encoder.frame_into(
+                    segment,
+                    self.sent_per_segment[segment],
+                    &mut self.rng,
+                    &mut bytes[HEADER_BYTES..],
+                );
+                seal_data(&mut bytes, self.session);
                 self.sent_per_segment[segment] += 1;
                 self.window.record_sent();
                 self.bytes_sent += bytes.len() as u64;
@@ -650,6 +657,45 @@ mod tests {
         assert_eq!(datagram.session, 77);
         let SenderEvent::Transmit(bytes) = s.poll(now) else { panic!("expected data") };
         assert!(matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Data(_)));
+    }
+
+    #[test]
+    fn every_data_datagram_equals_the_twin_encoders_encoded_frame() {
+        // The encode-in-place path against the owned path it replaced: a
+        // twin encoder and a twin RNG (same seed) build each frame with
+        // `frame_wire`, wrap it with `Datagram::encode`, and must get the
+        // very bytes `poll` emitted — for every backend.
+        use crate::codecs::make_sender;
+        use nc_rlnc::codec::CodecId;
+        let config = CodingConfig::new(4, 64).unwrap();
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        let now = Instant::now();
+        for id in [CodecId::DenseRlnc, CodecId::Fft16, CodecId::CircShift] {
+            let twin = make_sender(id, config, &data).unwrap();
+            let mut twin_rng = StdRng::seed_from_u64(9);
+            let mut seq = vec![0u64; twin.total_segments()];
+            let encoder = make_sender(id, config, &data).unwrap();
+            let mut s = SenderSession::new(encoder, 77, SenderConfig::default(), 9, now).unwrap();
+            let mut compared = 0usize;
+            loop {
+                let bytes = match s.poll(now) {
+                    SenderEvent::Transmit(bytes) => bytes,
+                    SenderEvent::Wait(_) => break, // budget spent, no feedback
+                    SenderEvent::Finished => panic!("must not finish without feedback"),
+                };
+                let Payload::Data(frame) = Datagram::decode(&bytes).unwrap().payload else {
+                    continue; // the announce
+                };
+                let segment = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize;
+                let twin_frame = twin.frame_wire(segment, seq[segment], &mut twin_rng);
+                assert_eq!(twin_frame, frame, "{id:?} segment {segment} seq {}", seq[segment]);
+                let want = Datagram::new(77, Payload::Data(twin_frame)).encode().unwrap();
+                assert_eq!(bytes, want, "{id:?} segment {segment} seq {}", seq[segment]);
+                seq[segment] += 1;
+                compared += 1;
+            }
+            assert!(compared >= twin.total_segments() * config.blocks(), "{id:?}: {compared}");
+        }
     }
 
     #[test]

@@ -129,6 +129,7 @@ struct FinishLedger {
 
 impl FinishLedger {
     fn new(expected: usize) -> FinishLedger {
+        // lint: allow(vec-capacity) — one ledger per serve call, grown once per finished transfer.
         FinishLedger { transfers: Mutex::new(Vec::new()), expected, stop: AtomicBool::new(false) }
     }
 
@@ -281,7 +282,9 @@ fn shard_main(
         .server
         .faults
         .map(|(profile, seed)| FaultInjector::new(profile, seed.wrapping_add(shard as u64)));
+    // lint: allow(vec-capacity) — per-shard scratch made once per serve call; `drain`/`clear` keep its capacity across wake-ups.
     let mut inbox: Vec<(SocketAddr, Datagram)> = Vec::new();
+    // lint: allow(vec-capacity) — as `inbox`.
     let mut keys: Vec<(SocketAddr, u64)> = Vec::new();
     let mut next_timeout = config.server.poll_interval;
 

@@ -256,14 +256,15 @@ mod linux {
     }
 
     /// Sends every datagram in `msgs`, one `sendmmsg` per [`MAX_BATCH`]
-    /// chunk. Returns datagrams handed to the kernel; backpressure
-    /// (`EAGAIN`) and ICMP-unreachable feedback are loss, not errors.
+    /// chunk. Returns the datagrams, and their bytes, handed to the
+    /// kernel; backpressure (`EAGAIN`) and ICMP-unreachable feedback are
+    /// loss, not errors.
     pub(crate) fn send_to_batch(
         socket: &UdpSocket,
         msgs: &[(SocketAddr, Vec<u8>)],
-    ) -> io::Result<usize> {
+    ) -> io::Result<(usize, u64)> {
         let fd = socket.as_raw_fd();
-        let mut sent = 0usize;
+        let (mut sent, mut sent_bytes) = (0usize, 0u64);
         for chunk in msgs.chunks(MAX_BATCH) {
             let mut addrs = [SockAddrStorage::ZERO; MAX_BATCH];
             let mut iovecs: [IoVec; MAX_BATCH] =
@@ -307,7 +308,7 @@ mod linux {
                         // A full send buffer on an unreliable transport is
                         // loss: drop the remainder and let fresh coded
                         // frames repair it.
-                        io::ErrorKind::WouldBlock => return Ok(sent),
+                        io::ErrorKind::WouldBlock => return Ok((sent, sent_bytes)),
                         // ICMP unreachable from an earlier send surfaces
                         // here; the error is consumed, the current
                         // datagram was not sent — skip it as lost.
@@ -318,11 +319,13 @@ mod linux {
                         _ => return Err(err),
                     }
                 }
-                off += rc as usize;
-                sent += rc as usize;
+                let accepted = &chunk[off..off + rc as usize];
+                sent_bytes += accepted.iter().map(|(_, bytes)| bytes.len() as u64).sum::<u64>();
+                sent += accepted.len();
+                off += accepted.len();
             }
         }
-        Ok(sent)
+        Ok((sent, sent_bytes))
     }
 
     /// Receives up to `slots.len().min(MAX_BATCH)` datagrams: one `poll`
@@ -440,12 +443,15 @@ mod portable {
     pub(crate) fn send_to_batch(
         socket: &UdpSocket,
         msgs: &[(SocketAddr, Vec<u8>)],
-    ) -> io::Result<usize> {
-        let mut sent = 0usize;
+    ) -> io::Result<(usize, u64)> {
+        let (mut sent, mut sent_bytes) = (0usize, 0u64);
         for (to, bytes) in msgs {
             super::count_syscalls(1);
             match socket.send_to(bytes, to) {
-                Ok(_) => sent += 1,
+                Ok(_) => {
+                    sent += 1;
+                    sent_bytes += bytes.len() as u64;
+                }
                 // Loss, not failure: ICMP feedback or a full buffer.
                 Err(e)
                     if matches!(
@@ -455,7 +461,7 @@ mod portable {
                 Err(e) => return Err(e),
             }
         }
-        Ok(sent)
+        Ok((sent, sent_bytes))
     }
 
     pub(crate) fn recv_from_batch(
@@ -530,7 +536,8 @@ mod tests {
         let to = rx.local_addr().unwrap();
         let msgs: Vec<(SocketAddr, Vec<u8>)> =
             (0..10u8).map(|i| (to, vec![i; 32 + i as usize])).collect();
-        assert_eq!(send_to_batch(&tx, &msgs).unwrap(), 10);
+        let wire_bytes: u64 = msgs.iter().map(|(_, bytes)| bytes.len() as u64).sum();
+        assert_eq!(send_to_batch(&tx, &msgs).unwrap(), (10, wire_bytes));
 
         let mut slots: Vec<Vec<u8>> = (0..16).map(|_| vec![0u8; 2048]).collect();
         let mut meta = Vec::new();

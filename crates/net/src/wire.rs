@@ -20,6 +20,10 @@
 //! An announce whose codec byte this build does not know is rejected with
 //! [`WireError::UnknownCodec`], never a panic.
 //!
+//! One parser ([`DatagramRef::parse`], borrowing; [`Datagram::decode`] is
+//! it plus a copy) and one header writer serve every kind; the checksum is
+//! a table-sliced CRC-32 that reads sixteen bytes per step.
+//!
 //! Decoding is total: any byte string — truncated, bit-flipped, alien
 //! protocol, hostile lengths — returns a [`WireError`], never panics, and
 //! never yields a datagram whose bytes were corrupted (the checksum covers
@@ -131,9 +135,12 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) slice-by-16
+/// tables, built at compile time. `CRC_TABLES[0]` is the classic bytewise
+/// table; `CRC_TABLES[j][b]` is the register after byte `b` followed by `j`
+/// zero bytes, which is what lets sixteen input bytes fold in one step.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -142,17 +149,48 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 };
 
+/// The CRC contribution of one little-endian word of a 16-byte block whose
+/// last byte is followed by `tail` more bytes of that block.
+#[inline(always)]
+fn crc32_fold_word(word: u32, tail: usize) -> u32 {
+    CRC_TABLES[tail + 3][(word & 0xFF) as usize]
+        ^ CRC_TABLES[tail + 2][((word >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[tail + 1][((word >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[tail][(word >> 24) as usize]
+}
+
 /// Streaming CRC-32 update over one chunk (state is the raw register; start
-/// from `0xFFFF_FFFF`, finish by inverting).
+/// from `0xFFFF_FFFF`, finish by inverting): sixteen bytes per step, the
+/// sub-block tail a byte at a time.
 fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = (state >> 8) ^ CRC_TABLE[((state ^ b as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let word = |at: usize| {
+            u32::from_le_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]])
+        };
+        state = crc32_fold_word(word(0) ^ state, 12)
+            ^ crc32_fold_word(word(4), 8)
+            ^ crc32_fold_word(word(8), 4)
+            ^ crc32_fold_word(word(12), 0);
+    }
+    for &b in blocks.remainder() {
+        state = (state >> 8) ^ CRC_TABLES[0][((state ^ b as u32) & 0xFF) as usize];
     }
     state
 }
@@ -160,6 +198,31 @@ fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
 /// CRC-32 over the header's checksummed prefix plus the payload.
 fn datagram_crc(header_prefix: &[u8], payload: &[u8]) -> u32 {
     !crc32_update(crc32_update(0xFFFF_FFFF, header_prefix), payload)
+}
+
+/// Writes the header in front of a payload already sitting at
+/// `datagram[HEADER_BYTES..]`, checksum last: the one place a datagram's
+/// first twenty bytes are produced.
+fn seal(datagram: &mut [u8], kind: u8, session: u64) {
+    let (header, payload) = datagram.split_at_mut(HEADER_BYTES);
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4] = VERSION;
+    header[5] = kind;
+    header[6..8].copy_from_slice(&0u16.to_le_bytes()); // flags (reserved)
+    header[8..16].copy_from_slice(&session.to_le_bytes());
+    let crc = datagram_crc(&header[0..16], payload);
+    header[16..20].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Completes a data datagram whose coded frame was written in place at
+/// `datagram[HEADER_BYTES..]` (the sender session's encode-in-place path):
+/// byte-identical to `Datagram::new(session, Payload::Data(frame)).encode()`.
+///
+/// # Panics
+///
+/// Panics if `datagram` is shorter than a header.
+pub(crate) fn seal_data(datagram: &mut [u8], session: u64) {
+    seal(datagram, KIND_DATA, session);
 }
 
 /// The stream shape an [`Payload::Announce`] advertises.
@@ -240,9 +303,11 @@ impl SegmentBitmap {
         i < self.bits && self.bytes[i / 8] & (1 << (i % 8)) != 0
     }
 
-    /// Number of complete segments.
+    /// Number of complete segments: a popcount per byte (padding bits
+    /// past `len()` are never set — `set` ignores them and the wire form
+    /// rejects them).
     pub fn count_complete(&self) -> usize {
-        (0..self.bits).filter(|&i| self.get(i)).count()
+        self.bytes.iter().map(|byte| byte.count_ones() as usize).sum()
     }
 
     /// Whether every segment is complete.
@@ -272,22 +337,28 @@ impl SegmentBitmap {
                 return None;
             }
         }
+        // lint: allow(vec-capacity) — one small owned bitmap per ACK (1 in `ack_every` frames), kept by the sender session; data datagrams never come here.
         Some(SegmentBitmap { bits, bytes: body.to_vec() })
     }
 }
 
-/// Typed datagram payloads.
+/// Kind byte of a data datagram.
+const KIND_DATA: u8 = 3;
+
+/// Typed datagram payloads. `B` is the storage of a data frame: `Vec<u8>`
+/// for an owned [`Datagram`], `&[u8]` for a [`DatagramRef`] borrowed from
+/// the receive buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Payload {
+pub enum Payload<B = Vec<u8>> {
     /// Receiver → sender: start (or keep) serving this session.
     Request,
     /// Sender → receiver: the stream's shape. Sent first and re-sent until
     /// acknowledged by any ACK.
     Announce(StreamMeta),
-    /// Sender → receiver: one coded frame, carried as the exact
-    /// `nc_rlnc::stream::StreamFrame` wire bytes (parsed by the receiver,
-    /// which knows the session's [`CodingConfig`](nc_rlnc::CodingConfig)).
-    Data(Vec<u8>),
+    /// Sender → receiver: one coded frame in its backend's wire format
+    /// (parsed by the receiver's negotiated codec, which knows the
+    /// session's [`CodingConfig`](nc_rlnc::CodingConfig)).
+    Data(B),
     /// Receiver → sender: completion feedback. `received`/`innovative`
     /// count all data frames so far; the bitmap marks decoded segments.
     Ack {
@@ -307,12 +378,12 @@ pub enum Payload {
     },
 }
 
-impl Payload {
+impl<B> Payload<B> {
     fn kind_byte(&self) -> u8 {
         match self {
             Payload::Request => 1,
             Payload::Announce(_) => 2,
-            Payload::Data(_) => 3,
+            Payload::Data(_) => KIND_DATA,
             Payload::Ack { .. } => 4,
             Payload::Fin { .. } => 5,
         }
@@ -332,12 +403,17 @@ impl Payload {
 
 /// One datagram: a session id plus a typed payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Datagram {
+pub struct Datagram<B = Vec<u8>> {
     /// Session the datagram belongs to (chosen by the sender of a stream).
     pub session: u64,
     /// The typed payload.
-    pub payload: Payload,
+    pub payload: Payload<B>,
 }
+
+/// A datagram parsed without copying: a data frame stays a slice of the
+/// bytes it was parsed from (a `recvmmsg` slot), so it reaches the codec
+/// receiver with one copy, into the decoder.
+pub type DatagramRef<'a> = Datagram<&'a [u8]>;
 
 impl Datagram {
     /// Convenience constructor.
@@ -345,7 +421,8 @@ impl Datagram {
         Datagram { session, payload }
     }
 
-    /// Serializes to wire bytes (header, checksum, payload).
+    /// Serializes to wire bytes (header, checksum, payload), each byte
+    /// written once into a pooled buffer the transport drivers recycle.
     ///
     /// # Errors
     ///
@@ -353,49 +430,67 @@ impl Datagram {
     /// [`MAX_DATAGRAM_BYTES`] (the caller's coding config is too big for
     /// one UDP datagram).
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut payload = Vec::new();
-        match &self.payload {
-            Payload::Request => {}
-            Payload::Announce(meta) => {
-                payload.extend_from_slice(&meta.blocks.to_le_bytes());
-                payload.extend_from_slice(&meta.block_size.to_le_bytes());
-                payload.extend_from_slice(&meta.total_segments.to_le_bytes());
-                payload.extend_from_slice(&meta.original_len.to_le_bytes());
-                payload.push(meta.codec.to_wire());
-            }
-            Payload::Data(frame) => payload.extend_from_slice(frame),
-            Payload::Ack { received, innovative, completed } => {
-                payload.extend_from_slice(&received.to_le_bytes());
-                payload.extend_from_slice(&innovative.to_le_bytes());
-                completed.to_wire(&mut payload);
-            }
-            Payload::Fin { received, innovative } => {
-                payload.extend_from_slice(&received.to_le_bytes());
-                payload.extend_from_slice(&innovative.to_le_bytes());
-            }
-        }
-        let total = HEADER_BYTES + payload.len();
+        let payload_bytes = match &self.payload {
+            Payload::Request => 0,
+            Payload::Announce(_) => 21,
+            Payload::Data(frame) => frame.len(),
+            Payload::Ack { completed, .. } => 16 + 4 + completed.bytes.len(),
+            Payload::Fin { .. } => 16,
+        };
+        let total = HEADER_BYTES + payload_bytes;
         if total > MAX_DATAGRAM_BYTES {
             return Err(WireError::TooLarge { needed: total });
         }
-        // Pool-backed: the transport drivers recycle sent datagrams, so
-        // steady-state encodes reuse this allocation.
         let mut out = nc_pool::BytesPool::global().take_capacity(total);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.payload.kind_byte());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags (reserved)
-        out.extend_from_slice(&self.session.to_le_bytes());
-        let crc = datagram_crc(&out[0..16], &payload);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.resize(HEADER_BYTES, 0); // `seal` fills it in once the payload is behind it
+        match &self.payload {
+            Payload::Request => {}
+            Payload::Announce(meta) => {
+                out.extend_from_slice(&meta.blocks.to_le_bytes());
+                out.extend_from_slice(&meta.block_size.to_le_bytes());
+                out.extend_from_slice(&meta.total_segments.to_le_bytes());
+                out.extend_from_slice(&meta.original_len.to_le_bytes());
+                out.push(meta.codec.to_wire());
+            }
+            Payload::Data(frame) => {
+                out.extend_from_slice(frame);
+                crate::metrics::metrics().tx_bytes_copied.add(frame.len() as u64);
+            }
+            Payload::Ack { received, innovative, completed } => {
+                out.extend_from_slice(&received.to_le_bytes());
+                out.extend_from_slice(&innovative.to_le_bytes());
+                completed.to_wire(&mut out);
+            }
+            Payload::Fin { received, innovative } => {
+                out.extend_from_slice(&received.to_le_bytes());
+                out.extend_from_slice(&innovative.to_le_bytes());
+            }
+        }
+        debug_assert_eq!(out.len(), total);
+        seal(&mut out, self.payload.kind_byte(), self.session);
         Ok(out)
     }
 
-    /// Parses wire bytes. Total over arbitrary input: truncation, foreign
-    /// magic, unknown kinds/versions, checksum damage, and malformed
-    /// payloads each map to a distinct [`WireError`].
+    /// Parses wire bytes into an owned datagram: [`DatagramRef::parse`]
+    /// then [`DatagramRef::into_owned`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`DatagramRef::parse`].
     pub fn decode(bytes: &[u8]) -> Result<Datagram, WireError> {
+        DatagramRef::parse(bytes).map(DatagramRef::into_owned)
+    }
+}
+
+impl<'a> DatagramRef<'a> {
+    /// Parses wire bytes — the one parser. Total over arbitrary input:
+    /// truncation, foreign magic, unknown kinds/versions, checksum damage,
+    /// and malformed payloads each map to a distinct [`WireError`].
+    ///
+    /// # Errors
+    ///
+    /// The [`WireError`] naming what is wrong with `bytes`.
+    pub fn parse(bytes: &'a [u8]) -> Result<DatagramRef<'a>, WireError> {
         if bytes.len() < HEADER_BYTES {
             return Err(WireError::TooShort { actual: bytes.len() });
         }
@@ -411,6 +506,7 @@ impl Datagram {
         let stored_crc = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
         let payload = &bytes[HEADER_BYTES..];
         if datagram_crc(&bytes[0..16], payload) != stored_crc {
+            crate::metrics::metrics().rx_crc_rejected.inc();
             return Err(WireError::ChecksumMismatch);
         }
         let payload = match kind {
@@ -437,7 +533,7 @@ impl Datagram {
                     codec,
                 })
             }
-            3 => Payload::Data(payload.to_vec()),
+            KIND_DATA => Payload::Data(payload),
             4 => {
                 if payload.len() < 16 {
                     return Err(WireError::MalformedPayload { kind: "ack" });
@@ -460,6 +556,22 @@ impl Datagram {
             other => return Err(WireError::UnknownKind { found: other }),
         };
         Ok(Datagram { session, payload })
+    }
+
+    /// The owned form: a data frame is copied out of the parsed bytes,
+    /// every other kind is moved as is.
+    pub fn into_owned(self) -> Datagram {
+        let payload = match self.payload {
+            Payload::Request => Payload::Request,
+            Payload::Announce(meta) => Payload::Announce(meta),
+            // lint: allow(vec-capacity) — the owned form of a data frame is a copy by definition; the receive path parses borrowed and never calls this.
+            Payload::Data(frame) => Payload::Data(frame.to_vec()),
+            Payload::Ack { received, innovative, completed } => {
+                Payload::Ack { received, innovative, completed }
+            }
+            Payload::Fin { received, innovative } => Payload::Fin { received, innovative },
+        };
+        Datagram { session: self.session, payload }
     }
 }
 
@@ -679,6 +791,25 @@ mod tests {
         assert!(bitmap.all_complete());
         assert_eq!(bitmap.count_complete(), 10);
 
+        // The byte popcount against the bit walk, on lengths that are and
+        // are not multiples of 8; out-of-range sets must not reach the
+        // padding bits the popcount would otherwise count.
+        for bits in [1usize, 7, 8, 9, 63, 64, 65, 1000] {
+            let mut bitmap = SegmentBitmap::new(bits);
+            assert_eq!(bitmap.count_complete(), 0);
+            for i in (0..bits + 16).step_by(3) {
+                bitmap.set(i);
+            }
+            let walked = (0..bits).filter(|&i| bitmap.get(i)).count();
+            assert_eq!(bitmap.count_complete(), walked, "bits={bits}");
+            assert_eq!(walked, bits.div_ceil(3));
+            assert!(!bitmap.all_complete() || bits == 1);
+            (0..bits).for_each(|i| bitmap.set(i));
+            assert_eq!(bitmap.count_complete(), bits);
+            assert!(bitmap.all_complete());
+        }
+        assert!(!SegmentBitmap::new(0).all_complete());
+
         // Padding bits set in the last byte must not decode (one wire form
         // per bitmap).
         let mut raw = Vec::new();
@@ -691,9 +822,66 @@ mod tests {
         assert_eq!(SegmentBitmap::from_wire(&raw), None);
     }
 
+    /// The byte-at-a-time CRC-32 the sliced body replaced: the oracle.
+    fn crc32_bytewise(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state = (state >> 8) ^ CRC_TABLES[0][((state ^ b as u32) & 0xFF) as usize];
+        }
+        state
+    }
+
     #[test]
     fn crc_matches_known_vector() {
         // CRC-32("123456789") = 0xCBF43926 (IEEE 802.3 check value).
         assert_eq!(!crc32_update(0xFFFF_FFFF, b"123456789"), 0xCBF4_3926);
+        assert_eq!(!crc32_bytewise(0xFFFF_FFFF, b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_oracle_at_every_length_and_alignment() {
+        let bytes: Vec<u8> =
+            (0..4200 + 16u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=4200 {
+                let chunk = &bytes[start..start + len];
+                assert_eq!(
+                    crc32_update(0xFFFF_FFFF, chunk),
+                    crc32_bytewise(0xFFFF_FFFF, chunk),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc_of_a_concatenation_equals_the_split_update() {
+        let bytes: Vec<u8> = (0..600u32).map(|i| (i * 7 + 3) as u8).collect();
+        let one_shot = crc32_update(0xFFFF_FFFF, &bytes);
+        for split in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(split);
+            assert_eq!(crc32_update(crc32_update(0xFFFF_FFFF, a), b), one_shot, "split {split}");
+        }
+    }
+
+    #[test]
+    fn sealed_in_place_data_equals_the_encoded_datagram() {
+        let frame: Vec<u8> = (0..300u32).map(|i| (i * 13) as u8).collect();
+        let mut in_place = vec![0xEE; HEADER_BYTES];
+        in_place.extend_from_slice(&frame);
+        seal_data(&mut in_place, 0xFEED_BEEF_0042);
+        let encoded = Datagram::new(0xFEED_BEEF_0042, Payload::Data(frame)).encode().unwrap();
+        assert_eq!(in_place, encoded);
+    }
+
+    #[test]
+    fn parse_borrows_the_data_frame_and_agrees_with_decode() {
+        for datagram in sample_datagrams() {
+            let wire = datagram.encode().unwrap();
+            let parsed = DatagramRef::parse(&wire).unwrap();
+            if let Payload::Data(frame) = parsed.payload {
+                assert!(std::ptr::eq(frame, &wire[HEADER_BYTES..]), "data is a view, not a copy");
+            }
+            assert_eq!(parsed.into_owned(), datagram);
+        }
     }
 }

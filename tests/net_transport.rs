@@ -10,9 +10,11 @@ use extreme_nc::net::channel::{memory_pair, Channel, FaultProfile, FaultyChannel
 use extreme_nc::net::receiver::{run_receiver, ReceiverConfig, ReceiverEvent, ReceiverSession};
 use extreme_nc::net::sender::send_stream;
 use extreme_nc::net::server::ServerConfig;
-use extreme_nc::net::session::{SenderConfig, SenderOutcome, SenderReport};
+use extreme_nc::net::session::{
+    SenderConfig, SenderEvent, SenderOutcome, SenderReport, SenderSession,
+};
 use extreme_nc::net::shard::{ShardedServer, ShardedServerConfig};
-use extreme_nc::net::wire::Datagram;
+use extreme_nc::net::wire::{Datagram, DatagramRef, Payload, HEADER_BYTES};
 use extreme_nc::rlnc::stream::{StreamEncoder, StreamFrame};
 use extreme_nc::rlnc::CodingConfig;
 use proptest::prelude::*;
@@ -229,6 +231,35 @@ fn stream_encoder_is_sync() {
     assert_sync_send::<Arc<StreamEncoder>>();
 }
 
+/// The first data datagram of a fixed (stream, session id, seed), as the
+/// parent of the encode-in-place / sliced-CRC change put it on the wire. A
+/// drift in the header layout, the frame layout, the coefficient draw
+/// order or the CRC fails here, in `cargo test -q`.
+const GOLDEN_DATA_DATAGRAM: &str = "4e434e4302030000efcdab896745230101395b0500000000\
+     02000000e5d86be5bbbe14d6ecb7be8d3f264aeff22fac65";
+
+#[test]
+fn first_data_datagram_matches_the_checked_in_golden_bytes() {
+    let coding = CodingConfig::new(4, 16).expect("valid");
+    let encoder = Arc::new(StreamEncoder::new(coding, &payload(100)).expect("non-empty"));
+    let now = Instant::now();
+    let mut session =
+        SenderSession::new(encoder, 0x0123_4567_89AB_CDEF, SenderConfig::default(), 2009, now)
+            .expect("frame fits a datagram");
+    let first_data = loop {
+        match session.poll(now) {
+            SenderEvent::Transmit(bytes) if bytes[5] == 3 => break bytes,
+            SenderEvent::Transmit(_) => {} // the announce
+            other => panic!("expected a data datagram, got {other:?}"),
+        }
+    };
+    let hex: String = first_data.iter().map(|byte| format!("{byte:02x}")).collect();
+    assert_eq!(hex, GOLDEN_DATA_DATAGRAM);
+    let parsed = DatagramRef::parse(&first_data).expect("golden datagram parses");
+    assert_eq!(parsed.session, 0x0123_4567_89AB_CDEF);
+    assert!(matches!(parsed.payload, Payload::Data(frame) if frame.len() == 8 + 4 + 16));
+}
+
 #[test]
 fn receiver_state_machine_swallows_arbitrary_garbage() {
     // A deterministic sweep (cheap complement to the proptests below):
@@ -276,7 +307,6 @@ proptest! {
         cut in 0usize..100,
         flip_bit in 0usize..1024,
     ) {
-        use extreme_nc::net::wire::Payload;
         let original = Datagram::new(session, Payload::Data(data));
         let wire = original.encode().expect("in-bounds");
 
@@ -290,6 +320,32 @@ proptest! {
 
         let roundtrip = Datagram::decode(&wire).expect("clean datagram decodes");
         prop_assert_eq!(roundtrip, original);
+    }
+
+    /// The borrowed parser and the owned decoder are one parser: on
+    /// arbitrary bytes, and on a valid datagram truncated or with one bit
+    /// flipped, both give the same value or the same error — and a parsed
+    /// data frame is a view of the input, not a copy.
+    #[test]
+    fn borrowed_parse_and_owned_decode_agree(
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+        session in any::<u64>(),
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+        cut in 0usize..300,
+        flip_bit in 0usize..4096,
+    ) {
+        let wire = Datagram::new(session, Payload::Data(data)).encode().expect("in-bounds");
+        let mut flipped = wire.clone();
+        let bit = flip_bit % (wire.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let truncated = &wire[..cut.min(wire.len())];
+        for bytes in [&noise[..], &wire[..], truncated, &flipped[..]] {
+            let parsed = DatagramRef::parse(bytes);
+            if let Ok(Datagram { payload: Payload::Data(frame), .. }) = &parsed {
+                prop_assert!(std::ptr::eq(*frame, &bytes[HEADER_BYTES..]));
+            }
+            prop_assert_eq!(parsed.map(DatagramRef::into_owned), Datagram::decode(bytes));
+        }
     }
 
     /// Feeding a live receiver session arbitrary bytes never panics.
