@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks of the GF(2^8) primitives: the scalar
 //! multiplication strategies the paper contrasts, and the region operations
-//! all coding reduces to (per backend).
+//! all coding reduces to (per rung of the kernel ladder).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use nc_gf256::logdomain::{mul_rlog, to_rlog};
-use nc_gf256::region::{dot_assign_with, mul_add_assign_with, Backend};
+use nc_gf256::region::{dot_assign_on, mul_add_assign_on};
 use nc_gf256::scalar::{mul_full_table, mul_loop, mul_table};
-use nc_gf256::simd::{mul_add_assign_with_kernel, SimdKernel};
+use nc_gf256::simd::Kernel;
 use nc_gf256::wide::mul_word64;
 use rand::{Rng, SeedableRng};
 
@@ -67,47 +67,21 @@ fn scalar_multiplication(c: &mut Criterion) {
     group.finish();
 }
 
-fn region_backends(c: &mut Criterion) {
+fn region_kernels(c: &mut Criterion) {
+    // Per-rung axpy: every kernel this host has. 4 KiB is the paper's
+    // streaming block size; 1 KiB and 16 KiB bracket it.
     let mut group = c.benchmark_group("region_mul_add");
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    // 4 KiB is the ISSUE's acceptance-criterion size (the paper's streaming
-    // block size); 1 KiB and 16 KiB bracket it.
     for size in [1024usize, 4 * 1024, 16 * 1024] {
         let src: Vec<u8> = (0..size).map(|_| rng.gen()).collect();
         group.throughput(Throughput::Bytes(size as u64));
-        for backend in Backend::ALL {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{backend:?}"), size),
-                &size,
-                |b, _| {
-                    let mut dst = vec![0u8; size];
-                    // Warm: the shim has no warmup phase, and the first SIMD
-                    // call pays one-time dispatch init (env + cpuid).
-                    mul_add_assign_with(backend, &mut dst, &src, 0x53);
-                    b.iter(|| {
-                        mul_add_assign_with(backend, &mut dst, black_box(&src), 0x53);
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-fn simd_kernels(c: &mut Criterion) {
-    // Per-kernel axpy: the host's available SIMD kernels against the
-    // portable fallback, at the 4 KiB criterion size and 16 KiB.
-    let mut group = c.benchmark_group("simd_kernel_mul_add");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    for size in [4 * 1024usize, 16 * 1024] {
-        let src: Vec<u8> = (0..size).map(|_| rng.gen()).collect();
-        group.throughput(Throughput::Bytes(size as u64));
-        for kernel in SimdKernel::available() {
-            group.bench_with_input(BenchmarkId::new(kernel.name(), size), &size, |b, _| {
+        for rung in Kernel::available() {
+            group.bench_with_input(BenchmarkId::new(rung.kernel().name(), size), &size, |b, _| {
                 let mut dst = vec![0u8; size];
-                mul_add_assign_with_kernel(kernel, &mut dst, &src, 0x53);
+                // Warm: the shim has no warmup phase.
+                mul_add_assign_on(rung, &mut dst, &src, 0x53);
                 b.iter(|| {
-                    mul_add_assign_with_kernel(kernel, &mut dst, black_box(&src), 0x53);
+                    mul_add_assign_on(rung, &mut dst, black_box(&src), 0x53);
                 })
             });
         }
@@ -117,8 +91,8 @@ fn simd_kernels(c: &mut Criterion) {
 
 fn blocked_dot(c: &mut Criterion) {
     // The encode inner loop: one destination row accumulating n sources.
-    // Simd uses the blocked multi-source kernel; Table is the row-at-a-time
-    // scalar reference.
+    // The ISA rungs use the blocked multi-source kernel; the byte-at-a-time
+    // rungs are the row-at-a-time references.
     let mut group = c.benchmark_group("region_dot_assign");
     let mut rng = rand::rngs::StdRng::seed_from_u64(4);
     let k = 4 * 1024usize;
@@ -127,12 +101,12 @@ fn blocked_dot(c: &mut Criterion) {
         let refs: Vec<&[u8]> = sources.iter().map(|s| s.as_slice()).collect();
         let coeffs: Vec<u8> = (0..n).map(|_| rng.gen_range(1..=255)).collect();
         group.throughput(Throughput::Bytes((n * k) as u64));
-        for backend in [Backend::Table, Backend::Simd] {
-            group.bench_with_input(BenchmarkId::new(format!("{backend:?}"), n), &n, |b, _| {
+        for rung in Kernel::available() {
+            group.bench_with_input(BenchmarkId::new(rung.kernel().name(), n), &n, |b, _| {
                 let mut dst = vec![0u8; k];
-                dot_assign_with(backend, &mut dst, &refs, &coeffs);
+                dot_assign_on(rung, &mut dst, &refs, &coeffs);
                 b.iter(|| {
-                    dot_assign_with(backend, &mut dst, black_box(&refs), black_box(&coeffs));
+                    dot_assign_on(rung, &mut dst, black_box(&refs), black_box(&coeffs));
                 })
             });
         }
@@ -143,6 +117,6 @@ fn blocked_dot(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = scalar_multiplication, region_backends, simd_kernels, blocked_dot
+    targets = scalar_multiplication, region_kernels, blocked_dot
 }
 criterion_main!(benches);

@@ -1,8 +1,10 @@
-//! Host SIMD: measured GF(2^8) region bandwidth per backend/kernel, and
-//! the Fig. 10 partitioning sweep on live hardware with the SIMD backend.
+//! Host SIMD: measured GF(2^8) region bandwidth of every kernel rung this
+//! host has, and the Fig. 10 partitioning sweep on live hardware on the
+//! active rung.
 //!
 //! Run with `cargo run -p nc-bench --release --bin host_simd`.
-//! Set `NC_GF_BACKEND=portable` (or `table`, `avx2`, ...) to ablate.
+//! Set `NC_GF_BACKEND=portable` (or `avx2`, `nibble`, ...) to move the
+//! Fig. 10 sweep to another rung.
 
 fn main() {
     print!("{}", nc_bench::report::host_simd());

@@ -5,7 +5,6 @@
 
 use nc_cpu::{measure, Partitioning};
 use nc_cpu_model::{CpuModel, EncodeStrategy};
-use nc_gf256::region::Backend;
 use nc_gf256::simd;
 use nc_gpu::api::EncodeScheme;
 use nc_gpu::decode_single::DecodeOptions;
@@ -17,8 +16,8 @@ use nc_streaming::{CapacityPlan, HybridBackend, Nic, StreamProfile};
 use crate::grids::{block_sizes, to_mb, BLOCK_COUNTS, BLOCK_COUNTS_FIG8};
 use crate::runners::{
     circshift_rotate_add_rate, cpu_decode_multi_series, cpu_decode_single_series,
-    cpu_encode_series, fig7_ladder, gf_axpy_rate, gf_kernel_axpy_rate, gpu_decode_multi_series,
-    gpu_decode_single_rate, gpu_decode_single_series, gpu_encode_series, host_encode_series,
+    cpu_encode_series, fig7_ladder, gf_axpy_rate, gpu_decode_multi_series, gpu_decode_single_rate,
+    gpu_decode_single_series, gpu_encode_series, host_encode_series,
 };
 use crate::series::format_table;
 
@@ -243,55 +242,25 @@ pub fn fig10() -> String {
     out
 }
 
-/// Host SIMD report: measured GF(2^8) region bandwidth of this machine's
-/// real SIMD kernels against the scalar backends, and the Fig. 10
-/// full-vs-partitioned sweep repeated on live hardware with the SIMD
-/// backend — the measured companion to the modeled Mac Pro curves.
+/// Host SIMD report: measured GF(2^8) region bandwidth of every rung of
+/// the kernel ladder this machine has, and the Fig. 10 full-vs-partitioned
+/// sweep repeated on live hardware on the active rung — the measured
+/// companion to the modeled Mac Pro curves.
 pub fn host_simd() -> String {
     let mut out = String::from("## Host SIMD: measured GF(2^8) region arithmetic\n\n");
+    let rungs = simd::Kernel::available();
     out.push_str(&format!(
-        "auto-detected kernel: {} (available: {}); host gf path: {}\n\n",
+        "active kernel: {} (available: {})\n\n",
         simd::active_kernel().name(),
-        simd::SimdKernel::available().iter().map(|k| k.name()).collect::<Vec<_>>().join(", "),
-        measure::gf_path(),
+        rungs.iter().map(|r| r.kernel().name()).collect::<Vec<_>>().join(", "),
     ));
 
-    // Single-core axpy ladder: every region backend at 1 KiB / 4 KiB /
-    // 16 KiB, with the speedup over the 256-byte-row table baseline at the
-    // ISSUE's acceptance size (k = 4 KiB).
-    out.push_str("### mul_add_assign bandwidth, single core (MB/s)\n");
+    // Single-core axpy, rung by rung at 1 KiB / 4 KiB / 16 KiB, with the
+    // speedup over the 256-byte-row table (the `portable` rung) at
+    // k = 4 KiB, plus the multiplication-free circular-shift primitive as
+    // its own row of the ablation.
+    out.push_str("### mul_add_assign bandwidth per kernel + circular shift, single core (MB/s)\n");
     let sizes = [1024usize, 4096, 16 * 1024];
-    out.push_str(&format!(
-        "{:<10} {:>10} {:>10} {:>10} {:>14}\n{}\n",
-        "backend",
-        "1 KiB",
-        "4 KiB",
-        "16 KiB",
-        "vs table@4K",
-        "-".repeat(58)
-    ));
-    let table_4k = gf_axpy_rate(Backend::Table, 4096);
-    for backend in Backend::ALL {
-        let rates: Vec<f64> = sizes.iter().map(|&k| gf_axpy_rate(backend, k)).collect();
-        out.push_str(&format!(
-            "{:<10} {:>10.1} {:>10.1} {:>10.1} {:>13.2}x\n",
-            backend.name(),
-            rates[0],
-            rates[1],
-            rates[2],
-            rates[1] / table_4k,
-        ));
-    }
-    out.push_str(
-        "(acceptance: simd >= 2x table at 4 KiB on an AVX2 host; the nibble-table\n\
-         shuffle kernel multiplies 32 bytes per instruction pair.)\n\n",
-    );
-
-    // The full dispatch ladder, rung by rung: every kernel this binary
-    // knows, measured explicitly (the `simd` row above only shows the
-    // auto-detected winner), plus the multiplication-free circular-shift
-    // primitive as its own column of the ablation.
-    out.push_str("### per-kernel dispatch ladder + circular shift (MB/s)\n");
     out.push_str(&format!(
         "{:<10} {:>10} {:>10} {:>10} {:>14}\n{}\n",
         "kernel",
@@ -301,8 +270,15 @@ pub fn host_simd() -> String {
         "vs table@4K",
         "-".repeat(58)
     ));
-    for kernel in simd::SimdKernel::available() {
-        let rates: Vec<f64> = sizes.iter().map(|&k| gf_kernel_axpy_rate(kernel, k)).collect();
+    let rows: Vec<(simd::Kernel, Vec<f64>)> = rungs
+        .iter()
+        .map(|&rung| (rung.kernel(), sizes.iter().map(|&k| gf_axpy_rate(rung, k)).collect()))
+        .collect();
+    let table_4k = rows
+        .iter()
+        .find_map(|(kernel, rates)| (*kernel == simd::Kernel::Portable).then_some(rates[1]))
+        .expect("the portable rung is always available");
+    for (kernel, rates) in &rows {
         out.push_str(&format!(
             "{:<10} {:>10.1} {:>10.1} {:>10.1} {:>13.2}x\n",
             kernel.name(),
@@ -322,40 +298,41 @@ pub fn host_simd() -> String {
         circ_rates[1] / table_4k,
     ));
     out.push_str(
-        "(circshift is the Shum & Hou rotate-and-add over Z_256[z]/(z^L - 1):\n\
-         no GF multiply at all, so its per-op bandwidth is memory-bound even\n\
-         without SIMD; GFNI multiplies 64 bytes per instruction.)\n\n",
+        "(portable is the 256-byte product-table row; the nibble-table shuffle\n\
+         kernels multiply 32 bytes per instruction pair on AVX2, GFNI 64 bytes\n\
+         per instruction. circshift is the Shum & Hou rotate-and-add over\n\
+         Z_256[z]/(z^L - 1): no GF multiply at all, so its per-op bandwidth is\n\
+         memory-bound even without SIMD.)\n\n",
     );
 
-    // Fig. 10 on live hardware: the partitioning trade-off with the SIMD
-    // backend. Reduced grid so the sweep stays interactive on small hosts.
+    // Fig. 10 on live hardware: the partitioning trade-off on the active
+    // rung. Reduced grid so the sweep stays interactive on small hosts.
     let ks: Vec<usize> = block_sizes().into_iter().filter(|&k| k >= 512).collect();
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut series = Vec::new();
     for &n in &[128usize, 256] {
         series.push(host_encode_series(
-            Backend::Simd,
             n,
             &ks,
             threads,
             Partitioning::FullBlock,
-            format!("FB host simd (n={n})"),
+            format!("FB host (n={n})"),
         ));
     }
     for &n in &[128usize, 256] {
         series.push(host_encode_series(
-            Backend::Simd,
             n,
             &ks,
             threads,
             Partitioning::PartitionedBlock,
-            format!("PB host simd (n={n})"),
+            format!("PB host (n={n})"),
         ));
     }
     out.push_str(&format_table(
         &format!(
             "Fig. 10 on this host: full-block vs partitioned-block encode, \
-             simd backend, {threads} thread(s) (MB/s)"
+             {}, {threads} thread(s) (MB/s)",
+            measure::gf_path()
         ),
         "block size",
         &series,

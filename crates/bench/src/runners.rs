@@ -5,7 +5,8 @@
 
 use nc_cpu::{measure, Partitioning};
 use nc_cpu_model::{CpuModel, EncodeStrategy};
-use nc_gf256::region::{self, Backend};
+use nc_gf256::region;
+use nc_gf256::simd::Rung;
 use nc_gpu::api::EncodeScheme;
 use nc_gpu::decode_single::DecodeOptions;
 use nc_gpu::{Fidelity, GpuEncoder, GpuMultiDecoder, GpuProgressiveDecoder, TableVariant};
@@ -139,11 +140,11 @@ pub fn cpu_decode_multi_series(n: usize, ks: &[usize], label: impl Into<String>)
     series
 }
 
-/// Measured single-core GF(2^8) axpy bandwidth (MB/s) of one region
-/// backend on *this* host at region length `k` — the primitive every
+/// Measured single-core GF(2^8) axpy bandwidth (MB/s) of one rung of the
+/// kernel ladder on *this* host at region length `k` — the primitive every
 /// encode/decode inner loop reduces to, timed directly (the Criterion
 /// benches give the statistically careful version of the same numbers).
-pub fn gf_axpy_rate(backend: Backend, k: usize) -> f64 {
+pub fn gf_axpy_rate(rung: Rung, k: usize) -> f64 {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x51D0 + k as u64);
     let src: Vec<u8> = (0..k).map(|_| rng.gen()).collect();
     let mut dst: Vec<u8> = (0..k).map(|_| rng.gen()).collect();
@@ -152,31 +153,7 @@ pub fn gf_axpy_rate(backend: Backend, k: usize) -> f64 {
     loop {
         let t0 = std::time::Instant::now();
         for i in 0..iters {
-            region::mul_add_assign_with(backend, &mut dst, &src, (i as u8) | 1);
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if dt >= 0.02 || iters >= 1 << 22 {
-            std::hint::black_box(&dst);
-            return (iters * k) as f64 / dt / (1024.0 * 1024.0);
-        }
-        iters *= 4;
-    }
-}
-
-/// Measured single-core GF(2^8) axpy bandwidth (MB/s) of one *explicit
-/// SIMD kernel* at region length `k` — the per-rung view of
-/// [`gf_axpy_rate`]'s per-backend one, covering the full dispatch ladder
-/// (portable → ssse3 → avx2 → avx512 → gfni) regardless of which rung
-/// auto-detection picked.
-pub fn gf_kernel_axpy_rate(kernel: nc_gf256::simd::SimdKernel, k: usize) -> f64 {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x51D1 + k as u64);
-    let src: Vec<u8> = (0..k).map(|_| rng.gen()).collect();
-    let mut dst: Vec<u8> = (0..k).map(|_| rng.gen()).collect();
-    let mut iters = 16usize;
-    loop {
-        let t0 = std::time::Instant::now();
-        for i in 0..iters {
-            nc_gf256::simd::mul_add_assign_with_kernel(kernel, &mut dst, &src, (i as u8) | 1);
+            region::mul_add_assign_on(rung, &mut dst, &src, (i as u8) | 1);
         }
         let dt = t0.elapsed().as_secs_f64();
         if dt >= 0.02 || iters >= 1 << 22 {
@@ -214,10 +191,9 @@ pub fn circshift_rotate_add_rate(k: usize) -> f64 {
 }
 
 /// Sweeps measured host encode bandwidth (MB/s) over block sizes for one
-/// GF backend and partitioning scheme — the live-hardware companion to
-/// [`cpu_encode_series`]'s modeled Mac Pro.
+/// partitioning scheme, on the active GF rung — the live-hardware
+/// companion to [`cpu_encode_series`]'s modeled Mac Pro.
 pub fn host_encode_series(
-    backend: Backend,
     n: usize,
     ks: &[usize],
     threads: usize,
@@ -229,8 +205,7 @@ pub fn host_encode_series(
         // Enough coded blocks that thread startup amortizes, scaled down as
         // regions grow so the sweep stays interactive.
         let m = (n / 2).clamp(8, 64);
-        let rate =
-            measure::encode_throughput_with(backend, n, k, m, threads, partitioning, 40 + k as u64);
+        let rate = measure::encode_throughput(n, k, m, threads, partitioning, 40 + k as u64);
         series.push(k, to_mb(rate));
     }
     series
@@ -295,11 +270,10 @@ mod tests {
 
     #[test]
     fn host_runners_measure_positive_rates() {
-        for backend in [Backend::Table, Backend::Simd] {
-            assert!(gf_axpy_rate(backend, 1024) > 0.0);
+        for rung in nc_gf256::simd::Kernel::available() {
+            assert!(gf_axpy_rate(rung, 1024) > 0.0);
         }
-        let s =
-            host_encode_series(Backend::Simd, 8, &[128, 256], 1, Partitioning::FullBlock, "host");
+        let s = host_encode_series(8, &[128, 256], 1, Partitioning::FullBlock, "host");
         assert_eq!(s.points.len(), 2);
         assert!(s.points.iter().all(|&(_, y)| y > 0.0));
     }

@@ -8,14 +8,13 @@
 //! of `2n` bytes as blocks arrive (O(n²) bytes per block), payloads are held
 //! untouched, and the block that completes the rank triggers
 //! `decoded = transform · payloads` through
-//! [`nc_gf256::region::matrix_mul_add_with`] — the `n²·k` work, done once by
+//! [`nc_gf256::region::matrix_mul_add`] — the `n²·k` work, done once by
 //! the tiled kernel instead of `n²` row operations over `k`-byte payloads.
 
 use crate::block::CodedBlock;
 use crate::error::Error;
 use crate::segment::CodingConfig;
 use crate::stats::DecodeStats;
-use nc_gf256::region::Backend;
 use nc_gf256::{region, scalar};
 use nc_pool::{BlockArena, BytesPool};
 
@@ -35,29 +34,13 @@ pub(crate) struct Elimination {
     rows: Vec<u8>,
     /// `pivots[r]` is the pivot column of row `r`.
     pivots: Vec<usize>,
-    backend: Backend,
     /// Normalizations and eliminations executed, each over one `2n`-byte row.
     row_ops: usize,
 }
 
 impl Elimination {
     pub(crate) fn new(config: CodingConfig) -> Elimination {
-        Elimination {
-            config,
-            rows: Vec::new(),
-            pivots: Vec::new(),
-            backend: Backend::default(),
-            row_ops: 0,
-        }
-    }
-
-    pub(crate) fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    #[inline]
-    pub(crate) fn backend(&self) -> Backend {
-        self.backend
+        Elimination { config, rows: Vec::new(), pivots: Vec::new(), row_ops: 0 }
     }
 
     #[inline]
@@ -99,7 +82,7 @@ impl Elimination {
         for (existing, &pivot) in held.chunks_exact(width).zip(&self.pivots) {
             let factor = row[pivot];
             if factor != 0 {
-                region::mul_add_assign_with(self.backend, row, existing, factor);
+                region::mul_add_assign(row, existing, factor);
                 self.row_ops += 1;
             }
         }
@@ -110,14 +93,14 @@ impl Elimination {
         // Normalize so the leading coefficient is 1.
         let lead = row[pivot];
         if lead != 1 {
-            region::mul_assign_with(self.backend, row, scalar::inv(lead));
+            region::mul_assign(row, scalar::inv(lead));
             self.row_ops += 1;
         }
         // Jordan step: clear the new pivot column from the held rows.
         for existing in held.chunks_exact_mut(width) {
             let factor = existing[pivot];
             if factor != 0 {
-                region::mul_add_assign_with(self.backend, existing, row, factor);
+                region::mul_add_assign(existing, row, factor);
                 self.row_ops += 1;
             }
         }
@@ -140,7 +123,7 @@ impl Elimination {
             transform[pivot] = &row[n..];
         }
         let mut blocks: Vec<&mut [u8]> = out.chunks_exact_mut(self.config.block_size()).collect();
-        region::matrix_mul_add_with(self.backend, &mut blocks, payloads, &transform);
+        region::matrix_mul_add(&mut blocks, payloads, &transform);
     }
 }
 
@@ -183,8 +166,7 @@ pub struct Decoder {
 }
 
 impl Decoder {
-    /// Creates an empty decoder for one `(n, k)` generation, using the
-    /// auto-detected GF region backend.
+    /// Creates an empty decoder for one `(n, k)` generation.
     pub fn new(config: CodingConfig) -> Decoder {
         Decoder {
             config,
@@ -193,19 +175,6 @@ impl Decoder {
             decoded: None,
             stats: DecodeStats::default(),
         }
-    }
-
-    /// Selects the GF(2^8) region backend used for elimination and the
-    /// final product (ablation; the default is the host's fastest).
-    pub fn with_backend(mut self, backend: Backend) -> Decoder {
-        self.elimination.set_backend(backend);
-        self
-    }
-
-    /// The GF(2^8) region backend this decoder works with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.elimination.backend()
     }
 
     /// The decoder's coding configuration.
@@ -443,18 +412,5 @@ mod tests {
         assert_eq!(decoder.stats().discarded_dependent, decoder.stats().received - 6);
         assert_eq!(decoder.recover().unwrap(), data);
         assert_eq!(decoder.clone().recover().unwrap(), data);
-    }
-
-    #[test]
-    fn every_backend_decodes() {
-        let (data, encoder, mut rng) = make(9, 70, 33);
-        let blocks: Vec<_> = (0..12).map(|_| encoder.encode(&mut rng)).collect();
-        for backend in Backend::ALL {
-            let mut decoder = Decoder::new(encoder.config()).with_backend(backend);
-            for block in &blocks {
-                decoder.push(block.clone()).unwrap();
-            }
-            assert_eq!(decoder.recover().unwrap(), data, "{backend:?}");
-        }
     }
 }

@@ -4,7 +4,7 @@ use crate::block::CodedBlock;
 use crate::coeff::CoefficientRng;
 use crate::error::Error;
 use crate::segment::{CodingConfig, Segment};
-use nc_gf256::region::{self, Backend};
+use nc_gf256::region;
 use nc_pool::BlockArena;
 use rand::Rng;
 
@@ -35,32 +35,17 @@ const SOURCE_GROUP: usize = 32;
 pub struct Encoder {
     segment: Segment,
     coeff_rng: CoefficientRng,
-    backend: Backend,
 }
 
 impl Encoder {
-    /// Creates an encoder over `segment` drawing fully dense coefficients,
-    /// using the auto-detected GF region backend.
+    /// Creates an encoder over `segment` drawing fully dense coefficients.
     pub fn new(segment: Segment) -> Encoder {
-        Encoder { segment, coeff_rng: CoefficientRng::dense(), backend: Backend::default() }
+        Encoder { segment, coeff_rng: CoefficientRng::dense() }
     }
 
     /// Creates an encoder with a custom coefficient distribution.
     pub fn with_coefficients(segment: Segment, coeff_rng: CoefficientRng) -> Encoder {
-        Encoder { segment, coeff_rng, backend: Backend::default() }
-    }
-
-    /// Selects the GF(2^8) region backend used for the coding loop
-    /// (ablation; the default is the host's fastest).
-    pub fn with_backend(mut self, backend: Backend) -> Encoder {
-        self.backend = backend;
-        self
-    }
-
-    /// The GF(2^8) region backend this encoder codes with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.backend
+        Encoder { segment, coeff_rng }
     }
 
     /// The coding configuration of the underlying segment.
@@ -120,7 +105,7 @@ impl Encoder {
     }
 
     /// Coded blocks for a batch of coefficient vectors of length `n`, as one
-    /// matrix product ([`region::matrix_mul_add_with`]): each source line is
+    /// matrix product ([`region::matrix_mul_add`]): each source line is
     /// read once per tile of outputs instead of once per coded block.
     pub(crate) fn encode_rows(&self, rows: Vec<Vec<u8>>) -> Vec<CodedBlock> {
         let arena = BlockArena::global();
@@ -130,7 +115,7 @@ impl Encoder {
         let sources: Vec<&[u8]> = self.segment.iter_blocks().collect();
         let coeffs: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
         let mut outs: Vec<&mut [u8]> = payloads.iter_mut().map(Vec::as_mut_slice).collect();
-        region::matrix_mul_add_with(self.backend, &mut outs, &sources, &coeffs);
+        region::matrix_mul_add(&mut outs, &sources, &coeffs);
         crate::metrics::metrics().blocks_coded.add(rows.len() as u64);
         rows.into_iter().zip(payloads).map(|(c, p)| CodedBlock::new(c, p)).collect()
     }
@@ -187,7 +172,7 @@ impl Encoder {
             for (slot, block) in group.iter_mut().zip(blocks.by_ref().take(coeffs.len())) {
                 *slot = block;
             }
-            region::dot_assign_with(self.backend, payload, &group[..coeffs.len()], coeffs);
+            region::dot_assign(payload, &group[..coeffs.len()], coeffs);
         }
         crate::metrics::metrics().blocks_coded.inc();
     }

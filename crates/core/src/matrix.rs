@@ -5,7 +5,7 @@
 //! truth when validating them and the GPU kernels.
 
 use crate::error::Error;
-use nc_gf256::region::{self, Backend};
+use nc_gf256::region;
 use nc_gf256::scalar;
 use rand::Rng;
 
@@ -133,25 +133,15 @@ impl GfMatrix {
         &self.data
     }
 
-    /// Matrix product `self · rhs` with the default GF region backend.
+    /// Matrix product `self · rhs`.
     ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] unless `self.cols == rhs.rows`.
-    #[inline]
-    pub fn mul(&self, rhs: &GfMatrix) -> Result<GfMatrix, Error> {
-        self.mul_with(Backend::default(), rhs)
-    }
-
-    /// Matrix product `self · rhs` with an explicit GF region backend.
-    ///
-    /// The whole product is one [`region::matrix_mul_add_with`] call:
+    /// The whole product is one [`region::matrix_mul_add`] call:
     /// `out[i] ^= Σ_j a[i][j] · rhs[j]` with `rhs`'s rows as the sources.
     ///
     /// # Errors
     ///
     /// [`Error::DimensionMismatch`] unless `self.cols == rhs.rows`.
-    pub fn mul_with(&self, backend: Backend, rhs: &GfMatrix) -> Result<GfMatrix, Error> {
+    pub fn mul(&self, rhs: &GfMatrix) -> Result<GfMatrix, Error> {
         if self.cols != rhs.rows {
             return Err(Error::DimensionMismatch { op: "matrix multiply" });
         }
@@ -159,20 +149,13 @@ impl GfMatrix {
         let sources: Vec<&[u8]> = rhs.data.chunks_exact(rhs.cols).collect();
         let coeffs: Vec<&[u8]> = self.data.chunks_exact(self.cols).collect();
         let mut out_rows: Vec<&mut [u8]> = out.data.chunks_exact_mut(rhs.cols).collect();
-        region::matrix_mul_add_with(backend, &mut out_rows, &sources, &coeffs);
+        region::matrix_mul_add(&mut out_rows, &sources, &coeffs);
         Ok(out)
     }
 
     /// Transforms the matrix in place to reduced row-echelon form via
-    /// Gauss-Jordan elimination (default backend) and returns its rank.
-    #[inline]
+    /// Gauss-Jordan elimination and returns its rank.
     pub fn gauss_jordan(&mut self) -> usize {
-        self.gauss_jordan_with(Backend::default())
-    }
-
-    /// Gauss-Jordan elimination to reduced row-echelon form with an
-    /// explicit GF region backend; returns the rank.
-    pub fn gauss_jordan_with(&mut self, backend: Backend) -> usize {
         let mut pivot_row = 0usize;
         for col in 0..self.cols {
             if pivot_row == self.rows {
@@ -188,7 +171,7 @@ impl GfMatrix {
             let pivot = self.data[pivot_row * self.cols + col];
             if pivot != 1 {
                 let inv = scalar::inv(pivot);
-                region::mul_assign_with(backend, self.row_mut(pivot_row), inv);
+                region::mul_assign(self.row_mut(pivot_row), inv);
             }
             // Eliminate the column from every other row (Jordan step).
             for r in 0..self.rows {
@@ -198,7 +181,7 @@ impl GfMatrix {
                 let factor = self.data[r * self.cols + col];
                 if factor != 0 {
                     let (pr, rr) = self.two_rows_mut(pivot_row, r);
-                    region::mul_add_assign_with(backend, rr, pr, factor);
+                    region::mul_add_assign(rr, pr, factor);
                 }
             }
             pivot_row += 1;
@@ -212,24 +195,13 @@ impl GfMatrix {
     }
 
     /// Inverts a square matrix via Gauss-Jordan elimination on `[C | I]` —
-    /// stage 1 of the paper's multi-segment decoding (Sec. 5.2) — with the
-    /// default GF region backend.
+    /// stage 1 of the paper's multi-segment decoding (Sec. 5.2).
     ///
     /// # Errors
     ///
     /// [`Error::DimensionMismatch`] for non-square inputs and
     /// [`Error::SingularMatrix`] when no inverse exists.
-    #[inline]
     pub fn invert(&self) -> Result<GfMatrix, Error> {
-        self.invert_with(Backend::default())
-    }
-
-    /// `[C | I]` inversion with an explicit GF region backend.
-    ///
-    /// # Errors
-    ///
-    /// As for [`GfMatrix::invert`].
-    pub fn invert_with(&self, backend: Backend) -> Result<GfMatrix, Error> {
         if self.rows != self.cols {
             return Err(Error::DimensionMismatch { op: "invert (non-square)" });
         }
@@ -240,7 +212,7 @@ impl GfMatrix {
             aug.row_mut(r)[..n].copy_from_slice(self.row(r));
             aug.row_mut(r)[n + r] = 1;
         }
-        aug.gauss_jordan_with(backend);
+        aug.gauss_jordan();
         // The augmented identity columns guarantee full *row* rank, so the
         // rank of [C | I] alone proves nothing. C is invertible iff the
         // left half reduced to the identity (every pivot fell in C).

@@ -11,7 +11,7 @@
 use crate::block::CodedBlock;
 use crate::error::Error;
 use crate::segment::CodingConfig;
-use nc_gf256::region::{self, Backend};
+use nc_gf256::region;
 use rand::Rng;
 
 /// Buffers received coded blocks and emits random recombinations.
@@ -43,27 +43,12 @@ use rand::Rng;
 pub struct Recoder {
     config: CodingConfig,
     buffer: Vec<CodedBlock>,
-    backend: Backend,
 }
 
 impl Recoder {
-    /// Creates an empty recoder for one generation, using the auto-detected
-    /// GF region backend.
+    /// Creates an empty recoder for one generation.
     pub fn new(config: CodingConfig) -> Recoder {
-        Recoder { config, buffer: Vec::new(), backend: Backend::default() }
-    }
-
-    /// Selects the GF(2^8) region backend used when recombining (ablation;
-    /// the default is the host's fastest).
-    pub fn with_backend(mut self, backend: Backend) -> Recoder {
-        self.backend = backend;
-        self
-    }
-
-    /// The GF(2^8) region backend this recoder combines with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.backend
+        Recoder { config, buffer: Vec::new() }
     }
 
     /// The recoder's coding configuration.
@@ -111,8 +96,8 @@ impl Recoder {
         // blocked dot product over the buffered blocks.
         let coeff_rows: Vec<&[u8]> = self.buffer.iter().map(|b| b.coefficients()).collect();
         let payload_rows: Vec<&[u8]> = self.buffer.iter().map(|b| b.payload()).collect();
-        region::dot_assign_with(self.backend, &mut coeffs, &coeff_rows, &weights);
-        region::dot_assign_with(self.backend, &mut payload, &payload_rows, &weights);
+        region::dot_assign(&mut coeffs, &coeff_rows, &weights);
+        region::dot_assign(&mut payload, &payload_rows, &weights);
         Some(CodedBlock::new(coeffs, payload))
     }
 

@@ -19,7 +19,6 @@ use crate::block::CodedBlock;
 use crate::decoder::Elimination;
 use crate::error::Error;
 use crate::segment::CodingConfig;
-use nc_gf256::region::Backend;
 use std::time::{Duration, Instant};
 
 /// Collects `n` innovative coded blocks, then recovers the segment with one
@@ -57,8 +56,7 @@ pub struct TwoStageDecoder {
 }
 
 impl TwoStageDecoder {
-    /// Creates an empty two-stage decoder, using the auto-detected GF region
-    /// backend.
+    /// Creates an empty two-stage decoder.
     pub fn new(config: CodingConfig) -> TwoStageDecoder {
         TwoStageDecoder {
             config,
@@ -66,19 +64,6 @@ impl TwoStageDecoder {
             elimination: Elimination::new(config),
             stage1: Duration::ZERO,
         }
-    }
-
-    /// Selects the GF(2^8) region backend used by both stages (ablation;
-    /// the default is the host's fastest).
-    pub fn with_backend(mut self, backend: Backend) -> TwoStageDecoder {
-        self.elimination.set_backend(backend);
-        self
-    }
-
-    /// The GF(2^8) region backend this decoder works with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.elimination.backend()
     }
 
     /// The decoder's coding configuration.

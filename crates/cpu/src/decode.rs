@@ -14,7 +14,6 @@
 
 use std::sync::Arc;
 
-use nc_gf256::region::Backend;
 use nc_pool::Pool;
 use nc_rlnc::{CodedBlock, CodingConfig, Decoder, Error};
 
@@ -24,38 +23,18 @@ use nc_rlnc::{CodedBlock, CodingConfig, Decoder, Error};
 pub struct ParallelSegmentDecoder {
     config: CodingConfig,
     threads: usize,
-    backend: Backend,
     pool: Arc<Pool>,
 }
 
 impl ParallelSegmentDecoder {
-    /// Creates a decoder running at most `threads` segments concurrently,
-    /// using the auto-detected GF region backend in every worker.
+    /// Creates a decoder running at most `threads` segments concurrently.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     pub fn new(config: CodingConfig, threads: usize) -> ParallelSegmentDecoder {
         assert!(threads > 0, "at least one thread required");
-        ParallelSegmentDecoder {
-            config,
-            threads,
-            backend: Backend::default(),
-            pool: Pool::shared(threads),
-        }
-    }
-
-    /// Selects the GF(2^8) region backend used by each per-segment decoder
-    /// (ablation; the default is the host's fastest).
-    pub fn with_backend(mut self, backend: Backend) -> ParallelSegmentDecoder {
-        self.backend = backend;
-        self
-    }
-
-    /// The GF(2^8) region backend the per-segment decoders reduce with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.backend
+        ParallelSegmentDecoder { config, threads, pool: Pool::shared(threads) }
     }
 
     /// The coding configuration.
@@ -113,10 +92,9 @@ impl ParallelSegmentDecoder {
                 seg_rest = sr;
                 out_rest = or;
                 let config = self.config;
-                let backend = self.backend;
                 scope.spawn(move || {
                     for (blocks, slot) in seg_chunk.iter().zip(out_chunk.iter_mut()) {
-                        let mut decoder = Decoder::new(config).with_backend(backend);
+                        let mut decoder = Decoder::new(config);
                         *slot = Some((|| {
                             for b in blocks {
                                 if decoder.is_complete() {

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use nc_gf256::region::{self, Backend};
+use nc_gf256::region;
 use nc_gf256::scalar;
 use nc_pool::Pool;
 use nc_rlnc::{CodedBlock, CodingConfig, Error};
@@ -27,13 +27,11 @@ pub struct ThreadedDecoder {
     /// RREF rows: `n + k` bytes each, coefficient part first.
     rows: Vec<Vec<u8>>,
     pivots: Vec<usize>,
-    backend: Backend,
     pool: Arc<Pool>,
 }
 
 impl ThreadedDecoder {
-    /// Creates a decoder running row operations on `threads` threads, using
-    /// the auto-detected GF region backend.
+    /// Creates a decoder running row operations on `threads` threads.
     ///
     /// # Panics
     ///
@@ -45,22 +43,8 @@ impl ThreadedDecoder {
             threads,
             rows: Vec::new(),
             pivots: Vec::new(),
-            backend: Backend::default(),
             pool: Pool::shared(threads),
         }
-    }
-
-    /// Selects the GF(2^8) region backend used inside each worker thread
-    /// (ablation; the default is the host's fastest).
-    pub fn with_backend(mut self, backend: Backend) -> ThreadedDecoder {
-        self.backend = backend;
-        self
-    }
-
-    /// The GF(2^8) region backend this decoder reduces with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Current rank.
@@ -92,14 +76,7 @@ impl ThreadedDecoder {
         for (i, &pivot_col) in self.pivots.iter().enumerate() {
             let factor = row[pivot_col];
             if factor != 0 {
-                Self::axpy_threaded(
-                    &self.pool,
-                    self.backend,
-                    self.threads,
-                    &mut row,
-                    &self.rows[i],
-                    factor,
-                );
+                Self::axpy_threaded(&self.pool, self.threads, &mut row, &self.rows[i], factor);
             }
         }
 
@@ -110,7 +87,7 @@ impl ThreadedDecoder {
         let lead = row[pivot_col];
         if lead != 1 {
             let inv = scalar::inv(lead);
-            Self::scale_threaded(&self.pool, self.backend, self.threads, &mut row, inv);
+            Self::scale_threaded(&self.pool, self.threads, &mut row, inv);
         }
 
         // Jordan step into the existing rows, one row at a time, each
@@ -118,7 +95,7 @@ impl ThreadedDecoder {
         for existing in self.rows.iter_mut() {
             let factor = existing[pivot_col];
             if factor != 0 {
-                Self::axpy_threaded(&self.pool, self.backend, self.threads, existing, &row, factor);
+                Self::axpy_threaded(&self.pool, self.threads, existing, &row, factor);
             }
         }
 
@@ -142,40 +119,33 @@ impl ThreadedDecoder {
     }
 
     /// `dst ^= factor · src` with the byte range fanned over pool workers.
-    fn axpy_threaded(
-        pool: &Pool,
-        backend: Backend,
-        threads: usize,
-        dst: &mut [u8],
-        src: &[u8],
-        factor: u8,
-    ) {
+    fn axpy_threaded(pool: &Pool, threads: usize, dst: &mut [u8], src: &[u8], factor: u8) {
         let chunk = dst.len().div_ceil(threads).max(64);
         if dst.len() <= chunk {
             // One chunk: no dispatch, run inline on the caller.
-            region::mul_add_assign_with(backend, dst, src, factor);
+            region::mul_add_assign(dst, src, factor);
             return;
         }
         let barrier = crate::metrics::metrics().row_barrier_wait_ns.span();
         pool.scope(|scope| {
             for (d, s) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-                scope.spawn(move || region::mul_add_assign_with(backend, d, s, factor));
+                scope.spawn(move || region::mul_add_assign(d, s, factor));
             }
         });
         barrier.stop();
     }
 
     /// `dst = factor · dst`, fanned over pool workers.
-    fn scale_threaded(pool: &Pool, backend: Backend, threads: usize, dst: &mut [u8], factor: u8) {
+    fn scale_threaded(pool: &Pool, threads: usize, dst: &mut [u8], factor: u8) {
         let chunk = dst.len().div_ceil(threads).max(64);
         if dst.len() <= chunk {
-            region::mul_assign_with(backend, dst, factor);
+            region::mul_assign(dst, factor);
             return;
         }
         let barrier = crate::metrics::metrics().row_barrier_wait_ns.span();
         pool.scope(|scope| {
             for d in dst.chunks_mut(chunk) {
-                scope.spawn(move || region::mul_assign_with(backend, d, factor));
+                scope.spawn(move || region::mul_assign(d, factor));
             }
         });
         barrier.stop();

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use nc_gf256::region::{self, Backend};
+use nc_gf256::region;
 use nc_pool::Pool;
 use nc_rlnc::{CodedBlock, Segment};
 
@@ -41,7 +41,6 @@ pub struct ParallelEncoder {
     segment: Segment,
     threads: usize,
     partitioning: Partitioning,
-    backend: Backend,
     pool: Arc<Pool>,
 }
 
@@ -53,27 +52,7 @@ impl ParallelEncoder {
     /// Panics if `threads == 0`.
     pub fn new(segment: Segment, threads: usize, partitioning: Partitioning) -> ParallelEncoder {
         assert!(threads > 0, "at least one thread required");
-        ParallelEncoder {
-            segment,
-            threads,
-            partitioning,
-            backend: Backend::default(),
-            pool: Pool::shared(threads),
-        }
-    }
-
-    /// Selects the GF(2^8) region backend (default: the host's fastest —
-    /// [`Backend::Simd`] wherever a vector ISA is detected). Other backends
-    /// remain available for ablation.
-    pub fn with_backend(mut self, backend: Backend) -> ParallelEncoder {
-        self.backend = backend;
-        self
-    }
-
-    /// The GF(2^8) region backend this encoder codes with.
-    #[inline]
-    pub fn backend(&self) -> Backend {
-        self.backend
+        ParallelEncoder { segment, threads, partitioning, pool: Pool::shared(threads) }
     }
 
     /// The partitioning strategy in use.
@@ -110,12 +89,11 @@ impl ParallelEncoder {
                     }
                     for bucket in buckets {
                         let segment = &self.segment;
-                        let backend = self.backend;
                         scope.spawn(move || {
                             let n = segment.config().blocks();
                             let sources: Vec<&[u8]> = (0..n).map(|i| segment.block(i)).collect();
                             for (j, payload) in bucket {
-                                region::dot_assign_with(backend, payload, &sources, &coeff_rows[j]);
+                                region::dot_assign(payload, &sources, &coeff_rows[j]);
                             }
                         });
                     }
@@ -134,7 +112,6 @@ impl ParallelEncoder {
                             let (head, tail) = rest.split_at_mut(take);
                             rest = tail;
                             let segment = &self.segment;
-                            let backend = self.backend;
                             let this_offset = offset;
                             offset += take;
                             scope.spawn(move || {
@@ -142,7 +119,7 @@ impl ParallelEncoder {
                                 let sources: Vec<&[u8]> = (0..n)
                                     .map(|i| &segment.block(i)[this_offset..this_offset + take])
                                     .collect();
-                                region::dot_assign_with(backend, head, &sources, row);
+                                region::dot_assign(head, &sources, row);
                             });
                         }
                     });
@@ -185,18 +162,6 @@ mod tests {
                 let want = reference.encode_with_coefficients(coeffs[j].clone()).unwrap();
                 assert_eq!(b.payload(), want.payload(), "{partitioning:?} block {j}");
             }
-        }
-    }
-
-    #[test]
-    fn loop_wide_backend_matches_reference() {
-        let (segment, coeffs, reference) = setup(8, 64, 2);
-        let enc = ParallelEncoder::new(segment, 3, Partitioning::FullBlock)
-            .with_backend(Backend::LoopWide);
-        let blocks = enc.encode_batch(&coeffs);
-        for (j, b) in blocks.iter().enumerate() {
-            let want = reference.encode_with_coefficients(coeffs[j].clone()).unwrap();
-            assert_eq!(b.payload(), want.payload());
         }
     }
 

@@ -6,50 +6,26 @@
 
 use std::time::Instant;
 
-use nc_gf256::region::Backend;
 use nc_rlnc::{CodingConfig, Encoder, Segment};
 use rand::{Rng, SeedableRng};
 
 use crate::decode::ParallelSegmentDecoder;
 use crate::encode::{ParallelEncoder, Partitioning};
 
-/// Provenance string for host-CPU measurements: the auto-detected GF
-/// region backend and, when that backend is `simd`, which rung of the
-/// kernel dispatch ladder actually runs (gfni / avx512 / avx2 / …).
+/// Provenance string for host-CPU measurements: which rung of the GF(2^8)
+/// kernel ladder runs in this process (gfni / avx512 / avx2 / …).
 ///
 /// Figure reports stamp this next to "host CPU" columns so a number can
-/// be traced to the kernel that produced it — two hosts both reporting
-/// backend `simd` can still differ by an order of magnitude between the
-/// portable and GFNI rungs.
+/// be traced to the kernel that produced it — two hosts can differ by an
+/// order of magnitude between the portable and GFNI rungs.
 pub fn gf_path() -> String {
-    let backend = Backend::detected();
-    match backend {
-        Backend::Simd => {
-            format!("backend={} kernel={}", backend.name(), nc_gf256::simd::active_kernel().name())
-        }
-        _ => format!("backend={}", backend.name()),
-    }
+    format!("kernel={}", nc_gf256::simd::active_kernel().name())
 }
 
 /// Measures encoding throughput (coded bytes/second) for `m` coded blocks
-/// of a random `(n, k)` segment on `threads` threads, with the
-/// auto-detected GF region backend.
-#[inline]
+/// of a random `(n, k)` segment on `threads` threads, on the active GF
+/// rung.
 pub fn encode_throughput(
-    n: usize,
-    k: usize,
-    m: usize,
-    threads: usize,
-    partitioning: Partitioning,
-    seed: u64,
-) -> f64 {
-    encode_throughput_with(Backend::default(), n, k, m, threads, partitioning, seed)
-}
-
-/// Measures encoding throughput with an explicit GF region backend — the
-/// hook the SIMD-vs-scalar host sweeps use.
-pub fn encode_throughput_with(
-    backend: Backend,
     n: usize,
     k: usize,
     m: usize,
@@ -63,7 +39,7 @@ pub fn encode_throughput_with(
     let segment = Segment::from_bytes(config, data).expect("sized data");
     let coeffs: Vec<Vec<u8>> =
         (0..m).map(|_| (0..n).map(|_| rng.gen_range(1..=255)).collect()).collect();
-    let encoder = ParallelEncoder::new(segment, threads, partitioning).with_backend(backend);
+    let encoder = ParallelEncoder::new(segment, threads, partitioning);
 
     let start = Instant::now();
     let blocks = encoder.encode_batch(&coeffs);
@@ -73,23 +49,8 @@ pub fn encode_throughput_with(
 }
 
 /// Measures multi-segment decoding throughput (decoded bytes/second) for
-/// `segments` random segments on `threads` threads, with the auto-detected
-/// GF region backend.
-#[inline]
+/// `segments` random segments on `threads` threads, on the active GF rung.
 pub fn decode_throughput(n: usize, k: usize, segments: usize, threads: usize, seed: u64) -> f64 {
-    decode_throughput_with(Backend::default(), n, k, segments, threads, seed)
-}
-
-/// Measures multi-segment decoding throughput with an explicit GF region
-/// backend.
-pub fn decode_throughput_with(
-    backend: Backend,
-    n: usize,
-    k: usize,
-    segments: usize,
-    threads: usize,
-    seed: u64,
-) -> f64 {
     let config = CodingConfig::new(n, k).expect("valid config");
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut inputs = Vec::with_capacity(segments);
@@ -98,7 +59,7 @@ pub fn decode_throughput_with(
         let enc = Encoder::new(Segment::from_bytes(config, data).expect("sized data"));
         inputs.push(enc.encode_batch(&mut rng, n + 4));
     }
-    let decoder = ParallelSegmentDecoder::new(config, threads).with_backend(backend);
+    let decoder = ParallelSegmentDecoder::new(config, threads);
 
     let start = Instant::now();
     let out = decoder.decode_segments(&inputs).expect("full rank with 4 extra blocks");
@@ -112,13 +73,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gf_path_names_backend_and_simd_kernel() {
-        let path = gf_path();
-        assert!(path.starts_with("backend="), "{path}");
-        if path.contains("backend=simd") {
-            let kernel = nc_gf256::simd::active_kernel().name();
-            assert!(path.contains(&format!("kernel={kernel}")), "{path}");
-        }
+    fn gf_path_names_the_active_kernel() {
+        assert_eq!(gf_path(), format!("kernel={}", nc_gf256::simd::active_kernel().name()));
     }
 
     #[test]

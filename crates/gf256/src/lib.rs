@@ -15,9 +15,10 @@
 //!   including the *remapped* zero sentinel of the paper's Table-based-3
 //!   optimization.
 //! * **Region operations** over byte slices (`dst ^= c · src` and friends)
-//!   with several interchangeable backends, in [`region`], including real
-//!   SSSE3/AVX2/NEON shuffle-table kernels with cached runtime dispatch in
-//!   [`simd`] (the modern equivalent of the paper's SSE2 CPU baseline).
+//!   in [`region`], running on one rung of the kernel ladder in [`simd`]:
+//!   real GFNI/AVX-512/AVX2/SSSE3/NEON kernels (the modern equivalent of
+//!   the paper's SSE2 CPU baseline), a portable table loop and three scalar
+//!   reference rungs, resolved once per process.
 //!
 //! The field is Rijndael's: polynomial x^8 + x^4 + x^3 + x + 1 (0x11B),
 //! generator 0x03. Addition is XOR; every non-zero element has a

@@ -1,355 +1,205 @@
 //! Region operations: the row-length GF(2^8) primitives at the heart of
 //! network coding.
 //!
-//! Encoding and Gauss-Jordan decoding both reduce to three operations over
-//! byte regions (coefficient rows of length n, coded blocks of length k):
+//! Encoding and Gauss-Jordan decoding both reduce to a handful of
+//! operations over byte regions (coefficient rows of length n, coded blocks
+//! of length k):
 //!
 //! * [`add_assign`]: `dst ^= src` (field addition is XOR),
 //! * [`mul_assign`]: `dst = c · dst`,
-//! * [`mul_add_assign`]: `dst ^= c · src` (the classic "axpy").
+//! * [`mul_into`]: `dst = c · src`,
+//! * [`mul_add_assign`]: `dst ^= c · src` (the classic "axpy"),
+//! * [`dot_assign`]: `dst ^= Σ coeffs[i] · sources[i]`, one coded block,
+//! * [`matrix_mul_add`]: `outs[t] ^= Σ coeffs[t][i] · sources[i]`, many.
 //!
-//! Each operation supports several [`Backend`]s mirroring the paper's
-//! implementation space, so benchmarks can compare them and callers can pick
-//! per platform:
-//!
-//! * [`Backend::Table`] — one 256-byte product-table row per coefficient
-//!   (L1-resident on CPUs).
-//! * [`Backend::LogExp`] — the paper's Fig. 1 baseline, three lookups per
-//!   byte.
-//! * [`Backend::LoopWide`] — loop-based over 8-byte lanes (formerly the
-//!   stand-in for the paper's SSE2 CPU baseline).
-//! * [`Backend::Nibble`] — two 16-entry half-byte tables per coefficient
-//!   (the scalar form of the shuffle-table technique).
-//! * [`Backend::Simd`] — real SSSE3/AVX2 `PSHUFB` / NEON `TBL` nibble-table
-//!   kernels with cached runtime dispatch (see [`crate::simd`]); the
-//!   **default** on every host, degrading to a portable loop where no
-//!   vector ISA is present.
-//!
-//! The default backend is detected once per process and can be forced with
-//! the `NC_GF_BACKEND` environment variable (see
-//! [`crate::simd::default_backend`]). All backends produce identical bytes
-//! (property-tested).
+//! Each runs on the process's one active rung of the kernel ladder
+//! ([`Rung::active`]: auto-detected, or forced with `NC_GF_BACKEND` — see
+//! [`crate::simd`]). The `*_on` twin of each takes the rung explicitly, for
+//! the equivalence suite and the per-rung benches; there is no other way to
+//! choose. All rungs produce identical bytes (property-tested).
 
-use crate::scalar::mul_table;
-use crate::simd;
-pub(crate) use crate::simd::nibble_tables;
-use crate::tables::MUL;
-use crate::wide::mul_word64;
+use crate::simd::{self, Rung, DOT_BLOCK, MUL_ADD, MUL_INTO, XOR};
 
-/// Selects the implementation used by the region operations.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum Backend {
-    /// Full product table, one 256-byte row per coefficient.
-    Table,
-    /// Log/exp lookups per byte (the paper's baseline, Fig. 1).
-    LogExp,
-    /// Loop-based multiplication over 64-bit lanes.
-    LoopWide,
-    /// Half-byte (nibble) tables, 32 bytes of state per coefficient.
-    Nibble,
-    /// Runtime-dispatched SIMD shuffle-table kernels ([`crate::simd`]).
-    Simd,
-}
-
-impl Backend {
-    /// All available backends, for exhaustive testing and benchmarking.
-    pub const ALL: [Backend; 5] =
-        [Backend::Table, Backend::LogExp, Backend::LoopWide, Backend::Nibble, Backend::Simd];
-
-    /// The auto-detected default for this host (cached after first call;
-    /// honors `NC_GF_BACKEND` — see [`crate::simd::default_backend`]).
-    #[inline]
-    pub fn detected() -> Backend {
-        simd::default_backend()
-    }
-
-    /// Human-readable backend name (stable; used by benches and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Table => "table",
-            Backend::LogExp => "logexp",
-            Backend::LoopWide => "loopwide",
-            Backend::Nibble => "nibble",
-            Backend::Simd => "simd",
-        }
-    }
-}
-
-impl Default for Backend {
-    /// The auto-detected fastest backend for this host ([`Backend::detected`]).
-    fn default() -> Self {
-        Backend::detected()
-    }
-}
-
-/// `dst ^= src` with the widest XOR path the host offers (32-byte AVX2
-/// lanes where available, 8-byte words otherwise).
+/// `dst ^= src` at the active rung's vector width.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 #[inline]
 pub fn add_assign(dst: &mut [u8], src: &[u8]) {
-    simd::xor_assign(dst, src);
+    add_assign_on(Rung::active(), dst, src);
 }
 
-/// `dst ^= src` with an explicit backend: [`Backend::Simd`] uses the active
-/// SIMD kernel's widest XOR; the scalar backends use the portable
-/// 8-byte-word loop, so a forced-scalar ablation run never executes vector
-/// code even for unit coefficients.
+/// `dst ^= src` on an explicit rung (a byte-at-a-time rung never executes
+/// vector code, even for this).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 #[inline]
-pub fn add_assign_with(backend: Backend, dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "region length mismatch");
-    match backend {
-        Backend::Simd => simd::xor_assign(dst, src),
-        _ => simd::portable_xor(dst, src),
-    }
+pub fn add_assign_on(rung: Rung, dst: &mut [u8], src: &[u8]) {
+    simd::apply::<XOR>(rung, dst, src, 1);
 }
 
-/// `dst ^= c · src` with the default backend.
+/// `dst ^= c · src` on the active rung.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 #[inline]
 pub fn mul_add_assign(dst: &mut [u8], src: &[u8], c: u8) {
-    mul_add_assign_with(Backend::default(), dst, src, c);
+    mul_add_assign_on(Rung::active(), dst, src, c);
 }
 
-/// `dst ^= c · src` with an explicit backend.
+/// `dst ^= c · src` on an explicit rung.
 ///
-/// Zero and one coefficients take fast paths (no-op and XOR respectively) in
-/// every backend, as any production coder would.
+/// Zero and one coefficients take fast paths (no-op and XOR respectively)
+/// on every rung, as any production coder would.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn mul_add_assign_with(backend: Backend, dst: &mut [u8], src: &[u8], c: u8) {
-    assert_eq!(dst.len(), src.len(), "region length mismatch");
+#[inline]
+pub fn mul_add_assign_on(rung: Rung, dst: &mut [u8], src: &[u8], c: u8) {
     match c {
-        0 => return,
-        1 => return add_assign_with(backend, dst, src),
-        _ => {}
-    }
-    match backend {
-        Backend::Table => {
-            let row = &MUL[c as usize];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d ^= row[*s as usize];
-            }
-        }
-        Backend::LogExp => {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d ^= mul_table(c, *s);
-            }
-        }
-        Backend::LoopWide => {
-            let mut d = dst.chunks_exact_mut(8);
-            let mut s = src.chunks_exact(8);
-            for (dc, sc) in (&mut d).zip(&mut s) {
-                let x = u64::from_le_bytes(dc.try_into().unwrap());
-                let y = u64::from_le_bytes(sc.try_into().unwrap());
-                dc.copy_from_slice(&(x ^ mul_word64(c, y)).to_le_bytes());
-            }
-            for (db, sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-                *db ^= crate::scalar::mul_loop(c, *sb);
-            }
-        }
-        Backend::Nibble => {
-            let (lo, hi) = nibble_tables(c);
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d ^= lo[(*s & 0x0F) as usize] ^ hi[(*s >> 4) as usize];
-            }
-        }
-        Backend::Simd => simd::mul_add_assign(dst, src, c),
+        0 => assert_eq!(dst.len(), src.len(), "region length mismatch"),
+        1 => simd::apply::<XOR>(rung, dst, src, c),
+        _ => simd::apply::<MUL_ADD>(rung, dst, src, c),
     }
 }
 
-/// `dst = c · dst` with the default backend.
+/// `dst = c · dst` on the active rung.
 #[inline]
 pub fn mul_assign(dst: &mut [u8], c: u8) {
-    mul_assign_with(Backend::default(), dst, c);
+    mul_assign_on(Rung::active(), dst, c);
 }
 
-/// `dst = c · dst` with an explicit backend.
-pub fn mul_assign_with(backend: Backend, dst: &mut [u8], c: u8) {
+/// `dst = c · dst` on an explicit rung.
+#[inline]
+pub fn mul_assign_on(rung: Rung, dst: &mut [u8], c: u8) {
     match c {
-        0 => return dst.fill(0),
-        1 => return,
-        _ => {}
-    }
-    match backend {
-        Backend::Table => {
-            let row = &MUL[c as usize];
-            for d in dst.iter_mut() {
-                *d = row[*d as usize];
-            }
-        }
-        Backend::LogExp => {
-            for d in dst.iter_mut() {
-                *d = mul_table(c, *d);
-            }
-        }
-        Backend::LoopWide => {
-            let mut chunks = dst.chunks_exact_mut(8);
-            for dc in &mut chunks {
-                let x = u64::from_le_bytes(dc.try_into().unwrap());
-                dc.copy_from_slice(&mul_word64(c, x).to_le_bytes());
-            }
-            for db in chunks.into_remainder() {
-                *db = crate::scalar::mul_loop(c, *db);
-            }
-        }
-        Backend::Nibble => {
-            let (lo, hi) = nibble_tables(c);
-            for d in dst.iter_mut() {
-                *d = lo[(*d & 0x0F) as usize] ^ hi[(*d >> 4) as usize];
-            }
-        }
-        Backend::Simd => simd::mul_assign(dst, c),
+        0 => dst.fill(0),
+        1 => {}
+        _ => simd::apply_in_place(rung, dst, c),
     }
 }
 
-/// `dst = c · src` (overwriting), with the default backend.
+/// `dst = c · src` (overwriting) on the active rung.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 #[inline]
 pub fn mul_into(dst: &mut [u8], src: &[u8], c: u8) {
-    mul_into_with(Backend::default(), dst, src, c);
+    mul_into_on(Rung::active(), dst, src, c);
 }
 
-/// `dst = c · src` (overwriting) with an explicit backend.
+/// `dst = c · src` (overwriting) on an explicit rung.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn mul_into_with(backend: Backend, dst: &mut [u8], src: &[u8], c: u8) {
+#[inline]
+pub fn mul_into_on(rung: Rung, dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len(), "region length mismatch");
     match c {
-        0 => return dst.fill(0),
-        1 => return dst.copy_from_slice(src),
-        _ => {}
-    }
-    match backend {
-        Backend::Simd => simd::mul_into(dst, src, c),
-        Backend::LogExp => {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = mul_table(c, *s);
-            }
-        }
-        Backend::LoopWide => {
-            let mut d = dst.chunks_exact_mut(8);
-            let mut s = src.chunks_exact(8);
-            for (dc, sc) in (&mut d).zip(&mut s) {
-                let y = u64::from_le_bytes(sc.try_into().unwrap());
-                dc.copy_from_slice(&mul_word64(c, y).to_le_bytes());
-            }
-            for (db, sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-                *db = crate::scalar::mul_loop(c, *sb);
-            }
-        }
-        Backend::Nibble => {
-            let (lo, hi) = nibble_tables(c);
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = lo[(*s & 0x0F) as usize] ^ hi[(*s >> 4) as usize];
-            }
-        }
-        Backend::Table => {
-            let row = &MUL[c as usize];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = row[*s as usize];
-            }
-        }
+        0 => dst.fill(0),
+        1 => dst.copy_from_slice(src),
+        _ => simd::apply::<MUL_INTO>(rung, dst, src, c),
     }
 }
 
 /// Accumulates `dst ^= Σ coeffs[i] · sources[i]` — one output row of the
-/// encoding matrix product (the paper's Eq. 1) — with the default backend.
+/// encoding matrix product (the paper's Eq. 1) — on the active rung.
 ///
 /// # Panics
 ///
-/// Panics if `coeffs` and `sources` differ in length, or any source region's
-/// length differs from `dst`'s.
+/// As for [`dot_assign_on`].
 #[inline]
 pub fn dot_assign(dst: &mut [u8], sources: &[&[u8]], coeffs: &[u8]) {
-    dot_assign_with(Backend::default(), dst, sources, coeffs);
+    dot_assign_on(Rung::active(), dst, sources, coeffs);
 }
 
-/// Accumulates `dst ^= Σ coeffs[i] · sources[i]` with an explicit backend.
+/// Accumulates `dst ^= Σ coeffs[i] · sources[i]` on an explicit rung.
 ///
-/// On [`Backend::Simd`] this runs the blocked multi-source kernel
-/// ([`crate::simd::dot_assign_with_kernel`]): up to
-/// [`crate::simd::DOT_BLOCK`] coefficient rows are folded per pass, keeping
-/// their half-byte tables in vector registers and streaming each
-/// destination cache line once per block instead of once per source. Scalar
-/// backends fall back to a row-at-a-time loop.
+/// On the ISA rungs up to [`DOT_BLOCK`] coefficient rows are folded per
+/// pass, keeping their half-byte tables (or affine matrices) in vector
+/// registers and streaming each destination cache line once per block
+/// instead of once per source; the byte-at-a-time rungs go a row at a time.
+/// Zero coefficients are skipped before blocking, so sparse rows pay
+/// nothing.
 ///
 /// # Panics
 ///
 /// Panics if `coeffs` and `sources` differ in length, or any source region's
 /// length differs from `dst`'s.
-pub fn dot_assign_with(backend: Backend, dst: &mut [u8], sources: &[&[u8]], coeffs: &[u8]) {
+pub fn dot_assign_on(rung: Rung, dst: &mut [u8], sources: &[&[u8]], coeffs: &[u8]) {
     assert_eq!(sources.len(), coeffs.len(), "coefficient count mismatch");
-    match backend {
-        Backend::Simd => simd::dot_assign(dst, sources, coeffs),
-        _ => {
-            for (&src, &c) in sources.iter().zip(coeffs) {
-                mul_add_assign_with(backend, dst, src, c);
+    for src in sources {
+        assert_eq!(src.len(), dst.len(), "region length mismatch");
+    }
+    // Gather non-zero terms into a fixed DOT_BLOCK scratch (no heap
+    // allocation in this hot loop), running a blocked pass whenever it
+    // fills; the one-coefficient fast path still applies to the remainder.
+    let mut idxs = [0usize; DOT_BLOCK];
+    let mut cs = [0u8; DOT_BLOCK];
+    let mut filled = 0;
+    for (i, &c) in coeffs.iter().enumerate() {
+        if c == 0 {
+            continue;
+        }
+        idxs[filled] = i;
+        cs[filled] = c;
+        filled += 1;
+        if filled < DOT_BLOCK {
+            continue;
+        }
+        filled = 0;
+        let srcs = idxs.map(|i| sources[i]);
+        if !simd::dot4(rung, dst, &srcs, cs) {
+            for (src, &c) in srcs.iter().zip(&cs) {
+                mul_add_assign_on(rung, dst, src, c);
             }
         }
+    }
+    for j in 0..filled {
+        mul_add_assign_on(rung, dst, sources[idxs[j]], cs[j]);
     }
 }
 
 /// Accumulates `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` — the whole
 /// encoding matrix product (the paper's Eq. 1 for many coded blocks at
-/// once, and stage 2 of its Sec. 5.2 decoder) — with the default backend.
+/// once, and stage 2 of its Sec. 5.2 decoder) — on the active rung.
 ///
 /// This is the only multi-output entry point; [`dot_assign`] remains the
 /// single-output one.
 ///
 /// # Panics
 ///
-/// As for [`matrix_mul_add_with`].
+/// As for [`matrix_mul_add_on`].
 #[inline]
 pub fn matrix_mul_add(outs: &mut [&mut [u8]], sources: &[&[u8]], coeffs: &[&[u8]]) {
-    matrix_mul_add_with(Backend::default(), outs, sources, coeffs);
+    matrix_mul_add_on(Rung::active(), outs, sources, coeffs);
 }
 
-/// Accumulates `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` with an explicit
-/// backend.
+/// Accumulates `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` on an explicit
+/// rung.
 ///
-/// On [`Backend::Simd`] this runs
-/// [`crate::simd::matrix_mul_add_with_kernel`], whose GFNI rung holds a tile
-/// of eight outputs in registers so each source line is loaded once per
-/// tile instead of once per output. Scalar backends run the outputs one
-/// [`dot_assign_with`] at a time.
+/// On the GFNI rung every full group of eight outputs runs as one register
+/// tile (eight outputs x a 128-byte column strip in accumulators, each
+/// source line loaded once per tile instead of once per output). The
+/// outputs left over, and every output on the other rungs, take
+/// [`dot_assign_on`] one row at a time.
 ///
 /// # Panics
 ///
 /// Panics if `coeffs` and `outs` differ in length, a coefficient row's
 /// length differs from `sources.len()`, or the outputs and sources are not
 /// all the same length.
-pub fn matrix_mul_add_with(
-    backend: Backend,
-    outs: &mut [&mut [u8]],
-    sources: &[&[u8]],
-    coeffs: &[&[u8]],
-) {
-    match backend {
-        Backend::Simd => simd::matrix_mul_add(outs, sources, coeffs),
-        _ => {
-            assert_eq!(outs.len(), coeffs.len(), "coefficient row count mismatch");
-            for (out, row) in outs.iter_mut().zip(coeffs) {
-                dot_assign_with(backend, out, sources, row);
-            }
-        }
+pub fn matrix_mul_add_on(rung: Rung, outs: &mut [&mut [u8]], sources: &[&[u8]], coeffs: &[&[u8]]) {
+    let tiled = simd::matrix_tiles(rung, outs, sources, coeffs);
+    for (out, row) in outs[tiled..].iter_mut().zip(&coeffs[tiled..]) {
+        dot_assign_on(rung, out, sources, row);
     }
 }
 
@@ -358,40 +208,6 @@ mod tests {
     use super::*;
     use crate::scalar::mul_loop;
 
-    fn reference_mul_add(dst: &[u8], src: &[u8], c: u8) -> Vec<u8> {
-        dst.iter().zip(src).map(|(&d, &s)| d ^ mul_loop(c, s)).collect()
-    }
-
-    #[test]
-    fn backends_agree_on_unaligned_lengths() {
-        // Lengths chosen to hit both the wide path and the remainder path.
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let dst0: Vec<u8> = (0..len).map(|i| (i * 91 + 5) as u8).collect();
-            for c in [0u8, 1, 2, 0x53, 0x80, 0xFF] {
-                let want = reference_mul_add(&dst0, &src, c);
-                for backend in Backend::ALL {
-                    let mut dst = dst0.clone();
-                    mul_add_assign_with(backend, &mut dst, &src, c);
-                    assert_eq!(dst, want, "backend {backend:?}, c={c}, len={len}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mul_assign_backends_agree() {
-        let data0: Vec<u8> = (0..100).map(|i| (i * 13 + 7) as u8).collect();
-        for c in [0u8, 1, 3, 0x1B, 0xFE] {
-            let want: Vec<u8> = data0.iter().map(|&d| mul_loop(c, d)).collect();
-            for backend in Backend::ALL {
-                let mut data = data0.clone();
-                mul_assign_with(backend, &mut data, c);
-                assert_eq!(data, want, "backend {backend:?}, c={c}");
-            }
-        }
-    }
-
     #[test]
     fn add_assign_is_xor() {
         let mut dst: Vec<u8> = (0..33).collect();
@@ -399,20 +215,6 @@ mod tests {
         let want: Vec<u8> = dst.iter().zip(&src).map(|(&d, &s)| d ^ s).collect();
         add_assign(&mut dst, &src);
         assert_eq!(dst, want);
-    }
-
-    #[test]
-    fn add_assign_backends_agree() {
-        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 130] {
-            let dst0: Vec<u8> = (0..len).map(|i| (i * 17 + 3) as u8).collect();
-            let src: Vec<u8> = (0..len).map(|i| (i * 41 + 9) as u8).collect();
-            let want: Vec<u8> = dst0.iter().zip(&src).map(|(&d, &s)| d ^ s).collect();
-            for backend in Backend::ALL {
-                let mut dst = dst0.clone();
-                add_assign_with(backend, &mut dst, &src);
-                assert_eq!(dst, want, "backend {backend:?}, len={len}");
-            }
-        }
     }
 
     #[test]
@@ -442,55 +244,17 @@ mod tests {
     }
 
     #[test]
-    fn mul_into_backends_agree() {
-        for len in [0usize, 1, 15, 16, 17, 33, 130] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 29 + 3) as u8).collect();
-            for c in [0u8, 1, 2, 0x53, 0xFF] {
-                let want: Vec<u8> = src.iter().map(|&s| mul_loop(c, s)).collect();
-                for backend in Backend::ALL {
-                    let mut dst = vec![0xCC; len];
-                    mul_into_with(backend, &mut dst, &src, c);
-                    assert_eq!(dst, want, "backend {backend:?}, c={c}, len={len}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dot_assign_backends_agree() {
-        // Enough sources to exercise the blocked path plus a remainder, with
-        // zero and one coefficients sprinkled in.
-        let len = 67usize;
-        let sources: Vec<Vec<u8>> =
-            (0..7).map(|s| (0..len).map(|i| (i * 7 + s * 13 + 1) as u8).collect()).collect();
-        let refs: Vec<&[u8]> = sources.iter().map(|s| s.as_slice()).collect();
-        let coeffs = [0x02u8, 0x00, 0x53, 0xFE, 0x01, 0x9A, 0x07];
-        let mut want = vec![0x11u8; len];
-        for (s, &c) in refs.iter().zip(&coeffs) {
-            for (d, &b) in want.iter_mut().zip(*s) {
-                *d ^= mul_loop(c, b);
-            }
-        }
-        for backend in Backend::ALL {
-            let mut dst = vec![0x11u8; len];
-            dot_assign_with(backend, &mut dst, &refs, &coeffs);
-            assert_eq!(dst, want, "backend {backend:?}");
-        }
-    }
-
-    #[test]
-    fn detected_backend_is_stable() {
-        let first = Backend::detected();
-        assert_eq!(Backend::detected(), first);
-        assert_eq!(Backend::default(), first);
-        assert!(Backend::ALL.contains(&first));
-    }
-
-    #[test]
-    #[should_panic]
+    #[should_panic(expected = "region length mismatch")]
     fn length_mismatch_panics() {
         let mut dst = [0u8; 3];
         mul_add_assign(&mut dst, &[0u8; 4], 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "region length mismatch")]
+    fn length_mismatch_panics_on_the_zero_fast_path_too() {
+        let mut dst = [0u8; 3];
+        mul_add_assign(&mut dst, &[0u8; 4], 0);
     }
 
     #[test]

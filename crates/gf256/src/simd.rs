@@ -1,4 +1,4 @@
-//! Real SIMD GF(2^8) region kernels with runtime dispatch.
+//! The GF(2^8) kernel ladder: one enum of rungs, resolved once.
 //!
 //! The paper's CPU baseline codes 16 bytes per instruction with SSE2; the
 //! modern equivalent (Günther et al., *Galois Field Arithmetics for Linear
@@ -11,66 +11,54 @@
 //! ```
 //!
 //! where `lo_table[i] = c·i` and `hi_table[i] = c·(i<<4)` are the two
-//! 16-entry half-byte product tables ([`Backend::Nibble`] computes the very
-//! same tables, one byte at a time). This module provides:
+//! 16-entry half-byte product tables. [`Kernel`] names every way this crate
+//! can run a region operation, fastest first:
 //!
-//! * a **GFNI** kernel (`GF2P8MULB` region multiply + `GF2P8AFFINEQB`
-//!   mul-add, 512-bit EVEX when AVX-512BW is present, 256-bit VEX
-//!   otherwise — see `simd_gfni.rs`),
-//! * an **AVX-512BW** kernel (64 bytes, `_mm512_shuffle_epi8` with
-//!   `k`-masked tails — see `simd_avx512.rs`),
-//! * an **SSSE3** kernel (16 bytes/shuffle pair, `_mm_shuffle_epi8`),
-//! * an **AVX2** kernel (32 bytes, `_mm256_shuffle_epi8`),
-//! * an **AArch64 NEON** kernel (16 bytes, `vqtbl1q_u8`),
-//! * a **portable** fallback (the L1-resident 256-byte product-table row),
+//! | `NC_GF_BACKEND` | id | rung |
+//! |---|---|---|
+//! | `gfni` | 5 | `GF2P8AFFINEQB`, the field as an instruction (512-bit EVEX with AVX-512BW, else 256-bit VEX — `simd_gfni.rs`) |
+//! | `avx512` | 4 | 64-byte `VPSHUFB` with `k`-masked tails (`simd_avx512.rs`) |
+//! | `avx2` | 2 | 32-byte `VPSHUFB` |
+//! | `neon` | 3 | AArch64 16-byte `TBL` |
+//! | `ssse3` | 1 | 16-byte `PSHUFB` |
+//! | `portable` / `table` | 0 | one L1-resident 256-byte product-table row per coefficient |
+//! | `nibble` | 8 | the two half-byte tables, one byte at a time (the shuffle technique in scalar form) |
+//! | `loopwide` | 7 | loop-based multiply over 8-byte lanes (the paper's Sec. 4 loop-based CPU form) |
+//! | `logexp` | 6 | log/exp lookups per byte (the paper's Fig. 1 baseline) |
+//! | unset / empty / `auto` / `simd` | | the first of these the host has |
 //!
-//! selected **once** at first use via `is_x86_feature_detected!` (NEON is
-//! architecturally guaranteed on AArch64) and cached in a [`OnceLock`]. The
-//! selection — and the crate-wide default [`Backend`] — can be forced with
-//! the `NC_GF_BACKEND` environment variable for ablation and for CI's
-//! forced-portable job:
+//! The last three exist for ablation and as references; every rung produces
+//! identical bytes (`tests/simd_dispatch.rs`).
 //!
-//! | `NC_GF_BACKEND` | effect |
-//! |---|---|
-//! | `gfni` / `avx512` / `avx2` / `ssse3` / `neon` | force that kernel (if the host supports it) |
-//! | `portable` | force the portable fallback through the SIMD dispatcher |
-//! | `table` / `logexp` / `loopwide` / `nibble` | force that scalar [`Backend`] |
-//! | unset / `simd` / `auto` | auto-detect the best kernel |
+//! The rung is resolved **once** — `NC_GF_BACKEND`, then availability, then
+//! a loud fallback — into a [`Rung`]: a kernel this host was *verified* to
+//! run, which only [`Rung::new`] can make. [`crate::region`]'s operations
+//! load that one value and `match` on it; nothing on the per-call path asks
+//! the CPU what it supports, and the `unsafe` bodies below discharge their
+//! `target_feature` obligation against the `Rung` invariant. A forced
+//! kernel the host cannot run is **not** silently honored: resolution logs
+//! the downgrade to stderr and bumps the `gf.backend_override_unavailable`
+//! telemetry counter, and the rung that runs is exported as the
+//! `gf.kernel_id` gauge (see [`Kernel::id`]) — [`active_kernel`] is, by
+//! construction, what `region::*` executes.
 //!
-//! A forced kernel the host cannot run is **not** silently honored: the
-//! dispatcher logs the downgrade to stderr once and bumps the
-//! `gf.backend_override_unavailable` telemetry counter, so an ablation run
-//! that asked for `gfni` on a non-GFNI box leaves a visible trace instead
-//! of quietly measuring the wrong kernel. The rung that actually runs is
-//! exported as the `gf.kernel_id` gauge (see [`SimdKernel::id`]) at first
-//! dispatch.
-//!
-//! Besides the three single-source region ops, the module implements the
-//! **blocked multi-source axpy** behind [`crate::region::dot_assign`]:
-//! [`dot_assign_with_kernel`] folds up to four coefficient rows per pass so
-//! the eight half-byte tables stay pinned in vector registers and every
-//! destination cache line is streamed once per group of four sources
-//! instead of once per source.
-//!
-//! The **multi-output product** behind [`crate::region::matrix_mul_add`] —
-//! many coded blocks from one set of sources, the encoder's and the
-//! decoder's shape — goes through [`matrix_mul_add_with_kernel`]: on GFNI a
-//! register tile of eight outputs takes each source line once per tile
-//! instead of once per output; every other rung runs the outputs one
-//! [`dot_assign_with_kernel`] at a time.
-//!
-//! All kernels are property-tested bit-identical against the scalar
-//! backends (see `tests/simd_dispatch.rs`), including the zero/one
-//! coefficient fast paths and every unaligned head/tail length.
+//! Every ISA rung has one body, generic over the operation (`MUL_ADD`:
+//! `dst ^= c·src`, `MUL_INTO`: `dst = c·src` with `dst == src` allowed,
+//! `XOR`: `dst ^= src`), plus a four-source blocked axpy (`dot4_*`) behind
+//! [`crate::region::dot_assign`] that keeps [`DOT_BLOCK`] coefficients'
+//! tables in registers and streams each destination line once per block.
+//! The GFNI rung adds the register tile of eight outputs behind
+//! [`crate::region::matrix_mul_add`].
 
 // All `unsafe` in the crate lives in this module and its two x86-64
 // children (`simd_avx512.rs`, `simd_gfni.rs`): each block is a straight
 // mapping to documented vendor intrinsics, with the safety argument
-// (feature availability + in-bounds pointer arithmetic) stated per block.
+// (the `Rung` invariant + in-bounds pointer arithmetic) stated per block.
 #![allow(unsafe_code)]
 
-use crate::region::Backend;
+use crate::scalar::{mul_loop, mul_table};
 use crate::tables::MUL;
+use crate::wide::mul_word64;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -81,76 +69,97 @@ mod simd_avx512;
 #[path = "simd_gfni.rs"]
 mod simd_gfni;
 
-/// One concrete region-kernel implementation the dispatcher can select.
+/// One way of running the region operations: a rung of the ladder.
 ///
 /// Every variant exists on every architecture so cross-platform tools
-/// (benches, ablation flags) compile everywhere; asking for a kernel the
-/// host cannot run falls back to [`SimdKernel::Portable`].
+/// (benches, the equivalence suite) compile everywhere; whether this host
+/// can run one is [`Kernel::is_available`], and running one takes a
+/// [`Rung`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
-pub enum SimdKernel {
-    /// Product-table-row scalar code: correct everywhere, no ISA required.
-    Portable,
+pub enum Kernel {
+    /// One 256-byte product-table row per coefficient, a byte at a time:
+    /// correct everywhere, no ISA required (`NC_GF_BACKEND=portable` or
+    /// `table`).
+    Portable = 0,
     /// x86-64 SSSE3 `PSHUFB`, 16 bytes per table pair.
-    Ssse3,
+    Ssse3 = 1,
     /// x86-64 AVX2 `VPSHUFB`, 32 bytes per table pair.
-    Avx2,
+    Avx2 = 2,
     /// AArch64 NEON `TBL`, 16 bytes per table pair.
-    Neon,
+    Neon = 3,
     /// x86-64 AVX-512BW `VPSHUFB`, 64 bytes per table pair with masked
     /// tails.
-    Avx512,
-    /// x86-64 GFNI `GF2P8MULB`/`GF2P8AFFINEQB` — the field as an
-    /// instruction, no tables (512-bit EVEX when AVX-512BW is present,
-    /// 256-bit VEX otherwise).
-    Gfni,
+    Avx512 = 4,
+    /// x86-64 GFNI `GF2P8AFFINEQB` — the field as an instruction, no
+    /// tables (512-bit EVEX when AVX-512BW is present, 256-bit VEX
+    /// otherwise).
+    Gfni = 5,
+    /// Log/exp lookups per byte (the paper's baseline, Fig. 1).
+    LogExp = 6,
+    /// Loop-based multiplication over 64-bit lanes.
+    LoopWide = 7,
+    /// Half-byte (nibble) tables, 32 bytes of state per coefficient, a byte
+    /// at a time.
+    Nibble = 8,
 }
 
-impl SimdKernel {
-    /// Human-readable kernel name (stable across releases; used by reports).
+impl Kernel {
+    /// Every rung, fastest first: the ISA rungs, the portable table row,
+    /// then the three reference rungs.
+    pub const ALL: [Kernel; 9] = [
+        Kernel::Gfni,
+        Kernel::Avx512,
+        Kernel::Avx2,
+        Kernel::Neon,
+        Kernel::Ssse3,
+        Kernel::Portable,
+        Kernel::Nibble,
+        Kernel::LoopWide,
+        Kernel::LogExp,
+    ];
+
+    /// Human-readable kernel name (stable across releases; used by reports,
+    /// and the value of `NC_GF_BACKEND` that selects the rung).
     pub fn name(self) -> &'static str {
         match self {
-            SimdKernel::Portable => "portable",
-            SimdKernel::Ssse3 => "ssse3",
-            SimdKernel::Avx2 => "avx2",
-            SimdKernel::Neon => "neon",
-            SimdKernel::Avx512 => "avx512",
-            SimdKernel::Gfni => "gfni",
+            Kernel::Portable => "portable",
+            Kernel::Ssse3 => "ssse3",
+            Kernel::Avx2 => "avx2",
+            Kernel::Neon => "neon",
+            Kernel::Avx512 => "avx512",
+            Kernel::Gfni => "gfni",
+            Kernel::LogExp => "logexp",
+            Kernel::LoopWide => "loopwide",
+            Kernel::Nibble => "nibble",
         }
     }
 
     /// Stable numeric id for the `gf.kernel_id` telemetry gauge, so
     /// `--telemetry-json` artifacts record which rung actually ran.
     pub fn id(self) -> u8 {
-        match self {
-            SimdKernel::Portable => 0,
-            SimdKernel::Ssse3 => 1,
-            SimdKernel::Avx2 => 2,
-            SimdKernel::Neon => 3,
-            SimdKernel::Avx512 => 4,
-            SimdKernel::Gfni => 5,
-        }
+        self as u8
     }
 
     /// Whether this host can execute the kernel right now.
     pub fn is_available(self) -> bool {
         match self {
-            SimdKernel::Portable => true,
+            Kernel::Portable | Kernel::LogExp | Kernel::LoopWide | Kernel::Nibble => true,
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            SimdKernel::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
+            Kernel::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            SimdKernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "aarch64")]
-            SimdKernel::Neon => true,
+            Kernel::Neon => true,
             #[cfg(target_arch = "x86_64")]
-            SimdKernel::Avx512 => {
+            Kernel::Avx512 => {
                 std::arch::is_x86_feature_detected!("avx512f")
                     && std::arch::is_x86_feature_detected!("avx512bw")
             }
             // GFNI's AVX2 floor keeps the 256-bit VEX bodies runnable;
             // SSE-only GFNI parts (e.g. Tremont) fall through to Ssse3.
             #[cfg(target_arch = "x86_64")]
-            SimdKernel::Gfni => {
+            Kernel::Gfni => {
                 std::arch::is_x86_feature_detected!("gfni")
                     && std::arch::is_x86_feature_detected!("avx2")
             }
@@ -159,403 +168,185 @@ impl SimdKernel {
         }
     }
 
-    /// Every kernel this host can execute, fastest first (the portable
-    /// fallback is always present and always last).
-    pub fn available() -> Vec<SimdKernel> {
-        [
-            SimdKernel::Gfni,
-            SimdKernel::Avx512,
-            SimdKernel::Avx2,
-            SimdKernel::Neon,
-            SimdKernel::Ssse3,
-            SimdKernel::Portable,
-        ]
-        .into_iter()
-        .filter(|k| k.is_available())
-        .collect()
+    /// Every rung this host can run, in [`Kernel::ALL`]'s fastest-first
+    /// order: `available()[0]` is what auto-detection picks.
+    pub fn available() -> Vec<Rung> {
+        Kernel::ALL.into_iter().filter_map(Rung::new).collect()
     }
 }
 
-/// The kernel [`Backend::Simd`] dispatches to, detected once and cached.
+/// A [`Kernel`] this host was verified to run — the value the explicit
+/// `region::*_on` family takes.
 ///
-/// Honors `NC_GF_BACKEND` (`gfni` / `avx512` / `avx2` / `ssse3` / `neon` /
-/// `portable`); a forced kernel the host lacks degrades to the best
-/// available one rather than crashing, so ablation scripts are portable —
-/// but the downgrade is logged to stderr once and counted in the
-/// `gf.backend_override_unavailable` telemetry counter so it can't pass
-/// unnoticed. The selected rung is published as the `gf.kernel_id` gauge.
-pub fn active_kernel() -> SimdKernel {
-    static ACTIVE: OnceLock<SimdKernel> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        let forced = match backend_env().as_deref() {
-            Some("portable") => Some(SimdKernel::Portable),
-            Some("gfni") => Some(SimdKernel::Gfni),
-            Some("avx512") => Some(SimdKernel::Avx512),
-            Some("avx2") => Some(SimdKernel::Avx2),
-            Some("ssse3") => Some(SimdKernel::Ssse3),
-            Some("neon") => Some(SimdKernel::Neon),
-            // Scalar backend names are handled by `default_backend` and
-            // never reach the SIMD dispatcher; auto tokens mean detect.
-            None | Some("simd") | Some("auto") | Some("table") | Some("logexp")
-            | Some("loopwide") | Some("nibble") => None,
-            Some(other) => {
-                note_override_ignored(other, "is not a known backend");
-                None
+/// Only [`Rung::new`] makes one, and only after [`Kernel::is_available`]
+/// said yes, so holding a `Rung` *is* the proof the vector bodies need: no
+/// region call re-tests the CPU.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Rung {
+    kernel: Kernel,
+    /// [`Kernel::Gfni`] only: AVX-512F/BW are present too, so the 512-bit
+    /// EVEX bodies (masked tails) run instead of the 256-bit VEX ones.
+    wide: bool,
+}
+
+impl Rung {
+    /// The rung for `kernel`, or `None` when this host cannot run it.
+    pub fn new(kernel: Kernel) -> Option<Rung> {
+        let wide = kernel == Kernel::Gfni && Kernel::Avx512.is_available();
+        kernel.is_available().then_some(Rung { kernel, wide })
+    }
+
+    /// The kernel this rung runs.
+    #[inline]
+    pub fn kernel(self) -> Kernel {
+        self.kernel
+    }
+
+    /// The rung every `region` operation without an explicit one runs:
+    /// resolved once per process and cached.
+    ///
+    /// Honors `NC_GF_BACKEND` (any [`Kernel::name`], `table` for
+    /// `portable`; unset, empty, `auto` or `simd` detect). A value that
+    /// names no kernel, or one the host lacks, degrades to the best
+    /// available rung rather than crashing, so ablation scripts are
+    /// portable — but the downgrade is logged to stderr once and counted in
+    /// the `gf.backend_override_unavailable` telemetry counter so it can't
+    /// pass unnoticed. The selected rung is published as the `gf.kernel_id`
+    /// gauge.
+    #[inline]
+    pub fn active() -> Rung {
+        static ACTIVE: OnceLock<Rung> = OnceLock::new();
+        *ACTIVE.get_or_init(|| {
+            let value = std::env::var("NC_GF_BACKEND").ok().map(|v| v.trim().to_ascii_lowercase());
+            let (rung, ignored) = resolve_override(value.as_deref());
+            let registry = nc_telemetry::default_registry();
+            if let Some(why) = ignored {
+                let (value, name) = (value.unwrap_or_default(), rung.kernel.name());
+                eprintln!("nc-gf256: NC_GF_BACKEND={value} {why}; falling back to `{name}`");
+                registry.counter("gf.backend_override_unavailable").inc();
             }
-        };
-        let kernel = match forced {
-            Some(k) if k.is_available() => k,
-            Some(k) => {
-                note_override_ignored(k.name(), "is not supported by this CPU");
-                SimdKernel::available()[0]
-            }
-            None => SimdKernel::available()[0],
-        };
-        nc_telemetry::default_registry().gauge("gf.kernel_id").set(f64::from(kernel.id()));
-        kernel
-    })
+            registry.gauge("gf.kernel_id").set(f64::from(rung.kernel.id()));
+            rung
+        })
+    }
 }
 
-/// Makes a misconfigured `NC_GF_BACKEND` visible (stderr + telemetry)
-/// instead of silently measuring the wrong kernel. Called at most once per
-/// cause, from inside the `active_kernel` one-time init.
-fn note_override_ignored(value: &str, why: &str) {
-    let fallback = SimdKernel::available()[0];
-    eprintln!("nc-gf256: NC_GF_BACKEND={value} {why}; falling back to `{}`", fallback.name());
-    nc_telemetry::default_registry().counter("gf.backend_override_unavailable").inc();
+/// The kernel of [`Rung::active`]: what `region::*` runs in this process.
+#[inline]
+pub fn active_kernel() -> Kernel {
+    Rung::active().kernel
 }
 
-/// The crate-wide default [`Backend`], detected once and cached.
-///
-/// [`Backend::Simd`] unless `NC_GF_BACKEND` names one of the scalar
-/// backends (`table`, `logexp`, `loopwide`, `nibble`) for ablation.
-pub fn default_backend() -> Backend {
-    static DEFAULT: OnceLock<Backend> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match backend_env().as_deref() {
-        Some("table") => Backend::Table,
-        Some("logexp") => Backend::LogExp,
-        Some("loopwide") => Backend::LoopWide,
-        Some("nibble") => Backend::Nibble,
-        _ => Backend::Simd,
-    })
+/// The rung an `NC_GF_BACKEND` value (trimmed, lower-cased) selects, and
+/// why the value was ignored if it was.
+fn resolve_override(value: Option<&str>) -> (Rung, Option<&'static str>) {
+    let best = Kernel::available()[0];
+    let name = match value {
+        None | Some("" | "auto" | "simd") => return (best, None),
+        // The product-table-row loop went by both names.
+        Some("table") => "portable",
+        Some(name) => name,
+    };
+    match Kernel::ALL.into_iter().find(|k| k.name() == name).map(Rung::new) {
+        None => (best, Some("is not a known backend")),
+        Some(None) => (best, Some("is not supported by this CPU")),
+        Some(Some(rung)) => (rung, None),
+    }
 }
 
-fn backend_env() -> Option<String> {
-    std::env::var("NC_GF_BACKEND").ok().map(|v| v.trim().to_ascii_lowercase())
-}
-
-/// How many coefficient rows [`dot_assign_with_kernel`] folds per pass: the
-/// half-byte tables of four coefficients (eight vectors) plus the nibble
-/// mask, accumulator and source loads fit the 16 architectural vector
-/// registers of every supported ISA.
+/// How many coefficient rows [`crate::region::dot_assign`] folds per pass:
+/// the half-byte tables of four coefficients (eight vectors) plus the
+/// nibble mask, accumulator and source loads fit the 16 architectural
+/// vector registers of every supported ISA.
 pub const DOT_BLOCK: usize = 4;
 
 // ---------------------------------------------------------------------------
-// Dispatching entry points (called by `region` once c ∉ {0, 1} fast paths
-// are taken; exposed for benches and ablation via the explicit-kernel
-// variants below).
+// The safe seam `region` calls: each function checks the lengths its
+// `unsafe` body relies on, then dispatches on the rung.
 // ---------------------------------------------------------------------------
 
-/// `dst ^= c · src` on the active kernel (zero/one fast paths included).
-#[inline]
-pub fn mul_add_assign(dst: &mut [u8], src: &[u8], c: u8) {
-    mul_add_assign_with_kernel(active_kernel(), dst, src, c);
-}
+/// `dst ^= c · src`.
+pub(crate) const MUL_ADD: u8 = 0;
+/// `dst = c · src`; `dst == src` is the in-place multiply.
+pub(crate) const MUL_INTO: u8 = 1;
+/// `dst ^= src` (the coefficient is ignored).
+pub(crate) const XOR: u8 = 2;
 
-/// `dst = c · dst` on the active kernel (zero/one fast paths included).
-#[inline]
-pub fn mul_assign(dst: &mut [u8], c: u8) {
-    mul_assign_with_kernel(active_kernel(), dst, c);
-}
-
-/// `dst = c · src` on the active kernel (zero/one fast paths included).
-#[inline]
-pub fn mul_into(dst: &mut [u8], src: &[u8], c: u8) {
-    mul_into_with_kernel(active_kernel(), dst, src, c);
-}
-
-/// `dst ^= src` with the widest XOR the active kernel offers.
-#[inline]
-pub fn xor_assign(dst: &mut [u8], src: &[u8]) {
-    xor_assign_with_kernel(active_kernel(), dst, src);
-}
-
-/// `dst ^= Σ coeffs[i] · sources[i]`, blocked [`DOT_BLOCK`] rows per pass on
-/// the active kernel.
-#[inline]
-pub fn dot_assign(dst: &mut [u8], sources: &[&[u8]], coeffs: &[u8]) {
-    dot_assign_with_kernel(active_kernel(), dst, sources, coeffs);
-}
-
-/// `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` on the active kernel.
-#[inline]
-pub fn matrix_mul_add(outs: &mut [&mut [u8]], sources: &[&[u8]], coeffs: &[&[u8]]) {
-    matrix_mul_add_with_kernel(active_kernel(), outs, sources, coeffs);
-}
-
-// ---------------------------------------------------------------------------
-// Explicit-kernel entry points (benches, property tests, ablation).
-// ---------------------------------------------------------------------------
-
-/// `dst ^= c · src` on an explicit kernel; unavailable kernels run portably.
+/// Runs `OP` over two equally long regions.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn mul_add_assign_with_kernel(kernel: SimdKernel, dst: &mut [u8], src: &[u8], c: u8) {
+#[inline]
+pub(crate) fn apply<const OP: u8>(rung: Rung, dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len(), "region length mismatch");
-    match c {
-        0 => return,
-        1 => return xor_assign_with_kernel(kernel, dst, src),
-        _ => {}
-    }
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-            // SAFETY: GFNI + AVX2 availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_gfni::mul_add(dst, src, c) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
-            // SAFETY: AVX-512F/BW availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_avx512::mul_add(dst, src, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::mul_add_avx2(dst, src, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Ssse3 if SimdKernel::Ssse3.is_available() => {
-            // SAFETY: SSSE3 availability was verified on this host above.
-            unsafe { x86::mul_add_ssse3(dst, src, c) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdKernel::Neon => neon::mul_add_neon(dst, src, c),
-        _ => portable_mul_add(dst, src, c),
-    }
+    // SAFETY: `dst` and `src` are distinct borrows, both of the length just
+    // asserted.
+    unsafe { run::<OP>(rung, dst.as_mut_ptr(), src.as_ptr(), dst.len(), c) }
 }
 
-/// `dst = c · dst` on an explicit kernel; unavailable kernels run portably.
-pub fn mul_assign_with_kernel(kernel: SimdKernel, dst: &mut [u8], c: u8) {
-    match c {
-        0 => return dst.fill(0),
-        1 => return,
-        _ => {}
-    }
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-            // SAFETY: GFNI + AVX2 availability was verified on this host
-            // above.
-            unsafe { simd_gfni::mul_assign(dst, c) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
-            // SAFETY: AVX-512F/BW availability was verified on this host
-            // above.
-            unsafe { simd_avx512::mul_assign(dst, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::mul_assign_avx2(dst, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Ssse3 if SimdKernel::Ssse3.is_available() => {
-            // SAFETY: SSSE3 availability was verified on this host above.
-            unsafe { x86::mul_assign_ssse3(dst, c) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdKernel::Neon => neon::mul_assign_neon(dst, c),
-        _ => {
-            let row = &MUL[c as usize];
-            for d in dst.iter_mut() {
-                *d = row[*d as usize];
-            }
-        }
-    }
+/// `dst = c · dst`: `MUL_INTO` with the region as its own source.
+#[inline]
+pub(crate) fn apply_in_place(rung: Rung, dst: &mut [u8], c: u8) {
+    let p = dst.as_mut_ptr();
+    // SAFETY: one borrow, read and written through one pointer — the
+    // `dst == src` form `MUL_INTO` allows.
+    unsafe { run::<MUL_INTO>(rung, p, p, dst.len(), c) }
 }
 
-/// `dst = c · src` (overwriting) on an explicit kernel.
+/// `dst ^= Σ cs[j] · srcs[j]` in one pass over `dst`, if `rung` has a
+/// blocked body; `false` (nothing done) on the rungs that have none.
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
-pub fn mul_into_with_kernel(kernel: SimdKernel, dst: &mut [u8], src: &[u8], c: u8) {
-    assert_eq!(dst.len(), src.len(), "region length mismatch");
-    match c {
-        0 => return dst.fill(0),
-        1 => return dst.copy_from_slice(src),
-        _ => {}
-    }
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-            // SAFETY: GFNI + AVX2 availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_gfni::mul_into(dst, src, c) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
-            // SAFETY: AVX-512F/BW availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_avx512::mul_into(dst, src, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::mul_into_avx2(dst, src, c) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Ssse3 if SimdKernel::Ssse3.is_available() => {
-            // SAFETY: SSSE3 availability was verified on this host above.
-            unsafe { x86::mul_into_ssse3(dst, src, c) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdKernel::Neon => neon::mul_into_neon(dst, src, c),
-        _ => {
-            let row = &MUL[c as usize];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = row[*s as usize];
-            }
-        }
-    }
-}
-
-/// `dst ^= src` on an explicit kernel (AVX2 uses 32-byte lanes; everything
-/// else uses the portable 8-byte-word loop, which SSE-class hardware
-/// autovectorizes).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn xor_assign_with_kernel(kernel: SimdKernel, dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "region length mismatch");
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
-            // SAFETY: AVX-512F/BW availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_avx512::xor_assign(dst, src) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-            // SAFETY: GFNI + AVX2 availability was verified on this host
-            // above; the length assert above is the equal-length contract.
-            unsafe { simd_gfni::xor_assign(dst, src) }
-        }
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
-            // SAFETY: AVX2 availability was verified on this host above.
-            unsafe { x86::xor_assign_avx2(dst, src) }
-        }
-        _ => portable_xor(dst, src),
-    }
-}
-
-/// `dst ^= Σ coeffs[i] · sources[i]` on an explicit kernel, folding
-/// [`DOT_BLOCK`] coefficient rows per pass so each destination cache line
-/// streams once per block of sources (the encode inner loop).
-///
-/// Zero coefficients are skipped before blocking, so sparse rows pay
-/// nothing.
-///
-/// # Panics
-///
-/// Panics if `coeffs` and `sources` differ in length, or any source length
-/// differs from `dst`'s.
-pub fn dot_assign_with_kernel(
-    kernel: SimdKernel,
+/// Panics if a source's length differs from `dst`'s.
+#[inline]
+pub(crate) fn dot4(
+    rung: Rung,
     dst: &mut [u8],
-    sources: &[&[u8]],
-    coeffs: &[u8],
-) {
-    assert_eq!(sources.len(), coeffs.len(), "coefficient count mismatch");
-    for src in sources {
-        assert_eq!(src.len(), dst.len(), "region length mismatch");
-    }
-    // Gather non-zero terms into a fixed DOT_BLOCK scratch (no heap
-    // allocation in this hot loop), dispatching a blocked pass whenever it
-    // fills; zero coefficients never reach the kernels and the
-    // one-coefficient fast path still applies to the remainder.
-    let mut idxs = [0usize; DOT_BLOCK];
-    let mut cs = [0u8; DOT_BLOCK];
-    let mut filled = 0;
-    for (i, &c) in coeffs.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        idxs[filled] = i;
-        cs[filled] = c;
-        filled += 1;
-        if filled < DOT_BLOCK {
-            continue;
-        }
-        filled = 0;
-        let srcs = [sources[idxs[0]], sources[idxs[1]], sources[idxs[2]], sources[idxs[3]]];
-        match kernel {
+    srcs: &[&[u8]; DOT_BLOCK],
+    cs: [u8; DOT_BLOCK],
+) -> bool {
+    assert!(srcs.iter().all(|src| src.len() == dst.len()), "region length mismatch");
+    // SAFETY: a `Rung` holds an ISA kernel only after `Rung::new` detected
+    // its features on this host (`wide`: the AVX-512 side too); the assert
+    // above is the bodies' equal-length contract.
+    unsafe {
+        match rung.kernel {
             #[cfg(target_arch = "x86_64")]
-            SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-                // SAFETY: GFNI + AVX2 availability was verified on this host
-                // above; the length asserts above cover all four sources.
-                unsafe { simd_gfni::dot4(dst, &srcs, cs) }
-            }
+            Kernel::Gfni => simd_gfni::dot4(rung.wide, dst, srcs, cs),
             #[cfg(target_arch = "x86_64")]
-            SimdKernel::Avx512 if SimdKernel::Avx512.is_available() => {
-                // SAFETY: AVX-512F/BW availability was verified on this host
-                // above; the length asserts above cover all four sources.
-                unsafe { simd_avx512::dot4(dst, &srcs, cs) }
-            }
+            Kernel::Avx512 => simd_avx512::dot4(dst, srcs, cs),
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            SimdKernel::Avx2 if SimdKernel::Avx2.is_available() => {
-                // SAFETY: AVX2 availability was verified on this host above.
-                unsafe { x86::dot4_avx2(dst, &srcs, cs) }
-            }
+            Kernel::Avx2 => x86::dot4_avx2(dst, srcs, cs),
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            SimdKernel::Ssse3 if SimdKernel::Ssse3.is_available() => {
-                // SAFETY: SSSE3 availability was verified on this host above.
-                unsafe { x86::dot4_ssse3(dst, &srcs, cs) }
-            }
+            Kernel::Ssse3 => x86::dot4_ssse3(dst, srcs, cs),
             #[cfg(target_arch = "aarch64")]
-            SimdKernel::Neon => neon::dot4_neon(dst, &srcs, cs),
-            _ => {
-                for (s, &c) in srcs.iter().zip(&cs) {
-                    mul_add_assign_with_kernel(kernel, dst, s, c);
-                }
-            }
+            Kernel::Neon => neon::dot4_neon(dst, srcs, cs),
+            _ => return false,
         }
     }
-    for j in 0..filled {
-        mul_add_assign_with_kernel(kernel, dst, sources[idxs[j]], cs[j]);
-    }
+    true
 }
 
-/// `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` on an explicit kernel: the
-/// product of a coefficient matrix (one row per output) with the sources.
-///
-/// On [`SimdKernel::Gfni`] every full group of eight outputs runs as one
-/// register tile (eight outputs x a 128-byte column strip in accumulators,
-/// each source line loaded once per tile). The outputs left over, and every
-/// output on the other rungs, take [`dot_assign_with_kernel`] one row at a
-/// time.
+/// Checks the shape of `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` and runs
+/// the leading output rows `rung` has a register tile for (full groups of
+/// eight on [`Kernel::Gfni`], none elsewhere); returns how many it did.
 ///
 /// # Panics
 ///
 /// Panics if `coeffs` and `outs` differ in length, a coefficient row's
 /// length differs from `sources.len()`, or any output's or source's length
 /// differs from the first output's.
-pub fn matrix_mul_add_with_kernel(
-    kernel: SimdKernel,
+pub(crate) fn matrix_tiles(
+    rung: Rung,
     outs: &mut [&mut [u8]],
     sources: &[&[u8]],
     coeffs: &[&[u8]],
-) {
+) -> usize {
     assert_eq!(outs.len(), coeffs.len(), "coefficient row count mismatch");
     let Some(len) = outs.first().map(|out| out.len()) else {
-        return;
+        return 0;
     };
     for (out, row) in outs.iter().zip(coeffs) {
         assert_eq!(out.len(), len, "region length mismatch");
@@ -564,26 +355,124 @@ pub fn matrix_mul_add_with_kernel(
     for src in sources {
         assert_eq!(src.len(), len, "region length mismatch");
     }
-    let tiled = match kernel {
+    match rung.kernel {
         #[cfg(target_arch = "x86_64")]
-        SimdKernel::Gfni if SimdKernel::Gfni.is_available() => {
-            // SAFETY: GFNI + AVX2 availability was verified on this host
-            // above; the asserts above are the equal-length and
-            // row-length contract, and `outs` holds distinct `&mut` slices.
-            unsafe { simd_gfni::matrix_mul_add(outs, sources, coeffs) }
+        Kernel::Gfni => {
+            // SAFETY: a `Rung` holds `Gfni` only after `Rung::new` detected
+            // GFNI + AVX2 (`wide`: AVX-512F/BW too); the asserts above are
+            // the equal-length and row-length contract, and `outs` holds
+            // distinct `&mut` slices.
+            unsafe { simd_gfni::matrix_tiles(rung.wide, outs, sources, coeffs) }
         }
         _ => 0,
-    };
-    for (out, row) in outs[tiled..].iter_mut().zip(&coeffs[tiled..]) {
-        dot_assign_with_kernel(kernel, out, sources, row);
+    }
+}
+
+/// Runs `OP` with coefficient `c` over `len` bytes on `rung`.
+///
+/// # Safety
+///
+/// `dst` must be valid for reads and writes of `len` bytes and `src` for
+/// reads of `len` bytes; the two must be the same pointer (`MUL_INTO` only)
+/// or not overlap.
+#[inline]
+unsafe fn run<const OP: u8>(rung: Rung, dst: *mut u8, src: *const u8, len: usize, c: u8) {
+    // SAFETY: a `Rung` holds an ISA kernel only after `Rung::new` detected
+    // its features on this host (`wide`: the AVX-512 side too), which is
+    // each body's `target_feature` contract; the region contract is the
+    // caller's, forwarded unchanged, and a vector body reports
+    // `done <= len`, so the tail stays inside it.
+    unsafe {
+        let done = match rung.kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Gfni if rung.wide => return simd_gfni::body_512::<OP>(dst, src, len, c),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Gfni => simd_gfni::body_256::<OP>(dst, src, len, c),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => return simd_avx512::body::<OP>(dst, src, len, c),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Kernel::Avx2 => x86::body_avx2::<OP>(dst, src, len, c),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Kernel::Ssse3 => x86::body_ssse3::<OP>(dst, src, len, c),
+            #[cfg(target_arch = "aarch64")]
+            Kernel::Neon => neon::body::<OP>(dst, src, len, c),
+            Kernel::LogExp => return bytewise::<OP>(dst, src, len, |s| mul_table(c, s)),
+            Kernel::LoopWide => return loop_wide::<OP>(dst, src, len, c),
+            Kernel::Nibble => {
+                let (lo, hi) = nibble_tables(c);
+                let product = |s: u8| lo[usize::from(s & 0x0F)] ^ hi[usize::from(s >> 4)];
+                return bytewise::<OP>(dst, src, len, product);
+            }
+            // `Portable` — and the ISA names foreign to this target, which
+            // `Rung::new` never admits.
+            _ => 0,
+        };
+        // The portable rung, and the sub-vector tail of the shuffle rungs.
+        let row = &MUL[usize::from(c)];
+        bytewise::<OP>(dst.add(done), src.add(done), len - done, |s| row[usize::from(s)]);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Portable fallback (also the head/tail path of every vector kernel).
+// Scalar bodies: the portable and reference rungs, and every vector rung's
+// tail.
 // ---------------------------------------------------------------------------
 
-/// The fastest portable axpy: one L1-resident 256-byte product-table row.
+/// `OP` one byte at a time, `product(s)` being `c · s`.
+///
+/// # Safety
+///
+/// Region contract as [`run`].
+#[inline]
+unsafe fn bytewise<const OP: u8>(
+    dst: *mut u8,
+    src: *const u8,
+    len: usize,
+    product: impl Fn(u8) -> u8,
+) {
+    for i in 0..len {
+        // SAFETY: `i < len`, inside both regions; the source byte is read
+        // before the destination byte is written, so `dst == src` is sound.
+        unsafe {
+            let (d, s) = (dst.add(i), *src.add(i));
+            *d = match OP {
+                MUL_ADD => *d ^ product(s),
+                MUL_INTO => product(s),
+                _ => *d ^ s,
+            };
+        }
+    }
+}
+
+/// `OP` over 8-byte lanes with the loop-based word multiply, byte tail by
+/// the loop-based byte multiply: no table is touched.
+///
+/// # Safety
+///
+/// Region contract as [`run`].
+unsafe fn loop_wide<const OP: u8>(dst: *mut u8, src: *const u8, len: usize, c: u8) {
+    let mut i = 0;
+    // SAFETY: every word access is bounded by `i + 8 <= len` and uses the
+    // unaligned forms; the source word is read before the destination word
+    // is written, so `dst == src` is sound; the tail is `len - i` bytes at
+    // offset `i` of both regions.
+    unsafe {
+        while i + 8 <= len {
+            let s = src.add(i).cast::<u64>().read_unaligned();
+            let d = dst.add(i).cast::<u64>();
+            d.write_unaligned(match OP {
+                MUL_ADD => d.read_unaligned() ^ mul_word64(c, s),
+                MUL_INTO => mul_word64(c, s),
+                _ => d.read_unaligned() ^ s,
+            });
+            i += 8;
+        }
+        bytewise::<OP>(dst.add(i), src.add(i), len - i, |s| mul_loop(c, s));
+    }
+}
+
+/// `dst ^= c · src` by product-table row over safe slices: the tail of the
+/// blocked (`dot4_*`) and tiled bodies.
 fn portable_mul_add(dst: &mut [u8], src: &[u8], c: u8) {
     let row = &MUL[c as usize];
     for (d, s) in dst.iter_mut().zip(src) {
@@ -591,26 +480,11 @@ fn portable_mul_add(dst: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
-/// Portable XOR over 8-byte words with a byte tail (also the scalar
-/// backends' `add_assign` path — see [`crate::region::add_assign_with`]).
-pub(crate) fn portable_xor(dst: &mut [u8], src: &[u8]) {
-    let mut d = dst.chunks_exact_mut(8);
-    let mut s = src.chunks_exact(8);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let x = u64::from_le_bytes(dc.try_into().unwrap());
-        let y = u64::from_le_bytes(sc.try_into().unwrap());
-        dc.copy_from_slice(&(x ^ y).to_le_bytes());
-    }
-    for (db, sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db ^= *sb;
-    }
-}
-
 /// Builds the two 16-entry half-byte product tables for coefficient `c`:
 /// `lo[i] = c·i` and `hi[i] = c·(i << 4)` — exactly what `PSHUFB`/`TBL`
 /// resolve per nibble.
 #[inline]
-pub(crate) fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
+fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
     let row = &MUL[c as usize];
     let mut lo = [0u8; 16];
     let mut hi = [0u8; 16];
@@ -627,228 +501,99 @@ pub(crate) fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    use super::{nibble_tables, portable_mul_add, portable_xor};
-    use crate::tables::MUL;
+    use super::{nibble_tables, portable_mul_add, MUL_INTO, XOR};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// `dst[i..i+16] ^/= c · src[i..i+16]` over all full 16-byte chunks;
-    /// returns the number of bytes processed so callers finish the tail
-    /// portably.
+    /// Runs `OP` over all full 16-byte chunks; returns the number of bytes
+    /// processed so the caller finishes the tail portably.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the host supports SSSE3 and `dst.len() == src.len()`.
+    /// The host must support SSSE3; region contract as [`super::run`].
     #[target_feature(enable = "ssse3")]
-    unsafe fn body_ssse3(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) -> usize {
+    pub(super) unsafe fn body_ssse3<const OP: u8>(
+        dst: *mut u8,
+        src: *const u8,
+        len: usize,
+        c: u8,
+    ) -> usize {
         let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
+        let full = len / 16 * 16;
         // SAFETY: table loads read 16 bytes from 16-byte arrays; every
-        // region load/store is bounded by `i + 16 <= len` (the caller
-        // guarantees `src.len() == dst.len()`), and the unaligned
-        // `loadu`/`storeu` forms are used throughout.
+        // region access is bounded by `i + 16 <= full <= len`; a chunk's
+        // source vector is loaded before the chunk is stored, so
+        // `dst == src` is sound; unaligned loadu/storeu forms throughout.
         unsafe {
             let lo_t = _mm_loadu_si128(lo.as_ptr().cast());
             let hi_t = _mm_loadu_si128(hi.as_ptr().cast());
             let mask = _mm_set1_epi8(0x0F);
             let mut i = 0;
-            while i + 16 <= len {
-                let s = _mm_loadu_si128(src.as_ptr().add(i).cast());
-                let lo_idx = _mm_and_si128(s, mask);
-                let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                let prod =
-                    _mm_xor_si128(_mm_shuffle_epi8(lo_t, lo_idx), _mm_shuffle_epi8(hi_t, hi_idx));
-                let out = if overwrite {
-                    prod
-                } else {
-                    _mm_xor_si128(_mm_loadu_si128(dst.as_ptr().add(i).cast()), prod)
-                };
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), out);
+            while i < full {
+                let s = _mm_loadu_si128(src.add(i).cast());
+                let mut out = s;
+                if OP != XOR {
+                    let lo_idx = _mm_and_si128(s, mask);
+                    let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
+                    out = _mm_xor_si128(
+                        _mm_shuffle_epi8(lo_t, lo_idx),
+                        _mm_shuffle_epi8(hi_t, hi_idx),
+                    );
+                }
+                if OP != MUL_INTO {
+                    out = _mm_xor_si128(out, _mm_loadu_si128(dst.add(i).cast()));
+                }
+                _mm_storeu_si128(dst.add(i).cast(), out);
                 i += 16;
             }
-            i
         }
+        full
     }
 
-    /// # Safety: host must support SSSE3; slices must be equal length.
-    pub(super) unsafe fn mul_add_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
-        // SAFETY: the caller's contract (SSSE3 present, equal lengths) is
-        // exactly `body_ssse3`'s.
-        let done = unsafe { body_ssse3(dst, src, c, false) };
-        portable_mul_add(&mut dst[done..], &src[done..], c);
-    }
-
-    /// # Safety: host must support SSSE3; slices must be equal length.
-    pub(super) unsafe fn mul_into_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
-        // SAFETY: the caller's contract (SSSE3 present, equal lengths) is
-        // exactly `body_ssse3`'s.
-        let done = unsafe { body_ssse3(dst, src, c, true) };
-        let row = &MUL[c as usize];
-        for (d, s) in dst[done..].iter_mut().zip(&src[done..]) {
-            *d = row[*s as usize];
-        }
-    }
-
-    /// In-place `dst[i] = c · dst[i]` over all full 16-byte chunks; returns
-    /// the number of bytes processed. A dedicated body (rather than calling
-    /// `body_ssse3` with `src == dst`) because a `&[u8]`/`&mut [u8]` pair
-    /// over the same buffer is aliasing UB under Rust's noalias rules.
+    /// Runs `OP` over all full 32-byte chunks; returns the number of bytes
+    /// processed.
     ///
     /// # Safety
     ///
-    /// Caller must ensure the host supports SSSE3.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn body_inplace_ssse3(dst: &mut [u8], c: u8) -> usize {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: every access reads and writes through `dst`'s own
-        // pointer, bounded by `i + 16 <= len`, with unaligned
-        // loadu/storeu forms throughout.
-        unsafe {
-            let lo_t = _mm_loadu_si128(lo.as_ptr().cast());
-            let hi_t = _mm_loadu_si128(hi.as_ptr().cast());
-            let mask = _mm_set1_epi8(0x0F);
-            let mut i = 0;
-            while i + 16 <= len {
-                let s = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-                let lo_idx = _mm_and_si128(s, mask);
-                let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                let prod =
-                    _mm_xor_si128(_mm_shuffle_epi8(lo_t, lo_idx), _mm_shuffle_epi8(hi_t, hi_idx));
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), prod);
-                i += 16;
-            }
-            i
-        }
-    }
-
-    /// # Safety: host must support SSSE3.
-    pub(super) unsafe fn mul_assign_ssse3(dst: &mut [u8], c: u8) {
-        // SAFETY: the caller's SSSE3 guarantee is `body_inplace_ssse3`'s
-        // whole contract.
-        let done = unsafe { body_inplace_ssse3(dst, c) };
-        let row = &MUL[c as usize];
-        for d in dst[done..].iter_mut() {
-            *d = row[*d as usize];
-        }
-    }
-
-    /// # Safety: host must support AVX2; slices must be equal length.
+    /// The host must support AVX2; region contract as [`super::run`].
     #[target_feature(enable = "avx2")]
-    unsafe fn body_avx2(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) -> usize {
+    pub(super) unsafe fn body_avx2<const OP: u8>(
+        dst: *mut u8,
+        src: *const u8,
+        len: usize,
+        c: u8,
+    ) -> usize {
         let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: table loads read 16 bytes from 16-byte arrays;
-        // `i + 32 <= len` bounds every region access (the caller
-        // guarantees `src.len() == dst.len()`), and the unaligned
-        // loadu/storeu forms are used throughout.
+        let full = len / 32 * 32;
+        // SAFETY: as `body_ssse3` with 32-byte chunks
+        // (`i + 32 <= full <= len`); table loads read 16 bytes from 16-byte
+        // arrays, then broadcast in-register.
         unsafe {
             let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
             let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
             let mask = _mm256_set1_epi8(0x0F);
             let mut i = 0;
-            while i + 32 <= len {
-                let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-                let lo_idx = _mm256_and_si256(s, mask);
-                let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
-                let prod = _mm256_xor_si256(
-                    _mm256_shuffle_epi8(lo_t, lo_idx),
-                    _mm256_shuffle_epi8(hi_t, hi_idx),
-                );
-                let out = if overwrite {
-                    prod
-                } else {
-                    _mm256_xor_si256(_mm256_loadu_si256(dst.as_ptr().add(i).cast()), prod)
-                };
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), out);
-                i += 32;
-            }
-            i
-        }
-    }
-
-    /// # Safety: host must support AVX2; slices must be equal length.
-    pub(super) unsafe fn mul_add_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-        // SAFETY: the caller's contract (AVX2 present, equal lengths) is
-        // exactly `body_avx2`'s.
-        let done = unsafe { body_avx2(dst, src, c, false) };
-        portable_mul_add(&mut dst[done..], &src[done..], c);
-    }
-
-    /// # Safety: host must support AVX2; slices must be equal length.
-    pub(super) unsafe fn mul_into_avx2(dst: &mut [u8], src: &[u8], c: u8) {
-        // SAFETY: the caller's contract (AVX2 present, equal lengths) is
-        // exactly `body_avx2`'s.
-        let done = unsafe { body_avx2(dst, src, c, true) };
-        let row = &MUL[c as usize];
-        for (d, s) in dst[done..].iter_mut().zip(&src[done..]) {
-            *d = row[*s as usize];
-        }
-    }
-
-    /// In-place `dst[i] = c · dst[i]` over all full 32-byte chunks; returns
-    /// the number of bytes processed. Dedicated body for the same aliasing
-    /// reason as `body_inplace_ssse3`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the host supports AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn body_inplace_avx2(dst: &mut [u8], c: u8) -> usize {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: every access reads and writes through `dst`'s own
-        // pointer, bounded by `i + 32 <= len`, with unaligned
-        // loadu/storeu forms throughout.
-        unsafe {
-            let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-            let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-            let mask = _mm256_set1_epi8(0x0F);
-            let mut i = 0;
-            while i + 32 <= len {
-                let s = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-                let lo_idx = _mm256_and_si256(s, mask);
-                let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
-                let prod = _mm256_xor_si256(
-                    _mm256_shuffle_epi8(lo_t, lo_idx),
-                    _mm256_shuffle_epi8(hi_t, hi_idx),
-                );
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), prod);
-                i += 32;
-            }
-            i
-        }
-    }
-
-    /// # Safety: host must support AVX2.
-    pub(super) unsafe fn mul_assign_avx2(dst: &mut [u8], c: u8) {
-        // SAFETY: the caller's AVX2 guarantee is `body_inplace_avx2`'s
-        // whole contract.
-        let done = unsafe { body_inplace_avx2(dst, c) };
-        let row = &MUL[c as usize];
-        for d in dst[done..].iter_mut() {
-            *d = row[*d as usize];
-        }
-    }
-
-    /// # Safety: host must support AVX2; slices must be equal length.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn xor_assign_avx2(dst: &mut [u8], src: &[u8]) {
-        let len = dst.len();
-        let mut i = 0;
-        // SAFETY: `i + 32 <= len` bounds every unaligned access, and the
-        // caller guarantees `src.len() == dst.len()`.
-        unsafe {
-            while i + 32 <= len {
-                let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-                let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_xor_si256(d, s));
+            while i < full {
+                let s = _mm256_loadu_si256(src.add(i).cast());
+                let mut out = s;
+                if OP != XOR {
+                    let lo_idx = _mm256_and_si256(s, mask);
+                    let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
+                    out = _mm256_xor_si256(
+                        _mm256_shuffle_epi8(lo_t, lo_idx),
+                        _mm256_shuffle_epi8(hi_t, hi_idx),
+                    );
+                }
+                if OP != MUL_INTO {
+                    out = _mm256_xor_si256(out, _mm256_loadu_si256(dst.add(i).cast()));
+                }
+                _mm256_storeu_si256(dst.add(i).cast(), out);
                 i += 32;
             }
         }
-        portable_xor(&mut dst[i..], &src[i..]);
+        full
     }
 
     /// Four-source blocked axpy: all eight half-byte tables live in `ymm`
@@ -937,93 +682,63 @@ mod x86 {
 }
 
 // ---------------------------------------------------------------------------
-// AArch64 NEON TBL kernels. NEON is mandatory on AArch64, so these are safe
-// fns — the only unsafety is the raw-pointer loads, bounded like the x86
-// ones.
+// AArch64 NEON TBL kernels. NEON is mandatory on AArch64, so the only
+// unsafety is the raw-pointer access, bounded like x86's.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{nibble_tables, portable_mul_add};
-    use crate::tables::MUL;
+    use super::{nibble_tables, portable_mul_add, MUL_INTO, XOR};
     use std::arch::aarch64::*;
 
-    pub(super) fn mul_add_neon(dst: &mut [u8], src: &[u8], c: u8) {
+    /// Runs `OP` over all full 16-byte chunks; returns the number of bytes
+    /// processed so the caller finishes the tail portably.
+    ///
+    /// # Safety
+    ///
+    /// Region contract as [`super::run`].
+    pub(super) unsafe fn body<const OP: u8>(
+        dst: *mut u8,
+        src: *const u8,
+        len: usize,
+        c: u8,
+    ) -> usize {
         let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: NEON is architecturally guaranteed on AArch64; every
-        // pointer access is bounded by `i + 16 <= len`.
-        let i = unsafe {
+        let full = len / 16 * 16;
+        // SAFETY: NEON is architecturally guaranteed on AArch64; table
+        // loads read 16 bytes from 16-byte arrays; every region access is
+        // bounded by `i + 16 <= full <= len`; a chunk's source vector is
+        // loaded before the chunk is stored, so `dst == src` is sound.
+        unsafe {
             let lo_t = vld1q_u8(lo.as_ptr());
             let hi_t = vld1q_u8(hi.as_ptr());
+            let mask = vdupq_n_u8(0x0F);
             let mut i = 0;
-            while i + 16 <= len {
-                let s = vld1q_u8(src.as_ptr().add(i));
-                let d = vld1q_u8(dst.as_ptr().add(i));
-                let prod = veorq_u8(
-                    vqtbl1q_u8(lo_t, vandq_u8(s, vdupq_n_u8(0x0F))),
-                    vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4)),
-                );
-                vst1q_u8(dst.as_mut_ptr().add(i), veorq_u8(d, prod));
+            while i < full {
+                let s = vld1q_u8(src.add(i));
+                let mut out = s;
+                if OP != XOR {
+                    out = veorq_u8(
+                        vqtbl1q_u8(lo_t, vandq_u8(s, mask)),
+                        vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4)),
+                    );
+                }
+                if OP != MUL_INTO {
+                    out = veorq_u8(out, vld1q_u8(dst.add(i)));
+                }
+                vst1q_u8(dst.add(i), out);
                 i += 16;
             }
-            i
-        };
-        portable_mul_add(&mut dst[i..], &src[i..], c);
-    }
-
-    pub(super) fn mul_into_neon(dst: &mut [u8], src: &[u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: as above — mandatory NEON, bounded accesses.
-        let i = unsafe {
-            let lo_t = vld1q_u8(lo.as_ptr());
-            let hi_t = vld1q_u8(hi.as_ptr());
-            let mut i = 0;
-            while i + 16 <= len {
-                let s = vld1q_u8(src.as_ptr().add(i));
-                let prod = veorq_u8(
-                    vqtbl1q_u8(lo_t, vandq_u8(s, vdupq_n_u8(0x0F))),
-                    vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4)),
-                );
-                vst1q_u8(dst.as_mut_ptr().add(i), prod);
-                i += 16;
-            }
-            i
-        };
-        let row = &MUL[c as usize];
-        for (d, s) in dst[i..].iter_mut().zip(&src[i..]) {
-            *d = row[*s as usize];
         }
+        full
     }
 
-    pub(super) fn mul_assign_neon(dst: &mut [u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let len = dst.len();
-        // SAFETY: as above; the in-place form reads each chunk fully before
-        // storing it.
-        let i = unsafe {
-            let lo_t = vld1q_u8(lo.as_ptr());
-            let hi_t = vld1q_u8(hi.as_ptr());
-            let mut i = 0;
-            while i + 16 <= len {
-                let s = vld1q_u8(dst.as_ptr().add(i));
-                let prod = veorq_u8(
-                    vqtbl1q_u8(lo_t, vandq_u8(s, vdupq_n_u8(0x0F))),
-                    vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4)),
-                );
-                vst1q_u8(dst.as_mut_ptr().add(i), prod);
-                i += 16;
-            }
-            i
-        };
-        let row = &MUL[c as usize];
-        for d in dst[i..].iter_mut() {
-            *d = row[*d as usize];
-        }
-    }
-
-    pub(super) fn dot4_neon(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
+    /// Four-source blocked axpy, 16 bytes per step.
+    ///
+    /// # Safety
+    ///
+    /// All slices must be equal length.
+    pub(super) unsafe fn dot4_neon(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
         let len = dst.len();
         let tables: Vec<([u8; 16], [u8; 16])> = cs.iter().map(|&c| nibble_tables(c)).collect();
         // SAFETY: as above — mandatory NEON, every access bounded by
@@ -1063,93 +778,108 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::mul_loop;
-
-    fn reference(dst: &[u8], src: &[u8], c: u8) -> Vec<u8> {
-        dst.iter().zip(src).map(|(&d, &s)| d ^ mul_loop(c, s)).collect()
-    }
 
     #[test]
     fn detection_is_cached_and_consistent() {
-        let first = active_kernel();
+        let first = Rung::active();
         for _ in 0..3 {
-            assert_eq!(active_kernel(), first);
+            assert_eq!(Rung::active(), first);
         }
-        assert!(first.is_available());
-        assert!(SimdKernel::available().contains(&first));
+        assert_eq!(active_kernel(), first.kernel());
+        assert!(Kernel::available().contains(&first));
     }
 
     #[test]
-    fn portable_is_always_available() {
-        assert!(SimdKernel::Portable.is_available());
-        assert_eq!(*SimdKernel::available().last().unwrap(), SimdKernel::Portable);
+    fn a_rung_exists_exactly_for_the_kernels_this_host_has() {
+        for kernel in Kernel::ALL {
+            assert_eq!(
+                Rung::new(kernel).map(Rung::kernel),
+                kernel.is_available().then_some(kernel)
+            );
+        }
+        // The byte-at-a-time rungs need no ISA, and the ladder keeps its
+        // order: auto-detection takes the first rung the host has.
+        let available: Vec<Kernel> = Kernel::available().into_iter().map(Rung::kernel).collect();
+        let expected: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.is_available()).collect();
+        assert_eq!(available, expected);
+        assert!(available.ends_with(&Kernel::ALL[5..]), "{available:?}");
     }
 
     #[test]
-    fn every_available_kernel_matches_scalar() {
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 100] {
+    fn every_override_token_resolves_as_documented() {
+        let best = Kernel::available()[0];
+        for auto in [None, Some(""), Some("auto"), Some("simd")] {
+            assert_eq!(resolve_override(auto), (best, None), "{auto:?}");
+        }
+        let named = [
+            ("gfni", Kernel::Gfni),
+            ("avx512", Kernel::Avx512),
+            ("avx2", Kernel::Avx2),
+            ("neon", Kernel::Neon),
+            ("ssse3", Kernel::Ssse3),
+            ("portable", Kernel::Portable),
+            ("table", Kernel::Portable),
+            ("nibble", Kernel::Nibble),
+            ("loopwide", Kernel::LoopWide),
+            ("logexp", Kernel::LogExp),
+        ];
+        for (token, kernel) in named {
+            let want = match Rung::new(kernel) {
+                Some(rung) => (rung, None),
+                None => (best, Some("is not supported by this CPU")),
+            };
+            assert_eq!(resolve_override(Some(token)), want, "{token}");
+        }
+        // No host has both an x86 and an AArch64 rung, so the fallback arm
+        // above ran for at least one token.
+        assert!(!(Kernel::Ssse3.is_available() && Kernel::Neon.is_available()));
+        assert_eq!(resolve_override(Some("sse9")), (best, Some("is not a known backend")));
+    }
+
+    /// The three single-source ops and the in-place form on `rung`, against
+    /// the product table.
+    fn check_against_the_mul_table(rung: Rung) {
+        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 100] {
             let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             let dst0: Vec<u8> = (0..len).map(|i| (i * 91 + 5) as u8).collect();
-            for c in [0u8, 1, 2, 0x53, 0x80, 0xFF] {
-                let want = reference(&dst0, &src, c);
-                for kernel in SimdKernel::available() {
-                    let mut dst = dst0.clone();
-                    mul_add_assign_with_kernel(kernel, &mut dst, &src, c);
-                    assert_eq!(dst, want, "kernel {kernel:?}, c={c}, len={len}");
-                }
+            for c in [2u8, 0x53, 0xFF] {
+                let product: Vec<u8> =
+                    src.iter().map(|&s| MUL[usize::from(c)][usize::from(s)]).collect();
+                let xor = |a: &[u8], b: &[u8]| -> Vec<u8> {
+                    a.iter().zip(b).map(|(&x, &y)| x ^ y).collect()
+                };
+                let mut dst = dst0.clone();
+                apply::<MUL_ADD>(rung, &mut dst, &src, c);
+                assert_eq!(dst, xor(&dst0, &product), "MUL_ADD on {rung:?}, c={c}, len={len}");
+                apply::<XOR>(rung, &mut dst, &product, c);
+                assert_eq!(dst, dst0, "XOR on {rung:?}, c={c}, len={len}");
+                apply::<MUL_INTO>(rung, &mut dst, &src, c);
+                assert_eq!(dst, product, "MUL_INTO on {rung:?}, c={c}, len={len}");
+                dst.copy_from_slice(&src);
+                apply_in_place(rung, &mut dst, c);
+                assert_eq!(dst, product, "in place on {rung:?}, c={c}, len={len}");
             }
         }
     }
 
     #[test]
-    fn unavailable_kernel_falls_back_portably() {
-        // Whatever the host, at least one enum variant is foreign to it.
-        let foreign = [SimdKernel::Avx2, SimdKernel::Ssse3, SimdKernel::Neon]
-            .into_iter()
-            .find(|k| !k.is_available());
-        let Some(kernel) = foreign else {
-            return; // host supports everything it could name
+    fn scalar_rungs_match_the_mul_table() {
+        // The raw-pointer scalar loops, in a unit test so Miri (which skips
+        // the target-feature rungs and the integration suite) runs them.
+        for kernel in [Kernel::Portable, Kernel::Nibble, Kernel::LoopWide, Kernel::LogExp] {
+            check_against_the_mul_table(Rung::new(kernel).expect("needs no ISA"));
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_256_bit_gfni_body_matches_the_mul_table() {
+        // `Rung::new` picks one GFNI width per host; build the narrow rung
+        // by hand so its body is covered on AVX-512 parts too.
+        let Some(gfni) = Rung::new(Kernel::Gfni) else {
+            println!("SKIPPED: CPU lacks gfni+avx2");
+            return;
         };
-        let src: Vec<u8> = (0..65).map(|i| i as u8).collect();
-        let mut dst = vec![0xAA; 65];
-        let want = reference(&dst, &src, 0x1D);
-        mul_add_assign_with_kernel(kernel, &mut dst, &src, 0x1D);
-        assert_eq!(dst, want);
-    }
-
-    #[test]
-    fn dot_assign_blocks_and_remainders_agree() {
-        // 6 sources = one full DOT_BLOCK + 2 remainder, with a zero
-        // coefficient dropped before blocking.
-        let len = 67usize;
-        let sources: Vec<Vec<u8>> =
-            (0..6).map(|s| (0..len).map(|i| (i * 7 + s * 13 + 1) as u8).collect()).collect();
-        let refs: Vec<&[u8]> = sources.iter().map(|s| s.as_slice()).collect();
-        let coeffs = [0x02u8, 0x00, 0x53, 0xFE, 0x01, 0x9A];
-        let mut want = vec![0x11u8; len];
-        for (s, &c) in refs.iter().zip(&coeffs) {
-            let mut tmp = want.clone();
-            for (d, &b) in tmp.iter_mut().zip(*s) {
-                *d ^= mul_loop(c, b);
-            }
-            want = tmp;
-        }
-        for kernel in SimdKernel::available() {
-            let mut dst = vec![0x11u8; len];
-            dot_assign_with_kernel(kernel, &mut dst, &refs, &coeffs);
-            assert_eq!(dst, want, "kernel {kernel:?}");
-        }
-    }
-
-    #[test]
-    fn xor_kernels_agree() {
-        let a: Vec<u8> = (0..97).map(|i| (i * 5) as u8).collect();
-        let b: Vec<u8> = (0..97).map(|i| (i * 11 + 3) as u8).collect();
-        let want: Vec<u8> = a.iter().zip(&b).map(|(&x, &y)| x ^ y).collect();
-        for kernel in SimdKernel::available() {
-            let mut dst = a.clone();
-            xor_assign_with_kernel(kernel, &mut dst, &b);
-            assert_eq!(dst, want, "kernel {kernel:?}");
-        }
+        check_against_the_mul_table(Rung { wide: false, ..gfni });
     }
 }

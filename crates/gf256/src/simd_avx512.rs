@@ -12,12 +12,12 @@
 //! product = VPSHUFB(lo_table, src & 0x0F) ^ VPSHUFB(hi_table, src >> 4)
 //! ```
 //!
-//! Every function in this module requires AVX-512F + AVX-512BW (checked by
-//! the dispatcher via `is_x86_feature_detected!`); the masked tail needs BW
+//! Every function in this module requires AVX-512F + AVX-512BW (what
+//! holding a [`super::Rung`] for `Avx512` proves); the masked tail needs BW
 //! (byte-granular masks are a BW feature). All loads/stores use the
 //! unaligned forms.
 
-use super::nibble_tables;
+use super::{nibble_tables, MUL_INTO, XOR};
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -48,130 +48,69 @@ unsafe fn broadcast_table(table: &[u8; 16]) -> __m512i {
     unsafe { _mm512_broadcast_i32x4(_mm_loadu_si128(table.as_ptr().cast())) }
 }
 
-/// `dst ^= c · src` (or `dst = c · src` when `overwrite`): full 64-byte
-/// chunks plus one masked tail pass.
+/// One 64-byte (or `k`-masked shorter) chunk of `OP`.
 ///
 /// # Safety
 ///
-/// Caller must ensure the host supports AVX-512F + AVX-512BW and
-/// `dst.len() == src.len()`.
+/// The host must support AVX-512F + AVX-512BW; `d` and `s` must be valid
+/// for the lanes `k` selects (all 64 when `!MASKED`).
+#[inline]
 #[target_feature(enable = "avx512f,avx512bw")]
-unsafe fn body(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) {
-    let (lo, hi) = nibble_tables(c);
-    let len = dst.len();
-    // SAFETY: every full-vector access is bounded by `i + 64 <= len` (the
-    // caller guarantees `src.len() == dst.len()`); the tail load/store is
-    // masked to `rem = len - i < 64` lanes, so no byte outside the slices
-    // is touched. Unaligned loadu/storeu forms throughout.
+unsafe fn chunk<const OP: u8, const MASKED: bool>(
+    d: *mut u8,
+    s: *const u8,
+    k: __mmask64,
+    [lo_t, hi_t, mask]: [__m512i; 3],
+) {
+    // SAFETY: every access is a full 64-byte vector (`!MASKED`) or confined
+    // to the lanes of `k` (`MASKED`: masked-off lanes are neither read nor
+    // written and cannot fault), which the caller vouches for; the source
+    // vector is loaded before the store, so `d == s` is sound. Unaligned
+    // forms throughout.
     unsafe {
-        let lo_t = broadcast_table(&lo);
-        let hi_t = broadcast_table(&hi);
-        let mask = _mm512_set1_epi8(0x0F);
-        let mut i = 0;
-        while i + 64 <= len {
-            let s = _mm512_loadu_si512(src.as_ptr().add(i).cast());
-            let prod = product(lo_t, hi_t, mask, s);
-            let out = if overwrite {
-                prod
+        let load = |p: *const u8| {
+            if MASKED {
+                _mm512_maskz_loadu_epi8(k, p.cast())
             } else {
-                _mm512_xor_si512(_mm512_loadu_si512(dst.as_ptr().add(i).cast()), prod)
-            };
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), out);
-            i += 64;
+                _mm512_loadu_si512(p.cast())
+            }
+        };
+        let s = load(s);
+        let mut out = if OP == XOR { s } else { product(lo_t, hi_t, mask, s) };
+        if OP != MUL_INTO {
+            out = _mm512_xor_si512(out, load(d));
         }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let s = _mm512_maskz_loadu_epi8(k, src.as_ptr().add(i).cast());
-            let prod = product(lo_t, hi_t, mask, s);
-            let out = if overwrite {
-                prod
-            } else {
-                _mm512_xor_si512(_mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast()), prod)
-            };
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, out);
+        if MASKED {
+            _mm512_mask_storeu_epi8(d.cast(), k, out);
+        } else {
+            _mm512_storeu_si512(d.cast(), out);
         }
     }
 }
 
-/// `dst ^= c · src`.
+/// Runs `OP` over every byte: full 64-byte chunks plus one masked tail
+/// pass.
 ///
 /// # Safety
 ///
-/// Host must support AVX-512F + AVX-512BW; slices must be equal length.
-pub(super) unsafe fn mul_add(dst: &mut [u8], src: &[u8], c: u8) {
-    // SAFETY: the caller's contract is exactly `body`'s.
-    unsafe { body(dst, src, c, false) }
-}
-
-/// `dst = c · src` (overwriting).
-///
-/// # Safety
-///
-/// Host must support AVX-512F + AVX-512BW; slices must be equal length.
-pub(super) unsafe fn mul_into(dst: &mut [u8], src: &[u8], c: u8) {
-    // SAFETY: the caller's contract is exactly `body`'s.
-    unsafe { body(dst, src, c, true) }
-}
-
-/// In-place `dst[i] = c · dst[i]`. A dedicated body (rather than `body`
-/// with `src == dst`) because a `&[u8]`/`&mut [u8]` pair over one buffer is
-/// aliasing UB under Rust's noalias rules.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports AVX-512F + AVX-512BW.
+/// The host must support AVX-512F + AVX-512BW; region contract as
+/// [`super::run`].
 #[target_feature(enable = "avx512f,avx512bw")]
-pub(super) unsafe fn mul_assign(dst: &mut [u8], c: u8) {
+pub(super) unsafe fn body<const OP: u8>(dst: *mut u8, src: *const u8, len: usize, c: u8) {
     let (lo, hi) = nibble_tables(c);
-    let len = dst.len();
-    // SAFETY: every access reads and writes through `dst`'s own pointer,
-    // bounded by `i + 64 <= len` for full vectors and by the `rem`-lane
-    // mask for the tail.
+    let full = len / 64 * 64;
+    // SAFETY: full chunks keep `i + 64 <= full <= len`; the tail chunk is
+    // masked to the `len - full < 64` remaining lanes, so no byte outside
+    // the regions is touched.
     unsafe {
-        let lo_t = broadcast_table(&lo);
-        let hi_t = broadcast_table(&hi);
-        let mask = _mm512_set1_epi8(0x0F);
+        let tables = [broadcast_table(&lo), broadcast_table(&hi), _mm512_set1_epi8(0x0F)];
         let mut i = 0;
-        while i + 64 <= len {
-            let s = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), product(lo_t, hi_t, mask, s));
+        while i < full {
+            chunk::<OP, false>(dst.add(i), src.add(i), !0, tables);
             i += 64;
         }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let s = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast());
-            let prod = product(lo_t, hi_t, mask, s);
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, prod);
-        }
-    }
-}
-
-/// `dst ^= src` over 64-byte lanes with a masked tail.
-///
-/// # Safety
-///
-/// Host must support AVX-512F + AVX-512BW; slices must be equal length.
-#[target_feature(enable = "avx512f,avx512bw")]
-pub(super) unsafe fn xor_assign(dst: &mut [u8], src: &[u8]) {
-    let len = dst.len();
-    // SAFETY: full vectors bounded by `i + 64 <= len` (caller guarantees
-    // equal lengths), tail masked to the remaining lanes.
-    unsafe {
-        let mut i = 0;
-        while i + 64 <= len {
-            let d = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            let s = _mm512_loadu_si512(src.as_ptr().add(i).cast());
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), _mm512_xor_si512(d, s));
-            i += 64;
-        }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let d = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast());
-            let s = _mm512_maskz_loadu_epi8(k, src.as_ptr().add(i).cast());
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, _mm512_xor_si512(d, s));
+        if full < len {
+            chunk::<OP, true>(dst.add(full), src.add(full), (1u64 << (len - full)) - 1, tables);
         }
     }
 }

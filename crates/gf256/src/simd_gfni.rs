@@ -2,42 +2,30 @@
 //!
 //! The Galois Field New Instructions compute this crate's field *exactly*:
 //! `GF2P8MULB` multiplies packed bytes modulo x^8 + x^4 + x^3 + x + 1 —
-//! the Rijndael polynomial [`crate::tables::POLY`] (0x11B) — so a region
-//! multiply is one instruction per vector with no tables at all. For the
-//! axpy forms the multiply-by-a-constant map `x ↦ c·x` is GF(2)-linear, so
-//! it is also expressible as an 8×8 bit-matrix and executed with
-//! `GF2P8AFFINEQB` ([`affine_matrix`] builds the matrix per Günther et
-//! al., *GF Arithmetics for LNC using AVX512*); both spellings are used
-//! here, matching the instruction each op maps to most naturally.
+//! the Rijndael polynomial [`crate::tables::POLY`] (0x11B). The
+//! multiply-by-a-constant map `x ↦ c·x` is GF(2)-linear, so it is also an
+//! 8×8 bit-matrix executed with `GF2P8AFFINEQB` ([`affine_matrix`] builds
+//! the matrix per Günther et al., *GF Arithmetics for LNC using AVX512*):
+//! one instruction per vector with no tables at all, and the spelling every
+//! body here uses, since a region op multiplies by one constant.
 //!
 //! Two body widths share each op:
 //!
 //! * a 512-bit EVEX path (requires `gfni + avx512f + avx512bw`) with
 //!   `k`-masked byte loads/stores for the tail, and
-//! * a 256-bit VEX path (requires `gfni + avx`) with a portable tail,
+//! * a 256-bit VEX path (requires `gfni + avx2`) with a portable tail,
 //!   for GFNI parts without AVX-512 (e.g. pre-Ice-Lake previews or
 //!   AVX10.1/256 configurations).
 //!
-//! The dispatcher guarantees `gfni` and AVX2 before calling in; each entry
-//! point picks the 512-bit body when the AVX-512 side is also present
-//! (cached in a [`OnceLock`]).
+//! Holding a [`super::Rung`] for `Gfni` proves `gfni` and AVX2; its `wide`
+//! flag, resolved with it, proves the AVX-512 side and picks the 512-bit
+//! bodies.
 
-use super::{portable_mul_add, portable_xor};
-use crate::tables::{xtime, MUL};
-use std::sync::OnceLock;
+use super::{portable_mul_add, MUL_INTO, XOR};
+use crate::tables::xtime;
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
-
-/// Whether the 512-bit EVEX GFNI path is available on this host.
-pub(super) fn wide() -> bool {
-    static WIDE: OnceLock<bool> = OnceLock::new();
-    *WIDE.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("gfni")
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-    })
-}
 
 /// The 8×8 GF(2)-bit-matrix of the linear map `x ↦ c·x` over GF(2^8),
 /// packed in `GF2P8AFFINEQB`'s operand layout.
@@ -90,74 +78,59 @@ pub(crate) fn affine_matrix(c: u8) -> u64 {
 // 512-bit EVEX bodies (gfni + avx512f + avx512bw), masked tails.
 // ---------------------------------------------------------------------------
 
-/// `dst ^= c · src` via `GF2P8AFFINEQB` (or `dst = c · src` when
-/// `overwrite`, via `GF2P8MULB`).
+/// One 64-byte (or `k`-masked shorter) chunk of `OP`, `a` being the
+/// broadcast `GF2P8AFFINEQB` matrix of the coefficient.
 ///
 /// # Safety
 ///
-/// Caller must ensure the host supports GFNI + AVX-512F + AVX-512BW and
-/// `dst.len() == src.len()`.
+/// The host must support GFNI + AVX-512F + AVX-512BW; `d` and `s` must be
+/// valid for the lanes `k` selects (all 64 when `!MASKED`).
+#[inline]
 #[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn body_512(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) {
-    let len = dst.len();
-    let matrix = affine_matrix(c);
-    // SAFETY: full-vector accesses are bounded by `i + 64 <= len` (the
-    // caller guarantees equal lengths); the tail is masked to
-    // `rem = len - i < 64` lanes. Unaligned loadu/storeu forms throughout.
+unsafe fn chunk_512<const OP: u8, const MASKED: bool>(
+    d: *mut u8,
+    s: *const u8,
+    k: __mmask64,
+    a: __m512i,
+) {
+    // SAFETY: every access goes through `load_512` or the matching store
+    // on lanes the caller vouches for; the source vector is loaded before
+    // the store, so `d == s` is sound.
     unsafe {
-        let a = _mm512_set1_epi64(matrix as i64);
-        let cv = _mm512_set1_epi8(c as i8);
-        let mut i = 0;
-        while i + 64 <= len {
-            let s = _mm512_loadu_si512(src.as_ptr().add(i).cast());
-            let out = if overwrite {
-                _mm512_gf2p8mul_epi8(s, cv)
-            } else {
-                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, a);
-                _mm512_xor_si512(_mm512_loadu_si512(dst.as_ptr().add(i).cast()), prod)
-            };
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), out);
-            i += 64;
+        let s = load_512::<MASKED>(s, k);
+        let mut out = if OP == XOR { s } else { _mm512_gf2p8affine_epi64_epi8::<0>(s, a) };
+        if OP != MUL_INTO {
+            out = _mm512_xor_si512(out, load_512::<MASKED>(d, k));
         }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let s = _mm512_maskz_loadu_epi8(k, src.as_ptr().add(i).cast());
-            let out = if overwrite {
-                _mm512_gf2p8mul_epi8(s, cv)
-            } else {
-                let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, a);
-                _mm512_xor_si512(_mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast()), prod)
-            };
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, out);
+        if MASKED {
+            _mm512_mask_storeu_epi8(d.cast(), k, out);
+        } else {
+            _mm512_storeu_si512(d.cast(), out);
         }
     }
 }
 
-/// In-place `dst[i] = c · dst[i]` via `GF2P8MULB` (dedicated body: a
-/// `&[u8]`/`&mut [u8]` pair over one buffer would be aliasing UB).
+/// Runs `OP` over every byte: full 64-byte chunks plus one masked tail
+/// pass.
 ///
 /// # Safety
 ///
-/// Caller must ensure the host supports GFNI + AVX-512F + AVX-512BW.
+/// The host must support GFNI + AVX-512F + AVX-512BW; region contract as
+/// [`super::run`].
 #[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn mul_assign_512(dst: &mut [u8], c: u8) {
-    let len = dst.len();
-    // SAFETY: every access reads and writes through `dst`'s own pointer,
-    // bounded by `i + 64 <= len` or the `rem`-lane mask.
+pub(super) unsafe fn body_512<const OP: u8>(dst: *mut u8, src: *const u8, len: usize, c: u8) {
+    let full = len / 64 * 64;
+    // SAFETY: full chunks keep `i + 64 <= full <= len`; the tail chunk is
+    // masked to the `len - full < 64` remaining lanes.
     unsafe {
-        let cv = _mm512_set1_epi8(c as i8);
+        let a = _mm512_set1_epi64(affine_matrix(c) as i64);
         let mut i = 0;
-        while i + 64 <= len {
-            let s = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), _mm512_gf2p8mul_epi8(s, cv));
+        while i < full {
+            chunk_512::<OP, false>(dst.add(i), src.add(i), !0, a);
             i += 64;
         }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let s = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast());
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, _mm512_gf2p8mul_epi8(s, cv));
+        if full < len {
+            chunk_512::<OP, true>(dst.add(full), src.add(full), (1u64 << (len - full)) - 1, a);
         }
     }
 }
@@ -203,133 +176,52 @@ unsafe fn dot4_512(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
 }
 
 // ---------------------------------------------------------------------------
-// 256-bit VEX bodies (gfni + avx), portable tails.
+// 256-bit VEX bodies (gfni + avx2), portable tails.
 // ---------------------------------------------------------------------------
 
-/// `dst ^= c · src` (or `dst = c · src` when `overwrite`) over 32-byte
-/// chunks; returns bytes processed so callers finish the tail portably.
+/// Runs `OP` over all full 32-byte chunks; returns the number of bytes
+/// processed so the caller finishes the tail portably.
 ///
 /// # Safety
 ///
-/// Caller must ensure the host supports GFNI + AVX and
-/// `dst.len() == src.len()`.
-#[target_feature(enable = "gfni,avx")]
-unsafe fn body_256(dst: &mut [u8], src: &[u8], c: u8, overwrite: bool) -> usize {
-    let len = dst.len();
-    let matrix = affine_matrix(c);
-    // SAFETY: every access is bounded by `i + 32 <= len` (the caller
-    // guarantees equal lengths), unaligned loadu/storeu forms throughout.
+/// The host must support GFNI + AVX2; region contract as [`super::run`].
+#[target_feature(enable = "gfni,avx2")]
+pub(super) unsafe fn body_256<const OP: u8>(
+    dst: *mut u8,
+    src: *const u8,
+    len: usize,
+    c: u8,
+) -> usize {
+    let full = len / 32 * 32;
+    // SAFETY: every access is bounded by `i + 32 <= full <= len`; a chunk's
+    // source vector is loaded before the chunk is stored, so `dst == src`
+    // is sound; unaligned loadu/storeu forms throughout.
     unsafe {
-        let a = _mm256_set1_epi64x(matrix as i64);
-        let cv = _mm256_set1_epi8(c as i8);
+        let a = _mm256_set1_epi64x(affine_matrix(c) as i64);
         let mut i = 0;
-        while i + 32 <= len {
-            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-            let out = if overwrite {
-                _mm256_gf2p8mul_epi8(s, cv)
-            } else {
-                let prod = _mm256_gf2p8affine_epi64_epi8::<0>(s, a);
-                _mm256_xor_si256(_mm256_loadu_si256(dst.as_ptr().add(i).cast()), prod)
-            };
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), out);
+        while i < full {
+            let s = _mm256_loadu_si256(src.add(i).cast());
+            let mut out = if OP == XOR { s } else { _mm256_gf2p8affine_epi64_epi8::<0>(s, a) };
+            if OP != MUL_INTO {
+                out = _mm256_xor_si256(out, _mm256_loadu_si256(dst.add(i).cast()));
+            }
+            _mm256_storeu_si256(dst.add(i).cast(), out);
             i += 32;
         }
-        i
     }
+    full
 }
 
-/// In-place 256-bit `dst[i] = c · dst[i]`; returns bytes processed.
+/// Four-source blocked axpy at the width `wide` names.
 ///
 /// # Safety
 ///
-/// Caller must ensure the host supports GFNI + AVX.
-#[target_feature(enable = "gfni,avx")]
-unsafe fn mul_assign_256(dst: &mut [u8], c: u8) -> usize {
-    let len = dst.len();
-    // SAFETY: reads and writes only through `dst`'s own pointer, bounded
-    // by `i + 32 <= len`.
-    unsafe {
-        let cv = _mm256_set1_epi8(c as i8);
-        let mut i = 0;
-        while i + 32 <= len {
-            let s = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_gf2p8mul_epi8(s, cv));
-            i += 32;
-        }
-        i
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Entry points: width dispatch (512 when the AVX-512 side exists).
-// ---------------------------------------------------------------------------
-
-/// `dst ^= c · src`.
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2; slices must be equal length.
-pub(super) unsafe fn mul_add(dst: &mut [u8], src: &[u8], c: u8) {
-    if wide() {
-        // SAFETY: `wide()` verified gfni+avx512f+avx512bw on this host;
-        // the caller guarantees equal lengths.
-        unsafe { body_512(dst, src, c, false) }
-    } else {
-        // SAFETY: the caller's gfni+avx guarantee is `body_256`'s contract.
-        let done = unsafe { body_256(dst, src, c, false) };
-        portable_mul_add(&mut dst[done..], &src[done..], c);
-    }
-}
-
-/// `dst = c · src` (overwriting).
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2; slices must be equal length.
-pub(super) unsafe fn mul_into(dst: &mut [u8], src: &[u8], c: u8) {
-    if wide() {
-        // SAFETY: `wide()` verified gfni+avx512f+avx512bw on this host;
-        // the caller guarantees equal lengths.
-        unsafe { body_512(dst, src, c, true) }
-    } else {
-        // SAFETY: the caller's gfni+avx guarantee is `body_256`'s contract.
-        let done = unsafe { body_256(dst, src, c, true) };
-        let row = &MUL[c as usize];
-        for (d, s) in dst[done..].iter_mut().zip(&src[done..]) {
-            *d = row[*s as usize];
-        }
-    }
-}
-
-/// In-place `dst = c · dst`.
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2.
-pub(super) unsafe fn mul_assign(dst: &mut [u8], c: u8) {
-    if wide() {
-        // SAFETY: `wide()` verified gfni+avx512f+avx512bw on this host.
-        unsafe { mul_assign_512(dst, c) }
-    } else {
-        // SAFETY: the caller's gfni+avx guarantee is `mul_assign_256`'s
-        // contract.
-        let done = unsafe { mul_assign_256(dst, c) };
-        let row = &MUL[c as usize];
-        for d in dst[done..].iter_mut() {
-            *d = row[*d as usize];
-        }
-    }
-}
-
-/// Four-source blocked axpy.
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2; all slices must be equal length.
-pub(super) unsafe fn dot4(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-    if wide() {
-        // SAFETY: `wide()` verified gfni+avx512f+avx512bw on this host;
-        // the caller guarantees all slices equal length.
+/// Host must support GFNI + AVX2, and AVX-512F + AVX-512BW when `wide`; all
+/// slices must be equal length.
+pub(super) unsafe fn dot4(wide: bool, dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
+    if wide {
+        // SAFETY: `wide` is the caller's gfni+avx512f+avx512bw guarantee;
+        // it also guarantees all slices equal length.
         unsafe { dot4_512(dst, srcs, cs) }
         return;
     }
@@ -380,9 +272,9 @@ unsafe fn dot4_256(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) -> usize {
 pub(super) const TILE_ROWS: usize = 8;
 
 /// `outs[t] ^= Σ_i coeffs[t][i] · sources[i]` for every full tile of
-/// [`TILE_ROWS`] output rows; returns how many rows were done (the largest
-/// multiple of `TILE_ROWS` not above `outs.len()`), leaving the rest to the
-/// caller's row-at-a-time path.
+/// [`TILE_ROWS`] output rows, at the body width `wide` names; returns how
+/// many rows were done (the largest multiple of `TILE_ROWS` not above
+/// `outs.len()`), leaving the rest to the caller's row-at-a-time path.
 ///
 /// Per tile the coefficients are translated once into `GF2P8AFFINEQB`
 /// matrices, tile-major (`mats[i * TILE_ROWS + t]`), so the inner loop
@@ -390,25 +282,10 @@ pub(super) const TILE_ROWS: usize = 8;
 ///
 /// # Safety
 ///
-/// Host must support GFNI + AVX2; every output and source must have the same
-/// length and every coefficient row `sources.len()` entries.
-pub(super) unsafe fn matrix_mul_add(
-    outs: &mut [&mut [u8]],
-    sources: &[&[u8]],
-    coeffs: &[&[u8]],
-) -> usize {
-    // SAFETY: the caller's contract, plus `wide()`'s check of the AVX-512
-    // side before the 512-bit body is chosen.
-    unsafe { matrix_tiles(wide(), outs, sources, coeffs) }
-}
-
-/// [`matrix_mul_add`] at an explicit body width.
-///
-/// # Safety
-///
-/// As for [`matrix_mul_add`]; `wide` additionally requires AVX-512F +
-/// AVX-512BW.
-unsafe fn matrix_tiles(
+/// Host must support GFNI + AVX2, and AVX-512F + AVX-512BW when `wide`;
+/// every output and source must have the same length and every coefficient
+/// row `sources.len()` entries.
+pub(super) unsafe fn matrix_tiles(
     wide: bool,
     outs: &mut [&mut [u8]],
     sources: &[&[u8]],
@@ -608,39 +485,20 @@ unsafe fn tile_256(outs: &mut [&mut [u8]; TILE_ROWS], sources: &[&[u8]], mats: &
     col
 }
 
-/// `dst ^= src`: the 512-bit masked-tail XOR when available, otherwise
-/// the portable word loop (the dispatcher only routes here for the Gfni
-/// kernel; AVX2-class XOR is handled by the existing avx2 body).
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2; slices must be equal length.
-pub(super) unsafe fn xor_assign(dst: &mut [u8], src: &[u8]) {
-    if wide() {
-        // SAFETY: `wide()` verified the AVX-512 side; equal lengths are
-        // the caller's contract.
-        unsafe { super::simd_avx512::xor_assign(dst, src) }
-    } else {
-        // SAFETY: no unsafety — portable fallback.
-        portable_xor(dst, src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::MUL;
 
     #[test]
     fn both_tile_widths_match_the_mul_table() {
-        // `wide()` picks one width per host; call each body the CPU can
-        // run directly so the 256-bit tile is covered on AVX-512 parts too.
-        if !std::arch::is_x86_feature_detected!("gfni")
-            || !std::arch::is_x86_feature_detected!("avx2")
-        {
+        // A rung has one width per host; call each body the CPU can run
+        // directly so the 256-bit tile is covered on AVX-512 parts too.
+        let Some(rung) = super::super::Rung::new(super::super::Kernel::Gfni) else {
             println!("SKIPPED: CPU lacks gfni+avx2");
             return;
-        }
-        let widths: &[bool] = if wide() { &[false, true] } else { &[false] };
+        };
+        let widths: &[bool] = if rung.wide { &[false, true] } else { &[false] };
         for &wide in widths {
             for n in [1usize, 2, 5] {
                 for len in [0usize, 31, 32, 33, 127, 128, 129, 300] {
@@ -670,9 +528,9 @@ mod tests {
                     let src_refs: Vec<&[u8]> = sources.iter().map(Vec::as_slice).collect();
                     let coeff_refs: Vec<&[u8]> = coeffs.iter().map(Vec::as_slice).collect();
                     let done =
-                        // SAFETY: gfni+avx2 checked above and `wide` only when
-                        // `wide()` holds; all regions are `len` long and every
-                        // coefficient row has `n` entries.
+                        // SAFETY: the rung proves gfni+avx2, and `wide` is tried
+                        // only when it is wide; all regions are `len` long and
+                        // every coefficient row has `n` entries.
                         unsafe { matrix_tiles(wide, &mut out_refs, &src_refs, &coeff_refs) };
                     assert_eq!(done, TILE_ROWS, "one full tile, one row left over");
                     assert_eq!(outs[..done], want[..done], "wide={wide}, n={n}, len={len}");

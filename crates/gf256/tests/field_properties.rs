@@ -1,8 +1,9 @@
 //! Property-based tests of the GF(2^8) field axioms and the equivalence of
-//! all multiplication strategies.
+//! all scalar multiplication strategies (the region rungs have their own
+//! suite, `simd_dispatch.rs`).
 
 use nc_gf256::logdomain::{mul_log, mul_rlog, to_log, to_rlog};
-use nc_gf256::region::{add_assign, mul_add_assign_with, mul_assign_with, Backend};
+use nc_gf256::region::add_assign;
 use nc_gf256::scalar::{div, inv, mul_full_table, mul_loop, mul_table};
 use nc_gf256::wide::{mul_word32, mul_word64};
 use nc_gf256::Gf8;
@@ -63,40 +64,6 @@ proptest! {
     #[test]
     fn division_roundtrips(a: u8, b in 1u8..) {
         prop_assert_eq!(mul_table(div(a, b), b), a);
-    }
-
-    #[test]
-    fn region_backends_agree(
-        data in proptest::collection::vec(any::<u8>(), 0..300),
-        src_seed: u8,
-        c: u8,
-    ) {
-        let src: Vec<u8> = data
-            .iter()
-            .map(|&b| b.wrapping_mul(31).wrapping_add(src_seed))
-            .collect();
-        let mut reference = data.clone();
-        for (d, s) in reference.iter_mut().zip(&src) {
-            *d ^= mul_loop(c, *s);
-        }
-        for backend in Backend::ALL {
-            let mut dst = data.clone();
-            mul_add_assign_with(backend, &mut dst, &src, c);
-            prop_assert_eq!(&dst, &reference, "backend {:?}", backend);
-        }
-    }
-
-    #[test]
-    fn region_scale_backends_agree(
-        data in proptest::collection::vec(any::<u8>(), 0..300),
-        c: u8,
-    ) {
-        let reference: Vec<u8> = data.iter().map(|&d| mul_loop(c, d)).collect();
-        for backend in Backend::ALL {
-            let mut dst = data.clone();
-            mul_assign_with(backend, &mut dst, c);
-            prop_assert_eq!(&dst, &reference, "backend {:?}", backend);
-        }
     }
 
     #[test]

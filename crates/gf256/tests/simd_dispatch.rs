@@ -1,156 +1,108 @@
-//! Equivalence and dispatch tests for the SIMD region kernels.
+//! The equivalence suite of the GF(2^8) kernel ladder, and the tests of its
+//! dispatch seam.
 //!
-//! Every available [`SimdKernel`] — plus the forced portable fallback, so
-//! non-SIMD hosts still exercise the dispatch seam — must be bit-identical
-//! to the scalar ground truth across all 256 coefficients and the full set
-//! of unaligned region lengths: 0, 1, around one vector (15/16/17), around
-//! two vectors (31/32/33), around one 512-bit vector (63/64/65, the
-//! masked-tail boundary of the `Avx512`/`Gfni` rungs), and 4 KiB ± 1 (the
-//! paper's streaming block size). The multi-output product
+//! Every rung of [`Kernel::ALL`] this host has must be bit-identical to the
+//! scalar ground truth ([`mul_loop`]) on all six region operations, across
+//! all 256 coefficients, a misaligned start at every offset 0..16, and the
+//! full set of unaligned region lengths: 0, 1, around one vector
+//! (15/16/17), around two vectors (31/32/33), around one 512-bit vector
+//! (63/64/65, the masked-tail boundary of the `Avx512`/`Gfni` rungs), and
+//! 4 KiB ± 1 (the paper's streaming block size). The multi-output product
 //! (`matrix_mul_add`) is pinned the same way against its row-at-a-time
 //! definition, across output counts around the eight-row register tile and
 //! lengths around its 128-byte column strip.
 //!
-//! Kernels the CPU lacks are still pushed through the dispatcher (they must
-//! degrade portably, not fault); `report_skipped_kernels` prints a visible
-//! `SKIPPED` marker per rung that could not be natively exercised.
+//! A rung the CPU lacks cannot be built ([`Rung::new`] is `None`), so it is
+//! not run; `report_skipped_kernels` prints a visible `SKIPPED` marker for
+//! each.
 
-use nc_gf256::region::{self, Backend};
+use nc_gf256::region;
 use nc_gf256::scalar::mul_loop;
-use nc_gf256::simd::{
-    self, dot_assign_with_kernel, matrix_mul_add_with_kernel, mul_add_assign_with_kernel,
-    mul_assign_with_kernel, mul_into_with_kernel, xor_assign_with_kernel, SimdKernel, DOT_BLOCK,
-};
+use nc_gf256::simd::{self, Kernel, Rung, DOT_BLOCK};
 use proptest::prelude::*;
 
-/// The ISSUE's length ladder: empty, single byte, one-vector ± 1,
-/// two-vector ± 1, one 64-byte vector ± 1, and 4 KiB ± 1.
+/// The length ladder: empty, single byte, one-vector ± 1, two-vector ± 1,
+/// one 64-byte vector ± 1, and 4 KiB ± 1.
 const LENGTHS: [usize; 14] = [0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 4095, 4096, 4097];
 
-/// Every enum variant, in native-or-degraded order: the kernels the host
-/// can run first, then each foreign kernel, which must degrade to the
-/// portable path instead of faulting.
-fn kernels_under_test() -> Vec<SimdKernel> {
-    let mut ks = simd::SimdKernel::available();
-    for k in ALL_KERNELS {
-        if !ks.contains(&k) {
-            ks.push(k);
-        }
-    }
-    ks
-}
+/// The coefficients with a fast path or a boundary bit pattern.
+const EDGE_COEFFS: [u8; 6] = [0, 1, 2, 0x53, 0x80, 0xFF];
 
-const ALL_KERNELS: [SimdKernel; 6] = [
-    SimdKernel::Gfni,
-    SimdKernel::Avx512,
-    SimdKernel::Avx2,
-    SimdKernel::Ssse3,
-    SimdKernel::Neon,
-    SimdKernel::Portable,
-];
+/// Bytes kept on both sides of a region under test: they must not change.
+const GUARD: usize = 16;
 
 fn pattern(len: usize, salt: usize) -> Vec<u8> {
     (0..len).map(|i| (i.wrapping_mul(37) + salt) as u8).collect()
 }
 
+/// The four single-source operations on every rung, over a region of `len`
+/// bytes that starts `off` bytes into its allocation.
+fn check_single_source_ops(len: usize, off: usize, c: u8) {
+    let region = off..off + len;
+    let src_buf = pattern(off + len, 11);
+    let src = &src_buf[region.clone()];
+    let dst0 = pattern(off + len + GUARD, 5);
+    let product: Vec<u8> = src.iter().map(|&s| mul_loop(c, s)).collect();
+    let xor = |a: &[u8], b: &[u8]| -> Vec<u8> { a.iter().zip(b).map(|(&x, &y)| x ^ y).collect() };
+    let axpy = xor(&dst0[region.clone()], &product);
+    for rung in Kernel::available() {
+        let what = format!("{:?}, c={c}, len={len}, off={off}", rung.kernel());
+        let mut buf = dst0.clone();
+        let dst = &mut buf[region.clone()];
+        region::mul_add_assign_on(rung, dst, src, c);
+        assert_eq!(dst, axpy, "mul_add_assign on {what}");
+        region::add_assign_on(rung, dst, src);
+        assert_eq!(dst, xor(&axpy, src), "add_assign on {what}");
+        region::mul_into_on(rung, dst, src, c);
+        assert_eq!(dst, product, "mul_into on {what}");
+        // In place: the same body, the region as its own source.
+        dst.copy_from_slice(src);
+        region::mul_assign_on(rung, dst, c);
+        assert_eq!(dst, product, "mul_assign on {what}");
+        assert_eq!(buf[..off], dst0[..off], "bytes before the region, {what}");
+        assert_eq!(buf[off + len..], dst0[off + len..], "bytes after the region, {what}");
+    }
+}
+
 #[test]
-fn mul_add_assign_all_coefficients_all_lengths() {
+fn single_source_ops_match_scalar_on_every_rung() {
     for &len in &LENGTHS {
-        let src = pattern(len, 11);
-        let dst0 = pattern(len, 5);
+        // Every coefficient at one of the sixteen starts, and the
+        // coefficients with a fast path at all of them.
         for c in 0..=255u8 {
-            let want: Vec<u8> = dst0.iter().zip(&src).map(|(&d, &s)| d ^ mul_loop(c, s)).collect();
-            for kernel in kernels_under_test() {
-                let mut dst = dst0.clone();
-                mul_add_assign_with_kernel(kernel, &mut dst, &src, c);
-                assert_eq!(dst, want, "kernel {kernel:?}, c={c}, len={len}");
+            check_single_source_ops(len, usize::from(c) % 16, c);
+        }
+        for c in EDGE_COEFFS {
+            for off in 0..16 {
+                check_single_source_ops(len, off, c);
             }
         }
     }
 }
 
 #[test]
-fn mul_into_all_coefficients_all_lengths() {
-    for &len in &LENGTHS {
-        let src = pattern(len, 23);
-        for c in 0..=255u8 {
-            let want: Vec<u8> = src.iter().map(|&s| mul_loop(c, s)).collect();
-            for kernel in kernels_under_test() {
-                let mut dst = vec![0xEE; len];
-                mul_into_with_kernel(kernel, &mut dst, &src, c);
-                assert_eq!(dst, want, "kernel {kernel:?}, c={c}, len={len}");
-            }
-        }
-    }
-}
-
-#[test]
-fn mul_assign_all_coefficients_all_lengths() {
-    for &len in &LENGTHS {
-        let data0 = pattern(len, 41);
-        for c in 0..=255u8 {
-            let want: Vec<u8> = data0.iter().map(|&d| mul_loop(c, d)).collect();
-            for kernel in kernels_under_test() {
-                let mut data = data0.clone();
-                mul_assign_with_kernel(kernel, &mut data, c);
-                assert_eq!(data, want, "kernel {kernel:?}, c={c}, len={len}");
-            }
-        }
-    }
-}
-
-#[test]
-fn xor_assign_all_lengths() {
-    for &len in &LENGTHS {
-        let a = pattern(len, 3);
-        let b = pattern(len, 17);
-        let want: Vec<u8> = a.iter().zip(&b).map(|(&x, &y)| x ^ y).collect();
-        for kernel in kernels_under_test() {
-            let mut dst = a.clone();
-            xor_assign_with_kernel(kernel, &mut dst, &b);
-            assert_eq!(dst, want, "kernel {kernel:?}, len={len}");
-        }
-    }
-}
-
-#[test]
-fn forced_portable_matches_active_kernel() {
-    // The dispatch fallback itself: Portable must agree with whatever the
-    // host auto-selected, so a forced NC_GF_BACKEND=portable run covers the
-    // same code results.
-    let active = simd::active_kernel();
-    for &len in &LENGTHS {
-        let src = pattern(len, 7);
-        for c in [0u8, 1, 2, 0x53, 0xFF] {
-            let mut fast = pattern(len, 9);
-            let mut slow = fast.clone();
-            mul_add_assign_with_kernel(active, &mut fast, &src, c);
-            mul_add_assign_with_kernel(SimdKernel::Portable, &mut slow, &src, c);
-            assert_eq!(fast, slow, "active {active:?} vs portable, c={c}, len={len}");
-        }
-    }
-}
-
-#[test]
-fn blocked_dot_matches_row_at_a_time() {
+fn blocked_dot_matches_scalar_on_every_rung() {
     // Source counts straddling the DOT_BLOCK boundary, with zero and one
     // coefficients mixed in so the skip/fast paths stay inside the sweep.
     for rows in [1usize, DOT_BLOCK - 1, DOT_BLOCK, DOT_BLOCK + 1, 3 * DOT_BLOCK + 2] {
         for &len in &[0usize, 1, 33, 4097] {
-            let sources: Vec<Vec<u8>> = (0..rows).map(|s| pattern(len, s * 13 + 1)).collect();
-            let refs: Vec<&[u8]> = sources.iter().map(|s| s.as_slice()).collect();
-            let coeffs: Vec<u8> =
-                (0..rows).map(|i| [0x00u8, 0x01, 0x53, 0xFE, 0x9A][i % 5]).collect();
-            let mut want = pattern(len, 99);
-            for (s, &c) in refs.iter().zip(&coeffs) {
-                for (d, &b) in want.iter_mut().zip(*s) {
-                    *d ^= mul_loop(c, b);
+            for off in [0usize, 1, 7, 15] {
+                let sources: Vec<Vec<u8>> =
+                    (0..rows).map(|s| pattern(off + len, s * 13 + 1)).collect();
+                let refs: Vec<&[u8]> = sources.iter().map(|s| &s[off..]).collect();
+                let coeffs: Vec<u8> =
+                    (0..rows).map(|i| [0x00u8, 0x01, 0x53, 0xFE, 0x9A][i % 5]).collect();
+                let mut want = pattern(off + len, 99);
+                for (s, &c) in refs.iter().zip(&coeffs) {
+                    for (d, &b) in want[off..].iter_mut().zip(*s) {
+                        *d ^= mul_loop(c, b);
+                    }
                 }
-            }
-            for kernel in kernels_under_test() {
-                let mut dst = pattern(len, 99);
-                dot_assign_with_kernel(kernel, &mut dst, &refs, &coeffs);
-                assert_eq!(dst, want, "kernel {kernel:?}, rows={rows}, len={len}");
+                for rung in Kernel::available() {
+                    let mut dst = pattern(off + len, 99);
+                    region::dot_assign_on(rung, &mut dst[off..], &refs, &coeffs);
+                    assert_eq!(dst, want, "{:?}, rows={rows}, len={len}, off={off}", rung.kernel());
+                }
             }
         }
     }
@@ -213,6 +165,19 @@ impl MatrixCase {
             self.sources.len()
         );
     }
+
+    /// The product on `rung`, as one call and as a `dot_assign` per row.
+    fn check_on(&self, rung: Rung) {
+        let kernel = rung.kernel();
+        self.check(&format!("matrix_mul_add on {kernel:?}"), |outs, srcs, coeffs| {
+            region::matrix_mul_add_on(rung, outs, srcs, coeffs)
+        });
+        self.check(&format!("dot_assign rows on {kernel:?}"), |outs, srcs, coeffs| {
+            for (out, row) in outs.iter_mut().zip(coeffs) {
+                region::dot_assign_on(rung, out, srcs, row);
+            }
+        });
+    }
 }
 
 #[test]
@@ -224,20 +189,8 @@ fn matrix_mul_add_matches_row_at_a_time_and_scalar() {
         for sources in [0usize, 1, 3, 4, 5, 128] {
             for len in [0usize, 1, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097] {
                 let case = MatrixCase::new(outputs, sources, len, outputs + sources + len);
-                for kernel in kernels_under_test() {
-                    case.check(&format!("matrix_mul_add on {kernel:?}"), |outs, srcs, coeffs| {
-                        matrix_mul_add_with_kernel(kernel, outs, srcs, coeffs)
-                    });
-                    case.check(&format!("dot_assign rows on {kernel:?}"), |outs, srcs, coeffs| {
-                        for (out, row) in outs.iter_mut().zip(coeffs) {
-                            dot_assign_with_kernel(kernel, out, srcs, row);
-                        }
-                    });
-                }
-                for backend in Backend::ALL {
-                    case.check(&format!("matrix_mul_add on {backend:?}"), |outs, srcs, coeffs| {
-                        region::matrix_mul_add_with(backend, outs, srcs, coeffs)
-                    });
+                for rung in Kernel::available() {
+                    case.check_on(rung);
                 }
             }
         }
@@ -263,32 +216,11 @@ fn matrix_mul_add_rejects_ragged_outputs() {
 #[test]
 fn report_skipped_kernels() {
     // Not an assertion: a visible audit trail. `cargo test -- --nocapture`
-    // (and any failing run) shows exactly which rungs ran natively and
-    // which were only exercised through the degraded-dispatch path.
-    for k in ALL_KERNELS {
-        if k.is_available() {
-            println!("kernel {:>8}: exercised natively", k.name());
-        } else {
-            println!("kernel {:>8}: SKIPPED (CPU lacks feature; degraded path tested)", k.name());
-        }
-    }
-}
-
-#[test]
-fn in_place_mul_assign_matches_out_of_place() {
-    // The in-place rung is a dedicated body on every SIMD kernel (a
-    // `&[u8]`/`&mut [u8]` pair over one buffer would be aliasing UB), so
-    // pin it against `mul_into` from a pristine copy of the same data.
-    for &len in &LENGTHS {
-        let data0 = pattern(len, 61);
-        for c in [0u8, 1, 2, 0x53, 0x80, 0xFF] {
-            for kernel in kernels_under_test() {
-                let mut out_of_place = vec![0u8; len];
-                mul_into_with_kernel(kernel, &mut out_of_place, &data0, c);
-                let mut in_place = data0.clone();
-                mul_assign_with_kernel(kernel, &mut in_place, c);
-                assert_eq!(in_place, out_of_place, "kernel {kernel:?}, c={c}, len={len}");
-            }
+    // (and any failing run) shows exactly which rungs the suite ran.
+    for k in Kernel::ALL {
+        match Rung::new(k) {
+            Some(_) => println!("kernel {:>8}: exercised natively", k.name()),
+            None => println!("kernel {:>8}: SKIPPED (CPU lacks the feature)", k.name()),
         }
     }
 }
@@ -296,22 +228,40 @@ fn in_place_mul_assign_matches_out_of_place() {
 #[test]
 fn kernel_ids_are_distinct_and_stable() {
     // The `gf.kernel_id` gauge is only useful if ids never collide or move.
-    let ids: Vec<u8> = ALL_KERNELS.iter().map(|k| k.id()).collect();
-    assert_eq!(ids, [5, 4, 2, 1, 3, 0]);
+    let ids: Vec<u8> = Kernel::ALL.iter().map(|k| k.id()).collect();
+    assert_eq!(ids, [5, 4, 2, 3, 1, 0, 8, 7, 6]);
 }
 
 #[test]
-fn region_simd_backend_equals_scalar_backends() {
-    // The Backend::Simd seam used by every consumer crate.
-    for &len in &LENGTHS {
-        let src = pattern(len, 51);
-        for c in [0u8, 1, 2, 0x53, 0x80, 0xFF] {
-            let mut want = pattern(len, 77);
-            region::mul_add_assign_with(Backend::Table, &mut want, &src, c);
-            let mut got = pattern(len, 77);
-            region::mul_add_assign_with(Backend::Simd, &mut got, &src, c);
-            assert_eq!(got, want, "c={c}, len={len}");
-        }
+fn override_is_honoured_and_reported() {
+    // Whatever `NC_GF_BACKEND` this process was started with: a rung the
+    // host has is the active one (CI runs this under `portable`, `nibble`
+    // and `avx2`, among others); anything else is `available()[0]`.
+    let value = std::env::var("NC_GF_BACKEND").ok().map(|v| v.trim().to_ascii_lowercase());
+    let named = match value.as_deref() {
+        Some("table") => Some("portable"),
+        other => other,
+    };
+    let forced = Kernel::ALL.into_iter().find(|k| Some(k.name()) == named).and_then(Rung::new);
+    let rung = forced.unwrap_or(Kernel::available()[0]);
+    assert_eq!(simd::active_kernel().name(), rung.kernel().name(), "NC_GF_BACKEND={value:?}");
+    assert_eq!(Rung::active(), rung);
+
+    // What the active-rung operations run is that rung, byte for byte ...
+    let case = MatrixCase::new(17, 9, 4097, 23);
+    case.check("matrix_mul_add on the active rung", region::matrix_mul_add);
+    let (src, coeffs) = (&case.sources[0], &case.coeffs[0]);
+    let sources: Vec<&[u8]> = case.sources.iter().map(Vec::as_slice).collect();
+    let (mut active, mut explicit) = (case.outs0[0].clone(), case.outs0[0].clone());
+    region::mul_add_assign(&mut active, src, 0x53);
+    region::mul_add_assign_on(rung, &mut explicit, src, 0x53);
+    region::dot_assign(&mut active, &sources, coeffs);
+    region::dot_assign_on(rung, &mut explicit, &sources, coeffs);
+    assert_eq!(active, explicit);
+    // ... and what telemetry says ran.
+    if nc_telemetry::enabled() {
+        let gauge = nc_telemetry::default_registry().gauge("gf.kernel_id").get();
+        assert_eq!(gauge, f64::from(rung.kernel().id()));
     }
 }
 
@@ -319,19 +269,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn proptest_kernels_agree_on_random_regions(
+    fn proptest_rungs_agree_on_random_regions(
+        data in proptest::collection::vec(any::<u8>(), 0..300),
+        src_seed: u8,
         c: u8,
-        seed in 0usize..1024,
-        len_idx in 0usize..LENGTHS.len(),
     ) {
-        let len = LENGTHS[len_idx];
-        let src = pattern(len, seed);
-        let dst0 = pattern(len, seed.wrapping_mul(31) + 7);
-        let want: Vec<u8> = dst0.iter().zip(&src).map(|(&d, &s)| d ^ mul_loop(c, s)).collect();
-        for kernel in kernels_under_test() {
-            let mut dst = dst0.clone();
-            mul_add_assign_with_kernel(kernel, &mut dst, &src, c);
-            prop_assert_eq!(&dst, &want, "kernel {:?}, c={}, len={}", kernel, c, len);
+        let src: Vec<u8> = data.iter().map(|&b| b.wrapping_mul(31).wrapping_add(src_seed)).collect();
+        let axpy: Vec<u8> = data.iter().zip(&src).map(|(&d, &s)| d ^ mul_loop(c, s)).collect();
+        let scaled: Vec<u8> = data.iter().map(|&d| mul_loop(c, d)).collect();
+        for rung in Kernel::available() {
+            let mut dst = data.clone();
+            region::mul_add_assign_on(rung, &mut dst, &src, c);
+            prop_assert_eq!(&dst, &axpy, "mul_add_assign on {:?}", rung.kernel());
+            let mut dst = data.clone();
+            region::mul_assign_on(rung, &mut dst, c);
+            prop_assert_eq!(&dst, &scaled, "mul_assign on {:?}", rung.kernel());
         }
     }
 
@@ -343,34 +295,9 @@ proptest! {
         salt in 0usize..1024,
     ) {
         let case = MatrixCase::new(outputs, sources, len, salt);
-        for kernel in kernels_under_test() {
-            case.check(&format!("matrix_mul_add on {kernel:?}"), |outs, srcs, coeffs| {
-                matrix_mul_add_with_kernel(kernel, outs, srcs, coeffs)
-            });
+        for rung in Kernel::available() {
+            case.check_on(rung);
         }
-        case.check("matrix_mul_add on the default backend", |outs, srcs, coeffs| {
-            region::matrix_mul_add(outs, srcs, coeffs)
-        });
-    }
-
-    #[test]
-    fn proptest_dot_blocking_is_invisible(
-        rows in 1usize..12,
-        seed in 0usize..1024,
-        len_idx in 0usize..4,
-    ) {
-        let len = [1usize, 16, 33, 255][len_idx];
-        let sources: Vec<Vec<u8>> =
-            (0..rows).map(|s| pattern(len, seed + s * 7)).collect();
-        let refs: Vec<&[u8]> = sources.iter().map(|s| s.as_slice()).collect();
-        let coeffs: Vec<u8> = (0..rows).map(|i| (seed + i * 3) as u8).collect();
-        // Row-at-a-time ground truth on the Table backend.
-        let mut want = pattern(len, seed + 500);
-        for (s, &c) in refs.iter().zip(&coeffs) {
-            region::mul_add_assign_with(Backend::Table, &mut want, s, c);
-        }
-        let mut got = pattern(len, seed + 500);
-        region::dot_assign_with(Backend::Simd, &mut got, &refs, &coeffs);
-        prop_assert_eq!(got, want);
+        case.check("matrix_mul_add on the active rung", region::matrix_mul_add);
     }
 }

@@ -2,7 +2,6 @@
 
 use nc_cpu::{measure, Partitioning};
 use nc_cpu_model::{CpuModel, EncodeStrategy};
-use nc_gf256::region::Backend;
 use nc_gpu::api::EncodeScheme;
 use nc_gpu::{DeviceBackend, GpuEncoder, HostDeviceBackend, TableVariant};
 use nc_gpu_sim::DeviceSpec;
@@ -97,11 +96,10 @@ impl CodingBackend for CpuModelBackend {
     }
 }
 
-/// Real measured encoding throughput of *this* host's CPU, with a chosen
-/// GF(2^8) region backend — the companion to the modeled Mac Pro, letting
+/// Real measured encoding throughput of *this* host's CPU, on the active
+/// GF(2^8) kernel rung — the companion to the modeled Mac Pro, letting
 /// hybrid projections use live SIMD numbers instead of 2009 constants.
 pub struct HostCpuBackend {
-    backend: Backend,
     threads: usize,
     /// Coded blocks measured per probe (kept modest so `encoding_rate`
     /// stays interactive; servers cache the result anyway).
@@ -112,32 +110,21 @@ impl HostCpuBackend {
     /// Default coded blocks per probe (further clamped per configuration).
     const DEFAULT_BATCH: usize = 64;
 
-    /// This host with the auto-detected (SIMD where available) GF backend
-    /// and `threads` worker threads.
+    /// This host with `threads` worker threads.
     pub fn detected(threads: usize) -> HostCpuBackend {
-        HostCpuBackend::with_batch(Backend::default(), threads, HostCpuBackend::DEFAULT_BATCH)
+        HostCpuBackend::with_batch(threads, HostCpuBackend::DEFAULT_BATCH)
     }
 
-    /// This host with an explicit GF backend, for SIMD-vs-scalar ablation.
-    pub fn with_backend(backend: Backend, threads: usize) -> HostCpuBackend {
-        HostCpuBackend::with_batch(backend, threads, HostCpuBackend::DEFAULT_BATCH)
-    }
-
-    /// Full control: GF backend, thread count, and probe batch size.
-    pub fn with_batch(backend: Backend, threads: usize, batch: usize) -> HostCpuBackend {
-        HostCpuBackend { backend, threads: threads.max(1), batch: batch.max(1) }
-    }
-
-    /// The GF(2^8) region backend this probe encodes with.
-    #[inline]
-    pub fn gf_backend(&self) -> Backend {
-        self.backend
+    /// Full control: thread count and probe batch size.
+    pub fn with_batch(threads: usize, batch: usize) -> HostCpuBackend {
+        HostCpuBackend { threads: threads.max(1), batch: batch.max(1) }
     }
 }
 
 impl CodingBackend for HostCpuBackend {
     fn name(&self) -> String {
-        format!("host CPU ({} backend, {} threads, measured)", self.backend.name(), self.threads)
+        let kernel = nc_gf256::simd::active_kernel().name();
+        format!("host CPU ({kernel} kernel, {} threads, measured)", self.threads)
     }
 
     fn encoding_rate(&mut self, config: CodingConfig) -> f64 {
@@ -145,8 +132,7 @@ impl CodingBackend for HostCpuBackend {
         // overstate small-generation throughput (the coefficient matrix
         // stays cache-hot across repeats); clamp the batch to n.
         let batch = self.batch.clamp(1, config.blocks());
-        measure::encode_throughput_with(
-            self.backend,
+        measure::encode_throughput(
             config.blocks(),
             config.block_size(),
             batch,
@@ -228,7 +214,7 @@ mod tests {
     #[test]
     fn host_cpu_backend_measures_positive_rate() {
         // A tiny config keeps this a smoke test, not a benchmark.
-        let mut b = HostCpuBackend::with_batch(Backend::default(), 2, 4);
+        let mut b = HostCpuBackend::with_batch(2, 4);
         let rate = b.encoding_rate(CodingConfig::new(8, 256).unwrap());
         assert!(rate.is_finite() && rate > 0.0);
         assert!(b.name().contains("host CPU"));
@@ -239,14 +225,14 @@ mod tests {
         // batch 64 against an n = 8 generation must probe only 8 blocks;
         // the rate stays finite and positive either way, and the clamped
         // probe cannot be slower to compute than the unclamped one was.
-        let mut b = HostCpuBackend::with_batch(Backend::Table, 1, 64);
+        let mut b = HostCpuBackend::with_batch(1, 64);
         let rate = b.encoding_rate(CodingConfig::new(8, 256).unwrap());
         assert!(rate.is_finite() && rate > 0.0);
     }
 
     #[test]
     fn hybrid_accepts_a_live_host_cpu_side() {
-        let host = HostCpuBackend::with_batch(Backend::Table, 1, 4);
+        let host = HostCpuBackend::with_batch(1, 4);
         let mut hybrid = HybridBackend::custom(GpuBackend::gtx280_best(), Box::new(host));
         let cfg = CodingConfig::new(8, 256).unwrap();
         let rate = hybrid.encoding_rate(cfg);

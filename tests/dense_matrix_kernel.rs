@@ -1,11 +1,12 @@
 //! The tiled GF(2^8) matrix product and the decoder built on it, at the
 //! paper's shape (n = 128 blocks of 4 KB), inside the tier-1 command: the
 //! kernel on every rung this CPU has against the byte-at-a-time reference,
-//! and dense round trips through both decoders on every region backend.
+//! and a dense round trip through both decoders on the active rung
+//! (`NC_GF_BACKEND` pins another; CI runs the lanes).
 
-use extreme_nc::gf256::region::{self, Backend};
+use extreme_nc::gf256::region;
 use extreme_nc::gf256::scalar::mul_loop;
-use extreme_nc::gf256::simd::{matrix_mul_add_with_kernel, SimdKernel};
+use extreme_nc::gf256::simd::{active_kernel, Kernel};
 use extreme_nc::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -44,18 +45,13 @@ fn matrix_kernel_matches_scalar_on_every_rung() {
     let coeff_refs: Vec<&[u8]> = coeffs.iter().map(Vec::as_slice).collect();
 
     // Visible under `--nocapture`: which rungs this host actually covered.
-    println!("rungs covered: {:?}", SimdKernel::available());
-    for kernel in SimdKernel::available() {
+    println!("rungs covered: {:?}", Kernel::available());
+    for rung in Kernel::available() {
         let mut outs = initial.clone();
         let mut out_refs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-        matrix_mul_add_with_kernel(kernel, &mut out_refs, &source_refs, &coeff_refs);
+        region::matrix_mul_add_on(rung, &mut out_refs, &source_refs, &coeff_refs);
+        let kernel = rung.kernel();
         assert!(outs == want, "matrix_mul_add on {kernel:?} differs from the scalar reference");
-    }
-    for backend in Backend::ALL {
-        let mut outs = initial.clone();
-        let mut out_refs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-        region::matrix_mul_add_with(backend, &mut out_refs, &source_refs, &coeff_refs);
-        assert!(outs == want, "matrix_mul_add on {backend:?} differs from the scalar reference");
     }
 }
 
@@ -67,16 +63,15 @@ fn dense_128x4k_round_trips_through_both_decoders() {
     let segment = Segment::from_bytes(config, data.clone()).expect("sized");
     let blocks = Encoder::new(segment).encode_batch(&mut rng, BLOCKS + 8);
 
-    for backend in Backend::ALL {
-        let mut progressive = Decoder::new(config).with_backend(backend);
-        let mut two_stage = TwoStageDecoder::new(config).with_backend(backend);
-        for block in &blocks {
-            let innovative = progressive.push(block.clone()).expect("shape matches");
-            assert_eq!(two_stage.push(block.clone()).expect("shape matches"), innovative);
-        }
-        assert_eq!(progressive.stats().innovative, BLOCKS, "{backend:?}");
-        assert!(progressive.recover().as_deref() == Some(&data[..]), "{backend:?}: progressive");
-        assert!(progressive.recover().as_deref() == Some(&data[..]), "{backend:?}: second recover");
-        assert!(two_stage.decode().expect("full rank") == data, "{backend:?}: two-stage");
+    let kernel = active_kernel();
+    let mut progressive = Decoder::new(config);
+    let mut two_stage = TwoStageDecoder::new(config);
+    for block in &blocks {
+        let innovative = progressive.push(block.clone()).expect("shape matches");
+        assert_eq!(two_stage.push(block.clone()).expect("shape matches"), innovative);
     }
+    assert_eq!(progressive.stats().innovative, BLOCKS, "{kernel:?}");
+    assert!(progressive.recover().as_deref() == Some(&data[..]), "{kernel:?}: progressive");
+    assert!(progressive.recover().as_deref() == Some(&data[..]), "{kernel:?}: second recover");
+    assert!(two_stage.decode().expect("full rank") == data, "{kernel:?}: two-stage");
 }
