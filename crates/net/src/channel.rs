@@ -2,11 +2,18 @@
 //! deterministic fault injector usable around either.
 //!
 //! The [`Channel`] trait is the transport's only I/O seam: a bidirectional,
-//! unreliable, message-boundary-preserving pipe (UDP semantics). Tests run
-//! the full sender/receiver state machines over [`memory_pair`] channels
-//! with a seeded [`FaultyChannel`] in between, so every loss-recovery test
-//! is reproducible; deployment runs the same state machines over
+//! unreliable, message-boundary-preserving pipe (UDP semantics) that moves
+//! one datagram at a time or a burst at a time. Tests run the full
+//! sender/receiver state machines over [`memory_pair`] channels with a
+//! seeded [`FaultyChannel`] in between, so every loss-recovery test is
+//! reproducible; deployment runs the same state machines over
 //! [`UdpChannel`], optionally still wrapped in the fault injector.
+//!
+//! There is one socket implementation: [`BatchSocket`] stages sends for
+//! one `sendmmsg` per flush and drains receives per `recvmmsg`, borrowed
+//! from its slots (one datagram per syscall on the portable path).
+//! [`UdpChannel`] is a peer address over one of them, and the sharded
+//! server is a group of them.
 
 use nc_pool::{BytesPool, PooledBuf};
 use rand::rngs::StdRng;
@@ -15,6 +22,7 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 
+use crate::sysio::MAX_BATCH;
 use crate::wire::MAX_DATAGRAM_BYTES;
 
 /// A bidirectional unreliable datagram pipe (UDP semantics: whole
@@ -40,24 +48,58 @@ pub trait Channel: Send {
     ///
     /// I/O errors from the underlying transport.
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<PooledBuf>>;
+
+    /// Sends every datagram in `batch`, in order, leaving `batch` empty
+    /// and its buffers returned to the [`BytesPool`] (draw them from it).
+    /// [`UdpChannel`] hands the whole burst to the kernel at once; the
+    /// default sends one datagram at a time.
+    ///
+    /// # Errors
+    ///
+    /// As [`send`](Channel::send); the batch is drained either way.
+    fn send_batch(&mut self, batch: &mut Vec<Vec<u8>>) -> io::Result<()> {
+        let mut result = Ok(());
+        for bytes in batch.drain(..) {
+            if result.is_ok() {
+                result = self.send(&bytes);
+            }
+            BytesPool::global().recycle(bytes);
+        }
+        result
+    }
+
+    /// Receives up to a batch of datagrams, waiting up to `timeout` for
+    /// the first (a zero timeout polls), and hands each to `on` borrowed.
+    /// Returns how many arrived; `0` means none did in time. The default
+    /// is one [`recv_timeout`](Channel::recv_timeout) per datagram.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the underlying transport.
+    fn recv_batch(&mut self, timeout: Duration, on: &mut dyn FnMut(&[u8])) -> io::Result<usize> {
+        let mut got = 0;
+        let mut wait = timeout;
+        while got < MAX_BATCH {
+            let Some(bytes) = self.recv_timeout(wait)? else { break };
+            on(&bytes);
+            got += 1;
+            wait = Duration::ZERO;
+        }
+        Ok(got)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Real sockets
 // ---------------------------------------------------------------------------
 
-/// A connected UDP socket as a [`Channel`].
+/// A connected UDP socket as a [`Channel`]: the peer's address over one
+/// [`BatchSocket`], so a burst costs one `sendmmsg` and a receive batch
+/// one `poll` + `recvmmsg`, on the same `sysio` path as the server.
 #[derive(Debug)]
 pub struct UdpChannel {
-    socket: UdpSocket,
-    buf: Vec<u8>,
-    /// Last-applied read mode (`None` = nonblocking), so hot recv loops
-    /// don't pay two mode-change syscalls per datagram.
-    read_mode: Option<Option<Duration>>,
-    /// Receive slots for [`UdpChannel::recv_many`], built on first use so
-    /// plain point-to-point channels don't carry them.
-    batch_slots: Vec<Vec<u8>>,
-    batch_meta: Vec<(usize, SocketAddr)>,
+    socket: BatchSocket,
+    peer: SocketAddr,
 }
 
 impl UdpChannel {
@@ -72,15 +114,11 @@ impl UdpChannel {
         Ok(UdpChannel::from_socket(socket))
     }
 
-    /// Wraps an already-connected socket.
+    /// Wraps an already-connected socket. (An unconnected one still
+    /// receives; its sends fail, having no peer to go to.)
     pub fn from_socket(socket: UdpSocket) -> UdpChannel {
-        UdpChannel {
-            socket,
-            buf: vec![0u8; MAX_DATAGRAM_BYTES],
-            read_mode: None,
-            batch_slots: Vec::new(),
-            batch_meta: Vec::new(),
-        }
+        let peer = socket.peer_addr().unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
+        UdpChannel { socket: BatchSocket::from_socket(socket, MAX_DATAGRAM_BYTES), peer }
     }
 
     /// The socket's local address.
@@ -91,106 +129,45 @@ impl UdpChannel {
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.socket.local_addr()
     }
-
-    /// Receives up to a small batch of datagrams in (at most) one wait:
-    /// on Linux a `poll` + `recvmmsg` pair, elsewhere a timed receive
-    /// followed by nonblocking drains. `on` is invoked once per datagram.
-    /// Returns the number received; `0` means the timeout elapsed.
-    ///
-    /// This is the client-side mirror of [`BatchSocket::recv_batch`]: a
-    /// receiver draining a coded stream takes many frames per syscall
-    /// instead of one.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the underlying socket.
-    pub fn recv_many(
-        &mut self,
-        timeout: Duration,
-        mut on: impl FnMut(PooledBuf),
-    ) -> io::Result<usize> {
-        if self.batch_slots.is_empty() {
-            self.batch_slots = (0..16).map(|_| vec![0u8; MAX_DATAGRAM_BYTES]).collect();
-        }
-        let got = crate::sysio::recv_from_batch(
-            &self.socket,
-            timeout,
-            &mut self.batch_slots,
-            &mut self.batch_meta,
-        )?;
-        // The portable sysio path manages the socket's blocking mode
-        // itself; drop the cache so the next `recv_timeout` re-applies.
-        self.read_mode = None;
-        let m = crate::metrics::metrics();
-        if got > 0 {
-            m.rx_batch.record(got as u64);
-        }
-        for i in 0..got {
-            let (len, _) = self.batch_meta[i];
-            if len == 0 {
-                continue;
-            }
-            m.rx_datagrams.inc();
-            m.rx_bytes_copied.add(len as u64);
-            on(BytesPool::global().take_copy(&self.batch_slots[i][..len]));
-        }
-        Ok(got)
-    }
 }
 
 impl Channel for UdpChannel {
+    /// A burst of one: the bytes are copied into a pooled buffer, queued
+    /// and flushed.
     fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
-        match self.socket.send(bytes) {
-            Ok(sent) => {
-                crate::metrics::metrics().tx_bytes.add(sent as u64);
-                Ok(())
-            }
-            // A previous datagram hit a closed port (ICMP unreachable
-            // surfaces on the *next* operation on Linux): best-effort
-            // transports treat that as loss, not failure.
-            Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => Ok(()),
-            Err(e) => Err(e),
-        }
+        crate::metrics::metrics().tx_bytes_copied.add(bytes.len() as u64);
+        self.socket.queue(self.peer, BytesPool::global().take_vec_copy(bytes))?;
+        self.socket.flush().map(drop)
     }
 
+    /// A one-slot receive, copied out of the slot into a [`PooledBuf`].
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<PooledBuf>> {
-        let want = if timeout.is_zero() { None } else { Some(timeout) };
-        if self.read_mode != Some(want) {
-            match want {
-                None => self.socket.set_nonblocking(true)?,
-                Some(t) => {
-                    self.socket.set_nonblocking(false)?;
-                    self.socket.set_read_timeout(Some(t))?;
-                }
-            }
-            self.read_mode = Some(want);
+        let mut got = None;
+        self.socket.recv_up_to(1, timeout, |_, bytes| {
+            crate::metrics::metrics().rx_bytes_copied.add(bytes.len() as u64);
+            got = Some(BytesPool::global().take_copy(bytes));
+        })?;
+        Ok(got)
+    }
+
+    fn send_batch(&mut self, batch: &mut Vec<Vec<u8>>) -> io::Result<()> {
+        for bytes in batch.drain(..) {
+            self.socket.queue(self.peer, bytes)?;
         }
-        match self.socket.recv(&mut self.buf) {
-            Ok(len) => {
-                crate::metrics::metrics().rx_bytes_copied.add(len as u64);
-                Ok(Some(BytesPool::global().take_copy(&self.buf[..len])))
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::ConnectionRefused
-                ) =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
+        self.socket.flush().map(drop)
+    }
+
+    fn recv_batch(&mut self, timeout: Duration, on: &mut dyn FnMut(&[u8])) -> io::Result<usize> {
+        self.socket.recv_batch(timeout, |_, bytes| on(bytes))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Batched, unconnected sockets (the server side)
+// Batched sockets (the server side, and under every `UdpChannel`)
 // ---------------------------------------------------------------------------
 
-/// An unconnected UDP socket with batched send/receive — the building
-/// block of the sharded server.
+/// A UDP socket with batched send/receive — the building block of the
+/// sharded server and of [`UdpChannel`].
 ///
 /// Outgoing datagrams are staged with [`BatchSocket::queue`] and handed to
 /// the kernel in one `sendmmsg` per [`flush`](BatchSocket::flush) (one
@@ -203,6 +180,8 @@ impl Channel for UdpChannel {
 pub struct BatchSocket {
     socket: UdpSocket,
     slot_bytes: usize,
+    /// Whether `socket` is connected: its sends then name no address.
+    connected: bool,
     /// Receive slots, allocated on the first receive: a socket that only
     /// ever sends carries none, a receiving shard carries `MAX_BATCH`.
     slots: Vec<Vec<u8>>,
@@ -224,6 +203,20 @@ impl BatchSocket {
         Ok(group.remove(0))
     }
 
+    /// Wraps an existing socket, connected or not; `slot_bytes` as for
+    /// [`bind`](BatchSocket::bind). On a connected socket every send goes
+    /// to the peer whatever address it was queued with.
+    pub fn from_socket(socket: UdpSocket, slot_bytes: usize) -> BatchSocket {
+        BatchSocket {
+            connected: socket.peer_addr().is_ok(),
+            socket,
+            slot_bytes: slot_bytes.clamp(64, MAX_DATAGRAM_BYTES),
+            slots: Vec::new(),
+            meta: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
     /// Binds `shards` sockets sharing one address. On Linux this is a
     /// real `SO_REUSEPORT` group (the kernel hashes each peer's flow to a
     /// stable member); elsewhere it is one socket cloned `shards` times,
@@ -241,24 +234,16 @@ impl BatchSocket {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?;
-        let slot_bytes = slot_bytes.clamp(64, MAX_DATAGRAM_BYTES);
         let sockets = crate::sysio::bind_group(addr, shards.max(1))?;
-        Ok(sockets
-            .into_iter()
-            .map(|socket| BatchSocket {
-                socket,
-                slot_bytes,
-                slots: Vec::new(),
-                meta: Vec::new(),
-                out: Vec::new(),
-            })
-            .collect())
+        Ok(sockets.into_iter().map(|socket| BatchSocket::from_socket(socket, slot_bytes)).collect())
     }
 
     fn ensure_slots(&mut self, n: usize) {
         while self.slots.len() < n {
             self.slots.push(vec![0u8; self.slot_bytes]);
         }
+        // `meta` is refilled per receive; sized once, it never regrows.
+        self.meta.reserve(n);
     }
 
     /// Whether this build coalesces syscalls (`sendmmsg`/`recvmmsg`) or
@@ -297,7 +282,7 @@ impl BatchSocket {
     /// I/O errors from an eager flush.
     pub fn queue(&mut self, to: SocketAddr, bytes: Vec<u8>) -> io::Result<()> {
         self.out.push((to, bytes));
-        if self.out.len() >= crate::sysio::MAX_BATCH {
+        if self.out.len() >= MAX_BATCH {
             self.flush()?;
         }
         Ok(())
@@ -315,7 +300,7 @@ impl BatchSocket {
         if self.out.is_empty() {
             return Ok(0);
         }
-        let result = crate::sysio::send_to_batch(&self.socket, &self.out);
+        let result = crate::sysio::send_to_batch(&self.socket, &self.out, self.connected);
         let m = crate::metrics::metrics();
         m.tx_batch.record(self.out.len() as u64);
         for (_, bytes) in self.out.drain(..) {
@@ -338,11 +323,25 @@ impl BatchSocket {
     pub fn recv_batch(
         &mut self,
         timeout: Duration,
+        on: impl FnMut(SocketAddr, &[u8]),
+    ) -> io::Result<usize> {
+        self.recv_up_to(MAX_BATCH, timeout, on)
+    }
+
+    /// [`recv_batch`](BatchSocket::recv_batch) into the first `max` slots.
+    fn recv_up_to(
+        &mut self,
+        max: usize,
+        timeout: Duration,
         mut on: impl FnMut(SocketAddr, &[u8]),
     ) -> io::Result<usize> {
-        self.ensure_slots(crate::sysio::MAX_BATCH);
-        let got =
-            crate::sysio::recv_from_batch(&self.socket, timeout, &mut self.slots, &mut self.meta)?;
+        self.ensure_slots(max);
+        let got = crate::sysio::recv_from_batch(
+            &self.socket,
+            timeout,
+            &mut self.slots[..max],
+            &mut self.meta,
+        )?;
         if got == 0 {
             return Ok(0);
         }
@@ -512,7 +511,7 @@ impl<T: Clone> FaultInjector<T> {
             return out;
         }
         // Every copy the model makes is a pooled buffer; whoever puts it
-        // on the wire recycles it (`FaultyChannel::send`, `BatchSocket::flush`).
+        // on the wire recycles it (`Channel::send_batch`, `BatchSocket::flush`).
         let pool = BytesPool::global();
         let mut bytes = pool.take_vec_copy(bytes);
         if self.rng.gen_bool(self.profile.bit_flip) && !bytes.is_empty() {
@@ -570,16 +569,27 @@ impl<T: Clone> FaultInjector<T> {
 /// A [`Channel`] whose *outgoing* datagrams pass through a seeded
 /// [`FaultInjector`]. Wrap the data-path end (the sender's channel) to
 /// model a lossy forward link; wrap both ends for a symmetric lossy link.
+///
+/// The fault model sees datagrams one by one in send order, so a burst
+/// meets exactly the faults the same datagrams sent singly would; what
+/// survives a call goes to the inner channel as one batch.
 #[derive(Debug)]
 pub struct FaultyChannel<C> {
     inner: C,
     injector: FaultInjector<()>,
+    /// What the injector put on the wire this call, handed on in one
+    /// [`Channel::send_batch`]; empty between calls.
+    wire: Vec<Vec<u8>>,
 }
 
 impl<C: Channel> FaultyChannel<C> {
     /// Wraps `inner` with deterministic faults.
     pub fn new(inner: C, profile: FaultProfile, seed: u64) -> FaultyChannel<C> {
-        FaultyChannel { inner, injector: FaultInjector::new(profile, seed) }
+        FaultyChannel { inner, injector: FaultInjector::new(profile, seed), wire: Vec::new() }
+    }
+
+    fn admit(&mut self, bytes: &[u8]) {
+        self.wire.extend(self.injector.admit((), bytes).into_iter().map(|((), wire)| wire));
     }
 
     /// Fault counters so far.
@@ -595,16 +605,24 @@ impl<C: Channel> FaultyChannel<C> {
 
 impl<C: Channel> Channel for FaultyChannel<C> {
     fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
-        for ((), wire) in self.injector.admit((), bytes) {
-            let sent = self.inner.send(&wire);
-            BytesPool::global().recycle(wire);
-            sent?;
-        }
-        Ok(())
+        self.admit(bytes);
+        self.inner.send_batch(&mut self.wire)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<PooledBuf>> {
         self.inner.recv_timeout(timeout)
+    }
+
+    fn send_batch(&mut self, batch: &mut Vec<Vec<u8>>) -> io::Result<()> {
+        for bytes in batch.drain(..) {
+            self.admit(&bytes);
+            BytesPool::global().recycle(bytes);
+        }
+        self.inner.send_batch(&mut self.wire)
+    }
+
+    fn recv_batch(&mut self, timeout: Duration, on: &mut dyn FnMut(&[u8])) -> io::Result<usize> {
+        self.inner.recv_batch(timeout, on)
     }
 }
 
@@ -662,26 +680,69 @@ mod tests {
     }
 
     #[test]
-    fn recv_many_drains_multiple_datagrams() {
+    fn udp_channel_moves_bursts_both_ways() {
         let a = UdpSocket::bind("127.0.0.1:0").unwrap();
         let b = UdpSocket::bind("127.0.0.1:0").unwrap();
         a.connect(b.local_addr().unwrap()).unwrap();
         b.connect(a.local_addr().unwrap()).unwrap();
         let mut a = UdpChannel::from_socket(a);
         let mut b = UdpChannel::from_socket(b);
-        for i in 0..10u8 {
-            a.send(&[i; 8]).unwrap();
-        }
+        let mut burst: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 8]).collect();
+        a.send_batch(&mut burst).unwrap();
+        assert!(burst.is_empty(), "send_batch drains the burst");
         let mut seen = Vec::new();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while seen.len() < 10 && std::time::Instant::now() < deadline {
-            b.recv_many(Duration::from_millis(200), |buf| seen.push(buf.to_vec())).unwrap();
+            b.recv_batch(Duration::from_millis(200), &mut |bytes| seen.push(bytes.to_vec()))
+                .unwrap();
         }
         seen.sort();
         assert_eq!(seen, (0..10u8).map(|i| vec![i; 8]).collect::<Vec<_>>());
-        // Interleaves cleanly with the one-at-a-time path.
+        assert_eq!(b.recv_batch(Duration::ZERO, &mut |_| {}).unwrap(), 0, "zero timeout polls");
+        // Interleaves cleanly with the one-at-a-time path, both ways.
         a.send(b"tail").unwrap();
         assert_eq!(b.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(), b"tail");
+        b.send(b"back").unwrap();
+        let mut back = Vec::new();
+        a.recv_batch(Duration::from_secs(5), &mut |bytes| back.push(bytes.to_vec())).unwrap();
+        assert_eq!(back, [b"back".to_vec()]);
+    }
+
+    #[test]
+    fn fault_model_is_batch_invariant() {
+        // The same datagrams through the same seeded model, once a send at
+        // a time and once in bursts: same bytes on the far side, same
+        // order, same fault counts.
+        fn deliver(burst: usize, batched: bool) -> (Vec<Vec<u8>>, FaultStats) {
+            let (a, mut b) = memory_pair();
+            let mut faulty = FaultyChannel::new(a, FaultProfile::hostile(0.2), 17);
+            let datagrams: Vec<Vec<u8>> =
+                (0..640u32).map(|i| [i.to_le_bytes(), (i * 31).to_le_bytes()].concat()).collect();
+            for chunk in datagrams.chunks(burst) {
+                if batched {
+                    let mut batch = chunk.to_vec();
+                    faulty.send_batch(&mut batch).unwrap();
+                    assert!(batch.is_empty());
+                } else {
+                    for bytes in chunk {
+                        faulty.send(bytes).unwrap();
+                    }
+                }
+            }
+            let mut delivered = Vec::new();
+            while let Some(bytes) = b.recv_timeout(Duration::ZERO).unwrap() {
+                delivered.push(bytes.to_vec());
+            }
+            (delivered, faulty.fault_stats())
+        }
+        for burst in [1, 7, 64] {
+            let (singly, singly_stats) = deliver(burst, false);
+            let (batched, batched_stats) = deliver(burst, true);
+            let s = singly_stats;
+            assert!(s.dropped * s.duplicated * s.reordered * s.bit_flipped > 0, "{s:?}");
+            assert_eq!(batched, singly, "burst {burst}: bytes and order");
+            assert_eq!(batched_stats, singly_stats, "burst {burst}: fault counts");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! socket is a sans-I/O state machine, so the exact same sender/receiver
 //! logic runs over three substrates:
 //!
-//! - [`channel::UdpChannel`] — a real `std::net::UdpSocket` (deployment,
+//! - [`channel::UdpChannel`] — a connected UDP socket batched through
+//!   the same `sendmmsg`/`recvmmsg` path as the server (deployment,
 //!   loopback benchmarks);
 //! - [`channel::MemoryChannel`] — an in-process pair (fast tests);
 //! - either of the above wrapped in [`channel::FaultyChannel`] — seeded,
@@ -18,7 +19,7 @@
 //! |---|---|
 //! | [`wire`] | versioned datagram codec: magic, session ids, CRC-32, typed payloads |
 //! | [`codecs`] | coding-backend registry: the announce's codec id → dense RLNC or FFT16 |
-//! | [`channel`] | the I/O seam: sockets, memory pairs, fault injection |
+//! | [`channel`] | the I/O seam: one batched socket type, memory pairs, fault injection |
 //! | [`pacing`] | token-bucket wire pacing + adaptive redundancy control |
 //! | [`session`] | sans-I/O rateless sender state machine |
 //! | [`receiver`] | sans-I/O receiver state machine + blocking driver |
@@ -63,8 +64,8 @@
 //! ```
 
 // `deny`, not `forbid`: the one `#[allow(unsafe_code)]` in the crate sits
-// on `sysio::linux`, the module that declares the batched syscalls the
-// sharded server is built on. Everything else stays unsafe-free.
+// on `sysio::linux`, the module that declares the batched syscalls every
+// socket in the crate is built on. Everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

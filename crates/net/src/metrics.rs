@@ -26,17 +26,19 @@ pub(crate) struct NetMetrics {
     pub frames_dropped: Arc<Counter>,
     /// Extra deliveries the fault model duplicated.
     pub frames_duplicated: Arc<Counter>,
-    /// Bytes copied off a socket/receive buffer into a (recycled) pool
-    /// buffer on the receive path — the one copy that remains after the
-    /// per-datagram `to_vec` allocations were removed.
+    /// Bytes copied off a socket receive slot into a (recycled) pool
+    /// buffer: `UdpChannel::recv_timeout`'s one copy. Batched receives
+    /// (`recv_batch`, what the drivers and the server use) lend the slot
+    /// and add nothing.
     pub rx_bytes_copied: Arc<Counter>,
     /// User-space payload bytes copied on the send path: a data frame
-    /// copied into its datagram by `Datagram::encode`, and the fault
-    /// injector's copies. The sender session's encode-in-place path adds
-    /// nothing here.
+    /// copied into its datagram by `Datagram::encode`, the fault
+    /// injector's copies, and the pooled copy `UdpChannel::send` queues
+    /// of a borrowed datagram. The sender session's encode-in-place path
+    /// and `send_batch` add nothing here.
     pub tx_bytes_copied: Arc<Counter>,
-    /// Wire bytes handed to the kernel by `BatchSocket::flush` and
-    /// `UdpChannel::send` (one add per flush / send).
+    /// Wire bytes handed to the kernel by `BatchSocket::flush` (one add
+    /// per flush; every `UdpChannel` send is one).
     pub tx_bytes: Arc<Counter>,
     /// Datagrams any parse rejected for a checksum mismatch.
     pub rx_crc_rejected: Arc<Counter>,

@@ -418,6 +418,11 @@ fn until(at: Instant, now: Instant) -> Duration {
 /// Drives a [`ReceiverSession`] over a channel until it finishes,
 /// returning the recovered bytes (if any) and the report.
 ///
+/// Each receive batch is handed to the session borrowed from the
+/// channel's slots; the session is then polled until it quotes a wait,
+/// and the requests, ACKs or FINs it produced leave in one
+/// [`Channel::send_batch`].
+///
 /// # Errors
 ///
 /// Propagates channel I/O errors (datagram loss is not an error).
@@ -425,28 +430,20 @@ pub fn run_receiver<C: Channel>(
     channel: &mut C,
     session: &mut ReceiverSession,
 ) -> io::Result<ReceiverReport> {
+    // lint: allow(vec-capacity) — one staging vector per transfer, drained by every flush.
+    let mut feedback = Vec::new();
     loop {
-        let now = Instant::now();
-        match session.poll(now) {
+        let wait = match session.poll(Instant::now()) {
             ReceiverEvent::Transmit(bytes) => {
-                channel.send(&bytes)?;
-                // Sent: the allocation feeds the next encode via the pool.
-                nc_pool::BytesPool::global().recycle(bytes);
-                // Stay live: drain anything that arrived meanwhile.
-                while let Some(incoming) = channel.recv_timeout(Duration::ZERO)? {
-                    session.handle_bytes(&incoming, Instant::now());
-                }
+                feedback.push(bytes);
+                continue;
             }
-            ReceiverEvent::Wait(timeout) => {
-                if let Some(incoming) = channel.recv_timeout(timeout)? {
-                    session.handle_bytes(&incoming, Instant::now());
-                    while let Some(more) = channel.recv_timeout(Duration::ZERO)? {
-                        session.handle_bytes(&more, Instant::now());
-                    }
-                }
-            }
-            ReceiverEvent::Finished => return Ok(session.report()),
-        }
+            ReceiverEvent::Wait(timeout) => Some(timeout),
+            ReceiverEvent::Finished => None,
+        };
+        channel.send_batch(&mut feedback)?;
+        let Some(timeout) = wait else { return Ok(session.report()) };
+        channel.recv_batch(timeout, &mut |bytes| session.handle_bytes(bytes, Instant::now()))?;
     }
 }
 

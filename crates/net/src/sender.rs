@@ -9,44 +9,60 @@ use std::time::{Duration, Instant};
 
 use crate::channel::Channel;
 use crate::session::{SenderConfig, SenderEvent, SenderReport, SenderSession};
+use crate::sysio::MAX_BATCH;
 use crate::wire::{Datagram, WireError};
 
 /// Drives a [`SenderSession`] over `channel` until it finishes.
 ///
+/// Frames are staged until the session quotes a wait, finishes, or a
+/// burst of `MAX_BATCH` (64) datagrams is ready; the burst then goes out
+/// in one [`Channel::send_batch`] (one `sendmmsg` on a [`UdpChannel`])
+/// and the feedback that arrived meanwhile is drained in batches before
+/// the session is polled again.
+///
 /// # Errors
 ///
 /// Propagates channel I/O errors (datagram loss is not an error).
+///
+/// [`UdpChannel`]: crate::channel::UdpChannel
 pub fn run_sender<C: Channel>(
     channel: &mut C,
     session: &mut SenderSession,
 ) -> io::Result<SenderReport> {
+    let mut burst = Vec::new();
     loop {
-        let now = Instant::now();
-        match session.poll(now) {
+        match session.poll(Instant::now()) {
             SenderEvent::Transmit(bytes) => {
-                channel.send(&bytes)?;
-                // The datagram is on the wire; its allocation is the
-                // buffer the next `poll` encodes into, via the shared pool.
-                nc_pool::BytesPool::global().recycle(bytes);
-                // Drain feedback that arrived while we were sending so ACKs
-                // take effect before the next frame is budgeted.
-                drain(channel, session)?;
+                burst.push(bytes);
+                if burst.len() < MAX_BATCH {
+                    continue;
+                }
             }
-            SenderEvent::Wait(timeout) => {
+            SenderEvent::Wait(timeout) if burst.is_empty() => {
                 if timeout < Duration::from_millis(1) {
-                    // Sub-millisecond pacing gaps: socket read timeouts
-                    // (SO_RCVTIMEO) round up to scheduler ticks, which
+                    // Sub-millisecond pacing gaps: socket waits round up
+                    // to whole milliseconds or scheduler ticks, which
                     // would turn smooth pacing into multi-millisecond
                     // bursts that overflow the peer's socket buffer.
                     drain(channel, session)?;
                     std::thread::sleep(timeout);
-                } else if let Some(incoming) = channel.recv_timeout(timeout)? {
-                    handle(session, &incoming);
+                } else if channel.recv_batch(timeout, &mut |bytes| handle(session, bytes))? > 0 {
                     drain(channel, session)?;
                 }
+                continue;
             }
-            SenderEvent::Finished => return Ok(session.report(Instant::now())),
+            SenderEvent::Finished if burst.is_empty() => {
+                return Ok(session.report(Instant::now()));
+            }
+            // A wait or finish quoted with frames staged: send them, then
+            // ask again — the feedback drained below can change the answer.
+            SenderEvent::Wait(_) | SenderEvent::Finished => {}
         }
+        // On the wire: the buffers return to the pool, for the next
+        // `poll` to encode into.
+        channel.send_batch(&mut burst)?;
+        // ACKs take effect before the next frame is budgeted.
+        drain(channel, session)?;
     }
 }
 
@@ -68,10 +84,9 @@ pub fn send_stream<C: Channel>(
     run_sender(channel, &mut session)
 }
 
+/// Handles feedback, a batch at a time, until none is waiting.
 fn drain<C: Channel>(channel: &mut C, session: &mut SenderSession) -> io::Result<()> {
-    while let Some(incoming) = channel.recv_timeout(Duration::ZERO)? {
-        handle(session, &incoming);
-    }
+    while channel.recv_batch(Duration::ZERO, &mut |bytes| handle(session, bytes))? > 0 {}
     Ok(())
 }
 

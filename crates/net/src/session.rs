@@ -219,6 +219,11 @@ pub struct SenderSession {
     data_datagram_bytes: usize,
     announce_at: Option<Instant>,
     acked_once: bool,
+    /// An ACK arrived since the last `poll`, which folds it in.
+    feedback_pending: bool,
+    /// Data frames the peer's feedback can describe: those handed out
+    /// before the latest burst (see [`SenderSession::fold_feedback`]).
+    visible_sent: u64,
     started: Instant,
     last_activity: Instant,
     last_trickle: Instant,
@@ -289,6 +294,8 @@ impl SenderSession {
             data_datagram_bytes,
             announce_at: None,
             acked_once: false,
+            feedback_pending: false,
+            visible_sent: 0,
             started: now,
             last_activity: now,
             last_trickle: now,
@@ -330,7 +337,9 @@ impl SenderSession {
         }
     }
 
-    /// Folds in one datagram from the receiver.
+    /// Folds in one datagram from the receiver. Completion takes effect
+    /// at once; an ACK's counters reach the loss estimate at the next
+    /// `poll`, once per batch of feedback.
     pub fn handle_datagram(&mut self, datagram: &Datagram, now: Instant) {
         if datagram.session != self.session {
             return;
@@ -352,11 +361,7 @@ impl SenderSession {
                         self.completed.set(i);
                     }
                 }
-                self.redundancy.observe(self.window.frames_sent(), self.window.peer_received());
-                let m = metrics();
-                m.loss_estimate.set(self.redundancy.loss_estimate());
-                m.redundancy_factor.set(self.redundancy.factor());
-                self.regrant_budgets();
+                self.feedback_pending = true;
                 if self.completed.all_complete() {
                     self.finish(SenderOutcome::Completed, now);
                 }
@@ -378,6 +383,38 @@ impl SenderSession {
 
     /// Advances the state machine (see [`SenderEvent`]).
     pub fn poll(&mut self, now: Instant) -> SenderEvent {
+        if std::mem::take(&mut self.feedback_pending) {
+            self.fold_feedback();
+        }
+        let event = self.next_event(now);
+        if matches!(event, SenderEvent::Wait(_)) {
+            // Every frame handed out so far has the wait to arrive in.
+            self.visible_sent = self.window.frames_sent();
+        }
+        event
+    }
+
+    /// Folds the feedback that arrived since the last `poll` into the loss
+    /// estimate and the segment budgets: once per batch of ACKs, from the
+    /// freshest cumulative counters.
+    ///
+    /// A driver that puts a burst on the wire and then drains feedback
+    /// (`run_sender`, a shard step) reads ACKs the receiver sent before
+    /// that burst reached it. Loss is therefore measured against the
+    /// frames handed out before the latest burst — up to the previous
+    /// fold, or to the last quoted wait — not against every frame handed
+    /// out: counting a burst in flight as lost would inflate the estimate
+    /// by up to a burst per observation, and the redundancy factor with it.
+    fn fold_feedback(&mut self) {
+        self.redundancy.observe(self.visible_sent, self.window.peer_received());
+        let m = metrics();
+        m.loss_estimate.set(self.redundancy.loss_estimate());
+        m.redundancy_factor.set(self.redundancy.factor());
+        self.regrant_budgets();
+        self.visible_sent = self.window.frames_sent();
+    }
+
+    fn next_event(&mut self, now: Instant) -> SenderEvent {
         loop {
             if self.outcome.is_some() {
                 return SenderEvent::Finished;
@@ -792,6 +829,33 @@ mod tests {
             }
         }
         assert_eq!(seen_segment0, 0, "completed segment must get no more frames");
+    }
+
+    #[test]
+    fn a_burst_in_flight_is_not_counted_as_lost() {
+        // A batching driver flushes a burst, then drains ACKs the receiver
+        // sent before that burst reached it: lossless feedback, read at
+        // the moment a driver reads it, must not raise the estimate.
+        let mut s = session(SenderConfig::default());
+        let now = Instant::now();
+        let segments = s.meta().total_segments as usize;
+        let ack = |received| {
+            let completed = SegmentBitmap::new(segments);
+            Datagram::new(77, Payload::Ack { received, innovative: received, completed })
+        };
+        let burst = |s: &mut SenderSession| {
+            for _ in 0..8 {
+                assert!(matches!(s.poll(now), SenderEvent::Transmit(_)));
+            }
+        };
+        assert!(matches!(s.poll(now), SenderEvent::Transmit(_)), "the announce");
+        s.handle_datagram(&ack(0), now);
+        burst(&mut s);
+        s.handle_datagram(&ack(0), now); // sent before burst one arrived
+        burst(&mut s);
+        s.handle_datagram(&ack(8), now); // all of burst one, none of two
+        s.poll(now);
+        assert_eq!(s.report(now).loss_estimate, 0.0);
     }
 
     #[test]

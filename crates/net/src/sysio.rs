@@ -14,8 +14,9 @@
 //!   plain `std::net::UdpSocket` calls, one datagram per syscall, socket
 //!   groups emulated with `try_clone`.
 //!
-//! Both implementations expose the same five functions, so everything
-//! above this seam ([`crate::channel::BatchSocket`], the sharded server)
+//! Both implementations expose the same four functions, so everything
+//! above this seam ([`crate::channel::BatchSocket`], and through it the
+//! sharded server and the point-to-point [`crate::channel::UdpChannel`])
 //! is platform-free. Fallback semantics differ only in throughput:
 //!
 //! | capability        | linux path           | portable path            |
@@ -26,8 +27,10 @@
 //! | receive buffer    | SO_RCVBUF resize     | kernel default (no-op)   |
 //! | syscall metric    | exact                | exact                    |
 //!
-//! Every syscall issued here increments `net.syscalls`, which is what the
-//! `server_capacity` bench divides by datagrams moved.
+//! Every syscall issued here increments `net.syscalls`; the layered
+//! benchmark (`benchmark/`) divides it by the datagrams moved
+//! (`net.tx_datagrams + net.rx_datagrams`) to report
+//! `net.syscalls_per_datagram`.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -63,6 +66,7 @@ fn count_syscalls(n: u64) {
 #[allow(unsafe_code)]
 mod linux {
     use super::*;
+    use std::mem::MaybeUninit;
     use std::os::fd::{AsRawFd, FromRawFd};
 
     // Kernel ABI constants (x86_64 / aarch64 Linux; generic asm values).
@@ -114,6 +118,23 @@ mod linux {
         len: u32,
     }
 
+    impl MMsgHdr {
+        /// One message over the single buffer `iov`; a null `name` sends
+        /// to the connected peer.
+        fn new(name: *mut SockAddrStorage, namelen: u32, iov: *mut IoVec) -> MMsgHdr {
+            let control = std::ptr::null_mut();
+            let hdr = MsgHdr { name, namelen, iov, iovlen: 1, control, controllen: 0, flags: 0 };
+            MMsgHdr { hdr, len: 0 }
+        }
+    }
+
+    /// Scratch for one batched call, left uninitialized: a call writes
+    /// only the entries it hands to the kernel, so a burst of one does not
+    /// pay for clearing `MAX_BATCH` headers and addresses (~13 KB).
+    fn scratch<T>() -> [MaybeUninit<T>; MAX_BATCH] {
+        [const { MaybeUninit::uninit() }; MAX_BATCH]
+    }
+
     /// `struct pollfd`.
     #[repr(C)]
     struct PollFd {
@@ -153,18 +174,19 @@ mod linux {
         }
     }
 
-    /// Parses a kernel-written sockaddr back into a `SocketAddr`. `None`
-    /// for families an AF_INET/AF_INET6 socket can never produce.
-    fn decode_addr(s: &SockAddrStorage) -> Option<SocketAddr> {
-        let family = u16::from_ne_bytes([s.data[0], s.data[1]]);
-        let port = u16::from_be_bytes([s.data[2], s.data[3]]);
+    /// Parses the bytes of a kernel-written sockaddr back into a
+    /// `SocketAddr`. `None` for families an AF_INET/AF_INET6 socket can
+    /// never produce, or a name too short for its family.
+    fn decode_addr(name: &[u8]) -> Option<SocketAddr> {
+        let family = u16::from_ne_bytes(name.get(0..2)?.try_into().ok()?);
+        let port = u16::from_be_bytes(name.get(2..4)?.try_into().ok()?);
         if family == AF_INET {
-            let ip: [u8; 4] = s.data[4..8].try_into().ok()?;
+            let ip: [u8; 4] = name.get(4..8)?.try_into().ok()?;
             Some(SocketAddr::from((ip, port)))
         } else if family == AF_INET6 {
-            let ip: [u8; 16] = s.data[8..24].try_into().ok()?;
-            let scope = u32::from_ne_bytes(s.data[24..28].try_into().ok()?);
-            let flow = u32::from_be_bytes(s.data[4..8].try_into().ok()?);
+            let ip: [u8; 16] = name.get(8..24)?.try_into().ok()?;
+            let scope = u32::from_ne_bytes(name.get(24..28)?.try_into().ok()?);
+            let flow = u32::from_be_bytes(name.get(4..8)?.try_into().ok()?);
             Some(SocketAddr::V6(std::net::SocketAddrV6::new(ip.into(), port, flow, scope)))
         } else {
             None
@@ -258,49 +280,40 @@ mod linux {
     /// Sends every datagram in `msgs`, one `sendmmsg` per [`MAX_BATCH`]
     /// chunk. Returns the datagrams, and their bytes, handed to the
     /// kernel; backpressure (`EAGAIN`) and ICMP-unreachable feedback are
-    /// loss, not errors.
+    /// loss, not errors. On a `connected` socket the addresses are
+    /// ignored and every header's `msg_name` stays null.
     pub(crate) fn send_to_batch(
         socket: &UdpSocket,
         msgs: &[(SocketAddr, Vec<u8>)],
+        connected: bool,
     ) -> io::Result<(usize, u64)> {
         let fd = socket.as_raw_fd();
         let (mut sent, mut sent_bytes) = (0usize, 0u64);
         for chunk in msgs.chunks(MAX_BATCH) {
-            let mut addrs = [SockAddrStorage::ZERO; MAX_BATCH];
-            let mut iovecs: [IoVec; MAX_BATCH] =
-                std::array::from_fn(|_| IoVec { base: std::ptr::null_mut(), len: 0 });
-            let mut hdrs: [MMsgHdr; MAX_BATCH] = std::array::from_fn(|_| MMsgHdr {
-                hdr: MsgHdr {
-                    name: std::ptr::null_mut(),
-                    namelen: 0,
-                    iov: std::ptr::null_mut(),
-                    iovlen: 0,
-                    control: std::ptr::null_mut(),
-                    controllen: 0,
-                    flags: 0,
-                },
-                len: 0,
-            });
+            let (mut addrs, mut iovecs, mut hdrs) = (scratch(), scratch(), scratch());
             for (i, (to, bytes)) in chunk.iter().enumerate() {
-                let (storage, namelen) = encode_addr(*to);
-                addrs[i] = storage;
+                let (name, namelen) = if connected {
+                    (std::ptr::null_mut(), 0)
+                } else {
+                    let (storage, namelen) = encode_addr(*to);
+                    (std::ptr::from_mut(addrs[i].write(storage)), namelen)
+                };
                 // The kernel never writes through a send iov; the cast is
                 // only to satisfy the shared msghdr layout.
-                iovecs[i] = IoVec { base: bytes.as_ptr().cast_mut(), len: bytes.len() };
-                hdrs[i].hdr.name = &mut addrs[i];
-                hdrs[i].hdr.namelen = namelen;
-                hdrs[i].hdr.iov = &mut iovecs[i];
-                hdrs[i].hdr.iovlen = 1;
+                let iov =
+                    iovecs[i].write(IoVec { base: bytes.as_ptr().cast_mut(), len: bytes.len() });
+                hdrs[i].write(MMsgHdr::new(name, namelen, iov));
             }
+            let hdrs = hdrs.as_mut_ptr().cast::<MMsgHdr>();
             let mut off = 0usize;
             while off < chunk.len() {
                 super::count_syscalls(1);
-                // SAFETY: `hdrs[off..chunk.len()]` are fully initialized
-                // mmsghdrs whose name/iov pointers reference locals and
-                // `chunk` buffers that outlive the call.
-                let rc = unsafe {
-                    sendmmsg(fd, hdrs.as_mut_ptr().add(off), (chunk.len() - off) as u32, 0)
-                };
+                // SAFETY: the first `chunk.len()` entries of `hdrs` were
+                // written above (the kernel reads no others); their name
+                // pointers are null or point at written `addrs` entries,
+                // and their iovs at written `iovecs` entries over `chunk`
+                // buffers, all outliving the call.
+                let rc = unsafe { sendmmsg(fd, hdrs.add(off), (chunk.len() - off) as u32, 0) };
                 if rc < 0 {
                     let err = io::Error::last_os_error();
                     match err.kind() {
@@ -359,36 +372,21 @@ mod linux {
             }
         }
         let n = slots.len().min(MAX_BATCH);
-        let mut addrs = [SockAddrStorage::ZERO; MAX_BATCH];
-        let mut iovecs: [IoVec; MAX_BATCH] =
-            std::array::from_fn(|_| IoVec { base: std::ptr::null_mut(), len: 0 });
-        let mut hdrs: [MMsgHdr; MAX_BATCH] = std::array::from_fn(|_| MMsgHdr {
-            hdr: MsgHdr {
-                name: std::ptr::null_mut(),
-                namelen: 0,
-                iov: std::ptr::null_mut(),
-                iovlen: 0,
-                control: std::ptr::null_mut(),
-                controllen: 0,
-                flags: 0,
-            },
-            len: 0,
-        });
-        for i in 0..n {
-            iovecs[i] = IoVec { base: slots[i].as_mut_ptr(), len: slots[i].len() };
-            hdrs[i].hdr.name = &mut addrs[i];
-            hdrs[i].hdr.namelen = std::mem::size_of::<SockAddrStorage>() as u32;
-            hdrs[i].hdr.iov = &mut iovecs[i];
-            hdrs[i].hdr.iovlen = 1;
+        let (mut addrs, mut iovecs, mut hdrs) =
+            (scratch::<SockAddrStorage>(), scratch(), scratch());
+        for (i, slot) in slots[..n].iter_mut().enumerate() {
+            let iov = iovecs[i].write(IoVec { base: slot.as_mut_ptr(), len: slot.len() });
+            let namelen = std::mem::size_of::<SockAddrStorage>() as u32;
+            hdrs[i].write(MMsgHdr::new(addrs[i].as_mut_ptr(), namelen, iov));
         }
+        let hdrs = hdrs.as_mut_ptr().cast::<MMsgHdr>();
         super::count_syscalls(1);
-        // SAFETY: the first `n` mmsghdrs are fully initialized; their
-        // iovs point into distinct `slots` buffers and their names into
-        // `addrs`, all outliving the call. MSG_DONTWAIT keeps the call
-        // from blocking regardless of the socket's mode.
-        let rc = unsafe {
-            recvmmsg(fd, hdrs.as_mut_ptr(), n as u32, MSG_DONTWAIT, std::ptr::null_mut())
-        };
+        // SAFETY: the first `n` entries of `hdrs` were written above (the
+        // kernel touches no others); their iovs point into distinct
+        // `slots` buffers and their names at distinct `addrs` entries,
+        // all outliving the call. MSG_DONTWAIT keeps the call from
+        // blocking regardless of the socket's mode.
+        let rc = unsafe { recvmmsg(fd, hdrs, n as u32, MSG_DONTWAIT, std::ptr::null_mut()) };
         if rc < 0 {
             let err = io::Error::last_os_error();
             return match err.kind() {
@@ -401,9 +399,18 @@ mod linux {
             };
         }
         let got = rc as usize;
-        for i in 0..got {
-            match decode_addr(&addrs[i]) {
-                Some(addr) => meta.push((hdrs[i].len as usize, addr)),
+        for (i, addr) in addrs[..got].iter().enumerate() {
+            // SAFETY: `i < got <= n`, so `hdrs[i]` was written above; the
+            // kernel set its `len` and `namelen` and wrote the first
+            // `namelen` bytes of `addr` (capped at its size: a longer
+            // name is truncated, never overrun).
+            let (len, name) = unsafe {
+                let hdr = &*hdrs.add(i);
+                let namelen = (hdr.hdr.namelen as usize).min(std::mem::size_of_val(addr));
+                (hdr.len as usize, std::slice::from_raw_parts(addr.as_ptr().cast::<u8>(), namelen))
+            };
+            match decode_addr(name) {
+                Some(addr) => meta.push((len, addr)),
                 None => meta.push((0, SocketAddr::from(([0, 0, 0, 0], 0)))),
             }
         }
@@ -411,7 +418,7 @@ mod linux {
     }
 }
 
-/// The portable fallback: the same five entry points over plain
+/// The portable fallback: the same four entry points over plain
 /// `std::net::UdpSocket`, one datagram per syscall. Compiled on
 /// non-Linux targets and under `--cfg nc_portable_io` (a CI lane), so
 /// the seam above it can never quietly grow a Linux-only dependency.
@@ -440,14 +447,18 @@ mod portable {
         Ok(sockets)
     }
 
+    /// A connected socket sends with `send`: the BSDs and macOS refuse
+    /// `sendto` with an address on one (`EISCONN`), Linux ignores it.
     pub(crate) fn send_to_batch(
         socket: &UdpSocket,
         msgs: &[(SocketAddr, Vec<u8>)],
+        connected: bool,
     ) -> io::Result<(usize, u64)> {
         let (mut sent, mut sent_bytes) = (0usize, 0u64);
         for (to, bytes) in msgs {
             super::count_syscalls(1);
-            match socket.send_to(bytes, to) {
+            let result = if connected { socket.send(bytes) } else { socket.send_to(bytes, to) };
+            match result {
                 Ok(_) => {
                     sent += 1;
                     sent_bytes += bytes.len() as u64;
@@ -505,8 +516,8 @@ mod portable {
                 Err(e) => return Err(e),
             }
         }
-        // Leave the socket nonblocking so a caller that also uses plain
-        // recvs must re-assert its own mode (see `UdpChannel::recv_many`).
+        // Leave the socket nonblocking: the next call sets the mode it
+        // needs, and a send never blocks on a full buffer (loss instead).
         if got == n || got == 0 {
             super::count_syscalls(1);
             socket.set_nonblocking(true)?;
@@ -537,7 +548,7 @@ mod tests {
         let msgs: Vec<(SocketAddr, Vec<u8>)> =
             (0..10u8).map(|i| (to, vec![i; 32 + i as usize])).collect();
         let wire_bytes: u64 = msgs.iter().map(|(_, bytes)| bytes.len() as u64).sum();
-        assert_eq!(send_to_batch(&tx, &msgs).unwrap(), (10, wire_bytes));
+        assert_eq!(send_to_batch(&tx, &msgs, false).unwrap(), (10, wire_bytes));
 
         let mut slots: Vec<Vec<u8>> = (0..16).map(|_| vec![0u8; 2048]).collect();
         let mut meta = Vec::new();
@@ -556,6 +567,25 @@ mod tests {
         let mut want: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 32 + i as usize]).collect();
         want.sort();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn connected_send_ignores_the_address() {
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        tx.connect(rx.local_addr().unwrap()).unwrap();
+        // Somewhere else entirely: a connected send must not address it
+        // (`EISCONN` off Linux), and the datagram still reaches the peer.
+        let elsewhere = SocketAddr::from(([127, 0, 0, 1], 9));
+        let msgs = vec![(elsewhere, b"to the peer".to_vec())];
+        assert_eq!(send_to_batch(&tx, &msgs, true).unwrap(), (1, 11));
+
+        let mut slots: Vec<Vec<u8>> = vec![vec![0u8; 64]];
+        let mut meta = Vec::new();
+        let got = recv_from_batch(&rx, Duration::from_secs(5), &mut slots, &mut meta).unwrap();
+        assert_eq!(got, 1);
+        assert_eq!(meta[0], (11, tx.local_addr().unwrap()));
+        assert_eq!(&slots[0][..11], b"to the peer");
     }
 
     #[test]

@@ -7,14 +7,18 @@
 //! [`SenderSession`] and 1000 non-completing `handle_bytes` calls of a
 //! [`ReceiverSession`] must not reach the allocator once: each datagram is
 //! encoded in place into one pooled buffer, and parsed borrowed and copied
-//! once into the decoder's own output buffer.
+//! once into the decoder's own output buffer. Below them, 1000 loopback
+//! datagrams through a [`UdpChannel`] pair's `send_batch` + `recv_batch`
+//! must not either: buffers come from and return to the pool, receive
+//! slots are borrowed, and the batch scratch lives on the stack.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use nc_net::channel::{Channel, UdpChannel};
 use nc_net::receiver::{ReceiverConfig, ReceiverEvent, ReceiverSession};
 use nc_net::session::{SenderConfig, SenderEvent, SenderSession};
 use nc_net::wire::{Datagram, Payload, SegmentBitmap};
@@ -159,4 +163,53 @@ fn warm_send_and_receive_paths_do_not_allocate() {
     assert_eq!(report.received, (SEGMENTS + CYCLES) as u64, "every frame was absorbed");
     assert_eq!(report.malformed + report.corrupt + report.alien, 0);
     assert!(!rx.is_complete());
+}
+
+/// Sends `bursts` bursts of `burst` copies of `template` from `a` to `b`
+/// and receives them all; returns how many arrived.
+fn udp_round_trips(
+    a: &mut UdpChannel,
+    b: &mut UdpChannel,
+    batch: &mut Vec<Vec<u8>>,
+    template: &[u8],
+    bursts: usize,
+    burst: usize,
+) -> usize {
+    let mut arrived = 0;
+    for _ in 0..bursts {
+        batch.extend((0..burst).map(|_| BytesPool::global().take_vec_copy(template)));
+        a.send_batch(batch).expect("send");
+        let mut got = 0;
+        while got < burst {
+            let n = b
+                .recv_batch(Duration::from_secs(5), &mut |bytes| {
+                    assert_eq!(bytes, template);
+                    got += 1;
+                })
+                .expect("recv");
+            assert!(n > 0, "loopback datagram lost");
+        }
+        arrived += got;
+    }
+    arrived
+}
+
+#[test]
+fn warm_udp_channel_batches_do_not_allocate() {
+    let sa = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+    let sb = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+    sa.connect(sb.local_addr().expect("addr")).expect("connect");
+    sb.connect(sa.local_addr().expect("addr")).expect("connect");
+    let (mut a, mut b) = (UdpChannel::from_socket(sa), UdpChannel::from_socket(sb));
+    let template = vec![0x5au8; 1024 + 40];
+    const BURST: usize = 10;
+    let mut batch = Vec::with_capacity(BURST);
+    // Warm-up: the receive slots, the send stage and the pool's shelf.
+    assert_eq!(udp_round_trips(&mut a, &mut b, &mut batch, &template, 4, BURST), 4 * BURST);
+    let mut arrived = 0;
+    let allocated = allocations_during(|| {
+        arrived = udp_round_trips(&mut a, &mut b, &mut batch, &template, CYCLES / BURST, BURST);
+    });
+    assert_eq!(arrived, CYCLES);
+    assert_eq!(allocated, 0, "{CYCLES} warm UDP datagrams allocated {allocated} times");
 }
