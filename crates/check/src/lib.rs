@@ -28,7 +28,7 @@
 //!
 //! # The checker
 //!
-//! Under `cfg(nc_check)`, [`check`] / [`Check`] run a model closure under
+//! Under `cfg(nc_check)`, `check` / `Check` run a model closure under
 //! depth-first exploration of its schedule tree:
 //!
 //! ```ignore
@@ -45,7 +45,7 @@
 //! is how lost condvar wakeups surface, since `wait_timeout` is modeled
 //! as an untimed wait), livelocks, leaked threads — abort the run and are
 //! reported with a **replayable trace**: a comma-separated decision list
-//! like `t0,t1,t1,w2,t0` that [`replay`] feeds back through the scheduler
+//! like `t0,t1,t1,w2,t0` that `replay` feeds back through the scheduler
 //! to reproduce the exact interleaving.
 //!
 //! # What is *not* modeled

@@ -5,7 +5,7 @@
 //! `use nc_check::sync::{Mutex, Condvar}` compiles to exactly what it did
 //! before. Under `RUSTFLAGS="--cfg nc_check"` the same names resolve to
 //! shim types that route every operation through the deterministic
-//! scheduler in [`crate::sched`], letting the explorer enumerate
+//! scheduler of the `sched` module, letting the explorer enumerate
 //! interleavings.
 //!
 //! Shimmed: `Mutex`/`MutexGuard`, `Condvar`/`WaitTimeoutResult`, and the

@@ -17,11 +17,14 @@
 //! * [`ErasureCodec`] — the factory tying both halves to a [`CodecId`];
 //!   implemented by [`DenseRlncCodec`] here and by `nc_fft::Fft16Codec`.
 //!
-//! Dense RLNC draws *random* coefficients, so its sender consumes the
-//! session RNG and ignores the frame sequence number; deterministic
-//! codecs (systematic Reed–Solomon) ignore the RNG and index shards by the
-//! sequence number. [`StreamCodecSender::frame_into`] carries both so one
-//! call shape serves both families.
+//! Dense RLNC is systematic on the wire: frame `seq < n` of a segment is
+//! source block `seq` under a unit coefficient vector, and every later
+//! frame is a combination under *random* coefficients drawn from the
+//! session RNG (rateless). The deterministic codecs (systematic
+//! Reed–Solomon, circular shift) ignore the RNG and pick the shard or
+//! evaluation point by the sequence number alone.
+//! [`StreamCodecSender::frame_into`] carries both so one call shape serves
+//! both families.
 
 use crate::error::Error;
 use crate::segment::CodingConfig;
@@ -117,8 +120,10 @@ pub trait StreamCodecSender: Send + Sync {
     /// of a pooled datagram, behind its header: the frame is written once).
     ///
     /// `seq` is how many frames the caller has already requested for this
-    /// segment: deterministic codecs use it to pick the next shard, random
-    /// codecs ignore it and draw from `rng`.
+    /// segment: deterministic codecs use it to pick the next shard; dense
+    /// RLNC sends source block `seq` verbatim while `seq < n`, with no GF
+    /// work and nothing drawn, and draws each later frame's coefficients
+    /// from `rng`.
     ///
     /// # Panics
     ///
@@ -228,8 +233,8 @@ impl StreamCodecSender for StreamEncoder {
         FRAME_HEADER_BYTES + self.config().coded_block_bytes()
     }
 
-    fn frame_into(&self, segment: usize, _seq: u64, mut rng: &mut dyn RngCore, out: &mut [u8]) {
-        StreamEncoder::frame_into(self, segment, &mut rng, out);
+    fn frame_into(&self, segment: usize, seq: u64, mut rng: &mut dyn RngCore, out: &mut [u8]) {
+        StreamEncoder::frame_into(self, segment, seq, &mut rng, out);
     }
 }
 

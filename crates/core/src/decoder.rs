@@ -4,7 +4,7 @@
 //! The paper's Sec. 5.2 splits decoding into inverting the small `n × n`
 //! coefficient matrix and one matrix product as regular as encoding. This
 //! module does exactly that, keeping the progressive rank check of Sec. 3:
-//! [`Elimination`] runs Gauss-Jordan over `[coefficients | transform]` rows
+//! `Elimination` runs Gauss-Jordan over `[coefficients | transform]` rows
 //! of `2n` bytes as blocks arrive (O(n²) bytes per block), payloads are held
 //! untouched, and the block that completes the rank triggers
 //! `decoded = transform · payloads` through
@@ -108,22 +108,32 @@ impl Elimination {
         true
     }
 
-    /// `out ^= C⁻¹ · payloads`: source block `i` is
-    /// `Σ_j transform_i[j] · payloads[j]`, where `payloads[j]` came with the
-    /// `j`-th innovative vector. `out` is the `n·k`-byte segment buffer.
+    /// The rows of `C⁻¹`, one per source: source block `i` is
+    /// `Σ_j inverse[i][j] · payloads[j]`, where `payloads[j]` came with the
+    /// `j`-th innovative vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the rank is `n`.
+    pub(crate) fn inverse(&self) -> Vec<&[u8]> {
+        assert!(self.is_full(), "the product needs the full inverse");
+        let n = self.config.blocks();
+        let mut inverse: Vec<&[u8]> = vec![&[][..]; n];
+        for (row, &pivot) in self.rows.chunks_exact(2 * n).zip(&self.pivots) {
+            inverse[pivot] = &row[n..];
+        }
+        inverse
+    }
+
+    /// `out ^= C⁻¹ · payloads`, where `out` is the `n·k`-byte segment
+    /// buffer (see [`Elimination::inverse`]).
     ///
     /// # Panics
     ///
     /// Panics unless the rank is `n` and the shapes match the configuration.
     pub(crate) fn multiply_into(&self, payloads: &[&[u8]], out: &mut [u8]) {
-        assert!(self.is_full(), "the product needs the full inverse");
-        let n = self.config.blocks();
-        let mut transform: Vec<&[u8]> = vec![&[][..]; n];
-        for (row, &pivot) in self.rows.chunks_exact(2 * n).zip(&self.pivots) {
-            transform[pivot] = &row[n..];
-        }
         let mut blocks: Vec<&mut [u8]> = out.chunks_exact_mut(self.config.block_size()).collect();
-        region::matrix_mul_add(&mut blocks, payloads, &transform);
+        region::matrix_mul_add(&mut blocks, payloads, &self.inverse());
     }
 }
 

@@ -10,7 +10,7 @@
 //!    embarrassingly parallel as encoding.
 //!
 //! [`crate::Decoder`] is built the same way, on the same
-//! [`Elimination`] core; what this type adds is that it keeps the
+//! `Elimination` core; what this type adds is that it keeps the
 //! innovative blocks themselves ([`TwoStageDecoder::blocks`], the input the
 //! GPU multi-segment decoder in `nc-gpu` is fed and checked against) and
 //! runs stage 2 when asked rather than on the completing push.

@@ -15,7 +15,7 @@
 //!
 //! Layer map:
 //!
-//! * [`tables`] — field construction: Cantor-basis log/exp, FFT skews,
+//! * [`tables`](mod@tables) — field construction: Cantor-basis log/exp, FFT skews,
 //!   LogWalsh; built once behind a model-checked [`cell::TableCell`].
 //! * [`simd`] — split-plane region kernels and the per-constant
 //!   [`simd::Multiplier`]: fused butterflies on GFNI / AVX2 / SSSE3 / NEON

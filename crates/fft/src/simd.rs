@@ -1,5 +1,5 @@
 //! GF(2^16) region kernels over the split-plane shard layout, with the
-//! same runtime dispatch discipline as [`nc_gf256::simd`].
+//! same runtime dispatch discipline as `nc_gf256::simd`.
 //!
 //! # Shard layout
 //!

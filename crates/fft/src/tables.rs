@@ -5,7 +5,7 @@
 //!
 //! # Field construction
 //!
-//! The field is GF(2)[x] / (x¹⁶ + x⁵ + x³ + x² + 1), polynomial `0x1002D`.
+//! The field is GF(2)\[x\] / (x¹⁶ + x⁵ + x³ + x² + 1), polynomial `0x1002D`.
 //! A multiplicative generator walk (LFSR) yields raw log/exp tables; the
 //! element *representation* is then remapped through the Cantor basis so
 //! that the additive FFT's evaluation point for output index `j` is
@@ -24,7 +24,7 @@
 //!   [`fwht`] passes against it instead of an O(n²) product.
 //!
 //! Tables cost ~512 KiB and are built once per process behind a
-//! [`TableCell`](crate::cell::TableCell) (model-checked concurrent init);
+//! [`crate::cell::TableCell`] (model-checked concurrent init);
 //! construction takes a few milliseconds.
 
 use crate::cell::TableCell;

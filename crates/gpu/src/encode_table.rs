@@ -63,7 +63,7 @@ impl TableVariant {
     }
 
     /// Dynamic shared memory required per block (for the default replica
-    /// count; see [`TableEncodeKernel::shared_bytes_with`] for ablations).
+    /// count; see [`TableVariant::shared_bytes_with`] for ablations).
     pub fn shared_bytes(self) -> usize {
         self.shared_bytes_with(TB5_REPLICAS)
     }

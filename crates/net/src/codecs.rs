@@ -1,7 +1,7 @@
 //! The codec registry: every coding backend this build can negotiate.
 //!
 //! An announce carries a [`CodecId`] byte; the receiver looks the id up
-//! here to build the matching [`StreamCodecReceiver`]. Senders pick their
+//! here to build the matching [`StreamCodecReceiver`](nc_rlnc::codec::StreamCodecReceiver). Senders pick their
 //! backend at publish time by constructing the concrete sender (or via
 //! [`make_sender`]) — the session machinery is backend-blind either way.
 //!

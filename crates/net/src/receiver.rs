@@ -1,6 +1,6 @@
 //! The receiving side: a sans-I/O session that turns hostile datagrams
 //! into a decoded stream, plus a blocking driver over any
-//! [`Channel`](crate::channel::Channel).
+//! [`Channel`].
 //!
 //! The receiver requests the stream, learns its shape *and coding
 //! backend* from the announce (see [`crate::codecs`]), absorbs coded

@@ -1,5 +1,5 @@
 //! Blocking driver gluing a [`SenderSession`] to a
-//! [`Channel`](crate::channel::Channel): point-to-point file push over UDP
+//! [`Channel`]: point-to-point file push over UDP
 //! (or an in-process pair) with rateless recovery.
 
 use nc_rlnc::codec::StreamCodecSender;

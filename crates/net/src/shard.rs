@@ -21,7 +21,7 @@
 //! * **Mailbox forwarding.** The kernel's flow hash (or the portable
 //!   race-to-read fallback) does not consult [`shard_owner`], so a shard
 //!   may receive a datagram it does not own; it forwards the raw bytes to
-//!   the owner's [`Mailbox`] (a short mutexed queue — the only
+//!   the owner's `Mailbox` (a short mutexed queue — the only
 //!   cross-shard structure) and counts `net.shard_forwards`. Receive
 //!   traffic at a sender-side server is only feedback (requests, ACKs,
 //!   FINs), so forwarded volume is a small fraction of datagrams moved.

@@ -7,7 +7,7 @@
 //! over a period of time and performs decoding offline." Peers in the
 //! swarm exchange *recoded* blocks — the defining capability of random
 //! linear codes over fountain/RS codes (Sec. 2) — and a completed peer's
-//! buffered segments form exactly the batch a [`nc_gpu::GpuMultiDecoder`]
+//! buffered segments form exactly the batch a `nc_gpu::GpuMultiDecoder`
 //! chews through.
 //!
 //! * [`topology`] — random swarm graphs with per-peer upload capacity.

@@ -224,7 +224,7 @@ impl Pool {
     ///
     /// The registry is bounded: shared pools are never dropped (their
     /// parked workers live for the rest of the process), so after
-    /// [`MAX_SHARED_POOLS`](Registry) distinct thread counts have been
+    /// `MAX_SHARED_POOLS` (8) distinct thread counts have been
     /// materialised, further counts reuse the cached pool with the
     /// nearest size (preferring a larger one) instead of accumulating
     /// parked OS threads without bound. Callers that want an exactly

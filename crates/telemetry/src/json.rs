@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-/// Error from [`parse`]: byte offset and a static description.
+/// Error from the JSON parser: byte offset and a static description.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset in the input where parsing failed (0 for shape errors).
