@@ -142,14 +142,28 @@ impl Encoder {
     ///
     /// Panics if `i >= n`.
     pub fn systematic(&self, i: usize) -> CodedBlock {
+        let arena = BlockArena::global();
+        let mut coeffs = arena.take_coeffs(self.config().blocks());
+        let mut payload = arena.take_payload(self.config().block_size());
+        self.systematic_into(i, &mut coeffs, &mut payload);
+        CodedBlock::new(coeffs, payload)
+    }
+
+    /// [`Encoder::systematic`] straight into caller storage, the way
+    /// [`Encoder::encode_into`] writes a coded block: `coefficients`
+    /// becomes `e_i` and `payload` a copy of `b_i`, with no field work.
+    /// Panics if `i >= n` or unless `coefficients` is `n` bytes and
+    /// `payload` is `k` bytes.
+    pub(crate) fn systematic_into(&self, i: usize, coefficients: &mut [u8], payload: &mut [u8]) {
         let n = self.config().blocks();
         assert!(i < n, "systematic index {i} out of range for n={n}");
-        let arena = BlockArena::global();
-        let mut coeffs = arena.take_coeffs(n);
-        coeffs[i] = 1;
-        let payload = arena.copy_payload(self.segment.block(i));
-        crate::metrics::metrics().blocks_coded.inc();
-        CodedBlock::new(coeffs, payload)
+        assert_eq!(coefficients.len(), n, "coefficient count mismatch");
+        coefficients.fill(0);
+        coefficients[i] = 1;
+        payload.copy_from_slice(self.segment.block(i));
+        let metrics = crate::metrics::metrics();
+        metrics.blocks_coded.inc();
+        metrics.blocks_systematic.inc();
     }
 
     fn encode_with_coefficients_unchecked(&self, coefficients: Vec<u8>) -> CodedBlock {

@@ -701,22 +701,34 @@ mod tests {
         // The encode-in-place path against the owned path it replaced: a
         // twin encoder and a twin RNG (same seed) build each frame with
         // `frame_wire`, wrap it with `Datagram::encode`, and must get the
-        // very bytes `poll` emitted — for every backend.
+        // very bytes `poll` emitted — for every backend. Without feedback
+        // each segment's budget is n frames; three stall trickles grant
+        // more, so the dense codec's coded frames (seq >= n) are compared
+        // as well as its systematic ones.
         use crate::codecs::make_sender;
         use nc_rlnc::codec::CodecId;
+        const TRICKLES: usize = 3;
         let config = CodingConfig::new(4, 64).unwrap();
         let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        let now = Instant::now();
         for id in [CodecId::DenseRlnc, CodecId::Fft16, CodecId::CircShift] {
             let twin = make_sender(id, config, &data).unwrap();
             let mut twin_rng = StdRng::seed_from_u64(9);
             let mut seq = vec![0u64; twin.total_segments()];
             let encoder = make_sender(id, config, &data).unwrap();
-            let mut s = SenderSession::new(encoder, 77, SenderConfig::default(), 9, now).unwrap();
+            let sender_config = SenderConfig::default();
+            let stall_grace = sender_config.stall_grace;
+            let mut now = Instant::now();
+            let mut s = SenderSession::new(encoder, 77, sender_config, 9, now).unwrap();
             let mut compared = 0usize;
+            let mut trickles = 0;
             loop {
                 let bytes = match s.poll(now) {
                     SenderEvent::Transmit(bytes) => bytes,
+                    SenderEvent::Wait(_) if trickles < TRICKLES => {
+                        trickles += 1;
+                        now += stall_grace;
+                        continue;
+                    }
                     SenderEvent::Wait(_) => break, // budget spent, no feedback
                     SenderEvent::Finished => panic!("must not finish without feedback"),
                 };
@@ -731,7 +743,11 @@ mod tests {
                 seq[segment] += 1;
                 compared += 1;
             }
-            assert!(compared >= twin.total_segments() * config.blocks(), "{id:?}: {compared}");
+            assert!(
+                seq.iter().all(|&sent| sent > config.blocks() as u64),
+                "{id:?}: every segment went past its first n frames: {seq:?}"
+            );
+            assert!(compared > twin.total_segments() * config.blocks(), "{id:?}: {compared}");
         }
     }
 
