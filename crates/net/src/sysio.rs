@@ -264,7 +264,16 @@ mod linux {
     /// Binds `shards` sockets sharing `addr`: the kernel hashes incoming
     /// flows across the group, so each socket sees a stable subset of
     /// peers with no user-space demultiplexing.
+    ///
+    /// A one-socket group is a plain bind. Given port 0 and `SO_REUSEPORT`,
+    /// the kernel may hand out a port that another reuseport socket of the
+    /// same user already holds, such as a live server's; the two sockets
+    /// then split that port's traffic, and a client on its server's port
+    /// never sees a reply.
     pub(crate) fn bind_group(addr: SocketAddr, shards: usize) -> io::Result<Vec<UdpSocket>> {
+        if shards == 1 {
+            return Ok(vec![UdpSocket::bind(addr)?]);
+        }
         let mut sockets = Vec::new();
         let first = bind_reuseport(addr)?;
         // Re-resolve so `addr` with port 0 lands every socket on the same
@@ -538,6 +547,15 @@ mod tests {
         for s in &sockets {
             assert_eq!(s.local_addr().unwrap(), addr);
         }
+    }
+
+    #[test]
+    fn a_one_socket_group_holds_its_port_alone() {
+        // Nothing can join a lone socket's port, so no later port-0 bind
+        // can be handed it either.
+        let lone = bind_group(SocketAddr::from(([127, 0, 0, 1], 0)), 1).unwrap().remove(0);
+        let addr = lone.local_addr().unwrap();
+        assert!(bind_group(addr, 2).is_err(), "a group joined a lone socket's port");
     }
 
     #[test]
