@@ -1,17 +1,21 @@
 //! Full report generators, one per figure/table plus the in-text numbers.
 //!
-//! Each function returns the complete text its binary prints, so the `all`
-//! binary (and EXPERIMENTS.md regeneration) can compose them.
+//! Each function returns the complete text the `nc-bench` driver prints for
+//! it; [`FIGURES`] names them for the driver, for `nc-bench all` and for the
+//! golden-file test that checks every modeled one byte for byte.
 
-use nc_cpu::{measure, Partitioning};
+use std::time::Instant;
+
+use nc_cpu::{measure, ParallelEncoder, ParallelSegmentDecoder, Partitioning};
 use nc_cpu_model::{CpuModel, EncodeStrategy};
 use nc_gf256::simd;
 use nc_gpu::api::EncodeScheme;
 use nc_gpu::decode_single::DecodeOptions;
-use nc_gpu::{GpuEncoder, TableVariant};
+use nc_gpu::{Fidelity, GpuEncoder, GpuMultiDecoder, GpuProgressiveDecoder, TableVariant};
 use nc_gpu_sim::DeviceSpec;
-use nc_rlnc::CodingConfig;
+use nc_rlnc::{CodedBlock, CodingConfig, Decoder, Encoder, Segment};
 use nc_streaming::{CapacityPlan, HybridBackend, Nic, StreamProfile};
+use rand::{Rng, SeedableRng};
 
 use crate::grids::{block_sizes, to_mb, BLOCK_COUNTS, BLOCK_COUNTS_FIG8};
 use crate::runners::{
@@ -20,6 +24,34 @@ use crate::runners::{
     gpu_decode_single_series, gpu_encode_series, host_encode_series,
 };
 use crate::series::format_table;
+
+/// Generates the complete text of one figure.
+pub type Generator = fn() -> String;
+
+/// Every figure the driver prints, in `nc-bench all` order: the name it is
+/// run by and the generator of its text. `<name>_sanitize` is what
+/// `nc-bench <name> --sanitize` runs.
+pub const FIGURES: &[(&str, Generator)] = &[
+    ("fig4a", fig4a),
+    ("fig4b", fig4b),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig7_sanitize", fig7_sanitize),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("misc", misc),
+    ("streaming_capacity", streaming_capacity),
+    ("ablation", ablation),
+    ("ablation_sanitize", ablation_sanitize),
+    ("calibrate", calibrate),
+    ("host_simd", host_simd),
+    ("pool", pool),
+];
+
+/// The figures timed on this host rather than modeled. Their numbers move
+/// from run to run, so they have no golden file.
+pub const HOST_MEASURED: &[&str] = &["host_simd", "pool"];
 
 /// Fig. 4(a): loop-based encoding, GTX 280 vs 8800 GT.
 pub fn fig4a() -> String {
@@ -247,7 +279,8 @@ pub fn fig10() -> String {
 /// sweep repeated on live hardware on the active rung — the measured
 /// companion to the modeled Mac Pro curves.
 pub fn host_simd() -> String {
-    let mut out = String::from("## Host SIMD: measured GF(2^8) region arithmetic\n\n");
+    let mut out =
+        String::from("## Host SIMD (host-measured): GF(2^8) region arithmetic on this machine\n\n");
     let rungs = simd::Kernel::available();
     out.push_str(&format!(
         "active kernel: {} (available: {})\n\n",
@@ -466,7 +499,7 @@ pub fn misc() -> String {
 }
 
 /// The design-choice ablations of DESIGN.md §5.
-pub fn ablations() -> String {
+pub fn ablation() -> String {
     use nc_gpu::ablation;
     let mut out = String::from("## Ablations of the paper's design choices\n\n");
 
@@ -518,31 +551,13 @@ pub fn ablations() -> String {
 /// trick shedding them — shows up as lint deltas.
 pub fn fig7_sanitize() -> String {
     use nc_gpu::encode_loop::{LoopEncodeKernel, SourceLayout};
-    use nc_gpu::encode_table::{TableEncodeKernel, TB5_REPLICAS};
-    use nc_gpu::preprocess::{log_table_bytes, LogConvention};
+    use nc_gpu::encode_table::TB5_REPLICAS;
     use nc_gpu_sim::{Gpu, LaunchStats, SanitizerConfig, Severity};
-    use rand::{Rng, SeedableRng};
 
-    // m large enough that the encode phase dominates the one-off table
-    // staging (whose replica-strided stores are conflict-heavy but
-    // amortized, exactly as Sec. 5.1.2 argues for per-launch staging).
-    let (n, k, m) = (128usize, 4096usize, 32usize);
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    let data: Vec<u8> = (0..n * k).map(|_| rng.gen()).collect();
-    let coeffs_host: Vec<u8> = (0..m * n).map(|_| rng.gen_range(1..=255)).collect();
-
-    let preprocessed = |variant: TableVariant, bytes: &[u8]| -> Vec<u8> {
-        if !variant.uses_log_domain() {
-            return bytes.to_vec();
-        }
-        let conv = if variant.uses_remapped_sentinel() {
-            LogConvention::Remapped
-        } else {
-            LogConvention::Sentinel
-        };
-        let table = log_table_bytes(conv);
-        bytes.iter().map(|&b| table[b as usize]).collect()
-    };
+    let data: Vec<u8> = (0..SANITIZED_N * SANITIZED_K).map(|_| rng.gen()).collect();
+    let coeffs_host: Vec<u8> =
+        (0..SANITIZED_M * SANITIZED_N).map(|_| rng.gen_range(1..=255)).collect();
 
     let mut out =
         String::from("## Fig. 7 under the kernel sanitizer (n=128, k=4 KB, functional)\n\n");
@@ -581,6 +596,7 @@ pub fn fig7_sanitize() -> String {
 
     // Rung 0: the loop-based encoder as the pre-ladder baseline.
     {
+        let (n, k, m) = (SANITIZED_N, SANITIZED_K, SANITIZED_M);
         let mut gpu = Gpu::new(DeviceSpec::gtx280());
         gpu.enable_sanitizer(SanitizerConfig::default());
         let source = gpu.alloc(n * k);
@@ -603,29 +619,7 @@ pub fn fig7_sanitize() -> String {
     }
 
     for variant in TableVariant::ALL {
-        let mut gpu = Gpu::new(DeviceSpec::gtx280());
-        gpu.enable_sanitizer(SanitizerConfig::default());
-        let source = gpu.alloc(n * k);
-        let coeffs = gpu.alloc(m * n);
-        let output = gpu.alloc(m * k);
-        let table_bytes = variant.table_bytes();
-        let tables = gpu.alloc(table_bytes.len());
-        gpu.upload(source, &preprocessed(variant, &data));
-        gpu.upload(coeffs, &preprocessed(variant, &coeffs_host));
-        gpu.upload(tables, &table_bytes);
-        let kernel = TableEncodeKernel {
-            variant,
-            source,
-            coeffs,
-            output,
-            tables,
-            n,
-            k,
-            m,
-            sm_blocks: gpu.spec().sm_count,
-            tb5_replicas: TB5_REPLICAS,
-        };
-        let stats = gpu.launch(&kernel, kernel.grid());
+        let stats = sanitized_table_encode(variant, TB5_REPLICAS, &data, &coeffs_host);
         describe(&format!("{variant:?}"), &stats);
     }
 
@@ -647,50 +641,18 @@ pub fn fig7_sanitize() -> String {
 /// full progressive-decode session for every `DecodeOptions` combination,
 /// all under the sanitizer.
 pub fn ablation_sanitize() -> String {
-    use nc_gpu::encode_table::TableEncodeKernel;
-    use nc_gpu::preprocess::{log_table_bytes, LogConvention};
-    use nc_gpu::{Fidelity, GpuProgressiveDecoder};
-    use nc_gpu_sim::{Gpu, SanitizerConfig, Severity};
-    use nc_rlnc::Encoder;
-    use nc_rlnc::Segment;
-    use rand::{Rng, SeedableRng};
+    use nc_gpu_sim::{SanitizerConfig, Severity};
 
     let mut out = String::from("## Ablations under the kernel sanitizer\n\n");
 
     // ---- Tb5 replica ladder: conflicts drain as replicas multiply.
     out.push_str("### Tb5 exp-table replicas (n=128, k=4 KB, functional)\n");
-    let (n, k, m) = (128usize, 4096usize, 32usize);
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let data: Vec<u8> = (0..n * k).map(|_| rng.gen()).collect();
-    let coeffs_host: Vec<u8> = (0..m * n).map(|_| rng.gen_range(1..=255)).collect();
-    let log_table = log_table_bytes(LogConvention::Remapped);
-    let data_log: Vec<u8> = data.iter().map(|&b| log_table[b as usize]).collect();
-    let coeffs_log: Vec<u8> = coeffs_host.iter().map(|&b| log_table[b as usize]).collect();
+    let data: Vec<u8> = (0..SANITIZED_N * SANITIZED_K).map(|_| rng.gen()).collect();
+    let coeffs_host: Vec<u8> =
+        (0..SANITIZED_M * SANITIZED_N).map(|_| rng.gen_range(1..=255)).collect();
     for replicas in [1usize, 2, 4, 8] {
-        let mut gpu = Gpu::new(DeviceSpec::gtx280());
-        gpu.enable_sanitizer(SanitizerConfig::default());
-        let source = gpu.alloc(n * k);
-        let coeffs = gpu.alloc(m * n);
-        let output = gpu.alloc(m * k);
-        let variant = TableVariant::Tb5;
-        let table_bytes = variant.table_bytes();
-        let tables = gpu.alloc(table_bytes.len());
-        gpu.upload(source, &data_log);
-        gpu.upload(coeffs, &coeffs_log);
-        gpu.upload(tables, &table_bytes);
-        let kernel = TableEncodeKernel {
-            variant,
-            source,
-            coeffs,
-            output,
-            tables,
-            n,
-            k,
-            m,
-            sm_blocks: gpu.spec().sm_count,
-            tb5_replicas: replicas,
-        };
-        let stats = gpu.launch(&kernel, kernel.grid());
+        let stats = sanitized_table_encode(TableVariant::Tb5, replicas, &data, &coeffs_host);
         let c = &stats.counters;
         let report = stats.sanitizer.as_ref().expect("sanitized launch");
         let conflict = report
@@ -744,6 +706,65 @@ pub fn ablation_sanitize() -> String {
     out
 }
 
+// The `(n, k)` of the sanitized encode launches, and `m`, the coded blocks
+// per launch: large enough that the encode phase dominates the one-off
+// table staging (whose replica-strided stores are conflict-heavy but
+// amortized, exactly as Sec. 5.1.2 argues for per-launch staging).
+const SANITIZED_N: usize = 128;
+const SANITIZED_K: usize = 4096;
+const SANITIZED_M: usize = 32;
+
+/// One functional Table-based encode of `SANITIZED_M` coded blocks of
+/// `data` on a fresh GTX 280 under the kernel sanitizer, with the operands
+/// transformed into the log domain `variant` expects.
+fn sanitized_table_encode(
+    variant: TableVariant,
+    tb5_replicas: usize,
+    data: &[u8],
+    coeffs_host: &[u8],
+) -> nc_gpu_sim::LaunchStats {
+    use nc_gpu::encode_table::TableEncodeKernel;
+    use nc_gpu::preprocess::{log_table_bytes, LogConvention};
+    use nc_gpu_sim::{Gpu, SanitizerConfig};
+
+    let preprocessed = |bytes: &[u8]| -> Vec<u8> {
+        if !variant.uses_log_domain() {
+            return bytes.to_vec();
+        }
+        let conv = if variant.uses_remapped_sentinel() {
+            LogConvention::Remapped
+        } else {
+            LogConvention::Sentinel
+        };
+        let table = log_table_bytes(conv);
+        bytes.iter().map(|&b| table[b as usize]).collect()
+    };
+    let (n, k, m) = (SANITIZED_N, SANITIZED_K, SANITIZED_M);
+    let mut gpu = Gpu::new(DeviceSpec::gtx280());
+    gpu.enable_sanitizer(SanitizerConfig::default());
+    let source = gpu.alloc(n * k);
+    let coeffs = gpu.alloc(m * n);
+    let output = gpu.alloc(m * k);
+    let table_bytes = variant.table_bytes();
+    let tables = gpu.alloc(table_bytes.len());
+    gpu.upload(source, &preprocessed(data));
+    gpu.upload(coeffs, &preprocessed(coeffs_host));
+    gpu.upload(tables, &table_bytes);
+    let kernel = TableEncodeKernel {
+        variant,
+        source,
+        coeffs,
+        output,
+        tables,
+        n,
+        k,
+        m,
+        sm_blocks: gpu.spec().sm_count,
+        tb5_replicas,
+    };
+    gpu.launch(&kernel, kernel.grid())
+}
+
 /// The Sec. 5.1.1 streaming-capacity table.
 pub fn streaming_capacity() -> String {
     let profile = StreamProfile::high_quality_video();
@@ -782,10 +803,196 @@ pub fn streaming_capacity() -> String {
     out
 }
 
+/// Calibration probe: the simulator's value at every anchor point the cost
+/// model was fitted to (DESIGN.md §7), next to the paper's number.
+pub fn calibrate() -> String {
+    let mut out = String::from("anchor                                paper     model\n");
+    out.push_str("----------------------------------------------------\n");
+
+    // Loop-based encode, GTX 280, n=128 (plateau over k).
+    for (n, paper) in [(128usize, 133.0f64), (256, 66.0), (512, 33.6)] {
+        let mut enc = GpuEncoder::new(DeviceSpec::gtx280(), EncodeScheme::LoopBased);
+        let m = enc.measure(n, 4096, n, 1);
+        out.push_str(&format!(
+            "LB encode GTX280 n={n:<4} k=4K       {paper:>7.1}  {:>8.1}\n",
+            to_mb(m.rate)
+        ));
+    }
+    // 8800 GT loop-based.
+    let mut enc = GpuEncoder::new(DeviceSpec::geforce_8800gt(), EncodeScheme::LoopBased);
+    let m = enc.measure(128, 4096, 128, 1);
+    out.push_str(&format!(
+        "LB encode 8800GT n=128 k=4K        {:>7.1}  {:>8.1}\n",
+        66.0,
+        to_mb(m.rate)
+    ));
+
+    // Table-based ladder, n=128, k=4K.
+    let ladder = [
+        (TableVariant::Tb0, 16.0),
+        (TableVariant::Tb1, 172.0),
+        (TableVariant::Tb2, 193.0),
+        (TableVariant::Tb3, 208.0),
+        (TableVariant::Tb4, 239.0),
+        (TableVariant::Tb5, 294.0),
+    ];
+    for (v, paper) in ladder {
+        let mut enc = GpuEncoder::new(DeviceSpec::gtx280(), EncodeScheme::Table(v));
+        let m = enc.measure(128, 4096, 128, 2);
+        out.push_str(&format!(
+            "{v:?} encode GTX280 n=128 k=4K       {paper:>7.1}  {:>8.1}\n",
+            to_mb(m.rate)
+        ));
+    }
+
+    // Single-segment decode, GTX 280, n=128 at several k.
+    for (k, note) in [(1024usize, "(CPU wins here)"), (8192, "(crossover ~57)"), (16384, "")] {
+        let config = CodingConfig::new(128, k).unwrap();
+        let mut dec = GpuProgressiveDecoder::new(
+            DeviceSpec::gtx280(),
+            config,
+            DecodeOptions::default(),
+            Fidelity::Timing,
+        );
+        let mut seed = 0u64;
+        while !dec.is_complete() {
+            seed += 1;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let coeffs: Vec<u8> = (0..128).map(|_| rng.gen_range(1..=255)).collect();
+            let payload: Vec<u8> = (0..k).map(|_| rng.gen()).collect();
+            dec.push(&coeffs, &payload).expect("pivot result word");
+        }
+        let rate = (128 * k) as f64 / dec.kernel_seconds();
+        out.push_str(&format!(
+            "SS decode GTX280 n=128 k={k:<6}  {:>7}  {:>8.1}  {note}\n",
+            "?",
+            to_mb(rate)
+        ));
+    }
+
+    // Multi-segment decode, GTX 280, n=128, k=16K: 30-seg and 60-seg.
+    let config = CodingConfig::new(128, 16384).unwrap();
+    let mut md = GpuMultiDecoder::new(DeviceSpec::gtx280());
+    for (segments, seed, paper) in [(30, 3, 180.0), (60, 4, 254.0)] {
+        let o = md.measure(config, segments, seed);
+        out.push_str(&format!(
+            "MS decode GTX280 {segments}seg n=128 k=16K {paper:>7.1}  {:>8.1}  (stage1 {:.0}%)\n",
+            to_mb(o.rate),
+            o.stage1_share * 100.0
+        ));
+    }
+    let config_small = CodingConfig::new(128, 1024).unwrap();
+    for (segments, seed, paper) in [(30, 5, 64), (60, 6, 48)] {
+        let o = md.measure(config_small, segments, seed);
+        out.push_str(&format!(
+            "MS decode GTX280 {segments}seg n=128 k=1K  stage1 share paper {paper}%: {:.0}%  rate {:.1}\n",
+            o.stage1_share * 100.0,
+            to_mb(o.rate)
+        ));
+    }
+    out
+}
+
+/// Executor report, timed on this host: multi-segment decode throughput on
+/// the persistent `nc-pool` executor against the spawn-per-wave strategy it
+/// replaced, and parallel-encode bandwidth on the same pool.
+pub fn pool() -> String {
+    const SEGMENTS: usize = 64;
+    const REPS: usize = 15;
+    let config = CodingConfig::new(8, 64).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBE7C);
+    let inputs: Vec<Vec<CodedBlock>> = (0..SEGMENTS)
+        .map(|_| {
+            let data: Vec<u8> = (0..config.segment_bytes()).map(|_| rng.gen()).collect();
+            let enc = Encoder::new(Segment::from_bytes(config, data).unwrap());
+            enc.encode_batch(&mut rng, config.blocks() + 4)
+        })
+        .collect();
+
+    let mut out = format!(
+        "## nc-pool executor (host-measured): n={} k={} segments={SEGMENTS}\n",
+        config.blocks(),
+        config.block_size()
+    );
+    let mut pooled_8 = 0.0;
+    for threads in [1usize, 4, 8] {
+        let decoder = ParallelSegmentDecoder::new(config, threads);
+        decoder.decode_segments(&inputs).unwrap(); // warm the pool
+        let rate = SEGMENTS as f64
+            / best_of(REPS, || {
+                decoder.decode_segments(&inputs).unwrap();
+            });
+        out.push_str(&format!("  decode {threads} threads: {rate:.0} segments/s\n"));
+        pooled_8 = rate;
+    }
+    let baseline = SEGMENTS as f64 / best_of(REPS, || spawn_per_wave_decode(config, 8, &inputs));
+    out.push_str(&format!("  spawn-per-wave 8 threads: {baseline:.0} segments/s\n"));
+    out.push_str(&format!(
+        "  speedup vs spawn-per-wave (8 threads): {:.2}x\n",
+        pooled_8 / baseline
+    ));
+
+    // Parallel-encode bandwidth on the same pool (full-block, Sec. 5.3).
+    let enc_config = CodingConfig::new(64, 4096).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xE14C);
+    let data: Vec<u8> = (0..enc_config.segment_bytes()).map(|_| rng.gen()).collect();
+    let m = 16usize;
+    let coeffs: Vec<Vec<u8>> =
+        (0..m).map(|_| (0..64).map(|_| rng.gen_range(1..=255)).collect()).collect();
+    let encoder = ParallelEncoder::new(
+        Segment::from_bytes(enc_config, data).unwrap(),
+        8,
+        Partitioning::FullBlock,
+    );
+    encoder.encode_batch(&coeffs); // warm the pool
+    let secs = best_of(REPS, || {
+        encoder.encode_batch(&coeffs);
+    });
+    out.push_str(&format!(
+        "  parallel encode (n=64 k=4096, 8 threads): {:.1} MB/s\n",
+        (m * 4096) as f64 / secs / 1e6
+    ));
+    out
+}
+
+/// The pre-pool dispatch strategy, for the speedup denominator: one scoped
+/// thread per chunk of segments, spawned afresh on every call.
+fn spawn_per_wave_decode(config: CodingConfig, threads: usize, segments: &[Vec<CodedBlock>]) {
+    let mut results: Vec<Option<Vec<u8>>> = (0..segments.len()).map(|_| None).collect();
+    let chunk = segments.len().div_ceil(threads.clamp(1, segments.len().max(1)));
+    std::thread::scope(|scope| {
+        for (seg_chunk, out_chunk) in segments.chunks(chunk).zip(results.chunks_mut(chunk)) {
+            scope.spawn(move || {
+                for (blocks, slot) in seg_chunk.iter().zip(out_chunk.iter_mut()) {
+                    let mut decoder = Decoder::new(config);
+                    for b in blocks {
+                        if decoder.is_complete() {
+                            break;
+                        }
+                        decoder.push(b.clone()).unwrap();
+                    }
+                    *slot = Some(decoder.try_recover().unwrap());
+                }
+            });
+        }
+    });
+}
+
+/// Best-of-`reps` wall time for `f`, in seconds.
+fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 #[cfg(test)]
 mod tests {
-    // Report generators are exercised end-to-end by the figure smoke tests
-    // in `tests/`; here we only make sure the cheap ones produce content.
+    // `tests/golden_figures.rs` checks every modeled generator byte for
+    // byte; here we only make sure the cheap ones produce content.
     use super::*;
 
     #[test]

@@ -1,33 +1,9 @@
-//! Command-line telemetry dumping shared by every bench binary.
-//!
-//! All binaries accept `--telemetry-json <path>`: after the run, the
-//! process-wide [`nc_telemetry`] snapshot is serialized to `<path>` so CI
-//! (or a curious human) can diff counters and latency histograms across
-//! runs without scraping stdout.
+//! The `--telemetry-json <path>` snapshot writer of the `nc-bench` driver:
+//! after a run, the process-wide [`nc_telemetry`] snapshot is serialized to
+//! `<path>` so CI (or a curious human) can diff counters and latency
+//! histograms across runs without scraping stdout.
 
 use std::io;
-use std::process::exit;
-
-/// Parses `--telemetry-json <path>` (or `--telemetry-json=<path>`) out of
-/// the process arguments. Returns `None` when the flag is absent; exits
-/// with a usage message when the flag is present but malformed.
-pub fn telemetry_path_from_args() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--telemetry-json" {
-            match args.next() {
-                Some(path) => return Some(path),
-                None => {
-                    eprintln!("--telemetry-json requires a path argument");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--telemetry-json=") {
-            return Some(path.to_string());
-        }
-    }
-    None
-}
 
 /// Writes the process-wide telemetry snapshot to `path` as JSON, creating
 /// any missing parent directories first (so `--telemetry-json a/b/c.json`
@@ -43,29 +19,13 @@ pub fn dump_telemetry(path: &str) -> io::Result<()> {
 
 /// Creates every missing directory above `path` (no-op for bare
 /// filenames).
-///
-/// # Errors
-///
-/// Any `create_dir_all` I/O error.
-pub fn create_parent_dirs(path: &str) -> io::Result<()> {
+fn create_parent_dirs(path: &str) -> io::Result<()> {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
     Ok(())
-}
-
-/// The one-liner every bench `main` calls after its run: if the user asked
-/// for `--telemetry-json <path>`, dump the snapshot there, exiting nonzero
-/// on I/O failure so CI notices.
-pub fn dump_telemetry_if_requested() {
-    if let Some(path) = telemetry_path_from_args() {
-        if let Err(err) = dump_telemetry(&path) {
-            eprintln!("failed to write telemetry snapshot to {path}: {err}");
-            exit(1);
-        }
-    }
 }
 
 #[cfg(test)]

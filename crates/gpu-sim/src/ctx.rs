@@ -9,9 +9,12 @@
 //! global-memory coalescing and shared-memory bank conflicts are *measured*,
 //! not estimated.
 //!
-//! Every operation is functionally executed (loads return real data, stores
-//! mutate real device memory) and charged to [`ExecCounters`]. ALU work that
-//! has no memory side effect is charged via [`BlockCtx::alu`].
+//! Kernels program against the object-safe [`LaunchCtx`] surface, so the
+//! same body runs on the simulator's [`BlockCtx`] and on any other executor
+//! that implements the trait. On the simulator every operation is
+//! functionally executed (loads return real data, stores mutate real device
+//! memory) and charged to [`ExecCounters`]. ALU work that has no memory side
+//! effect is charged via [`LaunchCtx::alu`].
 
 use crate::device::DeviceSpec;
 use crate::mem::GlobalMemory;
@@ -20,14 +23,103 @@ use crate::shared::SharedMem;
 use crate::stats::ExecCounters;
 use crate::texture::TexCache;
 
-/// Per-block execution context handed to [`crate::Kernel::run_block`].
-pub struct BlockCtx<'a> {
+/// The warp-vectorized instruction surface a kernel body programs against.
+///
+/// One call issues an operation for **all active lanes of the current
+/// warp**; address slices carry one address per lane. The warp-wide
+/// operations panic if more than a warp of lanes is passed, the address and
+/// value slices differ in length, or an address is out of device memory.
+pub trait LaunchCtx {
     /// This block's index within the launch grid.
-    pub block_idx: usize,
-    /// Total blocks in the grid.
-    pub grid_blocks: usize,
+    fn block_idx(&self) -> usize;
+    /// Total blocks in the launch grid.
+    fn grid_blocks(&self) -> usize;
     /// Threads in this block.
-    pub block_threads: usize,
+    fn block_threads(&self) -> usize;
+    /// The executing device's specification.
+    fn spec(&self) -> &DeviceSpec;
+
+    /// Number of warps in this block.
+    fn warps(&self) -> usize {
+        self.block_threads().div_ceil(self.spec().warp_size)
+    }
+
+    /// Number of active lanes in warp `w` (the last warp may be partial).
+    fn lanes_in_warp(&self, w: usize) -> usize {
+        let ws = self.spec().warp_size;
+        self.block_threads().saturating_sub(w * ws).min(ws)
+    }
+
+    /// Declares which warp issues the operations that follow, for the
+    /// sanitizer's race attribution (kernels call this at the top of their
+    /// per-warp loops). Has no effect on cost accounting.
+    fn at_warp(&mut self, warp: usize);
+    /// Charges `warp_instructions` instructions of pure ALU/register work
+    /// (no memory side effects).
+    fn alu(&mut self, warp_instructions: u64);
+    /// Block-wide barrier (`__syncthreads()`).
+    fn sync(&mut self);
+
+    /// Warp load of 4-byte global words: `out[i] = *addrs[i]` for every
+    /// active lane. Coalescing is computed from the actual address vector.
+    fn ld_global_u32(&mut self, addrs: &[u64], out: &mut [u32]);
+    /// Warp store of 4-byte global words.
+    fn st_global_u32(&mut self, addrs: &[u64], vals: &[u32]);
+    /// Warp load of single global bytes.
+    fn ld_global_u8(&mut self, addrs: &[u64], out: &mut [u8]);
+    /// Warp store of single global bytes.
+    fn st_global_u8(&mut self, addrs: &[u64], vals: &[u8]);
+    /// Whole-warp read of one 4-byte global word — the *memory broadcast*
+    /// the paper's Fig. 2 partitioning exploits for coefficient loads. One
+    /// transaction regardless of warp width.
+    fn ld_global_u32_broadcast(&mut self, addr: u64) -> u32;
+
+    /// Warp load of 4-byte shared-memory words; bank conflicts are measured
+    /// from the byte addresses.
+    fn ld_shared_u32(&mut self, addrs: &[u64], out: &mut [u32]);
+    /// Warp store of 4-byte shared-memory words.
+    fn st_shared_u32(&mut self, addrs: &[u64], vals: &[u32]);
+    /// Warp load of shared-memory bytes.
+    fn ld_shared_u8(&mut self, addrs: &[u64], out: &mut [u8]);
+    /// Warp store of shared-memory bytes.
+    fn st_shared_u8(&mut self, addrs: &[u64], vals: &[u8]);
+    /// Block-wide broadcast load of one shared word that every warp
+    /// consumes (a pivot, a factor). Conflict-free within each warp.
+    fn ld_shared_u32_broadcast(&mut self, addr: u32) -> u32;
+    /// Warp-level `atomicMin` on one shared word: every active lane
+    /// proposes a value; the final minimum is stored and returned.
+    ///
+    /// # Panics
+    ///
+    /// On the simulator, if the device lacks shared-memory atomics (the
+    /// paper notes the GTX 280 is the first CUDA GPU with them; the 8800 GT
+    /// has none).
+    fn atomic_min_shared_u32(&mut self, addr: u32, lane_vals: &[u32]) -> u32;
+
+    /// Warp byte fetch through the texture cache (Table-based-4's exp-table
+    /// path).
+    fn tex_fetch_u8(&mut self, addrs: &[u64], out: &mut [u8]);
+
+    /// Reads a device word *without charging any cost*.
+    ///
+    /// For kernels that model an on-chip mirror of device data (e.g. a
+    /// shared-memory cache of the coefficient matrix): the access cost is
+    /// charged against the mirror via [`LaunchCtx::ld_shared_u32`], while
+    /// the functional value is read here from the authoritative global
+    /// copy. Never use this as a shortcut around a real, costed access.
+    /// The sanitizer ignores this read too — the paired shared-memory
+    /// access is the one that is checked.
+    fn peek_global_u32(&self, addr: u64) -> u32;
+    /// Read-only view of this block's shared memory.
+    fn shared_slice(&self) -> &[u8];
+}
+
+/// The simulator's per-block execution context handed to
+/// [`crate::Kernel::run_block`].
+pub struct BlockCtx<'a> {
+    block_idx: usize,
+    grid_blocks: usize,
+    block_threads: usize,
     spec: &'a DeviceSpec,
     gmem: &'a mut GlobalMemory,
     tex: &'a mut TexCache,
@@ -69,49 +161,56 @@ impl<'a> BlockCtx<'a> {
         self.counters
     }
 
-    /// The device being simulated.
     #[inline]
-    pub fn spec(&self) -> &DeviceSpec {
+    fn half_warp(&self) -> usize {
+        self.spec.warp_size / 2
+    }
+
+    #[inline]
+    fn check_warp(&self, addrs: usize, vals: usize) {
+        assert!(addrs <= self.spec.warp_size, "more lanes than a warp: {addrs}");
+        assert_eq!(addrs, vals, "lane address/value count mismatch");
+    }
+}
+
+impl LaunchCtx for BlockCtx<'_> {
+    #[inline]
+    fn block_idx(&self) -> usize {
+        self.block_idx
+    }
+
+    #[inline]
+    fn grid_blocks(&self) -> usize {
+        self.grid_blocks
+    }
+
+    #[inline]
+    fn block_threads(&self) -> usize {
+        self.block_threads
+    }
+
+    #[inline]
+    fn spec(&self) -> &DeviceSpec {
         self.spec
     }
 
-    /// Number of warps in this block.
     #[inline]
-    pub fn warps(&self) -> usize {
-        self.block_threads.div_ceil(self.spec.warp_size)
-    }
-
-    /// Number of active lanes in warp `w` (the last warp may be partial).
-    #[inline]
-    pub fn lanes_in_warp(&self, w: usize) -> usize {
-        let ws = self.spec.warp_size;
-        (self.block_threads - w * ws).min(ws)
-    }
-
-    /// Charges `warp_instructions` instructions of pure ALU/register work
-    /// (no memory side effects).
-    #[inline]
-    pub fn alu(&mut self, warp_instructions: u64) {
-        self.counters.warp_instructions += warp_instructions;
-    }
-
-    /// A `__syncthreads()` barrier.
-    #[inline]
-    pub fn sync(&mut self) {
-        self.counters.syncs += 1;
+    fn at_warp(&mut self, warp: usize) {
         if let Some(san) = self.san.as_deref_mut() {
-            san.on_sync();
+            san.set_warp(warp);
         }
     }
 
-    /// Declares which warp issues the operations that follow, for the
-    /// sanitizer's race attribution (warp-vectorized kernels call this at
-    /// the top of their per-warp loops). A no-op without a sanitizer; has
-    /// no effect on cost accounting.
     #[inline]
-    pub fn at_warp(&mut self, warp: usize) {
+    fn alu(&mut self, warp_instructions: u64) {
+        self.counters.warp_instructions += warp_instructions;
+    }
+
+    #[inline]
+    fn sync(&mut self) {
+        self.counters.syncs += 1;
         if let Some(san) = self.san.as_deref_mut() {
-            san.set_warp(warp);
+            san.on_sync();
         }
     }
 
@@ -119,14 +218,7 @@ impl<'a> BlockCtx<'a> {
     // Global memory
     // ------------------------------------------------------------------
 
-    /// Warp load of 4-byte words: `out[i] = *addrs[i]` for every active
-    /// lane. Coalescing is computed from the actual address vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than a warp of lanes is passed, the slices differ in
-    /// length, or an address is out of device memory.
-    pub fn ld_global_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
+    fn ld_global_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
         self.check_warp(addrs.len(), out.len());
         let hw = self.half_warp();
         let tx = GlobalMemory::charge(&mut self.counters, addrs, 4, hw);
@@ -139,12 +231,7 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Warp store of 4-byte words.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`BlockCtx::ld_global_u32`].
-    pub fn st_global_u32(&mut self, addrs: &[u64], vals: &[u32]) {
+    fn st_global_u32(&mut self, addrs: &[u64], vals: &[u32]) {
         self.check_warp(addrs.len(), vals.len());
         let hw = self.half_warp();
         let tx = GlobalMemory::charge(&mut self.counters, addrs, 4, hw);
@@ -157,8 +244,7 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Warp load of single bytes.
-    pub fn ld_global_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
+    fn ld_global_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
         self.check_warp(addrs.len(), out.len());
         let hw = self.half_warp();
         let tx = GlobalMemory::charge(&mut self.counters, addrs, 1, hw);
@@ -171,8 +257,7 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Warp store of single bytes.
-    pub fn st_global_u8(&mut self, addrs: &[u64], vals: &[u8]) {
+    fn st_global_u8(&mut self, addrs: &[u64], vals: &[u8]) {
         self.check_warp(addrs.len(), vals.len());
         let hw = self.half_warp();
         let tx = GlobalMemory::charge(&mut self.counters, addrs, 1, hw);
@@ -185,10 +270,7 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Whole-warp read of one 4-byte word — the *memory broadcast* feature
-    /// the paper's Fig. 2 partitioning exploits for coefficient loads. One
-    /// transaction regardless of warp width.
-    pub fn ld_global_u32_broadcast(&mut self, addr: u64) -> u32 {
+    fn ld_global_u32_broadcast(&mut self, addr: u64) -> u32 {
         self.counters.gmem_ops += 1;
         self.counters.gmem_transactions += 1;
         self.counters.gmem_bytes += 64;
@@ -203,9 +285,7 @@ impl<'a> BlockCtx<'a> {
     // Shared memory
     // ------------------------------------------------------------------
 
-    /// Warp load of 4-byte words from shared memory; bank conflicts are
-    /// measured from the byte addresses.
-    pub fn ld_shared_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
+    fn ld_shared_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
         self.check_warp(addrs.len(), out.len());
         let hw = self.half_warp();
         let extra = self.shared.charge(&mut self.counters, addrs, hw);
@@ -218,8 +298,7 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Warp store of 4-byte words to shared memory.
-    pub fn st_shared_u32(&mut self, addrs: &[u64], vals: &[u32]) {
+    fn st_shared_u32(&mut self, addrs: &[u64], vals: &[u32]) {
         self.check_warp(addrs.len(), vals.len());
         let hw = self.half_warp();
         let extra = self.shared.charge(&mut self.counters, addrs, hw);
@@ -232,8 +311,7 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Warp load of bytes from shared memory.
-    pub fn ld_shared_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
+    fn ld_shared_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
         self.check_warp(addrs.len(), out.len());
         let hw = self.half_warp();
         let extra = self.shared.charge(&mut self.counters, addrs, hw);
@@ -246,8 +324,7 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Warp store of bytes to shared memory.
-    pub fn st_shared_u8(&mut self, addrs: &[u64], vals: &[u8]) {
+    fn st_shared_u8(&mut self, addrs: &[u64], vals: &[u8]) {
         self.check_warp(addrs.len(), vals.len());
         let hw = self.half_warp();
         let extra = self.shared.charge(&mut self.counters, addrs, hw);
@@ -260,13 +337,10 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Block-wide broadcast load of one shared word: every warp of the
-    /// block reads the same 4-byte word (a conflict-free broadcast within
-    /// each warp), e.g. a pivot or factor all threads consume. Charged as
-    /// one conflict-free access per warp; under the sanitizer the read is
-    /// attributed to *all* warps, so a same-epoch write to the word from
-    /// any warp is reported as a race.
-    pub fn ld_shared_u32_broadcast(&mut self, addr: u32) -> u32 {
+    /// Charged as one conflict-free access per warp of the block; under
+    /// the sanitizer the read is attributed to *all* warps, so a same-epoch
+    /// write to the word from any warp is reported as a race.
+    fn ld_shared_u32_broadcast(&mut self, addr: u32) -> u32 {
         let warps = self.warps() as u64;
         self.counters.warp_instructions += warps;
         self.counters.smem_ops += warps;
@@ -276,16 +350,9 @@ impl<'a> BlockCtx<'a> {
         self.shared.read_u32(addr)
     }
 
-    /// Shared-memory `atomicMin` over a warp: every active lane proposes a
-    /// value for the word at `addr`; the final minimum is stored and
-    /// returned. Atomics to one address serialize, which is charged as
-    /// conflict cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device lacks shared-memory atomics (the paper notes
-    /// the GTX 280 is the first CUDA GPU with them; the 8800 GT has none).
-    pub fn atomic_min_shared_u32(&mut self, addr: u32, lane_vals: &[u32]) -> u32 {
+    /// Atomics to one address serialize, which is charged as conflict
+    /// cycles.
+    fn atomic_min_shared_u32(&mut self, addr: u32, lane_vals: &[u32]) -> u32 {
         assert!(
             self.spec.has_shared_atomics,
             "{} does not support shared-memory atomics",
@@ -312,11 +379,9 @@ impl<'a> BlockCtx<'a> {
     // Texture memory
     // ------------------------------------------------------------------
 
-    /// Warp texture fetch of single bytes from device memory through the
-    /// texture cache (Table-based-4's exp-table path). Texture address
-    /// calculation is cheaper than shared-memory indexing, so only the
-    /// fetch instruction itself is charged here.
-    pub fn tex_fetch_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
+    /// Texture address calculation is cheaper than shared-memory indexing,
+    /// so only the fetch instruction itself is charged.
+    fn tex_fetch_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
         self.check_warp(addrs.len(), out.len());
         self.counters.warp_instructions += 1;
         self.tex.access(&mut self.counters, addrs);
@@ -336,43 +401,12 @@ impl<'a> BlockCtx<'a> {
     // Uncharged functional access
     // ------------------------------------------------------------------
 
-    /// Reads a device word *without charging any cost*.
-    ///
-    /// For kernels that model an on-chip mirror of device data (e.g. a
-    /// shared-memory cache of the coefficient matrix): the access cost is
-    /// charged against the mirror via [`BlockCtx::ld_shared_u32`], while
-    /// the functional value is read here from the authoritative global
-    /// copy. Never use this as a shortcut around a real, costed access.
-    ///
-    /// The sanitizer deliberately ignores this read too — the paired
-    /// shared-memory access is the one that is checked.
     #[inline]
-    pub fn peek_global_u32(&self, addr: u64) -> u32 {
+    fn peek_global_u32(&self, addr: u64) -> u32 {
         self.gmem.read_u32(addr)
     }
 
-    // ------------------------------------------------------------------
-    // Introspection for tests and debugging
-    // ------------------------------------------------------------------
-
-    /// Read-only view of this block's shared memory.
-    pub fn shared_slice(&self) -> &[u8] {
+    fn shared_slice(&self) -> &[u8] {
         self.shared.as_slice()
-    }
-
-    /// Counters accumulated so far by this block.
-    pub fn counters(&self) -> &ExecCounters {
-        &self.counters
-    }
-
-    #[inline]
-    fn half_warp(&self) -> usize {
-        self.spec.warp_size / 2
-    }
-
-    #[inline]
-    fn check_warp(&self, addrs: usize, vals: usize) {
-        assert!(addrs <= self.spec.warp_size, "more lanes than a warp: {addrs}");
-        assert_eq!(addrs, vals, "lane address/value count mismatch");
     }
 }

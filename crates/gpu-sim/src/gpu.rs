@@ -1,6 +1,6 @@
 //! The host-side GPU handle: allocation, transfers, kernel launches.
 
-use crate::ctx::BlockCtx;
+use crate::ctx::{BlockCtx, LaunchCtx};
 use crate::device::DeviceSpec;
 use crate::mem::{DeviceBuffer, GlobalMemory};
 use crate::sanitizer::{SanitizerConfig, SanitizerReport, SanitizerState};
@@ -10,13 +10,16 @@ use crate::timing;
 
 /// A kernel: code executed once per thread block of a launch.
 ///
-/// Kernel code is warp-vectorized (see [`BlockCtx`]); blocks must be
-/// mutually independent, as on real hardware, because the simulator may
-/// execute them in any order. (They are currently run in grid order, but
-/// relying on that is a kernel bug.)
-pub trait Kernel {
+/// Kernel code is warp-vectorized against the object-safe [`LaunchCtx`]
+/// surface, so one body runs on the simulator ([`BlockCtx`]) and on any
+/// other executor. Blocks must be mutually independent, as on real
+/// hardware, because an executor may run them in any order or in parallel.
+/// (The simulator runs them in grid order, but relying on that is a kernel
+/// bug.) `Sync` lets a parallel executor share one kernel reference across
+/// worker threads.
+pub trait Kernel: Sync {
     /// Executes one thread block.
-    fn run_block(&self, ctx: &mut BlockCtx<'_>);
+    fn run_block(&self, ctx: &mut dyn LaunchCtx);
 }
 
 /// Launch geometry: the `<<<grid, block, shared>>>` triple of CUDA.
@@ -42,21 +45,21 @@ pub struct TransferStats {
 /// A simulated GPU: device memory plus the launch machinery.
 ///
 /// ```
-/// use nc_gpu_sim::{Gpu, DeviceSpec, GridConfig, Kernel, BlockCtx};
+/// use nc_gpu_sim::{Gpu, DeviceSpec, GridConfig, Kernel, LaunchCtx};
 ///
 /// /// Doubles every 32-bit word of a buffer.
 /// struct DoubleKernel { buf: nc_gpu_sim::DeviceBuffer, words: usize }
 ///
 /// impl Kernel for DoubleKernel {
-///     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-///         let lanes = ctx.block_threads;
+///     fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+///         let lanes = ctx.block_threads();
 ///         let base = self.buf;
 ///         let mut addrs = Vec::new();
 ///         let mut vals = vec![0u32; 32];
 ///         for warp in 0..ctx.warps() {
 ///             addrs.clear();
 ///             for lane in 0..ctx.lanes_in_warp(warp) {
-///                 let idx = ctx.block_idx * lanes + warp * 32 + lane;
+///                 let idx = ctx.block_idx() * lanes + warp * 32 + lane;
 ///                 if idx < self.words {
 ///                     addrs.push(base.addr(idx * 4));
 ///                 }
@@ -197,7 +200,7 @@ impl Gpu {
     /// # Panics
     ///
     /// Panics if the grid is empty or a block exceeds device limits.
-    pub fn launch<K: Kernel>(&mut self, kernel: &K, grid: GridConfig) -> LaunchStats {
+    pub fn launch<K: Kernel + ?Sized>(&mut self, kernel: &K, grid: GridConfig) -> LaunchStats {
         self.launch_inner(kernel, grid, std::any::type_name::<K>())
     }
 
@@ -211,7 +214,7 @@ impl Gpu {
     /// # Panics
     ///
     /// Same conditions as [`Gpu::launch`].
-    pub fn launch_checked<K: Kernel>(
+    pub fn launch_checked<K: Kernel + ?Sized>(
         &mut self,
         kernel: &K,
         grid: GridConfig,
@@ -223,7 +226,7 @@ impl Gpu {
         self.launch_inner(kernel, grid, label)
     }
 
-    fn launch_inner<K: Kernel>(
+    fn launch_inner<K: Kernel + ?Sized>(
         &mut self,
         kernel: &K,
         grid: GridConfig,
@@ -306,7 +309,7 @@ impl Gpu {
     /// initialization shadow. An enabled sanitizer is suspended for the
     /// duration and everything allocated is conservatively marked
     /// initialized afterward.
-    pub fn launch_sampled<K: Kernel>(
+    pub fn launch_sampled<K: Kernel + ?Sized>(
         &mut self,
         kernel: &K,
         grid: GridConfig,
@@ -321,7 +324,7 @@ impl Gpu {
         stats
     }
 
-    fn launch_sampled_inner<K: Kernel>(
+    fn launch_sampled_inner<K: Kernel + ?Sized>(
         &mut self,
         kernel: &K,
         grid: GridConfig,
@@ -431,14 +434,14 @@ mod tests {
     }
 
     impl Kernel for XorKernel {
-        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-            let block_threads = ctx.block_threads;
+        fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+            let block_threads = ctx.block_threads();
             for warp in 0..ctx.warps() {
                 let mut addrs_a = Vec::new();
                 let mut addrs_b = Vec::new();
                 let mut addrs_o = Vec::new();
                 for lane in 0..ctx.lanes_in_warp(warp) {
-                    let idx = ctx.block_idx * block_threads + warp * 32 + lane;
+                    let idx = ctx.block_idx() * block_threads + warp * 32 + lane;
                     if idx < self.words {
                         addrs_a.push(self.a.addr(idx * 4));
                         addrs_b.push(self.b.addr(idx * 4));

@@ -20,7 +20,7 @@
 //!   only see bytes that a kernel store, [`crate::Gpu::upload`], or
 //!   [`crate::Gpu::poke`] initialized.
 //! * **racecheck** — shared-memory accesses are tracked per byte between
-//!   barriers ([`crate::BlockCtx::sync`] advances the epoch). Two accesses
+//!   barriers ([`crate::LaunchCtx::sync`] advances the epoch). Two accesses
 //!   from *different warps* in the same epoch touching the same byte, at
 //!   least one of them a non-atomic write, are a hazard: the simulator's
 //!   sequential warp order masks the bug, real hardware does not. Atomics
@@ -33,8 +33,8 @@
 //!   [`SanitizerReport::is_clean`] can gate CI without forbidding the
 //!   deliberate trade-offs the paper's kernels make.
 //!
-//! Accesses made through raw views ([`crate::BlockCtx::shared_slice`],
-//! [`crate::Gpu::peek`], [`crate::BlockCtx::peek_global_u32`]) bypass the
+//! Accesses made through raw views ([`crate::LaunchCtx::shared_slice`],
+//! [`crate::Gpu::peek`], [`crate::LaunchCtx::peek_global_u32`]) bypass the
 //! instrumented operations and are invisible to all three analyses.
 
 use std::collections::HashMap;
@@ -311,9 +311,9 @@ struct ByteAccess {
 struct BlockState {
     block_idx: usize,
     /// Warp issuing the current operations (set by
-    /// [`crate::BlockCtx::at_warp`]).
+    /// [`crate::LaunchCtx::at_warp`]).
     current_warp: usize,
-    /// Barrier epoch; [`crate::BlockCtx::sync`] advances it.
+    /// Barrier epoch; [`crate::LaunchCtx::sync`] advances it.
     epoch: u64,
     /// Same-epoch access table, keyed by shared byte address.
     accesses: HashMap<u32, ByteAccess>,

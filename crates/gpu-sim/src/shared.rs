@@ -43,7 +43,7 @@ impl SharedMem {
     /// Raw view (host-side initialization in tests).
     ///
     /// Reads through this slice bypass the instrumented
-    /// [`crate::BlockCtx::ld_shared_u32`] family, so they are invisible to
+    /// [`crate::LaunchCtx::ld_shared_u32`] family, so they are invisible to
     /// the sanitizer's racecheck and uninitialized-read tracking (and to
     /// the cost model). Kernel code must use the instrumented operations;
     /// raw views are for test assertions only.

@@ -7,7 +7,7 @@
 //! the value of the sanitizer is that these launches *fail loudly anyway*.
 
 use nc_gpu_sim::{
-    BlockCtx, DeviceSpec, DiagnosticKind, Gpu, GridConfig, Kernel, SanitizerConfig, Severity,
+    DeviceSpec, DiagnosticKind, Gpu, GridConfig, Kernel, LaunchCtx, SanitizerConfig, Severity,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -24,7 +24,7 @@ fn gpu() -> Gpu {
 struct CrossWarpRace;
 
 impl Kernel for CrossWarpRace {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         ctx.at_warp(0);
         ctx.st_shared_u32(&[0], &[0xDEAD_BEEF]);
         ctx.at_warp(1);
@@ -39,7 +39,7 @@ impl Kernel for CrossWarpRace {
 struct SyncedHandoff;
 
 impl Kernel for SyncedHandoff {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         ctx.at_warp(0);
         ctx.st_shared_u32(&[0], &[0xDEAD_BEEF]);
         ctx.sync();
@@ -58,7 +58,7 @@ struct GapOverflow {
 }
 
 impl Kernel for GapOverflow {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         let one_past_end = self.buf.addr(self.buf.len() - 4) + 4;
         ctx.st_global_u32(&[one_past_end], &[7]);
     }
@@ -70,7 +70,7 @@ struct UninitRead {
 }
 
 impl Kernel for UninitRead {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         let mut out = [0u32];
         ctx.ld_global_u32(&[self.buf.addr(0)], &mut out);
     }
@@ -80,7 +80,7 @@ impl Kernel for UninitRead {
 struct UninitSharedRead;
 
 impl Kernel for UninitSharedRead {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         let mut out = [0u32];
         ctx.ld_shared_u32(&[0], &mut out);
     }
@@ -179,9 +179,9 @@ struct CleanStager {
 }
 
 impl Kernel for CleanStager {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         let wpb = self.words_per_block;
-        let block = ctx.block_idx;
+        let block = ctx.block_idx();
         let mut addrs = Vec::new();
         let mut vals = [0u32; WARP];
 

@@ -17,10 +17,9 @@
 
 use nc_gf256::scalar;
 use nc_gf256::wide::{loop_mul_cost, mul_word32};
-use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
+use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
 
 use crate::costs;
-use crate::device::{DeviceKernel, LaunchCtx};
 
 /// Stage 1: per-segment Gauss-Jordan inversion of the coefficient matrix on
 /// the augmented `[C | I]`.
@@ -56,12 +55,6 @@ impl InvertKernel {
 }
 
 impl Kernel for InvertKernel {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        DeviceKernel::run_block(self, ctx);
-    }
-}
-
-impl DeviceKernel for InvertKernel {
     fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         assert!(self.n.is_multiple_of(4));
         let s = ctx.block_idx();
@@ -219,12 +212,6 @@ impl RecoverKernel {
 }
 
 impl Kernel for RecoverKernel {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        DeviceKernel::run_block(self, ctx);
-    }
-}
-
-impl DeviceKernel for RecoverKernel {
     fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         assert!(self.n.is_multiple_of(4) && self.k.is_multiple_of(4));
         let kw = self.k / 4;

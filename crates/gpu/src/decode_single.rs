@@ -18,10 +18,9 @@
 
 use nc_gf256::scalar;
 use nc_gf256::wide::{loop_mul_cost, mul_word32};
-use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
+use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
 
 use crate::costs;
-use crate::device::{DeviceKernel, LaunchCtx};
 
 /// Sentinel stored in the result word when the incoming block reduced to
 /// all-zero coefficients (linearly dependent).
@@ -116,12 +115,6 @@ impl DecodeStepKernel {
 }
 
 impl Kernel for DecodeStepKernel {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        DeviceKernel::run_block(self, ctx);
-    }
-}
-
-impl DeviceKernel for DecodeStepKernel {
     fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         assert!(self.n.is_multiple_of(4) && self.k.is_multiple_of(4));
         assert_eq!(self.pivot_cols.len(), self.rank, "pivot list out of sync");

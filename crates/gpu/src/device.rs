@@ -1,15 +1,11 @@
 //! Backend-agnostic device layer: one kernel body, many executors.
 //!
-//! The paper's kernels were written directly against the
-//! [`nc_gpu_sim::BlockCtx`] simulator context, hard-wiring them to the
-//! GTX 280 cycle model. This module decouples kernel from executor the way
-//! krnl/autograph put host and device execution behind one API:
-//!
-//! * [`LaunchCtx`] — the object-safe warp-vectorized instruction surface a
-//!   kernel body programs against (loads/stores, barriers, ALU charges).
-//! * [`DeviceKernel`] — a kernel body generic over any [`LaunchCtx`].
-//! * [`DeviceBackend`] — the executor: buffer management, uploads,
-//!   downloads, grid launches, per-launch [`LaunchStats`].
+//! A kernel is an [`nc_gpu_sim::Kernel`]: one body written against the
+//! object-safe [`nc_gpu_sim::LaunchCtx`] instruction surface (loads/stores,
+//! barriers, ALU charges). This module decouples that body from what
+//! executes it, the way krnl/autograph put host and device execution behind
+//! one API: [`DeviceBackend`] is the executor — buffer management, uploads,
+//! downloads, grid launches, per-launch [`LaunchStats`].
 //!
 //! Two executors implement [`DeviceBackend`]:
 //!
@@ -22,183 +18,17 @@
 //!   without a GPU.
 //!
 //! Bit-exactness versus the `nc-rlnc` CPU reference is the invariant: the
-//! same [`DeviceKernel`] must produce identical bytes on every backend.
+//! same [`Kernel`] must produce identical bytes on every backend.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use nc_gpu_sim::{
-    BlockCtx, DeviceBuffer, DeviceSpec, ExecCounters, Gpu, GridConfig, Kernel, LaunchStats,
+    DeviceBuffer, DeviceSpec, ExecCounters, Gpu, GridConfig, Kernel, LaunchCtx, LaunchStats,
     SanitizerConfig, SanitizerReport, TransferStats,
 };
 use nc_pool::Pool;
-
-/// The warp-vectorized instruction surface a kernel body programs against.
-///
-/// This mirrors [`BlockCtx`]'s public API one-for-one (field reads become
-/// method calls) but is object-safe, so the same kernel body can run on the
-/// cycle-model simulator, on host CPU workers, or on real hardware. One
-/// call issues an operation for **all lanes of the current warp**; address
-/// slices carry one address per lane.
-pub trait LaunchCtx {
-    /// This block's index within the launch grid.
-    fn block_idx(&self) -> usize;
-    /// Total blocks in the launch grid.
-    fn grid_blocks(&self) -> usize;
-    /// Threads in this block.
-    fn block_threads(&self) -> usize;
-    /// The executing device's specification.
-    fn spec(&self) -> &DeviceSpec;
-
-    /// Number of warps in this block.
-    fn warps(&self) -> usize {
-        self.block_threads().div_ceil(self.spec().warp_size)
-    }
-
-    /// Number of active lanes in warp `w` (the last warp may be partial).
-    fn lanes_in_warp(&self, w: usize) -> usize {
-        let ws = self.spec().warp_size;
-        let remaining = self.block_threads().saturating_sub(w * ws);
-        remaining.min(ws)
-    }
-
-    /// Selects the warp subsequent operations are issued for.
-    fn at_warp(&mut self, warp: usize);
-    /// Charges `warp_instructions` ALU/branch instructions to the current
-    /// warp.
-    fn alu(&mut self, warp_instructions: u64);
-    /// Block-wide barrier (`__syncthreads()`).
-    fn sync(&mut self);
-
-    /// Warp-level global load of one 32-bit word per lane.
-    fn ld_global_u32(&mut self, addrs: &[u64], out: &mut [u32]);
-    /// Warp-level global store of one 32-bit word per lane.
-    fn st_global_u32(&mut self, addrs: &[u64], vals: &[u32]);
-    /// Warp-level global load of one byte per lane.
-    fn ld_global_u8(&mut self, addrs: &[u64], out: &mut [u8]);
-    /// Warp-level global store of one byte per lane.
-    fn st_global_u8(&mut self, addrs: &[u64], vals: &[u8]);
-    /// All lanes of the warp read the same global word.
-    fn ld_global_u32_broadcast(&mut self, addr: u64) -> u32;
-
-    /// Warp-level shared-memory load of one word per lane.
-    fn ld_shared_u32(&mut self, addrs: &[u64], out: &mut [u32]);
-    /// Warp-level shared-memory store of one word per lane.
-    fn st_shared_u32(&mut self, addrs: &[u64], vals: &[u32]);
-    /// Warp-level shared-memory load of one byte per lane.
-    fn ld_shared_u8(&mut self, addrs: &[u64], out: &mut [u8]);
-    /// Warp-level shared-memory store of one byte per lane.
-    fn st_shared_u8(&mut self, addrs: &[u64], vals: &[u8]);
-    /// All lanes of the warp read the same shared word.
-    fn ld_shared_u32_broadcast(&mut self, addr: u32) -> u32;
-    /// Warp-level `atomicMin` on one shared word; every lane proposes a
-    /// value and the post-update word is returned.
-    fn atomic_min_shared_u32(&mut self, addr: u32, lane_vals: &[u32]) -> u32;
-
-    /// Warp-level byte fetch through the texture cache.
-    fn tex_fetch_u8(&mut self, addrs: &[u64], out: &mut [u8]);
-
-    /// Uncharged host-side read of one global word (result plumbing, not
-    /// kernel data path).
-    fn peek_global_u32(&self, addr: u64) -> u32;
-    /// This block's shared-memory contents (for size queries).
-    fn shared_slice(&self) -> &[u8];
-}
-
-impl LaunchCtx for BlockCtx<'_> {
-    fn block_idx(&self) -> usize {
-        self.block_idx
-    }
-    fn grid_blocks(&self) -> usize {
-        self.grid_blocks
-    }
-    fn block_threads(&self) -> usize {
-        self.block_threads
-    }
-    fn spec(&self) -> &DeviceSpec {
-        BlockCtx::spec(self)
-    }
-    fn warps(&self) -> usize {
-        BlockCtx::warps(self)
-    }
-    fn lanes_in_warp(&self, w: usize) -> usize {
-        BlockCtx::lanes_in_warp(self, w)
-    }
-    fn at_warp(&mut self, warp: usize) {
-        BlockCtx::at_warp(self, warp);
-    }
-    fn alu(&mut self, warp_instructions: u64) {
-        BlockCtx::alu(self, warp_instructions);
-    }
-    fn sync(&mut self) {
-        BlockCtx::sync(self);
-    }
-    fn ld_global_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
-        BlockCtx::ld_global_u32(self, addrs, out);
-    }
-    fn st_global_u32(&mut self, addrs: &[u64], vals: &[u32]) {
-        BlockCtx::st_global_u32(self, addrs, vals);
-    }
-    fn ld_global_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
-        BlockCtx::ld_global_u8(self, addrs, out);
-    }
-    fn st_global_u8(&mut self, addrs: &[u64], vals: &[u8]) {
-        BlockCtx::st_global_u8(self, addrs, vals);
-    }
-    fn ld_global_u32_broadcast(&mut self, addr: u64) -> u32 {
-        BlockCtx::ld_global_u32_broadcast(self, addr)
-    }
-    fn ld_shared_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
-        BlockCtx::ld_shared_u32(self, addrs, out);
-    }
-    fn st_shared_u32(&mut self, addrs: &[u64], vals: &[u32]) {
-        BlockCtx::st_shared_u32(self, addrs, vals);
-    }
-    fn ld_shared_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
-        BlockCtx::ld_shared_u8(self, addrs, out);
-    }
-    fn st_shared_u8(&mut self, addrs: &[u64], vals: &[u8]) {
-        BlockCtx::st_shared_u8(self, addrs, vals);
-    }
-    fn ld_shared_u32_broadcast(&mut self, addr: u32) -> u32 {
-        BlockCtx::ld_shared_u32_broadcast(self, addr)
-    }
-    fn atomic_min_shared_u32(&mut self, addr: u32, lane_vals: &[u32]) -> u32 {
-        BlockCtx::atomic_min_shared_u32(self, addr, lane_vals)
-    }
-    fn tex_fetch_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
-        BlockCtx::tex_fetch_u8(self, addrs, out);
-    }
-    fn peek_global_u32(&self, addr: u64) -> u32 {
-        BlockCtx::peek_global_u32(self, addr)
-    }
-    fn shared_slice(&self) -> &[u8] {
-        BlockCtx::shared_slice(self)
-    }
-}
-
-/// A kernel body executable on any [`DeviceBackend`].
-///
-/// `Sync` is required because host-style backends share one kernel
-/// reference across worker threads (blocks are data-parallel by contract:
-/// each block writes a disjoint output region, synchronized only by the
-/// launch boundary).
-pub trait DeviceKernel: Sync {
-    /// Executes one thread block against the given context.
-    fn run_block(&self, ctx: &mut dyn LaunchCtx);
-}
-
-/// Adapts a [`DeviceKernel`] to the simulator's [`Kernel`] trait (a blanket
-/// impl would violate coherence, so the sim backend wraps at the call
-/// site).
-struct SimKernelAdapter<'a>(&'a dyn DeviceKernel);
-
-impl Kernel for SimKernelAdapter<'_> {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        self.0.run_block(ctx);
-    }
-}
 
 /// Byte ranges whose contents are sampling artifacts and must not reach a
 /// consumer (see [`crate::Fidelity::Timing`]): a `launch_sampled` executes
@@ -252,7 +82,7 @@ impl PoisonSet {
     }
 }
 
-/// An executor for [`DeviceKernel`]s: buffer management, transfers, grid
+/// An executor for [`Kernel`]s: buffer management, transfers, grid
 /// launches, and per-launch statistics.
 ///
 /// The trait is object-safe; pipelines hold a `Box<dyn DeviceBackend>` and
@@ -281,14 +111,14 @@ pub trait DeviceBackend {
     fn poke(&mut self, buf: DeviceBuffer, data: &[u8]);
 
     /// Executes every block of the grid.
-    fn launch(&mut self, kernel: &dyn DeviceKernel, grid: GridConfig) -> LaunchStats;
+    fn launch(&mut self, kernel: &dyn Kernel, grid: GridConfig) -> LaunchStats;
     /// Executes a strided sample of at most `max_blocks_executed` blocks
     /// (block 0 always included) and scales time and counters to the full
     /// grid. Output buffers hold garbage outside the sampled stripes —
     /// callers must [`DeviceBackend::poison`] them.
     fn launch_sampled(
         &mut self,
-        kernel: &dyn DeviceKernel,
+        kernel: &dyn Kernel,
         grid: GridConfig,
         max_blocks_executed: usize,
     ) -> LaunchStats;
@@ -371,17 +201,17 @@ impl DeviceBackend for SimBackend {
         self.gpu.poke(buf, data);
     }
 
-    fn launch(&mut self, kernel: &dyn DeviceKernel, grid: GridConfig) -> LaunchStats {
-        self.gpu.launch(&SimKernelAdapter(kernel), grid)
+    fn launch(&mut self, kernel: &dyn Kernel, grid: GridConfig) -> LaunchStats {
+        self.gpu.launch(kernel, grid)
     }
 
     fn launch_sampled(
         &mut self,
-        kernel: &dyn DeviceKernel,
+        kernel: &dyn Kernel,
         grid: GridConfig,
         max_blocks_executed: usize,
     ) -> LaunchStats {
-        self.gpu.launch_sampled(&SimKernelAdapter(kernel), grid, max_blocks_executed)
+        self.gpu.launch_sampled(kernel, grid, max_blocks_executed)
     }
 
     fn poison(&mut self, buf: DeviceBuffer) {
@@ -704,7 +534,7 @@ impl HostDeviceBackend {
     /// worker, and returns merged counters plus the measured seconds.
     fn run_blocks(
         &self,
-        kernel: &dyn DeviceKernel,
+        kernel: &dyn Kernel,
         grid: GridConfig,
         block_ids: &[usize],
     ) -> (ExecCounters, f64) {
@@ -806,7 +636,7 @@ impl DeviceBackend for HostDeviceBackend {
         self.copy_in(buf, data);
     }
 
-    fn launch(&mut self, kernel: &dyn DeviceKernel, grid: GridConfig) -> LaunchStats {
+    fn launch(&mut self, kernel: &dyn Kernel, grid: GridConfig) -> LaunchStats {
         assert!(grid.blocks > 0, "empty launch grid");
         let ids: Vec<usize> = (0..grid.blocks).collect();
         let (counters, elapsed) = self.run_blocks(kernel, grid, &ids);
@@ -815,7 +645,7 @@ impl DeviceBackend for HostDeviceBackend {
 
     fn launch_sampled(
         &mut self,
-        kernel: &dyn DeviceKernel,
+        kernel: &dyn Kernel,
         grid: GridConfig,
         max_blocks_executed: usize,
     ) -> LaunchStats {
@@ -856,7 +686,7 @@ mod tests {
         words: usize,
     }
 
-    impl DeviceKernel for DoubleKernel {
+    impl Kernel for DoubleKernel {
         fn run_block(&self, ctx: &mut dyn LaunchCtx) {
             let ws = ctx.spec().warp_size;
             let base = ctx.block_idx() * ctx.block_threads();

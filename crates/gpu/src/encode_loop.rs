@@ -11,10 +11,9 @@
 //!   so each half-warp's loads fall in one 64-byte segment.
 
 use nc_gf256::wide::{loop_mul_cost, mul_word32};
-use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
+use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
 
 use crate::costs;
-use crate::device::{DeviceKernel, LaunchCtx};
 
 /// Device-memory layout of the source-blocks matrix — the coalescing
 /// ablation. The paper's Fig. 2 partitioning depends on row-major storage
@@ -122,12 +121,6 @@ fn dummy_word(seed: u64) -> u32 {
 }
 
 impl Kernel for LoopEncodeKernel {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        DeviceKernel::run_block(self, ctx);
-    }
-}
-
-impl DeviceKernel for LoopEncodeKernel {
     fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         self.check();
         let kw = self.k / 4; // words per coded block

@@ -17,10 +17,9 @@
 //! calls"); each block walks a contiguous share of the output words.
 
 use nc_gf256::tables::{EXP, REXP};
-use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
+use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
 
 use crate::costs;
-use crate::device::{DeviceKernel, LaunchCtx};
 
 /// The optimization ladder of Fig. 7.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -180,12 +179,6 @@ fn lookup_index(variant: TableVariant, lc: u8, ls: u8) -> Option<u64> {
 }
 
 impl Kernel for TableEncodeKernel {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        DeviceKernel::run_block(self, ctx);
-    }
-}
-
-impl DeviceKernel for TableEncodeKernel {
     fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         assert!(
             self.k.is_multiple_of(4) && self.n.is_multiple_of(4),

@@ -23,10 +23,11 @@
 //!   inverts each segment's coefficient matrix via Gauss-Jordan on `[C|I]`
 //!   (one or two segments per SM), stage 2 recovers the data with an
 //!   encode-like matrix multiplication.
-//! * [`device`] — the backend-agnostic launch layer: kernels implement
-//!   [`DeviceKernel`] against the object-safe [`LaunchCtx`] surface and run
-//!   unchanged on the cycle-model [`SimBackend`] or the measured
-//!   [`HostDeviceBackend`] (parallel execution on `nc-pool` workers).
+//! * [`device`] — the backend-agnostic launch layer: every kernel is one
+//!   [`nc_gpu_sim::Kernel`] body written against the object-safe
+//!   [`nc_gpu_sim::LaunchCtx`] surface, and runs unchanged on the
+//!   cycle-model [`SimBackend`] or the measured [`HostDeviceBackend`]
+//!   (parallel execution on `nc-pool` workers).
 //! * [`api`] — host-side pipelines ([`GpuEncoder`], [`GpuMultiDecoder`],
 //!   …) that manage transfers, preprocessing, launches and verification.
 //! * [`ablation`] — isolated measurements of the design choices: source
@@ -57,5 +58,5 @@ pub mod preprocess;
 pub use api::{
     EncodeScheme, Fidelity, GpuEncoder, GpuMultiDecoder, GpuProgressiveDecoder, PipelineError,
 };
-pub use device::{DeviceBackend, DeviceKernel, HostDeviceBackend, LaunchCtx, SimBackend};
+pub use device::{DeviceBackend, HostDeviceBackend, SimBackend};
 pub use encode_table::TableVariant;

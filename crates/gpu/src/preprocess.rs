@@ -12,10 +12,9 @@
 //! the buffer through it word by word.
 
 use nc_gf256::logdomain::{to_log, to_rlog};
-use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
+use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
 
 use crate::costs;
-use crate::device::{DeviceKernel, LaunchCtx};
 
 /// Which log-domain convention to transform into.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -72,12 +71,6 @@ impl LogTransformKernel {
 }
 
 impl Kernel for LogTransformKernel {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
-        DeviceKernel::run_block(self, ctx);
-    }
-}
-
-impl DeviceKernel for LogTransformKernel {
     fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         assert!(self.len.is_multiple_of(4), "preprocess length must be a multiple of 4");
         let words = self.len / 4;

@@ -1,7 +1,8 @@
 //! The streaming server: segment store, peer sessions, tick-driven service.
 
+use std::sync::RwLock;
+
 use nc_rlnc::{CodingConfig, Segment};
-use parking_lot::RwLock;
 
 use crate::backend::CodingBackend;
 use crate::media::StreamProfile;
@@ -117,14 +118,14 @@ impl StreamingServer {
     /// Propagates [`nc_rlnc::Error::SizeMismatch`] for oversized data.
     pub fn ingest_segment(&self, data: &[u8]) -> Result<usize, nc_rlnc::Error> {
         let segment = Segment::from_bytes_padded(self.config, data)?;
-        let mut store = self.segments.write();
+        let mut store = self.segments.write().expect("segment store lock poisoned");
         store.push(segment);
         Ok(store.len() - 1)
     }
 
     /// Number of stored segments.
     pub fn segment_count(&self) -> usize {
-        self.segments.read().len()
+        self.segments.read().expect("segment store lock poisoned").len()
     }
 
     /// Adds `count` peer sessions.

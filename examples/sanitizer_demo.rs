@@ -7,7 +7,7 @@
 //! warps race and the read is undefined. The sanitizer flags it anyway;
 //! adding the barrier makes the same exchange legal.
 
-use nc_gpu_sim::{BlockCtx, DeviceSpec, Gpu, GridConfig, Kernel};
+use nc_gpu_sim::{DeviceSpec, Gpu, GridConfig, Kernel, LaunchCtx};
 
 /// Warp 0 publishes a shared word; warp 1 consumes it, with or without
 /// the `__syncthreads()` in between.
@@ -16,7 +16,7 @@ struct Handoff {
 }
 
 impl Kernel for Handoff {
-    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
+    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
         ctx.at_warp(0);
         ctx.st_shared_u32(&[0], &[42]);
         if self.with_barrier {

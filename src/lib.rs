@@ -29,7 +29,7 @@
 //! ```
 //!
 //! and reproduce the paper's figures with
-//! `cargo run -p nc-bench --release --bin all`.
+//! `cargo run -p nc-bench --release -- all` (or one by name, e.g. `-- fig7`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
