@@ -170,8 +170,10 @@ impl Channel for UdpChannel {
 /// sharded server and of [`UdpChannel`].
 ///
 /// Outgoing datagrams are staged with [`BatchSocket::queue`] and handed to
-/// the kernel in one `sendmmsg` per [`flush`](BatchSocket::flush) (one
-/// syscall per datagram on the portable path — same API, fewer savings).
+/// the kernel in one `sendmmsg` per [`flush`](BatchSocket::flush), each
+/// run of same-destination, same-length datagrams as one `UDP_SEGMENT`
+/// message where the kernel offers it (one syscall per datagram on the
+/// portable path — same API, fewer savings).
 /// Incoming datagrams arrive through [`recv_batch`](BatchSocket::recv_batch),
 /// which drains up to a batch per wait. Queue buffers are drawn from and
 /// recycled to the process-wide [`BytesPool`], so a steady-state server
@@ -182,6 +184,10 @@ pub struct BatchSocket {
     slot_bytes: usize,
     /// Whether `socket` is connected: its sends then name no address.
     connected: bool,
+    /// Whether flushes coalesce same-destination runs into `UDP_SEGMENT`
+    /// messages: probed when the socket is wrapped, cleared for good the
+    /// first time the kernel refuses one (see the `sysio` module).
+    segment: bool,
     /// Receive slots, allocated on the first receive: a socket that only
     /// ever sends carries none, a receiving shard carries `MAX_BATCH`.
     slots: Vec<Vec<u8>>,
@@ -209,6 +215,7 @@ impl BatchSocket {
     pub fn from_socket(socket: UdpSocket, slot_bytes: usize) -> BatchSocket {
         BatchSocket {
             connected: socket.peer_addr().is_ok(),
+            segment: crate::sysio::probe_segmentation(&socket),
             socket,
             slot_bytes: slot_bytes.clamp(64, MAX_DATAGRAM_BYTES),
             slots: Vec::new(),
@@ -301,7 +308,8 @@ impl BatchSocket {
         if self.out.is_empty() {
             return Ok(0);
         }
-        let result = crate::sysio::send_to_batch(&self.socket, &self.out, self.connected);
+        let result =
+            crate::sysio::send_to_batch(&self.socket, &self.out, self.connected, &mut self.segment);
         let m = crate::metrics::metrics();
         m.tx_batch.record(self.out.len() as u64);
         for (_, bytes) in self.out.drain(..) {
@@ -350,7 +358,7 @@ impl BatchSocket {
         m.rx_batch.record(got as u64);
         for i in 0..got {
             let (len, from) = self.meta[i];
-            if len == 0 || len > self.slots[i].len() {
+            if len == 0 {
                 continue; // undecodable source or truncated datagram
             }
             m.rx_datagrams.inc();
@@ -678,6 +686,33 @@ mod tests {
         seen.sort();
         assert_eq!(seen, (0..20u8).map(|i| vec![i; 100]).collect::<Vec<_>>());
         assert_eq!(rx.recv_batch(Duration::ZERO, |_, _| {}).unwrap(), 0, "zero timeout polls");
+    }
+
+    #[test]
+    fn batch_socket_skips_and_counts_truncated_datagrams() {
+        let truncated = &crate::metrics::metrics().rx_truncated;
+        let before = truncated.get();
+        let mut rx = BatchSocket::bind("127.0.0.1:0", 64).unwrap();
+        let mut tx = BatchSocket::bind("127.0.0.1:0", 64).unwrap();
+        let to = rx.local_addr().unwrap();
+        let (long, short) = (vec![7u8; 300], vec![9u8; 40]);
+        tx.queue(to, long).unwrap();
+        tx.queue(to, short.clone()).unwrap();
+        assert_eq!(tx.flush().unwrap(), 2);
+
+        let mut seen = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !seen.contains(&short) && std::time::Instant::now() < deadline {
+            rx.recv_batch(Duration::from_millis(200), |_, bytes| seen.push(bytes.to_vec()))
+                .unwrap();
+        }
+        if BatchSocket::batched() {
+            assert_eq!(seen, [short], "a datagram longer than its slot is skipped");
+            assert_eq!(truncated.get() - before, 1, "and counted");
+        } else {
+            // `std` cannot see truncation: the datagram arrives cut short.
+            assert_eq!(seen, [vec![7u8; 64], short]);
+        }
     }
 
     #[test]

@@ -57,8 +57,17 @@ pub(crate) struct NetMetrics {
     pub syscalls: Arc<Counter>,
     /// Datagrams handed to the kernel through [`crate::channel::BatchSocket`].
     pub tx_datagrams: Arc<Counter>,
+    /// Messages (`mmsghdr`s) the kernel accepted for those datagrams: one
+    /// per datagram, or one per `UDP_SEGMENT` run ([`crate::sysio`]).
+    pub tx_messages: Arc<Counter>,
+    /// Coalesced messages the kernel refused, each of which turned
+    /// segmentation offload off for its socket.
+    pub tx_gso_refused: Arc<Counter>,
     /// Datagrams received through [`crate::channel::BatchSocket`].
     pub rx_datagrams: Arc<Counter>,
+    /// Datagrams longer than their receive slot, skipped (Linux path
+    /// only: the portable path cannot see truncation).
+    pub rx_truncated: Arc<Counter>,
     /// Datagrams per batched send, sampled at every flush.
     pub tx_batch: Arc<Histogram>,
     /// Datagrams per batched receive, sampled at every non-empty drain.
@@ -95,7 +104,10 @@ pub(crate) fn metrics() -> &'static NetMetrics {
             pacing_wait_ns: r.histogram("net.pacing_wait_ns"),
             syscalls: r.counter("net.syscalls"),
             tx_datagrams: r.counter("net.tx_datagrams"),
+            tx_messages: r.counter("net.tx_messages"),
+            tx_gso_refused: r.counter("net.tx_gso_refused"),
             rx_datagrams: r.counter("net.rx_datagrams"),
+            rx_truncated: r.counter("net.rx_truncated"),
             tx_batch: r.histogram("net.tx_batch"),
             rx_batch: r.histogram("net.rx_batch"),
             deadline_miss_ns: r.histogram("net.deadline_miss_ns"),

@@ -14,38 +14,58 @@
 //!   plain `std::net::UdpSocket` calls, one datagram per syscall, socket
 //!   groups emulated with `try_clone`.
 //!
-//! Both implementations expose the same four functions, so everything
+//! Both implementations expose the same five functions, so everything
 //! above this seam ([`crate::channel::BatchSocket`], and through it the
 //! sharded server and the point-to-point [`crate::channel::UdpChannel`])
 //! is platform-free. Fallback semantics differ only in throughput:
 //!
-//! | capability        | linux path           | portable path            |
-//! |-------------------|----------------------|--------------------------|
-//! | socket group      | kernel flow-hashing  | one socket, cloned       |
-//! | batched send      | 1 syscall / batch    | 1 syscall / datagram     |
-//! | batched receive   | 1 poll + 1 recvmmsg  | timed recv + nonblocking |
-//! | receive buffer    | SO_RCVBUF resize     | kernel default (no-op)   |
-//! | syscall metric    | exact                | exact                    |
+//! | capability           | linux path                      | portable path            |
+//! |----------------------|---------------------------------|--------------------------|
+//! | socket group         | kernel flow-hashing             | one socket, cloned       |
+//! | batched send         | 1 syscall / batch               | 1 syscall / datagram     |
+//! | segmentation offload | UDP_SEGMENT per same-destination run, probed, per-socket fallback | none |
+//! | batched receive      | 1 poll + 1 recvmmsg             | timed recv + nonblocking |
+//! | truncated receive    | MSG_TRUNC: skipped, counted     | unseen: delivered cut to the slot (the CRC rejects it) |
+//! | receive buffer       | SO_RCVBUF resize                | kernel default (no-op)   |
+//! | syscall metric       | exact                           | exact                    |
 //!
 //! Every syscall issued here increments `net.syscalls`; the layered
 //! benchmark (`benchmark/`) divides it by the datagrams moved
 //! (`net.tx_datagrams + net.rx_datagrams`) to report
-//! `net.syscalls_per_datagram`.
+//! `net.syscalls_per_datagram`. Every message the kernel accepts
+//! increments `net.tx_messages`, so `net.tx_datagrams / net.tx_messages`
+//! is how many datagrams segmentation offload put in one message.
+//!
+//! **Segmentation offload** (`UDP_SEGMENT`, Linux 4.18+). A run of
+//! consecutive queued datagrams with one destination and one length (one
+//! shorter datagram may end it) goes to the kernel as one message: its
+//! iovecs are the run's own buffers and a control message names the
+//! segment size. The kernel carries the run as one packet as far as it
+//! can and splits it into the same datagrams at the end, so the wire
+//! bytes do not change. A socket coalesces only if the `getsockopt` probe
+//! at creation succeeds — an older kernel would silently ignore the
+//! control message and send the run as one oversized datagram — and stops
+//! for good the first time the kernel refuses a coalesced message
+//! (`net.tx_gso_refused`), resending the rest one datagram per message.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
 /// Most datagrams one batched send/receive call will move. Bounds the
-/// stack scratch (iovecs, headers, address storage) the Linux path builds
-/// per call.
+/// stack scratch (iovecs, headers, address storage, control messages) the
+/// Linux path builds per call.
 pub(crate) const MAX_BATCH: usize = 64;
 
 #[cfg(all(target_os = "linux", not(nc_portable_io)))]
-pub(crate) use linux::{bind_group, recv_from_batch, send_to_batch, set_recv_buffer};
+pub(crate) use linux::{
+    bind_group, probe_segmentation, recv_from_batch, send_to_batch, set_recv_buffer,
+};
 
 #[cfg(any(not(target_os = "linux"), nc_portable_io))]
-pub(crate) use portable::{bind_group, recv_from_batch, send_to_batch, set_recv_buffer};
+pub(crate) use portable::{
+    bind_group, probe_segmentation, recv_from_batch, send_to_batch, set_recv_buffer,
+};
 
 /// Whether this build batches syscalls (`sendmmsg`/`recvmmsg`) or falls
 /// back to one datagram per syscall.
@@ -76,8 +96,19 @@ mod linux {
     const SOCK_CLOEXEC: i32 = 0o2000000;
     const SOL_SOCKET: i32 = 1;
     const SO_REUSEPORT: i32 = 15;
+    const SOL_UDP: i32 = 17;
+    const UDP_SEGMENT: i32 = 103;
+    const MSG_TRUNC: i32 = 0x20;
     const MSG_DONTWAIT: i32 = 0x40;
     const POLLIN: i16 = 0x1;
+    const EIO: i32 = 5;
+    const EINVAL: i32 = 22;
+    const EMSGSIZE: i32 = 90;
+    const EOPNOTSUPP: i32 = 95;
+
+    /// The most payload one `UDP_SEGMENT` message may carry: the IPv4 UDP
+    /// limit (65 535 less the IP and UDP headers), also used for IPv6.
+    const MAX_SEGMENTED_BYTES: usize = 65_507;
 
     /// `struct iovec`.
     #[repr(C)]
@@ -119,12 +150,35 @@ mod linux {
     }
 
     impl MMsgHdr {
-        /// One message over the single buffer `iov`; a null `name` sends
-        /// to the connected peer.
-        fn new(name: *mut SockAddrStorage, namelen: u32, iov: *mut IoVec) -> MMsgHdr {
+        /// One message over the `iovlen` buffers from `iov` on, with no
+        /// control message; a null `name` sends to the connected peer.
+        fn new(
+            name: *mut SockAddrStorage,
+            namelen: u32,
+            iov: *mut IoVec,
+            iovlen: usize,
+        ) -> MMsgHdr {
             let control = std::ptr::null_mut();
-            let hdr = MsgHdr { name, namelen, iov, iovlen: 1, control, controllen: 0, flags: 0 };
+            let hdr = MsgHdr { name, namelen, iov, iovlen, control, controllen: 0, flags: 0 };
             MMsgHdr { hdr, len: 0 }
+        }
+    }
+
+    /// A `struct cmsghdr` carrying one `UDP_SEGMENT` segment size. Its
+    /// size is `CMSG_SPACE(2)`, the `msg_controllen` it goes out with.
+    #[repr(C)]
+    struct SegmentCmsg {
+        len: usize,
+        level: i32,
+        ty: i32,
+        size: u16,
+    }
+
+    impl SegmentCmsg {
+        fn new(size: u16) -> SegmentCmsg {
+            // `CMSG_LEN(2)`: the kernel refuses any other length.
+            let len = std::mem::offset_of!(SegmentCmsg, size) + std::mem::size_of::<u16>();
+            SegmentCmsg { len, level: SOL_UDP, ty: UDP_SEGMENT, size }
         }
     }
 
@@ -147,6 +201,7 @@ mod linux {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn bind(fd: i32, addr: *const SockAddrStorage, len: u32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        fn getsockopt(fd: i32, level: i32, name: i32, value: *mut i32, len: *mut u32) -> i32;
         fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
         fn recvmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
         fn poll(fds: *mut PollFd, nfds: usize, timeout_ms: i32) -> i32;
@@ -211,21 +266,7 @@ mod linux {
         // object; `UdpSocket` takes ownership and closes it on drop (which
         // also covers the error paths below).
         let sock = unsafe { UdpSocket::from_raw_fd(fd) };
-        let one: i32 = 1;
-        // SAFETY: `value` points at a live i32 of the stated length for
-        // the duration of the call.
-        let rc = unsafe {
-            setsockopt(
-                sock.as_raw_fd(),
-                SOL_SOCKET,
-                SO_REUSEPORT,
-                &one,
-                std::mem::size_of::<i32>() as u32,
-            )
-        };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
+        set_option(&sock, SOL_SOCKET, SO_REUSEPORT, 1)?;
         let (storage, len) = encode_addr(addr);
         // SAFETY: `storage` is a live, correctly laid out sockaddr of the
         // stated length for the duration of the call.
@@ -236,29 +277,48 @@ mod linux {
         Ok(sock)
     }
 
+    /// Sets the integer socket option `level`/`name` to `value`.
+    fn set_option(socket: &UdpSocket, level: i32, name: i32, value: i32) -> io::Result<()> {
+        // SAFETY: `value` points at a live i32 of the stated length for
+        // the duration of the call.
+        let rc = unsafe {
+            setsockopt(socket.as_raw_fd(), level, name, &value, std::mem::size_of::<i32>() as u32)
+        };
+        if rc != 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
     /// Asks the kernel for a `bytes`-sized receive buffer (`SO_RCVBUF`;
     /// granted size is capped by `net.core.rmem_max`). A receiver that
     /// drains in batches can absorb a whole burst here instead of
     /// shedding it as loss the rateless layer then has to repair.
     pub(crate) fn set_recv_buffer(socket: &UdpSocket, bytes: usize) -> io::Result<()> {
         const SO_RCVBUF: i32 = 8;
-        let value = bytes.min(i32::MAX as usize) as i32;
         super::count_syscalls(1);
-        // SAFETY: `value` points at a live i32 of the stated length for
-        // the duration of the call.
-        let rc = unsafe {
-            setsockopt(
-                socket.as_raw_fd(),
-                SOL_SOCKET,
-                SO_RCVBUF,
-                &value,
-                std::mem::size_of::<i32>() as u32,
-            )
-        };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+        set_option(socket, SOL_SOCKET, SO_RCVBUF, bytes.min(i32::MAX as usize) as i32)
+    }
+
+    /// Whether the kernel knows `UDP_SEGMENT` on this socket. A kernel
+    /// before 4.18 fails the read with `ENOPROTOOPT` — and would ignore
+    /// the option as a control message, sending a run as one datagram.
+    pub(crate) fn probe_segmentation(socket: &UdpSocket) -> bool {
+        let fd = socket.as_raw_fd();
+        let (mut value, mut len) = (0i32, std::mem::size_of::<i32>() as u32);
+        super::count_syscalls(1);
+        // SAFETY: `value` and `len` are live locals for the duration of
+        // the call, and `len` states `value`'s size.
+        let rc = unsafe { getsockopt(fd, SOL_UDP, UDP_SEGMENT, &mut value, &mut len) };
+        rc == 0
+    }
+
+    /// Sets `SO_NO_CHECK`: the socket sends without UDP checksums, which
+    /// makes the kernel refuse every `UDP_SEGMENT` message.
+    #[cfg(test)]
+    pub(super) fn disable_udp_checksums(socket: &UdpSocket) {
+        const SO_NO_CHECK: i32 = 11;
+        set_option(socket, SOL_SOCKET, SO_NO_CHECK, 1).expect("SO_NO_CHECK");
     }
 
     /// Binds `shards` sockets sharing `addr`: the kernel hashes incoming
@@ -286,43 +346,102 @@ mod linux {
         Ok(sockets)
     }
 
+    /// How many datagrams from the front of `rest` one `UDP_SEGMENT`
+    /// message carries: consecutive datagrams to `rest[0]`'s address (any
+    /// address on a `connected` socket) and of `rest[0]`'s length, except
+    /// that one shorter, non-empty datagram may end the run, holding at
+    /// most [`MAX_SEGMENTED_BYTES`] in all. `rest` is at most a
+    /// [`MAX_BATCH`] chunk, and no kernel's `UDP_MAX_SEGMENTS` is below 64.
+    pub(super) fn run_length(rest: &[(SocketAddr, Vec<u8>)], connected: bool) -> usize {
+        let (to, head) = &rest[0];
+        let (size, mut total, mut run) = (head.len(), head.len(), 1);
+        for (addr, bytes) in &rest[1..] {
+            let len = bytes.len();
+            let joins = (connected || addr == to) && len > 0 && len <= size;
+            if !joins || total + len > MAX_SEGMENTED_BYTES {
+                break;
+            }
+            total += len;
+            run += 1;
+            if len < size {
+                break;
+            }
+        }
+        run
+    }
+
+    /// Whether a failed coalesced message is the kernel refusing the
+    /// offload itself: a segment too large for the route's MTU, a device
+    /// or socket without checksum offload (`SO_NO_CHECK`), IPsec.
+    fn refuses_segmentation(err: &io::Error) -> bool {
+        matches!(err.raw_os_error(), Some(EINVAL | EIO | EMSGSIZE | EOPNOTSUPP))
+    }
+
     /// Sends every datagram in `msgs`, one `sendmmsg` per [`MAX_BATCH`]
-    /// chunk. Returns the datagrams, and their bytes, handed to the
-    /// kernel; backpressure (`EAGAIN`) and ICMP-unreachable feedback are
-    /// loss, not errors. On a `connected` socket the addresses are
-    /// ignored and every header's `msg_name` stays null.
+    /// chunk. While `segment` holds, each [`run_length`] run of a chunk is
+    /// one `UDP_SEGMENT` message; a run of one, or any datagram once
+    /// `segment` is off, is a message of its own. The first refused
+    /// coalesced message clears `segment` and goes out again with the
+    /// rest of the chunk, one datagram per message.
+    ///
+    /// Returns the datagrams, and their bytes, handed to the kernel;
+    /// backpressure (`EAGAIN`) and ICMP-unreachable feedback are loss, not
+    /// errors. On a `connected` socket the addresses are ignored and
+    /// every header's `msg_name` stays null.
     pub(crate) fn send_to_batch(
         socket: &UdpSocket,
         msgs: &[(SocketAddr, Vec<u8>)],
         connected: bool,
+        segment: &mut bool,
     ) -> io::Result<(usize, u64)> {
         let fd = socket.as_raw_fd();
+        let m = crate::metrics::metrics();
         let (mut sent, mut sent_bytes) = (0usize, 0u64);
         for chunk in msgs.chunks(MAX_BATCH) {
-            let (mut addrs, mut iovecs, mut hdrs) = (scratch(), scratch(), scratch());
-            for (i, (to, bytes)) in chunk.iter().enumerate() {
-                let (name, namelen) = if connected {
-                    (std::ptr::null_mut(), 0)
-                } else {
-                    let (storage, namelen) = encode_addr(*to);
-                    (std::ptr::from_mut(addrs[i].write(storage)), namelen)
-                };
+            let (mut addrs, mut iovecs, mut cmsgs, mut hdrs) =
+                (scratch(), scratch(), scratch(), scratch());
+            for (iov, (_, bytes)) in iovecs.iter_mut().zip(chunk) {
                 // The kernel never writes through a send iov; the cast is
                 // only to satisfy the shared msghdr layout.
-                let iov =
-                    iovecs[i].write(IoVec { base: bytes.as_ptr().cast_mut(), len: bytes.len() });
-                hdrs[i].write(MMsgHdr::new(name, namelen, iov));
+                iov.write(IoVec { base: bytes.as_ptr().cast_mut(), len: bytes.len() });
             }
-            let hdrs = hdrs.as_mut_ptr().cast::<MMsgHdr>();
-            let mut off = 0usize;
-            while off < chunk.len() {
+            let iovecs = iovecs.as_mut_ptr().cast::<IoVec>();
+            // One past the last datagram of each message of a call.
+            let mut ends = [0usize; MAX_BATCH];
+            // The first datagram of `chunk` not yet handed to the kernel.
+            let mut first = 0usize;
+            while first < chunk.len() {
+                let (mut count, mut start) = (0usize, first);
+                while start < chunk.len() {
+                    let (to, bytes) = &chunk[start];
+                    let run = if *segment { run_length(&chunk[start..], connected) } else { 1 };
+                    let (name, namelen) = if connected {
+                        (std::ptr::null_mut(), 0)
+                    } else {
+                        let (storage, namelen) = encode_addr(*to);
+                        (std::ptr::from_mut(addrs[count].write(storage)), namelen)
+                    };
+                    let mut hdr = MMsgHdr::new(name, namelen, iovecs.wrapping_add(start), run);
+                    if run > 1 {
+                        let size = u16::try_from(bytes.len()).expect("a run fits in 64 KiB");
+                        let cmsg = cmsgs[count].write(SegmentCmsg::new(size));
+                        hdr.hdr.control = std::ptr::from_mut(cmsg).cast();
+                        hdr.hdr.controllen = std::mem::size_of::<SegmentCmsg>();
+                    }
+                    hdrs[count].write(hdr);
+                    start += run;
+                    ends[count] = start;
+                    count += 1;
+                }
                 super::count_syscalls(1);
-                // SAFETY: the first `chunk.len()` entries of `hdrs` were
-                // written above (the kernel reads no others); their name
-                // pointers are null or point at written `addrs` entries,
-                // and their iovs at written `iovecs` entries over `chunk`
-                // buffers, all outliving the call.
-                let rc = unsafe { sendmmsg(fd, hdrs.add(off), (chunk.len() - off) as u32, 0) };
+                // SAFETY: the first `count` entries of `hdrs` were written
+                // above (the kernel reads no others). Their name pointers
+                // are null or point at written `addrs` entries, their
+                // control pointers null or at written `cmsgs` entries, and
+                // each iov pointer at the first of its run's `run`
+                // consecutive `iovecs` entries, all written over `chunk`
+                // buffers; everything outlives the call.
+                let rc = unsafe { sendmmsg(fd, hdrs.as_mut_ptr().cast(), count as u32, 0) };
                 if rc < 0 {
                     let err = io::Error::last_os_error();
                     match err.kind() {
@@ -333,18 +452,26 @@ mod linux {
                         io::ErrorKind::WouldBlock => return Ok((sent, sent_bytes)),
                         // ICMP unreachable from an earlier send surfaces
                         // here; the error is consumed, the current
-                        // datagram was not sent — skip it as lost.
+                        // message was not sent — skip its datagrams as lost.
                         io::ErrorKind::ConnectionRefused => {
-                            off += 1;
+                            first = ends[0];
+                            continue;
+                        }
+                        // The failed message is always the call's first.
+                        _ if ends[0] - first > 1 && refuses_segmentation(&err) => {
+                            *segment = false;
+                            m.tx_gso_refused.inc();
                             continue;
                         }
                         _ => return Err(err),
                     }
                 }
-                let accepted = &chunk[off..off + rc as usize];
+                let end = ends[..rc as usize].last().copied().unwrap_or(first);
+                let accepted = &chunk[first..end];
                 sent_bytes += accepted.iter().map(|(_, bytes)| bytes.len() as u64).sum::<u64>();
                 sent += accepted.len();
-                off += accepted.len();
+                m.tx_messages.add(rc as u64);
+                first = end;
             }
         }
         Ok((sent, sent_bytes))
@@ -354,7 +481,10 @@ mod linux {
     /// to wait up to `timeout` for readability (skipped when zero), then
     /// one nonblocking `recvmmsg` to drain. Fills `meta[i]` with the
     /// length and source of the datagram in `slots[i]`; a length of 0
-    /// marks a slot to skip. Returns the number of filled slots.
+    /// marks a slot to skip: an unknown source, or a datagram longer than
+    /// its slot (`MSG_TRUNC`, counted in `net.rx_truncated`; the length
+    /// the kernel reports is the part it copied). Returns the number of
+    /// filled slots.
     pub(crate) fn recv_from_batch(
         socket: &UdpSocket,
         timeout: Duration,
@@ -386,7 +516,7 @@ mod linux {
         for (i, slot) in slots[..n].iter_mut().enumerate() {
             let iov = iovecs[i].write(IoVec { base: slot.as_mut_ptr(), len: slot.len() });
             let namelen = std::mem::size_of::<SockAddrStorage>() as u32;
-            hdrs[i].write(MMsgHdr::new(addrs[i].as_mut_ptr(), namelen, iov));
+            hdrs[i].write(MMsgHdr::new(addrs[i].as_mut_ptr(), namelen, iov, 1));
         }
         let hdrs = hdrs.as_mut_ptr().cast::<MMsgHdr>();
         super::count_syscalls(1);
@@ -410,24 +540,29 @@ mod linux {
         let got = rc as usize;
         for (i, addr) in addrs[..got].iter().enumerate() {
             // SAFETY: `i < got <= n`, so `hdrs[i]` was written above; the
-            // kernel set its `len` and `namelen` and wrote the first
-            // `namelen` bytes of `addr` (capped at its size: a longer
-            // name is truncated, never overrun).
-            let (len, name) = unsafe {
+            // kernel set its `len`, `namelen` and `flags` and wrote the
+            // first `namelen` bytes of `addr` (capped at its size: a
+            // longer name is truncated, never overrun).
+            let (len, flags, name) = unsafe {
                 let hdr = &*hdrs.add(i);
                 let namelen = (hdr.hdr.namelen as usize).min(std::mem::size_of_val(addr));
-                (hdr.len as usize, std::slice::from_raw_parts(addr.as_ptr().cast::<u8>(), namelen))
+                let name = std::slice::from_raw_parts(addr.as_ptr().cast::<u8>(), namelen);
+                (hdr.len as usize, hdr.hdr.flags, name)
             };
+            let truncated = flags & MSG_TRUNC != 0;
+            if truncated {
+                crate::metrics::metrics().rx_truncated.inc();
+            }
             match decode_addr(name) {
-                Some(addr) => meta.push((len, addr)),
-                None => meta.push((0, SocketAddr::from(([0, 0, 0, 0], 0)))),
+                Some(addr) if !truncated => meta.push((len, addr)),
+                _ => meta.push((0, SocketAddr::from(([0, 0, 0, 0], 0)))),
             }
         }
         Ok(got)
     }
 }
 
-/// The portable fallback: the same four entry points over plain
+/// The portable fallback: the same five entry points over plain
 /// `std::net::UdpSocket`, one datagram per syscall. Compiled on
 /// non-Linux targets and under `--cfg nc_portable_io` (a CI lane), so
 /// the seam above it can never quietly grow a Linux-only dependency.
@@ -456,12 +591,19 @@ mod portable {
         Ok(sockets)
     }
 
-    /// A connected socket sends with `send`: the BSDs and macOS refuse
-    /// `sendto` with an address on one (`EISCONN`), Linux ignores it.
+    /// `std` has no control messages, so no socket coalesces.
+    pub(crate) fn probe_segmentation(_socket: &UdpSocket) -> bool {
+        false
+    }
+
+    /// One message per datagram. A connected socket sends with `send`:
+    /// the BSDs and macOS refuse `sendto` with an address on one
+    /// (`EISCONN`), Linux ignores it.
     pub(crate) fn send_to_batch(
         socket: &UdpSocket,
         msgs: &[(SocketAddr, Vec<u8>)],
         connected: bool,
+        _segment: &mut bool,
     ) -> io::Result<(usize, u64)> {
         let (mut sent, mut sent_bytes) = (0usize, 0u64);
         for (to, bytes) in msgs {
@@ -471,6 +613,7 @@ mod portable {
                 Ok(_) => {
                     sent += 1;
                     sent_bytes += bytes.len() as u64;
+                    crate::metrics::metrics().tx_messages.inc();
                 }
                 // Loss, not failure: ICMP feedback or a full buffer.
                 Err(e)
@@ -507,6 +650,8 @@ mod portable {
             }
             super::count_syscalls(1);
             match socket.recv_from(&mut slots[got]) {
+                // `std` reports the copied length and no flags, so a
+                // datagram longer than its slot arrives cut short.
                 Ok((len, addr)) => {
                     meta.push((len, addr));
                     got += 1;
@@ -566,7 +711,8 @@ mod tests {
         let msgs: Vec<(SocketAddr, Vec<u8>)> =
             (0..10u8).map(|i| (to, vec![i; 32 + i as usize])).collect();
         let wire_bytes: u64 = msgs.iter().map(|(_, bytes)| bytes.len() as u64).sum();
-        assert_eq!(send_to_batch(&tx, &msgs, false).unwrap(), (10, wire_bytes));
+        let mut segment = probe_segmentation(&tx);
+        assert_eq!(send_to_batch(&tx, &msgs, false, &mut segment).unwrap(), (10, wire_bytes));
 
         let mut slots: Vec<Vec<u8>> = (0..16).map(|_| vec![0u8; 2048]).collect();
         let mut meta = Vec::new();
@@ -596,7 +742,8 @@ mod tests {
         // (`EISCONN` off Linux), and the datagram still reaches the peer.
         let elsewhere = SocketAddr::from(([127, 0, 0, 1], 9));
         let msgs = vec![(elsewhere, b"to the peer".to_vec())];
-        assert_eq!(send_to_batch(&tx, &msgs, true).unwrap(), (1, 11));
+        let mut segment = probe_segmentation(&tx);
+        assert_eq!(send_to_batch(&tx, &msgs, true, &mut segment).unwrap(), (1, 11));
 
         let mut slots: Vec<Vec<u8>> = vec![vec![0u8; 64]];
         let mut meta = Vec::new();
@@ -614,5 +761,195 @@ mod tests {
         let start = std::time::Instant::now();
         assert_eq!(recv_from_batch(&rx, Duration::ZERO, &mut slots, &mut meta).unwrap(), 0);
         assert!(start.elapsed() < Duration::from_millis(100), "zero timeout must not block");
+    }
+
+    // Segmentation offload. Each `gso_*` test checks that every datagram
+    // arrives byte-identical and in order per destination, and prints
+    // whether this kernel coalesced or fell back (CI runs them with
+    // `--nocapture`).
+
+    fn loopback() -> SocketAddr {
+        SocketAddr::from(([127, 0, 0, 1], 0))
+    }
+
+    /// A receiving socket with room for a whole batch of 1 KiB datagrams.
+    fn receiver() -> UdpSocket {
+        let rx = bind_group(loopback(), 1).unwrap().remove(0);
+        set_recv_buffer(&rx, 1 << 20).unwrap();
+        rx
+    }
+
+    /// `len` bytes that differ from datagram `i`'s for every other `i` below 256.
+    fn datagram(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|j| (i * 31 + j) as u8).collect()
+    }
+
+    fn payloads<'a>(msgs: impl IntoIterator<Item = &'a (SocketAddr, Vec<u8>)>) -> Vec<Vec<u8>> {
+        msgs.into_iter().map(|(_, bytes)| bytes.clone()).collect()
+    }
+
+    /// The first `n` datagrams to reach `rx`, in arrival order.
+    fn receive(rx: &UdpSocket, n: usize) -> Vec<Vec<u8>> {
+        let mut slots: Vec<Vec<u8>> = (0..MAX_BATCH).map(|_| vec![0u8; 2048]).collect();
+        let (mut meta, mut seen) = (Vec::new(), Vec::new());
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while seen.len() < n && std::time::Instant::now() < deadline {
+            let got =
+                recv_from_batch(rx, Duration::from_millis(200), &mut slots, &mut meta).unwrap();
+            seen.extend(
+                meta[..got].iter().zip(&slots).map(|(&(len, _), slot)| slot[..len].to_vec()),
+            );
+        }
+        seen
+    }
+
+    /// The messages `send_to_batch` makes of `msgs` while it coalesces.
+    #[cfg(all(target_os = "linux", not(nc_portable_io)))]
+    fn runs(msgs: &[(SocketAddr, Vec<u8>)], connected: bool) -> usize {
+        let runs_in = |chunk: &[(SocketAddr, Vec<u8>)]| {
+            let (mut runs, mut start) = (0, 0);
+            while start < chunk.len() {
+                start += linux::run_length(&chunk[start..], connected);
+                runs += 1;
+            }
+            runs
+        };
+        msgs.chunks(MAX_BATCH).map(runs_in).sum()
+    }
+
+    #[cfg(any(not(target_os = "linux"), nc_portable_io))]
+    fn runs(msgs: &[(SocketAddr, Vec<u8>)], _connected: bool) -> usize {
+        msgs.len()
+    }
+
+    /// Sends `msgs` through a freshly probed `tx`, checks that the return
+    /// value sums the datagrams, and prints how the kernel took them.
+    /// Returns the messages they went out in.
+    fn send_and_report(
+        test: &str,
+        tx: &UdpSocket,
+        msgs: &[(SocketAddr, Vec<u8>)],
+        connected: bool,
+    ) -> usize {
+        let mut segment = probe_segmentation(tx);
+        let probed = segment;
+        let bytes = msgs.iter().map(|(_, bytes)| bytes.len() as u64).sum();
+        assert_eq!(send_to_batch(tx, msgs, connected, &mut segment).unwrap(), (msgs.len(), bytes));
+        let messages = if segment { runs(msgs, connected) } else { msgs.len() };
+        let how = match (probed, segment) {
+            (true, true) => "UDP_SEGMENT accepted",
+            (true, false) => "UDP_SEGMENT refused, fell back",
+            (false, _) => "no UDP_SEGMENT on this path",
+        };
+        println!("{test}: {} datagrams -> {messages} messages ({how})", msgs.len());
+        messages
+    }
+
+    /// `coalesced` messages where this path offers `UDP_SEGMENT`, else
+    /// one per datagram.
+    fn expected_messages(tx: &UdpSocket, coalesced: usize, datagrams: usize) -> usize {
+        if probe_segmentation(tx) {
+            coalesced
+        } else {
+            datagrams
+        }
+    }
+
+    #[test]
+    fn gso_splits_a_full_batch_at_the_ipv4_limit() {
+        let (rx, tx) = (receiver(), UdpSocket::bind(loopback()).unwrap());
+        let to = rx.local_addr().unwrap();
+        // 64 x 1068 B is 68 352 B: 61 datagrams fit under 65 507, 3 follow.
+        let msgs: Vec<_> = (0..MAX_BATCH).map(|i| (to, datagram(i, 1068))).collect();
+        let test = "gso_splits_a_full_batch_at_the_ipv4_limit";
+        assert_eq!(send_and_report(test, &tx, &msgs, false), expected_messages(&tx, 2, MAX_BATCH));
+        assert_eq!(receive(&rx, msgs.len()), payloads(&msgs));
+    }
+
+    #[test]
+    fn gso_run_may_end_with_one_shorter_datagram() {
+        let (rx, tx) = (receiver(), UdpSocket::bind(loopback()).unwrap());
+        let to = rx.local_addr().unwrap();
+        // [4 x 500, 200] [3 x 500, 200] [100]: one shorter datagram ends
+        // a run, a second starts the next.
+        let lens = [500, 500, 500, 500, 200, 500, 500, 500, 200, 100];
+        let msgs: Vec<_> =
+            lens.iter().enumerate().map(|(i, &len)| (to, datagram(i, len))).collect();
+        let test = "gso_run_may_end_with_one_shorter_datagram";
+        assert_eq!(send_and_report(test, &tx, &msgs, false), expected_messages(&tx, 3, lens.len()));
+        assert_eq!(receive(&rx, msgs.len()), payloads(&msgs));
+    }
+
+    #[test]
+    fn gso_runs_break_where_the_destination_changes() {
+        let (a, b, tx) = (receiver(), receiver(), UdpSocket::bind(loopback()).unwrap());
+        let (to_a, to_b) = (a.local_addr().unwrap(), b.local_addr().unwrap());
+        let msgs: Vec<_> = [to_a, to_a, to_b, to_a, to_a]
+            .iter()
+            .enumerate()
+            .map(|(i, &to)| (to, datagram(i, 300)))
+            .collect();
+        let test = "gso_runs_break_where_the_destination_changes";
+        assert_eq!(send_and_report(test, &tx, &msgs, false), expected_messages(&tx, 3, msgs.len()));
+        let to = |addr| payloads(msgs.iter().filter(|(to, _)| *to == addr));
+        assert_eq!(receive(&a, 4), to(to_a));
+        assert_eq!(receive(&b, 1), to(to_b));
+    }
+
+    #[test]
+    fn gso_a_connected_socket_runs_across_queued_addresses() {
+        let (rx, tx) = (receiver(), UdpSocket::bind(loopback()).unwrap());
+        tx.connect(rx.local_addr().unwrap()).unwrap();
+        let elsewhere = SocketAddr::from(([127, 0, 0, 1], 9));
+        let msgs: Vec<_> = (0..8)
+            .map(|i| {
+                (if i % 2 == 0 { elsewhere } else { rx.local_addr().unwrap() }, datagram(i, 700))
+            })
+            .collect();
+        let test = "gso_a_connected_socket_runs_across_queued_addresses";
+        assert_eq!(send_and_report(test, &tx, &msgs, true), expected_messages(&tx, 1, msgs.len()));
+        assert_eq!(receive(&rx, msgs.len()), payloads(&msgs));
+    }
+
+    #[test]
+    fn gso_runs_of_one_go_out_plainly() {
+        let (rx, tx) = (receiver(), UdpSocket::bind(loopback()).unwrap());
+        let to = rx.local_addr().unwrap();
+        let test = "gso_runs_of_one_go_out_plainly";
+        // A lone datagram, then lengths that only grow: no run forms.
+        let lone = vec![(to, datagram(0, 1068))];
+        assert_eq!(send_and_report(test, &tx, &lone, false), 1);
+        let growing: Vec<_> = (1..4).map(|i| (to, datagram(i, 100 * i))).collect();
+        assert_eq!(send_and_report(test, &tx, &growing, false), growing.len());
+        assert_eq!(receive(&rx, 4), payloads(lone.iter().chain(&growing)));
+    }
+
+    #[cfg(all(target_os = "linux", not(nc_portable_io)))]
+    #[test]
+    fn gso_refusal_falls_back_once_per_socket() {
+        let (rx, tx) = (receiver(), UdpSocket::bind(loopback()).unwrap());
+        // Without UDP checksums the kernel refuses every coalesced send
+        // (`EINVAL`) and takes single datagrams.
+        linux::disable_udp_checksums(&tx);
+        let to = rx.local_addr().unwrap();
+        let msgs: Vec<_> = (0..16).map(|i| (to, datagram(i, 1068))).collect();
+        let bytes = msgs.iter().map(|(_, bytes)| bytes.len() as u64).sum();
+        let refused = &crate::metrics::metrics().tx_gso_refused;
+        let before = refused.get();
+        let mut segment = probe_segmentation(&tx);
+        let probed = segment;
+        for flush in 0..2 {
+            assert_eq!(send_to_batch(&tx, &msgs, false, &mut segment).unwrap(), (16, bytes));
+            assert!(!segment, "flush {flush}: coalescing stays off");
+            // A second attempt would be refused again.
+            assert_eq!(refused.get() - before, u64::from(probed), "flush {flush}");
+            assert_eq!(receive(&rx, msgs.len()), payloads(&msgs), "flush {flush}");
+        }
+        let how = if probed {
+            "refused once, then one datagram per message"
+        } else {
+            "no UDP_SEGMENT on this kernel"
+        };
+        println!("gso_refusal_falls_back_once_per_socket: 2 x 16 datagrams ({how})");
     }
 }

@@ -13,8 +13,11 @@
 //! slot, and a late unit frame into its source's slot after moving the
 //! coded payload that borrowed it. Below them, 1000 loopback
 //! datagrams through a [`UdpChannel`] pair's `send_batch` + `recv_batch`
-//! must not either: buffers come from and return to the pool, receive
-//! slots are borrowed, and the batch scratch lives on the stack.
+//! must not either, nor 1000 [`BatchSocket`] flushes of a 64-datagram
+//! burst to one address (one `UDP_SEGMENT` run per message where the
+//! kernel offers it): buffers come from and return to the pool, receive
+//! slots are borrowed, and the batch scratch — control messages
+//! included — lives on the stack.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nc_net::channel::{Channel, UdpChannel};
+use nc_net::channel::{BatchSocket, Channel, UdpChannel};
 use nc_net::receiver::{ReceiverConfig, ReceiverEvent, ReceiverSession};
 use nc_net::session::{SenderConfig, SenderEvent, SenderSession};
 use nc_net::wire::{Datagram, Payload, SegmentBitmap, HEADER_BYTES};
@@ -247,8 +250,44 @@ fn udp_round_trips(
     arrived
 }
 
+/// Sends `flushes` bursts of [`FULL_BATCH`] copies of `template` from
+/// `tx` to `rx`, one flush each, and receives them all; returns how many
+/// arrived.
+fn flush_round_trips(
+    tx: &mut BatchSocket,
+    rx: &mut BatchSocket,
+    template: &[u8],
+    flushes: usize,
+) -> usize {
+    let to = rx.local_addr().expect("addr");
+    let mut arrived = 0;
+    for _ in 0..flushes {
+        // The last `queue` of a full batch flushes it.
+        for _ in 0..FULL_BATCH {
+            tx.queue(to, BytesPool::global().take_vec_copy(template)).expect("queue");
+        }
+        let mut got = 0;
+        while got < FULL_BATCH {
+            let n = rx
+                .recv_batch(Duration::from_secs(5), |_, bytes| {
+                    assert_eq!(bytes, template);
+                    got += 1;
+                })
+                .expect("recv");
+            assert!(n > 0, "loopback datagram lost");
+        }
+        arrived += got;
+    }
+    arrived
+}
+
+/// Datagrams a `BatchSocket` stages before it flushes on its own.
+const FULL_BATCH: usize = 64;
+
+/// One test, not two: both halves draw ~1 KiB buffers from the one
+/// process-wide pool shelf, and run side by side they starve each other.
 #[test]
-fn warm_udp_channel_batches_do_not_allocate() {
+fn warm_udp_batches_do_not_allocate() {
     let sa = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
     let sb = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
     sa.connect(sb.local_addr().expect("addr")).expect("connect");
@@ -265,4 +304,19 @@ fn warm_udp_channel_batches_do_not_allocate() {
     });
     assert_eq!(arrived, CYCLES);
     assert_eq!(allocated, 0, "{CYCLES} warm UDP datagrams allocated {allocated} times");
+
+    // Full same-destination batches from an unconnected socket: one
+    // `UDP_SEGMENT` run per message where the kernel offers it.
+    let mut tx = BatchSocket::bind("127.0.0.1:0", 2048).expect("bind");
+    let mut rx = BatchSocket::bind("127.0.0.1:0", 2048).expect("bind");
+    rx.set_recv_buffer(1 << 20).expect("room for a whole batch");
+    assert_eq!(flush_round_trips(&mut tx, &mut rx, &template, 4), 4 * FULL_BATCH);
+    let allocated = allocations_during(|| {
+        arrived = flush_round_trips(&mut tx, &mut rx, &template, CYCLES);
+    });
+    assert_eq!(arrived, CYCLES * FULL_BATCH);
+    assert_eq!(
+        allocated, 0,
+        "{CYCLES} warm {FULL_BATCH}-datagram flushes allocated {allocated} times"
+    );
 }
