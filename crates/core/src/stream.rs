@@ -344,15 +344,21 @@ fn solve_lost(elimination: &Elimination, slots: &[Slot], held: &mut [u8], scratc
 /// by the `n` held payloads is written over them — `n·ℓ·k` work, none on a
 /// lossless link, and `n²·k` for a stream of coded frames only. So
 /// [`StreamDecoder::into_recovered`] is a truncation, not a reassembly.
+///
+/// The output buffer is reserved whole — every segment, padding included —
+/// by the stream's first absorbed frame, and never reallocated after: a
+/// segment's first frame only extends it, zero-filled, in place.
 #[derive(Clone, Debug)]
 pub struct StreamDecoder {
     config: CodingConfig,
     original_len: usize,
     segments: Vec<SegmentDecode>,
     complete: usize,
-    /// Segment after segment; grown (zero-filled) up to the highest segment
-    /// that has received a block, so an announced-but-never-sent stream
-    /// costs no memory.
+    /// Segment after segment. Empty until the first frame is absorbed, so
+    /// an announced-but-never-sent stream costs no memory; that frame
+    /// reserves `total_segments × segment_bytes` in one step, and each
+    /// later segment's first frame extends the length (zero-filled) up to
+    /// its own slice without moving the buffer.
     output: Vec<u8>,
     /// Up to one segment's worth: the coded payloads step aside into it
     /// while the product writes their slots.
@@ -406,6 +412,7 @@ impl StreamDecoder {
         payload: &[u8],
     ) -> Result<bool, Error> {
         let (n, k) = (self.config.blocks(), self.config.block_size());
+        let total_segments = self.segments.len();
         let Some(state) = self.segments.get_mut(segment) else {
             return Err(Error::DimensionMismatch { op: "stream frame segment index" });
         };
@@ -423,9 +430,17 @@ impl StreamDecoder {
         }
         const TOO_LARGE: Error = Error::InvalidConfig { reason: "stream too large to buffer" };
         let segment_bytes = self.config.segment_bytes();
-        let end = (segment + 1).checked_mul(segment_bytes).ok_or(TOO_LARGE)?;
+        let stream_bytes = total_segments.checked_mul(segment_bytes).ok_or(TOO_LARGE)?;
+        if self.output.capacity() < stream_bytes {
+            // The whole stream, reserved by its first frame, so `output`
+            // never moves: later segments extend it in place.
+            let additional = stream_bytes - self.output.len();
+            // lint: allow(vec-capacity) — the stream's own output buffer, once per stream; it is what `into_recovered` hands over.
+            self.output.try_reserve_exact(additional).map_err(|_| TOO_LARGE)?;
+        }
+        // No overflow: `segment` is in range and the whole stream fit.
+        let end = (segment + 1) * segment_bytes;
         if self.output.len() < end {
-            self.output.try_reserve(end - self.output.len()).map_err(|_| TOO_LARGE)?;
             self.output.resize(end, 0);
         }
         if state.slots.is_empty() {
@@ -699,6 +714,48 @@ mod tests {
         assert_eq!(want, data);
         assert_eq!(dec.recover().unwrap(), want);
         assert_eq!(dec.into_recovered().unwrap(), want);
+    }
+
+    #[test]
+    fn the_output_buffer_is_reserved_whole_once_and_never_moves() {
+        use rand::seq::SliceRandom;
+        // 5.5 segments, so the tail segment is zero-padded. Each round
+        // sends the next n frames of every incomplete segment (systematic
+        // first, then coded), shuffled across segments, 30 % dropped.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let data: Vec<u8> = (0..352).map(|_| rng.gen()).collect();
+        let enc = StreamEncoder::new(config(), &data).unwrap();
+        let total = enc.total_segments();
+        assert_eq!(total, 6);
+        let mut dec = StreamDecoder::new(config(), total, data.len());
+        let mut wire = vec![0; FRAME_HEADER_BYTES + config().coded_block_bytes()];
+        let mut first = None;
+        for round in 0.. {
+            let seqs = round * 4..(round + 1) * 4;
+            let mut frames: Vec<(usize, u64)> = (0..total)
+                .filter(|&segment| !dec.segment_complete(segment))
+                .flat_map(|segment| seqs.clone().map(move |seq| (segment, seq)))
+                .collect();
+            if frames.is_empty() {
+                break;
+            }
+            frames.shuffle(&mut rng);
+            for (segment, seq) in frames {
+                if rng.gen_bool(0.3) {
+                    continue;
+                }
+                enc.frame_into(segment, seq, &mut rng, &mut wire);
+                let (segment, coefficients, payload) =
+                    StreamFrame::split_wire(config(), &wire).unwrap();
+                dec.push_parts(segment, coefficients, payload).unwrap();
+                let buffer = (dec.output.as_ptr(), dec.output.capacity());
+                assert_eq!(buffer.1, total * config().segment_bytes());
+                assert_eq!(*first.get_or_insert(buffer), buffer, "the output buffer moved");
+            }
+        }
+        let recovered = dec.into_recovered().unwrap();
+        assert_eq!(Some((recovered.as_ptr(), recovered.capacity())), first);
+        assert_eq!(recovered, data);
     }
 
     #[test]

@@ -133,8 +133,8 @@ impl StreamCodecSender for Fft16StreamSender {
 /// One segment's receive state.
 #[derive(Debug)]
 enum SegState {
-    /// Still collecting shards: `original`/`recovery` slot per position,
-    /// `have` of them filled.
+    /// Still collecting shards: `original`/`recovery` slot per position
+    /// (both empty until the segment's first shard), `have` of them filled.
     Collecting { original: Vec<Option<Vec<u8>>>, recovery: Vec<Option<Vec<u8>>>, have: usize },
     /// Decoded: the `n` original shards in order.
     Done(Vec<Vec<u8>>),
@@ -162,13 +162,10 @@ impl Fft16StreamReceiver {
         if total_segments == 0 {
             return Err(Error::InvalidConfig { reason: "stream needs at least one segment" });
         }
-        let n = config.blocks();
+        // The shard slots are sized by each segment's first shard: what an
+        // announce alone costs is this one vector, not `2n` slots a segment.
         let segments = (0..total_segments)
-            .map(|_| SegState::Collecting {
-                original: vec![None; n],
-                recovery: vec![None; n],
-                have: 0,
-            })
+            .map(|_| SegState::Collecting { original: Vec::new(), recovery: Vec::new(), have: 0 })
             .collect();
         Ok(Fft16StreamReceiver { config, original_len, segments, complete: 0 })
     }
@@ -200,6 +197,10 @@ impl StreamCodecReceiver for Fft16StreamReceiver {
         let SegState::Collecting { original, recovery, have } = state else {
             return Ok(Absorbed { segment, innovative: false, segment_complete: false });
         };
+        if original.is_empty() {
+            original.resize(n, None);
+            recovery.resize(n, None);
+        }
         let slot = if shard < n { &mut original[shard] } else { &mut recovery[shard - n] };
         if slot.is_some() {
             return Ok(Absorbed { segment, innovative: false, segment_complete: false });

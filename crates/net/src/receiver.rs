@@ -480,25 +480,32 @@ mod tests {
 
     #[test]
     fn hostile_announces_are_rejected() {
-        let t0 = Instant::now();
-        let mut r = ReceiverSession::new(5, ReceiverConfig::default(), t0);
-        let hostile = Datagram::new(
-            5,
-            Payload::Announce(StreamMeta {
-                blocks: u32::MAX,
-                block_size: u32::MAX,
-                total_segments: u32::MAX,
-                original_len: u64::MAX,
-                codec: CodecId::DenseRlnc,
-            }),
-        );
-        r.handle_bytes(&hostile.encode().unwrap(), t0);
-        assert_eq!(r.report().malformed, 1);
-        // Still awaiting a sane announce.
-        let ReceiverEvent::Transmit(bytes) = r.poll(t0 + Duration::from_millis(25)) else {
-            panic!("expected request retry")
+        let Payload::Announce(sane) = announce().payload else { unreachable!() };
+        let huge = StreamMeta {
+            blocks: u32::MAX,
+            block_size: u32::MAX,
+            total_segments: u32::MAX,
+            original_len: u64::MAX,
+            codec: CodecId::DenseRlnc,
         };
-        assert!(matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Request));
+        // 100 bytes fill 2 segments of 4 x 16: one segment more or fewer
+        // than the length implies is as malformed as an oversized shape.
+        for hostile in [
+            huge,
+            StreamMeta { total_segments: 3, ..sane },
+            StreamMeta { total_segments: 1, ..sane },
+        ] {
+            let t0 = Instant::now();
+            let mut r = ReceiverSession::new(5, ReceiverConfig::default(), t0);
+            let ReceiverEvent::Transmit(_) = r.poll(t0) else { panic!("expected the request") };
+            r.handle_bytes(&Datagram::new(5, Payload::Announce(hostile)).encode().unwrap(), t0);
+            assert_eq!(r.report().malformed, 1, "{hostile:?}");
+            // Still awaiting a sane announce.
+            let ReceiverEvent::Transmit(bytes) = r.poll(t0 + Duration::from_millis(25)) else {
+                panic!("expected request retry")
+            };
+            assert!(matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Request));
+        }
     }
 
     #[test]

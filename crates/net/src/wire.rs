@@ -243,7 +243,11 @@ pub struct StreamMeta {
 
 impl StreamMeta {
     /// Validates the advertised shape against the sanity caps (so a
-    /// receiver never allocates decoder state for a hostile announce).
+    /// receiver never allocates decoder state for a hostile announce), and
+    /// the segment count against the length: it must be exactly the
+    /// `ceil(original_len / (blocks × block_size))` segments the stream
+    /// fills, so the buffer a receiver reserves for the stream is its
+    /// length plus less than one segment of padding.
     ///
     /// # Errors
     ///
@@ -258,8 +262,10 @@ impl StreamMeta {
         if self.total_segments == 0 || self.total_segments as usize > MAX_SEGMENTS {
             return Err(WireError::LimitExceeded { field: "segment count" });
         }
-        let capacity = self.total_segments as u64 * self.blocks as u64 * self.block_size as u64;
-        if self.original_len == 0 || self.original_len > capacity {
+        let segment_bytes = u64::from(self.blocks) * u64::from(self.block_size);
+        if self.original_len == 0
+            || self.original_len.div_ceil(segment_bytes) != u64::from(self.total_segments)
+        {
             return Err(WireError::LimitExceeded { field: "original length" });
         }
         Ok(())
@@ -759,15 +765,30 @@ mod tests {
 
     #[test]
     fn stream_meta_validation_caps() {
+        // 8 segments of 128 x 4096: the last holds 1 byte.
         let good = StreamMeta {
             blocks: 128,
             block_size: 4096,
             total_segments: 8,
-            original_len: 1,
+            original_len: 7 * 128 * 4096 + 1,
             codec: CodecId::DenseRlnc,
         };
         assert!(good.validate().is_ok());
+        assert!(StreamMeta { original_len: 8 * 128 * 4096, ..good }.validate().is_ok());
+        // The largest FFT16 shape passes too, so what it costs a receiver
+        // before any frame is bounded there (`nc-fft`'s `announce_memory`).
+        let largest = StreamMeta {
+            blocks: MAX_BLOCKS as u32,
+            block_size: 2,
+            total_segments: MAX_SEGMENTS as u32,
+            original_len: MAX_SEGMENTS as u64 * MAX_BLOCKS as u64 * 2,
+            codec: CodecId::Fft16,
+        };
+        assert!(largest.validate().is_ok());
         for (meta, field) in [
+            (StreamMeta { total_segments: 9, ..good }, "original length"),
+            (StreamMeta { total_segments: 7, ..good }, "original length"),
+            (StreamMeta { original_len: 1, ..good }, "original length"),
             (StreamMeta { blocks: 0, ..good }, "blocks"),
             (StreamMeta { blocks: MAX_BLOCKS as u32 + 1, ..good }, "blocks"),
             (StreamMeta { block_size: 0, ..good }, "block size"),

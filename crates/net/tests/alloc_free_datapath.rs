@@ -2,11 +2,14 @@
 //!
 //! A counting `#[global_allocator]` (counting only on the test's own
 //! thread, only while armed) wraps the system allocator. After a warm-up
-//! that fills the buffer pool and lets every segment's decoder state reach
-//! its final size, 1000 `poll → Transmit → recycle` cycles of a
-//! [`SenderSession`] in its systematic range (source blocks copied), 1000
-//! more past it (coefficients drawn and a dot product gathered on the
-//! stack), and ~1000 non-completing `handle_bytes` calls of a
+//! that fills the buffer pool, 1000 `poll → Transmit → recycle` cycles of
+//! a [`SenderSession`] in its systematic range (source blocks copied),
+//! 1000 more past it (coefficients drawn and a dot product gathered on the
+//! stack) must not reach the allocator once. On the receive side the
+//! stream's first frame reserves the whole output buffer; after it, each
+//! segment's first frame allocates only that segment's decoder state (the
+//! same three allocations for every segment: the output buffer never
+//! grows), and ~1000 non-completing `handle_bytes` calls of a
 //! [`ReceiverSession`] must not reach the allocator once: each datagram is
 //! encoded in place into one pooled buffer, and parsed borrowed and copied
 //! once into the decoder's own output buffer — coded frames into a free
@@ -21,7 +24,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,17 +40,18 @@ use rand::SeedableRng;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// Const-initialized and without a destructor, so reading it from
     /// inside the allocator cannot itself allocate.
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Per thread, like `ARMED`: the tests run side by side, and one
+    /// test's armed allocations must not land in another's count.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note_allocation() {
     if ARMED.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
     }
 }
 
@@ -86,11 +89,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations made by this thread while `work` runs.
 fn allocations_during(work: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     ARMED.with(|armed| armed.set(true));
     work();
     ARMED.with(|armed| armed.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 const SESSION: u64 = 7;
@@ -176,21 +179,32 @@ fn warm_send_and_receive_paths_do_not_allocate() {
     assert_eq!(systematic, 0, "frames from seq n on are coded");
     assert_eq!(sent, 0, "{CYCLES} coded send cycles allocated {sent} times");
 
-    // Receive: announce, then one frame per segment as warm-up (each
-    // segment's elimination rows, slot map and slice of the output buffer
-    // come into being with its first frame, source block 0), then frames
-    // that leave every segment short of rank n: per segment, coded frames
-    // (seq >= n) that take free slots 1, 2, ..., then the late unit frame
-    // for slot 1, which moves the coded payload there to a free slot.
+    // Receive: announce, then one frame for the stream as warm-up: segment
+    // 0's source block 0, which reserves the whole stream's output buffer.
+    // Every later segment's first frame (its source block 0) allocates
+    // that segment's elimination rows, pivots and slot map, the same three
+    // for each, and only extends the output buffer in place.
     let mut tx = sender(now);
     let mut rx = ReceiverSession::new(SESSION, ReceiverConfig::default(), now);
     let ReceiverEvent::Transmit(request) = rx.poll(now) else { panic!("expected the request") };
     BytesPool::global().recycle(request);
     let announce = Datagram::new(SESSION, Payload::Announce(tx.meta())).encode().expect("small");
     rx.handle_bytes(&announce, now);
-    for _ in 0..SEGMENTS {
-        rx.handle_bytes(&next_data(&mut tx, now), now);
-    }
+    let firsts: Vec<Vec<u8>> = (0..SEGMENTS).map(|_| next_data(&mut tx, now)).collect();
+    rx.handle_bytes(&firsts[0], now);
+    let per_segment: Vec<usize> = firsts[1..]
+        .iter()
+        .map(|frame| allocations_during(|| rx.handle_bytes(frame, now)))
+        .collect();
+    assert!(
+        per_segment.iter().all(|&allocated| allocated == 3),
+        "segments 1.. allocated {per_segment:?} times on their first frame, not 3 each"
+    );
+
+    // Then frames that leave every segment short of rank n: per segment,
+    // coded frames (seq >= n) that take free slots 1, 2, ..., then the
+    // late unit frame for slot 1, which moves the coded payload there to a
+    // free slot.
     const CODED: u64 = 7;
     assert!(1 + CODED as usize + 1 < BLOCKS, "nothing completes");
     let encoder = encoder();
