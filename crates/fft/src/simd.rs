@@ -231,15 +231,23 @@ const XOR: u8 = 4;
 /// Multiplication by one constant, prepared for one kernel: build it once
 /// per constant, apply it to every shard that shares the constant.
 ///
-/// Building one (an `exp` lookup, the XOR of up to 16 per-bit rows of
-/// [`Tables::bit_products`], then the kernel's table form) costs about as
-/// much as multiplying a kilobyte on the fastest rung — which is why the
-/// transforms build one per butterfly *group*, not one per butterfly.
+/// Building one is an `exp` lookup and the XOR of four entries of
+/// [`Tables`]' per-nibble basis of table forms — a few nanoseconds, against
+/// the kilobyte or more each one then multiplies.
 #[derive(Clone, Debug)]
 pub struct Multiplier {
     /// The rung that runs; always available on this host (private, set
     /// only by the constructors — the unsafe bodies rely on it).
     kernel: Gf16Kernel,
+    /// The constant's table forms; the GFNI rung reads only `affine`.
+    form: MultiplierForm,
+}
+
+/// Multiplication by one constant in the forms the rungs consume. Both are
+/// linear in the constant, so the form of `m` is the XOR of the forms of
+/// its four nibbles `(m >> 4j & 0xF) << 4j` ([`Tables`] keeps those 64).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct MultiplierForm {
     /// The nibble product tables as byte planes: what the shuffle rungs
     /// (SSSE3 / AVX2 / NEON) load, and what the portable walk and their
     /// scalar tails re-pair into u16 entries ([`Multiplier::t16`]).
@@ -260,40 +268,17 @@ fn transpose8(mut x: u64) -> u64 {
     x ^ t ^ (t << 28)
 }
 
-impl Multiplier {
-    /// All-zero tables on an *available* `kernel` (what [`xor_assign`]
-    /// runs the bodies with; [`Multiplier::new`] fills them in).
-    fn blank(kernel: Gf16Kernel) -> Multiplier {
-        Multiplier { kernel, bytes: ([[0; 16]; 4], [[0; 16]; 4]), affine: [0; 4] }
-    }
-
-    /// Prepares `x ↦ m·x` for `kernel`, `m` given by its log (wrap
-    /// semantics: log 0 and log [`MODULUS`] are both the identity). A
-    /// kernel this host lacks is replaced by the portable walk.
-    pub fn new(kernel: Gf16Kernel, t: &Tables, log_m: u16) -> Multiplier {
-        let kernel = if kernel.is_available() { kernel } else { Gf16Kernel::Portable };
-        // The map is linear, so the 16 products m·2^j determine it, and
-        // the multiply is bilinear, so they are the XOR of the per-bit
-        // rows: byte j of `lo` / `hi` is the low / high byte of m·2^j.
-        let m = t.exp[usize::from(log_m)];
-        let (mut lo, mut hi) = (0u128, 0u128);
-        for (i, row) in t.bit_products.iter().enumerate() {
-            let select = 0u128.wrapping_sub(u128::from(m >> i & 1));
-            lo ^= row.0 & select;
-            hi ^= row.1 & select;
-        }
-        let mut mul = Multiplier::blank(kernel);
-        if kernel == Gf16Kernel::Gfni {
-            // `GF2P8AFFINEQB` computes output bit i of a byte as
-            // parity(matrix.byte[7 - i] & input): row i of a quadrant must
-            // select the input bits j whose product m·2^j has output bit i
-            // set. Eight product bytes, byte j from input bit j, are the
-            // transpose of that; `swap_bytes` then puts row i into byte
-            // 7 - i.
-            let quadrant = |columns: u128| transpose8(columns as u64).swap_bytes();
-            mul.affine = [quadrant(lo), quadrant(lo >> 64), quadrant(hi), quadrant(hi >> 64)];
-            return mul; // masked tails: no scalar tables needed
-        }
+impl MultiplierForm {
+    /// The forms of the constant `m` whose 16 products `m·2^j` are given
+    /// as two byte vectors: byte `j` of `lo` / `hi` is the low / high byte
+    /// of `m·2^j` (the map is linear, so these determine it).
+    pub(crate) fn from_products(lo: u128, hi: u128) -> MultiplierForm {
+        // `GF2P8AFFINEQB` computes output bit i of a byte as
+        // parity(matrix.byte[7 - i] & input): row i of a quadrant must
+        // select the input bits j whose product m·2^j has output bit i
+        // set. Eight product bytes, byte j from input bit j, are the
+        // transpose of that; `swap_bytes` then puts row i into byte 7 - i.
+        let quadrant = |columns: u128| transpose8(columns as u64).swap_bytes();
         // Nibble table j of one product-byte plane: entry v is the XOR of
         // the plane's bytes 4j + b over the set bits b of v. A byte times
         // a 0/1-byte pattern drops it at every entry that has the bit.
@@ -305,10 +290,44 @@ impl Multiplier {
             let high = low ^ (byte(3) * 0x0101_0101_0101_0101);
             (u128::from(high) << 64 | u128::from(low)).to_le_bytes()
         };
-        for j in 0..4 {
-            mul.bytes.0[j] = nibble_table(lo, j);
-            mul.bytes.1[j] = nibble_table(hi, j);
+        MultiplierForm {
+            bytes: (
+                std::array::from_fn(|j| nibble_table(lo, j)),
+                std::array::from_fn(|j| nibble_table(hi, j)),
+            ),
+            affine: [quadrant(lo), quadrant(lo >> 64), quadrant(hi), quadrant(hi >> 64)],
         }
+    }
+}
+
+impl Multiplier {
+    /// All-zero tables on an *available* `kernel` (what [`xor_assign`]
+    /// runs the bodies with; [`Multiplier::new`] fills them in).
+    fn blank(kernel: Gf16Kernel) -> Multiplier {
+        Multiplier { kernel, form: MultiplierForm::default() }
+    }
+
+    /// Prepares `x ↦ m·x` for `kernel`, `m` given by its log (wrap
+    /// semantics: log 0 and log [`MODULUS`] are both the identity). A
+    /// kernel this host lacks is replaced by the portable walk.
+    pub fn new(kernel: Gf16Kernel, t: &Tables, log_m: u16) -> Multiplier {
+        let kernel = if kernel.is_available() { kernel } else { Gf16Kernel::Portable };
+        let m = usize::from(t.exp[usize::from(log_m)]);
+        let forms: [&MultiplierForm; 4] =
+            std::array::from_fn(|j| &t.nibble_forms[j][m >> (4 * j) & 0xF]);
+        let mut mul = Multiplier::blank(kernel);
+        if kernel == Gf16Kernel::Gfni {
+            mul.form.affine = std::array::from_fn(|q| {
+                forms[0].affine[q] ^ forms[1].affine[q] ^ forms[2].affine[q] ^ forms[3].affine[q]
+            });
+            return mul; // masked tails: no scalar tables needed
+        }
+        let xor4 = |table: fn(&MultiplierForm) -> &[[u8; 16]; 4]| -> [[u8; 16]; 4] {
+            std::array::from_fn(|j| {
+                std::array::from_fn(|b| forms.iter().fold(0, |acc, form| acc ^ table(form)[j][b]))
+            })
+        };
+        mul.form.bytes = (xor4(|form| &form.bytes.0), xor4(|form| &form.bytes.1));
         mul
     }
 
@@ -319,7 +338,8 @@ impl Multiplier {
         let mut t16 = [[0u16; 16]; 4];
         for (j, table) in t16.iter_mut().enumerate() {
             for (v, entry) in table.iter_mut().enumerate() {
-                *entry = u16::from(self.bytes.0[j][v]) | u16::from(self.bytes.1[j][v]) << 8;
+                let (lo, hi) = &self.form.bytes;
+                *entry = u16::from(lo[j][v]) | u16::from(hi[j][v]) << 8;
             }
         }
         t16
@@ -348,28 +368,28 @@ impl Multiplier {
             Gf16Kernel::Gfni => {
                 // SAFETY: `new` stores `Gfni` only when GFNI + AVX-512F/BW
                 // were detected; region contract forwarded from the caller.
-                unsafe { gfni::body::<OP>(x, y, len, shard_bytes, &self.affine) };
+                unsafe { gfni::body::<OP>(x, y, len, shard_bytes, &self.form.affine) };
                 half
             }
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             Gf16Kernel::Avx2 => {
                 // SAFETY: `new` stores `Avx2` only when AVX2 was detected;
                 // region contract forwarded from the caller.
-                unsafe { x86::body_avx2::<OP>(x, y, len, shard_bytes, &self.bytes) };
+                unsafe { x86::body_avx2::<OP>(x, y, len, shard_bytes, &self.form.bytes) };
                 half / 32 * 32
             }
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             Gf16Kernel::Ssse3 => {
                 // SAFETY: `new` stores `Ssse3` only when SSSE3 was
                 // detected; region contract forwarded from the caller.
-                unsafe { x86::body_ssse3::<OP>(x, y, len, shard_bytes, &self.bytes) };
+                unsafe { x86::body_ssse3::<OP>(x, y, len, shard_bytes, &self.form.bytes) };
                 half / 16 * 16
             }
             #[cfg(target_arch = "aarch64")]
             Gf16Kernel::Neon => {
                 // SAFETY: NEON is architecturally guaranteed on AArch64;
                 // region contract forwarded from the caller.
-                unsafe { neon::body::<OP>(x, y, len, shard_bytes, &self.bytes) };
+                unsafe { neon::body::<OP>(x, y, len, shard_bytes, &self.form.bytes) };
                 half / 16 * 16
             }
             _ => {
@@ -1143,7 +1163,7 @@ mod tests {
         }
         for log_m in [0u16, 1, 77, 0x4321, MODULUS - 1] {
             let mul = Multiplier::new(Gf16Kernel::Gfni, &t, log_m);
-            for (q, &matrix) in mul.affine.iter().enumerate() {
+            for (q, &matrix) in mul.form.affine.iter().enumerate() {
                 let (in_base, out_base) = (8 * (q % 2), 8 * (q / 2));
                 for i in 0..8 {
                     let row = matrix.to_le_bytes()[7 - i];
@@ -1152,6 +1172,27 @@ mod tests {
                         assert_eq!(row >> j & 1, (product >> (out_base + i)) as u8 & 1);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn nibble_basis_builds_the_forms_of_the_products() {
+        let t = tables();
+        for m in [1u16, 2, 0x000F, 0x0F0F, 0x1234, 0x8000, 0xFFFF] {
+            let (mut lo, mut hi) = (0u128, 0u128);
+            for j in 0..16 {
+                let p = u128::from(t.mul(m, 1 << j));
+                lo |= (p & 0xFF) << (8 * j);
+                hi |= (p >> 8) << (8 * j);
+            }
+            let want = MultiplierForm::from_products(lo, hi);
+            let log_m = t.log[usize::from(m)];
+            let shuffle = Multiplier::new(Gf16Kernel::Portable, &t, log_m);
+            assert_eq!(shuffle.form.bytes, want.bytes, "m={m:#x}");
+            if Gf16Kernel::Gfni.is_available() {
+                let gfni = Multiplier::new(Gf16Kernel::Gfni, &t, log_m);
+                assert_eq!(gfni.form.affine, want.affine, "m={m:#x}");
             }
         }
     }

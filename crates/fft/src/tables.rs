@@ -28,6 +28,7 @@
 //! construction takes a few milliseconds.
 
 use crate::cell::TableCell;
+use crate::simd::MultiplierForm;
 use nc_check::sync::Arc;
 
 /// Field bit width.
@@ -58,14 +59,11 @@ pub struct Tables {
     pub skew: Box<[u16; ORDER]>,
     /// Walsh-Hadamard transform (mod [`MODULUS`]) of the log table.
     pub log_walsh: Box<[u16; ORDER]>,
-    /// `bit_products[i]` holds the 16 products `2^i · 2^j` over
-    /// representation bits as two byte vectors: byte `j` of `.0` is the
-    /// low byte of the product, byte `j` of `.1` the high byte. The
-    /// multiply is bilinear over GF(2), so the same two vectors for any
-    /// constant `m` are the XOR of the rows of `m`'s set bits — how
-    /// [`crate::simd::Multiplier`] gets a constant's column products from
-    /// one 512-byte table instead of 16 scattered `exp` lookups.
-    pub bit_products: [(u128, u128); BITS],
+    /// `nibble_forms[j][v]`: the multiplier table forms of the constant
+    /// `v << 4j`. They are linear in the constant, so
+    /// [`crate::simd::Multiplier`] builds any constant's forms as the XOR
+    /// of four entries, one per nibble (10 KiB).
+    pub(crate) nibble_forms: Box<[[MultiplierForm; 16]; 4]>,
 }
 
 impl std::fmt::Debug for Tables {
@@ -166,14 +164,20 @@ impl Tables {
         log_walsh[0] = 0;
         fwht(&mut log_walsh, ORDER);
 
-        let mut bit_products = [(0u128, 0u128); BITS];
-        for (i, (lo, hi)) in bit_products.iter_mut().enumerate() {
-            for j in 0..BITS {
-                let p = u128::from(mul_tables(&log, &exp, 1 << i, 1 << j));
-                *lo |= (p & 0xFF) << (8 * j);
-                *hi |= (p >> 8) << (8 * j);
-            }
-        }
+        // The 16 products m·2^j of each nibble constant m as two byte
+        // vectors (byte j of `lo` / `hi` is the low / high product byte).
+        let nibble_forms = Box::new(std::array::from_fn(|j| {
+            std::array::from_fn(|v| {
+                let m = (v as u16) << (4 * j);
+                let (mut lo, mut hi) = (0u128, 0u128);
+                for bit in 0..BITS {
+                    let p = u128::from(mul_tables(&log, &exp, m, 1 << bit));
+                    lo |= (p & 0xFF) << (8 * bit);
+                    hi |= (p >> 8) << (8 * bit);
+                }
+                MultiplierForm::from_products(lo, hi)
+            })
+        }));
 
         fn into_array(b: Box<[u16]>) -> Box<[u16; ORDER]> {
             b.try_into().expect("built with ORDER entries")
@@ -183,7 +187,7 @@ impl Tables {
             exp: into_array(exp),
             skew: into_array(skew),
             log_walsh: into_array(log_walsh),
-            bit_products,
+            nibble_forms,
         }
     }
 

@@ -63,9 +63,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny`, not `forbid`: the one `#[allow(unsafe_code)]` in the crate sits
-// on `sysio::linux`, the module that declares the batched syscalls every
-// socket in the crate is built on. Everything else stays unsafe-free.
+// `deny`, not `forbid`: two modules carry `#[allow(unsafe_code)]`.
+// `sysio::linux` declares the batched syscalls every socket in the crate
+// is built on; `wire::clmul` folds the datagram CRC with PCLMULQDQ
+// intrinsics. Everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -42,6 +42,9 @@ pub(crate) struct NetMetrics {
     pub tx_bytes: Arc<Counter>,
     /// Datagrams any parse rejected for a checksum mismatch.
     pub rx_crc_rejected: Arc<Counter>,
+    /// Which CRC-32 body the wire codec runs, set at its first detection:
+    /// 0 = slice-by-16, 1 = the PCLMULQDQ fold.
+    pub crc_kernel: Arc<Gauge>,
     /// Most recent EMA loss estimate of any session.
     pub loss_estimate: Arc<Gauge>,
     /// Most recent redundancy factor (`1/(1-loss)`, clamped).
@@ -97,6 +100,7 @@ pub(crate) fn metrics() -> &'static NetMetrics {
             tx_bytes_copied: r.counter("net.tx_bytes_copied"),
             tx_bytes: r.counter("net.tx_bytes"),
             rx_crc_rejected: r.counter("net.rx_crc_rejected"),
+            crc_kernel: r.gauge("net.crc_kernel"),
             loss_estimate: r.gauge("net.loss_estimate"),
             redundancy_factor: r.gauge("net.redundancy_factor"),
             window_occupancy: r.gauge("net.window_occupancy"),

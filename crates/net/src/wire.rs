@@ -22,7 +22,9 @@
 //!
 //! One parser ([`DatagramRef::parse`], borrowing; [`Datagram::decode`] is
 //! it plus a copy) and one header writer serve every kind; the checksum is
-//! a table-sliced CRC-32 that reads sixteen bytes per step.
+//! a CRC-32 folded 64 bytes per step with carry-less multiplies on x86-64
+//! hosts with PCLMULQDQ, and table-sliced sixteen bytes per step on short
+//! inputs and every other host.
 //!
 //! Decoding is total: any byte string — truncated, bit-flipped, alien
 //! protocol, hostile lengths — returns a [`WireError`], never panics, and
@@ -176,9 +178,151 @@ fn crc32_fold_word(word: u32, tail: usize) -> u32 {
 }
 
 /// Streaming CRC-32 update over one chunk (state is the raw register; start
-/// from `0xFFFF_FFFF`, finish by inverting): sixteen bytes per step, the
-/// sub-block tail a byte at a time.
-fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
+/// from `0xFFFF_FFFF`, finish by inverting) — the one CRC entry point. A
+/// chunk of at least 64 bytes on a host with PCLMULQDQ is folded with
+/// carry-less multiplies; anything else runs the slice-by-16 body.
+fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::FOLD_MIN_BYTES {
+        if let Some(register) = clmul::crc32(state, bytes) {
+            return register;
+        }
+    }
+    crc32_sliced(state, bytes)
+}
+
+/// The CRC-32 folded with carry-less multiplies (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction", Intel
+/// 2009; the construction zlib and crc32fast use).
+///
+/// The CRC is the message polynomial times `x^32` mod `P`, so 128 message
+/// bits followed by `d` more can be replaced by their two 64-bit halves
+/// times `x^(d+32) mod P` and `x^(d-32) mod P`, added onto the bits `d`
+/// further on: one PCLMULQDQ per half. Four lanes fold 64 bytes per step
+/// (`d` = 512), then collapse into one that folds 16 bytes per step
+/// (`d` = 128); what is left is reduced to 64 bits and then, with one
+/// Barrett step, to the 32-bit register. The CRC is bit-reflected, so every
+/// constant is too: `x^k mod P` bit-reversed over 33 bits (the module tests
+/// derive each one from the polynomial).
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    use std::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// Shortest chunk the fold takes: its four 16-byte lanes.
+    pub(super) const FOLD_MIN_BYTES: usize = 64;
+
+    /// `x^(4·128+32) mod P`: folds a lane's low (earlier) half 512 bits on.
+    pub(super) const K1: i64 = 0x1_5444_2BD4;
+    /// `x^(4·128-32) mod P`: folds a lane's high half 512 bits on.
+    pub(super) const K2: i64 = 0x1_C6E4_1596;
+    /// `x^(128+32) mod P`: the low half, 128 bits on.
+    pub(super) const K3: i64 = 0x1_7519_97D0;
+    /// `x^(128-32) mod P`: the high half, 128 bits on; also 128 → 96 bits.
+    pub(super) const K4: i64 = 0x0_CCAA_009E;
+    /// `x^64 mod P`: 96 → 64 bits.
+    pub(super) const K5: i64 = 0x1_63CD_6124;
+    /// `P` itself, 33 bits.
+    pub(super) const P_X: i64 = 0x1_DB71_0641;
+    /// Barrett's `μ = ⌊x^64 / P⌋`, 33 bits.
+    pub(super) const MU: i64 = 0x1_F701_1641;
+
+    /// Whether this host has `pclmulqdq` and `sse4.1`, detected once and
+    /// published as the `net.crc_kernel` gauge: 1 = this fold runs. The
+    /// gauge stays 0 (slice-by-16) where it does not, and on other hosts.
+    pub(super) fn available() -> bool {
+        static AVAILABLE: OnceLock<bool> = OnceLock::new();
+        *AVAILABLE.get_or_init(|| {
+            let available =
+                is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+            crate::metrics::metrics().crc_kernel.set(f64::from(u8::from(available)));
+            available
+        })
+    }
+
+    /// The register after `bytes` by [`crc32_fold`], or `None` where the
+    /// host cannot fold.
+    #[inline]
+    pub(super) fn crc32(state: u32, bytes: &[u8]) -> Option<u32> {
+        // SAFETY: `available` detected pclmulqdq and sse4.1 on this host.
+        available().then(|| unsafe { crc32_fold(state, bytes) })
+    }
+
+    /// One 16-byte chunk as a vector, first byte in the low lane.
+    #[inline]
+    #[target_feature(enable = "sse4.1")]
+    fn load(chunk: &[u8]) -> __m128i {
+        let chunk: &[u8; 16] = chunk.try_into().expect("a 16-byte chunk");
+        // SAFETY: `chunk` is 16 readable bytes; `loadu` takes any alignment.
+        unsafe { _mm_loadu_si128(chunk.as_ptr().cast()) }
+    }
+
+    /// `acc` carried 128 bits (or 512, by `keys`) further on and added to
+    /// `next`: its low half times `keys`' low constant, its high half times
+    /// the high one.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// The register after `bytes`, starting from `state` (as
+    /// [`super::crc32_update`]); the sub-16-byte tail, and a chunk shorter
+    /// than [`FOLD_MIN_BYTES`], go through [`super::crc32_sliced`].
+    ///
+    /// # Safety
+    ///
+    /// The host must support `pclmulqdq` and `sse4.1`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    unsafe fn crc32_fold(state: u32, bytes: &[u8]) -> u32 {
+        if bytes.len() < FOLD_MIN_BYTES {
+            return super::crc32_sliced(state, bytes);
+        }
+        let (head, rest) = bytes.split_at(FOLD_MIN_BYTES);
+        // The register joins the first 32 message bits (reflected: the
+        // low lane's low word), as the byte loop would xor it in.
+        let mut x0 = _mm_xor_si128(load(&head[0..16]), _mm_cvtsi32_si128(state as i32));
+        let mut x1 = load(&head[16..32]);
+        let mut x2 = load(&head[32..48]);
+        let mut x3 = load(&head[48..64]);
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut steps = rest.chunks_exact(FOLD_MIN_BYTES);
+        for step in &mut steps {
+            x0 = fold(x0, load(&step[0..16]), k1k2);
+            x1 = fold(x1, load(&step[16..32]), k1k2);
+            x2 = fold(x2, load(&step[32..48]), k1k2);
+            x3 = fold(x3, load(&step[48..64]), k1k2);
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold(fold(fold(x0, x1, k3k4), x2, k3k4), x3, k3k4);
+        let mut blocks = steps.remainder().chunks_exact(16);
+        for block in &mut blocks {
+            x = fold(x, load(block), k3k4);
+        }
+        // 128 → 96 bits: the low half times x^96 onto the high half.
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, k3k4), _mm_srli_si128::<8>(x));
+        // 96 → 64 bits: the low word times x^64 onto the rest.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett: T1 = (R mod x^32)·μ, T2 = (T1 mod x^32)·P; reflected,
+        // the remainder R - T2 sits in the second word.
+        let mu_p = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), mu_p);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), mu_p);
+        let register = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        super::crc32_sliced(register, blocks.remainder())
+    }
+}
+
+/// The portable CRC-32 body: sixteen bytes per step, the sub-block tail a
+/// byte at a time.
+fn crc32_sliced(mut state: u32, bytes: &[u8]) -> u32 {
     let mut blocks = bytes.chunks_exact(16);
     for block in &mut blocks {
         let word = |at: usize| {
@@ -858,18 +1002,117 @@ mod tests {
         assert_eq!(!crc32_bytewise(0xFFFF_FFFF, b"123456789"), 0xCBF4_3926);
     }
 
-    #[test]
-    fn sliced_crc_equals_the_bytewise_oracle_at_every_length_and_alignment() {
+    /// The register after a 16-byte header prefix: the state every payload
+    /// checksum starts from.
+    fn header_state() -> u32 {
+        let header = Datagram::new(0xFEED_BEEF_0042, Payload::Request).encode().unwrap();
+        crc32_bytewise(0xFFFF_FFFF, &header[0..16])
+    }
+
+    /// Checks `body` against the bytewise oracle at every length 0..=4200,
+    /// 16 alignments and three initial states. The oracle runs once per
+    /// alignment and state, one byte further per length.
+    fn assert_matches_the_oracle(body: fn(u32, &[u8]) -> u32) {
         let bytes: Vec<u8> =
             (0..4200 + 16u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8).collect();
-        for start in 0..16 {
-            for len in 0..=4200 {
-                let chunk = &bytes[start..start + len];
-                assert_eq!(
-                    crc32_update(0xFFFF_FFFF, chunk),
-                    crc32_bytewise(0xFFFF_FFFF, chunk),
-                    "start {start} len {len}"
-                );
+        for state in [0xFFFF_FFFF, 0, header_state()] {
+            for start in 0..16 {
+                let mut oracle = state;
+                for len in 0..=4200 {
+                    assert_eq!(
+                        body(state, &bytes[start..start + len]),
+                        oracle,
+                        "state {state:#010x} start {start} len {len}"
+                    );
+                    oracle = crc32_bytewise(oracle, &bytes[start + len..=start + len]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_oracle_at_every_length_alignment_and_state() {
+        assert_matches_the_oracle(crc32_sliced);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn folded_crc_equals_the_bytewise_oracle_at_every_length_alignment_and_state() {
+        if !clmul::available() {
+            println!("no pclmulqdq + sse4.1 on this host: the fold is not run");
+            return;
+        }
+        assert_matches_the_oracle(|state, bytes| clmul::crc32(state, bytes).unwrap());
+    }
+
+    #[test]
+    fn crc_kernel_gauge_names_the_body_that_runs() {
+        #[cfg(target_arch = "x86_64")]
+        let folds = clmul::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let folds = false;
+        // The entry point takes the fold on a long chunk exactly where the
+        // host has it.
+        let _ = crc32_update(0xFFFF_FFFF, &[0x5A; 64]);
+        if nc_telemetry::enabled() {
+            assert_eq!(crate::metrics::metrics().crc_kernel.get(), f64::from(u8::from(folds)));
+        }
+        let body = if folds { "pclmulqdq fold" } else { "slice-by-16" };
+        let id = u8::from(folds);
+        println!("crc_kernel_gauge_names_the_body_that_runs: {body} (net.crc_kernel = {id})");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_derive_from_the_polynomial() {
+        const P: u64 = 0x1_04C1_1DB7;
+        // Bit-reversed over 33 bits, as the fold stores its constants.
+        let reflect33 = |v: u64| (v.reverse_bits() >> 31) as i64;
+        // Reflected `x^k mod P`: the register after `k` shifts of a lone 1.
+        let x_pow_mod_p = |k: u32| {
+            let mut r = 1u64;
+            for _ in 0..k {
+                r <<= 1;
+                if r >> 32 & 1 != 0 {
+                    r ^= P;
+                }
+            }
+            reflect33(r)
+        };
+        assert_eq!(clmul::K1, x_pow_mod_p(4 * 128 + 32));
+        assert_eq!(clmul::K2, x_pow_mod_p(4 * 128 - 32));
+        assert_eq!(clmul::K3, x_pow_mod_p(128 + 32));
+        assert_eq!(clmul::K4, x_pow_mod_p(128 - 32));
+        assert_eq!(clmul::K5, x_pow_mod_p(64));
+        // P and μ = ⌊x^64 / P⌋ by long division, both 33 bits.
+        let (mut rem, mut mu) = (1u128 << 64, 0u64);
+        for bit in (32..=64).rev() {
+            if rem >> bit & 1 != 0 {
+                mu |= 1 << (bit - 32);
+                rem ^= u128::from(P) << (bit - 32);
+            }
+        }
+        assert_eq!(clmul::P_X, reflect33(P));
+        assert_eq!(clmul::MU, reflect33(mu));
+        // The slice-by-16 table is the same polynomial: its reflected
+        // low 32 bits are the 0xEDB88320 the tables are built from.
+        assert_eq!(clmul::P_X >> 1, 0xEDB8_8320);
+    }
+
+    proptest::proptest! {
+        /// Both bodies, through the entry point and directly, agree with
+        /// the oracle on arbitrary bytes from an arbitrary state.
+        #[test]
+        fn crc_bodies_agree_on_arbitrary_bytes_and_states(
+            state in proptest::prelude::any::<u32>(),
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..3000),
+        ) {
+            let oracle = crc32_bytewise(state, &bytes);
+            proptest::prop_assert_eq!(crc32_sliced(state, &bytes), oracle);
+            proptest::prop_assert_eq!(crc32_update(state, &bytes), oracle);
+            #[cfg(target_arch = "x86_64")]
+            if let Some(folded) = clmul::crc32(state, &bytes) {
+                proptest::prop_assert_eq!(folded, oracle);
             }
         }
     }
