@@ -13,8 +13,6 @@
 //!   the streaming-server batch mode that wins at small block sizes).
 //! * [`decode`] — [`decode::ParallelSegmentDecoder`], one segment per
 //!   thread (the Sec. 5.2 multi-segment scheme).
-//! * [`decode_single`] — [`decode_single::ThreadedDecoder`], the Fig. 4(b)
-//!   scheme: one segment, row operations fanned across threads.
 //! * [`measure`] — wall-clock throughput helpers used by the Criterion
 //!   benches and the figure harness's "real host CPU" columns.
 
@@ -22,11 +20,9 @@
 #![warn(missing_docs)]
 
 pub mod decode;
-pub mod decode_single;
 pub mod encode;
 pub mod measure;
 mod metrics;
 
 pub use decode::ParallelSegmentDecoder;
-pub use decode_single::ThreadedDecoder;
 pub use encode::{ParallelEncoder, Partitioning};

@@ -6,10 +6,9 @@
 
 use std::time::Instant;
 
-use nc_rlnc::{CodingConfig, Encoder, Segment};
+use nc_rlnc::{CodingConfig, Segment};
 use rand::{Rng, SeedableRng};
 
-use crate::decode::ParallelSegmentDecoder;
 use crate::encode::{ParallelEncoder, Partitioning};
 
 /// Provenance string for host-CPU measurements: which rung of the GF(2^8)
@@ -48,26 +47,6 @@ pub fn encode_throughput(
     (m * k) as f64 / elapsed
 }
 
-/// Measures multi-segment decoding throughput (decoded bytes/second) for
-/// `segments` random segments on `threads` threads, on the active GF rung.
-pub fn decode_throughput(n: usize, k: usize, segments: usize, threads: usize, seed: u64) -> f64 {
-    let config = CodingConfig::new(n, k).expect("valid config");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut inputs = Vec::with_capacity(segments);
-    for _ in 0..segments {
-        let data: Vec<u8> = (0..config.segment_bytes()).map(|_| rng.gen()).collect();
-        let enc = Encoder::new(Segment::from_bytes(config, data).expect("sized data"));
-        inputs.push(enc.encode_batch(&mut rng, n + 4));
-    }
-    let decoder = ParallelSegmentDecoder::new(config, threads);
-
-    let start = Instant::now();
-    let out = decoder.decode_segments(&inputs).expect("full rank with 4 extra blocks");
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(out.len(), segments);
-    (segments * n * k) as f64 / elapsed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,12 +59,6 @@ mod tests {
     #[test]
     fn encode_throughput_is_positive_and_finite() {
         let rate = encode_throughput(8, 256, 16, 2, Partitioning::FullBlock, 1);
-        assert!(rate.is_finite() && rate > 0.0);
-    }
-
-    #[test]
-    fn decode_throughput_is_positive_and_finite() {
-        let rate = decode_throughput(8, 256, 4, 2, 2);
         assert!(rate.is_finite() && rate > 0.0);
     }
 }

@@ -16,9 +16,6 @@ pub(crate) struct CpuMetrics {
     /// Time a decode wave spends joining its worker threads (the
     /// multi-segment barrier).
     pub segment_barrier_wait_ns: Arc<Histogram>,
-    /// Time one threaded row operation spends in its fan-out/join barrier
-    /// ([`crate::ThreadedDecoder`]).
-    pub row_barrier_wait_ns: Arc<Histogram>,
 }
 
 pub(crate) fn metrics() -> &'static CpuMetrics {
@@ -29,7 +26,6 @@ pub(crate) fn metrics() -> &'static CpuMetrics {
             segments_decoded: r.counter("cpu.segments_decoded"),
             segment_errors: r.counter("cpu.segment_errors"),
             segment_barrier_wait_ns: r.histogram("cpu.segment_barrier_wait_ns"),
-            row_barrier_wait_ns: r.histogram("cpu.row_barrier_wait_ns"),
         }
     })
 }

@@ -1,22 +1,16 @@
-//! Network-coded streaming-server substrate — the deployment scenario of
-//! the paper's Secs. 5.1.1 and 6.
+//! Network-coded media streaming — the deployment scenario of the paper's
+//! Secs. 5.1.1 and 6.
 //!
 //! The paper argues that a single GPU encoding at 294 MB/s turns network
-//! coding into a practical streaming-server technology: segments live in
-//! GPU memory, coded blocks are generated per downstream request, and the
-//! bottleneck moves to the network interfaces. This crate builds that
-//! server:
+//! coding into a practical streaming-server technology: coded blocks are
+//! generated per downstream request, and the bottleneck moves to the
+//! network interfaces. This crate holds the two halves of that argument:
 //!
 //! * [`media`] — stream profiles and segment timing (the 512 KB / 768 kbps
 //!   / 5.33 s buffering arithmetic).
 //! * [`nic`] — network-interface capacity modeling (gigabit Ethernet).
-//! * [`backend`] — pluggable coding backends: the simulated GTX 280
-//!   encoder, the modeled Mac Pro, the real host CPU, and the GPU+CPU
-//!   hybrid of Sec. 5.4.1.
 //! * [`capacity`] — the peer-capacity planner that reproduces the paper's
-//!   1385 / 1844 / 3000-peer claims.
-//! * [`server`] — a tick-driven streaming server combining all of the
-//!   above, with live and VoD service modes.
+//!   1385 / 1844 / 3000-peer claims from an encoding rate.
 //! * [`transport`] — real-socket delivery: media published through the
 //!   UDP coded transport ([`nc_net`]) at profile-derived pace, with
 //!   per-transfer goodput assessment against the stream bitrate.
@@ -24,17 +18,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod capacity;
 pub mod media;
 mod metrics;
 pub mod nic;
-pub mod server;
 pub mod transport;
 
-pub use backend::{CodingBackend, CpuModelBackend, GpuBackend, HostCpuBackend, HybridBackend};
 pub use capacity::CapacityPlan;
 pub use media::StreamProfile;
 pub use nic::Nic;
-pub use server::{ServiceMode, StreamingServer};
 pub use transport::{assess, sender_config_for, DeliveryAssessment, MediaTransport};

@@ -30,8 +30,8 @@ pub fn sender_config_for(profile: StreamProfile, headroom: f64) -> SenderConfig 
     let pace = profile.coded_bytes_per_peer() * headroom;
     SenderConfig {
         pace_bytes_per_s: Some(pace),
-        // One segment's worth of burst keeps startup latency at one RTT
-        // without letting the sender outrun the profile for long.
+        // A quarter-second of pace as burst keeps startup latency at one
+        // RTT without letting the sender outrun the profile for long.
         burst_bytes: (pace / 4.0).max(64.0 * 1024.0),
         ..SenderConfig::default()
     }
@@ -205,7 +205,9 @@ mod tests {
             run_receiver(&mut channel, &mut session).unwrap();
             session.into_recovered()
         });
+        let before = counters();
         let served = transport.serve(1, Duration::from_secs(30)).unwrap();
+        let after = counters();
         assert_eq!(handle.join().unwrap().as_deref(), Some(media.as_slice()));
 
         let (transfer, assessment) = &served[0];
@@ -221,5 +223,19 @@ mod tests {
             assessment.overhead_ratio,
             transfer.report
         );
+        // Nothing else in this process serves, so the deltas are this
+        // transfer's alone. With NC_TELEMETRY=off the counters stay put.
+        if nc_telemetry::enabled() {
+            let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            assert_eq!(delta, [1, 1, 0], "served, sustained, deadline_misses");
+        }
+    }
+
+    /// `streaming.transfers_served`, `.transfers_sustained` and
+    /// `.deadline_misses` in the process-wide registry (0 until created).
+    fn counters() -> [u64; 3] {
+        let snap = nc_telemetry::snapshot();
+        ["transfers_served", "transfers_sustained", "deadline_misses"]
+            .map(|name| snap.counter(&format!("streaming.{name}")).unwrap_or(0))
     }
 }

@@ -11,7 +11,7 @@
 //! | [`gpu`] | The paper's GPU kernels: encode ladder, two decoders |
 //! | [`cpu`] | Real multi-threaded CPU coding |
 //! | [`cpu_model`] | The analytic Mac Pro baseline model |
-//! | [`streaming`] | The network-coded streaming server |
+//! | [`streaming`] | Media profiles, NIC and peer-capacity planning, paced media delivery over [`net`] |
 //! | [`net`] | Lossy-datagram coded transport: UDP, fault injection, sessions |
 //! | [`p2p`] | The Avalanche-style content-distribution swarm |
 //! | [`telemetry`] | Zero-dependency metrics: counters, histograms, JSON snapshots |
