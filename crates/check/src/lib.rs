@@ -3,9 +3,9 @@
 //!
 //! PR 5's work-stealing executor shipped with a pending-count underflow
 //! race that only review caught. Every hot path in this codebase — pool
-//! scopes, `BytesPool` bucket shelves, `StreamEncoder`'s atomic cursor,
-//! session window counters — is lock-free or condvar-parked by design, so
-//! "it passed the stress test" is not evidence of correctness: the racy
+//! scopes, `BytesPool` bucket shelves, `StreamEncoder`'s atomic cursor —
+//! is lock-free or condvar-parked by design, so "it passed the stress
+//! test" is not evidence of correctness: the racy
 //! interleaving may need a preemption the OS scheduler grants once per
 //! million runs. This crate makes those interleavings enumerable.
 //!

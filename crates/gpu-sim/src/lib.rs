@@ -44,4 +44,4 @@ pub use device::{DeviceBuilder, DeviceSpec};
 pub use gpu::{Gpu, GridConfig, Kernel, TransferStats};
 pub use mem::DeviceBuffer;
 pub use sanitizer::{Diagnostic, DiagnosticKind, SanitizerConfig, SanitizerReport, Severity};
-pub use stats::{Bottleneck, ExecCounters, LaunchStats, PipelineStats, TimeSource};
+pub use stats::{Bottleneck, ExecCounters, LaunchStats, PipelineStats};

@@ -21,18 +21,6 @@ pub struct DeviceBuffer {
 }
 
 impl DeviceBuffer {
-    /// Builds a buffer handle from a raw `(offset, len)` pair.
-    ///
-    /// Intended for alternative device backends (host execution, real
-    /// hardware) that manage their own address space but reuse the
-    /// simulator's handle type so kernels stay backend-agnostic. Handles
-    /// minted this way are only meaningful to the allocator that minted
-    /// them.
-    #[inline]
-    pub fn from_raw(offset: u64, len: u64) -> DeviceBuffer {
-        DeviceBuffer { offset, len }
-    }
-
     /// The buffer's absolute byte offset in its device address space.
     #[inline]
     pub fn offset(&self) -> u64 {

@@ -49,19 +49,6 @@ impl ExecCounters {
     }
 }
 
-/// Where a launch's `elapsed_s` came from: the simulator's cycle model or
-/// a real executor's wall clock. Lets backend-agnostic pipelines (and the
-/// sim-vs-host equivalence figure) label timings without knowing which
-/// device backend produced them.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TimeSource {
-    /// Cycle-accurate model output (the GTX 280 simulator).
-    #[default]
-    Modeled,
-    /// Wall-clock measurement on a real executor (host CPU or hardware).
-    Measured,
-}
-
 /// The result of one kernel launch: aggregate counters plus the modeled
 /// execution time.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -89,9 +76,6 @@ pub struct LaunchStats {
     /// This launch's sanitizer findings, when the sanitizer was enabled
     /// (see [`crate::sanitizer`]); `None` for uninstrumented launches.
     pub sanitizer: Option<crate::sanitizer::SanitizerReport>,
-    /// Whether `elapsed_s` is cycle-modeled or wall-clock measured.
-    #[serde(default)]
-    pub time_source: TimeSource,
 }
 
 impl LaunchStats {

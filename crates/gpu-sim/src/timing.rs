@@ -113,7 +113,6 @@ pub fn model_launch(
         memory_cycles: worst.1,
         exposed_latency_cycles: worst.2,
         sanitizer: None,
-        time_source: crate::stats::TimeSource::Modeled,
     }
 }
 

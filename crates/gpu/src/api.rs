@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::decode_multi::{InvertKernel, RecoverKernel};
 use crate::decode_single::{DecodeOptions, DecodeStepKernel, NO_PIVOT};
-use crate::device::{DeviceBackend, SimBackend};
+use crate::device::Device;
 use crate::encode_loop::LoopEncodeKernel;
 use crate::encode_table::{TableEncodeKernel, TableVariant};
 use crate::preprocess::{log_table_bytes, LogConvention, LogTransformKernel};
@@ -31,8 +31,8 @@ pub enum Fidelity {
     /// Sample uniform grids and scale; device results must not be consumed.
     ///
     /// Pipelines enforce this by poisoning sampled output buffers on the
-    /// backend (see [`crate::device::DeviceBackend::poison`]): a download or
-    /// peek of a poisoned range debug-asserts.
+    /// simulator (the crate-private `device::Device::poison`): a download
+    /// or peek of a poisoned range debug-asserts.
     Timing,
 }
 
@@ -40,12 +40,12 @@ pub enum Fidelity {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PipelineError {
     /// The device result buffer returned fewer bytes than the pipeline's
-    /// result word requires — a backend allocation or plumbing bug, caught
+    /// result word requires — a device allocation or plumbing bug, caught
     /// instead of panicking mid-stream.
     ShortResultBuffer {
         /// Bytes the pipeline needed to read.
         expected: usize,
-        /// Bytes the backend actually returned.
+        /// Bytes the device actually returned.
         got: usize,
     },
 }
@@ -126,20 +126,15 @@ const MEASURE_SAMPLED_BLOCKS: usize = 32;
 /// # Ok::<(), nc_rlnc::Error>(())
 /// ```
 pub struct GpuEncoder {
-    dev: Box<dyn DeviceBackend>,
+    dev: Device,
     scheme: EncodeScheme,
 }
 
 impl GpuEncoder {
     /// Creates an encoder for a device and scheme on the cycle-model
-    /// simulator backend.
+    /// simulator.
     pub fn new(spec: DeviceSpec, scheme: EncodeScheme) -> GpuEncoder {
-        GpuEncoder::with_backend(Box::new(SimBackend::new(spec)), scheme)
-    }
-
-    /// Creates an encoder on an explicit executor (e.g. host workers).
-    pub fn with_backend(dev: Box<dyn DeviceBackend>, scheme: EncodeScheme) -> GpuEncoder {
-        GpuEncoder { dev, scheme }
+        GpuEncoder { dev: Device::new(spec), scheme }
     }
 
     /// The device being driven.
@@ -147,23 +142,17 @@ impl GpuEncoder {
         self.dev.spec()
     }
 
-    /// The executor's name (`"sim"`, `"host"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.dev.name()
-    }
-
     /// The active scheme.
     pub fn scheme(&self) -> EncodeScheme {
         self.scheme
     }
 
-    /// Enables the kernel sanitizer, if the backend has one (see
-    /// [`nc_gpu_sim::sanitizer`]). Instrumented launches are checked from
-    /// here on; sampled measurement launches are never sanitized, so
-    /// [`GpuEncoder::measure`] stays sanitizer-free by construction.
-    /// Returns whether sanitizing is active.
-    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) -> bool {
-        self.dev.enable_sanitizer(config)
+    /// Enables the kernel sanitizer (see [`nc_gpu_sim::sanitizer`]).
+    /// Instrumented launches are checked from here on; sampled measurement
+    /// launches are never sanitized, so [`GpuEncoder::measure`] stays
+    /// sanitizer-free by construction.
+    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
+        self.dev.enable_sanitizer(config);
     }
 
     /// The accumulated sanitizer report, if the sanitizer is enabled.
@@ -362,7 +351,7 @@ impl GpuEncoder {
 
 /// Host driver for the single-segment progressive decoder (Fig. 3).
 pub struct GpuProgressiveDecoder {
-    dev: Box<dyn DeviceBackend>,
+    dev: Device,
     n: usize,
     k: usize,
     sm_blocks: usize,
@@ -390,25 +379,7 @@ impl GpuProgressiveDecoder {
         options: DecodeOptions,
         fidelity: Fidelity,
     ) -> GpuProgressiveDecoder {
-        GpuProgressiveDecoder::with_backend(
-            Box::new(SimBackend::new(spec)),
-            config,
-            options,
-            fidelity,
-        )
-    }
-
-    /// Creates a decoder on an explicit executor.
-    ///
-    /// # Panics
-    ///
-    /// Same shape requirements as [`GpuProgressiveDecoder::new`].
-    pub fn with_backend(
-        mut dev: Box<dyn DeviceBackend>,
-        config: CodingConfig,
-        options: DecodeOptions,
-        fidelity: Fidelity,
-    ) -> GpuProgressiveDecoder {
+        let mut dev = Device::new(spec);
         let (n, k) = (config.blocks(), config.block_size());
         assert!(n % 4 == 0 && k % 4 == 0, "n and k must be multiples of 4");
         let sm_blocks = dev.spec().sm_count;
@@ -449,17 +420,10 @@ impl GpuProgressiveDecoder {
     }
 
     /// Enables the kernel sanitizer for subsequent [`GpuProgressiveDecoder::push`]
-    /// calls, if the backend has one. Only meaningful at
-    /// [`Fidelity::Functional`]; timing-fidelity pushes use sampled
-    /// launches, which are never sanitized. Returns whether sanitizing is
-    /// active.
-    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) -> bool {
-        self.dev.enable_sanitizer(config)
-    }
-
-    /// The executor's name (`"sim"`, `"host"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.dev.name()
+    /// calls. Only meaningful at [`Fidelity::Functional`]; timing-fidelity
+    /// pushes use sampled launches, which are never sanitized.
+    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
+        self.dev.enable_sanitizer(config);
     }
 
     /// The accumulated sanitizer report, if the sanitizer is enabled.
@@ -476,7 +440,7 @@ impl GpuProgressiveDecoder {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::ShortResultBuffer`] if the backend's result
+    /// Returns [`PipelineError::ShortResultBuffer`] if the device's result
     /// buffer cannot supply the 4-byte pivot word.
     ///
     /// # Panics
@@ -593,8 +557,7 @@ pub struct MultiDecodeOutcome {
 
 /// Host driver for the two-stage multi-segment decoder (Sec. 5.2).
 pub struct GpuMultiDecoder {
-    dev: Box<dyn DeviceBackend>,
-    spec: DeviceSpec,
+    dev: Device,
     stage2: Stage2Scheme,
 }
 
@@ -606,20 +569,9 @@ impl GpuMultiDecoder {
     }
 
     /// Creates a multi-segment decoder with an explicit stage-2 scheme on
-    /// the cycle-model simulator backend.
+    /// the cycle-model simulator.
     pub fn with_stage2(spec: DeviceSpec, stage2: Stage2Scheme) -> GpuMultiDecoder {
-        GpuMultiDecoder::with_backend(Box::new(SimBackend::new(spec)), stage2)
-    }
-
-    /// Creates a multi-segment decoder on an explicit executor.
-    pub fn with_backend(dev: Box<dyn DeviceBackend>, stage2: Stage2Scheme) -> GpuMultiDecoder {
-        let spec = dev.spec().clone();
-        GpuMultiDecoder { dev, spec, stage2 }
-    }
-
-    /// The executor's name (`"sim"`, `"host"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.dev.name()
+        GpuMultiDecoder { dev: Device::new(spec), stage2 }
     }
 
     /// Functionally decodes `segments.len()` segments, each given as `n`
@@ -844,7 +796,7 @@ impl GpuMultiDecoder {
                                 n,
                                 k,
                                 m: n,
-                                sm_blocks: self.spec.sm_count,
+                                sm_blocks: self.dev.spec().sm_count,
                                 tb5_replicas: crate::encode_table::TB5_REPLICAS,
                             };
                             mul_s += self.dev.launch(&kernel, kernel.grid()).elapsed_s;
@@ -867,7 +819,7 @@ impl GpuMultiDecoder {
                             n,
                             k,
                             m: m_exec,
-                            sm_blocks: self.spec.sm_count,
+                            sm_blocks: self.dev.spec().sm_count,
                             tb5_replicas: crate::encode_table::TB5_REPLICAS,
                         };
                         let t = self.dev.launch(&kernel, kernel.grid()).elapsed_s;
@@ -900,11 +852,10 @@ impl GpuMultiDecoder {
         }
     }
 
-    /// Enables the kernel sanitizer, if the backend has one. Functional
-    /// decodes are checked; sampled measurement launches are never
-    /// sanitized. Returns whether sanitizing is active.
-    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) -> bool {
-        self.dev.enable_sanitizer(config)
+    /// Enables the kernel sanitizer. Functional decodes are checked;
+    /// sampled measurement launches are never sanitized.
+    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
+        self.dev.enable_sanitizer(config);
     }
 
     /// The accumulated sanitizer report, if the sanitizer is enabled.
@@ -914,7 +865,7 @@ impl GpuMultiDecoder {
 
     /// The device specification.
     pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
+        self.dev.spec()
     }
 }
 

@@ -23,20 +23,18 @@
 //!   inverts each segment's coefficient matrix via Gauss-Jordan on `[C|I]`
 //!   (one or two segments per SM), stage 2 recovers the data with an
 //!   encode-like matrix multiplication.
-//! * [`device`] — the backend-agnostic launch layer: every kernel is one
-//!   [`nc_gpu_sim::Kernel`] body written against the object-safe
-//!   [`nc_gpu_sim::LaunchCtx`] surface, and runs unchanged on the
-//!   cycle-model [`SimBackend`] or the measured [`HostDeviceBackend`]
-//!   (parallel execution on `nc-pool` workers).
 //! * [`api`] — host-side pipelines ([`GpuEncoder`], [`GpuMultiDecoder`],
 //!   …) that manage transfers, preprocessing, launches and verification.
 //! * [`ablation`] — isolated measurements of the design choices: source
 //!   coalescing, Tb5 replica counts, stage-2 scheme, latency sensitivity.
 //!
-//! Every kernel is functionally executed: tests check the coded/decoded
-//! bytes against the [`nc_rlnc`] CPU reference bit-for-bit, while the
-//! simulator's cost model produces the throughput figures reproduced in
-//! `nc-bench`.
+//! Every kernel is one [`nc_gpu_sim::Kernel`] body written against the
+//! [`nc_gpu_sim::LaunchCtx`] surface, and the simulator is its only
+//! executor: the pipelines drive an [`nc_gpu_sim::Gpu`] directly. Every
+//! kernel is functionally executed: tests check the coded/decoded bytes
+//! against the [`nc_rlnc`] CPU reference bit-for-bit (under the kernel
+//! sanitizer), while the simulator's cost model produces the throughput
+//! figures reproduced in `nc-bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +48,7 @@ pub mod api;
 pub mod costs;
 pub mod decode_multi;
 pub mod decode_single;
-pub mod device;
+mod device;
 pub mod encode_loop;
 pub mod encode_table;
 pub mod preprocess;
@@ -58,5 +56,4 @@ pub mod preprocess;
 pub use api::{
     EncodeScheme, Fidelity, GpuEncoder, GpuMultiDecoder, GpuProgressiveDecoder, PipelineError,
 };
-pub use device::{DeviceBackend, HostDeviceBackend, SimBackend};
 pub use encode_table::TableVariant;

@@ -8,7 +8,7 @@
 
 use nc_gpu::api::EncodeScheme;
 use nc_gpu::decode_single::DecodeOptions;
-use nc_gpu::{Fidelity, GpuEncoder, GpuProgressiveDecoder, HostDeviceBackend, TableVariant};
+use nc_gpu::{Fidelity, GpuEncoder, GpuProgressiveDecoder, TableVariant};
 use nc_gpu_sim::{DeviceSpec, SanitizerConfig};
 use nc_rlnc::{CodingConfig, Decoder, Encoder, Segment};
 use proptest::prelude::*;
@@ -95,59 +95,6 @@ proptest! {
             "decoder (atomic={} cache={}) n={} k={} not sanitizer-clean:\n{}",
             atomic, cache, n, k, report.render()
         );
-    }
-
-    #[test]
-    fn every_backend_is_bit_exact_with_the_reference(
-        (n, k) in arb_dims(),
-        seed: u64,
-        variant_idx in 0usize..7,
-    ) {
-        // The tentpole invariant of the device layer: one kernel body, many
-        // executors, identical bytes. The sim backend is covered above;
-        // here the same schemes run on host workers.
-        let config = CodingConfig::new(n, k).expect("valid dims");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let data: Vec<u8> = (0..n * k).map(|_| rng.gen()).collect();
-        let segment = Segment::from_bytes(config, data.clone()).expect("sized");
-        let coeffs: Vec<Vec<u8>> = (0..3)
-            .map(|_| (0..n).map(|_| rng.gen_range(1..=255)).collect())
-            .collect();
-        let reference = Encoder::new(segment.clone());
-        let scheme = match variant_idx {
-            0 => EncodeScheme::LoopBased,
-            i => EncodeScheme::Table(TableVariant::ALL[i - 1]),
-        };
-
-        let dev = Box::new(HostDeviceBackend::new(DeviceSpec::gtx280()));
-        let mut gpu = GpuEncoder::with_backend(dev, scheme);
-        let (blocks, _) = gpu.encode_blocks(&segment, &coeffs);
-        for (j, b) in blocks.iter().enumerate() {
-            let want = reference
-                .encode_with_coefficients(coeffs[j].clone())
-                .expect("row length n");
-            prop_assert_eq!(
-                b.payload(), want.payload(),
-                "{} {:?} block {}", gpu.backend_name(), scheme, j
-            );
-        }
-
-        // Progressive decode round-trips on host workers too.
-        let mut dec = GpuProgressiveDecoder::with_backend(
-            Box::new(HostDeviceBackend::new(DeviceSpec::gtx280())),
-            config,
-            DecodeOptions::default(),
-            Fidelity::Functional,
-        );
-        let enc = Encoder::new(segment);
-        let mut guard = 0;
-        while !dec.is_complete() {
-            let b = enc.encode(&mut rng);
-            dec.push(b.coefficients(), b.payload()).expect("result word");
-            guard += 1;
-            prop_assert!(guard < n + 48, "failed to converge on host backend");
-        }
-        prop_assert_eq!(dec.recover().expect("complete"), data);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! segments from consuming encode budget and (b) calibrates how much
 //! redundancy the link needs.
 
-use nc_check::sync::atomic::{AtomicU64, Ordering};
 use nc_check::sync::Arc;
 use nc_rlnc::codec::StreamCodecSender;
 use nc_telemetry::{Histogram, Snapshot};
@@ -147,61 +146,6 @@ impl SenderReport {
     }
 }
 
-/// The two counters the flow-control window is computed from, shared out
-/// of the session so a server stats thread (or the model checker) can
-/// observe window state while the driver thread advances the session.
-///
-/// Both counters are monotone: `frames_sent` only increments, and
-/// `peer_received` max-merges cumulative ACK feedback, so reordered ACKs
-/// can never shrink it. Atomics come from nc-check's shim layer — plain
-/// `std` atomics in normal builds, model-checked under `--cfg nc_check`
-/// (the no-lost-update and monotonicity invariants have checked models in
-/// `crates/check/tests`).
-#[derive(Debug)]
-pub struct WindowCounters {
-    frames_sent: AtomicU64,
-    peer_received: AtomicU64,
-}
-
-impl Default for WindowCounters {
-    fn default() -> WindowCounters {
-        WindowCounters::new()
-    }
-}
-
-impl WindowCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> WindowCounters {
-        WindowCounters { frames_sent: AtomicU64::new(0), peer_received: AtomicU64::new(0) }
-    }
-
-    /// Coded data frames sent so far.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent.load(Ordering::Acquire)
-    }
-
-    /// Highest cumulative receive count the peer has reported.
-    pub fn peer_received(&self) -> u64 {
-        self.peer_received.load(Ordering::Acquire)
-    }
-
-    /// Records one sent data frame, returning the updated total.
-    pub fn record_sent(&self) -> u64 {
-        self.frames_sent.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Max-merges a cumulative `received` report from the peer (resists
-    /// reordered ACKs), returning the updated value. One atomic RMW so
-    /// concurrent merges cannot regress the counter.
-    pub fn merge_received(&self, reported: u64) -> u64 {
-        let merged = self
-            .peer_received
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| Some(cur.max(reported)))
-            .unwrap_or(0);
-        merged.max(reported)
-    }
-}
-
 /// The sans-I/O rateless sender state machine (see module docs).
 pub struct SenderSession {
     session: u64,
@@ -227,8 +171,12 @@ pub struct SenderSession {
     started: Instant,
     last_activity: Instant,
     last_trickle: Instant,
-    /// Shared flow-window counters (see [`WindowCounters`]).
-    window: Arc<WindowCounters>,
+    /// Coded data frames handed out; with `peer_received`, the two
+    /// counters the flow window is computed from.
+    frames_sent: u64,
+    /// Highest cumulative receive count the peer has reported. ACK and FIN
+    /// max-merge into it, so a reordered ACK can never shrink it.
+    peer_received: u64,
     bytes_sent: u64,
     announces_sent: u64,
     acks_received: u64,
@@ -299,7 +247,8 @@ impl SenderSession {
             started: now,
             last_activity: now,
             last_trickle: now,
-            window: Arc::new(WindowCounters::new()),
+            frames_sent: 0,
+            peer_received: 0,
             bytes_sent: 0,
             announces_sent: 0,
             acks_received: 0,
@@ -354,7 +303,7 @@ impl SenderSession {
                 self.acks_received += 1;
                 metrics().acks_received.inc();
                 // Counters are cumulative; max-merge resists reordered ACKs.
-                self.window.merge_received(*received);
+                self.peer_received = self.peer_received.max(*received);
                 self.peer_innovative = self.peer_innovative.max(*innovative);
                 for i in 0..self.completed.len().min(completed.len()) {
                     if completed.get(i) {
@@ -369,7 +318,7 @@ impl SenderSession {
             Payload::Fin { received, innovative } => {
                 self.last_activity = now;
                 self.acked_once = true;
-                self.window.merge_received(*received);
+                self.peer_received = self.peer_received.max(*received);
                 self.peer_innovative = self.peer_innovative.max(*innovative);
                 for i in 0..self.completed.len() {
                     self.completed.set(i);
@@ -389,7 +338,7 @@ impl SenderSession {
         let event = self.next_event(now);
         if matches!(event, SenderEvent::Wait(_)) {
             // Every frame handed out so far has the wait to arrive in.
-            self.visible_sent = self.window.frames_sent();
+            self.visible_sent = self.frames_sent;
         }
         event
     }
@@ -406,12 +355,12 @@ impl SenderSession {
     /// out: counting a burst in flight as lost would inflate the estimate
     /// by up to a burst per observation, and the redundancy factor with it.
     fn fold_feedback(&mut self) {
-        self.redundancy.observe(self.visible_sent, self.window.peer_received());
+        self.redundancy.observe(self.visible_sent, self.peer_received);
         let m = metrics();
         m.loss_estimate.set(self.redundancy.loss_estimate());
         m.redundancy_factor.set(self.redundancy.factor());
         self.regrant_budgets();
-        self.visible_sent = self.window.frames_sent();
+        self.visible_sent = self.frames_sent;
     }
 
     fn next_event(&mut self, now: Instant) -> SenderEvent {
@@ -470,7 +419,7 @@ impl SenderSession {
                 );
                 seal_data(&mut bytes, self.session);
                 self.sent_per_segment[segment] += 1;
-                self.window.record_sent();
+                self.frames_sent += 1;
                 self.bytes_sent += bytes.len() as u64;
                 metrics().frames_sent.inc();
                 return SenderEvent::Transmit(bytes);
@@ -520,22 +469,16 @@ impl SenderSession {
         wake.saturating_duration_since(now).max(self.config.ack_wait)
     }
 
-    /// Shared handle to the flow-window counters, for observation from
-    /// threads other than the one driving `poll` (e.g. server stats).
-    pub fn window_counters(&self) -> Arc<WindowCounters> {
-        Arc::clone(&self.window)
-    }
-
     /// The final report (valid once `poll` returned `Finished`; callable
     /// any time for progress snapshots).
     pub fn report(&self, now: Instant) -> SenderReport {
         SenderReport {
             outcome: self.outcome.unwrap_or(SenderOutcome::IdleTimeout),
-            frames_sent: self.window.frames_sent(),
+            frames_sent: self.frames_sent,
             bytes_sent: self.bytes_sent,
             announces_sent: self.announces_sent,
             acks_received: self.acks_received,
-            peer_received: self.window.peer_received(),
+            peer_received: self.peer_received,
             peer_innovative: self.peer_innovative,
             segments_total: self.encoder.total_segments(),
             segments_completed: self.completed.count_complete(),
@@ -610,8 +553,7 @@ impl SenderSession {
     /// deadlock the session.
     fn window_open(&self) -> bool {
         let survival = 1.0 - self.redundancy.loss_estimate();
-        let in_flight =
-            self.window.frames_sent() as f64 * survival - self.window.peer_received() as f64;
+        let in_flight = self.frames_sent as f64 * survival - self.peer_received as f64;
         metrics().window_occupancy.set(in_flight.max(0.0) / self.config.window_frames as f64);
         in_flight < self.config.window_frames as f64
     }
@@ -650,9 +592,7 @@ impl SenderSession {
             return;
         }
         let survival = 1.0 - self.redundancy.loss_estimate();
-        let in_flight = (self.window.frames_sent() as f64 * survival
-            - self.window.peer_received() as f64)
-            .max(0.0);
+        let in_flight = (self.frames_sent as f64 * survival - self.peer_received as f64).max(0.0);
         let deficit = remaining - in_flight;
         if deficit <= 0.0 {
             return;
@@ -786,7 +726,7 @@ mod tests {
             }
         }
         assert!(trickled > 0, "trickle must release more data frames");
-        assert_eq!(s.window_counters().frames_sent(), data_frames + trickled);
+        assert_eq!(s.report(later).frames_sent, data_frames + trickled);
     }
 
     #[test]
@@ -872,6 +812,30 @@ mod tests {
         s.handle_datagram(&ack(8), now); // all of burst one, none of two
         s.poll(now);
         assert_eq!(s.report(now).loss_estimate, 0.0);
+    }
+
+    #[test]
+    fn a_reordered_older_ack_does_not_shrink_the_peer_counters() {
+        let mut s = session(SenderConfig::default());
+        let now = Instant::now();
+        let segments = s.meta().total_segments as usize;
+        let ack = |received| {
+            let completed = SegmentBitmap::new(segments);
+            Datagram::new(77, Payload::Ack { received, innovative: received, completed })
+        };
+        assert!(matches!(s.poll(now), SenderEvent::Transmit(_)), "the announce");
+        // 4 segments x a budget of n = 4 frames at the zero-loss prior.
+        for _ in 0..16 {
+            assert!(matches!(s.poll(now), SenderEvent::Transmit(_)));
+        }
+        assert!(matches!(s.poll(now), SenderEvent::Wait(_)), "budget spent");
+        s.handle_datagram(&ack(16), now);
+        s.handle_datagram(&ack(8), now); // sent earlier, arrived later
+        let report = s.report(now);
+        assert_eq!(report.peer_received, 16);
+        assert_eq!(report.peer_innovative, 16);
+        s.poll(now);
+        assert_eq!(s.report(now).loss_estimate, 0.0, "every frame sent was received");
     }
 
     #[test]
