@@ -49,12 +49,22 @@ pub(crate) struct NetMetrics {
     pub loss_estimate: Arc<Gauge>,
     /// Most recent redundancy factor (`1/(1-loss)`, clamped).
     pub redundancy_factor: Arc<Gauge>,
-    /// Most recent flow-window occupancy (estimated in-flight / window).
+    /// Flow-window occupancy (estimated in-flight / window) of the most
+    /// recent session found with its window closed, so always >= 1 once
+    /// set; an open window never writes it.
     pub window_occupancy: Arc<Gauge>,
     /// Goodput of the most recently completed session, bytes/second.
     pub goodput_bytes_per_s: Arc<Gauge>,
-    /// Token-bucket wait quoted to sender sessions, in nanoseconds.
+    /// Token-bucket waits quoted to sender sessions, in nanoseconds.
+    /// Each session records into its own histogram and adds it here once,
+    /// when it ends ([`Histogram::absorb`]), so a session still running
+    /// is not in it yet.
     pub pacing_wait_ns: Arc<Histogram>,
+    /// `SenderSession::poll` calls made by shard steps.
+    pub shard_polls: Arc<Counter>,
+    /// Shard-step turns in which a session was polled and sent nothing:
+    /// its first poll returned `Wait`.
+    pub shard_idle_polls: Arc<Counter>,
     /// Syscalls issued by the batched-I/O seam ([`crate::sysio`]):
     /// sends, receives, polls, and (on the portable path) mode changes.
     pub syscalls: Arc<Counter>,
@@ -106,6 +116,8 @@ pub(crate) fn metrics() -> &'static NetMetrics {
             window_occupancy: r.gauge("net.window_occupancy"),
             goodput_bytes_per_s: r.gauge("net.goodput_bytes_per_s"),
             pacing_wait_ns: r.histogram("net.pacing_wait_ns"),
+            shard_polls: r.counter("net.shard_polls"),
+            shard_idle_polls: r.counter("net.shard_idle_polls"),
             syscalls: r.counter("net.syscalls"),
             tx_datagrams: r.counter("net.tx_datagrams"),
             tx_messages: r.counter("net.tx_messages"),

@@ -57,7 +57,11 @@ impl TokenBucket {
             self.tokens -= need;
             Duration::ZERO
         } else {
-            Duration::from_secs_f64((need - self.tokens) / self.rate)
+            // Rounded up to the nanosecond and never zero: a quote rounded
+            // down lands a hair before the tokens are there, and a zero
+            // quote would read as "send" with the tokens still missing.
+            let nanos = ((need - self.tokens) / self.rate * 1e9).ceil();
+            Duration::from_nanos((nanos as u64).max(1))
         }
     }
 }
@@ -167,6 +171,25 @@ mod tests {
         // And crucially, the wait it quotes is sufficient: retrying after
         // it has elapsed succeeds instead of re-quoting forever.
         assert_eq!(bucket.request(1500, t0 + wait), Duration::ZERO);
+    }
+
+    #[test]
+    fn a_quote_is_never_zero_and_paying_it_exactly_admits_one_frame() {
+        // A driver that wakes exactly when told (a virtual-time test, a
+        // due index) must find the tokens there, and a shortfall of a
+        // fraction of a nanosecond must still read as a wait, not as a
+        // free send: at 108 000 B/s a quote rounded to the nearest
+        // nanosecond fell short by that much on almost every frame.
+        for rate in [1_000.0, 96_000.0, 108_000.0, 123_457.3, 1e9 / 3.0] {
+            let mut bucket = TokenBucket::new(rate, 4.0 * 1083.0);
+            let mut now = Instant::now();
+            while bucket.request(1083, now).is_zero() {} // drain the burst
+            for _ in 0..500 {
+                now += bucket.request(1083, now);
+                assert_eq!(bucket.request(1083, now), Duration::ZERO, "rate {rate}");
+                assert!(bucket.request(1083, now) > Duration::ZERO, "rate {rate}: a free send");
+            }
+        }
     }
 
     #[test]

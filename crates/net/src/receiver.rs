@@ -23,9 +23,17 @@ use crate::wire::{Datagram, DatagramRef, Payload, SegmentBitmap, StreamMeta, Wir
 /// Tuning knobs for a receiver session.
 #[derive(Clone, Debug)]
 pub struct ReceiverConfig {
-    /// Send an ACK after this many data datagrams.
+    /// Send an ACK after this many data datagrams: the count rule, which
+    /// paces ACKs while frames flow.
     pub ack_every: u64,
-    /// Also ACK at least this often while data is flowing.
+    /// The ACK timer's floor. The timer ACKs when
+    /// `max(ack_interval, ack_every x mean frame gap)` has passed since the
+    /// last ACK, the mean gap being a 1/8-weight moving average of data
+    /// frame inter-arrival times, each clamped at `ack_interval`. A fast
+    /// flow therefore ACKs at least every `ack_interval`; a slow one (a
+    /// 768 Kbps peer gets a frame every ~9.4 ms) at most every
+    /// `ack_every x ack_interval`, so its count rule fires first. With no
+    /// frames arriving the timer still fires ("nothing arrived" ACKs).
     pub ack_interval: Duration,
     /// Re-send the initial request at this interval until announced.
     pub request_interval: Duration,
@@ -134,6 +142,7 @@ pub struct ReceiverSession {
     since_ack: u64,
     ack_pending: bool,
     last_ack_at: Option<Instant>,
+    frame_gaps: FrameGaps,
     started: Instant,
     last_activity: Instant,
     first_data_at: Option<Instant>,
@@ -160,6 +169,7 @@ impl ReceiverSession {
             since_ack: 0,
             ack_pending: false,
             last_ack_at: None,
+            frame_gaps: FrameGaps::default(),
             started: now,
             last_activity: now,
             first_data_at: None,
@@ -283,12 +293,16 @@ impl ReceiverSession {
                     self.outcome = Some(ReceiverOutcome::IdleTimeout);
                     return ReceiverEvent::Finished;
                 }
-                // Periodic even with zero frames received: a "nothing
-                // arrived" ACK is what lets the sender's loss estimate
-                // catch up with a burst of drops and reopen its window.
-                let interval_due = self
-                    .last_ack_at
-                    .is_none_or(|at| now.duration_since(at) >= self.config.ack_interval);
+                // The timer fires even with zero frames received: a
+                // "nothing arrived" ACK is what lets the sender's loss
+                // estimate catch up with a burst of drops and reopen its
+                // window. Its period stretches to `ack_every` mean frame
+                // gaps (see `ReceiverConfig::ack_interval`), so on a slow
+                // flow the count rule paces ACKs and the timer covers only
+                // a flow that slowed or stopped.
+                let ack_period = self.frame_gaps.ack_period(&self.config);
+                let interval_due =
+                    self.last_ack_at.is_none_or(|at| now.duration_since(at) >= ack_period);
                 if self.ack_pending || self.since_ack >= self.config.ack_every || interval_due {
                     let bytes = Datagram::new(
                         self.session,
@@ -306,8 +320,7 @@ impl ReceiverSession {
                     self.last_ack_at = Some(now);
                     ReceiverEvent::Transmit(bytes)
                 } else {
-                    let ack_at = self.last_ack_at.expect("interval_due was false")
-                        + self.config.ack_interval;
+                    let ack_at = self.last_ack_at.expect("interval_due was false") + ack_period;
                     let idle_at = self.last_activity + self.config.idle_timeout;
                     ReceiverEvent::Wait(until(ack_at.min(idle_at), now))
                 }
@@ -385,6 +398,7 @@ impl ReceiverSession {
         if self.first_data_at.is_none() {
             self.first_data_at = Some(now);
         }
+        self.frame_gaps.note(now, self.config.ack_interval);
         self.received += 1;
         self.since_ack += 1;
         if absorbed.innovative {
@@ -406,6 +420,35 @@ impl ReceiverSession {
                 self.state = State::Done { data, fins_sent: 0 };
             }
         }
+    }
+}
+
+/// The data-frame inter-arrival clock the ACK timer stretches to.
+#[derive(Default)]
+struct FrameGaps {
+    /// Arrival of the latest data frame, the start of the next sample.
+    last: Option<Instant>,
+    /// Moving average (weight 1/8) of the gaps; the first gap seeds it,
+    /// zero before.
+    mean: Duration,
+}
+
+impl FrameGaps {
+    /// Folds one data frame's arrival in. Each sample is clamped at
+    /// `clamp` (the `ack_interval`), so one long stall cannot stretch the
+    /// clock past `ack_every x ack_interval`.
+    fn note(&mut self, now: Instant, clamp: Duration) {
+        if let Some(last) = self.last.replace(now) {
+            let gap = now.saturating_duration_since(last).min(clamp);
+            self.mean = if self.mean.is_zero() { gap } else { self.mean - self.mean / 8 + gap / 8 };
+        }
+    }
+
+    /// How long after the last ACK the timer ACKs:
+    /// `max(ack_interval, ack_every x mean gap)`.
+    fn ack_period(&self, config: &ReceiverConfig) -> Duration {
+        let every = u32::try_from(config.ack_every).unwrap_or(u32::MAX);
+        config.ack_interval.max(self.mean.saturating_mul(every))
     }
 }
 
@@ -586,6 +629,164 @@ mod tests {
         let report = r.report();
         assert_eq!(report.alien, 2);
         assert_eq!(report.corrupt, 1);
+    }
+
+    /// A dense 16 x 64 B stream of `segments` segments under session 5:
+    /// its announce and its first `n` (systematic) data datagrams per
+    /// segment, segments interleaved round-robin as the sender sends them.
+    fn stream(segments: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+        use nc_rlnc::codec::StreamCodecSender;
+        use rand::SeedableRng;
+        let coding = CodingConfig::new(16, 64).unwrap();
+        let data: Vec<u8> = (0..segments * 16 * 64).map(|i| (i % 251) as u8).collect();
+        let encoder = nc_rlnc::stream::StreamEncoder::new(coding, &data).unwrap();
+        let meta = StreamMeta {
+            blocks: 16,
+            block_size: 64,
+            total_segments: segments as u32,
+            original_len: data.len() as u64,
+            codec: encoder.codec(),
+        };
+        let announce = Datagram::new(5, Payload::Announce(meta)).encode().unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let frames = (0..16u64)
+            .flat_map(|seq| (0..segments).map(move |segment| (segment, seq)))
+            .map(|(segment, seq)| {
+                let frame = encoder.frame_wire(segment, seq, &mut rng);
+                Datagram::new(5, Payload::Data(frame)).encode().unwrap()
+            })
+            .collect();
+        (announce, frames)
+    }
+
+    /// Drives `r` as `run_receiver` would, in virtual time: each arrival
+    /// is handled at its instant, and `r` is polled after arrivals and
+    /// whenever its quoted wait runs out, until `end`. Returns the
+    /// instants ACKs went out.
+    fn ack_times(
+        r: &mut ReceiverSession,
+        arrivals: &[(Instant, Vec<u8>)],
+        end: Instant,
+    ) -> Vec<Instant> {
+        let mut acks = Vec::new();
+        let (mut next, mut wake_at) = (0, None);
+        loop {
+            let arrival = arrivals.get(next).map(|(at, _)| *at);
+            let Some(now) = [arrival, wake_at].into_iter().flatten().min() else { break };
+            if now > end {
+                break;
+            }
+            while let Some((at, bytes)) = arrivals.get(next).filter(|(at, _)| *at <= now) {
+                r.handle_bytes(bytes, *at);
+                next += 1;
+            }
+            wake_at = loop {
+                match r.poll(now) {
+                    ReceiverEvent::Transmit(bytes) => {
+                        if matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Ack { .. })
+                        {
+                            acks.push(now);
+                        }
+                    }
+                    ReceiverEvent::Wait(wait) => break Some(now + wait),
+                    ReceiverEvent::Finished => return acks,
+                }
+            };
+        }
+        acks
+    }
+
+    /// `frames` at `spacing` after an announce at `t0`.
+    fn spaced(
+        t0: Instant,
+        announce: &[u8],
+        frames: &[Vec<u8>],
+        spacing: Duration,
+    ) -> Vec<(Instant, Vec<u8>)> {
+        let data =
+            frames.iter().enumerate().map(|(i, f)| (t0 + spacing * (i as u32 + 1), f.clone()));
+        std::iter::once((t0, announce.to_vec())).chain(data).collect()
+    }
+
+    #[test]
+    fn a_paced_flow_acks_by_count_not_by_clock() {
+        // 288 frames 9.4 ms apart (a 768 Kbps peer's 16 x 1 KiB frames):
+        // a 10 ms clock would ACK almost every frame. The count rule, the
+        // segment completions and the first ACK after the announce are all
+        // that may send one.
+        let (announce, frames) = stream(18);
+        assert_eq!(frames.len(), 288);
+        let t0 = Instant::now();
+        let arrivals = spaced(t0, &announce, &frames, Duration::from_micros(9_400));
+        let mut r = ReceiverSession::new(5, ReceiverConfig::default(), t0);
+        let acks = ack_times(&mut r, &arrivals, t0 + Duration::from_secs(4));
+        assert!(r.is_complete());
+        let bound = 288 / ReceiverConfig::default().ack_every as usize + 18 + 1;
+        assert!(acks.len() <= bound, "{} ACKs for 288 frames (bound {bound})", acks.len());
+        assert_eq!(acks.len() as u64, r.report().acks_sent);
+    }
+
+    #[test]
+    fn a_fast_flow_keeps_the_ack_interval_after_a_pause() {
+        // Frames 100 us apart: the mean gap times `ack_every` is far below
+        // `ack_interval`, so the clock is the parent's: after the flow
+        // pauses, the timer ACK lands `ack_interval` after the last ACK.
+        let (announce, frames) = stream(8);
+        let t0 = Instant::now();
+        let arrivals = spaced(t0, &announce, &frames[..60], Duration::from_micros(100));
+        let last_frame = arrivals.last().unwrap().0;
+        let mut r = ReceiverSession::new(5, ReceiverConfig::default(), t0);
+        let acks = ack_times(&mut r, &arrivals, last_frame + Duration::from_millis(25));
+        let during = acks.iter().filter(|&&at| at <= last_frame).count();
+        assert!(during >= 60 / 8, "count rule ACKs during the flow: {acks:?}");
+        let (last, timer) = (acks[during - 1], acks[during]);
+        assert_eq!(timer - last, ReceiverConfig::default().ack_interval, "{acks:?}");
+        assert_eq!(acks[during + 1] - timer, ReceiverConfig::default().ack_interval);
+    }
+
+    #[test]
+    fn the_first_poll_after_an_announce_and_frames_acks() {
+        // Data frames sharing the announce's receive batch must not hold
+        // back the ACK that tells the sender to stop re-announcing.
+        let (announce, frames) = stream(2);
+        let t0 = Instant::now();
+        let mut r = ReceiverSession::new(5, ReceiverConfig::default(), t0);
+        r.handle_bytes(&announce, t0);
+        for frame in &frames[..4] {
+            r.handle_bytes(frame, t0);
+        }
+        let ReceiverEvent::Transmit(bytes) = r.poll(t0) else { panic!("expected an ACK") };
+        let Payload::Ack { received, .. } = Datagram::decode(&bytes).unwrap().payload else {
+            panic!("expected an ACK")
+        };
+        assert_eq!(received, 4);
+    }
+
+    #[test]
+    fn a_stalled_paced_flow_still_acks_nothing_arrived() {
+        // A paced flow, then a 5 s stall: the clock stretched to the
+        // flow's frame rate, but never past `ack_every x ack_interval`,
+        // and "nothing arrived" ACKs keep coming at that period. One
+        // frame after the stall, then another stall: the long gap is one
+        // clamped sample, so the period stays within that bound.
+        let config = ReceiverConfig { idle_timeout: Duration::from_secs(10), ..Default::default() };
+        let bound = config.ack_interval * config.ack_every as u32;
+        let (announce, frames) = stream(16);
+        let t0 = Instant::now();
+        let mut arrivals = spaced(t0, &announce, &frames[..64], Duration::from_micros(9_400));
+        let last_frame = arrivals.last().unwrap().0;
+        let resumed = last_frame + Duration::from_secs(5);
+        arrivals.push((resumed, frames[64].clone()));
+        let mut r = ReceiverSession::new(5, config, t0);
+        let acks = ack_times(&mut r, &arrivals, resumed + Duration::from_secs(2));
+        let stalled = acks.iter().filter(|&&at| at > last_frame && at < resumed).count();
+        assert!(stalled >= 5_000 / 80, "{stalled} ACKs in a 5 s stall");
+        let after = acks.iter().filter(|&&at| at > resumed).count();
+        assert!(after >= 2_000 / 80, "{after} ACKs in the second stall");
+        assert!(acks.iter().any(|&at| at > last_frame && at - last_frame <= bound));
+        for pair in acks.windows(2) {
+            assert!(pair[1] - pair[0] <= bound, "ACKs {:?} apart", pair[1] - pair[0]);
+        }
     }
 
     #[test]

@@ -305,13 +305,9 @@ impl SenderSession {
                 // Counters are cumulative; max-merge resists reordered ACKs.
                 self.peer_received = self.peer_received.max(*received);
                 self.peer_innovative = self.peer_innovative.max(*innovative);
-                for i in 0..self.completed.len().min(completed.len()) {
-                    if completed.get(i) {
-                        self.completed.set(i);
-                    }
-                }
+                let complete = self.completed.union_with(completed);
                 self.feedback_pending = true;
-                if self.completed.all_complete() {
+                if complete == self.completed.len() && complete > 0 {
                     self.finish(SenderOutcome::Completed, now);
                 }
             }
@@ -521,9 +517,11 @@ impl SenderSession {
         snap
     }
 
+    /// Records into the session's own histogram only: a waiting poll
+    /// writes nothing process-wide, and `finish` hands the whole
+    /// distribution to `net.pacing_wait_ns` in one pass.
     fn record_pacing_wait(&mut self, wait: Duration) {
         self.pacing_waits.record_duration(wait);
-        metrics().pacing_wait_ns.record_duration(wait);
     }
 
     fn finish(&mut self, outcome: SenderOutcome, now: Instant) {
@@ -531,6 +529,7 @@ impl SenderSession {
             self.outcome = Some(outcome);
             self.ended = Some(now);
             let m = metrics();
+            m.pacing_wait_ns.absorb(&self.pacing_waits);
             if outcome == SenderOutcome::Completed {
                 m.sessions_completed.inc();
                 if let Some(goodput) = self.report(now).goodput_bytes_per_s() {
@@ -551,11 +550,17 @@ impl SenderSession {
     /// the receiver's periodic ACKs raise the estimate (via `observe`)
     /// until the window reopens — so the window can throttle but never
     /// deadlock the session.
+    ///
+    /// Only a closed window publishes `net.window_occupancy`: an open one
+    /// is the common case and writes nothing process-wide.
     fn window_open(&self) -> bool {
         let survival = 1.0 - self.redundancy.loss_estimate();
         let in_flight = self.frames_sent as f64 * survival - self.peer_received as f64;
-        metrics().window_occupancy.set(in_flight.max(0.0) / self.config.window_frames as f64);
-        in_flight < self.config.window_frames as f64
+        let open = in_flight < self.config.window_frames as f64;
+        if !open {
+            metrics().window_occupancy.set(in_flight / self.config.window_frames as f64);
+        }
+        open
     }
 
     /// Next incomplete segment with budget left, round-robin.

@@ -28,6 +28,12 @@
 //! * **Batched syscalls.** Frames are staged per shard and flushed with
 //!   `sendmmsg`; feedback drains with `poll` + `recvmmsg`
 //!   ([`crate::channel::BatchSocket`]).
+//! * **Due sessions only.** Each shard loop is an I/O shell around a
+//!   sans-I/O `ShardStep` that owns the session map and a deadline index:
+//!   a wake-up polls the sessions a datagram touched or whose quoted wait
+//!   ran out, not every session (`net.shard_polls`,
+//!   `net.shard_idle_polls`). A paced peer then costs about the datagrams
+//!   it is sent.
 //!
 //! The concurrency protocol (exactly-one-owner dispatch, mailbox
 //! no-loss, finish-ledger stop) is mirrored as an `nc_check` model in
@@ -36,7 +42,9 @@
 use nc_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use nc_check::sync::{Arc, Mutex};
 use nc_rlnc::codec::StreamCodecSender;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -116,6 +124,17 @@ impl Mailbox {
 
     fn pop(&self) -> Option<(SocketAddr, Vec<u8>)> {
         self.queue.lock().expect("mailbox lock").pop_front()
+    }
+
+    /// Moves every waiting datagram that decodes into `inbox`, recycling
+    /// the forwarded buffers.
+    fn drain_into(&self, inbox: &mut Vec<(SocketAddr, Datagram)>) {
+        while let Some((peer, bytes)) = self.pop() {
+            if let Ok(datagram) = Datagram::decode(&bytes) {
+                inbox.push((peer, datagram));
+            }
+            nc_pool::BytesPool::global().recycle(bytes);
+        }
     }
 }
 
@@ -258,8 +277,9 @@ impl ShardedServer {
     }
 }
 
-/// One shard's serve loop: receive a batch (or sleep until the earliest
-/// session deadline), drain the mailbox, advance owned sessions, flush
+/// One shard's serve loop, the I/O shell around a [`ShardStep`]: receive
+/// a batch (sleeping at most until the step's next due session), drain
+/// the mailbox, deliver each owned datagram to the step, step it, flush
 /// the staged frame batch.
 fn shard_main(
     shard: usize,
@@ -276,24 +296,25 @@ fn shard_main(
     let sessions_gauge = scoped.gauge("sessions");
     let served = scoped.counter("served");
 
-    let mut sessions: HashMap<(SocketAddr, u64), SenderSession> = HashMap::new();
-    let mut burst_max: HashMap<(SocketAddr, u64), u64> = HashMap::new();
+    let mut step = ShardStep::new(shard, &config.server, &shared.content, &shared.seed);
     let mut injector: Option<FaultInjector<SocketAddr>> = config
         .server
         .faults
         .map(|(profile, seed)| FaultInjector::new(profile, seed.wrapping_add(shard as u64)));
-    // lint: allow(vec-capacity) — per-shard scratch made once per serve call; `drain`/`clear` keep its capacity across wake-ups.
+    // lint: allow(vec-capacity) — per-shard scratch made once per serve call; `drain` keeps its capacity across wake-ups.
     let mut inbox: Vec<(SocketAddr, Datagram)> = Vec::new();
-    // lint: allow(vec-capacity) — as `inbox`.
-    let mut keys: Vec<(SocketAddr, u64)> = Vec::new();
-    let mut next_timeout = config.server.poll_interval;
+    let mut next_due: Option<Instant> = None;
 
     while !shared.ledger.stopped() {
         let now = Instant::now();
         if now >= until {
             break;
         }
-        let timeout = next_timeout.min(config.server.poll_interval).min(until - now);
+        let poll_interval = config.server.poll_interval;
+        let timeout = next_due
+            .map_or(poll_interval, |due| due.saturating_duration_since(now))
+            .min(poll_interval)
+            .min(until - now);
 
         // Receive a batch; route each datagram to its owner.
         let asked = Instant::now();
@@ -323,42 +344,33 @@ fn shard_main(
                 break;
             }
         }
-
-        // Datagrams other shards received on this shard's behalf.
-        while let Some((peer, bytes)) = shared.mailboxes[shard].pop() {
-            if let Ok(datagram) = Datagram::decode(&bytes) {
-                inbox.push((peer, datagram));
-            }
-            nc_pool::BytesPool::global().recycle(bytes);
-        }
+        shared.mailboxes[shard].drain_into(&mut inbox);
 
         let now = Instant::now();
         for (peer, datagram) in inbox.drain(..) {
-            dispatch(peer, datagram, &mut sessions, shared, config, now);
+            step.deliver(peer, datagram, now);
         }
-
-        // Advance every owned session, staging frames into the batch.
-        keys.clear();
-        keys.extend(sessions.keys().copied());
-        let mut next = config.server.poll_interval;
-        for &key in &keys {
-            match advance(
-                key,
-                shard,
-                &mut sessions,
-                &mut burst_max,
-                &mut injector,
-                socket,
-                shared,
-                config,
-                now,
-            ) {
-                Ok(Some(wait)) => next = next.min(wait),
-                Ok(None) => served.inc(),
-                Err(err) => {
-                    shared.fail(err);
-                    return;
+        let mut emit = |to: SocketAddr, bytes: Vec<u8>| match &mut injector {
+            Some(injector) => {
+                for (to, wire) in injector.admit(to, &bytes) {
+                    socket.queue(to, wire)?;
                 }
+                nc_pool::BytesPool::global().recycle(bytes);
+                Ok(())
+            }
+            // No faults: hand the encoded frame to the batch without
+            // copying; `flush` recycles it.
+            None => socket.queue(to, bytes),
+        };
+        let mut finished = |transfer: ServedTransfer| {
+            served.inc();
+            shared.ledger.record(transfer);
+        };
+        match step.step(now, &mut emit, &mut finished) {
+            Ok(due) => next_due = due,
+            Err(err) => {
+                shared.fail(err);
+                return;
             }
         }
         match socket.flush() {
@@ -368,107 +380,303 @@ fn shard_main(
                 return;
             }
         }
-        sessions_gauge.set(sessions.len() as f64);
-        next_timeout = next;
+        sessions_gauge.set(step.sessions() as f64);
     }
     let _ = socket.flush();
 }
 
-/// Handles one owned datagram: existing session, or a `Request` that
-/// spawns one.
-fn dispatch(
-    peer: SocketAddr,
-    datagram: Datagram,
-    sessions: &mut HashMap<(SocketAddr, u64), SenderSession>,
-    shared: &ServeShared,
-    config: &ShardedServerConfig,
-    now: Instant,
-) {
-    let key = (peer, datagram.session);
-    if let Some(session) = sessions.get_mut(&key) {
-        session.handle_datagram(&datagram, now);
-        return;
+/// A session key: the peer and the stream id it asked for.
+type Key = (SocketAddr, u64);
+
+/// One owned session and its place in the step's schedule.
+struct Slot {
+    session: SenderSession,
+    /// When the session next needs the CPU, as its last `Wait` quoted it:
+    /// the [`DueIndex`] entry for this key that is live. `None` once that
+    /// entry has come due.
+    due: Option<Instant>,
+    /// Most datagrams it sent in one turn (`session.max_burst_per_step`).
+    max_burst: u64,
+    /// Already on the step's ready list.
+    queued: bool,
+}
+
+/// Which slots are due when: a min-heap of `(due, key)` with lazy
+/// deletion. An entry is live only while it equals its slot's armed
+/// `due`; re-arming a slot earlier, or reaping it, leaves the old entry
+/// stale. Stale entries are skipped when they reach the top and swept
+/// out whenever they outnumber the live ones, so the heap stays within
+/// twice the armed slots.
+#[derive(Default)]
+struct DueIndex {
+    heap: BinaryHeap<Reverse<(Instant, Key)>>,
+    /// Slots with an armed due: the live entries.
+    armed: usize,
+}
+
+impl DueIndex {
+    /// Arms `due` (the slot's) at `at`, unless it is already armed no
+    /// later: an earlier poll than needed only returns `Wait` again.
+    fn arm(&mut self, key: Key, due: &mut Option<Instant>, at: Instant) {
+        match *due {
+            Some(armed) if armed <= at => return,
+            Some(_) => {}
+            None => self.armed += 1,
+        }
+        *due = Some(at);
+        self.heap.push(Reverse((at, key)));
     }
-    if matches!(datagram.payload, Payload::Request) {
-        if let Some(encoder) = shared.content.get(&datagram.session) {
-            // Process-unique seed: sender RNG streams must differ across
-            // shards, so the counter is shared, not per-shard.
-            let seed = shared.seed.fetch_add(1, Ordering::AcqRel) + 1;
-            if let Ok(mut session) = SenderSession::new(
-                Arc::clone(encoder),
-                datagram.session,
-                config.server.sender.clone(),
-                seed,
-                now,
-            ) {
-                session.handle_datagram(&datagram, now);
-                sessions.insert(key, session);
+
+    /// Forgets a reaped slot's armed due; its entry goes stale.
+    fn disarm(&mut self, due: Option<Instant>) {
+        if due.is_some() {
+            self.armed -= 1;
+        }
+    }
+
+    /// Takes the earliest live entry due at or before `now`, disarming
+    /// its slot.
+    fn pop_due(&mut self, now: Instant, slots: &mut HashMap<Key, Slot>) -> Option<Key> {
+        while let Some(&Reverse((due, key))) = self.heap.peek() {
+            if due > now {
+                return None;
             }
+            self.heap.pop();
+            if let Some(slot) = slots.get_mut(&key).filter(|slot| slot.due == Some(due)) {
+                slot.due = None;
+                self.armed -= 1;
+                return Some(key);
+            }
+        }
+        None
+    }
+
+    /// The earliest live due, dropping the stale entries above it.
+    fn next_due(&mut self, slots: &HashMap<Key, Slot>) -> Option<Instant> {
+        while let Some(&Reverse((due, key))) = self.heap.peek() {
+            if slots.get(&key).is_some_and(|slot| slot.due == Some(due)) {
+                return Some(due);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Sweeps the stale entries out once they outnumber the live ones.
+    fn compact(&mut self, slots: &HashMap<Key, Slot>) {
+        if self.heap.len() > 2 * self.armed {
+            self.heap
+                .retain(|Reverse((due, key))| slots.get(key).is_some_and(|s| s.due == Some(*due)));
         }
     }
 }
 
-/// Runs one session's burst, staging transmits into the socket's batch.
-/// `Ok(Some(wait))` quotes the session's next deadline, `Ok(None)` means
-/// it finished and was recorded.
-#[allow(clippy::too_many_arguments)]
-fn advance(
-    key: (SocketAddr, u64),
+/// What one [`ShardStep::step`] did. The polls feed `net.shard_polls` and
+/// `net.shard_idle_polls`; the step tests read the rest.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct StepStats {
+    /// Sessions whose armed due had come.
+    pub due: usize,
+    /// Sessions a delivered datagram touched (or created) since the
+    /// previous step.
+    pub arrived: usize,
+    /// Sessions polled: each got one turn.
+    pub turns: usize,
+    /// `SenderSession::poll` calls.
+    pub polls: u64,
+    /// Turns whose first poll returned `Wait`: the session sent nothing.
+    pub idle_polls: u64,
+}
+
+/// How one session's turn ended.
+enum Turn {
+    Wait(Duration),
+    /// Used up `burst_per_step`: due again at once, after the others.
+    Yield,
+    Finished,
+}
+
+/// One shard's sessions, without I/O: datagrams go in through
+/// [`deliver`](ShardStep::deliver), time advances through
+/// [`step`](ShardStep::step), and everything the sessions send leaves
+/// through the sinks `step` is given. A wake-up costs O(due + arrived)
+/// polls, not O(sessions): a session is polled when a datagram touched
+/// it, when the `Wait` it last quoted has run out, or right after a turn
+/// that used up its burst — at no other time.
+///
+/// Ready order is FIFO: last step's yields, then the sessions touched
+/// since in arrival order, then the due sessions in due order.
+pub(crate) struct ShardStep<'a> {
     shard: usize,
-    sessions: &mut HashMap<(SocketAddr, u64), SenderSession>,
-    burst_max: &mut HashMap<(SocketAddr, u64), u64>,
-    injector: &mut Option<FaultInjector<SocketAddr>>,
-    socket: &mut BatchSocket,
-    shared: &ServeShared,
-    config: &ShardedServerConfig,
-    now: Instant,
-) -> io::Result<Option<Duration>> {
-    let mut burst = 0u64;
-    let note = |burst_max: &mut HashMap<(SocketAddr, u64), u64>, burst: u64| {
-        let max = burst_max.entry(key).or_insert(0);
-        *max = (*max).max(burst);
-    };
-    loop {
-        let Some(session) = sessions.get_mut(&key) else { return Ok(None) };
-        match session.poll(now) {
-            SenderEvent::Transmit(bytes) => {
-                match injector {
-                    Some(injector) => {
-                        for (to, wire) in injector.admit(key.0, &bytes) {
-                            socket.queue(to, wire)?;
-                        }
-                        nc_pool::BytesPool::global().recycle(bytes);
-                    }
-                    // No faults: hand the encoded frame to the batch
-                    // without copying; `flush` recycles it.
-                    None => socket.queue(key.0, bytes)?,
+    config: &'a ServerConfig,
+    content: &'a HashMap<u64, Arc<dyn StreamCodecSender>>,
+    /// Process-wide session seed counter (sender RNG streams must differ
+    /// across shards).
+    seeds: &'a AtomicU64,
+    slots: HashMap<Key, Slot>,
+    index: DueIndex,
+    /// The next step's ready list, each key on it at most once (`queued`).
+    ready: Vec<Key>,
+    /// The list being run; swapped with `ready` so both keep capacity.
+    running: Vec<Key>,
+    /// Sessions `deliver` has queued since the last step.
+    arrived: usize,
+    stats: StepStats,
+}
+
+impl<'a> ShardStep<'a> {
+    pub(crate) fn new(
+        shard: usize,
+        config: &'a ServerConfig,
+        content: &'a HashMap<u64, Arc<dyn StreamCodecSender>>,
+        seeds: &'a AtomicU64,
+    ) -> ShardStep<'a> {
+        ShardStep {
+            shard,
+            config,
+            content,
+            seeds,
+            slots: HashMap::new(),
+            index: DueIndex::default(),
+            // lint: allow(vec-capacity) — made once per shard; swapped, never reallocated per wake once grown.
+            ready: Vec::new(),
+            // lint: allow(vec-capacity) — as `ready`.
+            running: Vec::new(),
+            arrived: 0,
+            stats: StepStats::default(),
+        }
+    }
+
+    /// Live sessions.
+    pub(crate) fn sessions(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// What the latest `step` did.
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> StepStats {
+        self.stats
+    }
+
+    /// Hands one owned datagram to its session (a published `Request`
+    /// from an unknown key creates one) and queues that session for the
+    /// next step.
+    pub(crate) fn deliver(&mut self, peer: SocketAddr, datagram: Datagram, now: Instant) {
+        let key = (peer, datagram.session);
+        let slot = match self.slots.entry(key) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                if !matches!(datagram.payload, Payload::Request) {
+                    return;
                 }
-                burst += 1;
-                if burst >= u64::from(config.server.burst_per_step) {
-                    note(burst_max, burst);
-                    return Ok(Some(Duration::ZERO)); // fairness: yield
-                }
+                let Some(encoder) = self.content.get(&datagram.session) else { return };
+                let seed = self.seeds.fetch_add(1, Ordering::AcqRel) + 1;
+                let Ok(session) = SenderSession::new(
+                    Arc::clone(encoder),
+                    datagram.session,
+                    self.config.sender.clone(),
+                    seed,
+                    now,
+                ) else {
+                    return;
+                };
+                entry.insert(Slot { session, due: None, max_burst: 0, queued: false })
             }
-            SenderEvent::Wait(wait) => {
-                note(burst_max, burst);
-                return Ok(Some(wait));
-            }
-            SenderEvent::Finished => {
-                note(burst_max, burst);
-                let session = sessions.remove(&key).expect("session present");
-                let mut metrics = session.metrics_snapshot(now);
-                metrics.counters.insert("session.max_burst_per_step".into(), burst_max[&key]);
-                burst_max.remove(&key);
-                shared.ledger.record(ServedTransfer {
-                    peer: key.0,
-                    session: key.1,
-                    shard,
-                    report: session.report(now),
-                    metrics,
-                });
-                return Ok(None);
+        };
+        slot.session.handle_datagram(&datagram, now);
+        if !slot.queued {
+            slot.queued = true;
+            self.ready.push(key);
+            self.arrived += 1;
+        }
+    }
+
+    /// Gives every ready session one turn at `now`: polls it until it
+    /// quotes a wait, finishes, or has sent `burst_per_step` datagrams.
+    /// Each datagram goes to `emit`, each finished transfer to
+    /// `finished`. Returns when the step next needs to run with no new
+    /// datagram (`now` after a yield), or `None` with no session armed.
+    ///
+    /// # Errors
+    ///
+    /// The first error `emit` returns; the step stops there.
+    pub(crate) fn step(
+        &mut self,
+        now: Instant,
+        emit: &mut impl FnMut(SocketAddr, Vec<u8>) -> io::Result<()>,
+        finished: &mut impl FnMut(ServedTransfer),
+    ) -> io::Result<Option<Instant>> {
+        std::mem::swap(&mut self.ready, &mut self.running);
+        let arrived = std::mem::take(&mut self.arrived);
+        let mut stats = StepStats { arrived, ..StepStats::default() };
+        while let Some(key) = self.index.pop_due(now, &mut self.slots) {
+            stats.due += 1;
+            let slot = self.slots.get_mut(&key).expect("a live entry has a slot");
+            if !std::mem::replace(&mut slot.queued, true) {
+                self.running.push(key);
             }
         }
+        let burst_cap = u64::from(self.config.burst_per_step);
+        let mut result = Ok(());
+        for &key in &self.running {
+            let Some(slot) = self.slots.get_mut(&key) else { continue };
+            slot.queued = false;
+            stats.turns += 1;
+            let mut burst = 0u64;
+            let turn = loop {
+                stats.polls += 1;
+                match slot.session.poll(now) {
+                    SenderEvent::Transmit(bytes) => {
+                        if let Err(err) = emit(key.0, bytes) {
+                            result = Err(err);
+                            break Turn::Yield;
+                        }
+                        burst += 1;
+                        if burst >= burst_cap {
+                            break Turn::Yield;
+                        }
+                    }
+                    SenderEvent::Wait(wait) => break Turn::Wait(wait),
+                    SenderEvent::Finished => break Turn::Finished,
+                }
+            };
+            slot.max_burst = slot.max_burst.max(burst);
+            match turn {
+                Turn::Wait(wait) => {
+                    stats.idle_polls += u64::from(burst == 0);
+                    self.index.arm(key, &mut slot.due, now + wait);
+                }
+                Turn::Yield => {
+                    slot.queued = true;
+                    self.ready.push(key);
+                }
+                Turn::Finished => {
+                    let slot = self.slots.remove(&key).expect("polled above");
+                    self.index.disarm(slot.due);
+                    let mut metrics = slot.session.metrics_snapshot(now);
+                    metrics.counters.insert("session.max_burst_per_step".into(), slot.max_burst);
+                    finished(ServedTransfer {
+                        peer: key.0,
+                        session: key.1,
+                        shard: self.shard,
+                        report: slot.session.report(now),
+                        metrics,
+                    });
+                }
+            }
+            if result.is_err() {
+                break;
+            }
+        }
+        self.running.clear();
+        self.index.compact(&self.slots);
+        let m = crate::metrics::metrics();
+        m.shard_polls.add(stats.polls);
+        m.shard_idle_polls.add(stats.idle_polls);
+        self.stats = stats;
+        result?;
+        Ok(if self.ready.is_empty() { self.index.next_due(&self.slots) } else { Some(now) })
     }
 }
 
@@ -477,6 +685,7 @@ mod tests {
     use super::*;
     use crate::channel::UdpChannel;
     use crate::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
+    use crate::session::SenderConfig;
     use nc_rlnc::stream::StreamEncoder;
     use nc_rlnc::CodingConfig;
 
@@ -510,6 +719,280 @@ mod tests {
         }
         assert_eq!(transfers.len(), receivers);
         transfers
+    }
+
+    /// What a [`ShardStep`] borrows: its config, the published content
+    /// (stream 1: dense 16 x 64 B, `segments` segments) and the seeds.
+    struct World {
+        config: ServerConfig,
+        content: HashMap<u64, Arc<dyn StreamCodecSender>>,
+        seeds: AtomicU64,
+        segments: usize,
+    }
+
+    impl World {
+        fn new(config: ServerConfig, segments: usize) -> World {
+            let coding = CodingConfig::new(16, 64).unwrap();
+            let data: Vec<u8> = (0..segments * 16 * 64).map(|i| (i % 247) as u8).collect();
+            let encoder: Arc<dyn StreamCodecSender> =
+                Arc::new(StreamEncoder::new(coding, &data).unwrap());
+            let content = HashMap::from([(1, encoder)]);
+            World { config, content, seeds: AtomicU64::new(0), segments }
+        }
+
+        fn step(&self) -> ShardStep<'_> {
+            ShardStep::new(0, &self.config, &self.content, &self.seeds)
+        }
+
+        /// Wire bytes of one data datagram of stream 1.
+        fn datagram_bytes(&self) -> usize {
+            crate::wire::HEADER_BYTES + self.content[&1].frame_wire_bytes()
+        }
+
+        fn ack(&self, received: u64) -> Datagram {
+            let completed = crate::wire::SegmentBitmap::new(self.segments);
+            Datagram::new(1, Payload::Ack { received, innovative: received, completed })
+        }
+    }
+
+    fn peer(i: usize) -> SocketAddr {
+        SocketAddr::from(([10, 0, (i >> 8) as u8, i as u8], 4000))
+    }
+
+    fn request() -> Datagram {
+        Datagram::new(1, Payload::Request)
+    }
+
+    /// Runs `step` in virtual time, as a shell that wakes exactly when
+    /// asked would: each arrival is delivered at its instant, and the
+    /// step runs at every arrival and at every due it returns, until
+    /// `end`. `on_emit` sees every datagram sent, `after` every step
+    /// with the datagrams it sent.
+    fn drive(
+        step: &mut ShardStep<'_>,
+        mut arrivals: VecDeque<(Instant, SocketAddr, Datagram)>,
+        end: Instant,
+        mut on_emit: impl FnMut(Instant, SocketAddr, Vec<u8>),
+        mut after: impl FnMut(&ShardStep<'_>, u64),
+    ) {
+        let mut due = None;
+        loop {
+            let arrival = arrivals.front().map(|(at, ..)| *at);
+            let Some(now) = [arrival, due].into_iter().flatten().min() else { break };
+            if now > end {
+                break;
+            }
+            while arrivals.front().is_some_and(|(at, ..)| *at <= now) {
+                let (_, from, datagram) = arrivals.pop_front().unwrap();
+                step.deliver(from, datagram, now);
+            }
+            let mut emitted = 0u64;
+            let mut emit = |to, bytes| {
+                emitted += 1;
+                on_emit(now, to, bytes);
+                Ok(())
+            };
+            due = step.step(now, &mut emit, &mut |_| {}).unwrap();
+            after(step, emitted);
+        }
+    }
+
+    fn kind(bytes: &[u8]) -> &'static str {
+        match Datagram::decode(bytes).unwrap().payload {
+            Payload::Announce(_) => "announce",
+            Payload::Data(_) => "data",
+            _ => "feedback",
+        }
+    }
+
+    #[test]
+    fn paced_sessions_are_polled_only_when_due() {
+        // 4096 peers at ~100 datagrams/s each, their requests spread over
+        // the first 10 ms: a step polls the sessions that came due or
+        // were touched, never all of them, and a turn that sends nothing
+        // is the exception.
+        const PEERS: usize = 4096;
+        let world = World::new(ServerConfig::default(), 16);
+        let datagram = world.datagram_bytes() as f64;
+        let world = World {
+            config: ServerConfig {
+                sender: SenderConfig {
+                    pace_bytes_per_s: Some(100.0 * datagram),
+                    burst_bytes: 4.0 * datagram,
+                    ..SenderConfig::default()
+                },
+                ..ServerConfig::default()
+            },
+            ..world
+        };
+        let mut step = world.step();
+        let t0 = Instant::now();
+        let arrivals = (0..PEERS)
+            .map(|i| (t0 + Duration::from_micros(150 * (i % 64) as u64), peer(i), request()))
+            .collect();
+        let (mut steps, mut polls, mut emitted_total) = (0u64, 0u64, 0u64);
+        drive(
+            &mut step,
+            arrivals,
+            t0 + Duration::from_millis(300),
+            |_, _, bytes| nc_pool::BytesPool::global().recycle(bytes),
+            |step, emitted| {
+                let stats = step.stats();
+                // Only due and touched sessions run (a paced turn never
+                // uses up its burst, so nothing yields).
+                assert!(stats.turns <= stats.due + stats.arrived, "{stats:?}");
+                assert!(stats.idle_polls as usize <= stats.turns, "{stats:?}");
+                // Every poll either sent a datagram or ended a turn.
+                assert!(stats.polls <= emitted + stats.turns as u64, "{stats:?}");
+                assert!(step.index.heap.len() <= 2 * step.index.armed + 1);
+                steps += 1;
+                polls += stats.polls;
+                emitted_total += emitted;
+            },
+        );
+        assert_eq!(step.sessions(), PEERS);
+        println!(
+            "{PEERS} paced sessions, 300 ms: {steps} steps, {:.1} polls per step, \
+             {:.3} polls per datagram ({emitted_total} datagrams)",
+            polls as f64 / steps as f64,
+            polls as f64 / emitted_total as f64,
+        );
+        assert!(emitted_total >= (PEERS * 25) as u64, "{emitted_total} datagrams");
+        assert!(polls <= 2 * emitted_total, "{polls} polls for {emitted_total} datagrams");
+    }
+
+    #[test]
+    fn re_arming_keeps_the_heap_within_twice_the_live_entries() {
+        let world = World::new(ServerConfig::default(), 4);
+        let mut step = world.step();
+        let t0 = Instant::now();
+        step.deliver(peer(0), request(), t0);
+        let key = (peer(0), 1);
+        let far = t0 + Duration::from_secs(3600);
+        for i in 0..10_000u32 {
+            // Each quote is earlier than the armed one: a fresh entry.
+            let slot = step.slots.get_mut(&key).unwrap();
+            step.index.arm(key, &mut slot.due, far - Duration::from_millis(u64::from(i)));
+            step.index.compact(&step.slots);
+            assert_eq!(step.index.armed, 1);
+            assert!(step.index.heap.len() <= 2 * step.index.armed + 1, "after {i} re-arms");
+        }
+        let latest = far - Duration::from_millis(9_999);
+        assert_eq!(step.index.next_due(&step.slots), Some(latest));
+        // A later quote keeps the earlier entry.
+        let slot = step.slots.get_mut(&key).unwrap();
+        step.index.arm(key, &mut slot.due, far);
+        assert_eq!(step.index.next_due(&step.slots), Some(latest));
+        assert_eq!(step.index.pop_due(latest, &mut step.slots), Some(key));
+        assert_eq!((step.index.armed, step.index.next_due(&step.slots)), (0, None));
+    }
+
+    #[test]
+    fn announce_retry_and_stall_timers_fire_within_ack_wait_of_due() {
+        // One unpaced session and no other traffic, so nothing but its own
+        // quotes wakes the step. A repeated request 19 ms after the
+        // announce makes it quote a timer 1 ms out, which the `ack_wait`
+        // floor turns into 2 ms.
+        let world = World::new(ServerConfig::default(), 4);
+        let sender = &world.config.sender;
+        let mut step = world.step();
+        let t0 = Instant::now();
+        let ack_at = t0 + Duration::from_millis(70);
+        let arrivals = VecDeque::from([
+            (t0, peer(0), request()),
+            (t0 + Duration::from_millis(19), peer(0), request()),
+            (ack_at, peer(0), world.ack(8)),
+        ]);
+        let mut sent: Vec<(Instant, &str)> = Vec::new();
+        drive(
+            &mut step,
+            arrivals,
+            ack_at + 2 * sender.stall_grace,
+            |now, _, bytes| sent.push((now, kind(&bytes))),
+            |_, _| {},
+        );
+        let announces: Vec<Instant> =
+            sent.iter().filter(|(_, k)| *k == "announce").map(|(at, _)| *at).collect();
+        assert!(announces.len() >= 3, "{announces:?}");
+        for pair in announces.windows(2) {
+            let late = pair[1] - (pair[0] + sender.announce_interval);
+            assert!(late <= sender.ack_wait, "announce retry {late:?} late");
+        }
+        // After the ACK the regranted budget goes out at once; then the
+        // session starves until the stall trickle at ACK + `stall_grace`.
+        let trickle_due = ack_at + sender.stall_grace;
+        let trickled = sent
+            .iter()
+            .find(|(at, k)| *at > ack_at && *k == "data" && *at + sender.ack_wait >= trickle_due)
+            .expect("the stall trickle released frames")
+            .0;
+        assert!(trickled >= trickle_due, "trickled {:?} early", trickle_due - trickled);
+        assert!(trickled - trickle_due <= sender.ack_wait, "{:?} late", trickled - trickle_due);
+    }
+
+    #[test]
+    fn every_ready_session_gets_its_first_burst_before_any_gets_a_second() {
+        const PEERS: usize = 64;
+        let config = ServerConfig { burst_per_step: 32, ..ServerConfig::default() };
+        let world = World::new(config, 16);
+        let mut step = world.step();
+        let t0 = Instant::now();
+        let arrivals = (0..PEERS).map(|i| (t0, peer(i), request())).collect();
+        let mut order: Vec<SocketAddr> = Vec::new();
+        drive(
+            &mut step,
+            arrivals,
+            t0,
+            |_, to, bytes| {
+                order.push(to);
+                nc_pool::BytesPool::global().recycle(bytes);
+            },
+            |_, _| {},
+        );
+        let bursts: Vec<(SocketAddr, usize)> =
+            order.chunk_by(|a, b| a == b).map(|run| (run[0], run.len())).collect();
+        assert!(bursts.len() >= 2 * PEERS, "{} bursts", bursts.len());
+        let first: Vec<SocketAddr> = bursts[..PEERS].iter().map(|&(to, _)| to).collect();
+        assert_eq!(first, (0..PEERS).map(peer).collect::<Vec<_>>(), "arrival order");
+        assert!(bursts[..PEERS].iter().all(|&(_, len)| len == 32), "full bursts");
+        let second: Vec<SocketAddr> = bursts[PEERS..2 * PEERS].iter().map(|&(to, _)| to).collect();
+        assert_eq!(second, first, "yields run again in the same order");
+    }
+
+    #[test]
+    fn a_forwarded_datagram_touches_its_session_at_the_owners_next_step() {
+        let world = World::new(ServerConfig::default(), 4);
+        let mut step = world.step();
+        let t0 = Instant::now();
+        step.deliver(peer(0), request(), t0);
+        let mut emit = |_, bytes| {
+            nc_pool::BytesPool::global().recycle(bytes);
+            Ok(())
+        };
+        // Announce and budget out, a burst per step; the session then
+        // waits on timers.
+        let due = loop {
+            let due = step.step(t0, &mut emit, &mut |_| {}).unwrap().expect("armed");
+            if due > t0 {
+                break due;
+            }
+        };
+        let now = t0 + Duration::from_millis(1);
+        assert!(due > now, "nothing is due at {now:?}");
+        // Another shard received this session's ACK and forwarded it.
+        let mailbox = Mailbox::new();
+        mailbox.push(peer(0), world.ack(8).encode().unwrap());
+        let mut inbox = Vec::new();
+        mailbox.drain_into(&mut inbox);
+        assert!(mailbox.pop().is_none());
+        for (from, datagram) in inbox {
+            step.deliver(from, datagram, now);
+        }
+        step.step(now, &mut emit, &mut |_| {}).unwrap();
+        let stats = step.stats();
+        assert_eq!((stats.arrived, stats.due, stats.turns), (1, 0, 1), "{stats:?}");
+        let session = &step.slots[&(peer(0), 1)].session;
+        assert_eq!(session.report(now).acks_received, 1);
     }
 
     #[test]

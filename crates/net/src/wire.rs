@@ -460,9 +460,22 @@ impl SegmentBitmap {
         self.bytes.iter().map(|byte| byte.count_ones() as usize).sum()
     }
 
-    /// Whether every segment is complete.
-    pub fn all_complete(&self) -> bool {
-        self.bits > 0 && self.count_complete() == self.bits
+    /// Marks complete every segment `other` marks complete, a byte at a
+    /// time, and returns the new [`count_complete`](Self::count_complete).
+    /// Segments past `len()` are ignored: when `other` is longer, the bits
+    /// of the last shared byte beyond `len()` are masked off, so padding
+    /// stays clear.
+    pub fn union_with(&mut self, other: &SegmentBitmap) -> usize {
+        let shared = self.bytes.len().min(other.bytes.len());
+        for (mine, theirs) in self.bytes[..shared].iter_mut().zip(&other.bytes) {
+            *mine |= theirs;
+        }
+        if other.bits > self.bits && !self.bits.is_multiple_of(8) {
+            if let Some(last) = self.bytes.last_mut() {
+                *last &= (1u8 << (self.bits % 8)) - 1;
+            }
+        }
+        self.count_complete()
     }
 
     fn to_wire(&self, out: &mut Vec<u8>) {
@@ -487,7 +500,7 @@ impl SegmentBitmap {
                 return None;
             }
         }
-        // lint: allow(vec-capacity) — one small owned bitmap per ACK (1 in `ack_every` frames), kept by the sender session; data datagrams never come here.
+        // lint: allow(vec-capacity) — one small owned bitmap per ACK: one per `ack_every` data frames plus one per completed segment (the ACK timer stretches to the flow's frame rate), merged into the sender's own bitmap and dropped; data datagrams never come here.
         Some(SegmentBitmap { bits, bytes: body.to_vec() })
     }
 }
@@ -948,12 +961,10 @@ mod tests {
     #[test]
     fn bitmap_set_get_and_padding_rules() {
         let mut bitmap = SegmentBitmap::new(10);
-        assert!(!bitmap.all_complete());
         for i in 0..10 {
             bitmap.set(i);
         }
         bitmap.set(1000); // out of range: ignored
-        assert!(bitmap.all_complete());
         assert_eq!(bitmap.count_complete(), 10);
 
         // The byte popcount against the bit walk, on lengths that are and
@@ -968,12 +979,9 @@ mod tests {
             let walked = (0..bits).filter(|&i| bitmap.get(i)).count();
             assert_eq!(bitmap.count_complete(), walked, "bits={bits}");
             assert_eq!(walked, bits.div_ceil(3));
-            assert!(!bitmap.all_complete() || bits == 1);
             (0..bits).for_each(|i| bitmap.set(i));
             assert_eq!(bitmap.count_complete(), bits);
-            assert!(bitmap.all_complete());
         }
-        assert!(!SegmentBitmap::new(0).all_complete());
 
         // Padding bits set in the last byte must not decode (one wire form
         // per bitmap).
@@ -1114,6 +1122,34 @@ mod tests {
             if let Some(folded) = clmul::crc32(state, &bytes) {
                 proptest::prop_assert_eq!(folded, oracle);
             }
+        }
+
+        /// The byte-wise merge against the per-bit loop it replaced, on
+        /// equal and mismatched lengths (an ACK's bitmap is wire input).
+        #[test]
+        fn bitmap_union_matches_the_per_bit_merge(
+            mine in proptest::collection::vec(proptest::prelude::any::<bool>(), 0..80),
+            theirs in proptest::collection::vec(proptest::prelude::any::<bool>(), 0..80),
+        ) {
+            let bitmap = |bits: &[bool]| {
+                let mut bitmap = SegmentBitmap::new(bits.len());
+                bits.iter().enumerate().filter(|(_, &b)| b).for_each(|(i, _)| bitmap.set(i));
+                bitmap
+            };
+            let (mut merged, other) = (bitmap(&mine), bitmap(&theirs));
+            let mut oracle = merged.clone();
+            for i in 0..oracle.len().min(other.len()) {
+                if other.get(i) {
+                    oracle.set(i);
+                }
+            }
+            let count = merged.union_with(&other);
+            proptest::prop_assert_eq!(&merged, &oracle);
+            proptest::prop_assert_eq!(count, oracle.count_complete());
+            // Padding stays clear: the merged bitmap has one wire form.
+            let mut raw = Vec::new();
+            merged.to_wire(&mut raw);
+            proptest::prop_assert_eq!(SegmentBitmap::from_wire(&raw), Some(merged));
         }
     }
 
