@@ -9,12 +9,10 @@
 //! global-memory coalescing and shared-memory bank conflicts are *measured*,
 //! not estimated.
 //!
-//! Kernels program against the object-safe [`LaunchCtx`] surface, so the
-//! same body runs on the simulator's [`BlockCtx`] and on any other executor
-//! that implements the trait. On the simulator every operation is
-//! functionally executed (loads return real data, stores mutate real device
-//! memory) and charged to [`ExecCounters`]. ALU work that has no memory side
-//! effect is charged via [`LaunchCtx::alu`].
+//! Kernels program against [`BlockCtx`], the one instruction surface. Every
+//! operation is functionally executed (loads return real data, stores
+//! mutate real device memory) and charged to [`ExecCounters`]. ALU work
+//! that has no memory side effect is charged via [`BlockCtx::alu`].
 
 use crate::device::DeviceSpec;
 use crate::mem::GlobalMemory;
@@ -23,99 +21,13 @@ use crate::shared::SharedMem;
 use crate::stats::ExecCounters;
 use crate::texture::TexCache;
 
-/// The warp-vectorized instruction surface a kernel body programs against.
+/// The per-block execution context handed to [`crate::Kernel::run_block`]:
+/// the warp-vectorized instruction surface a kernel body programs against.
 ///
 /// One call issues an operation for **all active lanes of the current
 /// warp**; address slices carry one address per lane. The warp-wide
 /// operations panic if more than a warp of lanes is passed, the address and
 /// value slices differ in length, or an address is out of device memory.
-pub trait LaunchCtx {
-    /// This block's index within the launch grid.
-    fn block_idx(&self) -> usize;
-    /// Total blocks in the launch grid.
-    fn grid_blocks(&self) -> usize;
-    /// Threads in this block.
-    fn block_threads(&self) -> usize;
-    /// The executing device's specification.
-    fn spec(&self) -> &DeviceSpec;
-
-    /// Number of warps in this block.
-    fn warps(&self) -> usize {
-        self.block_threads().div_ceil(self.spec().warp_size)
-    }
-
-    /// Number of active lanes in warp `w` (the last warp may be partial).
-    fn lanes_in_warp(&self, w: usize) -> usize {
-        let ws = self.spec().warp_size;
-        self.block_threads().saturating_sub(w * ws).min(ws)
-    }
-
-    /// Declares which warp issues the operations that follow, for the
-    /// sanitizer's race attribution (kernels call this at the top of their
-    /// per-warp loops). Has no effect on cost accounting.
-    fn at_warp(&mut self, warp: usize);
-    /// Charges `warp_instructions` instructions of pure ALU/register work
-    /// (no memory side effects).
-    fn alu(&mut self, warp_instructions: u64);
-    /// Block-wide barrier (`__syncthreads()`).
-    fn sync(&mut self);
-
-    /// Warp load of 4-byte global words: `out[i] = *addrs[i]` for every
-    /// active lane. Coalescing is computed from the actual address vector.
-    fn ld_global_u32(&mut self, addrs: &[u64], out: &mut [u32]);
-    /// Warp store of 4-byte global words.
-    fn st_global_u32(&mut self, addrs: &[u64], vals: &[u32]);
-    /// Warp load of single global bytes.
-    fn ld_global_u8(&mut self, addrs: &[u64], out: &mut [u8]);
-    /// Warp store of single global bytes.
-    fn st_global_u8(&mut self, addrs: &[u64], vals: &[u8]);
-    /// Whole-warp read of one 4-byte global word — the *memory broadcast*
-    /// the paper's Fig. 2 partitioning exploits for coefficient loads. One
-    /// transaction regardless of warp width.
-    fn ld_global_u32_broadcast(&mut self, addr: u64) -> u32;
-
-    /// Warp load of 4-byte shared-memory words; bank conflicts are measured
-    /// from the byte addresses.
-    fn ld_shared_u32(&mut self, addrs: &[u64], out: &mut [u32]);
-    /// Warp store of 4-byte shared-memory words.
-    fn st_shared_u32(&mut self, addrs: &[u64], vals: &[u32]);
-    /// Warp load of shared-memory bytes.
-    fn ld_shared_u8(&mut self, addrs: &[u64], out: &mut [u8]);
-    /// Warp store of shared-memory bytes.
-    fn st_shared_u8(&mut self, addrs: &[u64], vals: &[u8]);
-    /// Block-wide broadcast load of one shared word that every warp
-    /// consumes (a pivot, a factor). Conflict-free within each warp.
-    fn ld_shared_u32_broadcast(&mut self, addr: u32) -> u32;
-    /// Warp-level `atomicMin` on one shared word: every active lane
-    /// proposes a value; the final minimum is stored and returned.
-    ///
-    /// # Panics
-    ///
-    /// On the simulator, if the device lacks shared-memory atomics (the
-    /// paper notes the GTX 280 is the first CUDA GPU with them; the 8800 GT
-    /// has none).
-    fn atomic_min_shared_u32(&mut self, addr: u32, lane_vals: &[u32]) -> u32;
-
-    /// Warp byte fetch through the texture cache (Table-based-4's exp-table
-    /// path).
-    fn tex_fetch_u8(&mut self, addrs: &[u64], out: &mut [u8]);
-
-    /// Reads a device word *without charging any cost*.
-    ///
-    /// For kernels that model an on-chip mirror of device data (e.g. a
-    /// shared-memory cache of the coefficient matrix): the access cost is
-    /// charged against the mirror via [`LaunchCtx::ld_shared_u32`], while
-    /// the functional value is read here from the authoritative global
-    /// copy. Never use this as a shortcut around a real, costed access.
-    /// The sanitizer ignores this read too — the paired shared-memory
-    /// access is the one that is checked.
-    fn peek_global_u32(&self, addr: u64) -> u32;
-    /// Read-only view of this block's shared memory.
-    fn shared_slice(&self) -> &[u8];
-}
-
-/// The simulator's per-block execution context handed to
-/// [`crate::Kernel::run_block`].
 pub struct BlockCtx<'a> {
     block_idx: usize,
     grid_blocks: usize,
@@ -171,43 +83,64 @@ impl<'a> BlockCtx<'a> {
         assert!(addrs <= self.spec.warp_size, "more lanes than a warp: {addrs}");
         assert_eq!(addrs, vals, "lane address/value count mismatch");
     }
-}
 
-impl LaunchCtx for BlockCtx<'_> {
+    /// This block's index within the launch grid.
     #[inline]
-    fn block_idx(&self) -> usize {
+    pub fn block_idx(&self) -> usize {
         self.block_idx
     }
 
+    /// Total blocks in the launch grid.
     #[inline]
-    fn grid_blocks(&self) -> usize {
+    pub fn grid_blocks(&self) -> usize {
         self.grid_blocks
     }
 
+    /// Threads in this block.
     #[inline]
-    fn block_threads(&self) -> usize {
+    pub fn block_threads(&self) -> usize {
         self.block_threads
     }
 
+    /// The executing device's specification.
     #[inline]
-    fn spec(&self) -> &DeviceSpec {
+    pub fn spec(&self) -> &DeviceSpec {
         self.spec
     }
 
+    /// Number of warps in this block.
     #[inline]
-    fn at_warp(&mut self, warp: usize) {
+    pub fn warps(&self) -> usize {
+        self.block_threads.div_ceil(self.spec.warp_size)
+    }
+
+    /// Number of active lanes in warp `w` (the last warp may be partial).
+    #[inline]
+    pub fn lanes_in_warp(&self, w: usize) -> usize {
+        let ws = self.spec.warp_size;
+        self.block_threads.saturating_sub(w * ws).min(ws)
+    }
+
+    /// Declares which warp issues the operations that follow, for the
+    /// sanitizer's race attribution (kernels call this at the top of their
+    /// per-warp loops). Has no effect on cost accounting.
+    #[inline]
+    pub fn at_warp(&mut self, warp: usize) {
         if let Some(san) = self.san.as_deref_mut() {
             san.set_warp(warp);
         }
     }
 
+    /// Charges `warp_instructions` instructions of pure ALU/register work
+    /// (no memory side effects).
     #[inline]
-    fn alu(&mut self, warp_instructions: u64) {
+    pub fn alu(&mut self, warp_instructions: u64) {
         self.counters.warp_instructions += warp_instructions;
     }
 
+    /// Block-wide barrier (`__syncthreads()`).
     #[inline]
-    fn sync(&mut self) {
+    pub fn sync(&mut self) {
         self.counters.syncs += 1;
         if let Some(san) = self.san.as_deref_mut() {
             san.on_sync();
@@ -218,7 +151,9 @@ impl LaunchCtx for BlockCtx<'_> {
     // Global memory
     // ------------------------------------------------------------------
 
-    fn ld_global_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
+    /// Warp load of 4-byte global words: `out[i] = *addrs[i]` for every
+    /// active lane. Coalescing is computed from the actual address vector.
+    pub fn ld_global_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
         self.check_warp(addrs.len(), out.len());
         let hw = self.half_warp();
         let tx = GlobalMemory::charge(&mut self.counters, addrs, 4, hw);
@@ -231,7 +166,8 @@ impl LaunchCtx for BlockCtx<'_> {
         }
     }
 
-    fn st_global_u32(&mut self, addrs: &[u64], vals: &[u32]) {
+    /// Warp store of 4-byte global words.
+    pub fn st_global_u32(&mut self, addrs: &[u64], vals: &[u32]) {
         self.check_warp(addrs.len(), vals.len());
         let hw = self.half_warp();
         let tx = GlobalMemory::charge(&mut self.counters, addrs, 4, hw);
@@ -244,7 +180,8 @@ impl LaunchCtx for BlockCtx<'_> {
         }
     }
 
-    fn ld_global_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
+    /// Warp load of single global bytes.
+    pub fn ld_global_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
         self.check_warp(addrs.len(), out.len());
         let hw = self.half_warp();
         let tx = GlobalMemory::charge(&mut self.counters, addrs, 1, hw);
@@ -257,7 +194,8 @@ impl LaunchCtx for BlockCtx<'_> {
         }
     }
 
-    fn st_global_u8(&mut self, addrs: &[u64], vals: &[u8]) {
+    /// Warp store of single global bytes.
+    pub fn st_global_u8(&mut self, addrs: &[u64], vals: &[u8]) {
         self.check_warp(addrs.len(), vals.len());
         let hw = self.half_warp();
         let tx = GlobalMemory::charge(&mut self.counters, addrs, 1, hw);
@@ -270,7 +208,10 @@ impl LaunchCtx for BlockCtx<'_> {
         }
     }
 
-    fn ld_global_u32_broadcast(&mut self, addr: u64) -> u32 {
+    /// Whole-warp read of one 4-byte global word — the *memory broadcast*
+    /// the paper's Fig. 2 partitioning exploits for coefficient loads. One
+    /// transaction regardless of warp width.
+    pub fn ld_global_u32_broadcast(&mut self, addr: u64) -> u32 {
         self.counters.gmem_ops += 1;
         self.counters.gmem_transactions += 1;
         self.counters.gmem_bytes += 64;
@@ -285,7 +226,9 @@ impl LaunchCtx for BlockCtx<'_> {
     // Shared memory
     // ------------------------------------------------------------------
 
-    fn ld_shared_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
+    /// Warp load of 4-byte shared-memory words; bank conflicts are measured
+    /// from the byte addresses.
+    pub fn ld_shared_u32(&mut self, addrs: &[u64], out: &mut [u32]) {
         self.check_warp(addrs.len(), out.len());
         let hw = self.half_warp();
         let extra = self.shared.charge(&mut self.counters, addrs, hw);
@@ -298,7 +241,8 @@ impl LaunchCtx for BlockCtx<'_> {
         }
     }
 
-    fn st_shared_u32(&mut self, addrs: &[u64], vals: &[u32]) {
+    /// Warp store of 4-byte shared-memory words.
+    pub fn st_shared_u32(&mut self, addrs: &[u64], vals: &[u32]) {
         self.check_warp(addrs.len(), vals.len());
         let hw = self.half_warp();
         let extra = self.shared.charge(&mut self.counters, addrs, hw);
@@ -311,7 +255,8 @@ impl LaunchCtx for BlockCtx<'_> {
         }
     }
 
-    fn ld_shared_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
+    /// Warp load of shared-memory bytes.
+    pub fn ld_shared_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
         self.check_warp(addrs.len(), out.len());
         let hw = self.half_warp();
         let extra = self.shared.charge(&mut self.counters, addrs, hw);
@@ -324,7 +269,8 @@ impl LaunchCtx for BlockCtx<'_> {
         }
     }
 
-    fn st_shared_u8(&mut self, addrs: &[u64], vals: &[u8]) {
+    /// Warp store of shared-memory bytes.
+    pub fn st_shared_u8(&mut self, addrs: &[u64], vals: &[u8]) {
         self.check_warp(addrs.len(), vals.len());
         let hw = self.half_warp();
         let extra = self.shared.charge(&mut self.counters, addrs, hw);
@@ -337,10 +283,13 @@ impl LaunchCtx for BlockCtx<'_> {
         }
     }
 
+    /// Block-wide broadcast load of one shared word that every warp
+    /// consumes (a pivot, a factor). Conflict-free within each warp.
+    ///
     /// Charged as one conflict-free access per warp of the block; under
     /// the sanitizer the read is attributed to *all* warps, so a same-epoch
     /// write to the word from any warp is reported as a race.
-    fn ld_shared_u32_broadcast(&mut self, addr: u32) -> u32 {
+    pub fn ld_shared_u32_broadcast(&mut self, addr: u32) -> u32 {
         let warps = self.warps() as u64;
         self.counters.warp_instructions += warps;
         self.counters.smem_ops += warps;
@@ -350,9 +299,15 @@ impl LaunchCtx for BlockCtx<'_> {
         self.shared.read_u32(addr)
     }
 
-    /// Atomics to one address serialize, which is charged as conflict
-    /// cycles.
-    fn atomic_min_shared_u32(&mut self, addr: u32, lane_vals: &[u32]) -> u32 {
+    /// Warp-level `atomicMin` on one shared word: every active lane
+    /// proposes a value; the final minimum is stored and returned. Atomics
+    /// to one address serialize, which is charged as conflict cycles.
+    ///
+    /// # Panics
+    ///
+    /// If the device lacks shared-memory atomics (the paper notes the
+    /// GTX 280 is the first CUDA GPU with them; the 8800 GT has none).
+    pub fn atomic_min_shared_u32(&mut self, addr: u32, lane_vals: &[u32]) -> u32 {
         assert!(
             self.spec.has_shared_atomics,
             "{} does not support shared-memory atomics",
@@ -379,9 +334,12 @@ impl LaunchCtx for BlockCtx<'_> {
     // Texture memory
     // ------------------------------------------------------------------
 
+    /// Warp byte fetch through the texture cache (Table-based-4's exp-table
+    /// path).
+    ///
     /// Texture address calculation is cheaper than shared-memory indexing,
     /// so only the fetch instruction itself is charged.
-    fn tex_fetch_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
+    pub fn tex_fetch_u8(&mut self, addrs: &[u64], out: &mut [u8]) {
         self.check_warp(addrs.len(), out.len());
         self.counters.warp_instructions += 1;
         self.tex.access(&mut self.counters, addrs);
@@ -401,12 +359,22 @@ impl LaunchCtx for BlockCtx<'_> {
     // Uncharged functional access
     // ------------------------------------------------------------------
 
+    /// Reads a device word *without charging any cost*.
+    ///
+    /// For kernels that model an on-chip mirror of device data (e.g. a
+    /// shared-memory cache of the coefficient matrix): the access cost is
+    /// charged against the mirror via [`BlockCtx::ld_shared_u32`], while
+    /// the functional value is read here from the authoritative global
+    /// copy. Never use this as a shortcut around a real, costed access.
+    /// The sanitizer ignores this read too — the paired shared-memory
+    /// access is the one that is checked.
     #[inline]
-    fn peek_global_u32(&self, addr: u64) -> u32 {
+    pub fn peek_global_u32(&self, addr: u64) -> u32 {
         self.gmem.read_u32(addr)
     }
 
-    fn shared_slice(&self) -> &[u8] {
+    /// Read-only view of this block's shared memory.
+    pub fn shared_slice(&self) -> &[u8] {
         self.shared.as_slice()
     }
 }

@@ -1,6 +1,6 @@
 //! The host-side GPU handle: allocation, transfers, kernel launches.
 
-use crate::ctx::{BlockCtx, LaunchCtx};
+use crate::ctx::BlockCtx;
 use crate::device::DeviceSpec;
 use crate::mem::{DeviceBuffer, GlobalMemory};
 use crate::sanitizer::{SanitizerConfig, SanitizerReport, SanitizerState};
@@ -10,16 +10,14 @@ use crate::timing;
 
 /// A kernel: code executed once per thread block of a launch.
 ///
-/// Kernel code is warp-vectorized against the object-safe [`LaunchCtx`]
-/// surface, so one body runs on the simulator ([`BlockCtx`]) and on any
-/// other executor. Blocks must be mutually independent, as on real
-/// hardware, because an executor may run them in any order or in parallel.
-/// (The simulator runs them in grid order, but relying on that is a kernel
-/// bug.) `Sync` lets a parallel executor share one kernel reference across
-/// worker threads.
-pub trait Kernel: Sync {
+/// Kernel code is warp-vectorized against [`BlockCtx`]. Blocks must be
+/// mutually independent: real hardware runs them in any order, and a
+/// sampled launch ([`Gpu::launch_sampled`]) skips most of them. (The
+/// simulator runs them in grid order, but relying on that is a kernel
+/// bug.)
+pub trait Kernel {
     /// Executes one thread block.
-    fn run_block(&self, ctx: &mut dyn LaunchCtx);
+    fn run_block(&self, ctx: &mut BlockCtx<'_>);
 }
 
 /// Launch geometry: the `<<<grid, block, shared>>>` triple of CUDA.
@@ -45,13 +43,13 @@ pub struct TransferStats {
 /// A simulated GPU: device memory plus the launch machinery.
 ///
 /// ```
-/// use nc_gpu_sim::{Gpu, DeviceSpec, GridConfig, Kernel, LaunchCtx};
+/// use nc_gpu_sim::{BlockCtx, Gpu, DeviceSpec, GridConfig, Kernel};
 ///
 /// /// Doubles every 32-bit word of a buffer.
 /// struct DoubleKernel { buf: nc_gpu_sim::DeviceBuffer, words: usize }
 ///
 /// impl Kernel for DoubleKernel {
-///     fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+///     fn run_block(&self, ctx: &mut BlockCtx<'_>) {
 ///         let lanes = ctx.block_threads();
 ///         let base = self.buf;
 ///         let mut addrs = Vec::new();
@@ -201,7 +199,7 @@ impl Gpu {
     ///
     /// Panics if the grid is empty or a block exceeds device limits.
     pub fn launch<K: Kernel + ?Sized>(&mut self, kernel: &K, grid: GridConfig) -> LaunchStats {
-        self.launch_inner(kernel, grid, std::any::type_name::<K>())
+        self.run(kernel, grid, 1, std::any::type_name::<K>())
     }
 
     /// Launches `kernel` under the sanitizer with an explicit report label,
@@ -223,13 +221,56 @@ impl Gpu {
         if self.sanitizer.is_none() {
             self.enable_sanitizer(SanitizerConfig::default());
         }
-        self.launch_inner(kernel, grid, label)
+        self.run(kernel, grid, 1, label)
     }
 
-    fn launch_inner<K: Kernel + ?Sized>(
+    /// Launches `kernel` over `grid`, but *functionally executes only a
+    /// deterministic subset* of at most `max_blocks_executed` blocks and
+    /// scales the counters up to the full grid.
+    ///
+    /// This is a measurement accelerator for **uniform** grids (every block
+    /// performs statistically identical work, as all the network-coding
+    /// kernels do): the modeled timing converges to [`Gpu::launch`]'s while
+    /// the host-side simulation cost stays bounded. Device memory is only
+    /// partially written, so the functional output must not be consumed —
+    /// use [`Gpu::launch`] when results matter.
+    ///
+    /// Sampled launches are never sanitized, not even when the grid fits
+    /// under the cap and every block runs: the skipped blocks leave device
+    /// memory partially written, which would poison the initialization
+    /// shadow. An enabled sanitizer is suspended for the duration and
+    /// everything allocated is conservatively marked initialized afterward.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid is empty, a block exceeds device limits, or
+    /// `max_blocks_executed` is zero.
+    pub fn launch_sampled<K: Kernel + ?Sized>(
         &mut self,
         kernel: &K,
         grid: GridConfig,
+        max_blocks_executed: usize,
+    ) -> LaunchStats {
+        assert!(max_blocks_executed > 0, "must execute at least one block");
+        let suspended = self.sanitizer.take();
+        let stride = grid.blocks.div_ceil(max_blocks_executed);
+        let stats = self.run(kernel, grid, stride, std::any::type_name::<K>());
+        if let Some(mut san) = suspended {
+            san.mark_all_initialized();
+            self.sanitizer = Some(san);
+        }
+        stats
+    }
+
+    /// Executes every `stride`-th block of `grid` and models the launch.
+    /// At `stride > 1` the executed blocks' counters are scaled up to the
+    /// full grid and spread evenly over the SMs, mirroring the round-robin
+    /// distribution of a uniform launch.
+    fn run<K: Kernel + ?Sized>(
+        &mut self,
+        kernel: &K,
+        grid: GridConfig,
+        stride: usize,
         label: &str,
     ) -> LaunchStats {
         assert!(grid.blocks > 0, "empty grid");
@@ -255,7 +296,8 @@ impl Gpu {
             san.begin_launch(label);
         }
         let mut per_sm = vec![ExecCounters::default(); self.spec.sm_count];
-        for block_idx in 0..grid.blocks {
+        let mut executed = 0usize;
+        for block_idx in (0..grid.blocks).step_by(stride) {
             let sm = block_idx % self.spec.sm_count;
             let mut ctx = BlockCtx::new(
                 block_idx,
@@ -269,6 +311,19 @@ impl Gpu {
             );
             kernel.run_block(&mut ctx);
             per_sm[sm].merge(&ctx.into_counters());
+            executed += 1;
+        }
+        if stride > 1 {
+            let mut pooled = ExecCounters::default();
+            for c in &per_sm {
+                pooled.merge(c);
+            }
+            // Cold texture misses do not scale with the grid.
+            let total = ExecCounters {
+                tex_misses: pooled.tex_misses,
+                ..pooled.scaled(grid.blocks as f64 / executed as f64)
+            };
+            per_sm.fill(total.scaled(1.0 / self.spec.sm_count as f64));
         }
 
         let mut stats = timing::model_launch(
@@ -282,131 +337,7 @@ impl Gpu {
             stats.sanitizer = Some(san.finish_launch(&stats));
         }
         m.launches.inc();
-        m.blocks_executed.add(grid.blocks as u64);
-        m.modeled_time_ns.record((stats.elapsed_s * 1e9) as u64);
-        host_span.stop();
-        stats
-    }
-
-    /// Launches `kernel` over `grid`, but *functionally executes only a
-    /// deterministic subset* of at most `max_blocks_executed` blocks and
-    /// scales the counters up to the full grid.
-    ///
-    /// This is a measurement accelerator for **uniform** grids (every block
-    /// performs statistically identical work, as all the network-coding
-    /// kernels do): the modeled timing converges to [`Gpu::launch`]'s while
-    /// the host-side simulation cost stays bounded. Device memory is only
-    /// partially written, so the functional output must not be consumed —
-    /// use [`Gpu::launch`] when results matter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid is empty, a block exceeds device limits, or
-    /// `max_blocks_executed` is zero.
-    ///
-    /// Sampled launches are never sanitized: the skipped blocks leave
-    /// device memory partially written, which would poison the
-    /// initialization shadow. An enabled sanitizer is suspended for the
-    /// duration and everything allocated is conservatively marked
-    /// initialized afterward.
-    pub fn launch_sampled<K: Kernel + ?Sized>(
-        &mut self,
-        kernel: &K,
-        grid: GridConfig,
-        max_blocks_executed: usize,
-    ) -> LaunchStats {
-        let suspended = self.sanitizer.take();
-        let stats = self.launch_sampled_inner(kernel, grid, max_blocks_executed);
-        if let Some(mut san) = suspended {
-            san.mark_all_initialized();
-            self.sanitizer = Some(san);
-        }
-        stats
-    }
-
-    fn launch_sampled_inner<K: Kernel + ?Sized>(
-        &mut self,
-        kernel: &K,
-        grid: GridConfig,
-        max_blocks_executed: usize,
-    ) -> LaunchStats {
-        assert!(grid.blocks > 0, "empty grid");
-        assert!(max_blocks_executed > 0, "must execute at least one block");
-        if grid.blocks <= max_blocks_executed {
-            return self.launch(kernel, grid);
-        }
-        let m = crate::metrics::metrics();
-        let host_span = m.host_time_ns.span();
-        let resident = timing::occupancy(&self.spec, grid.threads_per_block, grid.shared_bytes)
-            .min(grid.blocks.div_ceil(self.spec.sm_count));
-        for cache in &mut self.tex_caches {
-            cache.invalidate();
-        }
-
-        // Execute an evenly spaced subset and pool the counters.
-        let stride = grid.blocks.div_ceil(max_blocks_executed);
-        let mut pooled = ExecCounters::default();
-        let mut executed = 0usize;
-        for block_idx in (0..grid.blocks).step_by(stride) {
-            let sm = block_idx % self.spec.sm_count;
-            let mut ctx = BlockCtx::new(
-                block_idx,
-                grid.blocks,
-                grid.threads_per_block,
-                grid.shared_bytes,
-                &self.spec,
-                &mut self.mem,
-                &mut self.tex_caches[sm],
-                None,
-            );
-            kernel.run_block(&mut ctx);
-            pooled.merge(&ctx.into_counters());
-            executed += 1;
-        }
-
-        // Scale to the full grid and spread evenly over SMs, mirroring the
-        // round-robin distribution of a uniform launch.
-        let scale = grid.blocks as f64 / executed as f64;
-        let scale_u64 = |v: u64| (v as f64 * scale) as u64;
-        let total = ExecCounters {
-            warp_instructions: scale_u64(pooled.warp_instructions),
-            gmem_transactions: scale_u64(pooled.gmem_transactions),
-            gmem_bytes: scale_u64(pooled.gmem_bytes),
-            gmem_ops: scale_u64(pooled.gmem_ops),
-            smem_ops: scale_u64(pooled.smem_ops),
-            smem_conflict_cycles: scale_u64(pooled.smem_conflict_cycles),
-            tex_hits: scale_u64(pooled.tex_hits),
-            tex_misses: pooled.tex_misses, // cold misses do not scale with grid
-            syncs: scale_u64(pooled.syncs),
-            shared_atomics: scale_u64(pooled.shared_atomics),
-        };
-        let per_sm: Vec<ExecCounters> = (0..self.spec.sm_count)
-            .map(|_| {
-                let f = 1.0 / self.spec.sm_count as f64;
-                ExecCounters {
-                    warp_instructions: (total.warp_instructions as f64 * f) as u64,
-                    gmem_transactions: (total.gmem_transactions as f64 * f) as u64,
-                    gmem_bytes: (total.gmem_bytes as f64 * f) as u64,
-                    gmem_ops: (total.gmem_ops as f64 * f) as u64,
-                    smem_ops: (total.smem_ops as f64 * f) as u64,
-                    smem_conflict_cycles: (total.smem_conflict_cycles as f64 * f) as u64,
-                    tex_hits: (total.tex_hits as f64 * f) as u64,
-                    tex_misses: (total.tex_misses as f64 * f) as u64,
-                    syncs: (total.syncs as f64 * f) as u64,
-                    shared_atomics: (total.shared_atomics as f64 * f) as u64,
-                }
-            })
-            .collect();
-        let stats = timing::model_launch(
-            &self.spec,
-            &per_sm,
-            grid.blocks,
-            grid.threads_per_block,
-            resident,
-        );
-        m.launches.inc();
-        // Only `executed` blocks ran on the host; count real work, not the
-        // scaled-up grid.
+        // Count the blocks that ran on the host, not the scaled-up grid.
         m.blocks_executed.add(executed as u64);
         m.modeled_time_ns.record((stats.elapsed_s * 1e9) as u64);
         host_span.stop();
@@ -434,7 +365,7 @@ mod tests {
     }
 
     impl Kernel for XorKernel {
-        fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+        fn run_block(&self, ctx: &mut BlockCtx<'_>) {
             let block_threads = ctx.block_threads();
             for warp in 0..ctx.warps() {
                 let mut addrs_a = Vec::new();

@@ -16,8 +16,7 @@
 //!   performance lints over the measured counters ([`sanitizer`]).
 //!
 //! Kernels implement [`Kernel`] and are written warp-vectorized against
-//! the object-safe [`LaunchCtx`] surface, which the simulator's [`BlockCtx`]
-//! implements — one call issues an operation for all lanes of a warp, so
+//! [`BlockCtx`] — one call issues an operation for all lanes of a warp, so
 //! the simulator observes real address vectors. See the crate-level example
 //! on [`Gpu`].
 //!
@@ -39,7 +38,7 @@ pub mod stats;
 pub mod texture;
 pub mod timing;
 
-pub use ctx::{BlockCtx, LaunchCtx};
+pub use ctx::BlockCtx;
 pub use device::{DeviceBuilder, DeviceSpec};
 pub use gpu::{Gpu, GridConfig, Kernel, TransferStats};
 pub use mem::DeviceBuffer;

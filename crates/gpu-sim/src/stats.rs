@@ -47,6 +47,25 @@ impl ExecCounters {
         self.syncs += other.syncs;
         self.shared_atomics += other.shared_atomics;
     }
+
+    /// Every counter multiplied by `f`, truncated toward zero (how a
+    /// sampled launch scales its executed blocks to the grid and spreads
+    /// the total over the SMs).
+    pub(crate) fn scaled(&self, f: f64) -> ExecCounters {
+        let s = |v: u64| (v as f64 * f) as u64;
+        ExecCounters {
+            warp_instructions: s(self.warp_instructions),
+            gmem_transactions: s(self.gmem_transactions),
+            gmem_bytes: s(self.gmem_bytes),
+            gmem_ops: s(self.gmem_ops),
+            smem_ops: s(self.smem_ops),
+            smem_conflict_cycles: s(self.smem_conflict_cycles),
+            tex_hits: s(self.tex_hits),
+            tex_misses: s(self.tex_misses),
+            syncs: s(self.syncs),
+            shared_atomics: s(self.shared_atomics),
+        }
+    }
 }
 
 /// The result of one kernel launch: aggregate counters plus the modeled

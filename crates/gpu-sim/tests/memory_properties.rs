@@ -2,7 +2,7 @@
 //! bank-conflict invariants that must hold for *any* address stream, since
 //! the kernels' measured costs rest on them.
 
-use nc_gpu_sim::{DeviceSpec, Gpu, GridConfig, Kernel, LaunchCtx};
+use nc_gpu_sim::{BlockCtx, DeviceSpec, Gpu, GridConfig, Kernel};
 use proptest::prelude::*;
 
 /// A kernel that performs exactly one warp load at caller-chosen addresses
@@ -14,7 +14,7 @@ struct OneLoad {
 }
 
 impl Kernel for OneLoad {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         let addrs: Vec<u64> = self.addrs.iter().map(|&a| self.buf.addr(a as usize)).collect();
         if self.word {
             let mut out = vec![0u32; addrs.len()];
@@ -32,7 +32,7 @@ struct OneSharedLoad {
 }
 
 impl Kernel for OneSharedLoad {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         let mut out = vec![0u32; self.addrs.len()];
         ctx.ld_shared_u32(&self.addrs, &mut out);
     }

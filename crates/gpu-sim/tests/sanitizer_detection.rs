@@ -7,7 +7,7 @@
 //! the value of the sanitizer is that these launches *fail loudly anyway*.
 
 use nc_gpu_sim::{
-    DeviceSpec, DiagnosticKind, Gpu, GridConfig, Kernel, LaunchCtx, SanitizerConfig, Severity,
+    BlockCtx, DeviceSpec, DiagnosticKind, Gpu, GridConfig, Kernel, SanitizerConfig, Severity,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -24,7 +24,7 @@ fn gpu() -> Gpu {
 struct CrossWarpRace;
 
 impl Kernel for CrossWarpRace {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         ctx.at_warp(0);
         ctx.st_shared_u32(&[0], &[0xDEAD_BEEF]);
         ctx.at_warp(1);
@@ -39,7 +39,7 @@ impl Kernel for CrossWarpRace {
 struct SyncedHandoff;
 
 impl Kernel for SyncedHandoff {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         ctx.at_warp(0);
         ctx.st_shared_u32(&[0], &[0xDEAD_BEEF]);
         ctx.sync();
@@ -58,7 +58,7 @@ struct GapOverflow {
 }
 
 impl Kernel for GapOverflow {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         let one_past_end = self.buf.addr(self.buf.len() - 4) + 4;
         ctx.st_global_u32(&[one_past_end], &[7]);
     }
@@ -70,7 +70,7 @@ struct UninitRead {
 }
 
 impl Kernel for UninitRead {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         let mut out = [0u32];
         ctx.ld_global_u32(&[self.buf.addr(0)], &mut out);
     }
@@ -80,7 +80,7 @@ impl Kernel for UninitRead {
 struct UninitSharedRead;
 
 impl Kernel for UninitSharedRead {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         let mut out = [0u32];
         ctx.ld_shared_u32(&[0], &mut out);
     }
@@ -179,7 +179,7 @@ struct CleanStager {
 }
 
 impl Kernel for CleanStager {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         let wpb = self.words_per_block;
         let block = ctx.block_idx();
         let mut addrs = Vec::new();
@@ -217,6 +217,50 @@ impl Kernel for CleanStager {
             }
         }
     }
+}
+
+/// A sampled launch runs with the sanitizer suspended, whether it samples
+/// or (its grid under the cap) runs every block, and leaves everything it
+/// could have written marked initialized for the launches after it.
+#[test]
+fn sampled_launches_are_never_sanitized() {
+    let mut g = gpu();
+    g.enable_sanitizer(SanitizerConfig::correctness_only());
+    let (blocks, words_per_block) = (8, 2 * WARP);
+    let bytes = blocks * words_per_block * 4;
+    let src = g.alloc(bytes);
+    g.upload(src, &vec![5u8; bytes]);
+    let staged = g.alloc(bytes); // written only by the sampled launch below
+    let out = g.alloc(bytes);
+    let grid = GridConfig { blocks, threads_per_block: 2 * WARP, shared_bytes: bytes / blocks };
+    let session_launches = |g: &Gpu| g.sanitizer_report().expect("enabled").launches;
+
+    // Two of eight blocks run: `staged` is only partly written.
+    let sampled = g.launch_sampled(&CleanStager { src, dst: staged, words_per_block }, grid, 2);
+    assert_eq!(sampled.sanitizer, None);
+    assert_eq!(session_launches(&g), 0);
+
+    // The full launch reading all of `staged` is sanitized and finds no
+    // uninitialized read: the sampled launch marked it initialized.
+    let full =
+        g.launch_checked(&CleanStager { src: staged, dst: out, words_per_block }, grid, "reader");
+    let report = full.sanitizer.expect("sanitized launch");
+    assert!(
+        !report.has(DiagnosticKind::UninitializedGlobalRead),
+        "read after a sampled launch flagged:
+{}",
+        report.render()
+    );
+    assert_eq!(session_launches(&g), 1);
+
+    // A grid that fits under the cap runs in full, still unsanitized: the
+    // race below would be an error in a sanitized launch.
+    let racy = GridConfig { blocks: 2, threads_per_block: 2 * WARP, shared_bytes: 64 };
+    let stats = g.launch_sampled(&CrossWarpRace, racy, 4);
+    assert_eq!(stats.sanitizer, None);
+    assert_eq!(stats.grid_blocks, 2);
+    assert_eq!(session_launches(&g), 1);
+    assert!(!g.sanitizer_report().expect("enabled").has(DiagnosticKind::SharedRace));
 }
 
 proptest! {

@@ -180,7 +180,7 @@ impl GpuEncoder {
             assert_eq!(row.len(), n, "coefficient row length mismatch");
         }
         let flat: Vec<u8> = coeff_rows.concat();
-        let (out, _, pipeline) = self.run(segment.data(), &flat, n, k, m, m, Fidelity::Functional);
+        let (out, _, pipeline) = self.run(segment.data(), &flat, n, k, m, Fidelity::Functional);
         let coded = out.expect("functional run returns data");
         let blocks = coeff_rows
             .iter()
@@ -199,7 +199,7 @@ impl GpuEncoder {
         let m_exec = m.min((MEASURE_TARGET_WORDS / (k / 4)).max(1));
         let flat: Vec<u8> = (0..m_exec * n).map(|_| rng.gen_range(1..=255)).collect();
 
-        let (_, launch, mut pipeline) = self.run(&data, &flat, n, k, m_exec, m, Fidelity::Timing);
+        let (_, launch, mut pipeline) = self.run(&data, &flat, n, k, m_exec, Fidelity::Timing);
         let scale = m as f64 / m_exec as f64;
         let kernel_s = pipeline.share_of("encode") * pipeline.total_s * scale;
         let preprocess_s = pipeline.share_of("preprocess") * pipeline.total_s;
@@ -215,7 +215,6 @@ impl GpuEncoder {
     }
 
     /// Shared pipeline: upload → (preprocess) → encode.
-    #[allow(clippy::too_many_arguments)] // one internal call site per path
     fn run(
         &mut self,
         segment_data: &[u8],
@@ -223,7 +222,6 @@ impl GpuEncoder {
         n: usize,
         k: usize,
         m_exec: usize,
-        _m_total: usize,
         fidelity: Fidelity,
     ) -> (Option<Vec<u8>>, LaunchStats, PipelineStats) {
         assert_eq!(segment_data.len(), n * k);
@@ -251,12 +249,13 @@ impl GpuEncoder {
                     dummy_input: matches!(self.scheme, EncodeScheme::LoopBasedDummyInput),
                     layout: Default::default(),
                 };
-                let stats = match fidelity {
-                    Fidelity::Functional => self.dev.launch(&kernel, kernel.grid()),
-                    Fidelity::Timing => {
-                        self.dev.launch_sampled(&kernel, kernel.grid(), MEASURE_SAMPLED_BLOCKS)
-                    }
-                };
+                let stats = self.dev.launch_at(
+                    fidelity,
+                    &kernel,
+                    kernel.grid(),
+                    MEASURE_SAMPLED_BLOCKS,
+                    &[output],
+                );
                 pipeline.record("encode kernel (loop-based)", stats.elapsed_s);
                 stats
             }
@@ -283,20 +282,22 @@ impl GpuEncoder {
                         len: n * k,
                         convention: conv,
                     };
-                    let s = match fidelity {
-                        Fidelity::Functional => self.dev.launch(&kp, kp.grid()),
-                        Fidelity::Timing => {
-                            let s = self.dev.launch_sampled(&kp, kp.grid(), MEASURE_SAMPLED_BLOCKS);
-                            // The sampled launch transforms only a subset of
-                            // the buffer; complete it host-side so the encode
-                            // kernel's table lookups (and hence the measured
-                            // bank conflicts) see real log-domain data.
-                            let host_log: Vec<u8> =
-                                segment_data.iter().map(|&b| conv.apply(b)).collect();
-                            self.dev.poke(src_log, &host_log);
-                            s
-                        }
-                    };
+                    let s = self.dev.launch_at(
+                        fidelity,
+                        &kp,
+                        kp.grid(),
+                        MEASURE_SAMPLED_BLOCKS,
+                        &[src_log],
+                    );
+                    if fidelity == Fidelity::Timing {
+                        // The sampled launch transforms only a subset of
+                        // the buffer; complete it host-side so the encode
+                        // kernel's table lookups (and hence the measured
+                        // bank conflicts) see real log-domain data.
+                        let host_log: Vec<u8> =
+                            segment_data.iter().map(|&b| conv.apply(b)).collect();
+                        self.dev.poke(src_log, &host_log);
+                    }
                     pipeline.record("preprocess: segment to log domain", s.elapsed_s);
                     let kc = LogTransformKernel {
                         input: coeffs,
@@ -470,16 +471,9 @@ impl GpuProgressiveDecoder {
             options: self.options,
         };
         let grid = kernel.grid(self.dev.spec());
-        let stats = match self.fidelity {
-            Fidelity::Functional => self.dev.launch(&kernel, grid),
-            Fidelity::Timing => {
-                let stats = self.dev.launch_sampled(&kernel, grid, 4);
-                // The sampled step touched only a stripe of the row matrix;
-                // its contents are no longer coherent decode state.
-                self.dev.poison(self.rows);
-                stats
-            }
-        };
+        // A sampled step touches only a stripe of the row matrix; its
+        // contents are no longer coherent decode state.
+        let stats = self.dev.launch_at(self.fidelity, &kernel, grid, 4, &[self.rows]);
         self.kernel_s += stats.elapsed_s;
         self.pipeline.record(format!("decode step (rank {})", self.rank), stats.elapsed_s);
 
@@ -658,16 +652,9 @@ impl GpuMultiDecoder {
 
         // ---- Stage 1: invert every C_s on the device.
         let invert = InvertKernel { aug, n, segments: s_count };
-        let s1 = match fidelity {
-            Fidelity::Functional => self.dev.launch(&invert, invert.grid()),
-            Fidelity::Timing => {
-                let s1 = self.dev.launch_sampled(&invert, invert.grid(), 2);
-                // Only a sample of segments were inverted; the augmented
-                // matrix now holds measurement garbage.
-                self.dev.poison(aug);
-                s1
-            }
-        };
+        // A sampled launch inverts only a sample of segments; the
+        // augmented matrix then holds measurement garbage.
+        let s1 = self.dev.launch_at(fidelity, &invert, invert.grid(), 2, &[aug]);
         pipeline.record("stage1: [C|I] inversion", s1.elapsed_s);
 
         // ---- Stage 1.5: gather the inverses into a dense matrix buffer
@@ -723,10 +710,12 @@ impl GpuMultiDecoder {
                     }
                     Fidelity::Timing => {
                         let recover = RecoverKernel { inv, coded, out, n, k, segments: 1 };
-                        let st = self.dev.launch_sampled(
+                        let st = self.dev.launch_at(
+                            Fidelity::Timing,
                             &recover,
                             recover.grid(),
                             MEASURE_SAMPLED_BLOCKS,
+                            &[out],
                         );
                         mul_s = st.elapsed_s * s_count as f64;
                     }
@@ -757,21 +746,21 @@ impl GpuMultiDecoder {
                     len: s_count * n * k,
                     convention: LogConvention::Remapped,
                 };
-                let sx = match fidelity {
-                    Fidelity::Functional => self.dev.launch(&kx, kx.grid()),
-                    Fidelity::Timing => {
-                        let sx = self.dev.launch_sampled(&kx, kx.grid(), MEASURE_SAMPLED_BLOCKS);
-                        // Complete the transform host-side (see GpuEncoder):
-                        // the stage-2 table kernel must observe real
-                        // log-domain data for honest conflict measurement.
-                        let host_log: Vec<u8> = coded_host
-                            .iter()
-                            .map(|&b| nc_gf256::logdomain::to_rlog(b) as u8)
-                            .collect();
-                        self.dev.poke(coded_log, &host_log);
-                        sx
-                    }
-                };
+                let sx = self.dev.launch_at(
+                    fidelity,
+                    &kx,
+                    kx.grid(),
+                    MEASURE_SAMPLED_BLOCKS,
+                    &[coded_log],
+                );
+                if fidelity == Fidelity::Timing {
+                    // Complete the transform host-side (see GpuEncoder):
+                    // the stage-2 table kernel must observe real
+                    // log-domain data for honest conflict measurement.
+                    let host_log: Vec<u8> =
+                        coded_host.iter().map(|&b| nc_gf256::logdomain::to_rlog(b) as u8).collect();
+                    self.dev.poke(coded_log, &host_log);
+                }
                 pipeline.record("stage2: coded blocks to log domain", sx.elapsed_s);
                 let ki = LogTransformKernel {
                     input: inv,

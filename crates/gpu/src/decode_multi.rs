@@ -17,7 +17,7 @@
 
 use nc_gf256::scalar;
 use nc_gf256::wide::{loop_mul_cost, mul_word32};
-use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
+use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
 
 use crate::costs;
 
@@ -55,7 +55,7 @@ impl InvertKernel {
 }
 
 impl Kernel for InvertKernel {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         assert!(self.n.is_multiple_of(4));
         let s = ctx.block_idx();
         let ws = ctx.spec().warp_size;
@@ -212,7 +212,7 @@ impl RecoverKernel {
 }
 
 impl Kernel for RecoverKernel {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         assert!(self.n.is_multiple_of(4) && self.k.is_multiple_of(4));
         let kw = self.k / 4;
         let words_per_seg = self.n * kw;

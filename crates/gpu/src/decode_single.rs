@@ -18,7 +18,7 @@
 
 use nc_gf256::scalar;
 use nc_gf256::wide::{loop_mul_cost, mul_word32};
-use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
+use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
 
 use crate::costs;
 
@@ -108,14 +108,14 @@ impl DecodeStepKernel {
     }
 
     /// Charges one warp-wide loop-based multiply by a single factor byte.
-    fn charge_mul_warp(ctx: &mut dyn LaunchCtx, factor: u8) {
+    fn charge_mul_warp(ctx: &mut BlockCtx<'_>, factor: u8) {
         let (iters, _) = loop_mul_cost(factor);
         ctx.alu(costs::loop_mul_charge(iters));
     }
 }
 
 impl Kernel for DecodeStepKernel {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         assert!(self.n.is_multiple_of(4) && self.k.is_multiple_of(4));
         assert_eq!(self.pivot_cols.len(), self.rank, "pivot list out of sync");
         let s = ctx.block_idx();

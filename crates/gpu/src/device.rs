@@ -1,20 +1,23 @@
 //! The pipelines' handle on the device: the cycle-model simulator
 //! ([`nc_gpu_sim::Gpu`]) plus the bookkeeping that keeps
-//! [`crate::Fidelity::Timing`] output from being read.
+//! [`Fidelity::Timing`] output from being read.
 //!
-//! Every kernel is one [`nc_gpu_sim::Kernel`] body written against the
-//! [`nc_gpu_sim::LaunchCtx`] instruction surface; the simulator executes it
-//! and models its time. Bit-exactness versus the `nc-rlnc` CPU reference is
-//! the invariant, checked under the kernel sanitizer.
+//! Every kernel is one [`nc_gpu_sim::Kernel`] body written against
+//! [`nc_gpu_sim::BlockCtx`]; the simulator executes it and models its time.
+//! [`Device::launch_at`] turns the pipeline's [`Fidelity`] into a full or a
+//! sampled launch. Bit-exactness versus the `nc-rlnc` CPU reference is the
+//! invariant, checked under the kernel sanitizer.
 
 use nc_gpu_sim::{
     DeviceBuffer, DeviceSpec, Gpu, GridConfig, Kernel, LaunchStats, SanitizerConfig,
     SanitizerReport, TransferStats,
 };
 
+use crate::Fidelity;
+
 /// Byte ranges whose contents are sampling artifacts and must not reach a
-/// consumer (see [`crate::Fidelity::Timing`]): a `launch_sampled` executes
-/// only a strided subset of blocks, so output buffers hold garbage outside
+/// consumer (see [`Fidelity::Timing`]): a sampled launch executes only a
+/// strided subset of blocks, so output buffers hold garbage outside
 /// the sampled stripes. [`Device`] poisons such buffers and debug-asserts
 /// that no poisoned range is downloaded or peeked.
 #[derive(Debug, Default)]
@@ -64,9 +67,9 @@ impl PoisonSet {
     }
 }
 
-/// The simulator behind every pipeline, with its poisoned ranges: the
-/// pipelines [`Device::poison`] what a [`Device::launch_sampled`] wrote,
-/// and a later download or peek of it debug-asserts.
+/// The simulator behind every pipeline, with its poisoned ranges: a
+/// [`Fidelity::Timing`] launch poisons what it wrote, and a later download
+/// or peek of it debug-asserts.
 pub(crate) struct Device {
     gpu: Gpu,
     poison: PoisonSet,
@@ -119,15 +122,28 @@ impl Device {
         self.gpu.launch(kernel, grid)
     }
 
-    /// Executes a strided sample of at most `max_blocks_executed` blocks
-    /// and scales to the full grid; callers poison the outputs.
-    pub(crate) fn launch_sampled(
+    /// Launches `kernel` at `fidelity`. `Functional` runs every block.
+    /// `Timing` executes a strided sample of at most `sample_cap` blocks,
+    /// scales it to the full grid, and poisons `partial`, the buffers the
+    /// sample leaves half-written.
+    pub(crate) fn launch_at(
         &mut self,
+        fidelity: Fidelity,
         kernel: &dyn Kernel,
         grid: GridConfig,
-        max_blocks_executed: usize,
+        sample_cap: usize,
+        partial: &[DeviceBuffer],
     ) -> LaunchStats {
-        self.gpu.launch_sampled(kernel, grid, max_blocks_executed)
+        match fidelity {
+            Fidelity::Functional => self.gpu.launch(kernel, grid),
+            Fidelity::Timing => {
+                let stats = self.gpu.launch_sampled(kernel, grid, sample_cap);
+                for &buf in partial {
+                    self.poison.add(buf);
+                }
+                stats
+            }
+        }
     }
 
     /// Marks a buffer as holding sampling artifacts.
@@ -170,6 +186,34 @@ mod tests {
         dev.poison(buf);
         dev.upload(buf, &[3u8; 64]);
         assert_eq!(dev.peek(buf), &[3u8; 64]);
+    }
+
+    #[test]
+    fn timing_launch_poisons_exactly_the_named_buffers() {
+        use crate::preprocess::{log_table_bytes, LogConvention, LogTransformKernel};
+        for fidelity in [Fidelity::Functional, Fidelity::Timing] {
+            let mut dev = small_device();
+            let len = 8 * 4 * crate::preprocess::PREPROCESS_BLOCK_THREADS;
+            let input = dev.alloc(len);
+            dev.upload(input, &vec![3u8; len]);
+            let table = dev.alloc(256);
+            dev.poke(table, &log_table_bytes(LogConvention::Remapped));
+            let output = dev.alloc(len);
+            let bystander = dev.alloc(64);
+            let kernel = LogTransformKernel {
+                input,
+                output,
+                table,
+                len,
+                convention: LogConvention::Remapped,
+            };
+            assert_eq!(kernel.grid().blocks, 8);
+            dev.launch_at(fidelity, &kernel, kernel.grid(), 2, &[output]);
+            assert_eq!(dev.poison.overlaps(output), fidelity == Fidelity::Timing, "{fidelity:?}");
+            for buf in [input, table, bystander] {
+                assert!(!dev.poison.overlaps(buf), "{fidelity:?} poisoned an unnamed buffer");
+            }
+        }
     }
 
     #[test]

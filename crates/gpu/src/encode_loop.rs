@@ -11,7 +11,7 @@
 //!   so each half-warp's loads fall in one 64-byte segment.
 
 use nc_gf256::wide::{loop_mul_cost, mul_word32};
-use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
+use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
 
 use crate::costs;
 
@@ -121,7 +121,7 @@ fn dummy_word(seed: u64) -> u32 {
 }
 
 impl Kernel for LoopEncodeKernel {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         self.check();
         let kw = self.k / 4; // words per coded block
         let total_words = self.m * kw;

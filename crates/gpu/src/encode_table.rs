@@ -17,7 +17,7 @@
 //! calls"); each block walks a contiguous share of the output words.
 
 use nc_gf256::tables::{EXP, REXP};
-use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
+use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
 
 use crate::costs;
 
@@ -179,7 +179,7 @@ fn lookup_index(variant: TableVariant, lc: u8, ls: u8) -> Option<u64> {
 }
 
 impl Kernel for TableEncodeKernel {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         assert!(
             self.k.is_multiple_of(4) && self.n.is_multiple_of(4),
             "n and k must be multiples of 4"
@@ -414,7 +414,7 @@ impl Kernel for TableEncodeKernel {
 }
 
 impl TableEncodeKernel {
-    fn block_index_words(&self, ctx: &dyn LaunchCtx) -> usize {
+    fn block_index_words(&self, ctx: &BlockCtx<'_>) -> usize {
         let kw = self.k / 4;
         let total_words = self.m * kw;
         let wpb = total_words.div_ceil(self.sm_blocks);
@@ -425,7 +425,7 @@ impl TableEncodeKernel {
     /// the normal domain; zero products short-circuit per Fig. 1's test.
     fn tb0_byte_mults(
         &self,
-        ctx: &mut dyn LaunchCtx,
+        ctx: &mut BlockCtx<'_>,
         i: usize,
         lanes: usize,
         coeff_words: &[u32; 32],

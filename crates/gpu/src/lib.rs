@@ -28,10 +28,11 @@
 //! * [`ablation`] — isolated measurements of the design choices: source
 //!   coalescing, Tb5 replica counts, stage-2 scheme, latency sensitivity.
 //!
-//! Every kernel is one [`nc_gpu_sim::Kernel`] body written against the
-//! [`nc_gpu_sim::LaunchCtx`] surface, and the simulator is its only
-//! executor: the pipelines drive an [`nc_gpu_sim::Gpu`] directly. Every
-//! kernel is functionally executed: tests check the coded/decoded bytes
+//! Every kernel is one [`nc_gpu_sim::Kernel`] body written against
+//! [`nc_gpu_sim::BlockCtx`], and the pipelines drive an [`nc_gpu_sim::Gpu`]
+//! directly; a pipeline's [`Fidelity`] decides, per launch, whether every
+//! block runs or a strided sample is scaled to the grid. Every functional
+//! launch executes every block: tests check the coded/decoded bytes
 //! against the [`nc_rlnc`] CPU reference bit-for-bit (under the kernel
 //! sanitizer), while the simulator's cost model produces the throughput
 //! figures reproduced in `nc-bench`.

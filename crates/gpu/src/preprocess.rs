@@ -12,7 +12,7 @@
 //! the buffer through it word by word.
 
 use nc_gf256::logdomain::{to_log, to_rlog};
-use nc_gpu_sim::{DeviceBuffer, GridConfig, Kernel, LaunchCtx};
+use nc_gpu_sim::{BlockCtx, DeviceBuffer, GridConfig, Kernel};
 
 use crate::costs;
 
@@ -71,7 +71,7 @@ impl LogTransformKernel {
 }
 
 impl Kernel for LogTransformKernel {
-    fn run_block(&self, ctx: &mut dyn LaunchCtx) {
+    fn run_block(&self, ctx: &mut BlockCtx<'_>) {
         assert!(self.len.is_multiple_of(4), "preprocess length must be a multiple of 4");
         let words = self.len / 4;
         let bt = ctx.block_threads();
