@@ -11,13 +11,15 @@
 //!
 //! There is one socket implementation: [`BatchSocket`] stages sends for
 //! one `sendmmsg` per flush and drains receives per `recvmmsg`, borrowed
-//! from its slots (one datagram per syscall on the portable path).
+//! from its slots and split out of `UDP_GRO` runs (one datagram per
+//! syscall on the portable path).
 //! [`UdpChannel`] is a peer address over one of them, and the sharded
 //! server is a group of them.
 
 use nc_pool::{BytesPool, PooledBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
@@ -100,6 +102,10 @@ pub trait Channel: Send {
 pub struct UdpChannel {
     socket: BatchSocket,
     peer: SocketAddr,
+    /// Datagrams received but not yet handed out, in arrival order: the
+    /// rest of a coalesced run whose first datagram
+    /// [`recv_timeout`](Channel::recv_timeout) returned.
+    held: VecDeque<PooledBuf>,
 }
 
 impl UdpChannel {
@@ -118,7 +124,8 @@ impl UdpChannel {
     /// receives; its sends fail, having no peer to go to.)
     pub fn from_socket(socket: UdpSocket) -> UdpChannel {
         let peer = socket.peer_addr().unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
-        UdpChannel { socket: BatchSocket::from_socket(socket, MAX_DATAGRAM_BYTES), peer }
+        let socket = BatchSocket::from_socket(socket, MAX_DATAGRAM_BYTES);
+        UdpChannel { socket, peer, held: VecDeque::new() }
     }
 
     /// The socket's local address.
@@ -140,14 +147,18 @@ impl Channel for UdpChannel {
         self.socket.flush().map(drop)
     }
 
-    /// A one-slot receive, copied out of the slot into a [`PooledBuf`].
+    /// The oldest held datagram, or else a one-slot receive, copied out
+    /// of the slot into [`PooledBuf`]s: a coalesced run's first datagram
+    /// is returned and the rest held for the next calls.
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<PooledBuf>> {
-        let mut got = None;
-        self.socket.recv_up_to(1, timeout, |_, bytes| {
-            crate::metrics::metrics().rx_bytes_copied.add(bytes.len() as u64);
-            got = Some(BytesPool::global().take_copy(bytes));
-        })?;
-        Ok(got)
+        if self.held.is_empty() {
+            let held = &mut self.held;
+            self.socket.recv_up_to(1, timeout, |_, bytes| {
+                crate::metrics::metrics().rx_bytes_copied.add(bytes.len() as u64);
+                held.push_back(BytesPool::global().take_copy(bytes));
+            })?;
+        }
+        Ok(self.held.pop_front())
     }
 
     fn send_batch(&mut self, batch: &mut Vec<Vec<u8>>) -> io::Result<()> {
@@ -157,8 +168,16 @@ impl Channel for UdpChannel {
         self.socket.flush().map(drop)
     }
 
+    /// Held datagrams first, without waiting; else one batched receive.
     fn recv_batch(&mut self, timeout: Duration, on: &mut dyn FnMut(&[u8])) -> io::Result<usize> {
-        self.socket.recv_batch(timeout, |_, bytes| on(bytes))
+        if self.held.is_empty() {
+            return self.socket.recv_batch(timeout, |_, bytes| on(bytes));
+        }
+        let held = self.held.len();
+        for bytes in self.held.drain(..) {
+            on(&bytes);
+        }
+        Ok(held)
     }
 }
 
@@ -175,12 +194,15 @@ impl Channel for UdpChannel {
 /// message where the kernel offers it (one syscall per datagram on the
 /// portable path — same API, fewer savings).
 /// Incoming datagrams arrive through [`recv_batch`](BatchSocket::recv_batch),
-/// which drains up to a batch per wait. Queue buffers are drawn from and
-/// recycled to the process-wide [`BytesPool`], so a steady-state server
-/// sends without allocating.
+/// which drains up to a batch of messages per wait; where the kernel
+/// offers `UDP_GRO`, one message is a whole run of datagrams, which it
+/// splits back apart. Queue buffers are drawn from and recycled to the
+/// process-wide [`BytesPool`], so a steady-state server sends without
+/// allocating.
 #[derive(Debug)]
 pub struct BatchSocket {
     socket: UdpSocket,
+    /// The longest datagram a receive delivers.
     slot_bytes: usize,
     /// Whether `socket` is connected: its sends then name no address.
     connected: bool,
@@ -188,10 +210,14 @@ pub struct BatchSocket {
     /// messages: probed when the socket is wrapped, cleared for good the
     /// first time the kernel refuses one (see the `sysio` module).
     segment: bool,
+    /// Whether the kernel hands receives coalesced runs (`UDP_GRO`), set
+    /// when the socket is wrapped; each slot then holds a whole run.
+    gro: bool,
     /// Receive slots, allocated on the first receive: a socket that only
-    /// ever sends carries none, a receiving shard carries `MAX_BATCH`.
+    /// ever sends carries none, a receiving one `MAX_BATCH`, each of
+    /// `slot_bytes`, or [`GRO_SLOT_BYTES`] under `gro`.
     slots: Vec<Vec<u8>>,
-    meta: Vec<(usize, SocketAddr)>,
+    meta: Vec<(usize, SocketAddr, usize)>,
     out: Vec<(SocketAddr, Vec<u8>)>,
 }
 
@@ -216,6 +242,7 @@ impl BatchSocket {
         BatchSocket {
             connected: socket.peer_addr().is_ok(),
             segment: crate::sysio::probe_segmentation(&socket),
+            gro: crate::sysio::enable_gro(&socket),
             socket,
             slot_bytes: slot_bytes.clamp(64, MAX_DATAGRAM_BYTES),
             slots: Vec::new(),
@@ -247,8 +274,9 @@ impl BatchSocket {
     }
 
     fn ensure_slots(&mut self, n: usize) {
+        let bytes = if self.gro { GRO_SLOT_BYTES } else { self.slot_bytes };
         while self.slots.len() < n {
-            self.slots.push(vec![0u8; self.slot_bytes]);
+            self.slots.push(vec![0u8; bytes]);
         }
         // `meta` is refilled per receive; sized once, it never regrows.
         self.meta.reserve(n);
@@ -321,10 +349,11 @@ impl BatchSocket {
         Ok(sent)
     }
 
-    /// Receives up to one batch of datagrams, waiting at most `timeout`
+    /// Receives up to one batch of messages, waiting at most `timeout`
     /// for the first (zero polls). `on` sees each datagram's source and
-    /// payload *borrowed from the receive slot* — no per-datagram copy.
-    /// Returns the number received.
+    /// payload *borrowed from the receive slot* — no per-datagram copy —
+    /// in arrival order, a coalesced run split into its datagrams.
+    /// Returns the number of datagrams received.
     ///
     /// # Errors
     ///
@@ -334,16 +363,20 @@ impl BatchSocket {
         timeout: Duration,
         on: impl FnMut(SocketAddr, &[u8]),
     ) -> io::Result<usize> {
-        self.recv_up_to(MAX_BATCH, timeout, on)
+        self.recv_up_to(MAX_BATCH, timeout, on).map(|(_, datagrams)| datagrams)
     }
 
-    /// [`recv_batch`](BatchSocket::recv_batch) into the first `max` slots.
-    fn recv_up_to(
+    /// [`recv_batch`](BatchSocket::recv_batch) into the first `max` slots;
+    /// returns the messages and the datagrams received. A skipped message
+    /// (unknown source, or truncated) counts as one datagram, and so does
+    /// each datagram longer than `slot_bytes`, which is skipped and
+    /// counted in `net.rx_truncated`.
+    pub(crate) fn recv_up_to(
         &mut self,
         max: usize,
         timeout: Duration,
         mut on: impl FnMut(SocketAddr, &[u8]),
-    ) -> io::Result<usize> {
+    ) -> io::Result<(usize, usize)> {
         self.ensure_slots(max);
         let got = crate::sysio::recv_from_batch(
             &self.socket,
@@ -352,21 +385,35 @@ impl BatchSocket {
             &mut self.meta,
         )?;
         if got == 0 {
-            return Ok(0);
+            return Ok((0, 0));
         }
         let m = crate::metrics::metrics();
         m.rx_batch.record(got as u64);
-        for i in 0..got {
-            let (len, from) = self.meta[i];
+        m.rx_messages.add(got as u64);
+        let (mut datagrams, mut delivered) = (0, 0);
+        for (&(len, from, segment), slot) in self.meta[..got].iter().zip(&self.slots) {
             if len == 0 {
-                continue; // undecodable source or truncated datagram
+                datagrams += 1; // undecodable source or truncated message
+                continue;
             }
-            m.rx_datagrams.inc();
-            on(from, &self.slots[i][..len]);
+            for datagram in slot[..len].chunks(segment) {
+                datagrams += 1;
+                if datagram.len() > self.slot_bytes {
+                    m.rx_truncated.inc();
+                    continue;
+                }
+                delivered += 1;
+                on(from, datagram);
+            }
         }
-        Ok(got)
+        m.rx_datagrams.add(delivered);
+        Ok((got, datagrams))
     }
 }
+
+/// A receive slot under `UDP_GRO`: the largest message the kernel builds,
+/// so a coalesced run is never truncated.
+const GRO_SLOT_BYTES: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------------
 // In-process pairs
@@ -742,6 +789,35 @@ mod tests {
         let mut back = Vec::new();
         a.recv_batch(Duration::from_secs(5), &mut |bytes| back.push(bytes.to_vec())).unwrap();
         assert_eq!(back, [b"back".to_vec()]);
+    }
+
+    #[test]
+    fn udp_channel_hands_out_a_coalesced_run_one_datagram_per_call() {
+        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
+        a.connect(b.local_addr().unwrap()).unwrap();
+        b.connect(a.local_addr().unwrap()).unwrap();
+        let (mut a, mut b) = (UdpChannel::from_socket(a), UdpChannel::from_socket(b));
+        b.socket.set_recv_buffer(1 << 20).unwrap();
+        // 64 x 1068 B: one `UDP_SEGMENT` run of 61 and one of 3, each one
+        // receive slot where the kernel offers `UDP_GRO`.
+        let burst: Vec<Vec<u8>> =
+            (0..64usize).map(|i| (0..1068).map(|j| (i * 31 + j) as u8).collect()).collect();
+        a.send_batch(&mut burst.clone()).unwrap();
+        let mut seen = Vec::new();
+        let one = |b: &mut UdpChannel| {
+            b.recv_timeout(Duration::from_secs(5)).unwrap().expect("nothing is lost").to_vec()
+        };
+        for _ in 0..32 {
+            seen.push(one(&mut b));
+        }
+        // A batch receive in between takes the held rest of the run first.
+        b.recv_batch(Duration::from_secs(5), &mut |bytes| seen.push(bytes.to_vec())).unwrap();
+        while seen.len() < burst.len() {
+            seen.push(one(&mut b));
+        }
+        assert_eq!(seen, burst, "every datagram, once, in order");
+        assert_eq!(b.recv_timeout(Duration::ZERO).unwrap(), None);
     }
 
     #[test]

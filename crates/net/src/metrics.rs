@@ -78,12 +78,17 @@ pub(crate) struct NetMetrics {
     pub tx_gso_refused: Arc<Counter>,
     /// Datagrams received through [`crate::channel::BatchSocket`].
     pub rx_datagrams: Arc<Counter>,
+    /// Messages (`mmsghdr`s) the kernel filled for those datagrams: one
+    /// per datagram, or one per `UDP_GRO` run ([`crate::sysio`]), so
+    /// `net.rx_datagrams / net.rx_messages` is the receive-side
+    /// coalescing factor.
+    pub rx_messages: Arc<Counter>,
     /// Datagrams longer than their receive slot, skipped (Linux path
     /// only: the portable path cannot see truncation).
     pub rx_truncated: Arc<Counter>,
     /// Datagrams per batched send, sampled at every flush.
     pub tx_batch: Arc<Histogram>,
-    /// Datagrams per batched receive, sampled at every non-empty drain.
+    /// Messages per batched receive, sampled at every non-empty drain.
     pub rx_batch: Arc<Histogram>,
     /// How late a shard loop woke relative to its quoted deadline, ns.
     pub deadline_miss_ns: Arc<Histogram>,
@@ -123,6 +128,7 @@ pub(crate) fn metrics() -> &'static NetMetrics {
             tx_messages: r.counter("net.tx_messages"),
             tx_gso_refused: r.counter("net.tx_gso_refused"),
             rx_datagrams: r.counter("net.rx_datagrams"),
+            rx_messages: r.counter("net.rx_messages"),
             rx_truncated: r.counter("net.rx_truncated"),
             tx_batch: r.histogram("net.tx_batch"),
             rx_batch: r.histogram("net.rx_batch"),

@@ -14,7 +14,7 @@
 //!   plain `std::net::UdpSocket` calls, one datagram per syscall, socket
 //!   groups emulated with `try_clone`.
 //!
-//! Both implementations expose the same five functions, so everything
+//! Both implementations expose the same six functions, so everything
 //! above this seam ([`crate::channel::BatchSocket`], and through it the
 //! sharded server and the point-to-point [`crate::channel::UdpChannel`])
 //! is platform-free. Fallback semantics differ only in throughput:
@@ -24,6 +24,7 @@
 //! | socket group         | kernel flow-hashing             | one socket, cloned       |
 //! | batched send         | 1 syscall / batch               | 1 syscall / datagram     |
 //! | segmentation offload | UDP_SEGMENT per same-destination run, probed, per-socket fallback | none |
+//! | receive offload      | UDP_GRO, probed                 | none                     |
 //! | batched receive      | 1 poll + 1 recvmmsg             | timed recv + nonblocking |
 //! | truncated receive    | MSG_TRUNC: skipped, counted     | unseen: delivered cut to the slot (the CRC rejects it) |
 //! | receive buffer       | SO_RCVBUF resize                | kernel default (no-op)   |
@@ -34,7 +35,10 @@
 //! (`net.tx_datagrams + net.rx_datagrams`) to report
 //! `net.syscalls_per_datagram`. Every message the kernel accepts
 //! increments `net.tx_messages`, so `net.tx_datagrams / net.tx_messages`
-//! is how many datagrams segmentation offload put in one message.
+//! is how many datagrams segmentation offload put in one message; every
+//! message received increments `net.rx_messages`, so
+//! `net.rx_datagrams / net.rx_messages` is how many receive offload put
+//! in one.
 //!
 //! **Segmentation offload** (`UDP_SEGMENT`, Linux 4.18+). A run of
 //! consecutive queued datagrams with one destination and one length (one
@@ -47,6 +51,14 @@
 //! control message and send the run as one oversized datagram — and stops
 //! for good the first time the kernel refuses a coalesced message
 //! (`net.tx_gso_refused`), resending the rest one datagram per message.
+//!
+//! **Receive offload** (`UDP_GRO`, Linux 5.0+). A socket that sets the
+//! option gets a run the kernel still carries as one packet — on
+//! loopback, every `UDP_SEGMENT` send — as one message, with a control
+//! message naming the segment size; [`crate::channel::BatchSocket`]
+//! splits it back into the same datagrams. A kernel without the option
+//! refuses the `setsockopt`, and the socket receives one datagram per
+//! message as before.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -59,12 +71,12 @@ pub(crate) const MAX_BATCH: usize = 64;
 
 #[cfg(all(target_os = "linux", not(nc_portable_io)))]
 pub(crate) use linux::{
-    bind_group, probe_segmentation, recv_from_batch, send_to_batch, set_recv_buffer,
+    bind_group, enable_gro, probe_segmentation, recv_from_batch, send_to_batch, set_recv_buffer,
 };
 
 #[cfg(any(not(target_os = "linux"), nc_portable_io))]
 pub(crate) use portable::{
-    bind_group, probe_segmentation, recv_from_batch, send_to_batch, set_recv_buffer,
+    bind_group, enable_gro, probe_segmentation, recv_from_batch, send_to_batch, set_recv_buffer,
 };
 
 /// Whether this build batches syscalls (`sendmmsg`/`recvmmsg`) or falls
@@ -98,6 +110,8 @@ mod linux {
     const SO_REUSEPORT: i32 = 15;
     const SOL_UDP: i32 = 17;
     const UDP_SEGMENT: i32 = 103;
+    const UDP_GRO: i32 = 104;
+    const MSG_CTRUNC: i32 = 0x8;
     const MSG_TRUNC: i32 = 0x20;
     const MSG_DONTWAIT: i32 = 0x40;
     const POLLIN: i16 = 0x1;
@@ -180,6 +194,22 @@ mod linux {
             let len = std::mem::offset_of!(SegmentCmsg, size) + std::mem::size_of::<u16>();
             SegmentCmsg { len, level: SOL_UDP, ty: UDP_SEGMENT, size }
         }
+    }
+
+    /// A `struct cmsghdr` with room for one `int`: where `recvmmsg` writes
+    /// a coalesced message's `UDP_GRO` segment size. Its size is
+    /// `CMSG_SPACE(4)`, the `msg_controllen` a receive offers.
+    #[repr(C)]
+    struct GroCmsg {
+        len: usize,
+        level: i32,
+        ty: i32,
+        size: i32,
+    }
+
+    impl GroCmsg {
+        /// `CMSG_LEN(4)`: the least `msg_controllen` that holds the size.
+        const LEN: usize = std::mem::offset_of!(GroCmsg, size) + std::mem::size_of::<i32>();
     }
 
     /// Scratch for one batched call, left uninitialized: a call writes
@@ -311,6 +341,20 @@ mod linux {
         // the call, and `len` states `value`'s size.
         let rc = unsafe { getsockopt(fd, SOL_UDP, UDP_SEGMENT, &mut value, &mut len) };
         rc == 0
+    }
+
+    /// Asks the kernel to hand this socket coalesced runs whole
+    /// (`UDP_GRO`). A kernel before 5.0 refuses the option; the socket
+    /// then receives one datagram per message.
+    pub(crate) fn enable_gro(socket: &UdpSocket) -> bool {
+        super::count_syscalls(1);
+        set_option(socket, SOL_UDP, UDP_GRO, 1).is_ok()
+    }
+
+    /// Clears `UDP_GRO`: the socket receives one datagram per message.
+    #[cfg(test)]
+    pub(super) fn disable_gro(socket: &UdpSocket) {
+        set_option(socket, SOL_UDP, UDP_GRO, 0).expect("UDP_GRO");
     }
 
     /// Sets `SO_NO_CHECK`: the socket sends without UDP checksums, which
@@ -477,19 +521,21 @@ mod linux {
         Ok((sent, sent_bytes))
     }
 
-    /// Receives up to `slots.len().min(MAX_BATCH)` datagrams: one `poll`
+    /// Receives up to `slots.len().min(MAX_BATCH)` messages: one `poll`
     /// to wait up to `timeout` for readability (skipped when zero), then
     /// one nonblocking `recvmmsg` to drain. Fills `meta[i]` with the
-    /// length and source of the datagram in `slots[i]`; a length of 0
-    /// marks a slot to skip: an unknown source, or a datagram longer than
-    /// its slot (`MSG_TRUNC`, counted in `net.rx_truncated`; the length
-    /// the kernel reports is the part it copied). Returns the number of
-    /// filled slots.
+    /// length, source and segment size of the message in `slots[i]`: a
+    /// `UDP_GRO` run of datagrams of the segment size (the last may be
+    /// shorter), or one datagram, whose segment size is its length. A
+    /// length of 0 marks a slot to skip: an unknown source, or a message
+    /// longer than its slot (`MSG_TRUNC`, counted in `net.rx_truncated`;
+    /// the length the kernel reports is the part it copied). Returns the
+    /// number of filled slots.
     pub(crate) fn recv_from_batch(
         socket: &UdpSocket,
         timeout: Duration,
         slots: &mut [Vec<u8>],
-        meta: &mut Vec<(usize, SocketAddr)>,
+        meta: &mut Vec<(usize, SocketAddr, usize)>,
     ) -> io::Result<usize> {
         meta.clear();
         let fd = socket.as_raw_fd();
@@ -511,20 +557,24 @@ mod linux {
             }
         }
         let n = slots.len().min(MAX_BATCH);
-        let (mut addrs, mut iovecs, mut hdrs) =
-            (scratch::<SockAddrStorage>(), scratch(), scratch());
+        let (mut addrs, mut iovecs, mut cmsgs, mut hdrs) =
+            (scratch::<SockAddrStorage>(), scratch(), scratch::<GroCmsg>(), scratch());
         for (i, slot) in slots[..n].iter_mut().enumerate() {
             let iov = iovecs[i].write(IoVec { base: slot.as_mut_ptr(), len: slot.len() });
             let namelen = std::mem::size_of::<SockAddrStorage>() as u32;
-            hdrs[i].write(MMsgHdr::new(addrs[i].as_mut_ptr(), namelen, iov, 1));
+            let mut hdr = MMsgHdr::new(addrs[i].as_mut_ptr(), namelen, iov, 1);
+            hdr.hdr.control = cmsgs[i].as_mut_ptr().cast();
+            hdr.hdr.controllen = std::mem::size_of::<GroCmsg>();
+            hdrs[i].write(hdr);
         }
         let hdrs = hdrs.as_mut_ptr().cast::<MMsgHdr>();
         super::count_syscalls(1);
         // SAFETY: the first `n` entries of `hdrs` were written above (the
         // kernel touches no others); their iovs point into distinct
-        // `slots` buffers and their names at distinct `addrs` entries,
-        // all outliving the call. MSG_DONTWAIT keeps the call from
-        // blocking regardless of the socket's mode.
+        // `slots` buffers, their names at distinct `addrs` entries and
+        // their controls at distinct `cmsgs` entries of the stated
+        // length, all outliving the call. MSG_DONTWAIT keeps the call
+        // from blocking regardless of the socket's mode.
         let rc = unsafe { recvmmsg(fd, hdrs, n as u32, MSG_DONTWAIT, std::ptr::null_mut()) };
         if rc < 0 {
             let err = io::Error::last_os_error();
@@ -538,24 +588,32 @@ mod linux {
             };
         }
         let got = rc as usize;
-        for (i, addr) in addrs[..got].iter().enumerate() {
+        for (i, (addr, cmsg)) in addrs[..got].iter().zip(&cmsgs).enumerate() {
             // SAFETY: `i < got <= n`, so `hdrs[i]` was written above; the
-            // kernel set its `len`, `namelen` and `flags` and wrote the
-            // first `namelen` bytes of `addr` (capped at its size: a
-            // longer name is truncated, never overrun).
-            let (len, flags, name) = unsafe {
+            // kernel set its `len`, `namelen`, `controllen` and `flags`,
+            // wrote the first `namelen` bytes of `addr` (capped at its
+            // size: a longer name is truncated, never overrun) and the
+            // first `controllen` bytes of `cmsg`, which are read only when
+            // they cover the whole segment size.
+            let (len, flags, name, gro) = unsafe {
                 let hdr = &*hdrs.add(i);
                 let namelen = (hdr.hdr.namelen as usize).min(std::mem::size_of_val(addr));
                 let name = std::slice::from_raw_parts(addr.as_ptr().cast::<u8>(), namelen);
-                (hdr.len as usize, hdr.hdr.flags, name)
+                let whole = hdr.hdr.controllen >= GroCmsg::LEN && hdr.hdr.flags & MSG_CTRUNC == 0;
+                let gro = if whole { Some(cmsg.assume_init_ref()) } else { None };
+                (hdr.len as usize, hdr.hdr.flags, name, gro)
+            };
+            let segment = match gro {
+                Some(c) if c.level == SOL_UDP && c.ty == UDP_GRO && c.size > 0 => c.size as usize,
+                _ => len,
             };
             let truncated = flags & MSG_TRUNC != 0;
             if truncated {
                 crate::metrics::metrics().rx_truncated.inc();
             }
             match decode_addr(name) {
-                Some(addr) if !truncated => meta.push((len, addr)),
-                _ => meta.push((0, SocketAddr::from(([0, 0, 0, 0], 0)))),
+                Some(addr) if !truncated => meta.push((len, addr, segment)),
+                _ => meta.push((0, SocketAddr::from(([0, 0, 0, 0], 0)), 0)),
             }
         }
         Ok(got)
@@ -596,6 +654,11 @@ mod portable {
         false
     }
 
+    /// Nor does any receive a coalesced run.
+    pub(crate) fn enable_gro(_socket: &UdpSocket) -> bool {
+        false
+    }
+
     /// One message per datagram. A connected socket sends with `send`:
     /// the BSDs and macOS refuse `sendto` with an address on one
     /// (`EISCONN`), Linux ignores it.
@@ -631,7 +694,7 @@ mod portable {
         socket: &UdpSocket,
         timeout: Duration,
         slots: &mut [Vec<u8>],
-        meta: &mut Vec<(usize, SocketAddr)>,
+        meta: &mut Vec<(usize, SocketAddr, usize)>,
     ) -> io::Result<usize> {
         meta.clear();
         let mut got = 0usize;
@@ -653,7 +716,7 @@ mod portable {
                 // `std` reports the copied length and no flags, so a
                 // datagram longer than its slot arrives cut short.
                 Ok((len, addr)) => {
-                    meta.push((len, addr));
+                    meta.push((len, addr, len));
                     got += 1;
                 }
                 Err(e)
@@ -722,7 +785,7 @@ mod tests {
             let got =
                 recv_from_batch(&rx, Duration::from_millis(200), &mut slots, &mut meta).unwrap();
             for i in 0..got {
-                let (len, from) = meta[i];
+                let (len, from, _) = meta[i];
                 assert_eq!(from, tx.local_addr().unwrap());
                 seen.push(slots[i][..len].to_vec());
             }
@@ -749,7 +812,7 @@ mod tests {
         let mut meta = Vec::new();
         let got = recv_from_batch(&rx, Duration::from_secs(5), &mut slots, &mut meta).unwrap();
         assert_eq!(got, 1);
-        assert_eq!(meta[0], (11, tx.local_addr().unwrap()));
+        assert_eq!(meta[0], (11, tx.local_addr().unwrap(), 11));
         assert_eq!(&slots[0][..11], b"to the peer");
     }
 
@@ -797,7 +860,7 @@ mod tests {
             let got =
                 recv_from_batch(rx, Duration::from_millis(200), &mut slots, &mut meta).unwrap();
             seen.extend(
-                meta[..got].iter().zip(&slots).map(|(&(len, _), slot)| slot[..len].to_vec()),
+                meta[..got].iter().zip(&slots).map(|(&(len, _, _), slot)| slot[..len].to_vec()),
             );
         }
         seen
@@ -951,5 +1014,150 @@ mod tests {
             "no UDP_SEGMENT on this kernel"
         };
         println!("gso_refusal_falls_back_once_per_socket: 2 x 16 datagrams ({how})");
+    }
+
+    // Receive offload. Each `gro_*` test sends a burst through a probed
+    // socket into a `BatchSocket`, checks that every datagram it delivers
+    // is byte-identical and in order, and prints how many messages carried
+    // them (CI runs them with `--nocapture`).
+
+    use crate::channel::BatchSocket;
+
+    /// A `BatchSocket` delivering datagrams of up to `slot_bytes`, with
+    /// room for a whole batch of 1 KiB datagrams in its receive buffer.
+    fn gro_receiver(slot_bytes: usize) -> BatchSocket {
+        let rx = BatchSocket::bind(loopback(), slot_bytes).unwrap();
+        rx.set_recv_buffer(1 << 20).unwrap();
+        rx
+    }
+
+    /// Receives until `n` datagrams, delivered or skipped, have reached
+    /// `rx`. Returns the messages they came in and the delivered ones in
+    /// arrival order.
+    fn receive_runs(rx: &mut BatchSocket, n: usize) -> (usize, Vec<Vec<u8>>) {
+        let (mut messages, mut datagrams, mut seen) = (0, 0, Vec::new());
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while datagrams < n && std::time::Instant::now() < deadline {
+            let (got, split) = rx
+                .recv_up_to(MAX_BATCH, Duration::from_millis(200), |_, bytes| {
+                    seen.push(bytes.to_vec());
+                })
+                .unwrap();
+            messages += got;
+            datagrams += split;
+        }
+        (messages, seen)
+    }
+
+    /// Sends `msgs` through `tx`, receives them at `rx` and prints how
+    /// many messages carried them. Returns the messages and the delivered
+    /// datagrams, as [`receive_runs`].
+    fn send_and_receive_runs(
+        test: &str,
+        tx: &UdpSocket,
+        rx: &mut BatchSocket,
+        msgs: &[(SocketAddr, Vec<u8>)],
+    ) -> (usize, Vec<Vec<u8>>) {
+        let mut segment = probe_segmentation(tx);
+        let bytes = msgs.iter().map(|(_, bytes)| bytes.len() as u64).sum();
+        assert_eq!(send_to_batch(tx, msgs, false, &mut segment).unwrap(), (msgs.len(), bytes));
+        let (messages, seen) = receive_runs(rx, msgs.len());
+        let how = match (gro_offered(), segment) {
+            (true, true) => "UDP_GRO on",
+            (true, false) => "UDP_GRO on, no UDP_SEGMENT on this path",
+            (false, _) => "no UDP_GRO on this path",
+        };
+        println!("{test}: {} datagrams -> {messages} messages ({how})", msgs.len());
+        (messages, seen)
+    }
+
+    /// Whether a fresh socket on this path takes `UDP_GRO`.
+    fn gro_offered() -> bool {
+        enable_gro(&UdpSocket::bind(loopback()).unwrap())
+    }
+
+    /// `coalesced` messages where this path offers both `UDP_SEGMENT` and
+    /// `UDP_GRO`, else one per datagram.
+    fn expected_runs(tx: &UdpSocket, coalesced: usize, datagrams: usize) -> usize {
+        if gro_offered() {
+            expected_messages(tx, coalesced, datagrams)
+        } else {
+            datagrams
+        }
+    }
+
+    #[test]
+    fn gro_a_full_batch_arrives_as_two_messages() {
+        let (mut rx, tx) = (gro_receiver(2048), UdpSocket::bind(loopback()).unwrap());
+        let to = rx.local_addr().unwrap();
+        // Two `UDP_SEGMENT` runs of 61 and 3 (see
+        // `gso_splits_a_full_batch_at_the_ipv4_limit`), each one message.
+        let msgs: Vec<_> = (0..MAX_BATCH).map(|i| (to, datagram(i, 1068))).collect();
+        let test = "gro_a_full_batch_arrives_as_two_messages";
+        let (messages, seen) = send_and_receive_runs(test, &tx, &mut rx, &msgs);
+        assert_eq!(seen, payloads(&msgs));
+        assert_eq!(messages, expected_runs(&tx, 2, MAX_BATCH));
+    }
+
+    #[test]
+    fn gro_splits_mixed_lengths_and_short_tails() {
+        let (mut rx, tx) = (gro_receiver(2048), UdpSocket::bind(loopback()).unwrap());
+        let to = rx.local_addr().unwrap();
+        // [4 x 500, 200] [3 x 500, 200] [100]: each run's last segment is
+        // shorter than its segment size, and a lone datagram is its own.
+        let lens = [500, 500, 500, 500, 200, 500, 500, 500, 200, 100];
+        let msgs: Vec<_> =
+            lens.iter().enumerate().map(|(i, &len)| (to, datagram(i, len))).collect();
+        let test = "gro_splits_mixed_lengths_and_short_tails";
+        let (messages, seen) = send_and_receive_runs(test, &tx, &mut rx, &msgs);
+        assert_eq!(seen, payloads(&msgs));
+        assert_eq!(messages, expected_runs(&tx, 3, lens.len()));
+    }
+
+    #[test]
+    fn gro_skips_and_counts_segments_longer_than_the_slot() {
+        let truncated = &crate::metrics::metrics().rx_truncated;
+        let before = truncated.get();
+        let (mut rx, tx) = (gro_receiver(600), UdpSocket::bind(loopback()).unwrap());
+        let to = rx.local_addr().unwrap();
+        // One run of segment size 1000: three segments too long for a
+        // 600-byte datagram, and a 300-byte tail that fits.
+        let lens = [1000, 1000, 1000, 300];
+        let msgs: Vec<_> =
+            lens.iter().enumerate().map(|(i, &len)| (to, datagram(i, len))).collect();
+        let test = "gro_skips_and_counts_segments_longer_than_the_slot";
+        let (messages, seen) = send_and_receive_runs(test, &tx, &mut rx, &msgs);
+        assert_eq!(messages, expected_runs(&tx, 1, lens.len()));
+        if batched() {
+            assert_eq!(seen, payloads(&msgs[3..]), "a datagram longer than the cap is skipped");
+            // Other tests may count truncations meanwhile, never fewer.
+            assert!(truncated.get() - before >= 3, "and counted");
+        } else {
+            // `std` cannot see truncation: each arrives cut to the slot.
+            let mut cut = payloads(&msgs);
+            cut[..3].iter_mut().for_each(|bytes| bytes.truncate(600));
+            assert_eq!(seen, cut);
+        }
+    }
+
+    #[cfg(all(target_os = "linux", not(nc_portable_io)))]
+    #[test]
+    fn gro_off_means_one_message_per_datagram() {
+        let socket = bind_group(loopback(), 1).unwrap().remove(0);
+        let handle = socket.try_clone().unwrap();
+        let mut rx = BatchSocket::from_socket(socket, 2048);
+        rx.set_recv_buffer(1 << 20).unwrap();
+        // The option belongs to the socket, not the descriptor.
+        linux::disable_gro(&handle);
+        let tx = UdpSocket::bind(loopback()).unwrap();
+        let to = rx.local_addr().unwrap();
+        let msgs: Vec<_> = (0..MAX_BATCH).map(|i| (to, datagram(i, 1068))).collect();
+        let test = "gro_off_means_one_message_per_datagram";
+        let mut segment = probe_segmentation(&tx);
+        send_to_batch(&tx, &msgs, false, &mut segment).unwrap();
+        let (messages, seen) = receive_runs(&mut rx, msgs.len());
+        println!("{test}: {} datagrams -> {messages} messages (UDP_GRO cleared)", msgs.len());
+        assert_eq!(seen, payloads(&msgs));
+        assert_eq!(messages, MAX_BATCH);
     }
 }

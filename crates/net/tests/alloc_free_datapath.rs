@@ -18,9 +18,10 @@
 //! datagrams through a [`UdpChannel`] pair's `send_batch` + `recv_batch`
 //! must not either, nor 1000 [`BatchSocket`] flushes of a 64-datagram
 //! burst to one address (one `UDP_SEGMENT` run per message where the
-//! kernel offers it): buffers come from and return to the pool, receive
-//! slots are borrowed, and the batch scratch — control messages
-//! included — lives on the stack.
+//! kernel offers it) and their receives (each run one message, split in
+//! the slot, where it offers `UDP_GRO`): buffers come from and return to
+//! the pool, receive slots are borrowed, and the batch scratch — control
+//! messages included — lives on the stack.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -320,11 +321,17 @@ fn warm_udp_batches_do_not_allocate() {
     assert_eq!(allocated, 0, "{CYCLES} warm UDP datagrams allocated {allocated} times");
 
     // Full same-destination batches from an unconnected socket: one
-    // `UDP_SEGMENT` run per message where the kernel offers it.
+    // `UDP_SEGMENT` run per message where the kernel offers it, and one
+    // coalesced receive per run where it offers `UDP_GRO`.
     let mut tx = BatchSocket::bind("127.0.0.1:0", 2048).expect("bind");
     let mut rx = BatchSocket::bind("127.0.0.1:0", 2048).expect("bind");
     rx.set_recv_buffer(1 << 20).expect("room for a whole batch");
     assert_eq!(flush_round_trips(&mut tx, &mut rx, &template, 4), 4 * FULL_BATCH);
+    // The other test here opens no socket, so these deltas are this one's.
+    let registry = nc_telemetry::default_registry();
+    let (messages, datagrams) =
+        (registry.counter("net.rx_messages"), registry.counter("net.rx_datagrams"));
+    let (messages_before, datagrams_before) = (messages.get(), datagrams.get());
     let allocated = allocations_during(|| {
         arrived = flush_round_trips(&mut tx, &mut rx, &template, CYCLES);
     });
@@ -333,4 +340,12 @@ fn warm_udp_batches_do_not_allocate() {
         allocated, 0,
         "{CYCLES} warm {FULL_BATCH}-datagram flushes allocated {allocated} times"
     );
+    let (messages, datagrams) =
+        (messages.get() - messages_before, datagrams.get() - datagrams_before);
+    println!("warm_udp_batches_do_not_allocate: {datagrams} datagrams -> {messages} messages");
+    assert_eq!(datagrams, (CYCLES * FULL_BATCH) as u64);
+    if messages < datagrams {
+        // Coalesced: the kernel's runs of 61 and 3, one message each.
+        assert_eq!(messages, 2 * CYCLES as u64, "one receive slot per run");
+    }
 }
