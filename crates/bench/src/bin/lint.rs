@@ -4,10 +4,13 @@
 //! Source rules, each tied to an invariant the model checker, the buffer
 //! pool, or the batched-I/O seam owns:
 //!
-//! * **thread-spawn** — raw `std::thread::spawn` outside `crates/pool`
-//!   (and `crates/check`, which implements the shim). Product threading
-//!   must go through `nc_pool::Pool` or `nc_check::thread`, or every
-//!   schedule the model checker explores is missing those threads.
+//! * **thread-spawn** — raw `std::thread::spawn` anywhere but
+//!   `crates/check`, which implements the shim. Product threads are
+//!   scoped: `std::thread::scope` in `nc-net::shard` (one named thread
+//!   per shard) and in `nc-cpu` (one wave per coding call), joined
+//!   before the call returns. A thread a model must see goes through
+//!   `nc_check::thread`. A detached spawn outlives its caller and is
+//!   missing from every schedule the model checker explores.
 //! * **vec-capacity** — bare `Vec::with_capacity` in the net/coding hot
 //!   paths (`crates/net/src`, `crates/core/src`, `crates/fft/src`), and
 //!   `.to_vec()` / `Vec::new()` in the four files every data datagram
@@ -30,8 +33,8 @@
 //! * **safety-comment** — an `unsafe {` block with no `// SAFETY:`
 //!   justification on the block: on the same line or in the contiguous
 //!   comment block directly above it. The GF kernel modules
-//!   (`crates/gf256/src/simd*.rs`), the FFT butterflies, the batched
-//!   syscall seam, and the pool executor all discharge unsafety against
+//!   (`crates/gf256/src/simd*.rs`), the FFT butterflies, the CRC fold
+//!   and the batched syscall seam all discharge unsafety against
 //!   specific bounds/availability arguments; a bare block is a missing
 //!   argument, not a style nit. (`unsafe fn` *declarations* are exempt —
 //!   they state a contract rather than discharge one.)
@@ -83,9 +86,10 @@ const INVARIANT_ATOMICS: [&str; 6] =
 const RULES: [Rule; 5] = [
     Rule {
         name: "thread-spawn",
-        explain: "raw std::thread::spawn outside crates/pool — use nc_pool::Pool or \
-                  nc_check::thread so the model checker sees the thread",
-        applies: |path| !path.starts_with("crates/pool/") && !path.starts_with("crates/check/"),
+        explain: "raw std::thread::spawn — run product threads on std::thread::scope (as \
+                  nc-net::shard and nc-cpu do) or nc_check::thread so the model checker sees \
+                  the thread",
+        applies: |path| !path.starts_with("crates/check/"),
         matches: |code| code.contains("std::thread::spawn"),
         product_code_only: false,
     },
@@ -356,6 +360,30 @@ mod tests {
         let m = RULES[0].matches;
         assert!(!m(code_part("//! let receiver = std::thread::spawn(move || {")));
         assert!(m(code_part("let h = std::thread::spawn(f); // driver")));
+    }
+
+    #[test]
+    fn thread_spawn_rule_covers_the_buffer_pool_but_not_the_shim() {
+        let rule = &RULES[0];
+        assert_eq!(rule.name, "thread-spawn");
+        assert!(!(rule.applies)("crates/check/src/thread.rs"));
+        let dir = std::env::temp_dir().join(format!("nc-lint-spawn-{}", std::process::id()));
+        let rel = "crates/pool/src/buffers.rs";
+        std::fs::create_dir_all(dir.join(rel).parent().unwrap()).unwrap();
+        let findings_for = |code: &str| {
+            std::fs::write(dir.join(rel), code).unwrap();
+            let mut findings = Vec::new();
+            lint_file(&dir, rel, &mut findings);
+            findings
+        };
+        let flagged = findings_for("fn f() { std::thread::spawn(|| {}); }\n");
+        assert_eq!(flagged.len(), 1, "{flagged:?}");
+        assert!(flagged[0].starts_with("crates/pool/src/buffers.rs:1: [thread-spawn]"));
+        let waived = findings_for(
+            "// lint: allow(thread-spawn) — a reason\nfn f() { std::thread::spawn(|| {}); }\n",
+        );
+        assert!(waived.is_empty(), "{waived:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`report::FIGURES`]: Figs. 4(a)-10, `misc` for the in-text numbers,
 //! `streaming_capacity` for the Sec. 5.1.1 scenario, `ablation`,
 //! `calibrate`, the two `--sanitize` variants, and the host-measured
-//! `host_simd` and `pool`. `all` prints every one — the data behind
+//! `host_simd`. `all` prints every one — the data behind
 //! EXPERIMENTS.md. The modeled figures are deterministic; the
 //! `golden_figures` test compares each with its checked-in output in
 //! `crates/bench/golden/`, byte for byte.

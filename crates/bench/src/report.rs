@@ -4,16 +4,14 @@
 //! it; [`FIGURES`] names them for the driver, for `nc-bench all` and for the
 //! golden-file test that checks every modeled one byte for byte.
 
-use std::time::Instant;
-
-use nc_cpu::{measure, ParallelEncoder, ParallelSegmentDecoder, Partitioning};
+use nc_cpu::{measure, Partitioning};
 use nc_cpu_model::{CpuModel, EncodeStrategy};
 use nc_gf256::simd;
 use nc_gpu::api::EncodeScheme;
 use nc_gpu::decode_single::DecodeOptions;
 use nc_gpu::{Fidelity, GpuEncoder, GpuMultiDecoder, GpuProgressiveDecoder, TableVariant};
 use nc_gpu_sim::DeviceSpec;
-use nc_rlnc::{CodedBlock, CodingConfig, Decoder, Encoder, Segment};
+use nc_rlnc::{CodingConfig, Encoder, Segment};
 use nc_streaming::{CapacityPlan, Nic, StreamProfile};
 use rand::{Rng, SeedableRng};
 
@@ -46,12 +44,11 @@ pub const FIGURES: &[(&str, Generator)] = &[
     ("ablation_sanitize", ablation_sanitize),
     ("calibrate", calibrate),
     ("host_simd", host_simd),
-    ("pool", pool),
 ];
 
 /// The figures timed on this host rather than modeled. Their numbers move
 /// from run to run, so they have no golden file.
-pub const HOST_MEASURED: &[&str] = &["host_simd", "pool"];
+pub const HOST_MEASURED: &[&str] = &["host_simd"];
 
 /// Fig. 4(a): loop-based encoding, GTX 280 vs 8800 GT.
 pub fn fig4a() -> String {
@@ -371,8 +368,9 @@ pub fn host_simd() -> String {
         &series,
     ));
     out.push_str(
-        "(Same shape as the modeled Mac Pro: FB is flat in k, PB converges once\n\
-         partitions span whole cache lines; absolute rates are this host's.)\n",
+        "(The modeled Mac Pro has FB flat in k and PB converging to it once\n\
+         partitions span whole cache lines; absolute rates and any crossover\n\
+         are this host's. Each cell times one call, its thread start-up included.)\n",
     );
     out
 }
@@ -892,102 +890,6 @@ pub fn calibrate() -> String {
         ));
     }
     out
-}
-
-/// Executor report, timed on this host: multi-segment decode throughput on
-/// the persistent `nc-pool` executor against the spawn-per-wave strategy it
-/// replaced, and parallel-encode bandwidth on the same pool.
-pub fn pool() -> String {
-    const SEGMENTS: usize = 64;
-    const REPS: usize = 15;
-    let config = CodingConfig::new(8, 64).unwrap();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBE7C);
-    let inputs: Vec<Vec<CodedBlock>> = (0..SEGMENTS)
-        .map(|_| {
-            let data: Vec<u8> = (0..config.segment_bytes()).map(|_| rng.gen()).collect();
-            let enc = Encoder::new(Segment::from_bytes(config, data).unwrap());
-            enc.encode_batch(&mut rng, config.blocks() + 4)
-        })
-        .collect();
-
-    let mut out = format!(
-        "## nc-pool executor (host-measured): n={} k={} segments={SEGMENTS}\n",
-        config.blocks(),
-        config.block_size()
-    );
-    let mut pooled_8 = 0.0;
-    for threads in [1usize, 4, 8] {
-        let decoder = ParallelSegmentDecoder::new(config, threads);
-        decoder.decode_segments(&inputs).unwrap(); // warm the pool
-        let rate = SEGMENTS as f64
-            / best_of(REPS, || {
-                decoder.decode_segments(&inputs).unwrap();
-            });
-        out.push_str(&format!("  decode {threads} threads: {rate:.0} segments/s\n"));
-        pooled_8 = rate;
-    }
-    let baseline = SEGMENTS as f64 / best_of(REPS, || spawn_per_wave_decode(config, 8, &inputs));
-    out.push_str(&format!("  spawn-per-wave 8 threads: {baseline:.0} segments/s\n"));
-    out.push_str(&format!(
-        "  speedup vs spawn-per-wave (8 threads): {:.2}x\n",
-        pooled_8 / baseline
-    ));
-
-    // Parallel-encode bandwidth on the same pool (full-block, Sec. 5.3).
-    let enc_config = CodingConfig::new(64, 4096).unwrap();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xE14C);
-    let data: Vec<u8> = (0..enc_config.segment_bytes()).map(|_| rng.gen()).collect();
-    let m = 16usize;
-    let coeffs: Vec<Vec<u8>> =
-        (0..m).map(|_| (0..64).map(|_| rng.gen_range(1..=255)).collect()).collect();
-    let encoder = ParallelEncoder::new(
-        Segment::from_bytes(enc_config, data).unwrap(),
-        8,
-        Partitioning::FullBlock,
-    );
-    encoder.encode_batch(&coeffs); // warm the pool
-    let secs = best_of(REPS, || {
-        encoder.encode_batch(&coeffs);
-    });
-    out.push_str(&format!(
-        "  parallel encode (n=64 k=4096, 8 threads): {:.1} MB/s\n",
-        (m * 4096) as f64 / secs / 1e6
-    ));
-    out
-}
-
-/// The pre-pool dispatch strategy, for the speedup denominator: one scoped
-/// thread per chunk of segments, spawned afresh on every call.
-fn spawn_per_wave_decode(config: CodingConfig, threads: usize, segments: &[Vec<CodedBlock>]) {
-    let mut results: Vec<Option<Vec<u8>>> = (0..segments.len()).map(|_| None).collect();
-    let chunk = segments.len().div_ceil(threads.clamp(1, segments.len().max(1)));
-    std::thread::scope(|scope| {
-        for (seg_chunk, out_chunk) in segments.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (blocks, slot) in seg_chunk.iter().zip(out_chunk.iter_mut()) {
-                    let mut decoder = Decoder::new(config);
-                    for b in blocks {
-                        if decoder.is_complete() {
-                            break;
-                        }
-                        decoder.push(b.clone()).unwrap();
-                    }
-                    *slot = Some(decoder.try_recover().unwrap());
-                }
-            });
-        }
-    });
-}
-
-/// Best-of-`reps` wall time for `f`, in seconds.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! nc-check — deterministic concurrency model checking for the network
 //! coding hot paths.
 //!
-//! PR 5's work-stealing executor shipped with a pending-count underflow
-//! race that only review caught. Every hot path in this codebase — pool
-//! scopes, `BytesPool` bucket shelves, `StreamEncoder`'s atomic cursor —
-//! is lock-free or condvar-parked by design, so "it passed the stress
-//! test" is not evidence of correctness: the racy
-//! interleaving may need a preemption the OS scheduler grants once per
-//! million runs. This crate makes those interleavings enumerable.
+//! Every state this codebase shares across threads — `BytesPool` bucket
+//! shelves, `StreamEncoder`'s atomic cursor, the shard server's
+//! mailboxes and finish ledger — is lock-free or lock-split by design,
+//! so "it passed the stress test" is not evidence of correctness: the
+//! racy interleaving may need a preemption the OS scheduler grants once
+//! per million runs (a work-stealing executor the workspace once held
+//! shipped a pending-count underflow that only review caught). This
+//! crate makes those interleavings enumerable.
 //!
 //! # The shim layer
 //!
@@ -33,8 +34,11 @@
 //!
 //! ```ignore
 //! nc_check::check(|| {
-//!     let pool = Pool::new(1);
-//!     pool.scope(|s| s.spawn(|| {}));
+//!     let pool = BytesPool::new(1);
+//!     let taker = pool.clone();
+//!     let t = nc_check::thread::spawn(move || drop(taker.take_vec(16)));
+//!     pool.recycle(Vec::with_capacity(64));
+//!     t.join().unwrap();
 //! });
 //! ```
 //!

@@ -20,12 +20,12 @@
 //!   the same remaining budget;
 //! - **cycle (fairness) pruning**: if the state hash recurs along the
 //!   current path, the spinning thread is forced off the token, so
-//!   polling loops (`wait_scope`'s find-task spin) terminate under the
-//!   checker without a timeout.
+//!   polling loops (a find-work spin) terminate under the checker
+//!   without a timeout.
 //!
 //! Failure modes detected: a model-thread panic (assertion failures
-//! propagate exactly as in production, including through the executor's
-//! scope-poisoning), a *deadlock* (no eligible thread while some are
+//! propagate exactly as in production, including through a scoped
+//! join), a *deadlock* (no eligible thread while some are
 //! blocked — this is the lost-wakeup detector, because `wait_timeout` is
 //! modeled as an untimed wait), a *livelock* (per-execution step cap),
 //! and leaked threads at model exit.
@@ -40,8 +40,8 @@
 //! sequentially-consistent semantics — the checker explores scheduling
 //! nondeterminism, not weak-memory reordering; `fetch_update` is modeled
 //! as one atomic step; `Condvar::wait_timeout` never times out (the
-//! timeout backstops in the pool are exactly what the checker must not
-//! lean on when proving the wakeup protocol complete).
+//! timeout backstops of a parked loop are exactly what the checker must
+//! not lean on when proving the wakeup protocol complete).
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -176,7 +176,8 @@ pub enum FailureKind {
         /// Steps executed when the cap tripped.
         steps: usize,
     },
-    /// A model thread panicked (assertion failure or executor panic).
+    /// A model thread panicked (assertion failure or a panic in the
+    /// code under test).
     Panic {
         /// The stringified panic payload.
         message: String,

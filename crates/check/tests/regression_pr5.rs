@@ -12,7 +12,7 @@
 //! The models here are miniature versions of exactly that protocol — a
 //! queue mutex plus an advisory `pending` counter — small enough that the
 //! buggy interleaving is a few steps deep, faithful enough that the same
-//! reordering in `executor.rs` is the same bug.
+//! reordering in any queue with an advisory count is the same bug.
 
 #![cfg(nc_check)]
 

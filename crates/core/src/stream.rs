@@ -12,7 +12,6 @@ use crate::error::Error;
 use crate::segment::{segment_stream, CodingConfig};
 use nc_gf256::region;
 use rand::Rng;
-use std::collections::BTreeMap;
 // The round-robin cursor goes through nc-check's shim so the checker can
 // explore concurrent `next_frame` callers (std re-export in normal builds).
 use nc_check::sync::atomic::{AtomicUsize, Ordering};
@@ -200,57 +199,6 @@ impl StreamEncoder {
     pub fn next_frame(&self, rng: &mut impl Rng) -> StreamFrame {
         let segment = self.cursor.fetch_add(1, Ordering::AcqRel) % self.total_segments();
         self.frame_for(segment, rng)
-    }
-
-    /// The next `count` frames, round-robin across segments, with the
-    /// GF(2^8) coding fanned over the shared worker pool
-    /// ([`nc_pool::Pool::global`]), one task per segment.
-    ///
-    /// Coefficients are drawn serially from `rng` before any task runs,
-    /// so for a given RNG state the frames are bit-identical to `count`
-    /// successive [`StreamEncoder::next_frame`] calls — only the payload
-    /// computation is batched: the draws that fall on one segment become
-    /// one matrix product over it. This is the bulk-sender batch pattern of
-    /// Sec. 5.3: generate many, buffer, deliver on demand.
-    pub fn next_frames(&self, rng: &mut impl Rng, count: usize) -> Vec<StreamFrame> {
-        /// One segment's share of the batch: which frames, their draws,
-        /// then their coded blocks.
-        struct Group {
-            slots: Vec<usize>,
-            rows: Vec<Vec<u8>>,
-            blocks: Vec<CodedBlock>,
-        }
-        let total = self.total_segments();
-        let mut groups: BTreeMap<usize, Group> = BTreeMap::new();
-        for slot in 0..count {
-            let segment = self.cursor.fetch_add(1, Ordering::AcqRel) % total;
-            let group = groups.entry(segment).or_insert_with(|| Group {
-                slots: Vec::new(),
-                rows: Vec::new(),
-                blocks: Vec::new(),
-            });
-            group.slots.push(slot);
-            group.rows.push(self.encoders[segment].draw_coefficients(rng));
-        }
-        nc_pool::Pool::global().scope(|scope| {
-            for (&segment, group) in groups.iter_mut() {
-                let encoder = &self.encoders[segment];
-                scope.spawn(move || {
-                    group.blocks = encoder.encode_rows(std::mem::take(&mut group.rows));
-                });
-            }
-        });
-        let mut frames: Vec<Option<StreamFrame>> = (0..count).map(|_| None).collect();
-        for (segment, group) in groups {
-            for (slot, block) in group.slots.into_iter().zip(group.blocks) {
-                frames[slot] = Some(StreamFrame {
-                    segment: segment as u32,
-                    total_segments: total as u32,
-                    block,
-                });
-            }
-        }
-        frames.into_iter().map(|f| f.expect("every slot filled by its segment's task")).collect()
     }
 }
 
@@ -654,32 +602,6 @@ mod tests {
     #[test]
     fn empty_stream_is_rejected() {
         assert!(StreamEncoder::new(config(), &[]).is_err());
-    }
-
-    #[test]
-    fn batched_frames_match_serial_frames_bit_exactly() {
-        let data: Vec<u8> = (0..500u32).map(|i| (i * 13) as u8).collect();
-        let serial = StreamEncoder::new(config(), &data).unwrap();
-        let batched = StreamEncoder::new(config(), &data).unwrap();
-        let mut rng_a = rand::rngs::StdRng::seed_from_u64(11);
-        let mut rng_b = rand::rngs::StdRng::seed_from_u64(11);
-        let want: Vec<StreamFrame> = (0..48).map(|_| serial.next_frame(&mut rng_a)).collect();
-        let got = batched.next_frames(&mut rng_b, 48);
-        assert_eq!(got, want, "pooled batch must equal serial draws bit-for-bit");
-    }
-
-    #[test]
-    fn batched_frames_decode_the_stream() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let data: Vec<u8> = (0..777).map(|_| rng.gen()).collect();
-        let enc = StreamEncoder::new(config(), &data).unwrap();
-        let mut dec = StreamDecoder::new(config(), enc.total_segments(), data.len());
-        while !dec.is_complete() {
-            for frame in enc.next_frames(&mut rng, 32) {
-                dec.push(frame).unwrap();
-            }
-        }
-        assert_eq!(dec.recover().unwrap(), data);
     }
 
     #[test]

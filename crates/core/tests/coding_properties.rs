@@ -1,7 +1,6 @@
 //! Property-based tests of the end-to-end coding invariants.
 
 use nc_rlnc::prelude::*;
-use nc_rlnc::stream::StreamEncoder;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -191,29 +190,5 @@ proptest! {
         prop_assert_eq!(progressive.recover().unwrap(), data.clone());
         prop_assert_eq!(two_stage.decode().unwrap(), data.clone());
         prop_assert_eq!(two_stage.decode().unwrap(), data);
-    }
-
-    /// `next_frames` is `next_frame` called that many times: same segments,
-    /// same coefficient vectors, same payloads, whatever the batch size and
-    /// however the draws fall on the segments.
-    #[test]
-    fn next_frames_equals_next_frame(
-        config in arb_config(),
-        segments in 1usize..5,
-        count in 0usize..40,
-        seed: u64,
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let len = (segments - 1) * config.segment_bytes() + 1 + rng.gen_range(0..config.segment_bytes());
-        let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        let serial = StreamEncoder::new(config, &data).unwrap();
-        let batched = StreamEncoder::new(config, &data).unwrap();
-        let mut rng_serial = rand::rngs::StdRng::seed_from_u64(seed ^ 1);
-        let mut rng_batch = rand::rngs::StdRng::seed_from_u64(seed ^ 1);
-        // Two batches, so the second starts mid-rotation.
-        for _ in 0..2 {
-            let want: Vec<_> = (0..count).map(|_| serial.next_frame(&mut rng_serial)).collect();
-            prop_assert_eq!(batched.next_frames(&mut rng_batch, count), want);
-        }
     }
 }

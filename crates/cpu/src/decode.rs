@@ -6,24 +6,19 @@
 //! completion on its own segment — no cross-thread synchronization at all,
 //! which is why multi-segment decoding is also the better CPU scheme.
 //!
-//! The workers come from a persistent [`nc_pool::Pool`]: each batch is
-//! split into balanced, modestly oversubscribed chunks on the shared
-//! work-stealing pool, so a batch with `segments % threads != 0` never
-//! runs a short final wave — idle workers steal the straggler chunks —
-//! and repeated batches pay no thread spawn/join churn.
+//! Each call runs one scoped thread wave: at most `threads` threads, one
+//! balanced run of segments each (sizes differ by at most one segment).
 
-use std::sync::Arc;
-
-use nc_pool::Pool;
 use nc_rlnc::{CodedBlock, CodingConfig, Decoder, Error};
 
-/// Decodes batches of segments as balanced chunk tasks on a persistent
-/// work-stealing pool.
+use crate::wave;
+
+/// Decodes batches of segments, one scoped thread per balanced run of
+/// segments.
 #[derive(Debug)]
 pub struct ParallelSegmentDecoder {
     config: CodingConfig,
     threads: usize,
-    pool: Arc<Pool>,
 }
 
 impl ParallelSegmentDecoder {
@@ -34,7 +29,7 @@ impl ParallelSegmentDecoder {
     /// Panics if `threads == 0`.
     pub fn new(config: CodingConfig, threads: usize) -> ParallelSegmentDecoder {
         assert!(threads > 0, "at least one thread required");
-        ParallelSegmentDecoder { config, threads, pool: Pool::shared(threads) }
+        ParallelSegmentDecoder { config, threads }
     }
 
     /// The coding configuration.
@@ -42,7 +37,7 @@ impl ParallelSegmentDecoder {
         self.config
     }
 
-    /// Worker threads the decoder's pool runs on.
+    /// Most threads one call runs on.
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
@@ -60,52 +55,28 @@ impl ParallelSegmentDecoder {
     ///
     /// # Panics
     ///
-    /// If a worker thread panics, the panic is resumed on the caller's
-    /// thread once the wave has joined.
+    /// If a decoding thread panics, its payload is resumed on the caller's
+    /// thread once every thread of the wave has joined.
     pub fn decode_segments(&self, segments: &[Vec<CodedBlock>]) -> Result<Vec<Vec<u8>>, Error> {
         // `None` until a worker delivers the segment's real result, so an
         // unfilled slot can never masquerade as a decode error.
         let mut results: Vec<Option<Result<Vec<u8>, Error>>> =
             (0..segments.len()).map(|_| None).collect();
 
-        // Balanced chunks on the persistent pool: no per-wave thread
-        // spawn/join, and chunk sizes differ by at most one segment, so
-        // `segments % threads != 0` never leaves a short final wave (the
-        // old `div_ceil` split could leave the last worker nearly idle).
-        // Modest oversubscription (4 tasks per worker) keeps per-task
-        // dispatch overhead amortized on large batches while stealing
-        // still rebalances segments that decode at different speeds.
-        // A panicking task poisons the scope and is resumed here, with
-        // its original payload, once every task has joined.
-        let tasks = (self.threads * 4).clamp(1, segments.len().max(1));
-        let base = segments.len() / tasks;
-        let extra = segments.len() % tasks;
-
         let barrier = crate::metrics::metrics().segment_barrier_wait_ns.span();
-        self.pool.scope(|scope| {
-            let mut seg_rest = segments;
-            let mut out_rest = results.as_mut_slice();
-            for i in 0..tasks {
-                let size = base + usize::from(i < extra);
-                let (seg_chunk, sr) = seg_rest.split_at(size);
-                let (out_chunk, or) = std::mem::take(&mut out_rest).split_at_mut(size);
-                seg_rest = sr;
-                out_rest = or;
-                let config = self.config;
-                scope.spawn(move || {
-                    for (blocks, slot) in seg_chunk.iter().zip(out_chunk.iter_mut()) {
-                        let mut decoder = Decoder::new(config);
-                        *slot = Some((|| {
-                            for b in blocks {
-                                if decoder.is_complete() {
-                                    break;
-                                }
-                                decoder.push(b.clone())?;
-                            }
-                            decoder.try_recover()
-                        })());
+        let chunks = wave::balanced_chunks(segments, &mut results, self.threads);
+        wave::run(chunks, |(segments, slots)| {
+            for (blocks, slot) in segments.iter().zip(slots) {
+                let mut decoder = Decoder::new(self.config);
+                *slot = Some((|| {
+                    for b in blocks {
+                        if decoder.is_complete() {
+                            break;
+                        }
+                        decoder.push(b.clone())?;
                     }
-                });
+                    decoder.try_recover()
+                })());
             }
         });
         drop(barrier);

@@ -1,12 +1,10 @@
 //! Multi-threaded encoding with the two partitioning strategies of
-//! Sec. 5.3, dispatched onto a persistent [`nc_pool::Pool`] instead of
-//! spawning a thread wave per batch.
-
-use std::sync::Arc;
+//! Sec. 5.3, one scoped thread wave per batch.
 
 use nc_gf256::region;
-use nc_pool::Pool;
 use nc_rlnc::{CodedBlock, Segment};
+
+use crate::wave;
 
 /// How the encoding work of a batch is split across threads.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -41,18 +39,18 @@ pub struct ParallelEncoder {
     segment: Segment,
     threads: usize,
     partitioning: Partitioning,
-    pool: Arc<Pool>,
 }
 
 impl ParallelEncoder {
-    /// Creates an encoder using `threads` worker threads.
+    /// Creates an encoder running each batch on at most `threads`
+    /// threads.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     pub fn new(segment: Segment, threads: usize, partitioning: Partitioning) -> ParallelEncoder {
         assert!(threads > 0, "at least one thread required");
-        ParallelEncoder { segment, threads, partitioning, pool: Pool::shared(threads) }
+        ParallelEncoder { segment, threads, partitioning }
     }
 
     /// The partitioning strategy in use.
@@ -65,65 +63,60 @@ impl ParallelEncoder {
         &self.segment
     }
 
-    /// Encodes one coded block per coefficient row, in parallel.
+    /// Encodes one coded block per coefficient row, in parallel: one
+    /// scoped thread per balanced chunk of rows
+    /// ([`Partitioning::FullBlock`]) or per 8-byte-aligned slice of the
+    /// block ([`Partitioning::PartitionedBlock`]).
     ///
     /// # Panics
     ///
-    /// Panics if any row's length differs from `n`.
+    /// Panics if any row's length differs from `n`. If a coding thread
+    /// panics, its payload is resumed on the caller once every thread of
+    /// the batch has joined.
     pub fn encode_batch(&self, coeff_rows: &[Vec<u8>]) -> Vec<CodedBlock> {
         let n = self.segment.config().blocks();
         let k = self.segment.config().block_size();
         for row in coeff_rows {
             assert_eq!(row.len(), n, "coefficient row length mismatch");
         }
+        if coeff_rows.is_empty() {
+            return Vec::new();
+        }
         let mut payloads = vec![vec![0u8; k]; coeff_rows.len()];
 
         match self.partitioning {
             Partitioning::FullBlock => {
-                // Whole coded blocks per worker, round-robin.
-                self.pool.scope(|scope| {
-                    let mut buckets: Vec<Vec<(usize, &mut Vec<u8>)>> =
-                        (0..self.threads).map(|_| Vec::new()).collect();
-                    for (i, p) in payloads.iter_mut().enumerate() {
-                        buckets[i % self.threads].push((i, p));
-                    }
-                    for bucket in buckets {
-                        let segment = &self.segment;
-                        scope.spawn(move || {
-                            let n = segment.config().blocks();
-                            let sources: Vec<&[u8]> = (0..n).map(|i| segment.block(i)).collect();
-                            for (j, payload) in bucket {
-                                region::dot_assign(payload, &sources, &coeff_rows[j]);
-                            }
-                        });
+                // Whole coded blocks per thread, a contiguous run of rows each.
+                let sources: Vec<&[u8]> = self.segment.iter_blocks().collect();
+                let chunks = wave::balanced_chunks(coeff_rows, &mut payloads, self.threads);
+                wave::run(chunks, |(rows, outs)| {
+                    for (row, payload) in rows.iter().zip(outs) {
+                        region::dot_assign(payload, &sources, row);
                     }
                 });
             }
             Partitioning::PartitionedBlock => {
-                // Every block's byte range split across all workers.
-                let slice_len = k.div_ceil(self.threads).next_multiple_of(8).min(k);
-                for (j, payload) in payloads.iter_mut().enumerate() {
-                    let row = &coeff_rows[j];
-                    self.pool.scope(|scope| {
-                        let mut rest: &mut [u8] = payload;
-                        let mut offset = 0usize;
-                        while !rest.is_empty() {
-                            let take = slice_len.min(rest.len());
-                            let (head, tail) = rest.split_at_mut(take);
-                            rest = tail;
-                            let segment = &self.segment;
-                            let this_offset = offset;
-                            offset += take;
-                            scope.spawn(move || {
-                                let n = segment.config().blocks();
-                                let sources: Vec<&[u8]> = (0..n)
-                                    .map(|i| &segment.block(i)[this_offset..this_offset + take])
-                                    .collect();
-                                region::dot_assign(head, &sources, row);
-                            });
-                        }
-                    });
+                // Every block's bytes split across the threads, balanced in
+                // 8-byte words; each thread walks its slice of every row.
+                let slices: Vec<_> = wave::balanced(k.div_ceil(8), self.threads)
+                    .map(|w| w.start * 8..(w.end * 8).min(k))
+                    .collect();
+                let mut outs: Vec<Vec<&mut [u8]>> = slices.iter().map(|_| Vec::new()).collect();
+                for payload in &mut payloads {
+                    let mut rest = payload.as_mut_slice();
+                    for (slice, out) in slices.iter().zip(&mut outs) {
+                        let (head, tail) = std::mem::take(&mut rest).split_at_mut(slice.len());
+                        out.push(head);
+                        rest = tail;
+                    }
                 }
+                wave::run(slices.into_iter().zip(outs), |(slice, outs)| {
+                    let sources: Vec<&[u8]> =
+                        self.segment.iter_blocks().map(|block| &block[slice.clone()]).collect();
+                    for (row, out) in coeff_rows.iter().zip(outs) {
+                        region::dot_assign(out, &sources, row);
+                    }
+                });
             }
         }
 

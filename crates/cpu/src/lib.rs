@@ -13,6 +13,10 @@
 //!   the streaming-server batch mode that wins at small block sizes).
 //! * [`decode`] — [`decode::ParallelSegmentDecoder`], one segment per
 //!   thread (the Sec. 5.2 multi-segment scheme).
+//!
+//! Both coders run each call as one `std::thread::scope` wave of at most
+//! `threads` threads; the first panic of a wave is resumed on the caller.
+//!
 //! * [`measure`] — wall-clock throughput helpers used by the Criterion
 //!   benches and the figure harness's "real host CPU" columns.
 
@@ -23,6 +27,7 @@ pub mod decode;
 pub mod encode;
 pub mod measure;
 mod metrics;
+mod wave;
 
 pub use decode::ParallelSegmentDecoder;
 pub use encode::{ParallelEncoder, Partitioning};

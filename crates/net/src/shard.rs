@@ -10,9 +10,9 @@
 //! * **One socket per shard**, bound as an `SO_REUSEPORT` group (portable
 //!   fallback: clones of one socket), so shards receive concurrently with
 //!   no shared descriptor contention.
-//! * **One shard per `nc-pool` worker**, placed with
-//!   [`nc_pool::Scope::spawn_pinned`] so a shard's sessions always run on
-//!   the same thread.
+//! * **One thread per shard** for the whole `serve` call: a named
+//!   `std::thread::scope` thread (`nc-shard-{i}`) that borrows its socket,
+//!   so a shard's sessions always run on the same thread.
 //! * **Per-shard session maps.** Shard `s` owns session key `(peer, id)`
 //!   iff [`shard_owner`]`(peer, id, shards) == s`. Only the owner ever
 //!   inserts, advances, or reaps that key, so there is no cross-shard
@@ -187,7 +187,7 @@ impl ServeShared {
 }
 
 /// A multi-receiver coded-transport server sharded across sockets and
-/// pool workers.
+/// threads.
 pub struct ShardedServer {
     config: ShardedServerConfig,
     sockets: Vec<BatchSocket>,
@@ -234,7 +234,8 @@ impl ShardedServer {
     }
 
     /// Serves until `expected` transfers finish or `deadline` passes,
-    /// running one pinned shard loop per pool worker. Returns every
+    /// running one shard loop per scoped thread (`nc-shard-{i}`), all
+    /// joined before it returns. Returns every
     /// finished transfer (its [`ServedTransfer::shard`] says which shard
     /// served it).
     ///
@@ -242,6 +243,11 @@ impl ShardedServer {
     ///
     /// The first socket I/O error any shard hit (datagram loss is not an
     /// error).
+    ///
+    /// # Panics
+    ///
+    /// If a shard loop panics, its payload is resumed on the caller once
+    /// every shard has joined.
     pub fn serve(
         &mut self,
         expected: usize,
@@ -256,19 +262,31 @@ impl ShardedServer {
             error: Mutex::new(None),
         };
         let until = Instant::now() + deadline;
-        let config = &self.config;
-        let shared_ref = &shared;
-        // A dedicated pool (not `Pool::shared`): shard loops are
-        // long-running and must not compete with coder tasks for workers,
-        // and dropping the pool reclaims the threads when serving ends.
-        let pool = nc_pool::Pool::new(shards);
-        pool.scope(|scope| {
-            for (shard, socket) in self.sockets.iter_mut().enumerate() {
-                scope.spawn_pinned(shard, move || {
-                    shard_main(shard, shards, socket, shared_ref, config, until);
-                });
-            }
+        let (config, shared_ref) = (&self.config, &shared);
+        // One named scoped thread per shard, each borrowing its own socket;
+        // a shard that cannot be spawned stops the others and is the error.
+        // Every shard joins before the first panic's own payload is
+        // resumed: a bare `scope` would swap it for a generic message.
+        let panic = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .sockets
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(shard, socket)| {
+                    std::thread::Builder::new()
+                        .name(format!("nc-shard-{shard}"))
+                        .spawn_scoped(scope, move || {
+                            shard_main(shard, shards, socket, shared_ref, config, until);
+                        })
+                        .map_err(|err| shared_ref.fail(err))
+                        .ok()
+                })
+                .collect();
+            handles.into_iter().fold(None, |first, handle| first.or(handle.join().err()))
         });
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
         if let Some(err) = shared.error.lock().expect("error lock").take() {
             return Err(err);
         }
@@ -702,23 +720,51 @@ mod tests {
         rx.into_recovered()
     }
 
+    /// Held by every test that serves over loopback, so a test that looks
+    /// for live shard threads sees only its own server's.
+    fn serving() -> std::sync::MutexGuard<'static, ()> {
+        static SERVING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERVING.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Serves one published stream to `receivers` concurrent receivers and
     /// checks every one recovered it bit-exact.
     fn serve_to(receivers: usize, len: usize, config: ShardedServerConfig) -> Vec<ServedTransfer> {
         let (encoder, data) = stream(len, |i| (i % 239) as u8);
         let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
         server.publish(5, encoder);
+        serve_round(&mut server, receivers, &data)
+    }
+
+    /// One `serve` call of stream 5 (`data`) to `receivers` new receivers.
+    fn serve_round(
+        server: &mut ShardedServer,
+        receivers: usize,
+        data: &[u8],
+    ) -> Vec<ServedTransfer> {
+        let _serving = serving();
         let addr = server.local_addr().unwrap();
         let handles: Vec<_> = (0..receivers)
-            // lint: allow(thread-spawn) — test driver threads; product threading goes through nc-pool.
+            // lint: allow(thread-spawn) — test receivers; the server under test spawns its own shard threads.
             .map(|_| std::thread::spawn(move || receive(addr, 5)))
             .collect();
         let transfers = server.serve(receivers, Duration::from_secs(60)).unwrap();
         for handle in handles {
-            assert_eq!(handle.join().unwrap().as_deref(), Some(data.as_slice()), "bit-exact");
+            assert_eq!(handle.join().unwrap().as_deref(), Some(data), "bit-exact");
         }
         assert_eq!(transfers.len(), receivers);
         transfers
+    }
+
+    /// Names of this process's live `nc-shard-*` threads.
+    fn shard_threads() -> Vec<String> {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+        tasks
+            .flatten()
+            .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_owned())
+            .filter(|name| name.starts_with("nc-shard-"))
+            .collect()
     }
 
     /// What a [`ShardStep`] borrows: its config, the published content
@@ -1032,6 +1078,20 @@ mod tests {
     }
 
     #[test]
+    fn serve_joins_every_shard_thread_and_serves_again() {
+        let (encoder, data) = stream(30_000, |i| (i % 233) as u8);
+        let config = ShardedServerConfig { shards: 3, ..ShardedServerConfig::default() };
+        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
+        server.publish(5, encoder);
+        for call in 0..2 {
+            serve_round(&mut server, 4, &data);
+            if cfg!(target_os = "linux") {
+                assert_eq!(shard_threads(), Vec::<String>::new(), "call {call} left shard threads");
+            }
+        }
+    }
+
+    #[test]
     fn sharded_server_survives_outgoing_faults() {
         use crate::channel::FaultProfile;
         for (shards, faults) in
@@ -1057,6 +1117,7 @@ mod tests {
             ShardedServer::bind("127.0.0.1:0", ShardedServerConfig::default()).unwrap();
         server.publish(1, encoder);
         let addr = server.local_addr().unwrap();
+        let _serving = serving();
         let received = &crate::metrics::metrics().rx_datagrams;
         let before = received.get();
 

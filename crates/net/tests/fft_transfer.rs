@@ -50,7 +50,7 @@ fn fft_stream_over_20pct_loss_is_bit_exact() {
 
     let (tx_end, rx_end) = memory_pair();
     let mut tx_end = FaultyChannel::new(tx_end, FaultProfile::lossy(0.20), 77);
-    // lint: allow(thread-spawn) — test driver thread; product threading goes through nc-pool.
+    // lint: allow(thread-spawn) — test driver thread; product threads are scoped (nc-net::shard, nc-cpu).
     let receiver = std::thread::spawn(move || {
         let mut rx_end = rx_end;
         let mut session = ReceiverSession::new(1, receiver_config(), Instant::now());
@@ -80,7 +80,7 @@ fn loss_free_fft_transfer_takes_the_systematic_fast_path() {
     let segments = encoder.total_segments() as u64;
 
     let (mut tx_end, rx_end) = memory_pair();
-    // lint: allow(thread-spawn) — test driver thread; product threading goes through nc-pool.
+    // lint: allow(thread-spawn) — test driver thread; product threads are scoped (nc-net::shard, nc-cpu).
     let receiver = std::thread::spawn(move || {
         let mut rx_end = rx_end;
         let mut session = ReceiverSession::new(2, receiver_config(), Instant::now());
@@ -114,7 +114,7 @@ fn server_publishes_fft_content_and_reports_the_codec_id() {
 
     let handles: Vec<_> = (0..2)
         .map(|_| {
-            // lint: allow(thread-spawn) — test driver threads; product threading goes through nc-pool.
+            // lint: allow(thread-spawn) — test driver threads; product threads are scoped (nc-net::shard, nc-cpu).
             std::thread::spawn(move || {
                 let mut channel = UdpChannel::connect("127.0.0.1:0", addr).unwrap();
                 let mut rx = ReceiverSession::new(9, receiver_config(), Instant::now());

@@ -34,7 +34,7 @@ fn transfer(coding: CodingConfig, data: &[u8], drop: f64, seed: u64) -> Counted 
         deadline: Some(Duration::from_secs(60)),
         ..ReceiverConfig::default()
     };
-    // lint: allow(thread-spawn) — the test's receiver thread; product threading goes through nc-pool.
+    // lint: allow(thread-spawn) — the test's receiver thread; product threads are scoped (nc-net::shard, nc-cpu).
     let receiver = std::thread::spawn(move || {
         let mut rx_end = rx_end;
         let mut session = ReceiverSession::new(1, receiver_config, Instant::now());

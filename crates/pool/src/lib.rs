@@ -1,38 +1,26 @@
-//! Persistent execution substrate for the coding and transport hot paths.
+//! Buffer recycling for the coding and transport hot paths.
 //!
-//! The paper's whole argument (Secs. 4–5) is keeping every execution unit
-//! saturated while coding at line rate: one GPU thread per output word,
-//! one segment per SM. The CPU substitution originally undermined that by
-//! spawning and joining a fresh wave of OS threads for every chunk of
-//! segments and by allocating fresh `Vec`s for every coded block and
-//! received datagram. After the SIMD kernels made the field arithmetic
-//! 9–12x faster, thread churn and allocator pressure became the dominant
-//! dispatch cost. This crate removes both, with zero external
-//! dependencies:
+//! The coding hot paths move `Vec<u8>`s around constantly: every coded
+//! block carries a coefficient vector and a payload, and every received
+//! datagram becomes a frame. Allocating each afresh makes the allocator a
+//! dispatch cost once the SIMD kernels have made the field arithmetic
+//! cheap. This crate keeps those allocations alive between uses, with no
+//! external dependencies:
 //!
-//! - [`Pool`] — a persistent work-stealing worker pool: one parked OS
-//!   thread per requested core, a per-worker LIFO deque plus a global FIFO
-//!   injector, FIFO stealing, and a scoped [`Pool::scope`] API so borrowed
-//!   slices work exactly as they did under `crossbeam::scope`. A panic in
-//!   one task poisons only its own scope and is resumed on the caller
-//!   after every task of that scope has completed — the same contract
-//!   `ParallelSegmentDecoder::decode_segments` documents.
 //! - [`BytesPool`] / [`PooledBuf`] — capacity-aware recycling of byte
 //!   buffers; a dropped [`PooledBuf`] returns its allocation to the pool.
 //! - [`BlockArena`] — the coded-block specialization: one shelf for
 //!   coefficient vectors, one for payloads, shared process-wide so buffers
 //!   an encoder allocates come back from the decoder that consumes them.
 //!
-//! Everything records into [`nc_telemetry`] under `pool.*`: queue depth,
-//! steal count, tasks executed, buffer-pool hit rate, and worker idle
-//! time.
+//! Both record into [`nc_telemetry`] under `pool.*`: buffer-pool hits,
+//! misses and bytes recycled. Threads are not this crate's business: the
+//! shard loops and the `nc-cpu` coders run on `std::thread::scope`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 mod buffers;
-mod executor;
 mod metrics;
 
 pub use buffers::{BlockArena, BytesPool, PooledBuf};
-pub use executor::{Pool, Scope};

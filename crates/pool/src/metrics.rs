@@ -1,4 +1,4 @@
-//! Telemetry handles for the executor and the buffer pools.
+//! Telemetry handles for the buffer pools.
 //!
 //! Handles are fetched once into a `OnceLock` so the hot paths record
 //! through pre-resolved `Arc`s; with `NC_TELEMETRY=off` every call site
@@ -6,20 +6,9 @@
 
 use std::sync::{Arc, OnceLock};
 
-use nc_telemetry::{Counter, Gauge, Histogram};
+use nc_telemetry::Counter;
 
 pub(crate) struct PoolMetrics {
-    /// Tasks executed by any worker (or by a caller helping while waiting
-    /// on its scope).
-    pub tasks_executed: Arc<Counter>,
-    /// Tasks a worker took from another worker's deque.
-    pub steals: Arc<Counter>,
-    /// Tasks submitted to a specific worker via `spawn_pinned`.
-    pub pinned_tasks: Arc<Counter>,
-    /// Queued-but-unclaimed tasks, sampled at every push/pop.
-    pub queue_depth: Arc<Gauge>,
-    /// Time a worker spends parked between tasks.
-    pub worker_idle_ns: Arc<Histogram>,
     /// Buffer requests served from a recycled allocation.
     pub buffer_hits: Arc<Counter>,
     /// Buffer requests that had to allocate fresh.
@@ -33,11 +22,6 @@ pub(crate) fn metrics() -> &'static PoolMetrics {
     METRICS.get_or_init(|| {
         let r = nc_telemetry::default_registry();
         PoolMetrics {
-            tasks_executed: r.counter("pool.tasks_executed"),
-            steals: r.counter("pool.steals"),
-            pinned_tasks: r.counter("pool.pinned_tasks"),
-            queue_depth: r.gauge("pool.queue_depth"),
-            worker_idle_ns: r.histogram("pool.worker_idle_ns"),
             buffer_hits: r.counter("pool.buffer_hits"),
             buffer_misses: r.counter("pool.buffer_misses"),
             bytes_recycled: r.counter("pool.bytes_recycled"),

@@ -42,12 +42,11 @@ fn seeded_shelf_stress_keeps_ownership_and_telemetry_consistent() {
     let pool = BytesPool::new(MAX_RETAINED);
     let total_takes = Arc::new(std::sync::atomic::AtomicU64::new(0));
 
-    // lint: allow(thread-spawn) — the point of this stress test is real,
-    // freely-scheduled OS threads outside the model checker.
     let workers: Vec<_> = (0..THREADS)
         .map(|tid| {
             let pool = pool.clone();
             let total_takes = Arc::clone(&total_takes);
+            // lint: allow(thread-spawn) — the point of this stress test is real, freely scheduled OS threads outside the model checker.
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xB0F5 + tid);
                 // Buffers currently owned by this thread: (vec, fill byte).

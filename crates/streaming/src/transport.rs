@@ -198,7 +198,7 @@ mod tests {
         transport.publish_media(21, &media).unwrap();
         let addr = transport.local_addr().unwrap();
 
-        // lint: allow(thread-spawn) — test driver thread; product threading goes through nc-pool.
+        // lint: allow(thread-spawn) — test driver thread; product threads are scoped (nc-net::shard, nc-cpu).
         let handle = std::thread::spawn(move || {
             let mut channel = UdpChannel::connect("127.0.0.1:0", addr).unwrap();
             let mut session = ReceiverSession::new(21, ReceiverConfig::default(), Instant::now());

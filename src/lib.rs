@@ -15,7 +15,7 @@
 //! | [`net`] | Lossy-datagram coded transport: UDP, fault injection, sessions |
 //! | [`p2p`] | The Avalanche-style content-distribution swarm |
 //! | [`telemetry`] | Zero-dependency metrics: counters, histograms, JSON snapshots |
-//! | [`pool`] | Persistent work-stealing executor + recycled buffer shelves |
+//! | [`pool`] | Buffer recycling: recycled byte and coded-block shelves |
 //!
 //! Start with the runnable examples:
 //!
