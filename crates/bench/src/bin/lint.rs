@@ -13,8 +13,8 @@
 //!   missing from every schedule the model checker explores.
 //! * **vec-capacity** — bare `Vec::with_capacity` in the net/coding hot
 //!   paths (`crates/net/src`, `crates/core/src`, `crates/fft/src`), and
-//!   `.to_vec()` / `Vec::new()` in the four files every data datagram
-//!   passes through (`crates/net/src/{wire,session,receiver,shard}.rs`,
+//!   `.to_vec()` / `Vec::new()` in the six files every data datagram
+//!   passes through (`crates/net/src/{wire,session,receiver,step,shard,client}.rs`,
 //!   up to their trailing `#[cfg(test)]` module). Per-frame and per-shard
 //!   buffers must come from `BytesPool`/`BlockArena` so the recycling
 //!   edges added for the transport keep steady-state traffic
@@ -71,11 +71,13 @@ struct Rule {
 
 /// The files every data datagram passes through, where any allocation is
 /// per datagram unless shown otherwise.
-const DATAGRAM_PATH_FILES: [&str; 4] = [
+const DATAGRAM_PATH_FILES: [&str; 6] = [
     "crates/net/src/wire.rs",
     "crates/net/src/session.rs",
     "crates/net/src/receiver.rs",
+    "crates/net/src/step.rs",
     "crates/net/src/shard.rs",
+    "crates/net/src/client.rs",
 ];
 
 /// Atomic field names that appear in nc-check model invariants; `Relaxed`
@@ -423,6 +425,8 @@ mod tests {
         assert!(!(rule.matches)("let v = pool.take_vec_copy(bytes);"));
         assert!((rule.applies)("crates/net/src/wire.rs"));
         assert!((rule.applies)("crates/net/src/shard.rs"));
+        assert!((rule.applies)("crates/net/src/step.rs"));
+        assert!((rule.applies)("crates/net/src/client.rs"));
         assert!(!(rule.applies)("crates/net/src/channel.rs"));
         assert!(!(rule.applies)("crates/core/src/stream.rs"));
 

@@ -22,11 +22,13 @@
 //! | [`channel`] | the I/O seam: one batched socket type, memory pairs, fault injection |
 //! | [`pacing`] | token-bucket wire pacing + adaptive redundancy control |
 //! | [`session`] | sans-I/O rateless sender state machine |
-//! | [`receiver`] | sans-I/O receiver state machine + blocking driver |
+//! | [`receiver`] | sans-I/O receiver state machine + [`run_receiver`], the client with one session |
+//! | `step` | the one scheduler both roles run on: sessions polled only when a datagram touched them or their quoted wait ran out |
+//! | [`client`] | the receiving role: many receiver sessions on one step, over one [`channel::Channel`], from one thread |
 //! | [`sender`] | blocking sender driver over any [`channel::Channel`] |
 //! | [`server`] | serving vocabulary: [`ServerConfig`], [`ServedTransfer`] (per-session stats) |
 //! | `sysio` | the platform seam: `SO_REUSEPORT` groups + `sendmmsg`/`recvmmsg` on Linux, `std` fallback elsewhere |
-//! | [`shard`] | the server: one socket and session map per `nc-pool` worker (one shard is a single-socket server), batched syscalls |
+//! | [`shard`] | the server: one socket, step and scoped thread per shard (one shard is a single-socket server), batched syscalls |
 //!
 //! There is **no retransmission path**. Loss is repaired by sending fresh
 //! coded frames for whichever segments still lack rank — the rateless
@@ -37,13 +39,12 @@
 //!
 //! ```
 //! use nc_net::channel::{memory_pair, FaultProfile, FaultyChannel};
-//! use nc_net::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
 //! use nc_net::sender::send_stream;
 //! use nc_net::session::SenderConfig;
+//! use nc_net::{Client, ReceiverConfig};
 //! use nc_rlnc::stream::StreamEncoder;
 //! use nc_rlnc::CodingConfig;
 //! use std::sync::Arc;
-//! use std::time::Instant;
 //!
 //! let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
 //! let encoder = Arc::new(StreamEncoder::new(CodingConfig::new(8, 128)?, &data)?);
@@ -51,15 +52,15 @@
 //! let (tx_end, rx_end) = memory_pair();
 //! // 10% loss on the data path, deterministic under seed 7.
 //! let mut tx_end = FaultyChannel::new(tx_end, FaultProfile::lossy(0.10), 7);
-//! let receiver = std::thread::spawn(move || {
-//!     let mut rx_end = rx_end;
-//!     let mut session = ReceiverSession::new(1, ReceiverConfig::default(), Instant::now());
-//!     run_receiver(&mut rx_end, &mut session).unwrap();
-//!     session.into_recovered()
+//! // The receiving side: one client, here with one session, stream 1.
+//! let mut client = Client::new(rx_end, ReceiverConfig::default());
+//! client.request(1);
+//! let (report, received) = std::thread::scope(|scope| {
+//!     let received = scope.spawn(|| client.run());
+//!     (send_stream(&mut tx_end, encoder, 1, SenderConfig::default(), 42), received.join())
 //! });
-//! let report = send_stream(&mut tx_end, encoder, 1, SenderConfig::default(), 42)?;
-//! assert_eq!(receiver.join().unwrap().unwrap(), data);
-//! assert!(report.overhead_ratio().unwrap() >= 1.0);
+//! assert_eq!(received.unwrap()?[0].recovered(), Some(data.as_slice()));
+//! assert!(report?.overhead_ratio().unwrap() >= 1.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -71,6 +72,7 @@
 #![warn(missing_docs)]
 
 pub mod channel;
+pub mod client;
 pub mod codecs;
 mod metrics;
 pub mod pacing;
@@ -79,6 +81,7 @@ pub mod sender;
 pub mod server;
 pub mod session;
 pub mod shard;
+mod step;
 mod sysio;
 pub mod wire;
 
@@ -86,6 +89,7 @@ pub use channel::{
     memory_pair, BatchSocket, Channel, FaultProfile, FaultStats, FaultyChannel, MemoryChannel,
     UdpChannel,
 };
+pub use client::Client;
 pub use codecs::{codec_for, make_sender};
 pub use nc_pool::PooledBuf;
 pub use nc_rlnc::codec::CodecId;
@@ -96,4 +100,5 @@ pub use sender::{run_sender, send_stream};
 pub use server::{ServedTransfer, ServerConfig};
 pub use session::{SenderConfig, SenderOutcome, SenderReport, SenderSession};
 pub use shard::{ShardedServer, ShardedServerConfig};
+pub use step::{Event, BURST_PER_STEP};
 pub use wire::{Datagram, Payload, SegmentBitmap, StreamMeta, WireError};

@@ -17,28 +17,35 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use crate::channel::Channel;
+use crate::client::pump;
 use crate::codecs::codec_for;
+pub use crate::step::Event;
+use crate::step::{Session, Step};
 use crate::wire::{Datagram, DatagramRef, Payload, SegmentBitmap, StreamMeta, WireError};
+
+/// Send an ACK after this many data datagrams: the count rule, which
+/// paces ACKs while frames flow.
+pub const ACK_EVERY: u64 = 8;
+
+/// The ACK timer's floor. The timer ACKs when
+/// `max(ACK_INTERVAL, ACK_EVERY x mean frame gap)` has passed since the
+/// last ACK, the mean gap being a 1/8-weight moving average of data frame
+/// inter-arrival times, each clamped at `ACK_INTERVAL`. A fast flow
+/// therefore ACKs at least every `ACK_INTERVAL`; a slow one (a 768 Kbps
+/// peer gets a frame every ~9.4 ms) at most every
+/// `ACK_EVERY x ACK_INTERVAL`, so its count rule fires first. With no
+/// frames arriving the timer still fires ("nothing arrived" ACKs).
+pub const ACK_INTERVAL: Duration = Duration::from_millis(10);
+
+/// Re-send the initial request at this interval until announced.
+pub const REQUEST_INTERVAL: Duration = Duration::from_millis(20);
+
+/// How many times to repeat the final FIN (it may be lost).
+pub const FIN_REPEATS: u32 = 3;
 
 /// Tuning knobs for a receiver session.
 #[derive(Clone, Debug)]
 pub struct ReceiverConfig {
-    /// Send an ACK after this many data datagrams: the count rule, which
-    /// paces ACKs while frames flow.
-    pub ack_every: u64,
-    /// The ACK timer's floor. The timer ACKs when
-    /// `max(ack_interval, ack_every x mean frame gap)` has passed since the
-    /// last ACK, the mean gap being a 1/8-weight moving average of data
-    /// frame inter-arrival times, each clamped at `ack_interval`. A fast
-    /// flow therefore ACKs at least every `ack_interval`; a slow one (a
-    /// 768 Kbps peer gets a frame every ~9.4 ms) at most every
-    /// `ack_every x ack_interval`, so its count rule fires first. With no
-    /// frames arriving the timer still fires ("nothing arrived" ACKs).
-    pub ack_interval: Duration,
-    /// Re-send the initial request at this interval until announced.
-    pub request_interval: Duration,
-    /// How many times to repeat the final FIN (it may be lost).
-    pub fin_repeats: u32,
     /// Abort after this long without any valid sender datagram.
     pub idle_timeout: Duration,
     /// Hard cap on the whole transfer.
@@ -47,27 +54,12 @@ pub struct ReceiverConfig {
 
 impl Default for ReceiverConfig {
     fn default() -> ReceiverConfig {
-        ReceiverConfig {
-            ack_every: 8,
-            ack_interval: Duration::from_millis(10),
-            request_interval: Duration::from_millis(20),
-            fin_repeats: 3,
-            idle_timeout: Duration::from_secs(5),
-            deadline: None,
-        }
+        ReceiverConfig { idle_timeout: Duration::from_secs(5), deadline: None }
     }
 }
 
-/// What the driver should do next.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReceiverEvent {
-    /// Put these bytes on the wire (request/ACK/FIN).
-    Transmit(Vec<u8>),
-    /// Wait (and poll the channel) this long.
-    Wait(Duration),
-    /// The session is over; collect data and report.
-    Finished,
-}
+/// The receiver's name for [`Event`].
+pub type ReceiverEvent = Event;
 
 /// How a receiver session ended.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -178,6 +170,11 @@ impl ReceiverSession {
         }
     }
 
+    /// The stream id this session asks for.
+    pub fn session_id(&self) -> u64 {
+        self.session
+    }
+
     /// Whether the stream decoded completely.
     pub fn is_complete(&self) -> bool {
         matches!(self.state, State::Done { .. })
@@ -239,20 +236,20 @@ impl ReceiverSession {
         }
     }
 
-    /// Advances the state machine (see [`ReceiverEvent`]).
-    pub fn poll(&mut self, now: Instant) -> ReceiverEvent {
+    /// Advances the state machine (see [`Event`]).
+    pub fn poll(&mut self, now: Instant) -> Event {
         if self.outcome.is_some() {
-            return ReceiverEvent::Finished;
+            return Event::Finished;
         }
         if let Some(deadline) = self.config.deadline {
             if now.duration_since(self.started) >= deadline {
                 self.outcome = Some(ReceiverOutcome::DeadlineExceeded);
-                return ReceiverEvent::Finished;
+                return Event::Finished;
             }
         }
         match &mut self.state {
             State::Done { fins_sent, .. } => {
-                if *fins_sent < self.config.fin_repeats {
+                if *fins_sent < FIN_REPEATS {
                     *fins_sent += 1;
                     let bytes = Datagram::new(
                         self.session,
@@ -260,69 +257,66 @@ impl ReceiverSession {
                     )
                     .encode()
                     .expect("fin datagrams are small");
-                    ReceiverEvent::Transmit(bytes)
+                    Event::Transmit(bytes)
                 } else {
                     self.outcome = Some(ReceiverOutcome::Completed);
-                    ReceiverEvent::Finished
+                    Event::Finished
                 }
             }
             State::AwaitAnnounce { last_request } => {
                 if now.duration_since(self.last_activity) >= self.config.idle_timeout {
                     self.outcome = Some(ReceiverOutcome::IdleTimeout);
-                    return ReceiverEvent::Finished;
+                    return Event::Finished;
                 }
-                let due = last_request
-                    .is_none_or(|at| now.duration_since(at) >= self.config.request_interval);
+                let due = last_request.is_none_or(|at| now.duration_since(at) >= REQUEST_INTERVAL);
                 if due {
                     *last_request = Some(now);
                     let bytes = Datagram::new(self.session, Payload::Request)
                         .encode()
                         .expect("request datagrams are small");
-                    ReceiverEvent::Transmit(bytes)
+                    Event::Transmit(bytes)
                 } else {
                     // Precise: sleep to the retry (or idle) deadline, not
                     // a full fixed interval past it.
-                    let retry_at =
-                        last_request.expect("checked by `due`") + self.config.request_interval;
+                    let retry_at = last_request.expect("checked by `due`") + REQUEST_INTERVAL;
                     let idle_at = self.last_activity + self.config.idle_timeout;
-                    ReceiverEvent::Wait(until(retry_at.min(idle_at), now))
+                    Event::Wait(until(retry_at.min(idle_at), now))
                 }
             }
             State::Receiving { completed, .. } => {
                 if now.duration_since(self.last_activity) >= self.config.idle_timeout {
                     self.outcome = Some(ReceiverOutcome::IdleTimeout);
-                    return ReceiverEvent::Finished;
+                    return Event::Finished;
                 }
                 // The timer fires even with zero frames received: a
                 // "nothing arrived" ACK is what lets the sender's loss
                 // estimate catch up with a burst of drops and reopen its
-                // window. Its period stretches to `ack_every` mean frame
-                // gaps (see `ReceiverConfig::ack_interval`), so on a slow
-                // flow the count rule paces ACKs and the timer covers only
-                // a flow that slowed or stopped.
-                let ack_period = self.frame_gaps.ack_period(&self.config);
+                // window. Its period stretches to `ACK_EVERY` mean frame
+                // gaps (see `ACK_INTERVAL`), so on a slow flow the count
+                // rule paces ACKs and the timer covers only a flow that
+                // slowed or stopped.
+                let ack_period = self.frame_gaps.ack_period();
                 let interval_due =
                     self.last_ack_at.is_none_or(|at| now.duration_since(at) >= ack_period);
-                if self.ack_pending || self.since_ack >= self.config.ack_every || interval_due {
-                    let bytes = Datagram::new(
-                        self.session,
-                        Payload::Ack {
-                            received: self.received,
-                            innovative: self.innovative,
-                            completed: completed.clone(),
-                        },
-                    )
-                    .encode()
-                    .expect("ack datagrams are small per MAX_SEGMENTS");
+                if self.ack_pending || self.since_ack >= ACK_EVERY || interval_due {
+                    // The bitmap is lent to the datagram, not cloned: an
+                    // ACK allocates nothing once the pool is warm.
+                    let (received, innovative) = (self.received, self.innovative);
+                    let lent = std::mem::replace(completed, SegmentBitmap::new(0));
+                    let ack = Payload::Ack { received, innovative, completed: lent };
+                    let ack = Datagram::new(self.session, ack);
+                    let bytes = ack.encode().expect("ack datagrams are small per MAX_SEGMENTS");
+                    let Payload::Ack { completed: lent, .. } = ack.payload else { unreachable!() };
+                    *completed = lent;
                     self.acks_sent += 1;
                     self.since_ack = 0;
                     self.ack_pending = false;
                     self.last_ack_at = Some(now);
-                    ReceiverEvent::Transmit(bytes)
+                    Event::Transmit(bytes)
                 } else {
                     let ack_at = self.last_ack_at.expect("interval_due was false") + ack_period;
                     let idle_at = self.last_activity + self.config.idle_timeout;
-                    ReceiverEvent::Wait(until(ack_at.min(idle_at), now))
+                    Event::Wait(until(ack_at.min(idle_at), now))
                 }
             }
         }
@@ -398,7 +392,7 @@ impl ReceiverSession {
         if self.first_data_at.is_none() {
             self.first_data_at = Some(now);
         }
-        self.frame_gaps.note(now, self.config.ack_interval);
+        self.frame_gaps.note(now);
         self.received += 1;
         self.since_ack += 1;
         if absorbed.innovative {
@@ -435,20 +429,19 @@ struct FrameGaps {
 
 impl FrameGaps {
     /// Folds one data frame's arrival in. Each sample is clamped at
-    /// `clamp` (the `ack_interval`), so one long stall cannot stretch the
-    /// clock past `ack_every x ack_interval`.
-    fn note(&mut self, now: Instant, clamp: Duration) {
+    /// [`ACK_INTERVAL`], so one long stall cannot stretch the clock past
+    /// `ACK_EVERY x ACK_INTERVAL`.
+    fn note(&mut self, now: Instant) {
         if let Some(last) = self.last.replace(now) {
-            let gap = now.saturating_duration_since(last).min(clamp);
+            let gap = now.saturating_duration_since(last).min(ACK_INTERVAL);
             self.mean = if self.mean.is_zero() { gap } else { self.mean - self.mean / 8 + gap / 8 };
         }
     }
 
     /// How long after the last ACK the timer ACKs:
-    /// `max(ack_interval, ack_every x mean gap)`.
-    fn ack_period(&self, config: &ReceiverConfig) -> Duration {
-        let every = u32::try_from(config.ack_every).unwrap_or(u32::MAX);
-        config.ack_interval.max(self.mean.saturating_mul(every))
+    /// `max(ACK_INTERVAL, ACK_EVERY x mean gap)`.
+    fn ack_period(&self) -> Duration {
+        ACK_INTERVAL.max(self.mean.saturating_mul(ACK_EVERY as u32))
     }
 }
 
@@ -458,13 +451,19 @@ fn until(at: Instant, now: Instant) -> Duration {
     at.saturating_duration_since(now).max(Duration::from_micros(100))
 }
 
+impl Session for ReceiverSession {
+    fn handle(&mut self, bytes: &[u8], now: Instant) {
+        self.handle_bytes(bytes, now);
+    }
+
+    fn poll(&mut self, now: Instant) -> Event {
+        ReceiverSession::poll(self, now)
+    }
+}
+
 /// Drives a [`ReceiverSession`] over a channel until it finishes,
-/// returning the recovered bytes (if any) and the report.
-///
-/// Each receive batch is handed to the session borrowed from the
-/// channel's slots; the session is then polled until it quotes a wait,
-/// and the requests, ACKs or FINs it produced leave in one
-/// [`Channel::send_batch`].
+/// returning its report: the [`Client`](crate::client::Client)'s shell
+/// with this one session.
 ///
 /// # Errors
 ///
@@ -473,27 +472,17 @@ pub fn run_receiver<C: Channel>(
     channel: &mut C,
     session: &mut ReceiverSession,
 ) -> io::Result<ReceiverReport> {
-    // lint: allow(vec-capacity) — one staging vector per transfer, drained by every flush.
-    let mut feedback = Vec::new();
-    loop {
-        let wait = match session.poll(Instant::now()) {
-            ReceiverEvent::Transmit(bytes) => {
-                feedback.push(bytes);
-                continue;
-            }
-            ReceiverEvent::Wait(timeout) => Some(timeout),
-            ReceiverEvent::Finished => None,
-        };
-        channel.send_batch(&mut feedback)?;
-        let Some(timeout) = wait else { return Ok(session.report()) };
-        channel.recv_batch(timeout, &mut |bytes| session.handle_bytes(bytes, Instant::now()))?;
-    }
+    let mut step = Step::new();
+    step.insert(session.session_id(), &mut *session);
+    pump(channel, &mut step, &mut |_| {})?;
+    Ok(session.report())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::step::drive;
     use nc_rlnc::codec::CodecId;
 
     fn announce() -> Datagram {
@@ -513,10 +502,10 @@ mod tests {
     fn requests_until_announced_then_acks() {
         let t0 = Instant::now();
         let mut r = ReceiverSession::new(5, ReceiverConfig::default(), t0);
-        let ReceiverEvent::Transmit(bytes) = r.poll(t0) else { panic!("expected request") };
+        let Event::Transmit(bytes) = r.poll(t0) else { panic!("expected request") };
         assert!(matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Request));
         // Second poll inside the request interval waits.
-        assert!(matches!(r.poll(t0), ReceiverEvent::Wait(_)));
+        assert!(matches!(r.poll(t0), Event::Wait(_)));
         r.handle_bytes(&announce().encode().unwrap(), t0);
         assert!(!r.is_complete());
     }
@@ -540,11 +529,11 @@ mod tests {
         ] {
             let t0 = Instant::now();
             let mut r = ReceiverSession::new(5, ReceiverConfig::default(), t0);
-            let ReceiverEvent::Transmit(_) = r.poll(t0) else { panic!("expected the request") };
+            let Event::Transmit(_) = r.poll(t0) else { panic!("expected the request") };
             r.handle_bytes(&Datagram::new(5, Payload::Announce(hostile)).encode().unwrap(), t0);
             assert_eq!(r.report().malformed, 1, "{hostile:?}");
             // Still awaiting a sane announce.
-            let ReceiverEvent::Transmit(bytes) = r.poll(t0 + Duration::from_millis(25)) else {
+            let Event::Transmit(bytes) = r.poll(t0 + Duration::from_millis(25)) else {
                 panic!("expected request retry")
             };
             assert!(matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Request));
@@ -659,40 +648,32 @@ mod tests {
         (announce, frames)
     }
 
-    /// Drives `r` as `run_receiver` would, in virtual time: each arrival
-    /// is handled at its instant, and `r` is polled after arrivals and
-    /// whenever its quoted wait runs out, until `end`. Returns the
-    /// instants ACKs went out.
+    /// Drives `r` alone on a step in virtual time, as `run_receiver`
+    /// would; returns the instants ACKs went out.
     fn ack_times(
         r: &mut ReceiverSession,
         arrivals: &[(Instant, Vec<u8>)],
         end: Instant,
     ) -> Vec<Instant> {
         let mut acks = Vec::new();
-        let (mut next, mut wake_at) = (0, None);
-        loop {
-            let arrival = arrivals.get(next).map(|(at, _)| *at);
-            let Some(now) = [arrival, wake_at].into_iter().flatten().min() else { break };
-            if now > end {
-                break;
-            }
-            while let Some((at, bytes)) = arrivals.get(next).filter(|(at, _)| *at <= now) {
-                r.handle_bytes(bytes, *at);
-                next += 1;
-            }
-            wake_at = loop {
-                match r.poll(now) {
-                    ReceiverEvent::Transmit(bytes) => {
-                        if matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Ack { .. })
-                        {
-                            acks.push(now);
-                        }
-                    }
-                    ReceiverEvent::Wait(wait) => break Some(now + wait),
-                    ReceiverEvent::Finished => return acks,
+        let mut step = Step::new();
+        step.insert(5, r);
+        let arrivals = arrivals.iter().map(|(at, bytes)| (*at, 5, bytes.clone())).collect();
+        let is_ack = |bytes: &[u8]| {
+            matches!(DatagramRef::parse(bytes), Ok(Datagram { payload: Payload::Ack { .. }, .. }))
+        };
+        drive(
+            &mut step,
+            arrivals,
+            end,
+            |_, _| None,
+            |now, _, bytes| {
+                if is_ack(&bytes) {
+                    acks.push(now);
                 }
-            };
-        }
+            },
+            |_, _| {},
+        );
         acks
     }
 
@@ -721,16 +702,16 @@ mod tests {
         let mut r = ReceiverSession::new(5, ReceiverConfig::default(), t0);
         let acks = ack_times(&mut r, &arrivals, t0 + Duration::from_secs(4));
         assert!(r.is_complete());
-        let bound = 288 / ReceiverConfig::default().ack_every as usize + 18 + 1;
+        let bound = 288 / ACK_EVERY as usize + 18 + 1;
         assert!(acks.len() <= bound, "{} ACKs for 288 frames (bound {bound})", acks.len());
         assert_eq!(acks.len() as u64, r.report().acks_sent);
     }
 
     #[test]
     fn a_fast_flow_keeps_the_ack_interval_after_a_pause() {
-        // Frames 100 us apart: the mean gap times `ack_every` is far below
-        // `ack_interval`, so the clock is the parent's: after the flow
-        // pauses, the timer ACK lands `ack_interval` after the last ACK.
+        // Frames 100 us apart: the mean gap times `ACK_EVERY` is far below
+        // `ACK_INTERVAL`, so the clock is the parent's: after the flow
+        // pauses, the timer ACK lands `ACK_INTERVAL` after the last ACK.
         let (announce, frames) = stream(8);
         let t0 = Instant::now();
         let arrivals = spaced(t0, &announce, &frames[..60], Duration::from_micros(100));
@@ -740,8 +721,8 @@ mod tests {
         let during = acks.iter().filter(|&&at| at <= last_frame).count();
         assert!(during >= 60 / 8, "count rule ACKs during the flow: {acks:?}");
         let (last, timer) = (acks[during - 1], acks[during]);
-        assert_eq!(timer - last, ReceiverConfig::default().ack_interval, "{acks:?}");
-        assert_eq!(acks[during + 1] - timer, ReceiverConfig::default().ack_interval);
+        assert_eq!(timer - last, ACK_INTERVAL, "{acks:?}");
+        assert_eq!(acks[during + 1] - timer, ACK_INTERVAL);
     }
 
     #[test]
@@ -755,7 +736,7 @@ mod tests {
         for frame in &frames[..4] {
             r.handle_bytes(frame, t0);
         }
-        let ReceiverEvent::Transmit(bytes) = r.poll(t0) else { panic!("expected an ACK") };
+        let Event::Transmit(bytes) = r.poll(t0) else { panic!("expected an ACK") };
         let Payload::Ack { received, .. } = Datagram::decode(&bytes).unwrap().payload else {
             panic!("expected an ACK")
         };
@@ -765,12 +746,12 @@ mod tests {
     #[test]
     fn a_stalled_paced_flow_still_acks_nothing_arrived() {
         // A paced flow, then a 5 s stall: the clock stretched to the
-        // flow's frame rate, but never past `ack_every x ack_interval`,
+        // flow's frame rate, but never past `ACK_EVERY x ACK_INTERVAL`,
         // and "nothing arrived" ACKs keep coming at that period. One
         // frame after the stall, then another stall: the long gap is one
         // clamped sample, so the period stays within that bound.
         let config = ReceiverConfig { idle_timeout: Duration::from_secs(10), ..Default::default() };
-        let bound = config.ack_interval * config.ack_every as u32;
+        let bound = ACK_INTERVAL * ACK_EVERY as u32;
         let (announce, frames) = stream(16);
         let t0 = Instant::now();
         let mut arrivals = spaced(t0, &announce, &frames[..64], Duration::from_micros(9_400));
@@ -795,7 +776,7 @@ mod tests {
         let config =
             ReceiverConfig { idle_timeout: Duration::from_millis(10), ..Default::default() };
         let mut r = ReceiverSession::new(5, config, t0);
-        assert_eq!(r.poll(t0 + Duration::from_millis(50)), ReceiverEvent::Finished);
+        assert_eq!(r.poll(t0 + Duration::from_millis(50)), Event::Finished);
         assert_eq!(r.report().outcome, ReceiverOutcome::IdleTimeout);
         assert!(r.recovered().is_none());
     }

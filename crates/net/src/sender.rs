@@ -8,9 +8,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::channel::Channel;
-use crate::session::{SenderConfig, SenderEvent, SenderReport, SenderSession};
+use crate::session::{Event, SenderConfig, SenderReport, SenderSession};
+use crate::step::Session;
 use crate::sysio::MAX_BATCH;
-use crate::wire::{Datagram, WireError};
+use crate::wire::WireError;
 
 /// Drives a [`SenderSession`] over `channel` until it finishes.
 ///
@@ -32,13 +33,13 @@ pub fn run_sender<C: Channel>(
     let mut burst = Vec::new();
     loop {
         match session.poll(Instant::now()) {
-            SenderEvent::Transmit(bytes) => {
+            Event::Transmit(bytes) => {
                 burst.push(bytes);
                 if burst.len() < MAX_BATCH {
                     continue;
                 }
             }
-            SenderEvent::Wait(timeout) if burst.is_empty() => {
+            Event::Wait(timeout) if burst.is_empty() => {
                 if timeout < Duration::from_millis(1) {
                     // Sub-millisecond pacing gaps: socket waits round up
                     // to whole milliseconds or scheduler ticks, which
@@ -46,17 +47,20 @@ pub fn run_sender<C: Channel>(
                     // bursts that overflow the peer's socket buffer.
                     drain(channel, session)?;
                     std::thread::sleep(timeout);
-                } else if channel.recv_batch(timeout, &mut |bytes| handle(session, bytes))? > 0 {
+                } else if channel
+                    .recv_batch(timeout, &mut |bytes| session.handle(bytes, Instant::now()))?
+                    > 0
+                {
                     drain(channel, session)?;
                 }
                 continue;
             }
-            SenderEvent::Finished if burst.is_empty() => {
+            Event::Finished if burst.is_empty() => {
                 return Ok(session.report(Instant::now()));
             }
             // A wait or finish quoted with frames staged: send them, then
             // ask again — the feedback drained below can change the answer.
-            SenderEvent::Wait(_) | SenderEvent::Finished => {}
+            Event::Wait(_) | Event::Finished => {}
         }
         // On the wire: the buffers return to the pool, for the next
         // `poll` to encode into.
@@ -86,14 +90,8 @@ pub fn send_stream<C: Channel>(
 
 /// Handles feedback, a batch at a time, until none is waiting.
 fn drain<C: Channel>(channel: &mut C, session: &mut SenderSession) -> io::Result<()> {
-    while channel.recv_batch(Duration::ZERO, &mut |bytes| handle(session, bytes))? > 0 {}
+    while channel.recv_batch(Duration::ZERO, &mut |bytes| session.handle(bytes, Instant::now()))?
+        > 0
+    {}
     Ok(())
-}
-
-fn handle(session: &mut SenderSession, bytes: &[u8]) {
-    // Unparseable feedback is dropped; the wire layer already counts for
-    // the receiver side, and a sender only ever acts on valid ACK/FIN.
-    if let Ok(datagram) = Datagram::decode(bytes) {
-        session.handle_datagram(&datagram, Instant::now());
-    }
 }

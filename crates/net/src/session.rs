@@ -23,8 +23,10 @@ use std::time::{Duration, Instant};
 
 use crate::metrics::metrics;
 use crate::pacing::{RedundancyController, TokenBucket};
+pub use crate::step::Event;
+use crate::step::Session;
 use crate::wire::{
-    seal_data, Datagram, Payload, SegmentBitmap, StreamMeta, WireError, HEADER_BYTES,
+    seal_data, Datagram, DatagramRef, Payload, SegmentBitmap, StreamMeta, WireError, HEADER_BYTES,
     MAX_DATAGRAM_BYTES,
 };
 
@@ -43,16 +45,6 @@ pub struct SenderConfig {
     /// frame sent past a segment's completion is pure overhead, and an
     /// unthrottled sender can also flood a receiver's socket buffer.
     pub window_frames: u64,
-    /// How often to re-send the announce until the first ACK.
-    pub announce_interval: Duration,
-    /// Floor on quoted feedback waits. Waits are computed from the
-    /// earliest live timer (stall grace, announce retry, idle timeout,
-    /// deadline); this only stops a timer landing immediately from
-    /// degenerating the driver into a spin loop.
-    pub ack_wait: Duration,
-    /// With no feedback for this long, trickle a little extra budget to
-    /// every incomplete segment (keeps the stream alive through ACK loss).
-    pub stall_grace: Duration,
     /// Abort after this long without any valid datagram from the peer.
     pub idle_timeout: Duration,
     /// Hard cap on the whole transfer.
@@ -68,25 +60,28 @@ impl Default for SenderConfig {
             burst_bytes: 64.0 * 1024.0,
             initial_loss: 0.0,
             window_frames: 256,
-            announce_interval: Duration::from_millis(20),
-            ack_wait: Duration::from_millis(2),
-            stall_grace: Duration::from_millis(100),
             idle_timeout: Duration::from_secs(5),
             deadline: None,
         }
     }
 }
 
-/// What the driver should do next.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SenderEvent {
-    /// Put these bytes on the wire.
-    Transmit(Vec<u8>),
-    /// Nothing to send yet; wait (and poll the channel) this long.
-    Wait(Duration),
-    /// The session is over; collect the report.
-    Finished,
-}
+/// How often a session re-sends the announce until the first ACK.
+pub const ANNOUNCE_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Floor on quoted feedback waits. Waits are computed from the earliest
+/// live timer (stall grace, announce retry, idle timeout, deadline); this
+/// only stops a timer landing immediately from degenerating the driver
+/// into a spin loop.
+pub const ACK_WAIT: Duration = Duration::from_millis(2);
+
+/// With no feedback for this long, a session trickles a little extra
+/// budget to every incomplete segment (keeps the stream alive through ACK
+/// loss).
+pub const STALL_GRACE: Duration = Duration::from_millis(100);
+
+/// The sender's name for [`Event`].
+pub type SenderEvent = Event;
 
 /// How a sender session ended.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -289,7 +284,7 @@ impl SenderSession {
     /// Folds in one datagram from the receiver. Completion takes effect
     /// at once; an ACK's counters reach the loss estimate at the next
     /// `poll`, once per batch of feedback.
-    pub fn handle_datagram(&mut self, datagram: &Datagram, now: Instant) {
+    pub fn handle_datagram<B>(&mut self, datagram: &Datagram<B>, now: Instant) {
         if datagram.session != self.session {
             return;
         }
@@ -326,13 +321,13 @@ impl SenderSession {
         }
     }
 
-    /// Advances the state machine (see [`SenderEvent`]).
-    pub fn poll(&mut self, now: Instant) -> SenderEvent {
+    /// Advances the state machine (see [`Event`]).
+    pub fn poll(&mut self, now: Instant) -> Event {
         if std::mem::take(&mut self.feedback_pending) {
             self.fold_feedback();
         }
         let event = self.next_event(now);
-        if matches!(event, SenderEvent::Wait(_)) {
+        if matches!(event, Event::Wait(_)) {
             // Every frame handed out so far has the wait to arrive in.
             self.visible_sent = self.frames_sent;
         }
@@ -359,10 +354,10 @@ impl SenderSession {
         self.visible_sent = self.frames_sent;
     }
 
-    fn next_event(&mut self, now: Instant) -> SenderEvent {
+    fn next_event(&mut self, now: Instant) -> Event {
         loop {
             if self.outcome.is_some() {
-                return SenderEvent::Finished;
+                return Event::Finished;
             }
             if let Some(deadline) = self.config.deadline {
                 if now.duration_since(self.started) >= deadline {
@@ -378,9 +373,7 @@ impl SenderSession {
             // Announce until the first ACK proves the receiver knows the
             // stream shape.
             let announce_due = !self.acked_once
-                && self
-                    .announce_at
-                    .is_none_or(|at| now.duration_since(at) >= self.config.announce_interval);
+                && self.announce_at.is_none_or(|at| now.duration_since(at) >= ANNOUNCE_INTERVAL);
             if announce_due {
                 let bytes = Datagram::new(self.session, Payload::Announce(self.meta()))
                     .encode()
@@ -388,20 +381,20 @@ impl SenderSession {
                 let wait = self.bucket.request(bytes.len(), now);
                 if !wait.is_zero() {
                     self.record_pacing_wait(wait);
-                    return SenderEvent::Wait(wait);
+                    return Event::Wait(wait);
                 }
                 self.announce_at = Some(now);
                 self.announces_sent += 1;
                 self.bytes_sent += bytes.len() as u64;
                 metrics().announces_sent.inc();
-                return SenderEvent::Transmit(bytes);
+                return Event::Transmit(bytes);
             }
 
             if let Some(segment) = self.window_open().then(|| self.pick_segment()).flatten() {
                 let wait = self.bucket.request(self.data_datagram_bytes, now);
                 if !wait.is_zero() {
                     self.record_pacing_wait(wait);
-                    return SenderEvent::Wait(wait);
+                    return Event::Wait(wait);
                 }
                 // One pooled buffer, each byte written once: the codec
                 // encodes its frame behind the header's place, then the
@@ -418,15 +411,15 @@ impl SenderSession {
                 self.frames_sent += 1;
                 self.bytes_sent += bytes.len() as u64;
                 metrics().frames_sent.inc();
-                return SenderEvent::Transmit(bytes);
+                return Event::Transmit(bytes);
             }
 
             // Budget-starved: every incomplete segment has used its frame
             // allowance and we are waiting on feedback. If feedback has
             // been silent for a while, trickle a little more budget so
             // pure-ACK-loss cannot deadlock the transfer.
-            let stalled = now.duration_since(self.last_activity) >= self.config.stall_grace
-                && now.duration_since(self.last_trickle) >= self.config.stall_grace;
+            let stalled = now.duration_since(self.last_activity) >= STALL_GRACE
+                && now.duration_since(self.last_trickle) >= STALL_GRACE;
             if stalled {
                 self.last_trickle = now;
                 for seg in 0..self.budget_per_segment.len() {
@@ -437,7 +430,7 @@ impl SenderSession {
                 }
                 continue;
             }
-            return SenderEvent::Wait(self.next_wake(now));
+            return Event::Wait(self.next_wake(now));
         }
     }
 
@@ -446,12 +439,12 @@ impl SenderSession {
     /// idle timeout, or the hard deadline. Feedback arriving sooner
     /// re-arms all of them, so drivers treat the quote as an upper bound
     /// on how long to sleep (channel recvs return early on arrival) —
-    /// never a fixed tick. `ack_wait` floors the quote so a timer landing
+    /// never a fixed tick. [`ACK_WAIT`] floors the quote so a timer landing
     /// nanoseconds away cannot turn the driver into a spin loop.
     fn next_wake(&self, now: Instant) -> Duration {
         // Every branch of `poll` that could fire at or before `now` ran
         // before this was called, so each deadline here is in the future.
-        let stall_at = self.last_activity.max(self.last_trickle) + self.config.stall_grace;
+        let stall_at = self.last_activity.max(self.last_trickle) + STALL_GRACE;
         let idle_at = self.last_activity + self.config.idle_timeout;
         let mut wake = stall_at.min(idle_at);
         if let Some(deadline) = self.config.deadline {
@@ -459,10 +452,10 @@ impl SenderSession {
         }
         if !self.acked_once {
             if let Some(at) = self.announce_at {
-                wake = wake.min(at + self.config.announce_interval);
+                wake = wake.min(at + ANNOUNCE_INTERVAL);
             }
         }
-        wake.saturating_duration_since(now).max(self.config.ack_wait)
+        wake.saturating_duration_since(now).max(ACK_WAIT)
     }
 
     /// The final report (valid once `poll` returned `Finished`; callable
@@ -613,6 +606,19 @@ impl SenderSession {
     }
 }
 
+impl Session for SenderSession {
+    /// Parses borrowed; unparseable feedback is dropped.
+    fn handle(&mut self, bytes: &[u8], now: Instant) {
+        if let Ok(datagram) = DatagramRef::parse(bytes) {
+            self.handle_datagram(&datagram, now);
+        }
+    }
+
+    fn poll(&mut self, now: Instant) -> Event {
+        SenderSession::poll(self, now)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,11 +639,11 @@ mod tests {
     fn announces_first_then_streams_data() {
         let mut s = session(SenderConfig::default());
         let now = Instant::now();
-        let SenderEvent::Transmit(bytes) = s.poll(now) else { panic!("expected announce") };
+        let Event::Transmit(bytes) = s.poll(now) else { panic!("expected announce") };
         let datagram = Datagram::decode(&bytes).unwrap();
         assert!(matches!(datagram.payload, Payload::Announce(_)));
         assert_eq!(datagram.session, 77);
-        let SenderEvent::Transmit(bytes) = s.poll(now) else { panic!("expected data") };
+        let Event::Transmit(bytes) = s.poll(now) else { panic!("expected data") };
         assert!(matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Data(_)));
     }
 
@@ -660,22 +666,20 @@ mod tests {
             let mut twin_rng = StdRng::seed_from_u64(9);
             let mut seq = vec![0u64; twin.total_segments()];
             let encoder = make_sender(id, config, &data).unwrap();
-            let sender_config = SenderConfig::default();
-            let stall_grace = sender_config.stall_grace;
             let mut now = Instant::now();
-            let mut s = SenderSession::new(encoder, 77, sender_config, 9, now).unwrap();
+            let mut s = SenderSession::new(encoder, 77, SenderConfig::default(), 9, now).unwrap();
             let mut compared = 0usize;
             let mut trickles = 0;
             loop {
                 let bytes = match s.poll(now) {
-                    SenderEvent::Transmit(bytes) => bytes,
-                    SenderEvent::Wait(_) if trickles < TRICKLES => {
+                    Event::Transmit(bytes) => bytes,
+                    Event::Wait(_) if trickles < TRICKLES => {
                         trickles += 1;
-                        now += stall_grace;
+                        now += STALL_GRACE;
                         continue;
                     }
-                    SenderEvent::Wait(_) => break, // budget spent, no feedback
-                    SenderEvent::Finished => panic!("must not finish without feedback"),
+                    Event::Wait(_) => break, // budget spent, no feedback
+                    Event::Finished => panic!("must not finish without feedback"),
                 };
                 let Payload::Data(frame) = Datagram::decode(&bytes).unwrap().payload else {
                     continue; // the announce
@@ -698,19 +702,18 @@ mod tests {
 
     #[test]
     fn budget_starves_without_feedback_then_trickles() {
-        let config = SenderConfig { stall_grace: Duration::from_millis(10), ..Default::default() };
-        let mut s = session(config);
+        let mut s = session(SenderConfig::default());
         let now = Instant::now();
         let mut data_frames = 0u64;
         loop {
             match s.poll(now) {
-                SenderEvent::Transmit(bytes) => {
+                Event::Transmit(bytes) => {
                     if matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Data(_)) {
                         data_frames += 1;
                     }
                 }
-                SenderEvent::Wait(_) => break,
-                SenderEvent::Finished => panic!("must not finish without feedback"),
+                Event::Wait(_) => break,
+                Event::Finished => panic!("must not finish without feedback"),
             }
         }
         // 4 blocks/segment × 16 segments, zero-loss prior → budget floor of
@@ -718,11 +721,11 @@ mod tests {
         // controller's; what matters: bounded, then stalls.
         assert!(data_frames > 0);
         // After the grace period the trickle grants more budget.
-        let later = now + Duration::from_millis(20);
+        let later = now + 2 * STALL_GRACE;
         let mut trickled = 0u64;
         for _ in 0..16 {
             match s.poll(later) {
-                SenderEvent::Transmit(bytes) => {
+                Event::Transmit(bytes) => {
                     if matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Data(_)) {
                         trickled += 1;
                     }
@@ -750,14 +753,14 @@ mod tests {
         let mut data_frames = 0u64;
         for _ in 0..200 {
             match s.poll(now) {
-                SenderEvent::Transmit(bytes) => {
+                Event::Transmit(bytes) => {
                     if matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Data(_)) {
                         data_frames += 1;
                     }
                 }
                 // Honor the quoted wait exactly; progress must follow.
-                SenderEvent::Wait(wait) => now += wait,
-                SenderEvent::Finished => break,
+                Event::Wait(wait) => now += wait,
+                Event::Finished => break,
             }
         }
         assert!(data_frames > 0, "paced session with a tiny burst must still emit data frames");
@@ -778,7 +781,7 @@ mod tests {
         let mut seen_segment0 = 0;
         for _ in 0..200 {
             match s.poll(now) {
-                SenderEvent::Transmit(bytes) => {
+                Event::Transmit(bytes) => {
                     if let Payload::Data(frame) = Datagram::decode(&bytes).unwrap().payload {
                         let seg = u32::from_le_bytes(frame[0..4].try_into().unwrap());
                         if seg == 0 {
@@ -806,10 +809,10 @@ mod tests {
         };
         let burst = |s: &mut SenderSession| {
             for _ in 0..8 {
-                assert!(matches!(s.poll(now), SenderEvent::Transmit(_)));
+                assert!(matches!(s.poll(now), Event::Transmit(_)));
             }
         };
-        assert!(matches!(s.poll(now), SenderEvent::Transmit(_)), "the announce");
+        assert!(matches!(s.poll(now), Event::Transmit(_)), "the announce");
         s.handle_datagram(&ack(0), now);
         burst(&mut s);
         s.handle_datagram(&ack(0), now); // sent before burst one arrived
@@ -828,12 +831,12 @@ mod tests {
             let completed = SegmentBitmap::new(segments);
             Datagram::new(77, Payload::Ack { received, innovative: received, completed })
         };
-        assert!(matches!(s.poll(now), SenderEvent::Transmit(_)), "the announce");
+        assert!(matches!(s.poll(now), Event::Transmit(_)), "the announce");
         // 4 segments x a budget of n = 4 frames at the zero-loss prior.
         for _ in 0..16 {
-            assert!(matches!(s.poll(now), SenderEvent::Transmit(_)));
+            assert!(matches!(s.poll(now), Event::Transmit(_)));
         }
-        assert!(matches!(s.poll(now), SenderEvent::Wait(_)), "budget spent");
+        assert!(matches!(s.poll(now), Event::Wait(_)), "budget spent");
         s.handle_datagram(&ack(16), now);
         s.handle_datagram(&ack(8), now); // sent earlier, arrived later
         let report = s.report(now);
@@ -848,14 +851,14 @@ mod tests {
         let mut s = session(SenderConfig::default());
         let now = Instant::now();
         s.handle_datagram(&Datagram::new(77, Payload::Fin { received: 9, innovative: 8 }), now);
-        assert_eq!(s.poll(now), SenderEvent::Finished);
+        assert_eq!(s.poll(now), Event::Finished);
         let report = s.report(now);
         assert_eq!(report.outcome, SenderOutcome::Completed);
         assert_eq!(report.segments_completed, report.segments_total);
 
         let mut idle =
             session(SenderConfig { idle_timeout: Duration::from_millis(5), ..Default::default() });
-        assert_eq!(idle.poll(now + Duration::from_millis(50)), SenderEvent::Finished);
+        assert_eq!(idle.poll(now + Duration::from_millis(50)), Event::Finished);
         assert_eq!(idle.report(now).outcome, SenderOutcome::IdleTimeout);
     }
 

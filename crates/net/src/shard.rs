@@ -29,11 +29,13 @@
 //!   `sendmmsg`; feedback drains with `poll` + `recvmmsg`
 //!   ([`crate::channel::BatchSocket`]).
 //! * **Due sessions only.** Each shard loop is an I/O shell around a
-//!   sans-I/O `ShardStep` that owns the session map and a deadline index:
-//!   a wake-up polls the sessions a datagram touched or whose quoted wait
-//!   ran out, not every session (`net.shard_polls`,
+//!   sans-I/O `Step` (the one the [`Client`](crate::client::Client)
+//!   runs its receivers on) that owns the session map and a deadline
+//!   index: a wake-up polls the sessions a datagram touched or whose
+//!   quoted wait ran out, not every session (`net.shard_polls`,
 //!   `net.shard_idle_polls`). A paced peer then costs about the datagrams
-//!   it is sent.
+//!   it is sent. The shell opens a session for each published `Request`
+//!   and turns each finished one into a [`ServedTransfer`].
 //!
 //! The concurrency protocol (exactly-one-owner dispatch, mailbox
 //! no-loss, finish-ledger stop) is mirrored as an `nc_check` model in
@@ -42,44 +44,43 @@
 use nc_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use nc_check::sync::{Arc, Mutex};
 use nc_rlnc::codec::StreamCodecSender;
-use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::channel::{BatchSocket, FaultInjector};
 use crate::server::{ServedTransfer, ServerConfig};
-use crate::session::{SenderEvent, SenderSession};
-use crate::wire::{ack_wire_bytes, Datagram, Payload, MAX_SEGMENTS};
+use crate::session::{SenderConfig, SenderSession};
+use crate::step::Step;
+use crate::wire::{ack_wire_bytes, session_of, DatagramRef, Payload};
+
+/// Upper bound on one blocking receive wait. A shard sleeps until its
+/// earliest session deadline (pacing, stall, announce-retry), capped here
+/// so reaps and `serve` deadline checks stay responsive; incoming
+/// datagrams interrupt the wait either way. This is a *cap*, not a tick —
+/// an idle shard wakes at this cadence, not every 2 ms.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Receive-slot size per batched receive. A serving shard only ever
+/// receives feedback, so a slot holds the largest tolerated ACK rather
+/// than a full 64 KiB datagram: ACK bitmaps for streams up to 16k
+/// segments. Larger streams' ACKs arrive truncated and are skipped,
+/// exactly like any other damaged datagram (the sender keeps pushing).
+const RECV_SLOT_BYTES: usize = ack_wire_bytes(16 * 1024);
 
 /// Tuning for the sharded server.
 #[derive(Clone, Debug)]
 pub struct ShardedServerConfig {
-    /// Per-session and per-step tuning (`poll_interval` is the per-shard
-    /// sleep cap).
+    /// Per-session tuning.
     pub server: ServerConfig,
-    /// Number of sockets/session-maps/pinned workers.
+    /// Number of sockets, session maps and shard threads.
     pub shards: usize,
-    /// Receive-slot size per batched receive. A serving shard only ever
-    /// receives feedback datagrams, so this defaults to
-    /// [`ack_wire_bytes`] of the largest tolerated ACK rather than a full
-    /// 64 KiB datagram; raise it only if peers send oversized traffic
-    /// worth observing.
-    pub recv_slot_bytes: usize,
 }
 
 impl Default for ShardedServerConfig {
     fn default() -> ShardedServerConfig {
-        ShardedServerConfig {
-            server: ServerConfig::default(),
-            shards: 4,
-            // Covers ACK bitmaps for streams up to 16k segments; larger
-            // streams' ACKs arrive truncated and fail CRC, exactly like
-            // any other damaged datagram (the sender keeps pushing).
-            recv_slot_bytes: ack_wire_bytes(MAX_SEGMENTS.min(16 * 1024)),
-        }
+        ShardedServerConfig { server: ServerConfig::default(), shards: 4 }
     }
 }
 
@@ -126,13 +127,11 @@ impl Mailbox {
         self.queue.lock().expect("mailbox lock").pop_front()
     }
 
-    /// Moves every waiting datagram that decodes into `inbox`, recycling
-    /// the forwarded buffers.
-    fn drain_into(&self, inbox: &mut Vec<(SocketAddr, Datagram)>) {
+    /// Hands every waiting datagram to `deliver`, recycling the
+    /// forwarded buffers.
+    fn drain(&self, mut deliver: impl FnMut(SocketAddr, &[u8])) {
         while let Some((peer, bytes)) = self.pop() {
-            if let Ok(datagram) = Datagram::decode(&bytes) {
-                inbox.push((peer, datagram));
-            }
+            deliver(peer, &bytes);
             nc_pool::BytesPool::global().recycle(bytes);
         }
     }
@@ -204,7 +203,7 @@ impl ShardedServer {
         addr: impl ToSocketAddrs,
         config: ShardedServerConfig,
     ) -> io::Result<ShardedServer> {
-        let sockets = BatchSocket::group(addr, config.shards.max(1), config.recv_slot_bytes)?;
+        let sockets = BatchSocket::group(addr, config.shards.max(1), RECV_SLOT_BYTES)?;
         if let Some(bytes) = config.server.recv_buffer_bytes {
             for socket in &sockets {
                 socket.set_recv_buffer(bytes)?;
@@ -295,10 +294,31 @@ impl ShardedServer {
     }
 }
 
-/// One shard's serve loop, the I/O shell around a [`ShardStep`]: receive
-/// a batch (sleeping at most until the step's next due session), drain
-/// the mailbox, deliver each owned datagram to the step, step it, flush
-/// the staged frame batch.
+/// A session key: the peer and the stream id it asked for.
+type Key = (SocketAddr, u64);
+
+/// The sender session a datagram opens, if it is a `Request` for a
+/// published stream.
+fn open_session(
+    content: &HashMap<u64, Arc<dyn StreamCodecSender>>,
+    seeds: &AtomicU64,
+    config: &SenderConfig,
+    bytes: &[u8],
+    now: Instant,
+) -> Option<SenderSession> {
+    let request = DatagramRef::parse(bytes).ok()?;
+    let encoder =
+        content.get(&request.session).filter(|_| matches!(request.payload, Payload::Request))?;
+    // Process-unique seeds: sender RNG streams must differ across shards.
+    let seed = seeds.fetch_add(1, Ordering::AcqRel) + 1;
+    SenderSession::new(Arc::clone(encoder), request.session, config.clone(), seed, now).ok()
+}
+
+/// One shard's serve loop, the I/O shell around a [`Step`]: receive a
+/// batch (sleeping at most until the step's next due session) and hand
+/// each owned datagram to its session, opening one for a published
+/// `Request`; drain the mailbox likewise; step; flush the staged frame
+/// batch; record each finished session as a [`ServedTransfer`].
 fn shard_main(
     shard: usize,
     shards: usize,
@@ -313,14 +333,19 @@ fn shard_main(
     let tx = scoped.counter("tx");
     let sessions_gauge = scoped.gauge("sessions");
     let served = scoped.counter("served");
+    let m = crate::metrics::metrics();
 
-    let mut step = ShardStep::new(shard, &config.server, &shared.content, &shared.seed);
+    let mut step: Step<Key, SenderSession> = Step::new();
+    let deliver = |step: &mut Step<Key, SenderSession>, peer, id, bytes: &[u8], now| {
+        let sender = &config.server.sender;
+        step.deliver((peer, id), bytes, now, || {
+            open_session(&shared.content, &shared.seed, sender, bytes, now)
+        });
+    };
     let mut injector: Option<FaultInjector<SocketAddr>> = config
         .server
         .faults
         .map(|(profile, seed)| FaultInjector::new(profile, seed.wrapping_add(shard as u64)));
-    // lint: allow(vec-capacity) — per-shard scratch made once per serve call; `drain` keeps its capacity across wake-ups.
-    let mut inbox: Vec<(SocketAddr, Datagram)> = Vec::new();
     let mut next_due: Option<Instant> = None;
 
     while !shared.ledger.stopped() {
@@ -328,23 +353,24 @@ fn shard_main(
         if now >= until {
             break;
         }
-        let poll_interval = config.server.poll_interval;
         let timeout = next_due
-            .map_or(poll_interval, |due| due.saturating_duration_since(now))
-            .min(poll_interval)
+            .map_or(POLL_INTERVAL, |due| due.saturating_duration_since(now))
+            .min(POLL_INTERVAL)
             .min(until - now);
 
-        // Receive a batch; route each datagram to its owner.
+        // Receive a batch; route each datagram to its owner. One clock
+        // read per batch: its datagrams arrived together.
         let asked = Instant::now();
+        let mut arrived = None;
         let received = socket.recv_batch(timeout, |peer, bytes| {
-            let Ok(datagram) = Datagram::decode(bytes) else { return };
-            let owner = shard_owner(peer, datagram.session, shards);
+            let Some(id) = session_of(bytes) else { return };
+            let owner = shard_owner(peer, id, shards);
             if owner == shard {
                 rx_owned.inc();
-                inbox.push((peer, datagram));
+                deliver(&mut step, peer, id, bytes, *arrived.get_or_insert_with(Instant::now));
             } else {
                 rx_forwarded.inc();
-                crate::metrics::metrics().shard_forwards.inc();
+                m.shard_forwards.inc();
                 shared.mailboxes[owner]
                     .push(peer, nc_pool::BytesPool::global().take_vec_copy(bytes));
             }
@@ -352,9 +378,7 @@ fn shard_main(
         match received {
             Ok(0) => {
                 // Woke with nothing: how late past the quoted deadline?
-                crate::metrics::metrics()
-                    .deadline_miss_ns
-                    .record_duration(asked.elapsed().saturating_sub(timeout));
+                m.deadline_miss_ns.record_duration(asked.elapsed().saturating_sub(timeout));
             }
             Ok(_) => {}
             Err(err) => {
@@ -362,13 +386,14 @@ fn shard_main(
                 break;
             }
         }
-        shared.mailboxes[shard].drain_into(&mut inbox);
-
         let now = Instant::now();
-        for (peer, datagram) in inbox.drain(..) {
-            step.deliver(peer, datagram, now);
-        }
-        let mut emit = |to: SocketAddr, bytes: Vec<u8>| match &mut injector {
+        shared.mailboxes[shard].drain(|peer, bytes| {
+            if let Some(id) = session_of(bytes) {
+                deliver(&mut step, peer, id, bytes, now);
+            }
+        });
+
+        let mut emit = |(to, _): Key, bytes: Vec<u8>| match &mut injector {
             Some(injector) => {
                 for (to, wire) in injector.admit(to, &bytes) {
                     socket.queue(to, wire)?;
@@ -380,11 +405,18 @@ fn shard_main(
             // copying; `flush` recycles it.
             None => socket.queue(to, bytes),
         };
-        let mut finished = |transfer: ServedTransfer| {
+        let mut finished = |(peer, session): Key, sender: SenderSession, max_burst: u64| {
+            let mut metrics = sender.metrics_snapshot(now);
+            metrics.counters.insert("session.max_burst_per_step".into(), max_burst);
+            let report = sender.report(now);
             served.inc();
-            shared.ledger.record(transfer);
+            shared.ledger.record(ServedTransfer { peer, session, shard, report, metrics });
         };
-        match step.step(now, &mut emit, &mut finished) {
+        let stepped = step.step(now, &mut emit, &mut finished);
+        let stats = step.stats();
+        m.shard_polls.add(stats.polls);
+        m.shard_idle_polls.add(stats.idle_polls);
+        match stepped {
             Ok(due) => next_due = due,
             Err(err) => {
                 shared.fail(err);
@@ -403,307 +435,16 @@ fn shard_main(
     let _ = socket.flush();
 }
 
-/// A session key: the peer and the stream id it asked for.
-type Key = (SocketAddr, u64);
-
-/// One owned session and its place in the step's schedule.
-struct Slot {
-    session: SenderSession,
-    /// When the session next needs the CPU, as its last `Wait` quoted it:
-    /// the [`DueIndex`] entry for this key that is live. `None` once that
-    /// entry has come due.
-    due: Option<Instant>,
-    /// Most datagrams it sent in one turn (`session.max_burst_per_step`).
-    max_burst: u64,
-    /// Already on the step's ready list.
-    queued: bool,
-}
-
-/// Which slots are due when: a min-heap of `(due, key)` with lazy
-/// deletion. An entry is live only while it equals its slot's armed
-/// `due`; re-arming a slot earlier, or reaping it, leaves the old entry
-/// stale. Stale entries are skipped when they reach the top and swept
-/// out whenever they outnumber the live ones, so the heap stays within
-/// twice the armed slots.
-#[derive(Default)]
-struct DueIndex {
-    heap: BinaryHeap<Reverse<(Instant, Key)>>,
-    /// Slots with an armed due: the live entries.
-    armed: usize,
-}
-
-impl DueIndex {
-    /// Arms `due` (the slot's) at `at`, unless it is already armed no
-    /// later: an earlier poll than needed only returns `Wait` again.
-    fn arm(&mut self, key: Key, due: &mut Option<Instant>, at: Instant) {
-        match *due {
-            Some(armed) if armed <= at => return,
-            Some(_) => {}
-            None => self.armed += 1,
-        }
-        *due = Some(at);
-        self.heap.push(Reverse((at, key)));
-    }
-
-    /// Forgets a reaped slot's armed due; its entry goes stale.
-    fn disarm(&mut self, due: Option<Instant>) {
-        if due.is_some() {
-            self.armed -= 1;
-        }
-    }
-
-    /// Takes the earliest live entry due at or before `now`, disarming
-    /// its slot.
-    fn pop_due(&mut self, now: Instant, slots: &mut HashMap<Key, Slot>) -> Option<Key> {
-        while let Some(&Reverse((due, key))) = self.heap.peek() {
-            if due > now {
-                return None;
-            }
-            self.heap.pop();
-            if let Some(slot) = slots.get_mut(&key).filter(|slot| slot.due == Some(due)) {
-                slot.due = None;
-                self.armed -= 1;
-                return Some(key);
-            }
-        }
-        None
-    }
-
-    /// The earliest live due, dropping the stale entries above it.
-    fn next_due(&mut self, slots: &HashMap<Key, Slot>) -> Option<Instant> {
-        while let Some(&Reverse((due, key))) = self.heap.peek() {
-            if slots.get(&key).is_some_and(|slot| slot.due == Some(due)) {
-                return Some(due);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Sweeps the stale entries out once they outnumber the live ones.
-    fn compact(&mut self, slots: &HashMap<Key, Slot>) {
-        if self.heap.len() > 2 * self.armed {
-            self.heap
-                .retain(|Reverse((due, key))| slots.get(key).is_some_and(|s| s.due == Some(*due)));
-        }
-    }
-}
-
-/// What one [`ShardStep::step`] did. The polls feed `net.shard_polls` and
-/// `net.shard_idle_polls`; the step tests read the rest.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) struct StepStats {
-    /// Sessions whose armed due had come.
-    pub due: usize,
-    /// Sessions a delivered datagram touched (or created) since the
-    /// previous step.
-    pub arrived: usize,
-    /// Sessions polled: each got one turn.
-    pub turns: usize,
-    /// `SenderSession::poll` calls.
-    pub polls: u64,
-    /// Turns whose first poll returned `Wait`: the session sent nothing.
-    pub idle_polls: u64,
-}
-
-/// How one session's turn ended.
-enum Turn {
-    Wait(Duration),
-    /// Used up `burst_per_step`: due again at once, after the others.
-    Yield,
-    Finished,
-}
-
-/// One shard's sessions, without I/O: datagrams go in through
-/// [`deliver`](ShardStep::deliver), time advances through
-/// [`step`](ShardStep::step), and everything the sessions send leaves
-/// through the sinks `step` is given. A wake-up costs O(due + arrived)
-/// polls, not O(sessions): a session is polled when a datagram touched
-/// it, when the `Wait` it last quoted has run out, or right after a turn
-/// that used up its burst — at no other time.
-///
-/// Ready order is FIFO: last step's yields, then the sessions touched
-/// since in arrival order, then the due sessions in due order.
-pub(crate) struct ShardStep<'a> {
-    shard: usize,
-    config: &'a ServerConfig,
-    content: &'a HashMap<u64, Arc<dyn StreamCodecSender>>,
-    /// Process-wide session seed counter (sender RNG streams must differ
-    /// across shards).
-    seeds: &'a AtomicU64,
-    slots: HashMap<Key, Slot>,
-    index: DueIndex,
-    /// The next step's ready list, each key on it at most once (`queued`).
-    ready: Vec<Key>,
-    /// The list being run; swapped with `ready` so both keep capacity.
-    running: Vec<Key>,
-    /// Sessions `deliver` has queued since the last step.
-    arrived: usize,
-    stats: StepStats,
-}
-
-impl<'a> ShardStep<'a> {
-    pub(crate) fn new(
-        shard: usize,
-        config: &'a ServerConfig,
-        content: &'a HashMap<u64, Arc<dyn StreamCodecSender>>,
-        seeds: &'a AtomicU64,
-    ) -> ShardStep<'a> {
-        ShardStep {
-            shard,
-            config,
-            content,
-            seeds,
-            slots: HashMap::new(),
-            index: DueIndex::default(),
-            // lint: allow(vec-capacity) — made once per shard; swapped, never reallocated per wake once grown.
-            ready: Vec::new(),
-            // lint: allow(vec-capacity) — as `ready`.
-            running: Vec::new(),
-            arrived: 0,
-            stats: StepStats::default(),
-        }
-    }
-
-    /// Live sessions.
-    pub(crate) fn sessions(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// What the latest `step` did.
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> StepStats {
-        self.stats
-    }
-
-    /// Hands one owned datagram to its session (a published `Request`
-    /// from an unknown key creates one) and queues that session for the
-    /// next step.
-    pub(crate) fn deliver(&mut self, peer: SocketAddr, datagram: Datagram, now: Instant) {
-        let key = (peer, datagram.session);
-        let slot = match self.slots.entry(key) {
-            Entry::Occupied(entry) => entry.into_mut(),
-            Entry::Vacant(entry) => {
-                if !matches!(datagram.payload, Payload::Request) {
-                    return;
-                }
-                let Some(encoder) = self.content.get(&datagram.session) else { return };
-                let seed = self.seeds.fetch_add(1, Ordering::AcqRel) + 1;
-                let Ok(session) = SenderSession::new(
-                    Arc::clone(encoder),
-                    datagram.session,
-                    self.config.sender.clone(),
-                    seed,
-                    now,
-                ) else {
-                    return;
-                };
-                entry.insert(Slot { session, due: None, max_burst: 0, queued: false })
-            }
-        };
-        slot.session.handle_datagram(&datagram, now);
-        if !slot.queued {
-            slot.queued = true;
-            self.ready.push(key);
-            self.arrived += 1;
-        }
-    }
-
-    /// Gives every ready session one turn at `now`: polls it until it
-    /// quotes a wait, finishes, or has sent `burst_per_step` datagrams.
-    /// Each datagram goes to `emit`, each finished transfer to
-    /// `finished`. Returns when the step next needs to run with no new
-    /// datagram (`now` after a yield), or `None` with no session armed.
-    ///
-    /// # Errors
-    ///
-    /// The first error `emit` returns; the step stops there.
-    pub(crate) fn step(
-        &mut self,
-        now: Instant,
-        emit: &mut impl FnMut(SocketAddr, Vec<u8>) -> io::Result<()>,
-        finished: &mut impl FnMut(ServedTransfer),
-    ) -> io::Result<Option<Instant>> {
-        std::mem::swap(&mut self.ready, &mut self.running);
-        let arrived = std::mem::take(&mut self.arrived);
-        let mut stats = StepStats { arrived, ..StepStats::default() };
-        while let Some(key) = self.index.pop_due(now, &mut self.slots) {
-            stats.due += 1;
-            let slot = self.slots.get_mut(&key).expect("a live entry has a slot");
-            if !std::mem::replace(&mut slot.queued, true) {
-                self.running.push(key);
-            }
-        }
-        let burst_cap = u64::from(self.config.burst_per_step);
-        let mut result = Ok(());
-        for &key in &self.running {
-            let Some(slot) = self.slots.get_mut(&key) else { continue };
-            slot.queued = false;
-            stats.turns += 1;
-            let mut burst = 0u64;
-            let turn = loop {
-                stats.polls += 1;
-                match slot.session.poll(now) {
-                    SenderEvent::Transmit(bytes) => {
-                        if let Err(err) = emit(key.0, bytes) {
-                            result = Err(err);
-                            break Turn::Yield;
-                        }
-                        burst += 1;
-                        if burst >= burst_cap {
-                            break Turn::Yield;
-                        }
-                    }
-                    SenderEvent::Wait(wait) => break Turn::Wait(wait),
-                    SenderEvent::Finished => break Turn::Finished,
-                }
-            };
-            slot.max_burst = slot.max_burst.max(burst);
-            match turn {
-                Turn::Wait(wait) => {
-                    stats.idle_polls += u64::from(burst == 0);
-                    self.index.arm(key, &mut slot.due, now + wait);
-                }
-                Turn::Yield => {
-                    slot.queued = true;
-                    self.ready.push(key);
-                }
-                Turn::Finished => {
-                    let slot = self.slots.remove(&key).expect("polled above");
-                    self.index.disarm(slot.due);
-                    let mut metrics = slot.session.metrics_snapshot(now);
-                    metrics.counters.insert("session.max_burst_per_step".into(), slot.max_burst);
-                    finished(ServedTransfer {
-                        peer: key.0,
-                        session: key.1,
-                        shard: self.shard,
-                        report: slot.session.report(now),
-                        metrics,
-                    });
-                }
-            }
-            if result.is_err() {
-                break;
-            }
-        }
-        self.running.clear();
-        self.index.compact(&self.slots);
-        let m = crate::metrics::metrics();
-        m.shard_polls.add(stats.polls);
-        m.shard_idle_polls.add(stats.idle_polls);
-        self.stats = stats;
-        result?;
-        Ok(if self.ready.is_empty() { self.index.next_due(&self.slots) } else { Some(now) })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::UdpChannel;
-    use crate::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
-    use crate::session::SenderConfig;
+    use crate::client::Client;
+    use crate::receiver::ReceiverConfig;
+    use crate::session::{ACK_WAIT, ANNOUNCE_INTERVAL, STALL_GRACE};
+    use crate::step::drive;
+    use crate::step::BURST_PER_STEP;
+    use crate::wire::Datagram;
     use nc_rlnc::stream::StreamEncoder;
     use nc_rlnc::CodingConfig;
 
@@ -713,11 +454,18 @@ mod tests {
         (Arc::new(StreamEncoder::new(config, &data).unwrap()), data)
     }
 
-    fn receive(server: SocketAddr, session: u64) -> Option<Vec<u8>> {
-        let mut channel = UdpChannel::connect("127.0.0.1:0", server).unwrap();
-        let mut rx = ReceiverSession::new(session, ReceiverConfig::default(), Instant::now());
-        run_receiver(&mut channel, &mut rx).unwrap();
-        rx.into_recovered()
+    /// One client on one socket asking `server` for streams
+    /// `0..sessions`; the recovered bytes, by stream.
+    fn receive(server: SocketAddr, sessions: usize) -> Vec<Option<Vec<u8>>> {
+        let channel = UdpChannel::connect("127.0.0.1:0", server).unwrap();
+        let mut client = Client::new(channel, ReceiverConfig::default());
+        (0..sessions as u64).for_each(|id| client.request(id));
+        let mut recovered = vec![None; sessions];
+        for rx in client.run().unwrap() {
+            let id = rx.session_id() as usize;
+            recovered[id] = rx.into_recovered();
+        }
+        recovered
     }
 
     /// Held by every test that serves over loopback, so a test that looks
@@ -727,16 +475,28 @@ mod tests {
         SERVING.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// A server of `config` publishing one stream of `len` bytes under
+    /// ids `0..receivers`.
+    fn publish(
+        receivers: usize,
+        len: usize,
+        config: ShardedServerConfig,
+    ) -> (ShardedServer, Vec<u8>) {
+        let (encoder, data) = stream(len, |i| (i % 239) as u8);
+        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
+        (0..receivers as u64).for_each(|id| server.publish(id, encoder.clone()));
+        (server, data)
+    }
+
     /// Serves one published stream to `receivers` concurrent receivers and
     /// checks every one recovered it bit-exact.
     fn serve_to(receivers: usize, len: usize, config: ShardedServerConfig) -> Vec<ServedTransfer> {
-        let (encoder, data) = stream(len, |i| (i % 239) as u8);
-        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
-        server.publish(5, encoder);
+        let (mut server, data) = publish(receivers, len, config);
         serve_round(&mut server, receivers, &data)
     }
 
-    /// One `serve` call of stream 5 (`data`) to `receivers` new receivers.
+    /// One `serve` call of `data`, published under ids `0..receivers`,
+    /// to one new client that asks for each of them.
     fn serve_round(
         server: &mut ShardedServer,
         receivers: usize,
@@ -744,13 +504,12 @@ mod tests {
     ) -> Vec<ServedTransfer> {
         let _serving = serving();
         let addr = server.local_addr().unwrap();
-        let handles: Vec<_> = (0..receivers)
-            // lint: allow(thread-spawn) — test receivers; the server under test spawns its own shard threads.
-            .map(|_| std::thread::spawn(move || receive(addr, 5)))
-            .collect();
-        let transfers = server.serve(receivers, Duration::from_secs(60)).unwrap();
-        for handle in handles {
-            assert_eq!(handle.join().unwrap().as_deref(), Some(data), "bit-exact");
+        let (transfers, recovered) = std::thread::scope(|scope| {
+            let client = scope.spawn(|| receive(addr, receivers));
+            (server.serve(receivers, Duration::from_secs(60)).unwrap(), client.join().unwrap())
+        });
+        for stream in recovered {
+            assert_eq!(stream.as_deref(), Some(data), "bit-exact");
         }
         assert_eq!(transfers.len(), receivers);
         transfers
@@ -767,8 +526,9 @@ mod tests {
             .collect()
     }
 
-    /// What a [`ShardStep`] borrows: its config, the published content
-    /// (stream 1: dense 16 x 64 B, `segments` segments) and the seeds.
+    /// What a shard's [`Step`] opens sessions from: its config, the
+    /// published content (stream 1: dense 16 x 64 B, `segments` segments)
+    /// and the seeds.
     struct World {
         config: ServerConfig,
         content: HashMap<u64, Arc<dyn StreamCodecSender>>,
@@ -786,8 +546,25 @@ mod tests {
             World { config, content, seeds: AtomicU64::new(0), segments }
         }
 
-        fn step(&self) -> ShardStep<'_> {
-            ShardStep::new(0, &self.config, &self.content, &self.seeds)
+        fn step(&self) -> Step<Key, SenderSession> {
+            Step::new()
+        }
+
+        /// The session `bytes` open, as the shard shell opens it.
+        fn open(&self, bytes: &[u8], now: Instant) -> Option<SenderSession> {
+            open_session(&self.content, &self.seeds, &self.config.sender, bytes, now)
+        }
+
+        /// Delivers `bytes` from `peer` as the shard shell does.
+        fn deliver(
+            &self,
+            step: &mut Step<Key, SenderSession>,
+            peer: SocketAddr,
+            bytes: &[u8],
+            now: Instant,
+        ) {
+            let key = (peer, session_of(bytes).unwrap());
+            step.deliver(key, bytes, now, || self.open(bytes, now));
         }
 
         /// Wire bytes of one data datagram of stream 1.
@@ -795,9 +572,11 @@ mod tests {
             crate::wire::HEADER_BYTES + self.content[&1].frame_wire_bytes()
         }
 
-        fn ack(&self, received: u64) -> Datagram {
+        fn ack(&self, received: u64) -> Vec<u8> {
             let completed = crate::wire::SegmentBitmap::new(self.segments);
             Datagram::new(1, Payload::Ack { received, innovative: received, completed })
+                .encode()
+                .unwrap()
         }
     }
 
@@ -805,42 +584,8 @@ mod tests {
         SocketAddr::from(([10, 0, (i >> 8) as u8, i as u8], 4000))
     }
 
-    fn request() -> Datagram {
-        Datagram::new(1, Payload::Request)
-    }
-
-    /// Runs `step` in virtual time, as a shell that wakes exactly when
-    /// asked would: each arrival is delivered at its instant, and the
-    /// step runs at every arrival and at every due it returns, until
-    /// `end`. `on_emit` sees every datagram sent, `after` every step
-    /// with the datagrams it sent.
-    fn drive(
-        step: &mut ShardStep<'_>,
-        mut arrivals: VecDeque<(Instant, SocketAddr, Datagram)>,
-        end: Instant,
-        mut on_emit: impl FnMut(Instant, SocketAddr, Vec<u8>),
-        mut after: impl FnMut(&ShardStep<'_>, u64),
-    ) {
-        let mut due = None;
-        loop {
-            let arrival = arrivals.front().map(|(at, ..)| *at);
-            let Some(now) = [arrival, due].into_iter().flatten().min() else { break };
-            if now > end {
-                break;
-            }
-            while arrivals.front().is_some_and(|(at, ..)| *at <= now) {
-                let (_, from, datagram) = arrivals.pop_front().unwrap();
-                step.deliver(from, datagram, now);
-            }
-            let mut emitted = 0u64;
-            let mut emit = |to, bytes| {
-                emitted += 1;
-                on_emit(now, to, bytes);
-                Ok(())
-            };
-            due = step.step(now, &mut emit, &mut |_| {}).unwrap();
-            after(step, emitted);
-        }
+    fn request() -> Vec<u8> {
+        Datagram::new(1, Payload::Request).encode().unwrap()
     }
 
     fn kind(bytes: &[u8]) -> &'static str {
@@ -874,13 +619,14 @@ mod tests {
         let mut step = world.step();
         let t0 = Instant::now();
         let arrivals = (0..PEERS)
-            .map(|i| (t0 + Duration::from_micros(150 * (i % 64) as u64), peer(i), request()))
+            .map(|i| (t0 + Duration::from_micros(150 * (i % 64) as u64), (peer(i), 1), request()))
             .collect();
         let (mut steps, mut polls, mut emitted_total) = (0u64, 0u64, 0u64);
         drive(
             &mut step,
             arrivals,
             t0 + Duration::from_millis(300),
+            |bytes, now| world.open(bytes, now),
             |_, _, bytes| nc_pool::BytesPool::global().recycle(bytes),
             |step, emitted| {
                 let stats = step.stats();
@@ -912,7 +658,7 @@ mod tests {
         let world = World::new(ServerConfig::default(), 4);
         let mut step = world.step();
         let t0 = Instant::now();
-        step.deliver(peer(0), request(), t0);
+        world.deliver(&mut step, peer(0), &request(), t0);
         let key = (peer(0), 1);
         let far = t0 + Duration::from_secs(3600);
         for i in 0..10_000u32 {
@@ -937,23 +683,24 @@ mod tests {
     fn announce_retry_and_stall_timers_fire_within_ack_wait_of_due() {
         // One unpaced session and no other traffic, so nothing but its own
         // quotes wakes the step. A repeated request 19 ms after the
-        // announce makes it quote a timer 1 ms out, which the `ack_wait`
+        // announce makes it quote a timer 1 ms out, which the `ACK_WAIT`
         // floor turns into 2 ms.
         let world = World::new(ServerConfig::default(), 4);
-        let sender = &world.config.sender;
         let mut step = world.step();
         let t0 = Instant::now();
         let ack_at = t0 + Duration::from_millis(70);
+        let key = (peer(0), 1);
         let arrivals = VecDeque::from([
-            (t0, peer(0), request()),
-            (t0 + Duration::from_millis(19), peer(0), request()),
-            (ack_at, peer(0), world.ack(8)),
+            (t0, key, request()),
+            (t0 + Duration::from_millis(19), key, request()),
+            (ack_at, key, world.ack(8)),
         ]);
         let mut sent: Vec<(Instant, &str)> = Vec::new();
         drive(
             &mut step,
             arrivals,
-            ack_at + 2 * sender.stall_grace,
+            ack_at + 2 * STALL_GRACE,
+            |bytes, now| world.open(bytes, now),
             |now, _, bytes| sent.push((now, kind(&bytes))),
             |_, _| {},
         );
@@ -961,35 +708,35 @@ mod tests {
             sent.iter().filter(|(_, k)| *k == "announce").map(|(at, _)| *at).collect();
         assert!(announces.len() >= 3, "{announces:?}");
         for pair in announces.windows(2) {
-            let late = pair[1] - (pair[0] + sender.announce_interval);
-            assert!(late <= sender.ack_wait, "announce retry {late:?} late");
+            let late = pair[1] - (pair[0] + ANNOUNCE_INTERVAL);
+            assert!(late <= ACK_WAIT, "announce retry {late:?} late");
         }
         // After the ACK the regranted budget goes out at once; then the
-        // session starves until the stall trickle at ACK + `stall_grace`.
-        let trickle_due = ack_at + sender.stall_grace;
+        // session starves until the stall trickle at ACK + `STALL_GRACE`.
+        let trickle_due = ack_at + STALL_GRACE;
         let trickled = sent
             .iter()
-            .find(|(at, k)| *at > ack_at && *k == "data" && *at + sender.ack_wait >= trickle_due)
+            .find(|(at, k)| *at > ack_at && *k == "data" && *at + ACK_WAIT >= trickle_due)
             .expect("the stall trickle released frames")
             .0;
         assert!(trickled >= trickle_due, "trickled {:?} early", trickle_due - trickled);
-        assert!(trickled - trickle_due <= sender.ack_wait, "{:?} late", trickled - trickle_due);
+        assert!(trickled - trickle_due <= ACK_WAIT, "{:?} late", trickled - trickle_due);
     }
 
     #[test]
     fn every_ready_session_gets_its_first_burst_before_any_gets_a_second() {
         const PEERS: usize = 64;
-        let config = ServerConfig { burst_per_step: 32, ..ServerConfig::default() };
-        let world = World::new(config, 16);
+        let world = World::new(ServerConfig::default(), 16);
         let mut step = world.step();
         let t0 = Instant::now();
-        let arrivals = (0..PEERS).map(|i| (t0, peer(i), request())).collect();
+        let arrivals = (0..PEERS).map(|i| (t0, (peer(i), 1), request())).collect();
         let mut order: Vec<SocketAddr> = Vec::new();
         drive(
             &mut step,
             arrivals,
             t0,
-            |_, to, bytes| {
+            |bytes, now| world.open(bytes, now),
+            |_, (to, _), bytes| {
                 order.push(to);
                 nc_pool::BytesPool::global().recycle(bytes);
             },
@@ -1000,7 +747,10 @@ mod tests {
         assert!(bursts.len() >= 2 * PEERS, "{} bursts", bursts.len());
         let first: Vec<SocketAddr> = bursts[..PEERS].iter().map(|&(to, _)| to).collect();
         assert_eq!(first, (0..PEERS).map(peer).collect::<Vec<_>>(), "arrival order");
-        assert!(bursts[..PEERS].iter().all(|&(_, len)| len == 32), "full bursts");
+        assert!(
+            bursts[..PEERS].iter().all(|&(_, len)| len == BURST_PER_STEP as usize),
+            "full bursts"
+        );
         let second: Vec<SocketAddr> = bursts[PEERS..2 * PEERS].iter().map(|&(to, _)| to).collect();
         assert_eq!(second, first, "yields run again in the same order");
     }
@@ -1010,7 +760,7 @@ mod tests {
         let world = World::new(ServerConfig::default(), 4);
         let mut step = world.step();
         let t0 = Instant::now();
-        step.deliver(peer(0), request(), t0);
+        world.deliver(&mut step, peer(0), &request(), t0);
         let mut emit = |_, bytes| {
             nc_pool::BytesPool::global().recycle(bytes);
             Ok(())
@@ -1018,7 +768,7 @@ mod tests {
         // Announce and budget out, a burst per step; the session then
         // waits on timers.
         let due = loop {
-            let due = step.step(t0, &mut emit, &mut |_| {}).unwrap().expect("armed");
+            let due = step.step(t0, &mut emit, &mut |_, _, _| {}).unwrap().expect("armed");
             if due > t0 {
                 break due;
             }
@@ -1027,14 +777,10 @@ mod tests {
         assert!(due > now, "nothing is due at {now:?}");
         // Another shard received this session's ACK and forwarded it.
         let mailbox = Mailbox::new();
-        mailbox.push(peer(0), world.ack(8).encode().unwrap());
-        let mut inbox = Vec::new();
-        mailbox.drain_into(&mut inbox);
+        mailbox.push(peer(0), world.ack(8));
+        mailbox.drain(|from, bytes| world.deliver(&mut step, from, bytes, now));
         assert!(mailbox.pop().is_none());
-        for (from, datagram) in inbox {
-            step.deliver(from, datagram, now);
-        }
-        step.step(now, &mut emit, &mut |_| {}).unwrap();
+        step.step(now, &mut emit, &mut |_, _, _| {}).unwrap();
         let stats = step.stats();
         assert_eq!((stats.arrived, stats.due, stats.turns), (1, 0, 1), "{stats:?}");
         let session = &step.slots[&(peer(0), 1)].session;
@@ -1063,8 +809,9 @@ mod tests {
         for shards in [1, 4] {
             let config = ShardedServerConfig { shards, ..ShardedServerConfig::default() };
             let transfers = serve_to(6, 60_000, config);
-            let peers: std::collections::HashSet<_> = transfers.iter().map(|t| t.peer).collect();
-            assert_eq!(peers.len(), 6, "one session per receiver");
+            let keys: std::collections::HashSet<_> =
+                transfers.iter().map(|t| (t.peer, t.session)).collect();
+            assert_eq!(keys.len(), 6, "one session per request");
             for t in &transfers {
                 assert!(t.report.overhead_ratio().is_some());
                 assert_eq!(t.report.segments_completed, t.report.segments_total);
@@ -1078,11 +825,21 @@ mod tests {
     }
 
     #[test]
+    fn serves_256_sessions_to_one_client_bit_exact() {
+        // One client socket: the kernel hands all its feedback to one
+        // shard, which forwards what the other owns.
+        const SESSIONS: usize = 256;
+        let config = ShardedServerConfig { shards: 2, ..ShardedServerConfig::default() };
+        let (mut server, data) = publish(SESSIONS, 8_000, config);
+        let transfers = serve_round(&mut server, SESSIONS, &data);
+        let shards: std::collections::HashSet<_> = transfers.iter().map(|t| t.shard).collect();
+        assert_eq!(shards.len(), 2, "both shards served");
+    }
+
+    #[test]
     fn serve_joins_every_shard_thread_and_serves_again() {
-        let (encoder, data) = stream(30_000, |i| (i % 233) as u8);
         let config = ShardedServerConfig { shards: 3, ..ShardedServerConfig::default() };
-        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
-        server.publish(5, encoder);
+        let (mut server, data) = publish(4, 30_000, config);
         for call in 0..2 {
             serve_round(&mut server, 4, &data);
             if cfg!(target_os = "linux") {
@@ -1100,7 +857,6 @@ mod tests {
             let config = ShardedServerConfig {
                 shards,
                 server: ServerConfig { faults: Some(faults), ..ServerConfig::default() },
-                ..ShardedServerConfig::default()
             };
             let transfers = serve_to(1, 20_000, config);
             // More frames sent than the receiver found innovative: the

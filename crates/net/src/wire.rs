@@ -500,9 +500,15 @@ impl SegmentBitmap {
                 return None;
             }
         }
-        // lint: allow(vec-capacity) — one small owned bitmap per ACK: one per `ack_every` data frames plus one per completed segment (the ACK timer stretches to the flow's frame rate), merged into the sender's own bitmap and dropped; data datagrams never come here.
+        // lint: allow(vec-capacity) — one small owned bitmap per ACK: one per `ACK_EVERY` data frames plus one per completed segment (the ACK timer stretches to the flow's frame rate), merged into the sender's own bitmap and dropped; data datagrams never come here.
         Some(SegmentBitmap { bits, bytes: body.to_vec() })
     }
+}
+
+/// The session id in a datagram's header, unchecked: the session it is
+/// routed to parses the rest, checksum included.
+pub(crate) fn session_of(bytes: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?))
 }
 
 /// Kind byte of a data datagram.

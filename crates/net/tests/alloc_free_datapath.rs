@@ -21,17 +21,23 @@
 //! kernel offers it) and their receives (each run one message, split in
 //! the slot, where it offers `UDP_GRO`): buffers come from and return to
 //! the pool, receive slots are borrowed, and the batch scratch — control
-//! messages included — lives on the stack.
+//! messages included — lives on the stack. Above them all, 1024 warm data
+//! datagrams delivered through a [`Client`]'s shell — receive batch,
+//! routing by session id, `handle_bytes`, the step, and the ACKs it sends
+//! back — must not reach the allocator once on the client's thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nc_net::channel::{BatchSocket, Channel, UdpChannel};
 use nc_net::receiver::{ReceiverConfig, ReceiverEvent, ReceiverSession};
 use nc_net::session::{SenderConfig, SenderEvent, SenderSession};
-use nc_net::wire::{Datagram, Payload, SegmentBitmap, HEADER_BYTES};
+use nc_net::wire::{Datagram, DatagramRef, Payload, SegmentBitmap, HEADER_BYTES};
+use nc_net::Client;
 use nc_pool::BytesPool;
 use nc_rlnc::codec::StreamCodecSender;
 use nc_rlnc::stream::StreamEncoder;
@@ -48,11 +54,20 @@ thread_local! {
     /// Per thread, like `ARMED`: the tests run side by side, and one
     /// test's armed allocations must not land in another's count.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Set on a client's thread, whose allocations another thread arms
+    /// (`CLIENT_ARMED`) and reads (`CLIENT_ALLOCATIONS`).
+    static IS_CLIENT: Cell<bool> = const { Cell::new(false) };
 }
+
+static CLIENT_ARMED: AtomicBool = AtomicBool::new(false);
+static CLIENT_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 fn note_allocation() {
     if ARMED.try_with(Cell::get).unwrap_or(false) {
         let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    }
+    if IS_CLIENT.try_with(Cell::get).unwrap_or(false) && CLIENT_ARMED.load(Ordering::Acquire) {
+        CLIENT_ALLOCATIONS.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -87,6 +102,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Held by every test here. The buffer pool's shelves are process-wide:
+/// run side by side, one test's takes empty a shelf another test's warm
+/// path counts on, and that test allocates.
+fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static POOL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    POOL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Allocations made by this thread while `work` runs.
 fn allocations_during(work: impl FnOnce()) -> usize {
@@ -153,6 +176,7 @@ fn send_cycles(session: &mut SenderSession, now: Instant, cycles: usize) -> usiz
 
 #[test]
 fn warm_send_and_receive_paths_do_not_allocate() {
+    let _exclusive = exclusive();
     let now = Instant::now();
     assert_eq!(
         allocations_during(|| drop(std::hint::black_box(vec![1u8; 64]))),
@@ -299,10 +323,9 @@ fn flush_round_trips(
 /// Datagrams a `BatchSocket` stages before it flushes on its own.
 const FULL_BATCH: usize = 64;
 
-/// One test, not two: both halves draw ~1 KiB buffers from the one
-/// process-wide pool shelf, and run side by side they starve each other.
 #[test]
 fn warm_udp_batches_do_not_allocate() {
+    let _exclusive = exclusive();
     let sa = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
     let sb = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
     sa.connect(sb.local_addr().expect("addr")).expect("connect");
@@ -348,4 +371,104 @@ fn warm_udp_batches_do_not_allocate() {
         // Coalesced: the kernel's runs of 61 and 3, one message each.
         assert_eq!(messages, 2 * CYCLES as u64, "one receive slot per run");
     }
+}
+
+/// The server's half of the client test: a plain socket that answers the
+/// client's request, sends it data datagrams and reads its ACKs. It draws
+/// nothing from the buffer pool, whose shelves the client's thread shares.
+struct Feeder {
+    socket: std::net::UdpSocket,
+    client: SocketAddr,
+}
+
+impl Feeder {
+    fn send(&self, datagrams: &[Vec<u8>]) {
+        for bytes in datagrams {
+            // lint: allow(raw-udp-io) — the test's stand-in server, kept off the pool.
+            self.socket.send_to(bytes, self.client).expect("send");
+        }
+    }
+
+    /// Reads the client's feedback until an ACK reports `received` data
+    /// datagrams: the client has handled them all.
+    fn await_ack(&self, received: u64) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let mut slot = [0u8; 2048];
+        let mut reported = 0;
+        while reported < received || received == 0 {
+            assert!(Instant::now() < give_up, "ACK of {received} never came ({reported})");
+            // lint: allow(raw-udp-io) — the test's stand-in server, kept off the pool.
+            let Ok((len, _)) = self.socket.recv_from(&mut slot) else { continue };
+            match DatagramRef::parse(&slot[..len]).map(|d| d.payload) {
+                Ok(Payload::Ack { received: acked, .. }) => reported = reported.max(acked),
+                Ok(Payload::Request) if received == 0 => return,
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn warm_datagrams_through_the_client_shell_do_not_allocate() {
+    let _exclusive = exclusive();
+    let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+    socket.set_read_timeout(Some(Duration::from_millis(50))).expect("timeout");
+    let channel =
+        UdpChannel::connect("127.0.0.1:0", socket.local_addr().expect("addr")).expect("connect");
+    let feeder = Feeder { socket, client: channel.local_addr().expect("addr") };
+    let config =
+        ReceiverConfig { idle_timeout: Duration::from_millis(300), ..ReceiverConfig::default() };
+    let mut client = Client::new(channel, config);
+    client.request(SESSION);
+
+    // The announce, then every segment's first frame, which reserves the
+    // stream's output buffer and each segment's decoder state; then, armed,
+    // frames that leave every segment short of rank n (as above), 64 at a
+    // time, each batch ACKed before the next goes out.
+    let tx = sender(Instant::now());
+    let announce = Datagram::new(SESSION, Payload::Announce(tx.meta())).encode().expect("small");
+    let encoder = encoder();
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut frames = |seqs: &[u64]| -> Vec<Vec<u8>> {
+        seqs.iter()
+            .flat_map(|&seq| (0..SEGMENTS).map(move |segment| (segment, seq)))
+            .map(|(segment, seq)| {
+                let frame = encoder.frame_wire(segment, seq, &mut rng);
+                Datagram::new(SESSION, Payload::Data(frame)).encode().expect("fits")
+            })
+            .collect()
+    };
+    let firsts = frames(&[0]);
+    let measured = frames(&[16, 17, 18, 19, 20, 21, 22, 1]);
+    const BATCH: usize = 64;
+
+    let session = std::thread::scope(|scope| {
+        let client = scope.spawn(|| {
+            IS_CLIENT.with(|is| is.set(true));
+            client.run().expect("client")
+        });
+        feeder.await_ack(0); // the client's request
+        feeder.send(std::slice::from_ref(&announce));
+        for batch in firsts.chunks(BATCH) {
+            feeder.send(batch);
+        }
+        feeder.await_ack(SEGMENTS as u64);
+        CLIENT_ARMED.store(true, Ordering::Release);
+        for (i, batch) in measured.chunks(BATCH).enumerate() {
+            feeder.send(batch);
+            feeder.await_ack((SEGMENTS + (i + 1) * BATCH) as u64);
+        }
+        CLIENT_ARMED.store(false, Ordering::Release);
+        client.join().expect("client thread").pop().expect("one session")
+    });
+    let allocated = CLIENT_ALLOCATIONS.load(Ordering::Acquire);
+    let report = session.report();
+    assert_eq!(report.received, (SEGMENTS + measured.len()) as u64, "every frame was handled");
+    assert_eq!(report.innovative, report.received);
+    assert_eq!(
+        allocated,
+        0,
+        "{} warm datagrams through the client's shell allocated {allocated} times",
+        measured.len()
+    );
 }

@@ -8,7 +8,7 @@ use nc_net::channel::{memory_pair, FaultProfile, FaultyChannel};
 use nc_net::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
 use nc_net::sender::send_stream;
 use nc_net::session::{SenderConfig, SenderOutcome};
-use nc_net::{make_sender, CodecId, ShardedServer, ShardedServerConfig, UdpChannel};
+use nc_net::{make_sender, Client, CodecId, ShardedServer, ShardedServerConfig, UdpChannel};
 use nc_rlnc::codec::StreamCodecSender;
 use nc_rlnc::CodingConfig;
 use std::sync::Arc;
@@ -32,7 +32,6 @@ fn receiver_config() -> ReceiverConfig {
     ReceiverConfig {
         idle_timeout: Duration::from_secs(10),
         deadline: Some(Duration::from_secs(60)),
-        ..ReceiverConfig::default()
     }
 }
 
@@ -76,24 +75,23 @@ fn server_publishes_circshift_content_and_reports_the_codec_id() {
     let data = payload(40_000);
     let config = ShardedServerConfig { shards: 1, ..ShardedServerConfig::default() };
     let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
-    server.publish(11, circshift_sender(coding, &data));
-    let addr = server.local_addr().unwrap();
+    // One client socket asks for both: the server keys sessions by
+    // (peer, id), so each of the client's sessions has its own id.
+    let encoder = circshift_sender(coding, &data);
+    server.publish(11, encoder.clone());
+    server.publish(12, encoder);
+    let channel = UdpChannel::connect("127.0.0.1:0", server.local_addr().unwrap()).unwrap();
+    let mut client = Client::new(channel, receiver_config());
+    client.request(11);
+    client.request(12);
 
-    let handles: Vec<_> = (0..2)
-        .map(|_| {
-            // lint: allow(thread-spawn) — test driver threads; product threads are scoped (nc-net::shard, nc-cpu).
-            std::thread::spawn(move || {
-                let mut channel = UdpChannel::connect("127.0.0.1:0", addr).unwrap();
-                let mut rx = ReceiverSession::new(11, receiver_config(), Instant::now());
-                run_receiver(&mut channel, &mut rx).unwrap();
-                rx.into_recovered()
-            })
-        })
-        .collect();
-    let transfers = server.serve(2, Duration::from_secs(30)).unwrap();
-
-    for handle in handles {
-        assert_eq!(handle.join().unwrap().as_deref(), Some(data.as_slice()), "bit-exact");
+    let (transfers, received) = std::thread::scope(|scope| {
+        let received = scope.spawn(|| client.run().unwrap());
+        (server.serve(2, Duration::from_secs(30)).unwrap(), received.join().unwrap())
+    });
+    assert_eq!(received.len(), 2);
+    for session in received {
+        assert_eq!(session.recovered(), Some(data.as_slice()), "bit-exact");
     }
     assert_eq!(transfers.len(), 2);
     for t in &transfers {

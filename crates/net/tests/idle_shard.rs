@@ -11,7 +11,7 @@ use std::time::Duration;
 #[test]
 fn idle_shard_sleeps_instead_of_ticking() {
     // With content published and nobody connected, each wake-up must sleep
-    // until the `poll_interval` cap (25 ms), so half a second of idling is
+    // until the `POLL_INTERVAL` cap (25 ms), so half a second of idling is
     // ~20 empty wake-ups — not the ~250 the old tick burned. A shard records
     // one `net.deadline_miss_ns` sample per empty wake-up.
     let wakeups = nc_telemetry::default_registry().histogram("net.deadline_miss_ns");

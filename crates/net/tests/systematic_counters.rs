@@ -5,13 +5,14 @@
 //! the transfers it runs.
 
 use nc_net::channel::{memory_pair, FaultProfile, FaultyChannel};
-use nc_net::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
+use nc_net::receiver::ReceiverConfig;
 use nc_net::sender::send_stream;
 use nc_net::session::{SenderConfig, SenderOutcome};
+use nc_net::Client;
 use nc_rlnc::stream::StreamEncoder;
 use nc_rlnc::CodingConfig;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Counter deltas and link statistics of one transfer.
 struct Counted {
@@ -32,24 +33,22 @@ fn transfer(coding: CodingConfig, data: &[u8], drop: f64, seed: u64) -> Counted 
     let receiver_config = ReceiverConfig {
         idle_timeout: Duration::from_secs(10),
         deadline: Some(Duration::from_secs(60)),
-        ..ReceiverConfig::default()
     };
-    // lint: allow(thread-spawn) — the test's receiver thread; product threads are scoped (nc-net::shard, nc-cpu).
-    let receiver = std::thread::spawn(move || {
-        let mut rx_end = rx_end;
-        let mut session = ReceiverSession::new(1, receiver_config, Instant::now());
-        run_receiver(&mut rx_end, &mut session).expect("memory channel never errors");
-        session.into_recovered()
-    });
+    let mut client = Client::new(rx_end, receiver_config);
+    client.request(1);
     let sender_config = SenderConfig {
         initial_loss: drop,
         idle_timeout: Duration::from_secs(10),
         deadline: Some(Duration::from_secs(60)),
         ..SenderConfig::default()
     };
-    let report = send_stream(&mut tx_end, encoder, 1, sender_config, seed)
-        .expect("memory channel never errors");
-    assert_eq!(receiver.join().expect("receiver thread").as_deref(), Some(data), "bit-exact");
+    let (report, received) = std::thread::scope(|scope| {
+        let received = scope.spawn(|| client.run().expect("memory channel never errors"));
+        let report = send_stream(&mut tx_end, encoder, 1, sender_config, seed)
+            .expect("memory channel never errors");
+        (report, received.join().expect("client thread"))
+    });
+    assert_eq!(received[0].recovered(), Some(data), "bit-exact");
     assert_eq!(report.outcome, SenderOutcome::Completed);
     Counted {
         blocks_systematic: counter("core.blocks_systematic") - systematic_before,

@@ -11,8 +11,8 @@
 //! * [`nic`] — network-interface capacity modeling (gigabit Ethernet).
 //! * [`capacity`] — the peer-capacity planner that reproduces the paper's
 //!   1385 / 1844 / 3000-peer claims from an encoding rate.
-//! * [`transport`] — real-socket delivery: media published through the
-//!   UDP coded transport ([`nc_net`]) at profile-derived pace, with
+//! * [`transport`] — real-socket delivery: the sender tuning that paces a
+//!   [`nc_net::ShardedServer`] at a profile's coded rate, and the
 //!   per-transfer goodput assessment against the stream bitrate.
 
 #![forbid(unsafe_code)]
@@ -20,11 +20,10 @@
 
 pub mod capacity;
 pub mod media;
-mod metrics;
 pub mod nic;
 pub mod transport;
 
 pub use capacity::CapacityPlan;
 pub use media::StreamProfile;
 pub use nic::Nic;
-pub use transport::{assess, sender_config_for, DeliveryAssessment, MediaTransport};
+pub use transport::{assess, sender_config_for, DeliveryAssessment};

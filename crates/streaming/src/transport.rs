@@ -4,20 +4,14 @@
 //!
 //! The capacity planner answers "how many peers *could* this server
 //! feed?"; this module feeds real peers: media segments are coded with the
-//! same `(n, k)` configuration, pushed over a real socket at the stream's
-//! coded rate (token-bucket paced), and each transfer's goodput is judged
-//! against the profile's bitrate — the paper's Sec. 5.1.1 claim turned
-//! into an end-to-end check.
+//! same `(n, k)` configuration and published on a
+//! [`ShardedServer`](nc_net::ShardedServer) whose sessions are paced at
+//! the stream's coded rate ([`sender_config_for`]), and each finished
+//! transfer's goodput is judged against the profile's bitrate
+//! ([`assess`]) — the paper's Sec. 5.1.1 claim turned into an end-to-end
+//! check.
 
-use nc_net::server::{ServedTransfer, ServerConfig};
 use nc_net::session::{SenderConfig, SenderReport};
-use nc_net::shard::{ShardedServer, ShardedServerConfig};
-use nc_rlnc::stream::StreamEncoder;
-use nc_rlnc::CodingConfig;
-use std::io;
-use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::Arc;
-use std::time::Duration;
 
 use crate::media::StreamProfile;
 
@@ -64,108 +58,17 @@ pub fn assess(report: &SenderReport, profile: StreamProfile) -> Option<DeliveryA
     })
 }
 
-/// A media-publishing wrapper around a one-shard [`ShardedServer`]:
-/// streams are coded once with the server's `(n, k)` configuration and
-/// served to any number of requesting peers at profile-derived pace.
-pub struct MediaTransport {
-    server: ShardedServer,
-    profile: StreamProfile,
-    config: CodingConfig,
-}
-
-impl MediaTransport {
-    /// Binds a media transport on `addr`, pacing every peer session for
-    /// `profile` with `headroom` slack (see [`sender_config_for`]).
-    ///
-    /// # Errors
-    ///
-    /// Any socket bind error.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        config: CodingConfig,
-        profile: StreamProfile,
-        headroom: f64,
-    ) -> io::Result<MediaTransport> {
-        let server_config = ShardedServerConfig {
-            server: ServerConfig {
-                sender: sender_config_for(profile, headroom),
-                ..Default::default()
-            },
-            shards: 1,
-            ..Default::default()
-        };
-        Ok(MediaTransport { server: ShardedServer::bind(addr, server_config)?, profile, config })
-    }
-
-    /// The bound address peers request from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `UdpSocket::local_addr` errors.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.server.local_addr()
-    }
-
-    /// The profile every session is paced for.
-    pub fn profile(&self) -> StreamProfile {
-        self.profile
-    }
-
-    /// Codes `media` under the server's configuration and publishes it as
-    /// `session`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder construction errors (e.g. empty media).
-    pub fn publish_media(&mut self, session: u64, media: &[u8]) -> Result<(), nc_rlnc::Error> {
-        let encoder = Arc::new(StreamEncoder::new(self.config, media)?);
-        self.server.publish(session, encoder);
-        Ok(())
-    }
-
-    /// Serves until `expected` transfers finish (or `deadline`), returning
-    /// each transfer with its profile assessment.
-    ///
-    /// Each reaped transfer is mirrored into the process-wide telemetry
-    /// registry: `streaming.transfers_served` counts everything,
-    /// `streaming.transfers_sustained` the ones that kept up with the
-    /// profile, and `streaming.deadline_misses` the ones that either never
-    /// completed or fell below the stream rate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket I/O errors.
-    pub fn serve(
-        &mut self,
-        expected: usize,
-        deadline: Duration,
-    ) -> io::Result<Vec<(ServedTransfer, Option<DeliveryAssessment>)>> {
-        let transfers = self.server.serve(expected, deadline)?;
-        let m = crate::metrics::metrics();
-        Ok(transfers
-            .into_iter()
-            .map(|t| {
-                let judged = assess(&t.report, self.profile);
-                m.transfers_served.inc();
-                match judged {
-                    Some(a) if a.sustained => m.transfers_sustained.inc(),
-                    _ => m.deadline_misses.inc(),
-                }
-                if let Some(a) = judged {
-                    m.last_goodput_bytes_per_s.set(a.goodput_bytes_per_s);
-                }
-                (t, judged)
-            })
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nc_net::channel::UdpChannel;
-    use nc_net::receiver::{run_receiver, ReceiverConfig, ReceiverSession};
-    use std::time::Instant;
+    use nc_net::{
+        Client, ReceiverConfig, ReceiverSession, ServerConfig, ShardedServer, ShardedServerConfig,
+        UdpChannel,
+    };
+    use nc_rlnc::stream::StreamEncoder;
+    use nc_rlnc::CodingConfig;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn profile_paces_the_sender() {
@@ -194,24 +97,25 @@ mod tests {
         let profile = StreamProfile::new(16.0e6);
         let coding = CodingConfig::new(16, 512).unwrap();
         let media: Vec<u8> = (0..800_000usize).map(|i| (i % 253) as u8).collect();
-        let mut transport = MediaTransport::bind("127.0.0.1:0", coding, profile, 1.5).unwrap();
-        transport.publish_media(21, &media).unwrap();
-        let addr = transport.local_addr().unwrap();
+        let config = ShardedServerConfig {
+            server: ServerConfig { sender: sender_config_for(profile, 1.5), ..Default::default() },
+            shards: 1,
+        };
+        let mut server = ShardedServer::bind("127.0.0.1:0", config).unwrap();
+        server.publish(21, Arc::new(StreamEncoder::new(coding, &media).unwrap()));
+        let channel = UdpChannel::connect("127.0.0.1:0", server.local_addr().unwrap()).unwrap();
+        let mut client = Client::new(channel, ReceiverConfig::default());
+        client.request(21);
 
-        // lint: allow(thread-spawn) — test driver thread; product threads are scoped (nc-net::shard, nc-cpu).
-        let handle = std::thread::spawn(move || {
-            let mut channel = UdpChannel::connect("127.0.0.1:0", addr).unwrap();
-            let mut session = ReceiverSession::new(21, ReceiverConfig::default(), Instant::now());
-            run_receiver(&mut channel, &mut session).unwrap();
-            session.into_recovered()
+        let (served, received) = std::thread::scope(|scope| {
+            let received = scope.spawn(|| client.run().unwrap());
+            (server.serve(1, Duration::from_secs(30)).unwrap(), received.join().unwrap())
         });
-        let before = counters();
-        let served = transport.serve(1, Duration::from_secs(30)).unwrap();
-        let after = counters();
-        assert_eq!(handle.join().unwrap().as_deref(), Some(media.as_slice()));
+        let recovered = received.into_iter().next().and_then(ReceiverSession::into_recovered);
+        assert_eq!(recovered.as_deref(), Some(media.as_slice()));
 
-        let (transfer, assessment) = &served[0];
-        let assessment = assessment.expect("completed transfer is assessable");
+        let transfer = &served[0];
+        let assessment = assess(&transfer.report, profile).expect("completed transfer");
         assert!(
             assessment.sustained,
             "goodput {} below required {} (report: {:?})",
@@ -223,19 +127,5 @@ mod tests {
             assessment.overhead_ratio,
             transfer.report
         );
-        // Nothing else in this process serves, so the deltas are this
-        // transfer's alone. With NC_TELEMETRY=off the counters stay put.
-        if nc_telemetry::enabled() {
-            let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-            assert_eq!(delta, [1, 1, 0], "served, sustained, deadline_misses");
-        }
-    }
-
-    /// `streaming.transfers_served`, `.transfers_sustained` and
-    /// `.deadline_misses` in the process-wide registry (0 until created).
-    fn counters() -> [u64; 3] {
-        let snap = nc_telemetry::snapshot();
-        ["transfers_served", "transfers_sustained", "deadline_misses"]
-            .map(|name| snap.counter(&format!("streaming.{name}")).unwrap_or(0))
     }
 }

@@ -1,19 +1,24 @@
 //! The Sec. 5.1.1 scenario: a network-coded video streaming server. First
 //! the paper's arithmetic — how many 768 kbps peers the GTX 280's encoding
 //! rate can feed — then the same server on real packets: one 512 KB
-//! segment (128 blocks of 4 KB) published through `MediaTransport` and
-//! pulled by 8 peers over loopback UDP, each recovered stream compared
-//! byte for byte.
+//! segment (128 blocks of 4 KB) published on a `ShardedServer` paced for
+//! the profile and pulled by 8 peers, one client thread running all 8
+//! sessions over loopback UDP, each recovered stream compared byte for
+//! byte.
 //!
 //! ```bash
 //! cargo run --release --example streaming_server
 //! ```
 
 use extreme_nc::gpu::api::EncodeScheme;
-use extreme_nc::net::{run_receiver, ReceiverConfig, ReceiverSession, UdpChannel};
+use extreme_nc::net::{
+    Client, ReceiverConfig, ServerConfig, ShardedServer, ShardedServerConfig, UdpChannel,
+};
 use extreme_nc::prelude::*;
-use extreme_nc::streaming::{CapacityPlan, MediaTransport, Nic, StreamProfile};
-use std::time::{Duration, Instant};
+use extreme_nc::rlnc::stream::StreamEncoder;
+use extreme_nc::streaming::{assess, sender_config_for, CapacityPlan, Nic, StreamProfile};
+use std::sync::Arc;
+use std::time::Duration;
 
 const SESSION: u64 = 0x5111;
 const PEERS: usize = 8;
@@ -44,29 +49,36 @@ fn main() -> std::io::Result<()> {
     let fast = StreamProfile::new(16.0e6);
     let media: Vec<u8> =
         (0..config.segment_bytes()).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
-    let mut transport = MediaTransport::bind("127.0.0.1:0", config, fast, 1.5)?;
-    transport.publish_media(SESSION, &media).expect("non-empty media");
-    let addr = transport.local_addr()?;
+    let serving = ShardedServerConfig {
+        server: ServerConfig { sender: sender_config_for(fast, 1.5), ..Default::default() },
+        shards: 1,
+    };
+    let mut server = ShardedServer::bind("127.0.0.1:0", serving)?;
+    // One stream id per peer, all the same segment: the server keys
+    // sessions by (peer address, id), and the client's sessions share its
+    // one socket.
+    let encoder = Arc::new(StreamEncoder::new(config, &media).expect("non-empty media"));
+    let streams = SESSION..SESSION + PEERS as u64;
+    streams.clone().for_each(|id| server.publish(id, encoder.clone()));
+    let mut client = Client::new(
+        UdpChannel::connect("127.0.0.1:0", server.local_addr()?)?,
+        ReceiverConfig::default(),
+    );
+    streams.for_each(|id| client.request(id));
 
-    let peers: Vec<_> = (0..PEERS)
-        .map(|_| {
-            std::thread::spawn(move || -> std::io::Result<Option<Vec<u8>>> {
-                let mut channel = UdpChannel::connect("127.0.0.1:0", addr)?;
-                let mut session =
-                    ReceiverSession::new(SESSION, ReceiverConfig::default(), Instant::now());
-                run_receiver(&mut channel, &mut session)?;
-                Ok(session.into_recovered())
-            })
-        })
-        .collect();
-    let served = transport.serve(PEERS, Duration::from_secs(30))?;
-    for peer in peers {
-        let recovered = peer.join().expect("receiver thread")?;
-        assert_eq!(recovered.as_deref(), Some(media.as_slice()), "bit-exact recovery");
+    let (served, received) = std::thread::scope(|scope| {
+        let received = scope.spawn(|| client.run());
+        (server.serve(PEERS, Duration::from_secs(30)), received.join().expect("client thread"))
+    });
+    let (served, received) = (served?, received?);
+    assert_eq!(received.len(), PEERS, "every peer's session ended");
+    for session in received {
+        assert_eq!(session.recovered(), Some(media.as_slice()), "bit-exact recovery");
     }
     assert_eq!(served.len(), PEERS, "every peer's transfer was reaped");
 
-    let sustained = served.iter().filter(|(_, a)| a.is_some_and(|a| a.sustained)).count();
+    let sustained =
+        served.iter().filter(|t| assess(&t.report, fast).is_some_and(|a| a.sustained)).count();
     println!(
         "\nserved {PEERS} peers one {} KB segment over loopback UDP, all bit-exact; \
          {sustained}/{PEERS} sustained {:.0} Mbps",

@@ -9,9 +9,8 @@
 use extreme_nc::net::channel::{memory_pair, Channel, FaultProfile, FaultyChannel, UdpChannel};
 use extreme_nc::net::receiver::{run_receiver, ReceiverConfig, ReceiverEvent, ReceiverSession};
 use extreme_nc::net::sender::send_stream;
-use extreme_nc::net::server::ServerConfig;
 use extreme_nc::net::session::{
-    SenderConfig, SenderEvent, SenderOutcome, SenderReport, SenderSession,
+    SenderConfig, SenderEvent, SenderOutcome, SenderReport, SenderSession, STALL_GRACE,
 };
 use extreme_nc::net::shard::{ShardedServer, ShardedServerConfig};
 use extreme_nc::net::wire::{Datagram, DatagramRef, Payload, HEADER_BYTES};
@@ -42,7 +41,6 @@ fn receiver_config() -> ReceiverConfig {
     ReceiverConfig {
         idle_timeout: Duration::from_secs(10),
         deadline: Some(Duration::from_secs(60)),
-        ..ReceiverConfig::default()
     }
 }
 
@@ -249,7 +247,6 @@ fn first_data_datagram_matches_the_checked_in_golden_bytes() {
     let coding = CodingConfig::new(4, 16).expect("valid");
     let encoder = Arc::new(StreamEncoder::new(coding, &payload(100)).expect("non-empty"));
     let config = SenderConfig::default();
-    let stall_grace = config.stall_grace;
     let mut now = Instant::now();
     let mut session = SenderSession::new(encoder, 0x0123_4567_89AB_CDEF, config, 2009, now)
         .expect("frame fits a datagram");
@@ -261,7 +258,7 @@ fn first_data_datagram_matches_the_checked_in_golden_bytes() {
         match session.poll(now) {
             SenderEvent::Transmit(bytes) if bytes[5] == 3 => data.push(bytes),
             SenderEvent::Transmit(_) => {} // the announce
-            SenderEvent::Wait(_) => now += stall_grace,
+            SenderEvent::Wait(_) => now += STALL_GRACE,
             SenderEvent::Finished => panic!("finished without feedback"),
         }
     }
@@ -425,7 +422,7 @@ fn slow_receive(socket: std::net::UdpSocket, session: u64, delay: Duration) -> O
 }
 
 /// §5.1.1 fairness: one fast and one artificially slow receiver pinned to
-/// the *same* shard. `burst_per_step` bounds how many frames the fast
+/// the *same* shard. `BURST_PER_STEP` bounds how many frames the fast
 /// peer can grab per scheduling step, so the slow transfer still
 /// completes bit-exact instead of starving behind the fast one — and the
 /// per-transfer `session.max_burst_per_step` metric proves the bound
@@ -434,17 +431,12 @@ fn slow_receive(socket: std::net::UdpSocket, session: u64, delay: Duration) -> O
 fn same_shard_fast_and_slow_receivers_share_fairly() {
     const SESSION: u64 = 21;
     const SHARDS: usize = 2;
-    const BURST: u32 = 8;
 
     let coding = CodingConfig::new(8, 256).expect("valid");
     let data = payload(96_000);
     let encoder = Arc::new(StreamEncoder::new(coding, &data).expect("non-empty"));
 
-    let config = ShardedServerConfig {
-        shards: SHARDS,
-        server: ServerConfig { burst_per_step: BURST, ..ServerConfig::default() },
-        ..ShardedServerConfig::default()
-    };
+    let config = ShardedServerConfig { shards: SHARDS, ..ShardedServerConfig::default() };
     let mut server = ShardedServer::bind("127.0.0.1:0", config).expect("bind group");
     server.publish(SESSION, encoder);
     let addr = server.local_addr().expect("addr");
@@ -479,7 +471,8 @@ fn same_shard_fast_and_slow_receivers_share_fairly() {
             "served by its owner"
         );
         let burst = t.metrics.counter("session.max_burst_per_step").expect("burst metric attached");
-        assert!(burst <= u64::from(BURST), "burst bound held: {burst} > {BURST}");
+        let bound = u64::from(extreme_nc::net::BURST_PER_STEP);
+        assert!(burst <= bound, "burst bound held: {burst} > {bound}");
         assert!(burst > 0, "burst metric records real steps");
     }
 }
