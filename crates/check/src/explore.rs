@@ -29,8 +29,8 @@ impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let what = match &self.kind {
             FailureKind::Deadlock => {
-                "deadlock: no thread can run (a condvar waiter was never notified, \
-                 or a lock cycle formed)"
+                "deadlock: no thread can run (a lock cycle formed, or a join waits \
+                 on a stuck thread)"
                     .to_string()
             }
             FailureKind::Livelock { steps } => {

@@ -2,7 +2,7 @@
 //! coding hot paths.
 //!
 //! Every state this codebase shares across threads — `BytesPool` bucket
-//! shelves, `StreamEncoder`'s atomic cursor, the shard server's
+//! shelves, the FFT tables' one-time cells, the shard server's
 //! mailboxes and finish ledger — is lock-free or lock-split by design,
 //! so "it passed the stress test" is not evidence of correctness: the
 //! racy interleaving may need a preemption the OS scheduler grants once
@@ -17,7 +17,7 @@
 //!
 //! ```ignore
 //! use nc_check::sync::atomic::{AtomicUsize, Ordering};
-//! use nc_check::sync::{Arc, Condvar, Mutex};
+//! use nc_check::sync::{Arc, Mutex};
 //! use nc_check::thread;
 //! ```
 //!
@@ -25,7 +25,7 @@
 //! re-exports* of `std` — same types, zero cost, nothing to gate out of
 //! release binaries. Compiled with `RUSTFLAGS="--cfg nc_check"`, the same
 //! imports resolve to shim types that route every load, store, RMW, lock,
-//! park, and spawn through a deterministic scheduler.
+//! spawn and join through a deterministic scheduler.
 //!
 //! # The checker
 //!
@@ -45,12 +45,11 @@
 //! Exploration is bounded by a **preemption budget** (default 2 voluntary
 //! preemptions per execution — forced switches at blocking points are
 //! free) and deduplicated by a **state hash** over thread statuses,
-//! atomic values, and lock holders. Failures — panics, deadlocks (which
-//! is how lost condvar wakeups surface, since `wait_timeout` is modeled
-//! as an untimed wait), livelocks, leaked threads — abort the run and are
-//! reported with a **replayable trace**: a comma-separated decision list
-//! like `t0,t1,t1,w2,t0` that `replay` feeds back through the scheduler
-//! to reproduce the exact interleaving.
+//! atomic values, and lock holders. Failures — panics, deadlocks (a lock
+//! cycle, or a join on a stuck thread), livelocks, leaked threads — abort
+//! the run and are reported with a **replayable trace**: a comma-separated
+//! decision list like `t0,t1,t1,t2,t0` that `replay` feeds back through
+//! the scheduler to reproduce the exact interleaving.
 //!
 //! # What is *not* modeled
 //!

@@ -1,8 +1,8 @@
 //! The deterministic scheduler behind the `nc_check` shims.
 //!
 //! One *execution* runs the model function once with every shimmed
-//! operation (atomic load/store/RMW, mutex lock, condvar wait/notify,
-//! spawn/join) routed through a single-token scheduler: exactly one model
+//! operation (atomic load/store/RMW, mutex lock, spawn/join) routed
+//! through a single-token scheduler: exactly one model
 //! thread runs between two yield points, so an execution is fully
 //! described by the sequence of scheduling *decisions* taken at those
 //! points. The explorer ([`crate::explore`]) re-runs the model, replaying
@@ -26,22 +26,19 @@
 //! Failure modes detected: a model-thread panic (assertion failures
 //! propagate exactly as in production, including through a scoped
 //! join), a *deadlock* (no eligible thread while some are
-//! blocked — this is the lost-wakeup detector, because `wait_timeout` is
-//! modeled as an untimed wait), a *livelock* (per-execution step cap),
+//! blocked on a lock or a join), a *livelock* (per-execution step cap),
 //! and leaked threads at model exit.
 //!
 //! On any failure the whole scheduler *aborts*: every shimmed operation
-//! degrades to its raw `std` implementation, blocked threads are released
-//! with (legal) spurious wakeups, and the execution runs to completion on
-//! real concurrency so no OS thread is left wedged. The decision path up
+//! degrades to its raw `std` implementation, threads waiting for the token
+//! are released, and the execution runs to completion on real
+//! concurrency so no OS thread is left wedged. The decision path up
 //! to the failure is the replayable trace reported to the user.
 //!
 //! Modeling limits (documented, deliberate): atomics execute with
 //! sequentially-consistent semantics — the checker explores scheduling
 //! nondeterminism, not weak-memory reordering; `fetch_update` is modeled
-//! as one atomic step; `Condvar::wait_timeout` never times out (the
-//! timeout backstops of a parked loop are exactly what the checker must
-//! not lean on when proving the wakeup protocol complete).
+//! as one atomic step.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -67,41 +64,13 @@ pub(crate) fn payload_msg(payload: &(dyn std::any::Any + Send)) -> String {
 const ID_BITS: u64 = 24;
 const ID_MASK: u64 = (1 << ID_BITS) - 1;
 
-/// One scheduling decision: which thread gets the token, or which waiter
-/// a `notify_one` wakes.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Dec {
-    /// Grant the run token to this thread.
-    Thread(usize),
-    /// Wake this waiter (a `notify_one` choice point).
-    Waiter(usize),
-}
-
-impl Dec {
-    pub(crate) fn code(self) -> String {
-        match self {
-            Dec::Thread(t) => format!("t{t}"),
-            Dec::Waiter(w) => format!("w{w}"),
-        }
-    }
-
-    pub(crate) fn parse(s: &str) -> Option<Dec> {
-        if s.len() < 2 || !s.is_char_boundary(1) {
-            return None;
-        }
-        let (kind, num) = s.split_at(1);
-        let n: usize = num.parse().ok()?;
-        match kind {
-            "t" => Some(Dec::Thread(n)),
-            "w" => Some(Dec::Waiter(n)),
-            _ => None,
-        }
-    }
-}
+/// One scheduling decision: the thread granted the run token, written
+/// `t<id>` in a trace.
+pub(crate) type Dec = usize;
 
 /// Formats a decision path as a replayable trace string.
 pub(crate) fn format_trace(path: &[Dec]) -> String {
-    let parts: Vec<String> = path.iter().map(|d| d.code()).collect();
+    let parts: Vec<String> = path.iter().map(|t| format!("t{t}")).collect();
     parts.join(",")
 }
 
@@ -110,7 +79,7 @@ pub(crate) fn parse_trace(trace: &str) -> Option<Vec<Dec>> {
     if trace.is_empty() {
         return Some(Vec::new());
     }
-    trace.split(',').map(Dec::parse).collect()
+    trace.split(',').map(|d| d.strip_prefix('t')?.parse().ok()).collect()
 }
 
 /// The operation a thread is about to perform (its model "program
@@ -121,9 +90,6 @@ pub(crate) enum OpKind {
     Store,
     Rmw,
     Lock,
-    CvWait,
-    NotifyOne,
-    NotifyAll,
     Spawn,
     Join,
     Start,
@@ -133,18 +99,12 @@ pub(crate) enum OpKind {
 pub(crate) enum ObjKind {
     Atomic,
     Mutex,
-    Condvar,
 }
 
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum Status {
     /// Running or parked at a yield point waiting for the token.
     Active,
-    /// Parked in `Condvar::wait` until a notify (never a timeout).
-    CvWait {
-        cv: usize,
-        mutex: usize,
-    },
     Finished,
 }
 
@@ -168,8 +128,9 @@ struct ObjEntry {
 /// Why an execution failed.
 #[derive(Clone, Debug)]
 pub enum FailureKind {
-    /// No thread can run but not all have finished: a deadlock — or,
-    /// since `wait_timeout` is modeled untimed, a lost condvar wakeup.
+    /// No thread can run but not all have finished: every live thread
+    /// waits for a lock or a join that can never be granted (a lock cycle,
+    /// or a join on a thread that is itself stuck).
     Deadlock,
     /// The per-execution step cap was exceeded.
     Livelock {
@@ -335,7 +296,7 @@ impl Inner {
     fn eligible(st: &State, tid: usize) -> bool {
         let t = &st.threads[tid];
         match t.status {
-            Status::Finished | Status::CvWait { .. } => false,
+            Status::Finished => false,
             Status::Active => match t.pending {
                 (OpKind::Lock, oid) => st.objects[oid].held_by.is_none(),
                 (OpKind::Join, target) => {
@@ -357,13 +318,7 @@ impl Inner {
             h = h.wrapping_mul(PRIME);
         };
         for t in &st.threads {
-            let (status, extra) = match t.status {
-                Status::Active => (1u64, 0u64),
-                Status::CvWait { cv, mutex } => (2, ((cv as u64) << 32) | mutex as u64),
-                Status::Finished => (3, 0),
-            };
-            fold(status);
-            fold(extra);
+            fold(t.status as u64);
             fold(t.pending.0 as u64);
             fold(t.pending.1 as u64);
         }
@@ -371,7 +326,6 @@ impl Inner {
             match o.kind {
                 ObjKind::Atomic => fold(o.value.wrapping_sub(o.base)),
                 ObjKind::Mutex => fold(o.held_by.map_or(u64::MAX, |t| t as u64)),
-                ObjKind::Condvar => fold(0),
             }
         }
         h
@@ -409,17 +363,13 @@ impl Inner {
         let h = Self::state_hash(st);
         let cycling = !st.path_states.insert(h);
         let cur_elig = elig.contains(&cur);
-        let dec = if pos < st.plan.len() {
+        let next = if pos < st.plan.len() {
             let d = st.plan[pos];
-            let ok = matches!(d, Dec::Thread(t) if elig.contains(&t));
-            if !ok {
+            if !elig.contains(&d) {
                 self.fail(
                     st,
                     FailureKind::BadTrace {
-                        detail: format!(
-                            "decision {pos} = {} but eligible threads are {elig:?}",
-                            d.code()
-                        ),
+                        detail: format!("decision {pos} = t{d} but eligible threads are {elig:?}"),
                     },
                 );
                 return false;
@@ -443,21 +393,19 @@ impl Inner {
                 let budget = st.budget as u64;
                 if st.visited.insert((h, budget)) {
                     st.fresh_states += 1;
-                    let ds: Vec<Dec> = alts.iter().map(|&t| Dec::Thread(t)).collect();
-                    st.branches.push((pos, ds));
+                    st.branches.push((pos, alts.clone()));
                 } else {
                     st.pruned += 1;
                     alts.truncate(1);
                 }
             }
-            Dec::Thread(alts[0])
+            alts[0]
         };
-        let Dec::Thread(next) = dec else { unreachable!("schedule emits Thread decisions") };
         let forced = !cur_elig || (cycling && elig.len() > 1);
         if next != cur && cur_elig && !forced {
             st.budget = st.budget.saturating_sub(1);
         }
-        st.path.push(dec);
+        st.path.push(next);
         st.current = next;
         if st.log.is_some() {
             let t = &st.threads[next];
@@ -550,133 +498,6 @@ impl Inner {
         }
         if st.objects.get(oid).is_some_and(|o| o.held_by == Some(me)) {
             st.objects[oid].held_by = None;
-        }
-    }
-
-    /// Phase 1 of a condvar wait. The wait *entry* is an ordinary yield
-    /// point — other threads may be scheduled between the caller's last
-    /// predicate check and the moment the wait commits, which is exactly
-    /// the window lost-wakeup bugs live in. Once the token is granted,
-    /// the commit itself is atomic: release the mutex, park on the
-    /// condvar, hand the token onward. The caller must then drop its real
-    /// guard and call [`Inner::cv_wait_block`]. Returns `false` for
-    /// passthrough.
-    pub(crate) fn cv_wait_start(
-        &self,
-        me: usize,
-        cv: usize,
-        mutex: usize,
-        desc: &'static str,
-    ) -> bool {
-        if !self.yield_op(me, (OpKind::CvWait, cv), desc) {
-            return false;
-        }
-        let mut st = self.lock();
-        st.threads[me].status = Status::CvWait { cv, mutex };
-        if st.objects.get(mutex).is_some_and(|o| o.held_by == Some(me)) {
-            st.objects[mutex].held_by = None;
-        }
-        self.schedule(&mut st, me)
-    }
-
-    /// Phase 2 of a condvar wait: blocks until a notify made this thread
-    /// Active *and* the scheduler granted it the token (which implies the
-    /// mutex is free); model-reacquires the mutex. `false` = aborted, the
-    /// caller treats it as a spurious wakeup.
-    pub(crate) fn cv_wait_block(&self, me: usize, mutex: usize) -> bool {
-        let mut st = self.lock();
-        loop {
-            if self.is_aborted() || st.done {
-                return false;
-            }
-            let active = matches!(st.threads[me].status, Status::Active);
-            if active && st.current == me {
-                break;
-            }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        debug_assert!(st.objects[mutex].held_by.is_none());
-        st.objects[mutex].held_by = Some(me);
-        true
-    }
-
-    /// Wakes one (a recorded choice) or all waiters of a condvar.
-    /// Returns `false` for passthrough (caller must do a real notify).
-    pub(crate) fn cv_notify(&self, me: usize, cv: usize, all: bool, desc: &'static str) -> bool {
-        let kind = if all { OpKind::NotifyAll } else { OpKind::NotifyOne };
-        if !self.yield_op(me, (kind, cv), desc) {
-            return false;
-        }
-        let mut st = self.lock();
-        let waiters: Vec<usize> = st
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| matches!(t.status, Status::CvWait { cv: c, .. } if c == cv))
-            .map(|(i, _)| i)
-            .collect();
-        if waiters.is_empty() {
-            // Notify with no waiter is a no-op — the essence of every
-            // lost-wakeup bug, faithfully preserved.
-            return true;
-        }
-        if all {
-            for w in waiters {
-                Self::wake(&mut st, w);
-            }
-            self.cv.notify_all();
-            return true;
-        }
-        let pos = st.path.len();
-        let dec = if pos < st.plan.len() {
-            let d = st.plan[pos];
-            let ok = matches!(d, Dec::Waiter(w) if waiters.contains(&w));
-            if !ok {
-                self.fail(
-                    &mut st,
-                    FailureKind::BadTrace {
-                        detail: format!(
-                            "decision {pos} = {} but condvar waiters are {waiters:?}",
-                            d.code()
-                        ),
-                    },
-                );
-                return false;
-            }
-            d
-        } else {
-            let mut alts = waiters.clone();
-            if alts.len() > 1 {
-                // Salt the hash so a notify choice and a schedule choice
-                // at the same state do not collide in the dedup set.
-                let h = Self::state_hash(&st) ^ 0x9e37_79b9_7f4a_7c15;
-                let budget = st.budget as u64;
-                if st.visited.insert((h, budget)) {
-                    st.fresh_states += 1;
-                    let ds: Vec<Dec> = alts.iter().map(|&w| Dec::Waiter(w)).collect();
-                    st.branches.push((pos, ds));
-                } else {
-                    st.pruned += 1;
-                    alts.truncate(1);
-                }
-            }
-            Dec::Waiter(alts[0])
-        };
-        let Dec::Waiter(w) = dec else { unreachable!("notify emits Waiter decisions") };
-        st.path.push(dec);
-        if st.log.is_some() {
-            let steps = st.steps;
-            self.log_line(&mut st, format!("step {steps:>4}: notify_one wakes t{w}"));
-        }
-        Self::wake(&mut st, w);
-        self.cv.notify_all();
-        true
-    }
-
-    fn wake(st: &mut State, w: usize) {
-        if let Status::CvWait { mutex, .. } = st.threads[w].status {
-            st.threads[w].status = Status::Active;
-            st.threads[w].pending = (OpKind::Lock, mutex);
         }
     }
 

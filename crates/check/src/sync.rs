@@ -2,23 +2,20 @@
 //!
 //! In normal builds everything here is a transparent re-export of
 //! `std::sync` — zero cost, identical types, so production code that says
-//! `use nc_check::sync::{Mutex, Condvar}` compiles to exactly what it did
+//! `use nc_check::sync::{Arc, Mutex}` compiles to exactly what it did
 //! before. Under `RUSTFLAGS="--cfg nc_check"` the same names resolve to
 //! shim types that route every operation through the deterministic
 //! scheduler of the `sched` module, letting the explorer enumerate
 //! interleavings.
 //!
-//! Shimmed: `Mutex`/`MutexGuard`, `Condvar`/`WaitTimeoutResult`, and the
-//! `atomic` module (`AtomicBool`, `AtomicUsize`, `AtomicU64`). Passed
-//! through unmodified in both modes: `Arc`, `Weak`, `OnceLock`,
-//! `LockResult`, `PoisonError` (an `OnceLock`'s one-time initialization
-//! race is not explored; every model we check initializes its globals
-//! before spawning).
+//! Shimmed: `Mutex`/`MutexGuard` and the `atomic` module (`AtomicBool`,
+//! `AtomicUsize`, `AtomicU64`). Passed through unmodified in both modes:
+//! `Arc`, `Weak`, `OnceLock`, `LockResult`, `PoisonError` (an
+//! `OnceLock`'s one-time initialization race is not explored; every
+//! model we check initializes its globals before spawning).
 
 #[cfg(not(nc_check))]
-pub use std::sync::{
-    Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError, WaitTimeoutResult, Weak,
-};
+pub use std::sync::{Arc, LockResult, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// Atomic types routed through the checker under `cfg(nc_check)`.
 #[cfg(not(nc_check))]
@@ -27,7 +24,7 @@ pub mod atomic {
 }
 
 #[cfg(nc_check)]
-pub use checked::{atomic, Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use checked::{atomic, Mutex, MutexGuard};
 #[cfg(nc_check)]
 pub use std::sync::{Arc, LockResult, OnceLock, PoisonError, Weak};
 
@@ -49,11 +46,6 @@ mod checked {
         }
     }
 
-    /// When the real `wait_timeout` backstop fires on passthrough
-    /// (post-abort) threads we cap the sleep so released threads whose
-    /// notify raced the abort still make progress quickly.
-    const PASSTHROUGH_WAIT_CAP: Duration = Duration::from_millis(5);
-
     // ---------------------------------------------------------------- Mutex
 
     /// Checked mutex: model acquisition order is decided by the
@@ -66,7 +58,6 @@ mod checked {
 
     /// Guard for the checked [`Mutex`]; model-releases on drop.
     pub struct MutexGuard<'a, T: ?Sized + 'a> {
-        lock: &'a Mutex<T>,
         /// `Some` while this guard is model-tracked: scheduler handle,
         /// model thread id, mutex object id.
         link: Option<(Arc<Inner>, usize, usize)>,
@@ -90,7 +81,6 @@ mod checked {
                     let oid = cx.register(&self.reg.0, ObjKind::Mutex, 0);
                     if cx.mutex_lock(me, oid, "Mutex::lock") {
                         return wrap(self.inner.lock(), |real| MutexGuard {
-                            lock: self,
                             link: Some((cx, me, oid)),
                             real: Some(real),
                         });
@@ -102,12 +92,11 @@ mod checked {
                 // process. Bounded acquire; the panic releases this
                 // thread's own locks and lets its peers cascade free.
                 return wrap(self.deadline_lock(), |real| MutexGuard {
-                    lock: self,
                     link: None,
                     real: Some(real),
                 });
             }
-            wrap(self.inner.lock(), |real| MutexGuard { lock: self, link: None, real: Some(real) })
+            wrap(self.inner.lock(), |real| MutexGuard { link: None, real: Some(real) })
         }
 
         fn deadline_lock(&self) -> LockResult<std::sync::MutexGuard<'_, T>> {
@@ -151,13 +140,13 @@ mod checked {
     impl<'a, T: ?Sized> Deref for MutexGuard<'a, T> {
         type Target = T;
         fn deref(&self) -> &T {
-            self.real.as_ref().expect("guard accessed mid-wait")
+            self.real.as_ref().expect("guard is held")
         }
     }
 
     impl<'a, T: ?Sized> DerefMut for MutexGuard<'a, T> {
         fn deref_mut(&mut self) -> &mut T {
-            self.real.as_mut().expect("guard accessed mid-wait")
+            self.real.as_mut().expect("guard is held")
         }
     }
 
@@ -173,163 +162,6 @@ mod checked {
     impl<'a, T: ?Sized + std::fmt::Debug> std::fmt::Debug for MutexGuard<'a, T> {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             (**self).fmt(f)
-        }
-    }
-
-    // -------------------------------------------------------------- Condvar
-
-    /// Result of a checked `wait_timeout`: under the model the timeout
-    /// never fires (waits are untimed so lost wakeups become deadlocks);
-    /// on passthrough it reports the real outcome.
-    #[derive(Copy, Clone, Debug)]
-    pub struct WaitTimeoutResult(pub(crate) bool);
-
-    impl WaitTimeoutResult {
-        /// Whether the wait ended by timeout rather than notification.
-        pub fn timed_out(&self) -> bool {
-            self.0
-        }
-    }
-
-    /// Checked condition variable. Under the model, waiters park inside
-    /// the scheduler and wakeups are explicit `notify` decisions — a
-    /// notify with no waiter is a no-op, so lost-wakeup bugs surface as
-    /// deadlocks instead of being papered over by timeout backstops.
-    pub struct Condvar {
-        reg: Registration,
-        inner: std::sync::Condvar,
-    }
-
-    impl Condvar {
-        /// Creates a new checked condvar.
-        pub const fn new() -> Condvar {
-            Condvar { reg: Registration::new(), inner: std::sync::Condvar::new() }
-        }
-
-        /// Blocks until notified. Spurious wakeups are possible on the
-        /// passthrough path (and after an abort), so callers must loop on
-        /// their predicate — exactly the `std` contract.
-        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-            self.wait_impl(guard, None).map(|(g, _)| g).map_err(|p| {
-                let (g, _) = p.into_inner();
-                PoisonError::new(g)
-            })
-        }
-
-        /// Blocks until notified or (passthrough only) the timeout
-        /// elapses. Under the model this is an *untimed* wait: the
-        /// checker proves the notify protocol complete without leaning
-        /// on the production code's timeout backstops.
-        pub fn wait_timeout<'a, T>(
-            &self,
-            guard: MutexGuard<'a, T>,
-            dur: Duration,
-        ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-            self.wait_impl(guard, Some(dur))
-        }
-
-        fn wait_impl<'a, T>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-            dur: Option<Duration>,
-        ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-            if let Some((cx, me, moid)) = guard.link.clone() {
-                if !cx.is_aborted() {
-                    let cvid = cx.register(&self.reg.0, ObjKind::Condvar, 0);
-                    if cx.cv_wait_start(me, cvid, moid, "Condvar::wait") {
-                        // Model-released; now drop the real guard and park.
-                        drop(guard.real.take());
-                        let woken = cx.cv_wait_block(me, moid);
-                        // Model-granted wakeups find the real mutex free;
-                        // the deadline only matters on abort paths.
-                        let res = guard.lock.deadline_lock();
-                        let poisoned = res.is_err();
-                        guard.real = Some(res.unwrap_or_else(PoisonError::into_inner));
-                        if !woken {
-                            // Aborted mid-wait: surfaces as a spurious
-                            // wakeup, which the caller's predicate loop
-                            // must tolerate anyway.
-                            guard.link = None;
-                        }
-                        let out = (guard, WaitTimeoutResult(false));
-                        return if poisoned { Err(PoisonError::new(out)) } else { Ok(out) };
-                    }
-                    // Model refused (aborted/finished): fall through to a
-                    // real wait, but untrack the guard first.
-                    guard.link = None;
-                }
-            }
-            // Passthrough. A thread released from an aborted model must
-            // never hang on a notify that raced the abort, so its waits
-            // are capped; code running with no checker context at all
-            // (test setup, helper threads) gets real `std` semantics.
-            let released = ctx().is_some();
-            let real = guard.real.take().expect("guard accessed mid-wait");
-            if !released {
-                if let Some(dur) = dur {
-                    let res = self.inner.wait_timeout(real, dur);
-                    let poisoned = res.is_err();
-                    let (real, timeout) = match res {
-                        Ok(pair) => pair,
-                        Err(p) => p.into_inner(),
-                    };
-                    guard.real = Some(real);
-                    let out = (guard, WaitTimeoutResult(timeout.timed_out()));
-                    return if poisoned { Err(PoisonError::new(out)) } else { Ok(out) };
-                }
-                let res = self.inner.wait(real);
-                let poisoned = res.is_err();
-                guard.real = Some(res.unwrap_or_else(PoisonError::into_inner));
-                let out = (guard, WaitTimeoutResult(false));
-                return if poisoned { Err(PoisonError::new(out)) } else { Ok(out) };
-            }
-            let capped = dur.map_or(PASSTHROUGH_WAIT_CAP, |d| d.min(PASSTHROUGH_WAIT_CAP));
-            let res = self.inner.wait_timeout(real, capped);
-            let poisoned = res.is_err();
-            let (real, timeout) = match res {
-                Ok(pair) => pair,
-                Err(p) => p.into_inner(),
-            };
-            guard.real = Some(real);
-            let out = (guard, WaitTimeoutResult(dur.is_some() && timeout.timed_out()));
-            if poisoned {
-                Err(PoisonError::new(out))
-            } else {
-                Ok(out)
-            }
-        }
-
-        /// Wakes one waiter (a recorded scheduling decision: the checker
-        /// branches over *which* waiter when several are parked).
-        pub fn notify_one(&self) {
-            if let Some((cx, me)) = ctx() {
-                if !cx.is_aborted() {
-                    let cvid = cx.register(&self.reg.0, ObjKind::Condvar, 0);
-                    if cx.cv_notify(me, cvid, false, "Condvar::notify_one") {
-                        return;
-                    }
-                }
-            }
-            self.inner.notify_one();
-        }
-
-        /// Wakes every waiter.
-        pub fn notify_all(&self) {
-            if let Some((cx, me)) = ctx() {
-                if !cx.is_aborted() {
-                    let cvid = cx.register(&self.reg.0, ObjKind::Condvar, 0);
-                    if cx.cv_notify(me, cvid, true, "Condvar::notify_all") {
-                        return;
-                    }
-                }
-            }
-            self.inner.notify_all();
-        }
-    }
-
-    impl std::fmt::Debug for Condvar {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Condvar").finish_non_exhaustive()
         }
     }
 

@@ -12,7 +12,7 @@
 pub use std::thread::*;
 
 #[cfg(nc_check)]
-pub use checked::{available_parallelism, sleep, spawn, yield_now, Builder, JoinHandle};
+pub use checked::{spawn, Builder, JoinHandle};
 
 #[cfg(nc_check)]
 mod checked {
@@ -20,25 +20,6 @@ mod checked {
     use std::io;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::Arc;
-    use std::time::Duration;
-
-    pub use std::thread::available_parallelism;
-
-    /// Model threads never really sleep: under the checker, time is the
-    /// schedule. Passthrough threads sleep for real.
-    pub fn sleep(dur: Duration) {
-        if ctx().is_none() {
-            std::thread::sleep(dur);
-        }
-    }
-
-    /// Yielding the OS scheduler is meaningless under the model (the run
-    /// token already serializes execution); passthrough yields for real.
-    pub fn yield_now() {
-        if ctx().is_none() {
-            std::thread::yield_now();
-        }
-    }
 
     /// Checked thread builder mirroring `std::thread::Builder`.
     #[derive(Debug)]
@@ -63,11 +44,6 @@ mod checked {
         /// Names the thread (passed through to the OS thread).
         pub fn name(self, name: String) -> Builder {
             Builder { inner: self.inner.name(name) }
-        }
-
-        /// Sets the stack size (passed through to the OS thread).
-        pub fn stack_size(self, size: usize) -> Builder {
-            Builder { inner: self.inner.stack_size(size) }
         }
 
         /// Spawns a thread. If the caller is a model thread, the spawn is

@@ -6,7 +6,7 @@
 #![cfg(nc_check)]
 
 use nc_check::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use nc_check::sync::{Arc, Condvar, Mutex};
+use nc_check::sync::{Arc, Mutex};
 use nc_check::{check, replay, Check, FailureKind};
 
 /// Two threads bumping a counter with an atomic RMW can never lose an
@@ -69,67 +69,6 @@ fn lost_update_is_caught_and_replays() {
     );
 }
 
-/// Lost condvar wakeup: the notifier publishes the flag *outside* the
-/// mutex, so the notify can land in the window between the waiter's
-/// predicate check and its park — under untimed waits that is a deadlock,
-/// and the checker must find it.
-#[test]
-fn lost_wakeup_is_caught_as_deadlock() {
-    let failure = Check::new()
-        .explore(|| {
-            let flag = Arc::new(AtomicBool::new(false));
-            let gate = Arc::new((Mutex::new(()), Condvar::new()));
-            let notifier = {
-                let flag = Arc::clone(&flag);
-                let gate = Arc::clone(&gate);
-                nc_check::thread::spawn(move || {
-                    // BUG under test: flag write is not under gate.0, so
-                    // it can slip between "check" and "wait" below.
-                    flag.store(true, Ordering::SeqCst);
-                    gate.1.notify_one();
-                })
-            };
-            {
-                let (lock, cv) = &*gate;
-                let mut guard = lock.lock().unwrap();
-                while !flag.load(Ordering::SeqCst) {
-                    guard = cv.wait(guard).unwrap();
-                }
-            }
-            notifier.join().unwrap();
-        })
-        .expect_err("the unprotected-flag notify race must be found");
-    assert!(
-        matches!(failure.kind, FailureKind::Deadlock),
-        "expected a deadlock (hung waiter), got: {failure}"
-    );
-}
-
-/// The same protocol done right — predicate mutated under the mutex — has
-/// no lost-wakeup window and must pass the full exploration.
-#[test]
-fn correct_condvar_protocol_passes() {
-    let report = check(|| {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let notifier = {
-            let gate = Arc::clone(&gate);
-            nc_check::thread::spawn(move || {
-                *gate.0.lock().unwrap() = true;
-                gate.1.notify_one();
-            })
-        };
-        {
-            let (lock, cv) = &*gate;
-            let mut guard = lock.lock().unwrap();
-            while !*guard {
-                guard = cv.wait(guard).unwrap();
-            }
-        }
-        notifier.join().unwrap();
-    });
-    assert!(report.completed);
-}
-
 /// A spin loop waiting on another thread's store must terminate under the
 /// checker: cycle pruning forces the token off the spinner once the state
 /// hash recurs, so the search cannot get stuck polling.
@@ -168,39 +107,6 @@ fn mutex_counter_passes() {
         }
         assert_eq!(*n.lock().unwrap(), 2);
     });
-}
-
-/// `notify_one` with two parked waiters is a branch point: the checker
-/// must explore both wake orders (observable as differing wake tags).
-#[test]
-fn notify_one_explores_waiter_choice() {
-    let report = check(|| {
-        let gate = Arc::new((Mutex::new(0u32), Condvar::new()));
-        let waiters: Vec<_> = (0..2)
-            .map(|_| {
-                let gate = Arc::clone(&gate);
-                nc_check::thread::spawn(move || {
-                    let (lock, cv) = &*gate;
-                    let mut guard = lock.lock().unwrap();
-                    while *guard == 0 {
-                        guard = cv.wait(guard).unwrap();
-                    }
-                    *guard -= 1;
-                })
-            })
-            .collect();
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = 2;
-            cv.notify_one();
-            cv.notify_one();
-        }
-        for handle in waiters {
-            handle.join().unwrap();
-        }
-        assert_eq!(*gate.0.lock().unwrap(), 0);
-    });
-    assert!(report.completed);
 }
 
 /// A genuine deadlock — two locks taken in opposite orders — is found.

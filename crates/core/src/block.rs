@@ -1,4 +1,4 @@
-//! Coded blocks and their wire format.
+//! Coded blocks.
 
 use crate::error::Error;
 use crate::segment::CodingConfig;
@@ -33,12 +33,6 @@ impl CodedBlock {
         &self.payload
     }
 
-    /// Number of coefficients (`n` of the generation that produced it).
-    #[inline]
-    pub fn generation_size(&self) -> usize {
-        self.coefficients.len()
-    }
-
     /// Whether every coefficient is zero (such a block carries no
     /// information and is discarded by decoders).
     pub fn is_zero(&self) -> bool {
@@ -67,46 +61,6 @@ impl CodedBlock {
         Ok(())
     }
 
-    /// Serialized length on the wire (`n` coefficients + `k` payload).
-    #[inline]
-    pub fn wire_len(&self) -> usize {
-        self.coefficients.len() + self.payload.len()
-    }
-
-    /// Serializes to the wire format: `n` coefficient bytes followed by the
-    /// payload. The buffer comes from the process-wide [`nc_pool::BytesPool`],
-    /// so transport drivers that recycle sent datagrams keep this hot path
-    /// allocation-free.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = nc_pool::BytesPool::global().take_capacity(self.wire_len());
-        out.extend_from_slice(&self.coefficients);
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Parses the wire format produced by [`CodedBlock::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SizeMismatch`] if `bytes` is not exactly
-    /// `config.coded_block_bytes()` long.
-    pub fn from_wire(config: CodingConfig, bytes: &[u8]) -> Result<CodedBlock, Error> {
-        if bytes.len() != config.coded_block_bytes() {
-            return Err(Error::SizeMismatch {
-                expected: config.coded_block_bytes(),
-                actual: bytes.len(),
-            });
-        }
-        let (coeffs, payload) = bytes.split_at(config.blocks());
-        // Recycled storage: a receiver parsing a datagram stream reuses
-        // the vectors its decoder recycled from earlier blocks.
-        let arena = nc_pool::BlockArena::global();
-        Ok(CodedBlock {
-            coefficients: arena.copy_coeffs(coeffs),
-            payload: arena.copy_payload(payload),
-        })
-    }
-
     /// Deconstructs into `(coefficients, payload)`.
     pub fn into_parts(self) -> (Vec<u8>, Vec<u8>) {
         (self.coefficients, self.payload)
@@ -119,20 +73,6 @@ mod tests {
 
     fn cfg() -> CodingConfig {
         CodingConfig::new(4, 6).unwrap()
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let block = CodedBlock::new(vec![1, 2, 3, 4], vec![9; 6]);
-        let wire = block.to_wire();
-        assert_eq!(wire.len(), cfg().coded_block_bytes());
-        let parsed = CodedBlock::from_wire(cfg(), &wire).unwrap();
-        assert_eq!(parsed, block);
-    }
-
-    #[test]
-    fn from_wire_rejects_bad_length() {
-        assert!(CodedBlock::from_wire(cfg(), &[0u8; 9]).is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use crate::error::Error;
 use crate::segment::CodingConfig;
-use crate::stream::{StreamDecoder, StreamEncoder, StreamFrame, FRAME_HEADER_BYTES};
+use crate::stream::{StreamDecoder, StreamEncoder};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -208,98 +208,9 @@ pub trait ErasureCodec: Send + Sync {
     ) -> Result<Box<dyn StreamCodecReceiver>, Error>;
 }
 
-// ---------------------------------------------------------------------------
-// Dense RLNC: the existing StreamEncoder/StreamDecoder pair behind the seam.
-// ---------------------------------------------------------------------------
-
-impl StreamCodecSender for StreamEncoder {
-    fn codec(&self) -> CodecId {
-        CodecId::DenseRlnc
-    }
-
-    fn coding_config(&self) -> CodingConfig {
-        self.config()
-    }
-
-    fn total_segments(&self) -> usize {
-        StreamEncoder::total_segments(self)
-    }
-
-    fn original_len(&self) -> usize {
-        StreamEncoder::original_len(self)
-    }
-
-    fn frame_wire_bytes(&self) -> usize {
-        FRAME_HEADER_BYTES + self.config().coded_block_bytes()
-    }
-
-    fn frame_into(&self, segment: usize, seq: u64, mut rng: &mut dyn RngCore, out: &mut [u8]) {
-        StreamEncoder::frame_into(self, segment, seq, &mut rng, out);
-    }
-}
-
-/// Dense RLNC receiving half: a [`StreamDecoder`] fed borrowed frame parts
-/// (one copy per frame, into the decoder's own output buffer).
-#[derive(Debug)]
-pub struct DenseRlncReceiver {
-    config: CodingConfig,
-    decoder: StreamDecoder,
-}
-
-impl DenseRlncReceiver {
-    /// A receiver for `total_segments` segments of an `original_len`-byte
-    /// stream coded under `config`.
-    pub fn new(
-        config: CodingConfig,
-        total_segments: usize,
-        original_len: usize,
-    ) -> DenseRlncReceiver {
-        DenseRlncReceiver {
-            config,
-            decoder: StreamDecoder::new(config, total_segments, original_len),
-        }
-    }
-}
-
-impl StreamCodecReceiver for DenseRlncReceiver {
-    fn codec(&self) -> CodecId {
-        CodecId::DenseRlnc
-    }
-
-    fn absorb(&mut self, frame: &[u8]) -> Result<Absorbed, Error> {
-        let (segment, coefficients, payload) = StreamFrame::split_wire(self.config, frame)?;
-        let was_complete = self.decoder.segment_complete(segment);
-        let innovative = self.decoder.push_parts(segment, coefficients, payload)?;
-        Ok(Absorbed {
-            segment,
-            innovative,
-            segment_complete: !was_complete && self.decoder.segment_complete(segment),
-        })
-    }
-
-    fn segment_complete(&self, segment: usize) -> bool {
-        self.decoder.segment_complete(segment)
-    }
-
-    fn segments_complete(&self) -> usize {
-        self.decoder.segments_complete()
-    }
-
-    fn is_complete(&self) -> bool {
-        self.decoder.is_complete()
-    }
-
-    fn recover(&self) -> Option<Vec<u8>> {
-        self.decoder.recover()
-    }
-
-    fn into_recovered(self: Box<Self>) -> Option<Vec<u8>> {
-        self.decoder.into_recovered()
-    }
-}
-
-/// The dense RLNC backend (the default when an announce carries no codec
-/// byte — every pre-codec-negotiation sender is one of these).
+/// The dense RLNC backend: [`StreamEncoder`] and [`StreamDecoder`] behind
+/// the seam (the default when an announce carries no codec byte — every
+/// pre-codec-negotiation sender is one of these).
 #[derive(Copy, Clone, Debug, Default)]
 pub struct DenseRlncCodec;
 
@@ -322,7 +233,7 @@ impl ErasureCodec for DenseRlncCodec {
         total_segments: usize,
         original_len: usize,
     ) -> Result<Box<dyn StreamCodecReceiver>, Error> {
-        Ok(Box::new(DenseRlncReceiver::new(config, total_segments, original_len)))
+        Ok(Box::new(StreamDecoder::new(config, total_segments, original_len)))
     }
 }
 
@@ -374,7 +285,7 @@ mod tests {
     #[test]
     fn absorb_errors_leave_the_receiver_usable() {
         let config = CodingConfig::new(4, 16).unwrap();
-        let mut receiver = DenseRlncReceiver::new(config, 2, 100);
+        let mut receiver = StreamDecoder::new(config, 2, 100);
         assert!(receiver.absorb(&[1, 2, 3]).is_err());
         assert!(!receiver.is_complete());
         assert_eq!(receiver.segments_complete(), 0);

@@ -26,8 +26,8 @@
 //!   source with one highly parallel matrix multiplication `C⁻¹·x`.
 //! * [`matrix::GfMatrix`] — dense GF(2^8) matrix algebra shared by the
 //!   decoders and by the GPU kernels' host-side verification.
-//! * [`stream`] — whole-stream transfer: segmentation, framed wire format,
-//!   and reassembly across many generations.
+//! * [`stream`] — whole-stream transfer: a segmented stream's dense frames,
+//!   written and absorbed through the [`codec`] seam and decoded in place.
 //! * [`circshift`] — a GF-multiplication-free alternative codec behind the
 //!   same [`codec`] seam: byte-wise circular shifts + wrapping integer
 //!   additions over Z₂₅₆\[z\]/(z^L − 1) (Shum & Hou).

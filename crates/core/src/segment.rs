@@ -140,11 +140,6 @@ impl Segment {
     pub fn iter_blocks(&self) -> impl Iterator<Item = &[u8]> {
         self.data.chunks_exact(self.config.block_size)
     }
-
-    /// Consumes the segment, returning its payload.
-    pub fn into_bytes(self) -> Bytes {
-        self.data
-    }
 }
 
 /// Splits an arbitrary byte stream into segments of `config.segment_bytes()`
@@ -159,18 +154,6 @@ pub fn segment_stream(config: CodingConfig, data: &[u8]) -> Vec<Segment> {
             Segment::from_bytes_padded(config, chunk).expect("chunk cannot exceed segment size")
         })
         .collect()
-}
-
-/// Reassembles the output of [`segment_stream`], truncating to
-/// `original_len` to strip the final segment's padding.
-pub fn reassemble_stream(segments: &[Segment], original_len: usize) -> Vec<u8> {
-    // lint: allow(vec-capacity) — recovery output that escapes to the caller; no recycle edge.
-    let mut out = Vec::with_capacity(original_len);
-    for seg in segments {
-        out.extend_from_slice(seg.data());
-    }
-    out.truncate(original_len);
-    out
 }
 
 #[cfg(test)]
@@ -226,7 +209,9 @@ mod tests {
         let data: Vec<u8> = (0..40u8).collect(); // 2.67 segments
         let segs = segment_stream(config, &data);
         assert_eq!(segs.len(), 3);
-        assert_eq!(reassemble_stream(&segs, data.len()), data);
+        let joined: Vec<u8> = segs.iter().flat_map(|seg| seg.data()).copied().collect();
+        assert_eq!(joined[..data.len()], data[..]);
+        assert!(joined[data.len()..].iter().all(|&b| b == 0), "zero padding");
     }
 
     #[test]

@@ -1,89 +1,44 @@
 //! Stream-level coding: segmenting an arbitrary byte stream into
-//! generations and reassembling it — the file/stream transfer layer that
+//! generations and decoding it back — the file/stream transfer layer that
 //! bulk distribution (Avalanche) and VoD streaming both sit on.
 //!
-//! The wire unit is a [`StreamFrame`]: a segment index plus one coded
-//! block, with a self-describing byte format.
+//! A dense frame is a segment index, the segment count and one coded block.
+//! [`StreamEncoder`] writes frames through [`StreamCodecSender::frame_into`]
+//! and [`StreamDecoder`] takes them through [`StreamCodecReceiver::absorb`].
 
-use crate::block::CodedBlock;
+use crate::codec::{Absorbed, CodecId, StreamCodecReceiver, StreamCodecSender};
 use crate::decoder::Elimination;
 use crate::encoder::Encoder;
 use crate::error::Error;
 use crate::segment::{segment_stream, CodingConfig};
 use nc_gf256::region;
-use rand::Rng;
-// The round-robin cursor goes through nc-check's shim so the checker can
-// explore concurrent `next_frame` callers (std re-export in normal builds).
-use nc_check::sync::atomic::{AtomicUsize, Ordering};
+use rand::RngCore;
 
 /// Bytes in front of a frame's coded block: segment index + segment count.
-pub(crate) const FRAME_HEADER_BYTES: usize = 8;
+const FRAME_HEADER_BYTES: usize = 8;
 
-/// One wire frame: `(segment index, coded block)`.
+/// Splits a frame's wire bytes into `(segment, coefficients, payload)`
+/// without copying.
 ///
 /// Format: 4-byte little-endian segment index, 4-byte little-endian total
-/// segment count, then the block's wire bytes (`n` coefficients + payload).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamFrame {
-    /// Which segment of the stream the block codes.
-    pub segment: u32,
-    /// Total segments in the stream (lets receivers size themselves).
-    pub total_segments: u32,
-    /// The coded block.
-    pub block: CodedBlock,
+/// segment count, then the block: `n` coefficients and `k` payload bytes.
+/// [`Error::SizeMismatch`] if the byte count is wrong.
+fn split_wire(config: CodingConfig, bytes: &[u8]) -> Result<(usize, &[u8], &[u8]), Error> {
+    let expected = FRAME_HEADER_BYTES + config.coded_block_bytes();
+    if bytes.len() != expected {
+        return Err(Error::SizeMismatch { expected, actual: bytes.len() });
+    }
+    let segment = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
+    let (coefficients, payload) = bytes[FRAME_HEADER_BYTES..].split_at(config.blocks());
+    Ok((segment, coefficients, payload))
 }
 
-impl StreamFrame {
-    /// Serializes the frame. The buffer comes from the process-wide
-    /// [`nc_pool::BytesPool`] so recycling transport drivers keep frame
-    /// serialization allocation-free.
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut out =
-            nc_pool::BytesPool::global().take_capacity(FRAME_HEADER_BYTES + self.block.wire_len());
-        out.extend_from_slice(&self.segment.to_le_bytes());
-        out.extend_from_slice(&self.total_segments.to_le_bytes());
-        out.extend_from_slice(self.block.coefficients());
-        out.extend_from_slice(self.block.payload());
-        out
-    }
-
-    /// Parses a frame for a known configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SizeMismatch`] if the byte count is wrong.
-    pub fn from_wire(config: CodingConfig, bytes: &[u8]) -> Result<StreamFrame, Error> {
-        let (segment, coefficients, payload) = StreamFrame::split_wire(config, bytes)?;
-        let total_segments = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        // Recycled storage: the vectors a decoder handed back earlier.
-        let arena = nc_pool::BlockArena::global();
-        let block = CodedBlock::new(arena.copy_coeffs(coefficients), arena.copy_payload(payload));
-        Ok(StreamFrame { segment: segment as u32, total_segments, block })
-    }
-
-    /// Splits a frame's wire bytes into `(segment, coefficients, payload)`
-    /// without copying — what [`StreamDecoder::push_parts`] takes.
-    /// [`Error::SizeMismatch`] if the byte count is wrong.
-    pub(crate) fn split_wire(
-        config: CodingConfig,
-        bytes: &[u8],
-    ) -> Result<(usize, &[u8], &[u8]), Error> {
-        let expected = FRAME_HEADER_BYTES + config.coded_block_bytes();
-        if bytes.len() != expected {
-            return Err(Error::SizeMismatch { expected, actual: bytes.len() });
-        }
-        let segment = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-        let (coefficients, payload) = bytes[FRAME_HEADER_BYTES..].split_at(config.blocks());
-        Ok((segment, coefficients, payload))
-    }
-}
-
-/// Encodes a whole byte stream: one [`Encoder`] per segment, frames drawn
-/// round-robin or per segment.
+/// Encodes a whole byte stream: one [`Encoder`] per segment, frames written
+/// per segment and sequence number.
 ///
 /// ```
 /// use nc_rlnc::stream::{StreamDecoder, StreamEncoder};
-/// use nc_rlnc::CodingConfig;
+/// use nc_rlnc::{CodingConfig, StreamCodecReceiver, StreamCodecSender};
 /// use rand::SeedableRng;
 ///
 /// let config = CodingConfig::new(4, 16)?;
@@ -91,32 +46,23 @@ impl StreamFrame {
 /// let encoder = StreamEncoder::new(config, &data)?;
 /// let mut decoder = StreamDecoder::new(config, encoder.total_segments(), data.len());
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+/// // Frame `seq < n` of a segment is source block `seq`, later frames are
+/// // coded. Every segment's frame 0 is lost; a coded frame stands in.
+/// let mut seq = 1;
 /// while !decoder.is_complete() {
-///     decoder.push(encoder.next_frame(&mut rng))?;
+///     for segment in 0..encoder.total_segments() {
+///         decoder.absorb(&encoder.frame_wire(segment, seq, &mut rng))?;
+///     }
+///     seq += 1;
 /// }
 /// assert_eq!(decoder.recover().unwrap(), data);
 /// # Ok::<(), nc_rlnc::Error>(())
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct StreamEncoder {
     config: CodingConfig,
     encoders: Vec<Encoder>,
     original_len: usize,
-    /// Round-robin position for [`StreamEncoder::next_frame`]. Atomic so
-    /// one encoder instance is `Sync` and can feed multiple sender threads
-    /// without per-thread clones.
-    cursor: AtomicUsize,
-}
-
-impl Clone for StreamEncoder {
-    fn clone(&self) -> StreamEncoder {
-        StreamEncoder {
-            config: self.config,
-            encoders: self.encoders.clone(),
-            original_len: self.original_len,
-            cursor: AtomicUsize::new(self.cursor.load(Ordering::Acquire)),
-        }
-    }
 }
 
 impl StreamEncoder {
@@ -132,12 +78,7 @@ impl StreamEncoder {
         }
         let encoders: Vec<Encoder> =
             segment_stream(config, data).into_iter().map(Encoder::new).collect();
-        Ok(StreamEncoder {
-            config,
-            encoders,
-            original_len: data.len(),
-            cursor: AtomicUsize::new(0),
-        })
+        Ok(StreamEncoder { config, encoders, original_len: data.len() })
     }
 
     /// The stream's coding configuration.
@@ -154,35 +95,36 @@ impl StreamEncoder {
     pub fn original_len(&self) -> usize {
         self.original_len
     }
+}
 
-    /// A frame for a specific segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment` is out of range.
-    pub fn frame_for(&self, segment: usize, rng: &mut impl Rng) -> StreamFrame {
-        StreamFrame {
-            segment: segment as u32,
-            total_segments: self.total_segments() as u32,
-            block: self.encoders[segment].encode(rng),
-        }
+impl StreamCodecSender for StreamEncoder {
+    fn codec(&self) -> CodecId {
+        CodecId::DenseRlnc
     }
 
-    /// Writes frame `seq` of `segment` in its wire format straight into
-    /// `out` (behind `StreamCodecSender::frame_into`), every byte written
-    /// once and nothing allocated. The stream is systematic: for `seq < n`
-    /// the frame is source block `seq` verbatim under the unit coefficient
-    /// vector `e_seq`, with nothing drawn from `rng`; every later frame is
-    /// the same coefficient draw (same RNG order) and payload as
-    /// [`StreamEncoder::frame_for`]`(segment, rng).to_wire()`. Panics if
-    /// `segment` is out of range or `out` is not exactly one frame
-    /// (`8 + n + k` bytes) long.
-    pub(crate) fn frame_into(&self, segment: usize, seq: u64, rng: &mut impl Rng, out: &mut [u8]) {
-        assert_eq!(
-            out.len(),
-            FRAME_HEADER_BYTES + self.config.coded_block_bytes(),
-            "frame buffer length"
-        );
+    fn coding_config(&self) -> CodingConfig {
+        self.config
+    }
+
+    fn total_segments(&self) -> usize {
+        self.encoders.len()
+    }
+
+    fn original_len(&self) -> usize {
+        self.original_len
+    }
+
+    fn frame_wire_bytes(&self) -> usize {
+        FRAME_HEADER_BYTES + self.config.coded_block_bytes()
+    }
+
+    /// Writes frame `seq` of `segment`, every byte once and nothing
+    /// allocated. The stream is systematic: for `seq < n` the frame is
+    /// source block `seq` verbatim under the unit coefficient vector
+    /// `e_seq`, with nothing drawn from `rng`; every later frame is
+    /// [`Encoder::encode`]'s coefficient draw (same RNG order) and payload.
+    fn frame_into(&self, segment: usize, seq: u64, mut rng: &mut dyn RngCore, out: &mut [u8]) {
+        assert_eq!(out.len(), self.frame_wire_bytes(), "frame buffer length");
         let (header, block) = out.split_at_mut(FRAME_HEADER_BYTES);
         header[0..4].copy_from_slice(&(segment as u32).to_le_bytes());
         header[4..8].copy_from_slice(&(self.total_segments() as u32).to_le_bytes());
@@ -190,15 +132,8 @@ impl StreamEncoder {
         let encoder = &self.encoders[segment];
         match usize::try_from(seq).ok().filter(|&source| source < self.config.blocks()) {
             Some(source) => encoder.systematic_into(source, coefficients, payload),
-            None => encoder.encode_into(rng, coefficients, payload),
+            None => encoder.encode_into(&mut rng, coefficients, payload),
         }
-    }
-
-    /// The next frame, cycling through segments round-robin (a simple
-    /// sender schedule; smarter senders use [`StreamEncoder::frame_for`]).
-    pub fn next_frame(&self, rng: &mut impl Rng) -> StreamFrame {
-        let segment = self.cursor.fetch_add(1, Ordering::AcqRel) % self.total_segments();
-        self.frame_for(segment, rng)
     }
 }
 
@@ -291,7 +226,7 @@ fn solve_lost(elimination: &Elimination, slots: &[Slot], held: &mut [u8], scratc
 /// a scratch buffer while one product of the matching `ℓ` rows of `C⁻¹`
 /// by the `n` held payloads is written over them — `n·ℓ·k` work, none on a
 /// lossless link, and `n²·k` for a stream of coded frames only. So
-/// [`StreamDecoder::into_recovered`] is a truncation, not a reassembly.
+/// [`StreamCodecReceiver::into_recovered`] is a truncation, not a reassembly.
 ///
 /// The output buffer is reserved whole — every segment, padding included —
 /// by the stream's first absorbed frame, and never reallocated after: a
@@ -329,52 +264,38 @@ impl StreamDecoder {
         }
     }
 
-    /// Absorbs one frame; returns whether it was innovative. Frames for an
-    /// already complete segment are ignored.
+    /// Overall progress as `(innovative blocks, needed blocks)`.
+    pub fn progress(&self) -> (usize, usize) {
+        let have = self.segments.iter().map(|s| s.elimination.rank()).sum();
+        let need = self.segments.len() * self.config.blocks();
+        (have, need)
+    }
+}
+
+impl StreamCodecReceiver for StreamDecoder {
+    fn codec(&self) -> CodecId {
+        CodecId::DenseRlnc
+    }
+
+    /// Absorbs one frame, copying its payload once, into `output`. Frames
+    /// for an already complete segment are ignored.
     ///
     /// # Errors
     ///
-    /// [`Error::DimensionMismatch`] for out-of-range segment indices,
-    /// [`Error::CoefficientCountMismatch`] / [`Error::SizeMismatch`] for a
-    /// block of the wrong shape, and [`Error::InvalidConfig`] if the stream
-    /// is too large to buffer on this host.
-    pub fn push(&mut self, frame: StreamFrame) -> Result<bool, Error> {
-        let segment = frame.segment as usize;
-        let innovative =
-            self.push_parts(segment, frame.block.coefficients(), frame.block.payload());
-        let (coefficients, payload) = frame.block.into_parts();
-        let arena = nc_pool::BlockArena::global();
-        arena.recycle_coeffs(coefficients);
-        arena.recycle_payload(payload);
-        innovative
-    }
-
-    /// [`StreamDecoder::push`] for a block given as borrowed parts (see
-    /// [`StreamFrame::split_wire`]): the one decode body. The dense
-    /// receiver feeds it straight from the datagram, so a payload is copied
-    /// once, into `output`.
-    pub(crate) fn push_parts(
-        &mut self,
-        segment: usize,
-        coefficients: &[u8],
-        payload: &[u8],
-    ) -> Result<bool, Error> {
+    /// [`Error::SizeMismatch`] for a frame of the wrong length,
+    /// [`Error::DimensionMismatch`] for an out-of-range segment index, and
+    /// [`Error::InvalidConfig`] if the stream is too large to buffer on this
+    /// host.
+    fn absorb(&mut self, frame: &[u8]) -> Result<Absorbed, Error> {
+        let (segment, coefficients, payload) = split_wire(self.config, frame)?;
         let (n, k) = (self.config.blocks(), self.config.block_size());
         let total_segments = self.segments.len();
         let Some(state) = self.segments.get_mut(segment) else {
             return Err(Error::DimensionMismatch { op: "stream frame segment index" });
         };
-        if coefficients.len() != n {
-            return Err(Error::CoefficientCountMismatch {
-                expected: n,
-                actual: coefficients.len(),
-            });
-        }
-        if payload.len() != k {
-            return Err(Error::SizeMismatch { expected: k, actual: payload.len() });
-        }
+        let not_innovative = Absorbed { segment, innovative: false, segment_complete: false };
         if state.elimination.is_full() {
-            return Ok(false);
+            return Ok(not_innovative);
         }
         const TOO_LARGE: Error = Error::InvalidConfig { reason: "stream too large to buffer" };
         let segment_bytes = self.config.segment_bytes();
@@ -393,7 +314,7 @@ impl StreamDecoder {
         }
         if state.slots.is_empty() {
             // Sized by the segment's first frame, like the elimination
-            // rows, so no later push allocates.
+            // rows, so no later frame allocates.
             state.slots.resize(n, Slot::Free);
         }
         let metrics = crate::metrics::metrics();
@@ -401,7 +322,7 @@ impl StreamDecoder {
         let row = state.elimination.rank();
         if !state.elimination.push(coefficients) {
             metrics.blocks_dependent.inc();
-            return Ok(false);
+            return Ok(not_innovative);
         }
         metrics.blocks_innovative.inc();
         let held = &mut self.output[end - segment_bytes..end];
@@ -423,59 +344,64 @@ impl StreamDecoder {
             }
         };
         held[slot * k..(slot + 1) * k].copy_from_slice(payload);
-        if state.elimination.is_full() {
+        let segment_complete = state.elimination.is_full();
+        if segment_complete {
             solve_lost(&state.elimination, &state.slots, held, &mut self.scratch);
             self.complete += 1;
         }
-        Ok(true)
+        Ok(Absorbed { segment, innovative: true, segment_complete })
     }
 
-    /// Segments fully decoded so far.
-    pub fn segments_complete(&self) -> usize {
-        self.complete
-    }
-
-    /// Whether one specific segment is fully decoded (out-of-range reads
-    /// as false).
-    pub fn segment_complete(&self, segment: usize) -> bool {
+    fn segment_complete(&self, segment: usize) -> bool {
         self.segments.get(segment).is_some_and(|s| s.elimination.is_full())
     }
 
-    /// Whether every segment is decoded.
-    pub fn is_complete(&self) -> bool {
+    fn segments_complete(&self) -> usize {
+        self.complete
+    }
+
+    fn is_complete(&self) -> bool {
         self.complete == self.segments.len()
     }
 
-    /// Overall progress as `(innovative blocks, needed blocks)`.
-    pub fn progress(&self) -> (usize, usize) {
-        let have = self.segments.iter().map(|s| s.elimination.rank()).sum();
-        let need = self.segments.len() * self.config.blocks();
-        (have, need)
-    }
-
-    /// A copy of the stream once complete.
-    pub fn recover(&self) -> Option<Vec<u8>> {
+    fn recover(&self) -> Option<Vec<u8>> {
         self.is_complete().then(|| self.output[..self.original_len.min(self.output.len())].to_vec())
     }
 
     /// The stream once complete, without copying it: the decoder's own
     /// buffer, cut to the original length.
-    pub fn into_recovered(mut self) -> Option<Vec<u8>> {
+    fn into_recovered(self: Box<Self>) -> Option<Vec<u8>> {
         if !self.is_complete() {
             return None;
         }
-        self.output.truncate(self.original_len);
-        Some(self.output)
+        let mut this = *self;
+        this.output.truncate(this.original_len);
+        Some(this.output)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::CodedBlock;
     use rand::{Rng, SeedableRng};
 
     fn config() -> CodingConfig {
         CodingConfig::new(4, 16).unwrap()
+    }
+
+    /// Any `seq >= n` asks for a coded frame.
+    const CODED: u64 = u64::MAX;
+
+    /// `block` laid out as frame bytes of `segment` in a `total`-segment
+    /// stream: the layout `split_wire` parses.
+    fn frame_bytes(segment: usize, total: usize, block: &CodedBlock) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&(segment as u32).to_le_bytes());
+        out.extend_from_slice(&(total as u32).to_le_bytes());
+        out.extend_from_slice(block.coefficients());
+        out.extend_from_slice(block.payload());
+        out
     }
 
     #[test]
@@ -485,20 +411,13 @@ mod tests {
         let enc = StreamEncoder::new(config(), &data).unwrap();
         assert_eq!(enc.total_segments(), 16);
         let mut dec = StreamDecoder::new(config(), enc.total_segments(), data.len());
-        while !dec.is_complete() {
-            dec.push(enc.next_frame(&mut rng)).unwrap();
+        for segment in (0..enc.total_segments()).cycle() {
+            if dec.is_complete() {
+                break;
+            }
+            dec.absorb(&enc.frame_wire(segment, CODED, &mut rng)).unwrap();
         }
         assert_eq!(dec.recover().unwrap(), data);
-    }
-
-    #[test]
-    fn frames_roundtrip_the_wire() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let data = vec![7u8; 100];
-        let enc = StreamEncoder::new(config(), &data).unwrap();
-        let frame = enc.frame_for(1, &mut rng);
-        let parsed = StreamFrame::from_wire(config(), &frame.to_wire()).unwrap();
-        assert_eq!(parsed, frame);
     }
 
     #[test]
@@ -506,28 +425,34 @@ mod tests {
         // 2.34 segments: the tail segment's blocks are zero-padded.
         let data: Vec<u8> = (0..150u32).map(|i| (i * 7 + 3) as u8).collect();
         let enc = StreamEncoder::new(config(), &data).unwrap();
+        let total = enc.total_segments();
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let mut twin_rng = rand::rngs::StdRng::seed_from_u64(8);
-        let mut out = vec![0xEE; FRAME_HEADER_BYTES + config().coded_block_bytes()];
-        for segment in 0..enc.total_segments() {
+        let mut out = vec![0xEE; enc.frame_wire_bytes()];
+        for segment in 0..total {
             for seq in 0..4 {
                 enc.frame_into(segment, seq, &mut rng, &mut out);
-                let frame = StreamFrame::from_wire(config(), &out).unwrap();
-                assert_eq!(frame.segment as usize, segment);
-                assert_eq!(frame.block, enc.encoders[segment].systematic(seq as usize));
+                let source = enc.encoders[segment].systematic(seq as usize);
+                assert_eq!(out, frame_bytes(segment, total, &source));
             }
             // Nothing was drawn above: from seq n on, the frames are the
-            // non-systematic frames of a twin RNG.
+            // coded blocks of a twin RNG, laid out as frames.
             for seq in [4, 5, u64::MAX] {
                 enc.frame_into(segment, seq, &mut rng, &mut out);
-                assert_eq!(out, enc.frame_for(segment, &mut twin_rng).to_wire());
+                let coded = enc.encoders[segment].encode(&mut twin_rng);
+                assert_eq!(out, frame_bytes(segment, total, &coded));
             }
         }
     }
 
     #[test]
     fn wire_rejects_wrong_length() {
-        assert!(StreamFrame::from_wire(config(), &[0u8; 5]).is_err());
+        let mut dec = StreamDecoder::new(config(), 1, 64);
+        let expected = 8 + config().coded_block_bytes();
+        for actual in [0, 5, expected - 1, expected + 1] {
+            assert_eq!(dec.absorb(&vec![0; actual]), Err(Error::SizeMismatch { expected, actual }));
+        }
+        assert_eq!(dec.progress(), (0, 4));
     }
 
     #[test]
@@ -535,10 +460,11 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let data = vec![1u8; 64];
         let enc = StreamEncoder::new(config(), &data).unwrap();
-        let mut frame = enc.frame_for(0, &mut rng);
-        frame.segment = 99;
+        let mut frame = enc.frame_wire(0, CODED, &mut rng);
+        frame[0..4].copy_from_slice(&99u32.to_le_bytes());
         let mut dec = StreamDecoder::new(config(), 1, data.len());
-        assert!(dec.push(frame).is_err());
+        assert!(matches!(dec.absorb(&frame), Err(Error::DimensionMismatch { .. })));
+        assert_eq!(dec.progress(), (0, 4));
     }
 
     #[test]
@@ -548,8 +474,11 @@ mod tests {
         let enc = StreamEncoder::new(config(), &data).unwrap();
         let mut dec = StreamDecoder::new(config(), enc.total_segments(), data.len());
         let mut last = 0;
-        while !dec.is_complete() {
-            dec.push(enc.next_frame(&mut rng)).unwrap();
+        for segment in (0..enc.total_segments()).cycle() {
+            if dec.is_complete() {
+                break;
+            }
+            dec.absorb(&enc.frame_wire(segment, CODED, &mut rng)).unwrap();
             let (have, need) = dec.progress();
             assert!(have >= last && have <= need);
             last = have;
@@ -562,39 +491,37 @@ mod tests {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<StreamEncoder>();
 
-        // One shared encoder instance feeding four sender threads: the
-        // round-robin cursor must hand out every segment index and the
-        // frames must still decode.
+        // One shared encoder instance feeding four sender threads, each
+        // writing the coded frames of its own quarter of the segments.
         let data: Vec<u8> = (0..1024u32).map(|i| (i * 7) as u8).collect(); // 16 segments
         let enc = StreamEncoder::new(config(), &data).unwrap();
         let frames = std::sync::Mutex::new(Vec::new());
         std::thread::scope(|s| {
-            for t in 0..4u64 {
+            for t in 0..4usize {
                 let enc = &enc;
                 let frames = &frames;
                 s.spawn(move || {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(100 + t);
-                    let local: Vec<StreamFrame> =
-                        (0..40).map(|_| enc.next_frame(&mut rng)).collect();
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(100 + t as u64);
+                    let local: Vec<Vec<u8>> =
+                        (0..40).map(|i| enc.frame_wire(t + 4 * (i % 4), CODED, &mut rng)).collect();
                     frames.lock().unwrap().extend(local);
                 });
             }
         });
         let frames = frames.into_inner().unwrap();
         assert_eq!(frames.len(), 160);
-        // 160 draws over 16 segments: round-robin must cover each exactly 10x.
-        let mut per_segment = [0usize; 16];
-        for f in &frames {
-            per_segment[f.segment as usize] += 1;
-        }
-        assert!(per_segment.iter().all(|&c| c == 10), "cursor skew: {per_segment:?}");
         let mut dec = StreamDecoder::new(config(), enc.total_segments(), data.len());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(200);
-        for f in frames {
-            dec.push(f).unwrap();
+        let mut per_segment = [0usize; 16];
+        for frame in frames {
+            per_segment[dec.absorb(&frame).unwrap().segment] += 1;
         }
-        while !dec.is_complete() {
-            dec.push(enc.next_frame(&mut rng)).unwrap();
+        assert!(per_segment.iter().all(|&c| c == 10), "{per_segment:?}");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(200);
+        for segment in (0..enc.total_segments()).cycle() {
+            if dec.is_complete() {
+                break;
+            }
+            dec.absorb(&enc.frame_wire(segment, CODED, &mut rng)).unwrap();
         }
         assert_eq!(dec.recover().unwrap(), data);
     }
@@ -608,8 +535,8 @@ mod tests {
     fn decode_into_place_matches_the_per_segment_decoder_bit_for_bit() {
         use crate::decoder::Decoder;
         // 2.34 segments, so the tail segment is zero-padded. Every frame
-        // goes to the stream decoder as borrowed wire parts and to one
-        // reference `Decoder` per segment as an owned block.
+        // goes to the stream decoder as wire bytes and to one reference
+        // `Decoder` per segment as an owned block.
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let data: Vec<u8> = (0..150).map(|_| rng.gen()).collect();
         let enc = StreamEncoder::new(config(), &data).unwrap();
@@ -618,15 +545,23 @@ mod tests {
             (0..enc.total_segments()).map(|_| Decoder::new(config())).collect();
         let mut late = 0;
         // Keep going past completion: late frames must change nothing.
-        while !dec.is_complete() || late < 8 {
+        for segment in (0..enc.total_segments()).cycle() {
+            if dec.is_complete() && late == 8 {
+                break;
+            }
             late += usize::from(dec.is_complete());
-            let frame = enc.next_frame(&mut rng);
-            let wire = frame.to_wire();
-            let (segment, coefficients, payload) =
-                StreamFrame::split_wire(config(), &wire).unwrap();
+            let wire = enc.frame_wire(segment, CODED, &mut rng);
+            let (_, coefficients, payload) = split_wire(config(), &wire).unwrap();
+            let block = CodedBlock::new(coefficients.to_vec(), payload.to_vec());
             let was_complete = reference[segment].is_complete();
-            let want = reference[segment].push(frame.block).unwrap();
-            assert_eq!(dec.push_parts(segment, coefficients, payload).unwrap(), want);
+            let want = reference[segment].push(block).unwrap();
+            let absorbed = dec.absorb(&wire).unwrap();
+            assert_eq!(absorbed.segment, segment);
+            assert_eq!(absorbed.innovative, want);
+            assert_eq!(
+                absorbed.segment_complete,
+                !was_complete && reference[segment].is_complete()
+            );
             assert_eq!(dec.segment_complete(segment), reference[segment].is_complete());
             assert!(!(was_complete && want), "a complete segment takes nothing more");
         }
@@ -635,7 +570,7 @@ mod tests {
         want.truncate(data.len());
         assert_eq!(want, data);
         assert_eq!(dec.recover().unwrap(), want);
-        assert_eq!(dec.into_recovered().unwrap(), want);
+        assert_eq!(Box::new(dec).into_recovered().unwrap(), want);
     }
 
     #[test]
@@ -650,7 +585,7 @@ mod tests {
         let total = enc.total_segments();
         assert_eq!(total, 6);
         let mut dec = StreamDecoder::new(config(), total, data.len());
-        let mut wire = vec![0; FRAME_HEADER_BYTES + config().coded_block_bytes()];
+        let mut wire = vec![0; enc.frame_wire_bytes()];
         let mut first = None;
         for round in 0.. {
             let seqs = round * 4..(round + 1) * 4;
@@ -667,35 +602,26 @@ mod tests {
                     continue;
                 }
                 enc.frame_into(segment, seq, &mut rng, &mut wire);
-                let (segment, coefficients, payload) =
-                    StreamFrame::split_wire(config(), &wire).unwrap();
-                dec.push_parts(segment, coefficients, payload).unwrap();
+                dec.absorb(&wire).unwrap();
                 let buffer = (dec.output.as_ptr(), dec.output.capacity());
                 assert_eq!(buffer.1, total * config().segment_bytes());
                 assert_eq!(*first.get_or_insert(buffer), buffer, "the output buffer moved");
             }
         }
-        let recovered = dec.into_recovered().unwrap();
+        let recovered = Box::new(dec).into_recovered().unwrap();
         assert_eq!(Some((recovered.as_ptr(), recovered.capacity())), first);
         assert_eq!(recovered, data);
     }
 
     #[test]
-    fn malformed_parts_are_errors_and_incomplete_streams_do_not_recover() {
+    fn incomplete_streams_do_not_recover() {
         let mut dec = StreamDecoder::new(config(), 2, 100);
-        assert!(matches!(
-            dec.push_parts(0, &[1; 3], &[0; 16]),
-            Err(Error::CoefficientCountMismatch { expected: 4, actual: 3 })
-        ));
-        assert!(matches!(dec.push_parts(0, &[1; 4], &[0; 15]), Err(Error::SizeMismatch { .. })));
-        assert!(matches!(
-            dec.push_parts(2, &[1; 4], &[0; 16]),
-            Err(Error::DimensionMismatch { .. })
-        ));
-        assert!(dec.push_parts(1, &[1, 0, 0, 0], &[7; 16]).unwrap());
+        let unit = CodedBlock::new(vec![1, 0, 0, 0], vec![7; 16]);
+        let absorbed = dec.absorb(&frame_bytes(1, 2, &unit)).unwrap();
+        assert_eq!(absorbed, Absorbed { segment: 1, innovative: true, segment_complete: false });
         assert_eq!(dec.progress(), (1, 8));
         assert!(dec.recover().is_none());
-        assert!(dec.into_recovered().is_none());
+        assert!(Box::new(dec).into_recovered().is_none());
     }
 
     #[test]
@@ -705,9 +631,12 @@ mod tests {
         let enc = StreamEncoder::new(config(), &data).unwrap();
         let mut dec = StreamDecoder::new(config(), 1, data.len());
         while !dec.is_complete() {
-            dec.push(enc.next_frame(&mut rng)).unwrap();
+            dec.absorb(&enc.frame_wire(0, CODED, &mut rng)).unwrap();
         }
-        assert!(!dec.push(enc.next_frame(&mut rng)).unwrap());
+        for seq in [0, CODED] {
+            let absorbed = dec.absorb(&enc.frame_wire(0, seq, &mut rng)).unwrap();
+            assert!(!absorbed.innovative && !absorbed.segment_complete);
+        }
         assert_eq!(dec.recover().unwrap(), data);
     }
 }

@@ -3,8 +3,8 @@
 //! trait-object seam, with the same stream semantics as dense RLNC.
 
 use nc_rlnc::circshift::lifted_len;
-use nc_rlnc::codec::{DenseRlncReceiver, ErasureCodec};
-use nc_rlnc::{CircShiftCodec, CodecId, CodingConfig, StreamCodecReceiver};
+use nc_rlnc::codec::{DenseRlncCodec, ErasureCodec};
+use nc_rlnc::{CircShiftCodec, CodecId, CodingConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -45,7 +45,7 @@ fn circshift_frames_are_rejected_by_the_rlnc_receiver() {
     let sender = CircShiftCodec.make_sender(config, &data).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let frame = sender.frame_wire(0, 0, &mut rng);
-    let mut rlnc = DenseRlncReceiver::new(config, 1, data.len());
+    let mut rlnc = DenseRlncCodec.make_receiver(config, 1, data.len()).unwrap();
     assert!(rlnc.absorb(&frame).is_err());
 }
 

@@ -1,6 +1,9 @@
 //! Property-based tests of the end-to-end coding invariants.
 
+use nc_rlnc::codec::DenseRlncCodec;
 use nc_rlnc::prelude::*;
+use nc_rlnc::stream::StreamEncoder;
+use nc_rlnc::{ErasureCodec, StreamCodecSender};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -75,15 +78,33 @@ proptest! {
         prop_assert_eq!(decoder.recover().unwrap(), data);
     }
 
-    /// The wire format roundtrips bit-exactly.
+    /// A coded frame is the segment header followed by exactly the block
+    /// `Encoder::encode` draws from a twin RNG, and the dense receiver
+    /// absorbs it as the reference decoder takes that block.
     #[test]
-    fn wire_roundtrip(config in arb_config(), seed: u64) {
+    fn frame_wire_carries_the_encoded_block(config in arb_config(), seed: u64) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let data: Vec<u8> = (0..config.segment_bytes()).map(|_| rng.gen()).collect();
-        let encoder = Encoder::new(Segment::from_bytes(config, data).unwrap());
-        let block = encoder.encode(&mut rng);
-        let parsed = CodedBlock::from_wire(config, &block.to_wire()).unwrap();
-        prop_assert_eq!(parsed, block);
+        let sender = StreamEncoder::new(config, &data).unwrap();
+        let encoder = Encoder::new(Segment::from_bytes(config, data.clone()).unwrap());
+        let mut twin = rng.clone();
+        let mut receiver = DenseRlncCodec.make_receiver(config, 1, data.len()).unwrap();
+        let mut reference = Decoder::new(config);
+        let n = config.blocks();
+        let mut attempts = 0;
+        while !reference.is_complete() {
+            let wire = sender.frame_wire(0, n as u64, &mut rng);
+            let block = encoder.encode(&mut twin);
+            prop_assert_eq!(&wire[..8], &[0, 0, 0, 0, 1, 0, 0, 0][..]);
+            prop_assert_eq!(&wire[8..8 + n], block.coefficients());
+            prop_assert_eq!(&wire[8 + n..], block.payload());
+            let want = reference.push(block).unwrap();
+            prop_assert_eq!(receiver.absorb(&wire).unwrap().innovative, want);
+            attempts += 1;
+            prop_assert!(attempts < n + 64, "decode failed to converge");
+        }
+        prop_assert!(receiver.is_complete());
+        prop_assert_eq!(receiver.recover().unwrap(), data);
     }
 
     /// Matrix inversion: A · A⁻¹ == I for random invertible matrices.

@@ -74,7 +74,9 @@ pub(crate) struct NetMetrics {
     /// per datagram, or one per `UDP_SEGMENT` run ([`crate::sysio`]).
     pub tx_messages: Arc<Counter>,
     /// Coalesced messages the kernel refused, each of which turned
-    /// segmentation offload off for its socket.
+    /// segmentation offload off for its socket (the Linux batched path
+    /// only: the portable path never coalesces).
+    #[cfg(all(target_os = "linux", not(nc_portable_io)))]
     pub tx_gso_refused: Arc<Counter>,
     /// Datagrams received through [`crate::channel::BatchSocket`].
     pub rx_datagrams: Arc<Counter>,
@@ -126,6 +128,7 @@ pub(crate) fn metrics() -> &'static NetMetrics {
             syscalls: r.counter("net.syscalls"),
             tx_datagrams: r.counter("net.tx_datagrams"),
             tx_messages: r.counter("net.tx_messages"),
+            #[cfg(all(target_os = "linux", not(nc_portable_io)))]
             tx_gso_refused: r.counter("net.tx_gso_refused"),
             rx_datagrams: r.counter("net.rx_datagrams"),
             rx_messages: r.counter("net.rx_messages"),

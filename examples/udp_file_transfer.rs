@@ -1,7 +1,6 @@
 //! File transfer over a *real* UDP socket pair, with a seeded fault injector
 //! standing in for a bad network: 20% drop plus reordering on the data path.
-//! Unlike `file_transfer` (which loops encoder into decoder in one thread),
-//! this runs the actual transport — wire datagrams, ACK feedback, pacing,
+//! This runs the actual transport — wire datagrams, ACK feedback, pacing,
 //! redundancy control — between two OS sockets on loopback.
 //!
 //! The sender never retransmits a specific packet. Every loss is repaired by

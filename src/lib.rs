@@ -24,7 +24,6 @@
 //! cargo run --release --example streaming_server
 //! cargo run --release --example p2p_swarm
 //! cargo run --release --example gpu_pipeline
-//! cargo run --release --example file_transfer
 //! cargo run --release --example udp_file_transfer
 //! ```
 //!

@@ -10,7 +10,6 @@
 //! coded frames arrives. Hostile unit-like rows must never panic.
 
 use extreme_nc::rlnc::codec::DenseRlncCodec;
-use extreme_nc::rlnc::stream::StreamFrame;
 use extreme_nc::rlnc::{CodedBlock, CodingConfig, Decoder, ErasureCodec, StreamCodecReceiver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,6 +44,14 @@ impl Schedule {
 /// A frame on the link: its segment, its sequence number, its wire bytes.
 type Frame = (usize, u64, Vec<u8>);
 
+/// The coded block a frame carries, for the reference `Decoder`: the `n`
+/// coefficients and `k` payload bytes behind the 8-byte segment header.
+fn block_of(config: CodingConfig, wire: &[u8]) -> CodedBlock {
+    assert_eq!(wire.len(), 8 + config.coded_block_bytes(), "frame length");
+    let (coefficients, payload) = wire[8..].split_at(config.blocks());
+    CodedBlock::new(coefficients.to_vec(), payload.to_vec())
+}
+
 /// The receiving end of one transfer, checked frame by frame against one
 /// reference `Decoder` per segment.
 struct Checked {
@@ -66,8 +73,7 @@ impl Checked {
         assert_eq!(absorbed.segment, segment, "{case}");
         let reference = &mut self.reference[segment];
         let was_complete = reference.is_complete();
-        let block = StreamFrame::from_wire(self.config, &wire).expect("well-formed frame").block;
-        let want = reference.push(block).expect("right shape");
+        let want = reference.push(block_of(self.config, &wire)).expect("right shape");
         assert_eq!(absorbed.innovative, want, "{case}");
         let completed = !was_complete && reference.is_complete();
         assert_eq!(absorbed.segment_complete, completed, "{case}");
@@ -177,10 +183,11 @@ fn systematic_and_coded_arrivals_decode_bit_exact_against_the_reference() {
     assert_eq!(seen, BTreeSet::from(["none", "row-at-a-time", "tiled"]));
 }
 
-/// One frame of segment 0 of a one-segment stream, built by hand.
+/// One frame of segment 0 of a one-segment stream, built by hand: segment
+/// index and segment count (4 bytes little-endian each), then the
+/// coefficients and the payload.
 fn frame(coefficients: Vec<u8>, payload: Vec<u8>) -> Vec<u8> {
-    StreamFrame { segment: 0, total_segments: 1, block: CodedBlock::new(coefficients, payload) }
-        .to_wire()
+    [&0u32.to_le_bytes()[..], &1u32.to_le_bytes(), &coefficients, &payload].concat()
 }
 
 #[test]
@@ -222,7 +229,7 @@ fn hostile_unit_like_rows_never_panic_and_scaled_units_still_decode() {
         if reference.is_complete() {
             break;
         }
-        let want = reference.push(StreamFrame::from_wire(config, &wire).expect("frame").block);
+        let want = reference.push(block_of(config, &wire));
         assert_eq!(receiver.absorb(&wire).expect("well-formed").innovative, want.expect("shape"));
     }
     assert_eq!(receiver.recover().expect("complete"), data);

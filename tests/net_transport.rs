@@ -14,9 +14,11 @@ use extreme_nc::net::session::{
 };
 use extreme_nc::net::shard::{ShardedServer, ShardedServerConfig};
 use extreme_nc::net::wire::{Datagram, DatagramRef, Payload, HEADER_BYTES};
-use extreme_nc::rlnc::stream::{StreamEncoder, StreamFrame};
-use extreme_nc::rlnc::CodingConfig;
+use extreme_nc::rlnc::codec::DenseRlncCodec;
+use extreme_nc::rlnc::stream::StreamEncoder;
+use extreme_nc::rlnc::{CodingConfig, ErasureCodec, Error};
 use proptest::prelude::*;
+use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -300,15 +302,50 @@ proptest! {
         let _ = Datagram::decode(&bytes);
     }
 
-    /// StreamFrame parsing is total for any config/byte combination.
+    /// The dense receive path is total, for any shape and 1-4 segments:
+    /// arbitrary bytes return (as an error unless they are one frame
+    /// long), a frame-sized one naming a segment past the stream is an
+    /// error, and the receiver still decodes a valid stream afterwards.
     #[test]
-    fn stream_frame_from_wire_never_panics(
+    fn dense_absorb_is_total(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
         blocks in 1usize..32,
         block_size in 1usize..64,
+        segments in 1usize..=4,
+        past in any::<u32>(),
+        seed in any::<u64>(),
     ) {
         let config = CodingConfig::new(blocks, block_size).expect("valid");
-        let _ = StreamFrame::from_wire(config, &bytes);
+        let len = segments * config.segment_bytes() - seed as usize % config.segment_bytes();
+        let data = payload(len);
+        let mut receiver =
+            DenseRlncCodec.make_receiver(config, segments, len).expect("valid announce");
+        let frame_len = 8 + config.coded_block_bytes();
+        let garbage_taken = receiver.absorb(&bytes).is_ok();
+        prop_assert!(!garbage_taken || bytes.len() == frame_len);
+
+        let mut sized = bytes;
+        sized.resize(frame_len, 0);
+        let segment = (segments as u32).saturating_add(past);
+        sized[0..4].copy_from_slice(&segment.to_le_bytes());
+        prop_assert!(matches!(receiver.absorb(&sized), Err(Error::DimensionMismatch { .. })));
+
+        let sender = DenseRlncCodec.make_sender(config, &data).expect("non-empty");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for seq in 0..blocks as u64 + 64 {
+            for segment in 0..segments {
+                receiver.absorb(&sender.frame_wire(segment, seq, &mut rng)).expect("valid frame");
+            }
+            if receiver.is_complete() {
+                break;
+            }
+        }
+        let recovered = receiver.recover().expect("a valid stream completes");
+        if garbage_taken {
+            prop_assert_eq!(recovered.len(), len);
+        } else {
+            prop_assert_eq!(recovered, data);
+        }
     }
 
     /// Every truncation of a valid datagram is rejected, and any bit flip

@@ -5,6 +5,7 @@
 use extreme_nc::p2p::{SwarmConfig, SwarmSim, Topology};
 use extreme_nc::prelude::*;
 use extreme_nc::rlnc::stream::{StreamDecoder, StreamEncoder};
+use extreme_nc::rlnc::{StreamCodecReceiver, StreamCodecSender};
 use extreme_nc::streaming::{CapacityPlan, Nic, StreamProfile};
 use rand::{Rng, SeedableRng};
 
@@ -16,13 +17,19 @@ fn lossy_stream_transfer_recovers_exactly() {
     let sender = StreamEncoder::new(config, &file).expect("non-empty");
     let mut receiver = StreamDecoder::new(config, sender.total_segments(), file.len());
 
+    // Segments round-robin, each from its first systematic frame on.
+    let mut seq = vec![0u64; sender.total_segments()];
     let mut guard = 0;
-    while !receiver.is_complete() {
-        let frame = sender.next_frame(&mut rng);
+    for segment in (0..sender.total_segments()).cycle() {
+        if receiver.is_complete() {
+            break;
+        }
+        let frame = sender.frame_wire(segment, seq[segment], &mut rng);
+        seq[segment] += 1;
         if rng.gen_bool(0.3) {
             continue; // 30% loss, no retransmission
         }
-        receiver.push(frame).expect("well-formed");
+        receiver.absorb(&frame).expect("well-formed");
         guard += 1;
         assert!(guard < 20 * sender.total_segments() * config.blocks(), "stalled");
     }
@@ -82,18 +89,24 @@ fn gpu_encoded_stream_is_decodable_frame_by_frame() {
             .collect();
         let (blocks, _) = gpu.encode_blocks(seg, &coeffs);
         for block in blocks {
-            let frame = extreme_nc::rlnc::stream::StreamFrame {
-                segment: idx as u32,
-                total_segments: segments.len() as u32,
-                block,
-            };
-            receiver.push(frame).expect("well-formed");
+            receiver.absorb(&frame(idx, segments.len(), &block)).expect("well-formed");
             if receiver.is_complete() {
                 break 'outer;
             }
         }
     }
     assert_eq!(receiver.recover().expect("complete"), file);
+}
+
+/// `block` as dense frame bytes: segment index and segment count (4 bytes
+/// little-endian each), then the coefficients and the payload.
+fn frame(segment: usize, total_segments: usize, block: &CodedBlock) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(segment as u32).to_le_bytes());
+    out.extend_from_slice(&(total_segments as u32).to_le_bytes());
+    out.extend_from_slice(block.coefficients());
+    out.extend_from_slice(block.payload());
+    out
 }
 
 #[test]
