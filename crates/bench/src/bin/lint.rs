@@ -20,10 +20,13 @@
 //!   edges added for the transport keep steady-state traffic
 //!   allocation-free.
 //! * **relaxed-invariant** — `Ordering::Relaxed` on an atomic named in a
-//!   checked invariant (`pending`, `outstanding`, `retained`, `cursor`,
-//!   `frames_sent`, `peer_received`). The nc-check models verify these
-//!   protocols under SC exploration; a Relaxed hole in the real code is
-//!   exactly the kind of divergence the models cannot see.
+//!   checked invariant (`pending`, `retained`, `stop`, `ready`,
+//!   `builds`). The nc-check models verify these protocols under SC
+//!   exploration; a Relaxed hole in the real code is exactly the kind of
+//!   divergence the models cannot see. **stale-invariant** fails when one
+//!   of those names is declared as an atomic (`name: …Atomic…` or
+//!   `let name = …Atomic…`) in no scanned file: the rule would guard
+//!   nothing.
 //! * **raw-udp-io** — `.send_to(` / `.recv_from(` outside the transport's
 //!   I/O seam (`crates/net/src/channel.rs` and `crates/net/src/sysio.rs`).
 //!   Datagram I/O must route through `BatchSocket`/`UdpChannel` so the
@@ -81,9 +84,10 @@ const DATAGRAM_PATH_FILES: [&str; 6] = [
 ];
 
 /// Atomic field names that appear in nc-check model invariants; `Relaxed`
-/// on any of them weakens a protocol the checker verifies under SC.
-const INVARIANT_ATOMICS: [&str; 6] =
-    ["pending", "outstanding", "retained", "cursor", "frames_sent", "peer_received"];
+/// on any of them weakens a protocol the checker verifies under SC. Each
+/// must be declared as an atomic somewhere in the scanned files
+/// (`stale-invariant`), so a rename cannot leave a name guarding nothing.
+const INVARIANT_ATOMICS: [&str; 5] = ["pending", "retained", "stop", "ready", "builds"];
 
 const RULES: [Rule; 5] = [
     Rule {
@@ -322,6 +326,43 @@ fn workspace_root() -> PathBuf {
     }
 }
 
+/// Whether a code line declares an atomic called `name`: a field or
+/// binding typed `name: …Atomic…`, or `let name = …Atomic…`.
+fn declares_atomic(code: &str, name: &str) -> bool {
+    code.match_indices(name).any(|(i, _)| {
+        if code[..i].ends_with(|c: char| c.is_alphanumeric() || c == '_') {
+            return false;
+        }
+        let rest = code[i + name.len()..].trim_start();
+        let ty = match (rest.strip_prefix(':'), rest.strip_prefix('=')) {
+            (Some(ty), _) if !ty.starts_with(':') => ty,
+            (_, Some(init)) if code[..i].trim_end().ends_with("let") => init,
+            _ => return false,
+        };
+        let head = ty.trim_start().split(['<', '(', ' ']).next();
+        head.is_some_and(|path| path.rsplit("::").any(|seg| seg.starts_with("Atomic")))
+    })
+}
+
+/// Every invariant name must still be declared as an atomic somewhere.
+fn audit_invariant_names(root: &Path, files: &[String], findings: &mut Vec<String>) {
+    let texts: Vec<String> = files
+        .iter()
+        .filter(|rel| !rel.ends_with("bin/lint.rs"))
+        .filter_map(|rel| std::fs::read_to_string(root.join(rel)).ok())
+        .collect();
+    for name in INVARIANT_ATOMICS {
+        let declared =
+            texts.iter().flat_map(|t| t.lines()).any(|l| declares_atomic(code_part(l), name));
+        if !declared {
+            findings.push(format!(
+                "crates/bench/src/bin/lint.rs: [stale-invariant] INVARIANT_ATOMICS names \
+                 `{name}`, but no scanned file declares an atomic of that name"
+            ));
+        }
+    }
+}
+
 /// Runs every rule over the tree; returns the number of source files
 /// looked at and the unwaived findings.
 fn lint_tree(root: &Path) -> (usize, Vec<String>) {
@@ -334,6 +375,7 @@ fn lint_tree(root: &Path) -> (usize, Vec<String>) {
         }
         lint_file(root, rel, &mut findings);
     }
+    audit_invariant_names(root, &files, &mut findings);
     audit_workflows(root, &mut findings);
     (files.len(), findings)
 }
@@ -392,11 +434,39 @@ mod tests {
     fn relaxed_rule_needs_an_invariant_receiver() {
         let m = RULES[3].matches;
         assert!(m("self.pending.load(Ordering::Relaxed)"));
-        assert!(m("state.outstanding.fetch_add(1, Ordering::Relaxed);"));
+        assert!(m("state.retained.fetch_add(1, Ordering::Relaxed);"));
         assert!(!m("total.fetch_add(1, Ordering::Relaxed);"));
         // Suffix of another identifier is not the invariant atomic.
         assert!(!m("suspending.load(Ordering::Relaxed)"));
         assert!(!m("self.pending.load(Ordering::Acquire)"));
+    }
+
+    #[test]
+    fn atomic_declarations_are_recognised_by_name() {
+        assert!(declares_atomic("    stop: AtomicBool,", "stop"));
+        assert!(declares_atomic("    ready: nc_check::sync::atomic::AtomicBool,", "ready"));
+        assert!(declares_atomic("pending: AtomicUsize::new(0) })", "pending"));
+        assert!(declares_atomic("let builds = AtomicUsize::new(0);", "builds"));
+        assert!(!declares_atomic("    frames_sent: u64,", "frames_sent"));
+        assert!(!declares_atomic("    nonstop: AtomicBool,", "stop"));
+        assert!(!declares_atomic("use stop::AtomicBool;", "stop"));
+        assert!(!declares_atomic("let ready = is_ready(AtomicBool::new(true));", "ready"));
+    }
+
+    #[test]
+    fn an_invariant_name_declared_nowhere_is_reported() {
+        let dir = std::env::temp_dir().join(format!("nc-lint-stale-{}", std::process::id()));
+        let rel = "crates/x/src/a.rs".to_string();
+        std::fs::create_dir_all(dir.join(&rel).parent().unwrap()).unwrap();
+        let decls: String =
+            INVARIANT_ATOMICS[1..].iter().map(|n| format!("    {n}: AtomicU64,\n")).collect();
+        std::fs::write(dir.join(&rel), format!("struct S {{\n{decls}}}\n")).unwrap();
+        let mut findings = Vec::new();
+        audit_invariant_names(&dir, std::slice::from_ref(&rel), &mut findings);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].contains("[stale-invariant]"));
+        assert!(findings[0].contains(&format!("`{}`", INVARIANT_ATOMICS[0])));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

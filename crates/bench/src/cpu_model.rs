@@ -19,11 +19,6 @@
 //! single-segment decode plateau ~57 MB/s (Fig. 4(b) label), multi-segment
 //! plateau ~1.3× that (Sec. 5.2's quoted gain).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod price;
-
 use serde::{Deserialize, Serialize};
 
 /// The modeled machine.
@@ -107,7 +102,7 @@ impl CpuModel {
     /// Table-based (log/exp) encoding bandwidth — the CPU *loses* from the
     /// GPU's favorite scheme (Sec. 5.1.3: "its bandwidth drops up to 43%
     /// from the loop-based SIMD accelerated solution").
-    pub fn encode_rate_table(&self, n: usize, k: usize) -> f64 {
+    pub(crate) fn encode_rate_table(&self, n: usize, k: usize) -> f64 {
         self.encode_rate(n, k, EncodeStrategy::FullBlock) * self.table_penalty
     }
 
@@ -129,11 +124,10 @@ impl CpuModel {
     pub fn decode_rate_multi(&self, n: usize, k: usize, segments: usize) -> f64 {
         let nf = n as f64;
         let row_bytes = nf + k as f64;
-        let concurrent = segments.min(self.cores) as f64;
         let compute = k as f64 * self.clock_hz * self.cores as f64
             / (nf * row_bytes)
             / self.cycles_per_byte_decode_ms;
-        let working_set = concurrent * nf * row_bytes;
+        let working_set = self.multi_segment_working_set(n, k, segments);
         if working_set <= self.l2_bytes as f64 {
             compute
         } else {
@@ -144,9 +138,8 @@ impl CpuModel {
         }
     }
 
-    /// The aggregate working set of a multi-segment decode, in bytes
-    /// (exposed so experiments can report the collapse thresholds).
-    pub fn multi_segment_working_set(&self, n: usize, k: usize, segments: usize) -> f64 {
+    /// The aggregate working set of a multi-segment decode, in bytes.
+    fn multi_segment_working_set(&self, n: usize, k: usize, segments: usize) -> f64 {
         segments.min(self.cores) as f64 * n as f64 * (n as f64 + k as f64)
     }
 }
@@ -157,14 +150,10 @@ impl Default for CpuModel {
     }
 }
 
-/// Convenience: bytes/second → the paper's MB/s.
-pub fn to_mb(rate: f64) -> f64 {
-    rate / (1024.0 * 1024.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grids::to_mb;
 
     fn model() -> CpuModel {
         CpuModel::mac_pro_8core()

@@ -15,11 +15,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod grids;
+pub mod cpu_model;
+mod grids;
 pub mod report;
 pub mod runners;
-pub mod series;
+mod series;
 pub mod telemetry;
-
-pub use grids::{block_sizes, BLOCK_COUNTS};
-pub use series::{format_table, Series};

@@ -5,16 +5,16 @@
 //! golden-file test that checks every modeled one byte for byte.
 
 use nc_cpu::{measure, Partitioning};
-use nc_cpu_model::{CpuModel, EncodeStrategy};
 use nc_gf256::simd;
 use nc_gpu::api::EncodeScheme;
 use nc_gpu::decode_single::DecodeOptions;
 use nc_gpu::{Fidelity, GpuEncoder, GpuMultiDecoder, GpuProgressiveDecoder, TableVariant};
 use nc_gpu_sim::DeviceSpec;
+use nc_net::streaming::{CapacityPlan, Nic, StreamProfile};
 use nc_rlnc::{CodingConfig, Encoder, Segment};
-use nc_streaming::{CapacityPlan, Nic, StreamProfile};
 use rand::{Rng, SeedableRng};
 
+use crate::cpu_model::{CpuModel, EncodeStrategy};
 use crate::grids::{block_sizes, to_mb, BLOCK_COUNTS, BLOCK_COUNTS_FIG8};
 use crate::runners::{
     circshift_rotate_add_rate, cpu_decode_multi_series, cpu_decode_single_series,
@@ -24,7 +24,7 @@ use crate::runners::{
 use crate::series::format_table;
 
 /// Generates the complete text of one figure.
-pub type Generator = fn() -> String;
+type Generator = fn() -> String;
 
 /// Every figure the driver prints, in `nc-bench all` order: the name it is
 /// run by and the generator of its text. `<name>_sanitize` is what
@@ -51,7 +51,7 @@ pub const FIGURES: &[(&str, Generator)] = &[
 pub const HOST_MEASURED: &[&str] = &["host_simd"];
 
 /// Fig. 4(a): loop-based encoding, GTX 280 vs 8800 GT.
-pub fn fig4a() -> String {
+fn fig4a() -> String {
     let ks = block_sizes();
     let mut series = Vec::new();
     for &n in &BLOCK_COUNTS {
@@ -79,7 +79,7 @@ pub fn fig4a() -> String {
 }
 
 /// Fig. 4(b): single-segment decoding, GTX 280 vs Mac Pro.
-pub fn fig4b() -> String {
+fn fig4b() -> String {
     let ks = block_sizes();
     let mut series = Vec::new();
     for &n in &BLOCK_COUNTS {
@@ -104,7 +104,7 @@ pub fn fig4b() -> String {
 }
 
 /// Fig. 6: Table-based-1 vs loop-based on GTX 280.
-pub fn fig6() -> String {
+fn fig6() -> String {
     let ks = block_sizes();
     let mut series = Vec::new();
     for &n in &BLOCK_COUNTS {
@@ -145,7 +145,7 @@ pub fn fig6() -> String {
 }
 
 /// Fig. 7 paper values for comparison.
-pub const FIG7_PAPER: [(&str, f64); 7] = [
+const FIG7_PAPER: [(&str, f64); 7] = [
     ("Loop-based", 133.0),
     ("Table-based-0", 16.0),
     ("Table-based-1", 172.0),
@@ -156,7 +156,7 @@ pub const FIG7_PAPER: [(&str, f64); 7] = [
 ];
 
 /// Fig. 7: the optimization ladder at n = 128, k = 4 KB.
-pub fn fig7() -> String {
+fn fig7() -> String {
     let ladder = fig7_ladder(128, 4096);
     let mut out = String::from("## Fig. 7: encoding schemes at n=128, k=4 KB, GTX 280 (MB/s)\n");
     out.push_str(&format!(
@@ -180,7 +180,7 @@ pub fn fig7() -> String {
 }
 
 /// Fig. 8: Table-based-5 across n up to 1024.
-pub fn fig8() -> String {
+fn fig8() -> String {
     let ks = block_sizes();
     let mut series = Vec::new();
     for &n in &BLOCK_COUNTS_FIG8 {
@@ -205,7 +205,7 @@ pub fn fig8() -> String {
 }
 
 /// Fig. 9: multi-segment decoding.
-pub fn fig9() -> String {
+fn fig9() -> String {
     let ks = block_sizes();
     let mut series = Vec::new();
     let mut share_series = Vec::new();
@@ -243,7 +243,7 @@ pub fn fig9() -> String {
 }
 
 /// Fig. 10: CPU full-block vs partitioned-block encoding.
-pub fn fig10() -> String {
+fn fig10() -> String {
     let ks = block_sizes();
     let mut series = Vec::new();
     for &n in &BLOCK_COUNTS {
@@ -275,7 +275,7 @@ pub fn fig10() -> String {
 /// the kernel ladder this machine has, and the Fig. 10 full-vs-partitioned
 /// sweep repeated on live hardware on the active rung — the measured
 /// companion to the modeled Mac Pro curves.
-pub fn host_simd() -> String {
+fn host_simd() -> String {
     let mut out =
         String::from("## Host SIMD (host-measured): GF(2^8) region arithmetic on this machine\n\n");
     let rungs = simd::Kernel::available();
@@ -376,7 +376,7 @@ pub fn host_simd() -> String {
 }
 
 /// The in-text numbers of Secs. 4.3, 4.4, 5.1.3, 5.4.
-pub fn misc() -> String {
+fn misc() -> String {
     let mut out = String::from("## In-text measurements\n\n");
 
     // Sec. 4.3: instruction and memory rates of loop-based encoding.
@@ -498,7 +498,7 @@ pub fn misc() -> String {
 }
 
 /// The design-choice ablations of DESIGN.md §5.
-pub fn ablation() -> String {
+fn ablation() -> String {
     use nc_gpu::ablation;
     let mut out = String::from("## Ablations of the paper's design choices\n\n");
 
@@ -548,7 +548,7 @@ pub fn ablation() -> String {
 /// sanitizer's own findings. The ladder's whole story — TB0's uncoalesced
 /// global tables, TB1–TB4's shared-memory bank conflicts, TB5's replica
 /// trick shedding them — shows up as lint deltas.
-pub fn fig7_sanitize() -> String {
+fn fig7_sanitize() -> String {
     use nc_gpu::encode_loop::{LoopEncodeKernel, SourceLayout};
     use nc_gpu::encode_table::TB5_REPLICAS;
     use nc_gpu_sim::{Gpu, LaunchStats, SanitizerConfig, Severity};
@@ -639,7 +639,7 @@ pub fn fig7_sanitize() -> String {
 /// Ablation `--sanitize`: the Tb5 replica ladder's conflict evidence and a
 /// full progressive-decode session for every `DecodeOptions` combination,
 /// all under the sanitizer.
-pub fn ablation_sanitize() -> String {
+fn ablation_sanitize() -> String {
     use nc_gpu_sim::{SanitizerConfig, Severity};
 
     let mut out = String::from("## Ablations under the kernel sanitizer\n\n");
@@ -765,7 +765,7 @@ fn sanitized_table_encode(
 }
 
 /// The Sec. 5.1.1 streaming-capacity table.
-pub fn streaming_capacity() -> String {
+fn streaming_capacity() -> String {
     let profile = StreamProfile::high_quality_video();
     let config = CodingConfig::new(128, 4096).expect("valid");
     let mut out = String::from("## Sec. 5.1.1 / 6: streaming-server capacity\n\n");
@@ -804,7 +804,7 @@ pub fn streaming_capacity() -> String {
 
 /// Calibration probe: the simulator's value at every anchor point the cost
 /// model was fitted to (DESIGN.md §7), next to the paper's number.
-pub fn calibrate() -> String {
+fn calibrate() -> String {
     let mut out = String::from("anchor                                paper     model\n");
     out.push_str("----------------------------------------------------\n");
 

@@ -4,7 +4,6 @@
 //! binary, and exercised by smoke tests at reduced grids.
 
 use nc_cpu::{measure, Partitioning};
-use nc_cpu_model::{CpuModel, EncodeStrategy};
 use nc_gf256::region;
 use nc_gf256::simd::Rung;
 use nc_gpu::api::EncodeScheme;
@@ -14,11 +13,12 @@ use nc_gpu_sim::DeviceSpec;
 use nc_rlnc::CodingConfig;
 use rand::{Rng, SeedableRng};
 
+use crate::cpu_model::{CpuModel, EncodeStrategy};
 use crate::grids::to_mb;
 use crate::series::Series;
 
 /// Sweeps GPU encoding bandwidth over block sizes for one scheme.
-pub fn gpu_encode_series(
+pub(crate) fn gpu_encode_series(
     spec: DeviceSpec,
     scheme: EncodeScheme,
     n: usize,
@@ -48,7 +48,7 @@ pub fn workload_blocks(n: usize, k: usize) -> usize {
 }
 
 /// Sweeps single-segment GPU decoding bandwidth over block sizes.
-pub fn gpu_decode_single_series(
+pub(crate) fn gpu_decode_single_series(
     spec: DeviceSpec,
     n: usize,
     ks: &[usize],
@@ -85,7 +85,7 @@ pub fn gpu_decode_single_rate(spec: DeviceSpec, n: usize, k: usize, options: Dec
 
 /// Sweeps multi-segment GPU decoding over block sizes; returns the rate
 /// series and the stage-1 share series (the Fig. 9 annotations).
-pub fn gpu_decode_multi_series(
+pub(crate) fn gpu_decode_multi_series(
     spec: DeviceSpec,
     n: usize,
     segments: usize,
@@ -106,7 +106,7 @@ pub fn gpu_decode_multi_series(
 }
 
 /// Sweeps the modeled Mac Pro encode bandwidth.
-pub fn cpu_encode_series(
+pub(crate) fn cpu_encode_series(
     n: usize,
     ks: &[usize],
     strategy: EncodeStrategy,
@@ -121,7 +121,7 @@ pub fn cpu_encode_series(
 }
 
 /// Sweeps the modeled Mac Pro single-segment decode bandwidth.
-pub fn cpu_decode_single_series(n: usize, ks: &[usize], label: impl Into<String>) -> Series {
+pub(crate) fn cpu_decode_single_series(n: usize, ks: &[usize], label: impl Into<String>) -> Series {
     let model = CpuModel::mac_pro_8core();
     let mut series = Series::new(label);
     for &k in ks {
@@ -131,7 +131,7 @@ pub fn cpu_decode_single_series(n: usize, ks: &[usize], label: impl Into<String>
 }
 
 /// Sweeps the modeled Mac Pro multi-segment decode bandwidth (8 segments).
-pub fn cpu_decode_multi_series(n: usize, ks: &[usize], label: impl Into<String>) -> Series {
+pub(crate) fn cpu_decode_multi_series(n: usize, ks: &[usize], label: impl Into<String>) -> Series {
     let model = CpuModel::mac_pro_8core();
     let mut series = Series::new(label);
     for &k in ks {
@@ -144,7 +144,7 @@ pub fn cpu_decode_multi_series(n: usize, ks: &[usize], label: impl Into<String>)
 /// kernel ladder on *this* host at region length `k` — the primitive every
 /// encode/decode inner loop reduces to, timed directly (the Criterion
 /// benches give the statistically careful version of the same numbers).
-pub fn gf_axpy_rate(rung: Rung, k: usize) -> f64 {
+pub(crate) fn gf_axpy_rate(rung: Rung, k: usize) -> f64 {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x51D0 + k as u64);
     let src: Vec<u8> = (0..k).map(|_| rng.gen()).collect();
     let mut dst: Vec<u8> = (0..k).map(|_| rng.gen()).collect();
@@ -168,7 +168,7 @@ pub fn gf_axpy_rate(rung: Rung, k: usize) -> f64 {
 /// hot-path primitive — `rotate_add`, the rotate-and-wrapping-add that
 /// replaces the GF axpy entirely (Shum & Hou) — at the lifted region
 /// length for block size `k`.
-pub fn circshift_rotate_add_rate(k: usize) -> f64 {
+pub(crate) fn circshift_rotate_add_rate(k: usize) -> f64 {
     let config = CodingConfig::new(4, k).expect("valid shape");
     let ell = nc_rlnc::circshift::lifted_len(config).expect("k fits the point field");
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x51D2 + k as u64);
@@ -193,7 +193,7 @@ pub fn circshift_rotate_add_rate(k: usize) -> f64 {
 /// Sweeps measured host encode bandwidth (MB/s) over block sizes for one
 /// partitioning scheme, on the active GF rung — the live-hardware
 /// companion to [`cpu_encode_series`]'s modeled Mac Pro.
-pub fn host_encode_series(
+pub(crate) fn host_encode_series(
     n: usize,
     ks: &[usize],
     threads: usize,
@@ -218,7 +218,7 @@ pub fn gpu_encode_rate(spec: DeviceSpec, scheme: EncodeScheme, n: usize, k: usiz
 }
 
 /// The Fig. 7 ladder at one configuration: `(label, MB/s)` per scheme.
-pub fn fig7_ladder(n: usize, k: usize) -> Vec<(String, f64)> {
+pub(crate) fn fig7_ladder(n: usize, k: usize) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     out.push((
         "Loop-based".to_string(),

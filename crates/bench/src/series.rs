@@ -6,38 +6,38 @@ use serde::{Deserialize, Serialize};
 /// One plotted series: a label and `(x, y)` points (x = block size in
 /// bytes, y = bandwidth in MB/s unless a binary says otherwise).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Series {
+pub(crate) struct Series {
     /// Legend label, matching the paper's (e.g. `"GTX280 (n=128)"`).
-    pub label: String,
+    pub(crate) label: String,
     /// The data points.
-    pub points: Vec<(usize, f64)>,
+    pub(crate) points: Vec<(usize, f64)>,
 }
 
 impl Series {
     /// Creates an empty series.
-    pub fn new(label: impl Into<String>) -> Series {
+    pub(crate) fn new(label: impl Into<String>) -> Series {
         Series { label: label.into(), points: Vec::new() }
     }
 
     /// Appends a point.
-    pub fn push(&mut self, x: usize, y: f64) {
+    pub(crate) fn push(&mut self, x: usize, y: f64) {
         self.points.push((x, y));
     }
 
     /// The y value at a given x, if present.
-    pub fn at(&self, x: usize) -> Option<f64> {
+    pub(crate) fn at(&self, x: usize) -> Option<f64> {
         self.points.iter().find(|(px, _)| *px == x).map(|(_, y)| *y)
     }
 
     /// The maximum y value (the "plateau" of a bandwidth curve).
-    pub fn peak(&self) -> f64 {
+    pub(crate) fn peak(&self) -> f64 {
         self.points.iter().map(|(_, y)| *y).fold(f64::NAN, f64::max)
     }
 }
 
 /// Formats aligned rows: block sizes down the side, one column per series —
 /// the shape of the paper's plots, printed as a table.
-pub fn format_table(title: &str, xlabel: &str, series: &[Series]) -> String {
+pub(crate) fn format_table(title: &str, xlabel: &str, series: &[Series]) -> String {
     let mut xs: Vec<usize> = series.iter().flat_map(|s| s.points.iter().map(|p| p.0)).collect();
     xs.sort_unstable();
     xs.dedup();

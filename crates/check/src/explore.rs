@@ -138,18 +138,6 @@ impl Check {
         self
     }
 
-    /// Sets the per-execution step cap.
-    pub fn max_steps(mut self, n: usize) -> Check {
-        self.max_steps = n;
-        self
-    }
-
-    /// Sets the execution budget.
-    pub fn max_executions(mut self, n: usize) -> Check {
-        self.max_executions = n;
-        self
-    }
-
     /// Explores `model` under every admissible schedule. `Ok(report)` if
     /// all executions pass, `Err(failure)` with a replayable trace on the
     /// first failing interleaving.

@@ -271,24 +271,6 @@ mod checked {
                         )
                     }
 
-                    /// Atomic compare-exchange (one model step).
-                    pub fn compare_exchange(
-                        &self,
-                        current: $prim,
-                        new: $prim,
-                        _success: Ordering,
-                        _failure: Ordering,
-                    ) -> Result<$prim, $prim> {
-                        self.route(
-                            OpKind::Rmw,
-                            concat!(stringify!($name), "::compare_exchange"),
-                            |a| {
-                                a.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-                            },
-                            |_, a| a.load(Ordering::SeqCst) as u64,
-                        )
-                    }
-
                     /// Atomic read-modify-write closure, modeled as one
                     /// indivisible step (matches the uncontended-retry
                     /// semantics the hot paths rely on).

@@ -33,12 +33,6 @@ impl CodedBlock {
         &self.payload
     }
 
-    /// Whether every coefficient is zero (such a block carries no
-    /// information and is discarded by decoders).
-    pub fn is_zero(&self) -> bool {
-        self.coefficients.iter().all(|&c| c == 0)
-    }
-
     /// Validates the block against a configuration.
     ///
     /// # Errors
@@ -62,7 +56,7 @@ impl CodedBlock {
     }
 
     /// Deconstructs into `(coefficients, payload)`.
-    pub fn into_parts(self) -> (Vec<u8>, Vec<u8>) {
+    pub(crate) fn into_parts(self) -> (Vec<u8>, Vec<u8>) {
         (self.coefficients, self.payload)
     }
 }
@@ -86,11 +80,5 @@ mod tests {
         ));
         let bad_payload = CodedBlock::new(vec![0; 4], vec![0; 7]);
         assert!(matches!(bad_payload.check(cfg()), Err(Error::SizeMismatch { .. })));
-    }
-
-    #[test]
-    fn zero_detection() {
-        assert!(CodedBlock::new(vec![0; 4], vec![1; 6]).is_zero());
-        assert!(!CodedBlock::new(vec![0, 0, 1, 0], vec![0; 6]).is_zero());
     }
 }

@@ -257,7 +257,7 @@ fn lift_block(block: &[u8], ell: usize) -> Vec<u8> {
 
 /// The sending half: per-segment lifted source blocks, encoded on demand
 /// with one rotate-add per block.
-pub struct CircShiftSender {
+pub(crate) struct CircShiftSender {
     config: CodingConfig,
     ell: usize,
     original_len: usize,
@@ -272,18 +272,13 @@ impl CircShiftSender {
     ///
     /// [`Error::InvalidConfig`] if the lifted length overflows the wire
     /// point field.
-    pub fn new(config: CodingConfig, data: &[u8]) -> Result<CircShiftSender, Error> {
+    pub(crate) fn new(config: CodingConfig, data: &[u8]) -> Result<CircShiftSender, Error> {
         let ell = lifted_len(config)?;
         let segments = segment_stream(config, data)
             .iter()
             .map(|seg| seg.iter_blocks().map(|b| lift_block(b, ell)).collect())
             .collect();
         Ok(CircShiftSender { config, ell, original_len: data.len(), segments })
-    }
-
-    /// The ring dimension `L` this stream codes in.
-    pub fn lifted_len(&self) -> usize {
-        self.ell
     }
 
     /// Encodes the packet for evaluation `point` of `segment` over
@@ -342,7 +337,7 @@ enum SegmentState {
 
 /// The receiving half: deduplicates points per segment and runs the
 /// Björck–Pereyra solve at the `n`-th distinct one.
-pub struct CircShiftReceiver {
+pub(crate) struct CircShiftReceiver {
     config: CodingConfig,
     ell: usize,
     original_len: usize,
@@ -358,7 +353,7 @@ impl CircShiftReceiver {
     ///
     /// [`Error::InvalidConfig`] if the lifted length overflows the wire
     /// point field.
-    pub fn new(
+    pub(crate) fn new(
         config: CodingConfig,
         total_segments: usize,
         original_len: usize,

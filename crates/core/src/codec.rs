@@ -70,15 +70,6 @@ impl CodecId {
             _ => None,
         }
     }
-
-    /// Stable human-readable name (reports, telemetry).
-    pub fn name(self) -> &'static str {
-        match self {
-            CodecId::DenseRlnc => "dense-rlnc",
-            CodecId::Fft16 => "fft16",
-            CodecId::CircShift => "circshift",
-        }
-    }
 }
 
 /// What one absorbed frame did to a [`StreamCodecReceiver`].

@@ -31,14 +31,8 @@ impl CoefficientRng {
         CoefficientRng { density }
     }
 
-    /// The configured non-zero density.
-    #[inline]
-    pub fn density(&self) -> f64 {
-        self.density
-    }
-
     /// Fills `out` with one coefficient vector draw.
-    pub fn fill(&self, rng: &mut impl Rng, out: &mut [u8]) {
+    pub(crate) fn fill(&self, rng: &mut impl Rng, out: &mut [u8]) {
         if self.density >= 1.0 {
             for c in out.iter_mut() {
                 *c = rng.gen_range(1..=255);

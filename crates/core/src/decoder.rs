@@ -187,12 +187,6 @@ impl Decoder {
         }
     }
 
-    /// The decoder's coding configuration.
-    #[inline]
-    pub fn config(&self) -> CodingConfig {
-        self.config
-    }
-
     /// Current rank: number of linearly independent blocks absorbed.
     #[inline]
     pub fn rank(&self) -> usize {

@@ -43,14 +43,9 @@ impl Encoder {
         Encoder { segment, coeff_rng: CoefficientRng::dense() }
     }
 
-    /// Creates an encoder with a custom coefficient distribution.
-    pub fn with_coefficients(segment: Segment, coeff_rng: CoefficientRng) -> Encoder {
-        Encoder { segment, coeff_rng }
-    }
-
     /// The coding configuration of the underlying segment.
     #[inline]
-    pub fn config(&self) -> CodingConfig {
+    pub(crate) fn config(&self) -> CodingConfig {
         self.segment.config()
     }
 
@@ -260,7 +255,7 @@ mod tests {
         let segment = Segment::from_bytes(config, data).unwrap();
         for encoder in [
             Encoder::new(segment.clone()),
-            Encoder::with_coefficients(segment.clone(), CoefficientRng::sparse(0.3)),
+            Encoder { segment: segment.clone(), coeff_rng: CoefficientRng::sparse(0.3) },
         ] {
             let mut rng_a = rand::rngs::StdRng::seed_from_u64(17);
             let mut rng_b = rand::rngs::StdRng::seed_from_u64(17);

@@ -55,23 +55,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
+mod block;
 pub mod circshift;
 pub mod codec;
-pub mod coeff;
-pub mod decoder;
-pub mod encoder;
-pub mod error;
-pub mod matrix;
+mod coeff;
+mod decoder;
+mod encoder;
+mod error;
+mod matrix;
 mod metrics;
-pub mod recoder;
+mod recoder;
 pub mod segment;
-pub mod stats;
+mod stats;
 pub mod stream;
-pub mod two_stage;
+mod two_stage;
 
 pub use block::CodedBlock;
-pub use circshift::{CircShiftCodec, CircShiftReceiver, CircShiftSender};
+pub use circshift::CircShiftCodec;
 pub use codec::{CodecId, ErasureCodec, StreamCodecReceiver, StreamCodecSender};
 pub use coeff::CoefficientRng;
 pub use decoder::Decoder;

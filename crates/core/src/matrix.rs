@@ -23,40 +23,9 @@ impl GfMatrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> GfMatrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> GfMatrix {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         GfMatrix { rows, cols, data: vec![0; rows * cols] }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> GfMatrix {
-        let mut m = GfMatrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1;
-        }
-        m
-    }
-
-    /// Builds a matrix from row slices.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::DimensionMismatch`] if `rows` is empty or rows have uneven
-    /// lengths.
-    pub fn from_rows(rows: &[&[u8]]) -> Result<GfMatrix, Error> {
-        let Some(first) = rows.first() else {
-            return Err(Error::DimensionMismatch { op: "from_rows (empty)" });
-        };
-        let cols = first.len();
-        if cols == 0 || rows.iter().any(|r| r.len() != cols) {
-            return Err(Error::DimensionMismatch { op: "from_rows (ragged)" });
-        }
-        // lint: allow(vec-capacity) — dense matrix assembly for rank analysis, not a coding hot path.
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            data.extend_from_slice(r);
-        }
-        Ok(GfMatrix { rows: rows.len(), cols, data })
     }
 
     /// Builds a matrix from a flat row-major buffer.
@@ -81,38 +50,15 @@ impl GfMatrix {
         m
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element at `(r, c)`.
     ///
     /// # Panics
     ///
     /// Panics when out of range.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> u8 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> u8 {
         assert!(r < self.rows && c < self.cols, "index out of range");
         self.data[r * self.cols + c]
-    }
-
-    /// Sets element `(r, c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of range.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: u8) {
-        assert!(r < self.rows && c < self.cols, "index out of range");
-        self.data[r * self.cols + c] = v;
     }
 
     /// Row `r` as a slice.
@@ -123,7 +69,7 @@ impl GfMatrix {
 
     /// Row `r` as a mutable slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [u8] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [u8] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -155,7 +101,7 @@ impl GfMatrix {
 
     /// Transforms the matrix in place to reduced row-echelon form via
     /// Gauss-Jordan elimination and returns its rank.
-    pub fn gauss_jordan(&mut self) -> usize {
+    pub(crate) fn gauss_jordan(&mut self) -> usize {
         let mut pivot_row = 0usize;
         for col in 0..self.cols {
             if pivot_row == self.rows {
@@ -291,15 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_multiplication() {
-        let mut r = rng();
-        let a = GfMatrix::random_dense(8, &mut r);
-        let i = GfMatrix::identity(8);
-        assert_eq!(a.mul(&i).unwrap(), a);
-        assert_eq!(i.mul(&a).unwrap(), a);
-    }
-
-    #[test]
     fn inverse_times_original_is_identity() {
         let mut r = rng();
         for n in [1usize, 2, 3, 8, 32] {
@@ -320,8 +257,8 @@ mod tests {
     #[test]
     fn singular_matrix_is_rejected() {
         let mut a = GfMatrix::zeros(3, 3);
-        a.set(0, 0, 5);
-        a.set(1, 0, 7); // rows 1 and 2 dependent on row 0 / zero
+        a.data[0] = 5;
+        a.data[3] = 7; // rows 1 and 2 dependent on row 0 / zero
         assert_eq!(a.invert().unwrap_err(), Error::SingularMatrix);
         assert!(a.rank() < 3);
     }
@@ -334,7 +271,7 @@ mod tests {
         let mut r3 = [0u8; 4];
         region::mul_add_assign(&mut r3, &r1, 2);
         region::mul_add_assign(&mut r3, &r2, 1);
-        let m = GfMatrix::from_rows(&[&r1, &r2, &r3]).unwrap();
+        let m = GfMatrix { rows: 3, cols: 4, data: [r1, r2, r3].concat() };
         assert_eq!(m.rank(), 2);
     }
 
@@ -378,14 +315,6 @@ mod tests {
                 assert_eq!(aug.row(row)[col], if col == row { 1 } else { 0 });
             }
         }
-    }
-
-    #[test]
-    fn from_rows_validates() {
-        assert!(GfMatrix::from_rows(&[]).is_err());
-        let r1 = [1u8, 2];
-        let r2 = [3u8];
-        assert!(GfMatrix::from_rows(&[&r1, &r2]).is_err());
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl Recoder {
         Recoder { config, buffer: Vec::new() }
     }
 
-    /// The recoder's coding configuration.
-    #[inline]
-    pub fn config(&self) -> CodingConfig {
-        self.config
-    }
-
     /// Number of buffered blocks.
     #[inline]
     pub fn len(&self) -> usize {
@@ -99,11 +93,6 @@ impl Recoder {
         region::dot_assign(&mut coeffs, &coeff_rows, &weights);
         region::dot_assign(&mut payload, &payload_rows, &weights);
         Some(CodedBlock::new(coeffs, payload))
-    }
-
-    /// The buffered blocks.
-    pub fn blocks(&self) -> &[CodedBlock] {
-        &self.buffer
     }
 }
 

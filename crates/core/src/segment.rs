@@ -58,13 +58,6 @@ impl CodingConfig {
     pub fn coded_block_bytes(&self) -> usize {
         self.blocks + self.block_size
     }
-
-    /// The coding overhead ratio `n / k` the paper cites when discussing how
-    /// coefficient processing shrinks relative to payload as `k` grows.
-    #[inline]
-    pub fn coefficient_overhead(&self) -> f64 {
-        self.blocks as f64 / self.block_size as f64
-    }
 }
 
 /// One segment of source data: exactly `n · k` bytes, viewed as `n` source
@@ -81,7 +74,7 @@ impl Segment {
     /// # Errors
     ///
     /// Returns [`Error::SizeMismatch`] on a length mismatch — use
-    /// [`Segment::from_bytes_padded`] for arbitrary-length input.
+    /// `Segment::from_bytes_padded` for arbitrary-length input.
     pub fn from_bytes(config: CodingConfig, data: impl Into<Bytes>) -> Result<Segment, Error> {
         let data = data.into();
         if data.len() != config.segment_bytes() {
@@ -99,7 +92,7 @@ impl Segment {
     ///
     /// Returns [`Error::SizeMismatch`] if `data` is *longer* than one
     /// segment.
-    pub fn from_bytes_padded(config: CodingConfig, data: &[u8]) -> Result<Segment, Error> {
+    pub(crate) fn from_bytes_padded(config: CodingConfig, data: &[u8]) -> Result<Segment, Error> {
         if data.len() > config.segment_bytes() {
             return Err(Error::SizeMismatch {
                 expected: config.segment_bytes(),
@@ -131,7 +124,7 @@ impl Segment {
     ///
     /// Panics if `i >= n`.
     #[inline]
-    pub fn block(&self, i: usize) -> &[u8] {
+    pub(crate) fn block(&self, i: usize) -> &[u8] {
         let k = self.config.block_size;
         &self.data[i * k..(i + 1) * k]
     }
@@ -172,7 +165,6 @@ mod tests {
         let c = CodingConfig::new(128, 4096).unwrap();
         assert_eq!(c.segment_bytes(), 512 * 1024);
         assert_eq!(c.coded_block_bytes(), 128 + 4096);
-        assert!((c.coefficient_overhead() - 0.03125).abs() < 1e-12);
     }
 
     #[test]

@@ -81,19 +81,9 @@ impl StreamEncoder {
         Ok(StreamEncoder { config, encoders, original_len: data.len() })
     }
 
-    /// The stream's coding configuration.
-    pub fn config(&self) -> CodingConfig {
-        self.config
-    }
-
     /// Number of segments in the stream.
     pub fn total_segments(&self) -> usize {
         self.encoders.len()
-    }
-
-    /// Original (unpadded) byte length.
-    pub fn original_len(&self) -> usize {
-        self.original_len
     }
 }
 
@@ -263,13 +253,6 @@ impl StreamDecoder {
             scratch: Vec::new(),
         }
     }
-
-    /// Overall progress as `(innovative blocks, needed blocks)`.
-    pub fn progress(&self) -> (usize, usize) {
-        let have = self.segments.iter().map(|s| s.elimination.rank()).sum();
-        let need = self.segments.len() * self.config.blocks();
-        (have, need)
-    }
 }
 
 impl StreamCodecReceiver for StreamDecoder {
@@ -404,6 +387,12 @@ mod tests {
         out
     }
 
+    /// Overall progress as `(innovative blocks, needed blocks)`.
+    fn progress(dec: &StreamDecoder) -> (usize, usize) {
+        let have = dec.segments.iter().map(|s| s.elimination.rank()).sum();
+        (have, dec.segments.len() * dec.config.blocks())
+    }
+
     #[test]
     fn stream_roundtrip_with_padding() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -452,7 +441,7 @@ mod tests {
         for actual in [0, 5, expected - 1, expected + 1] {
             assert_eq!(dec.absorb(&vec![0; actual]), Err(Error::SizeMismatch { expected, actual }));
         }
-        assert_eq!(dec.progress(), (0, 4));
+        assert_eq!(progress(&dec), (0, 4));
     }
 
     #[test]
@@ -464,7 +453,7 @@ mod tests {
         frame[0..4].copy_from_slice(&99u32.to_le_bytes());
         let mut dec = StreamDecoder::new(config(), 1, data.len());
         assert!(matches!(dec.absorb(&frame), Err(Error::DimensionMismatch { .. })));
-        assert_eq!(dec.progress(), (0, 4));
+        assert_eq!(progress(&dec), (0, 4));
     }
 
     #[test]
@@ -479,7 +468,7 @@ mod tests {
                 break;
             }
             dec.absorb(&enc.frame_wire(segment, CODED, &mut rng)).unwrap();
-            let (have, need) = dec.progress();
+            let (have, need) = progress(&dec);
             assert!(have >= last && have <= need);
             last = have;
         }
@@ -619,7 +608,7 @@ mod tests {
         let unit = CodedBlock::new(vec![1, 0, 0, 0], vec![7; 16]);
         let absorbed = dec.absorb(&frame_bytes(1, 2, &unit)).unwrap();
         assert_eq!(absorbed, Absorbed { segment: 1, innovative: true, segment_complete: false });
-        assert_eq!(dec.progress(), (1, 8));
+        assert_eq!(progress(&dec), (1, 8));
         assert!(dec.recover().is_none());
         assert!(Box::new(dec).into_recovered().is_none());
     }

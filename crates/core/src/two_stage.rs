@@ -66,15 +66,9 @@ impl TwoStageDecoder {
         }
     }
 
-    /// The decoder's coding configuration.
-    #[inline]
-    pub fn config(&self) -> CodingConfig {
-        self.config
-    }
-
     /// Number of innovative blocks buffered so far.
     #[inline]
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.elimination.rank()
     }
 

@@ -32,17 +32,6 @@ impl ParallelSegmentDecoder {
         ParallelSegmentDecoder { config, threads }
     }
 
-    /// The coding configuration.
-    pub fn config(&self) -> CodingConfig {
-        self.config
-    }
-
-    /// Most threads one call runs on.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Decodes every segment; `segments[i]` supplies the coded blocks of
     /// segment `i` (at least `n` innovative ones).
     ///

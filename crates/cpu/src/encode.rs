@@ -53,16 +53,6 @@ impl ParallelEncoder {
         ParallelEncoder { segment, threads, partitioning }
     }
 
-    /// The partitioning strategy in use.
-    pub fn partitioning(&self) -> Partitioning {
-        self.partitioning
-    }
-
-    /// The source segment.
-    pub fn segment(&self) -> &Segment {
-        &self.segment
-    }
-
     /// Encodes one coded block per coefficient row, in parallel: one
     /// scoped thread per balanced chunk of rows
     /// ([`Partitioning::FullBlock`]) or per 8-byte-aligned slice of the

@@ -6,12 +6,12 @@
 //! the two partitioning strategies of Sec. 5.3, and the 8-way parallel
 //! multi-segment decoding of Sec. 5.2.
 //!
-//! * [`encode`] — [`encode::ParallelEncoder`] with
+//! * `encode` — [`ParallelEncoder`] with
 //!   [`encode::Partitioning::PartitionedBlock`] (each coded block's bytes
 //!   split across all threads, minimizing single-block latency) and
 //!   [`encode::Partitioning::FullBlock`] (each thread encodes whole blocks,
 //!   the streaming-server batch mode that wins at small block sizes).
-//! * [`decode`] — [`decode::ParallelSegmentDecoder`], one segment per
+//! * `decode` — [`ParallelSegmentDecoder`], one segment per
 //!   thread (the Sec. 5.2 multi-segment scheme).
 //!
 //! Both coders run each call as one `std::thread::scope` wave of at most
@@ -23,8 +23,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod decode;
-pub mod encode;
+mod decode;
+mod encode;
 pub mod measure;
 mod metrics;
 mod wave;

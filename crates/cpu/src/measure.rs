@@ -2,7 +2,7 @@
 //!
 //! Unlike the simulated GPU numbers, everything here is **real time on the
 //! host machine** — the figure binaries report these columns as "host CPU"
-//! next to the modeled Mac Pro baselines from `nc-cpu-model`.
+//! next to the modeled Mac Pro baselines of `nc_bench::cpu_model`.
 
 use std::time::Instant;
 

@@ -45,7 +45,7 @@
 //!   few columns across all children is closed under those layers, and
 //!   all of them run on it while it is cache resident.
 //!
-//! `block` is an argument (a power of two ≥ 2; [`block_shards`] is what
+//! `block` is an argument (a power of two ≥ 2; `block_shards` is what
 //! production passes) so tests can force every split; `block >= size`
 //! *is* the plain layer-at-a-time transform, and every block size
 //! computes the same bytes. At 8192 × 1 KiB the 13 layers cost two
@@ -77,7 +77,7 @@ const RADIX_LAYERS: usize = 3;
 /// The block size production transforms use for `shard_bytes`-byte
 /// shards: the largest power of two (at least 2) whose shards fit
 /// `RESIDENT_BYTES`.
-pub fn block_shards(shard_bytes: usize) -> usize {
+pub(crate) fn block_shards(shard_bytes: usize) -> usize {
     let fit = (RESIDENT_BYTES / shard_bytes.max(1)).max(2);
     1 << fit.ilog2()
 }
@@ -118,7 +118,7 @@ impl Arena {
     }
 
     /// Hands the buffer back to `pool`.
-    pub fn recycle(self, pool: &BytesPool) {
+    pub(crate) fn recycle(self, pool: &BytesPool) {
         pool.recycle(self.bytes);
     }
 
@@ -133,7 +133,7 @@ impl Arena {
     }
 
     /// Drops every shard, keeping the buffer.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bytes.truncate(self.start);
     }
 
@@ -148,7 +148,7 @@ impl Arena {
     }
 
     /// Appends all-zero shards until the arena holds `count`.
-    pub fn pad_zeroed(&mut self, count: usize) {
+    pub(crate) fn pad_zeroed(&mut self, count: usize) {
         if count > self.len() {
             self.bytes.resize(self.start + count * self.shard_bytes, 0);
         }
@@ -165,7 +165,7 @@ impl Arena {
     }
 
     /// Shard `i`, mutably.
-    pub fn shard_mut(&mut self, i: usize) -> &mut [u8] {
+    pub(crate) fn shard_mut(&mut self, i: usize) -> &mut [u8] {
         &mut self.bytes[self.start + i * self.shard_bytes..][..self.shard_bytes]
     }
 
@@ -174,7 +174,7 @@ impl Arena {
     /// # Panics
     ///
     /// Panics if the arenas differ in size.
-    pub fn xor_assign(&mut self, other: &Arena) {
+    pub(crate) fn xor_assign(&mut self, other: &Arena) {
         simd::xor_assign(&mut self.bytes[self.start..], other.as_bytes());
     }
 

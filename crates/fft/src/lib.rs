@@ -40,7 +40,7 @@
 pub mod afft;
 pub mod cell;
 pub mod engine;
-pub mod metrics;
+mod metrics;
 pub mod simd;
 pub mod stream;
 pub mod tables;

@@ -123,7 +123,7 @@ impl Gf16Kernel {
     }
 
     /// Stable numeric id for the `fft.kernel_id` telemetry gauge.
-    pub fn id(self) -> u8 {
+    pub(crate) fn id(self) -> u8 {
         match self {
             Gf16Kernel::Portable => 0,
             Gf16Kernel::Ssse3 => 1,
@@ -425,7 +425,7 @@ impl Multiplier {
     /// # Panics
     ///
     /// Panics if the slices differ in length or the length is odd.
-    pub fn mul_into(&self, dst: &mut [u8], src: &[u8]) {
+    pub(crate) fn mul_into(&self, dst: &mut [u8], src: &[u8]) {
         check_regions(dst.len(), src.len(), dst.len());
         if dst.is_empty() {
             return;
@@ -516,18 +516,6 @@ fn check_regions(x_len: usize, y_len: usize, shard_bytes: usize) {
 #[inline]
 pub fn mul_add_assign(t: &Tables, dst: &mut [u8], src: &[u8], log_m: u16) {
     mul_add_assign_with_kernel(active_kernel(), t, dst, src, log_m);
-}
-
-/// `dst = m · dst` in place on the active kernel.
-#[inline]
-pub fn mul_assign(t: &Tables, dst: &mut [u8], log_m: u16) {
-    mul_assign_with_kernel(active_kernel(), t, dst, log_m);
-}
-
-/// `dst = m · src` (overwriting) on the active kernel.
-#[inline]
-pub fn mul_into(t: &Tables, dst: &mut [u8], src: &[u8], log_m: u16) {
-    mul_into_with_kernel(active_kernel(), t, dst, src, log_m);
 }
 
 /// `dst ^= src` at the active kernel's vector width (plane structure is

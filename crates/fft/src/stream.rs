@@ -32,7 +32,7 @@ use rand::RngCore;
 use std::sync::Arc;
 
 /// Frame header bytes: segment + shard index.
-pub const FRAME_HEADER_BYTES: usize = 8;
+pub(crate) const FRAME_HEADER_BYTES: usize = 8;
 
 /// Validates a coding config for GF(2^16) shard coding.
 fn validate(config: CodingConfig) -> Result<(), Error> {

@@ -21,7 +21,7 @@
 //!   degenerates the butterfly to a pure XOR),
 //! * `log_walsh` is the Walsh-Hadamard transform (mod [`MODULUS`]) of the
 //!   log table — the decoder builds its error-locator polynomial with two
-//!   [`fwht`] passes against it instead of an O(n²) product.
+//!   `fwht` passes against it instead of an O(n²) product.
 //!
 //! Tables cost ~512 KiB and are built once per process behind a
 //! [`crate::cell::TableCell`] (model-checked concurrent init);
@@ -32,7 +32,7 @@ use crate::simd::MultiplierForm;
 use nc_check::sync::Arc;
 
 /// Field bit width.
-pub const BITS: usize = 16;
+pub(crate) const BITS: usize = 16;
 /// Number of field elements.
 pub const ORDER: usize = 1 << BITS;
 /// Multiplicative group order; also the `log[0]` / "zero multiplier"
@@ -74,7 +74,7 @@ impl std::fmt::Debug for Tables {
 
 /// `a + b mod MODULUS` for log-domain values in `[0, MODULUS]`.
 #[inline]
-pub fn add_mod(a: u16, b: u16) -> u16 {
+pub(crate) fn add_mod(a: u16, b: u16) -> u16 {
     let sum = u32::from(a) + u32::from(b);
     // Values are < 2^16, so the sum fits 17 bits; folding the carry adds
     // the "+1" that turns mod-2^16 wraparound into mod-(2^16 - 1).
@@ -83,7 +83,7 @@ pub fn add_mod(a: u16, b: u16) -> u16 {
 
 /// `a - b mod MODULUS` for log-domain values in `[0, MODULUS]`.
 #[inline]
-pub fn sub_mod(a: u16, b: u16) -> u16 {
+pub(crate) fn sub_mod(a: u16, b: u16) -> u16 {
     let dif = u32::from(a).wrapping_sub(u32::from(b));
     // A borrow makes the high half all-ones; folding it subtracts the 1
     // that maps mod-2^16 back onto mod-(2^16 - 1).
@@ -253,7 +253,7 @@ fn mul_log_tables(log: &[u16], exp: &[u16], x: u16, log_m: u16) -> u16 {
 /// evaluation-point domain; its first `n` outputs (`n` a power of two)
 /// equal the length-`n` transform of the input folded modulo `n`, which
 /// is how the decoder avoids the layers it would not read.
-pub fn fwht(data: &mut [u16], truncated: usize) {
+pub(crate) fn fwht(data: &mut [u16], truncated: usize) {
     let len = data.len();
     debug_assert!(len.is_power_of_two());
     let mut live = truncated.clamp(1, len);

@@ -80,9 +80,6 @@ impl Gf8 {
     pub const ZERO: Gf8 = Gf8(0);
     /// The multiplicative identity.
     pub const ONE: Gf8 = Gf8(1);
-    /// The field's generator, 0x03, whose powers enumerate all 255 non-zero
-    /// elements.
-    pub const GENERATOR: Gf8 = Gf8(3);
 
     /// Returns the multiplicative inverse, or `None` for [`Gf8::ZERO`].
     ///
@@ -110,12 +107,6 @@ impl Gf8 {
     #[inline]
     pub fn pow(self, e: u32) -> Gf8 {
         Gf8(scalar::pow(self.0, e))
-    }
-
-    /// Whether the element is the additive identity.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -317,7 +308,7 @@ mod lib_tests {
         for _ in 0..255 {
             assert!(!seen[x.0 as usize], "generator order < 255");
             seen[x.0 as usize] = true;
-            x *= Gf8::GENERATOR;
+            x *= Gf8(3);
         }
         assert_eq!(x, Gf8::ONE);
     }

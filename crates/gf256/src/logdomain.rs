@@ -83,21 +83,6 @@ pub fn mul_rlog(rlog_x: u16, rlog_y: u16) -> u8 {
     REXP[(rlog_x + rlog_y) as usize]
 }
 
-/// Transforms a whole region into the log domain in place (the segment
-/// preprocessing step of Sec. 5.1.1).
-pub fn region_to_log(data: &mut [u8]) {
-    for b in data.iter_mut() {
-        *b = to_log(*b);
-    }
-}
-
-/// Inverse of [`region_to_log`].
-pub fn region_from_log(data: &mut [u8]) {
-    for b in data.iter_mut() {
-        *b = from_log(*b);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,16 +103,6 @@ mod tests {
         for x in 0..=255u8 {
             assert_eq!(from_log(to_log(x)), x);
         }
-    }
-
-    #[test]
-    fn region_transform_roundtrip() {
-        let mut data: Vec<u8> = (0..=255).collect();
-        let original = data.clone();
-        region_to_log(&mut data);
-        assert_ne!(data, original);
-        region_from_log(&mut data);
-        assert_eq!(data, original);
     }
 
     #[test]

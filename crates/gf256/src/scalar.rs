@@ -54,17 +54,6 @@ pub fn mul_loop(x: u8, y: u8) -> u8 {
     acc
 }
 
-/// Counts the loop iterations [`mul_loop`] executes for the operand pair.
-///
-/// The paper's instruction-rate estimate assumes an average of ~7 iterations
-/// per multiplication on random benchmarks; the GPU cost model charges the
-/// measured count. The iteration count depends only on the position of the
-/// highest set bit of `x`.
-#[inline]
-pub fn loop_iterations(x: u8) -> u32 {
-    8 - x.leading_zeros()
-}
-
 /// Multiplication through the full 64 KiB product table. The fastest scalar
 /// path on CPUs when the table row is cache-resident; used as ground truth
 /// in tests.
@@ -97,7 +86,7 @@ pub fn inv(x: u8) -> u8 {
 }
 
 /// Exponentiation by squaring; `pow(x, 0) == 1` for all `x`.
-pub fn pow(x: u8, mut e: u32) -> u8 {
+pub(crate) fn pow(x: u8, mut e: u32) -> u8 {
     let mut base = x;
     let mut acc = 1u8;
     while e > 0 {
@@ -151,8 +140,16 @@ mod tests {
         assert_eq!(pow(123, 0), 1);
     }
 
+    /// The loop iterations [`mul_loop`] executes for `x`: the position of
+    /// its highest set bit.
+    fn loop_iterations(x: u8) -> u32 {
+        8 - x.leading_zeros()
+    }
+
     #[test]
     fn loop_iteration_counts() {
+        // The paper's instruction-rate estimate assumes ~7 iterations per
+        // multiplication on random operands.
         assert_eq!(loop_iterations(0), 0);
         assert_eq!(loop_iterations(1), 1);
         assert_eq!(loop_iterations(0x80), 8);

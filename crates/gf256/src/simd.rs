@@ -73,7 +73,7 @@ mod simd_gfni;
 ///
 /// Every variant exists on every architecture so cross-platform tools
 /// (benches, the equivalence suite) compile everywhere; whether this host
-/// can run one is [`Kernel::is_available`], and running one takes a
+/// can run one is `Kernel::is_available`, and running one takes a
 /// [`Rung`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -142,7 +142,7 @@ impl Kernel {
     }
 
     /// Whether this host can execute the kernel right now.
-    pub fn is_available(self) -> bool {
+    pub(crate) fn is_available(self) -> bool {
         match self {
             Kernel::Portable | Kernel::LogExp | Kernel::LoopWide | Kernel::Nibble => true,
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -178,7 +178,7 @@ impl Kernel {
 /// A [`Kernel`] this host was verified to run — the value the explicit
 /// `region::*_on` family takes.
 ///
-/// Only [`Rung::new`] makes one, and only after [`Kernel::is_available`]
+/// Only `Rung::new` makes one, and only after `Kernel::is_available`
 /// said yes, so holding a `Rung` *is* the proof the vector bodies need: no
 /// region call re-tests the CPU.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -2,7 +2,7 @@
 //!
 //! The Galois Field New Instructions compute this crate's field *exactly*:
 //! `GF2P8MULB` multiplies packed bytes modulo x^8 + x^4 + x^3 + x + 1 —
-//! the Rijndael polynomial [`crate::tables::POLY`] (0x11B). The
+//! the Rijndael polynomial 0x11B. The
 //! multiply-by-a-constant map `x ↦ c·x` is GF(2)-linear, so it is also an
 //! 8×8 bit-matrix executed with `GF2P8AFFINEQB` ([`affine_matrix`] builds
 //! the matrix per Günther et al., *GF Arithmetics for LNC using AVX512*):

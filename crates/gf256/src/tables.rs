@@ -9,23 +9,21 @@
 //! * The classic double-length [`EXP`] / [`LOG`] pair used by the paper's
 //!   baseline `baseline_gf_multiply` (Fig. 1). `EXP` is 512 entries long so
 //!   `EXP[log(x) + log(y)]` never needs a modulo reduction.
-//! * The **remapped** [`RLOG`] / [`REXP`] pair of the paper's Table-based-3
+//! * The **remapped** `RLOG` / `REXP` pair of the paper's Table-based-3
 //!   optimization: zero maps to sentinel `0x00` instead of `0xFF`, letting a
 //!   GPU test the "operand is zero" predicate for free during a register
 //!   load. Every non-zero logarithm is shifted up by one, and `REXP`
 //!   compensates.
-//! * The full 64 KiB multiplication table [`MUL`] and inverse table [`INV`]
+//! * The full 64 KiB multiplication table `MUL` and inverse table `INV`
 //!   used by CPU fast paths and by tests as ground truth.
 
-/// The field polynomial x^8 + x^4 + x^3 + x + 1 in its 9-bit form.
-pub const POLY: u16 = 0x11B;
-
-/// The reduced low byte of [`POLY`], XOR-ed in when a shift overflows.
-pub const POLY_LOW: u8 = 0x1B;
+/// The reduced low byte of the field polynomial x^8 + x^4 + x^3 + x + 1
+/// (0x11B in its 9-bit form), XOR-ed in when a shift overflows.
+pub(crate) const POLY_LOW: u8 = 0x1B;
 
 /// Multiply by x (i.e. by 0x02) in the field: the `xtime` primitive.
 #[inline]
-pub const fn xtime(a: u8) -> u8 {
+pub(crate) const fn xtime(a: u8) -> u8 {
     let shifted = (a as u16) << 1;
     if shifted & 0x100 != 0 {
         (shifted as u8) ^ POLY_LOW
@@ -36,7 +34,7 @@ pub const fn xtime(a: u8) -> u8 {
 
 /// Loop-based multiplication, usable in `const` contexts. This is the ground
 /// truth from which every table below is derived.
-pub const fn const_mul(a: u8, b: u8) -> u8 {
+pub(crate) const fn const_mul(a: u8, b: u8) -> u8 {
     let mut acc = 0u8;
     let mut x = a;
     let mut y = b;
@@ -90,7 +88,7 @@ pub const LOG: [u8; 256] = build_log(&EXP);
 /// The sentinel the paper's Fig. 5 uses for "log of zero" when operands are
 /// carried in the log domain: `0xFF`, which can never be a real logarithm
 /// (logs range over 0..=254).
-pub const LOG_ZERO: u8 = 0xFF;
+pub(crate) const LOG_ZERO: u8 = 0xFF;
 
 const fn build_rlog() -> [u16; 256] {
     // Remapped log (Table-based-3): rlog(0) = 0, rlog(x) = log(x) + 1.
@@ -108,7 +106,7 @@ const fn build_rlog() -> [u16; 256] {
 /// Remapped logarithm table of the Table-based-3 optimization: zero maps to
 /// `0x00`; non-zero `x` maps to `LOG[x] + 1`. Entries are `u16` because the
 /// shifted logs reach 255 and their pairwise sums index [`REXP`].
-pub const RLOG: [u16; 256] = build_rlog();
+pub(crate) const RLOG: [u16; 256] = build_rlog();
 
 const fn build_rexp() -> [u8; 513] {
     // REXP[rlog(x) + rlog(y)] == x * y for non-zero x, y.
@@ -124,7 +122,7 @@ const fn build_rexp() -> [u8; 513] {
     rexp
 }
 
-/// Adjusted exponential table that compensates for the +1 shift in [`RLOG`]:
+/// Adjusted exponential table that compensates for the +1 shift in `RLOG`:
 /// `REXP[RLOG[x] + RLOG[y]] == x·y`, and index 0/1 (a zero operand) yields 0.
 pub const REXP: [u8; 513] = build_rexp();
 
@@ -146,7 +144,7 @@ const fn build_inv() -> [u8; 256] {
 }
 
 /// Multiplicative inverses: `INV[x] * x == 1` for non-zero `x`; `INV[0] == 0`.
-pub const INV: [u8; 256] = build_inv();
+pub(crate) const INV: [u8; 256] = build_inv();
 
 const fn build_mul() -> [[u8; 256]; 256] {
     let mut mul = [[0u8; 256]; 256];
@@ -164,7 +162,7 @@ const fn build_mul() -> [[u8; 256]; 256] {
 
 /// The full 64 KiB product table: `MUL[a][b] == a·b`. CPU region operations
 /// index a single 256-byte row per coefficient, which stays resident in L1.
-pub static MUL: [[u8; 256]; 256] = build_mul();
+pub(crate) static MUL: [[u8; 256]; 256] = build_mul();
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,7 @@ const LO64: u64 = 0xFEFE_FEFE_FEFE_FEFE;
 /// Doubles (multiplies by x) each byte lane of a 32-bit word, with Rijndael
 /// reduction per lane.
 #[inline]
-pub fn xtime_word32(w: u32) -> u32 {
+pub(crate) fn xtime_word32(w: u32) -> u32 {
     let hi = w & HI32;
     // (hi >> 7) holds 0x00/0x01 per lane; multiplying by 0x1B spreads the
     // reduction constant into exactly the overflowing lanes (0x1B < 0x100,
@@ -34,7 +34,7 @@ pub fn xtime_word32(w: u32) -> u32 {
 
 /// Doubles each byte lane of a 64-bit word.
 #[inline]
-pub fn xtime_word64(w: u64) -> u64 {
+pub(crate) fn xtime_word64(w: u64) -> u64 {
     let hi = w & HI64;
     ((w << 1) & LO64) ^ ((hi >> 7).wrapping_mul(0x1B))
 }
@@ -112,7 +112,7 @@ pub fn loop_mul_cost(c: u8) -> (u32, u32) {
 /// masked lane shift (~3), loop bookkeeping (~1). The value is calibrated so
 /// loop-based encoding at (n=128, k=4 KB) on the GTX 280 model lands at the
 /// paper's 133 MB/s; see DESIGN.md §7.
-pub const INSTRS_PER_LOOP_ITERATION: u32 = 11;
+pub(crate) const INSTRS_PER_LOOP_ITERATION: u32 = 11;
 
 #[cfg(test)]
 mod tests {

@@ -30,7 +30,6 @@ use crate::texture::TexCache;
 /// value slices differ in length, or an address is out of device memory.
 pub struct BlockCtx<'a> {
     block_idx: usize,
-    grid_blocks: usize,
     block_threads: usize,
     spec: &'a DeviceSpec,
     gmem: &'a mut GlobalMemory,
@@ -41,10 +40,8 @@ pub struct BlockCtx<'a> {
 }
 
 impl<'a> BlockCtx<'a> {
-    #[allow(clippy::too_many_arguments)] // launch plumbing, one call site
     pub(crate) fn new(
         block_idx: usize,
-        grid_blocks: usize,
         block_threads: usize,
         shared_bytes: usize,
         spec: &'a DeviceSpec,
@@ -54,7 +51,6 @@ impl<'a> BlockCtx<'a> {
     ) -> BlockCtx<'a> {
         let mut ctx = BlockCtx {
             block_idx,
-            grid_blocks,
             block_threads,
             spec,
             gmem,
@@ -88,12 +84,6 @@ impl<'a> BlockCtx<'a> {
     #[inline]
     pub fn block_idx(&self) -> usize {
         self.block_idx
-    }
-
-    /// Total blocks in the launch grid.
-    #[inline]
-    pub fn grid_blocks(&self) -> usize {
-        self.grid_blocks
     }
 
     /// Threads in this block.
@@ -194,20 +184,6 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    /// Warp store of single global bytes.
-    pub fn st_global_u8(&mut self, addrs: &[u64], vals: &[u8]) {
-        self.check_warp(addrs.len(), vals.len());
-        let hw = self.half_warp();
-        let tx = GlobalMemory::charge(&mut self.counters, addrs, 1, hw);
-        self.counters.warp_instructions += 1;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.global_access(addrs, 1, true, tx, self.spec.warp_size);
-        }
-        for (&a, &v) in addrs.iter().zip(vals) {
-            self.gmem.write_u8(a, v);
-        }
-    }
-
     /// Whole-warp read of one 4-byte global word — the *memory broadcast*
     /// the paper's Fig. 2 partitioning exploits for coefficient loads. One
     /// transaction regardless of warp width.
@@ -266,20 +242,6 @@ impl<'a> BlockCtx<'a> {
         }
         for (o, &a) in out.iter_mut().zip(addrs) {
             *o = self.shared.read_u8(a as u32);
-        }
-    }
-
-    /// Warp store of shared-memory bytes.
-    pub fn st_shared_u8(&mut self, addrs: &[u64], vals: &[u8]) {
-        self.check_warp(addrs.len(), vals.len());
-        let hw = self.half_warp();
-        let extra = self.shared.charge(&mut self.counters, addrs, hw);
-        self.counters.warp_instructions += 1;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.shared_access(addrs, 1, true, extra, self.spec.warp_size);
-        }
-        for (&a, &v) in addrs.iter().zip(vals) {
-            self.shared.write_u8(a as u32, v);
         }
     }
 

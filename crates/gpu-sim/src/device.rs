@@ -117,16 +117,9 @@ impl DeviceSpec {
         }
     }
 
-    /// Peak scalar-instruction issue rate across the device, in
-    /// warp-instructions per second per SM × lanes: `sm_count × cores_per_sm
-    /// × clock` scalar operations per second.
-    pub fn peak_scalar_ops_per_s(&self) -> f64 {
-        self.sm_count as f64 * self.cores_per_sm as f64 * self.core_clock_hz
-    }
-
     /// Cycles one warp instruction occupies an SM's issue pipeline:
     /// `warp_size / cores_per_sm` (4 on Tesla).
-    pub fn cycles_per_warp_instruction(&self) -> u64 {
+    pub(crate) fn cycles_per_warp_instruction(&self) -> u64 {
         (self.warp_size / self.cores_per_sm) as u64
     }
 
@@ -166,33 +159,9 @@ impl DeviceBuilder {
         self
     }
 
-    /// Sets the SM count.
-    pub fn sm_count(mut self, n: usize) -> Self {
-        self.spec.sm_count = n;
-        self
-    }
-
-    /// Sets the shader clock in Hz.
-    pub fn core_clock_hz(mut self, hz: f64) -> Self {
-        self.spec.core_clock_hz = hz;
-        self
-    }
-
     /// Sets shared memory per SM in bytes.
     pub fn shared_mem_per_sm(mut self, bytes: usize) -> Self {
         self.spec.shared_mem_per_sm = bytes;
-        self
-    }
-
-    /// Sets device-memory bandwidth in bytes/second.
-    pub fn mem_bandwidth(mut self, bytes_per_s: f64) -> Self {
-        self.spec.mem_bandwidth = bytes_per_s;
-        self
-    }
-
-    /// Enables or disables shared-memory atomics.
-    pub fn shared_atomics(mut self, available: bool) -> Self {
-        self.spec.has_shared_atomics = available;
         self
     }
 
@@ -222,13 +191,18 @@ impl DeviceBuilder {
 mod tests {
     use super::*;
 
+    /// Peak scalar-instruction rate: `sm_count × cores_per_sm × clock`.
+    fn peak_scalar_ops_per_s(d: &DeviceSpec) -> f64 {
+        d.sm_count as f64 * d.cores_per_sm as f64 * d.core_clock_hz
+    }
+
     #[test]
     fn gtx280_matches_paper_headline_numbers() {
         let d = DeviceSpec::gtx280();
         assert_eq!(d.sm_count * d.cores_per_sm, 240);
         assert_eq!(d.cycles_per_warp_instruction(), 4);
         // ~350 G scalar ops/s
-        let peak = d.peak_scalar_ops_per_s();
+        let peak = peak_scalar_ops_per_s(&d);
         assert!(peak > 3.4e11 && peak < 3.6e11);
     }
 
@@ -236,27 +210,22 @@ mod tests {
     fn eight_eight_hundred_gt_is_weaker_everywhere_that_matters() {
         let old = DeviceSpec::geforce_8800gt();
         let new = DeviceSpec::gtx280();
-        assert!(old.peak_scalar_ops_per_s() < new.peak_scalar_ops_per_s() / 1.9);
+        assert!(peak_scalar_ops_per_s(&old) < peak_scalar_ops_per_s(&new) / 1.9);
         assert!(old.mem_bandwidth < new.mem_bandwidth / 2.0);
         assert!(!old.has_shared_atomics && new.has_shared_atomics);
     }
 
     #[test]
     fn builder_customizes() {
-        let d = DeviceSpec::gtx280()
-            .customize()
-            .name("custom")
-            .sm_count(10)
-            .shared_mem_per_sm(32 * 1024)
-            .build();
+        let d =
+            DeviceSpec::gtx280().customize().name("custom").shared_mem_per_sm(32 * 1024).build();
         assert_eq!(d.name, "custom");
-        assert_eq!(d.sm_count, 10);
         assert_eq!(d.shared_mem_usable(), 32 * 1024 - 64);
     }
 
     #[test]
     #[should_panic]
     fn builder_rejects_zero_sms() {
-        let _ = DeviceSpec::gtx280().customize().sm_count(0).build();
+        let _ = DeviceSpec { sm_count: 0, ..DeviceSpec::gtx280() }.customize().build();
     }
 }

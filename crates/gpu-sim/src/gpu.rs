@@ -100,23 +100,13 @@ impl Gpu {
         Gpu { mem: GlobalMemory::new(spec.device_mem_bytes), tex_caches, spec, sanitizer: None }
     }
 
-    /// Turns the kernel sanitizer on (see [`crate::sanitizer`]): subsequent
+    /// Turns the kernel sanitizer on (see `crate::sanitizer`): subsequent
     /// launches are instrumented and their findings accumulate in
     /// [`Gpu::sanitizer_report`]. Memory allocated before this call is
     /// conservatively treated as initialized, so enable the sanitizer
     /// before allocating to get full uninitialized-read coverage.
     pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
         self.sanitizer = Some(SanitizerState::new(config, &self.mem));
-    }
-
-    /// Turns the sanitizer off, returning the accumulated session report.
-    pub fn disable_sanitizer(&mut self) -> Option<SanitizerReport> {
-        self.sanitizer.take().map(|s| s.report().clone())
-    }
-
-    /// Whether the sanitizer is currently enabled.
-    pub fn sanitizer_enabled(&self) -> bool {
-        self.sanitizer.is_some()
     }
 
     /// The findings of every sanitized launch so far, if enabled.
@@ -301,7 +291,6 @@ impl Gpu {
             let sm = block_idx % self.spec.sm_count;
             let mut ctx = BlockCtx::new(
                 block_idx,
-                grid.blocks,
                 grid.threads_per_block,
                 grid.shared_bytes,
                 &self.spec,

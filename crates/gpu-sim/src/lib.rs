@@ -6,14 +6,14 @@
 //! against CPU references) while a cycle-level cost model derives execution
 //! time from the same mechanisms that shaped the paper's results:
 //!
-//! * half-warp **global-memory coalescing** ([`mem`]),
+//! * half-warp **global-memory coalescing** (`mem`),
 //! * 16-bank **shared memory** with conflicts measured from the kernels'
-//!   actual address streams ([`shared`]),
-//! * a **texture cache** with warp-level request merging ([`texture`]),
-//! * per-SM **occupancy** and memory-latency hiding ([`timing`]),
+//!   actual address streams (`shared`),
+//! * a **texture cache** with warp-level request merging (`texture`),
+//! * per-SM **occupancy** and memory-latency hiding (`timing`),
 //! * kernel-launch and PCIe-transfer overheads ([`Gpu`]),
 //! * an opt-in **kernel sanitizer** — memcheck, cross-warp racecheck, and
-//!   performance lints over the measured counters ([`sanitizer`]).
+//!   performance lints over the measured counters (`sanitizer`).
 //!
 //! Kernels implement [`Kernel`] and are written warp-vectorized against
 //! [`BlockCtx`] — one call issues an operation for all lanes of a warp, so
@@ -27,20 +27,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ctx;
-pub mod device;
-pub mod gpu;
-pub mod mem;
+mod ctx;
+mod device;
+mod gpu;
+mod mem;
 mod metrics;
-pub mod sanitizer;
-pub mod shared;
-pub mod stats;
-pub mod texture;
-pub mod timing;
+mod sanitizer;
+mod shared;
+mod stats;
+mod texture;
+mod timing;
 
 pub use ctx::BlockCtx;
 pub use device::{DeviceBuilder, DeviceSpec};
 pub use gpu::{Gpu, GridConfig, Kernel, TransferStats};
 pub use mem::DeviceBuffer;
 pub use sanitizer::{Diagnostic, DiagnosticKind, SanitizerConfig, SanitizerReport, Severity};
-pub use stats::{Bottleneck, ExecCounters, LaunchStats, PipelineStats};
+pub use stats::{ExecCounters, LaunchStats, PipelineStats};

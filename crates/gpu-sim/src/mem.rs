@@ -100,7 +100,7 @@ pub(crate) fn coalesce(addrs: &[u64], access_bytes: u64, half_warp: usize) -> (u
 
 /// The device's global memory plus a bump allocator.
 #[derive(Debug)]
-pub struct GlobalMemory {
+pub(crate) struct GlobalMemory {
     data: Vec<u8>,
     cursor: u64,
     /// `(offset, len)` of every live allocation, in allocation order (the
@@ -111,7 +111,7 @@ pub struct GlobalMemory {
 
 impl GlobalMemory {
     /// Creates `capacity` bytes of zeroed device memory.
-    pub fn new(capacity: usize) -> GlobalMemory {
+    pub(crate) fn new(capacity: usize) -> GlobalMemory {
         GlobalMemory { data: vec![0; capacity], cursor: 0, allocs: Vec::new() }
     }
 
@@ -122,7 +122,7 @@ impl GlobalMemory {
     /// # Panics
     ///
     /// Panics when device memory is exhausted.
-    pub fn alloc(&mut self, len: usize) -> DeviceBuffer {
+    pub(crate) fn alloc(&mut self, len: usize) -> DeviceBuffer {
         let aligned = self.cursor.next_multiple_of(256);
         assert!(
             aligned + len as u64 <= self.data.len() as u64,
@@ -136,7 +136,7 @@ impl GlobalMemory {
 
     /// Frees everything (a whole-device reset; the simulator does not track
     /// individual frees, mirroring the arena usage of the paper's server).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.cursor = 0;
         self.data.fill(0);
         self.allocs.clear();
@@ -147,30 +147,20 @@ impl GlobalMemory {
         &self.allocs
     }
 
-    /// Bytes currently allocated.
-    pub fn allocated(&self) -> usize {
-        self.cursor as usize
-    }
-
     /// Host-side view of a buffer (no transfer cost — use
     /// [`crate::Gpu::download`] for modeled transfers).
-    pub fn slice(&self, buf: DeviceBuffer) -> &[u8] {
+    pub(crate) fn slice(&self, buf: DeviceBuffer) -> &[u8] {
         &self.data[buf.offset as usize..(buf.offset + buf.len) as usize]
     }
 
     /// Host-side mutable view of a buffer.
-    pub fn slice_mut(&mut self, buf: DeviceBuffer) -> &mut [u8] {
+    pub(crate) fn slice_mut(&mut self, buf: DeviceBuffer) -> &mut [u8] {
         &mut self.data[buf.offset as usize..(buf.offset + buf.len) as usize]
     }
 
     #[inline]
     pub(crate) fn read_u8(&self, addr: u64) -> u8 {
         self.data[addr as usize]
-    }
-
-    #[inline]
-    pub(crate) fn write_u8(&mut self, addr: u64, v: u8) {
-        self.data[addr as usize] = v;
     }
 
     #[inline]
@@ -279,7 +269,7 @@ mod tests {
         let buf = mem.alloc(512);
         mem.slice_mut(buf)[0] = 7;
         mem.reset();
-        assert_eq!(mem.allocated(), 0);
+        assert_eq!(mem.cursor, 0);
         let buf2 = mem.alloc(512);
         assert_eq!(mem.slice(buf2)[0], 0);
     }

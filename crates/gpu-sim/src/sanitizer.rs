@@ -49,18 +49,18 @@ use crate::timing::WARPS_FOR_FULL_HIDING;
 /// which the uncoalesced-access lint fires. The coalesced floor is one
 /// transaction per half-warp (2 per op); data-dependent table lookups in
 /// global memory run an order of magnitude above it.
-pub const LINT_TX_PER_GMEM_OP: f64 = 4.0;
+pub(crate) const LINT_TX_PER_GMEM_OP: f64 = 4.0;
 
 /// Average extra serialization cycles per warp-level shared operation above
 /// which the bank-conflict lint fires. Conflict-free access adds zero; the
 /// paper's single shared exp table averages ~3 conflicts per 16 requests,
 /// which is well above this line, while the 8-replica layout drops back
 /// under it.
-pub const LINT_CONFLICT_CYCLES_PER_SMEM_OP: f64 = 4.0;
+pub(crate) const LINT_CONFLICT_CYCLES_PER_SMEM_OP: f64 = 4.0;
 
 /// Minimum average fraction of active lanes per memory operation before the
 /// divergence lint fires.
-pub const LINT_MIN_ACTIVE_LANE_FRACTION: f64 = 0.5;
+pub(crate) const LINT_MIN_ACTIVE_LANE_FRACTION: f64 = 0.5;
 
 /// Minimum operation count before the per-op average lints are considered
 /// meaningful (tiny launches produce noisy averages).
@@ -132,7 +132,7 @@ pub enum DiagnosticKind {
 
 impl DiagnosticKind {
     /// The severity this kind always carries.
-    pub fn severity(self) -> Severity {
+    pub(crate) fn severity(self) -> Severity {
         match self {
             DiagnosticKind::GlobalOutOfBounds
             | DiagnosticKind::UninitializedGlobalRead
@@ -163,7 +163,7 @@ impl DiagnosticKind {
 pub struct Diagnostic {
     /// What was found.
     pub kind: DiagnosticKind,
-    /// How bad it is (always [`DiagnosticKind::severity`]).
+    /// How bad it is (always `DiagnosticKind::severity`).
     pub severity: Severity,
     /// Label of the launch (kernel type name, or the label passed to
     /// [`crate::Gpu::launch_checked`]).
@@ -364,7 +364,7 @@ struct LaunchAccum {
 /// The sanitizer's full mutable state, owned by [`crate::Gpu`] while
 /// enabled and threaded into every [`crate::BlockCtx`] it creates.
 #[derive(Debug)]
-pub struct SanitizerState {
+pub(crate) struct SanitizerState {
     config: SanitizerConfig,
     shadow: GlobalShadow,
     report: SanitizerReport,
@@ -405,13 +405,8 @@ impl SanitizerState {
     }
 
     /// The session-wide report (all sanitized launches so far).
-    pub fn report(&self) -> &SanitizerReport {
+    pub(crate) fn report(&self) -> &SanitizerReport {
         &self.report
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SanitizerConfig {
-        &self.config
     }
 
     // ------------------------------------------------------------------

@@ -16,28 +16,18 @@ use crate::stats::ExecCounters;
 
 /// Shared memory of one thread block, plus its bank geometry.
 #[derive(Debug)]
-pub struct SharedMem {
+pub(crate) struct SharedMem {
     data: Vec<u8>,
     banks: usize,
 }
 
 /// Cycles one conflict-free half-warp shared access costs.
-pub const SMEM_CYCLES_PER_HALF_WARP: u64 = 2;
+pub(crate) const SMEM_CYCLES_PER_HALF_WARP: u64 = 2;
 
 impl SharedMem {
     /// Allocates `bytes` of zeroed shared memory with `banks` banks.
-    pub fn new(bytes: usize, banks: usize) -> SharedMem {
+    pub(crate) fn new(bytes: usize, banks: usize) -> SharedMem {
         SharedMem { data: vec![0; bytes], banks }
-    }
-
-    /// The capacity in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the block requested zero shared bytes.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Raw view (host-side initialization in tests).
@@ -47,28 +37,13 @@ impl SharedMem {
     /// the sanitizer's racecheck and uninitialized-read tracking (and to
     /// the cost model). Kernel code must use the instrumented operations;
     /// raw views are for test assertions only.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.data
-    }
-
-    /// Raw mutable view.
-    ///
-    /// The same caveat as [`SharedMem::as_slice`] applies, and writes made
-    /// here are not recorded as initializing shared memory, so a
-    /// sanitized kernel that later reads those bytes will report an
-    /// uninitialized-shared-read error.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.data
     }
 
     #[inline]
     pub(crate) fn read_u8(&self, addr: u32) -> u8 {
         self.data[addr as usize]
-    }
-
-    #[inline]
-    pub(crate) fn write_u8(&mut self, addr: u32, v: u8) {
-        self.data[addr as usize] = v;
     }
 
     #[inline]
@@ -198,7 +173,6 @@ mod tests {
         let mut s = smem();
         s.write_u32(64, 0xDEADBEEF);
         assert_eq!(s.read_u32(64), 0xDEADBEEF);
-        s.write_u8(3, 42);
-        assert_eq!(s.read_u8(3), 42);
+        assert_eq!(s.read_u8(64), 0xEF);
     }
 }

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// One `ExecCounters` exists per thread block during execution; the
 /// scheduler folds them into per-SM bins and the timing model converts the
-/// totals into cycles (see [`crate::timing`]).
+/// totals into cycles (see `crate::timing`).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecCounters {
     /// Warp instructions issued (ALU work, address math, branches).
@@ -35,7 +35,7 @@ pub struct ExecCounters {
 
 impl ExecCounters {
     /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &ExecCounters) {
+    pub(crate) fn merge(&mut self, other: &ExecCounters) {
         self.warp_instructions += other.warp_instructions;
         self.gmem_transactions += other.gmem_transactions;
         self.gmem_bytes += other.gmem_bytes;
@@ -93,90 +93,15 @@ pub struct LaunchStats {
     /// Memory-latency cycles the occupancy could not hide.
     pub exposed_latency_cycles: u64,
     /// This launch's sanitizer findings, when the sanitizer was enabled
-    /// (see [`crate::sanitizer`]); `None` for uninstrumented launches.
+    /// (see `crate::sanitizer`); `None` for uninstrumented launches.
     pub sanitizer: Option<crate::sanitizer::SanitizerReport>,
 }
 
 impl LaunchStats {
-    /// Effective throughput for `useful_bytes` of output produced by this
-    /// launch, in bytes/second.
-    pub fn throughput(&self, useful_bytes: usize) -> f64 {
-        useful_bytes as f64 / self.elapsed_s
-    }
-
     /// Whether the launch was compute-bound (as the paper's encoder is).
     pub fn is_compute_bound(&self) -> bool {
         self.compute_cycles >= self.memory_cycles
     }
-
-    /// Which of the three modeled resources bounded this launch.
-    pub fn bottleneck(&self) -> Bottleneck {
-        if self.exposed_latency_cycles >= self.compute_cycles
-            && self.exposed_latency_cycles >= self.memory_cycles
-        {
-            Bottleneck::Latency
-        } else if self.compute_cycles >= self.memory_cycles {
-            Bottleneck::Compute
-        } else {
-            Bottleneck::Bandwidth
-        }
-    }
-
-    /// A profiler-style multi-line summary of the launch — the simulator's
-    /// stand-in for a CUDA profiler report.
-    pub fn summary(&self) -> String {
-        let pct = |x: u64| {
-            if self.sm_cycles == 0 {
-                0.0
-            } else {
-                x as f64 / self.sm_cycles as f64 * 100.0
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&format!(
-            "grid {} x {} threads | {} resident block(s)/SM ({} warps) | {:.3} ms | bound by {:?}
-",
-            self.grid_blocks,
-            self.block_threads,
-            self.resident_blocks_per_sm,
-            self.resident_warps_per_sm,
-            self.elapsed_s * 1e3,
-            self.bottleneck(),
-        ));
-        out.push_str(&format!(
-            "  issue+smem+sync {:>12} cyc ({:>5.1}%)   dram-bw {:>12} cyc ({:>5.1}%)   exposed-latency {:>12} cyc ({:>5.1}%)
-",
-            self.compute_cycles,
-            pct(self.compute_cycles),
-            self.memory_cycles,
-            pct(self.memory_cycles),
-            self.exposed_latency_cycles,
-            pct(self.exposed_latency_cycles),
-        ));
-        out.push_str(&format!(
-            "  {} warp instructions | {} gmem transactions ({} B) | {} smem conflict cyc | tex {}/{} hit/miss | {} syncs
-",
-            self.counters.warp_instructions,
-            self.counters.gmem_transactions,
-            self.counters.gmem_bytes,
-            self.counters.smem_conflict_cycles,
-            self.counters.tex_hits,
-            self.counters.tex_misses,
-            self.counters.syncs,
-        ));
-        out
-    }
-}
-
-/// The binding resource of a launch (see [`LaunchStats::bottleneck`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Bottleneck {
-    /// Instruction issue, shared-memory serialization and barriers.
-    Compute,
-    /// DRAM bandwidth.
-    Bandwidth,
-    /// Exposed DRAM latency (occupancy too low to hide it).
-    Latency,
 }
 
 /// Accumulates the stats of several launches (plus host↔device transfers)
@@ -227,47 +152,6 @@ mod tests {
         assert_eq!(a.warp_instructions, 12);
         assert_eq!(a.gmem_bytes, 64);
         assert_eq!(a.syncs, 2);
-    }
-
-    #[test]
-    fn throughput_uses_elapsed_time() {
-        let stats = LaunchStats { elapsed_s: 0.5, ..Default::default() };
-        assert_eq!(stats.throughput(1_000_000), 2_000_000.0);
-    }
-
-    #[test]
-    fn bottleneck_classification() {
-        let mut stats = LaunchStats {
-            compute_cycles: 100,
-            memory_cycles: 10,
-            exposed_latency_cycles: 5,
-            sm_cycles: 100,
-            ..Default::default()
-        };
-        assert_eq!(stats.bottleneck(), Bottleneck::Compute);
-        stats.memory_cycles = 200;
-        assert_eq!(stats.bottleneck(), Bottleneck::Bandwidth);
-        stats.exposed_latency_cycles = 500;
-        assert_eq!(stats.bottleneck(), Bottleneck::Latency);
-    }
-
-    #[test]
-    fn summary_is_rich_and_nonempty() {
-        let stats = LaunchStats {
-            grid_blocks: 30,
-            block_threads: 256,
-            resident_blocks_per_sm: 1,
-            resident_warps_per_sm: 8,
-            sm_cycles: 1000,
-            compute_cycles: 900,
-            memory_cycles: 100,
-            elapsed_s: 1e-3,
-            ..Default::default()
-        };
-        let s = stats.summary();
-        assert!(s.contains("30 x 256"));
-        assert!(s.contains("Compute"));
-        assert!(s.lines().count() >= 3);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::stats::ExecCounters;
 
 /// A direct-mapped texture cache for one SM.
 #[derive(Debug)]
-pub struct TexCache {
+pub(crate) struct TexCache {
     /// Tag per line (`u64::MAX` = invalid).
     tags: Vec<u64>,
     line_bytes: u64,
@@ -25,7 +25,7 @@ impl TexCache {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate.
-    pub fn new(capacity: usize, line_bytes: usize) -> TexCache {
+    pub(crate) fn new(capacity: usize, line_bytes: usize) -> TexCache {
         assert!(line_bytes > 0 && capacity >= line_bytes, "degenerate texture cache");
         TexCache { tags: vec![u64::MAX; capacity / line_bytes], line_bytes: line_bytes as u64 }
     }
@@ -34,7 +34,7 @@ impl TexCache {
     /// updating hit/miss counters and the underlying memory traffic.
     /// Requests from the same warp to one line are merged before the lookup
     /// (the request-combining behaviour the paper suspects).
-    pub fn access(&mut self, counters: &mut ExecCounters, addrs: &[u64]) {
+    pub(crate) fn access(&mut self, counters: &mut ExecCounters, addrs: &[u64]) {
         // Merge same-line requests within the warp first.
         let mut lines: Vec<u64> = addrs.iter().map(|a| a / self.line_bytes).collect();
         lines.sort_unstable();
@@ -55,7 +55,7 @@ impl TexCache {
     /// Invalidates every line (between kernel launches the working set may
     /// have been overwritten by global stores, which Tesla textures do not
     /// snoop).
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.tags.fill(u64::MAX);
     }
 }

@@ -25,10 +25,10 @@ use crate::device::DeviceSpec;
 use crate::stats::{ExecCounters, LaunchStats};
 
 /// Cycles charged per `__syncthreads()` barrier.
-pub const SYNC_COST_CYCLES: u64 = 48;
+pub(crate) const SYNC_COST_CYCLES: u64 = 48;
 
 /// Resident warps per SM needed to fully hide DRAM latency.
-pub const WARPS_FOR_FULL_HIDING: u64 = 24;
+pub(crate) const WARPS_FOR_FULL_HIDING: u64 = 24;
 
 /// Computes the occupancy of a launch: resident blocks per SM given the
 /// block's thread and shared-memory footprint.
@@ -37,7 +37,7 @@ pub const WARPS_FOR_FULL_HIDING: u64 = 24;
 ///
 /// Panics if a single block exceeds the device's per-block limits (such a
 /// launch would fail on real hardware).
-pub fn occupancy(spec: &DeviceSpec, block_threads: usize, shared_bytes: usize) -> usize {
+pub(crate) fn occupancy(spec: &DeviceSpec, block_threads: usize, shared_bytes: usize) -> usize {
     assert!(
         block_threads >= 1 && block_threads <= spec.max_threads_per_block,
         "block of {block_threads} threads exceeds device limit {}",
@@ -55,7 +55,7 @@ pub fn occupancy(spec: &DeviceSpec, block_threads: usize, shared_bytes: usize) -
 
 /// Converts per-SM counter totals into a [`LaunchStats`], taking the
 /// critical-path SM (the one that finishes last).
-pub fn model_launch(
+pub(crate) fn model_launch(
     spec: &DeviceSpec,
     per_sm: &[ExecCounters],
     grid_blocks: usize,

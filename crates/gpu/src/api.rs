@@ -69,7 +69,7 @@ impl std::error::Error for PipelineError {}
 /// recovery multiplication uses the Table-based-5 kernel on log-domain
 /// operands. The loop-based kernel remains available as an ablation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Stage2Scheme {
+pub(crate) enum Stage2Scheme {
     /// Loop-based recovery multiplication.
     LoopBased,
     /// Table-based-5 recovery multiplication with log-domain preprocessing.
@@ -137,17 +137,7 @@ impl GpuEncoder {
         GpuEncoder { dev: Device::new(spec), scheme }
     }
 
-    /// The device being driven.
-    pub fn spec(&self) -> &DeviceSpec {
-        self.dev.spec()
-    }
-
-    /// The active scheme.
-    pub fn scheme(&self) -> EncodeScheme {
-        self.scheme
-    }
-
-    /// Enables the kernel sanitizer (see [`nc_gpu_sim::sanitizer`]).
+    /// Enables the kernel sanitizer (see `nc_gpu_sim::sanitizer`).
     /// Instrumented launches are checked from here on; sampled measurement
     /// launches are never sanitized, so [`GpuEncoder::measure`] stays
     /// sanitizer-free by construction.
@@ -280,7 +270,6 @@ impl GpuEncoder {
                         output: src_log,
                         table: log_table,
                         len: n * k,
-                        convention: conv,
                     };
                     let s = self.dev.launch_at(
                         fidelity,
@@ -304,7 +293,6 @@ impl GpuEncoder {
                         output: coeff_log,
                         table: log_table,
                         len: m_exec * n,
-                        convention: conv,
                     };
                     // Coefficients are tiny; always run them in full so the
                     // encode kernel sees real log-domain values.
@@ -405,11 +393,6 @@ impl GpuProgressiveDecoder {
         }
     }
 
-    /// Current decoding rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// Whether `n` innovative blocks have been absorbed.
     pub fn is_complete(&self) -> bool {
         self.rank == self.n
@@ -430,11 +413,6 @@ impl GpuProgressiveDecoder {
     /// The accumulated sanitizer report, if the sanitizer is enabled.
     pub fn sanitizer_report(&self) -> Option<&SanitizerReport> {
         self.dev.sanitizer_report()
-    }
-
-    /// Pipeline breakdown including transfers.
-    pub fn pipeline(&self) -> &PipelineStats {
-        &self.pipeline
     }
 
     /// Absorbs one coded block; returns whether it was innovative.
@@ -564,7 +542,7 @@ impl GpuMultiDecoder {
 
     /// Creates a multi-segment decoder with an explicit stage-2 scheme on
     /// the cycle-model simulator.
-    pub fn with_stage2(spec: DeviceSpec, stage2: Stage2Scheme) -> GpuMultiDecoder {
+    pub(crate) fn with_stage2(spec: DeviceSpec, stage2: Stage2Scheme) -> GpuMultiDecoder {
         GpuMultiDecoder { dev: Device::new(spec), stage2 }
     }
 
@@ -744,7 +722,6 @@ impl GpuMultiDecoder {
                     output: coded_log,
                     table: log_table,
                     len: s_count * n * k,
-                    convention: LogConvention::Remapped,
                 };
                 let sx = self.dev.launch_at(
                     fidelity,
@@ -767,7 +744,6 @@ impl GpuMultiDecoder {
                     output: inv_log,
                     table: log_table,
                     len: s_count * n * n,
-                    convention: LogConvention::Remapped,
                 };
                 let si = self.dev.launch(&ki, ki.grid());
                 pipeline.record("stage2: inverses to log domain", si.elapsed_s);
@@ -840,22 +816,6 @@ impl GpuMultiDecoder {
             pipeline,
         }
     }
-
-    /// Enables the kernel sanitizer. Functional decodes are checked;
-    /// sampled measurement launches are never sanitized.
-    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
-        self.dev.enable_sanitizer(config);
-    }
-
-    /// The accumulated sanitizer report, if the sanitizer is enabled.
-    pub fn sanitizer_report(&self) -> Option<&SanitizerReport> {
-        self.dev.sanitizer_report()
-    }
-
-    /// The device specification.
-    pub fn spec(&self) -> &DeviceSpec {
-        self.dev.spec()
-    }
 }
 
 #[cfg(test)]
@@ -905,7 +865,7 @@ mod tests {
         let b = enc.encode(&mut rng);
         assert!(dec.push(b.coefficients(), b.payload()).unwrap());
         assert!(!dec.push(b.coefficients(), b.payload()).unwrap());
-        assert_eq!(dec.rank(), 1);
+        assert_eq!(dec.rank, 1);
     }
 
     #[test]
@@ -947,7 +907,7 @@ mod tests {
             inputs.push(ts.blocks().to_vec());
         }
         let mut dec = GpuMultiDecoder::new(DeviceSpec::gtx280());
-        dec.enable_sanitizer(SanitizerConfig::correctness_only());
+        dec.dev.enable_sanitizer(SanitizerConfig::correctness_only());
         let outcome = dec.decode(config, &inputs);
         let recovered = outcome.recovered.unwrap();
         assert_eq!(recovered.len(), 4);
@@ -955,7 +915,7 @@ mod tests {
             assert_eq!(got, want);
         }
         assert!(outcome.stage1_share > 0.0 && outcome.stage1_share < 1.0);
-        let report = dec.sanitizer_report().unwrap();
+        let report = dec.dev.sanitizer_report().unwrap();
         assert!(report.is_clean(), "multi-decoder not sanitizer-clean:\n{}", report.render());
     }
 

@@ -9,15 +9,9 @@
 //! ladder (see DESIGN.md §7). Each constant documents the instruction-level
 //! story it stands for.
 
-/// Loop-based byte-by-word multiplication, per executed iteration: bit test
-/// with predicated accumulate (~2), per-lane overflow-mask extraction and
-/// polynomial reduction (~5), masked lane shift (~3), loop bookkeeping (~1).
-/// Re-exported from `nc-gf256` so the CPU-side cost analysis agrees.
-pub use nc_gf256::wide::INSTRS_PER_LOOP_ITERATION as LOOP_PER_ITERATION;
-
 /// Loop-based multiplication setup per word (load coefficient bits,
 /// initialize the accumulator).
-pub const LOOP_SETUP: u64 = 2;
+pub(crate) const LOOP_SETUP: u64 = 2;
 
 /// Issue-slot charge for one warp-wide loop-based byte-by-word multiply
 /// executing `iters` iterations: setup plus 10.5 instructions per iteration
@@ -25,76 +19,76 @@ pub const LOOP_SETUP: u64 = 2;
 /// consecutive iterations, saving half an instruction per iteration over
 /// the naive 11).
 #[inline]
-pub fn loop_mul_charge(iters: u32) -> u64 {
+pub(crate) fn loop_mul_charge(iters: u32) -> u64 {
     LOOP_SETUP + (iters as u64 * 21) / 2
 }
 
 /// Extracting the current coefficient byte from the broadcast-loaded
 /// coefficient word (shift + mask), charged once per source-block index.
-pub const COEFF_EXTRACT: u64 = 1;
+pub(crate) const COEFF_EXTRACT: u64 = 1;
 
 /// Table-based-0 (log/exp in global memory): ALU work per source byte
 /// around the two scattered table loads — byte extract (1), sentinel tests
 /// with branches (2), 16-bit add (1), address calculation (2).
-pub const TB0_ALU_PER_BYTE: u64 = 6;
+pub(crate) const TB0_ALU_PER_BYTE: u64 = 6;
 
 /// Table-based-1 (shared-memory exp table, log-domain operands, per-byte
 /// `0xFF` sentinel tests): byte extract (1), two sentinel compares whose
 /// divergent branches execute both paths (~6), 16-bit add (1), shared-
 /// memory byte addressing (3), result insert (1).
-pub const TB1_ALU_PER_BYTE: u64 = 11;
+pub(crate) const TB1_ALU_PER_BYTE: u64 = 11;
 
 /// Table-based-2 folds the four coefficient-sentinel tests into one per
 /// word, saving roughly two instructions per byte...
-pub const TB2_ALU_PER_BYTE: u64 = 9;
+pub(crate) const TB2_ALU_PER_BYTE: u64 = 9;
 /// ...at the cost of a single per-word coefficient test.
-pub const TB2_ALU_PER_WORD: u64 = 1;
+pub(crate) const TB2_ALU_PER_WORD: u64 = 1;
 
 /// Table-based-3 (remapped `0x00` sentinel): the zero tests disappear into
 /// predicated register loads — "branching no longer happens as the compiler
 /// will use predicated instructions leading to even lower instruction
 /// count".
-pub const TB3_ALU_PER_BYTE: u64 = 8;
+pub(crate) const TB3_ALU_PER_BYTE: u64 = 8;
 /// Per-word index-shift compensation for the remapped table (the `-2` bias
 /// of the shifted exp table is folded into the word's base register once).
-pub const TB3_ALU_PER_WORD: u64 = 2;
+pub(crate) const TB3_ALU_PER_WORD: u64 = 2;
 
 /// Table-based-4 (exp table in texture memory): texture addressing needs
 /// fewer instructions than shared-memory indexing ("the smaller number of
 /// instructions needed for address calculation in texture memory
 /// accesses"), and the fetch returns the byte without a shared-memory
 /// word extract.
-pub const TB4_ALU_PER_BYTE: u64 = 8;
+pub(crate) const TB4_ALU_PER_BYTE: u64 = 8;
 
 /// Table-based-5 (eight word-width exp replicas in shared memory): word
 /// entries remove the post-load byte extract, the replica offset is folded
 /// into a per-thread base register, and the index add dual-issues with the
 /// previous byte's insert — "we optimize address calculation to minimize
 /// the number of instructions".
-pub const TB5_ALU_PER_BYTE: u64 = 5;
+pub(crate) const TB5_ALU_PER_BYTE: u64 = 5;
 /// Per-word replica-base bookkeeping for Table-based-5 (the lane's replica
 /// offset register is refreshed once per word).
-pub const TB5_ALU_PER_WORD: u64 = 2;
+pub(crate) const TB5_ALU_PER_WORD: u64 = 2;
 
 /// Cooperative table load into shared memory, per word moved (global load
 /// addressing + shared store addressing).
-pub const TABLE_LOAD_ALU_PER_WORD: u64 = 2;
+pub(crate) const TABLE_LOAD_ALU_PER_WORD: u64 = 2;
 
 /// Log-domain preprocessing (Sec. 5.1.1), ALU per source word beyond the
 /// table lookups: byte extracts and re-packing.
-pub const PREPROCESS_ALU_PER_WORD: u64 = 6;
+pub(crate) const PREPROCESS_ALU_PER_WORD: u64 = 6;
 
 /// Decoding: scalar bookkeeping per row operation (factor broadcast from
 /// shared memory, zero test, loop setup).
-pub const DECODE_ROW_SETUP: u64 = 4;
+pub(crate) const DECODE_ROW_SETUP: u64 = 4;
 
 /// Decoding: pivot-search ALU per coefficient word scanned (four byte
 /// tests + index arithmetic).
-pub const PIVOT_SCAN_ALU_PER_WORD: u64 = 6;
+pub(crate) const PIVOT_SCAN_ALU_PER_WORD: u64 = 6;
 
 /// Decoding: computing the pivot's multiplicative inverse on one thread
 /// (log/exp round trip plus broadcast through shared memory).
-pub const PIVOT_INVERSE: u64 = 20;
+pub(crate) const PIVOT_INVERSE: u64 = 20;
 
 #[cfg(test)]
 mod tests {
@@ -121,6 +115,5 @@ mod tests {
         // (their count is per byte of the word; ours is per word).
         let avg_word_mul = loop_mul_charge(7) as f64;
         assert!(avg_word_mul > 70.0 && avg_word_mul < 90.0);
-        let _ = LOOP_PER_ITERATION;
     }
 }

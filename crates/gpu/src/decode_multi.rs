@@ -28,7 +28,7 @@ use crate::costs;
 /// left half starts as `C_s`, the right half as the identity. After the
 /// launch the right half of each is `C_s⁻¹`.
 #[derive(Debug, Clone, Copy)]
-pub struct InvertKernel {
+pub(crate) struct InvertKernel {
     /// The augmented matrices (`segments × n × 2n` bytes).
     pub aug: DeviceBuffer,
     /// Generation size (multiple of 4).
@@ -44,7 +44,7 @@ impl InvertKernel {
     /// for the single-segment decoder, Sec. 5.4.3) — with only a couple of
     /// resident warps this keeps stage 1 latency-bound, exactly the
     /// under-utilization Sec. 5.2 describes.
-    pub fn grid(&self) -> GridConfig {
+    pub(crate) fn grid(&self) -> GridConfig {
         let threads = (2 * self.n / 4).min(512);
         GridConfig {
             blocks: self.segments,
@@ -181,7 +181,7 @@ impl Kernel for InvertKernel {
 /// `C⁻¹`), `coded` holds `segments × n × k` coded payloads, `out` receives
 /// `segments × n × k` recovered source bytes.
 #[derive(Debug, Clone, Copy)]
-pub struct RecoverKernel {
+pub(crate) struct RecoverKernel {
     /// Inverted coefficient matrices.
     pub inv: DeviceBuffer,
     /// Coded payload matrices.
@@ -197,11 +197,11 @@ pub struct RecoverKernel {
 }
 
 /// Threads per block for the recovery multiplication.
-pub const RECOVER_BLOCK_THREADS: usize = 256;
+pub(crate) const RECOVER_BLOCK_THREADS: usize = 256;
 
 impl RecoverKernel {
     /// Launch geometry: one thread per output word across all segments.
-    pub fn grid(&self) -> GridConfig {
+    pub(crate) fn grid(&self) -> GridConfig {
         let words = self.segments * self.n * self.k / 4;
         GridConfig {
             blocks: words.div_ceil(RECOVER_BLOCK_THREADS),

@@ -24,11 +24,11 @@ use crate::costs;
 
 /// Sentinel stored in the result word when the incoming block reduced to
 /// all-zero coefficients (linearly dependent).
-pub const NO_PIVOT: u32 = u32::MAX;
+pub(crate) const NO_PIVOT: u32 = u32::MAX;
 
 /// Shared-memory bytes reserved for the pivot-search scratch, kept disjoint
 /// from the coefficient cache so scratch writes cannot corrupt cached rows.
-pub const PIVOT_SCRATCH_BYTES: usize = 128;
+pub(crate) const PIVOT_SCRATCH_BYTES: usize = 128;
 
 /// Tuning switches for the progressive decoder (Sec. 5.4).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -46,9 +46,9 @@ pub struct DecodeOptions {
 /// One decoding step: absorb one received coded block into the per-SM
 /// `[C | x]` state. Launched once per received block.
 #[derive(Debug, Clone)]
-pub struct DecodeStepKernel {
+pub(crate) struct DecodeStepKernel {
     /// Per-SM row storage: `sm_blocks × n` rows of
-    /// [`DecodeStepKernel::row_stride_words`] words each (private
+    /// `DecodeStepKernel::row_stride_words` words each (private
     /// coefficient copy first, data partition second).
     pub rows: DeviceBuffer,
     /// The incoming coded block: `n` coefficient bytes then `k` payload.
@@ -72,12 +72,12 @@ pub struct DecodeStepKernel {
 impl DecodeStepKernel {
     /// Data words in each block's partition (independent of `n`; the
     /// coefficient part is fully replicated per block).
-    pub fn partition_words(_n: usize, k: usize, sm_blocks: usize) -> usize {
+    pub(crate) fn partition_words(_n: usize, k: usize, sm_blocks: usize) -> usize {
         (k / 4).div_ceil(sm_blocks)
     }
 
     /// Words per stored row (private coefficient copy + data partition).
-    pub fn row_stride_words(&self) -> usize {
+    pub(crate) fn row_stride_words(&self) -> usize {
         self.n / 4 + Self::partition_words(self.n, self.k, self.sm_blocks)
     }
 
@@ -94,7 +94,7 @@ impl DecodeStepKernel {
     ///
     /// Panics if a row does not fit the 512-thread block limit (the paper's
     /// scheme shares this constraint; it is what motivates Sec. 5.2).
-    pub fn grid(&self, spec: &nc_gpu_sim::DeviceSpec) -> GridConfig {
+    pub(crate) fn grid(&self, spec: &nc_gpu_sim::DeviceSpec) -> GridConfig {
         let threads = self.row_stride_words();
         assert!(threads <= 512, "row of {threads} words exceeds one thread block");
         let shared = if self.options.cache_coefficients {

@@ -200,13 +200,7 @@ mod tests {
             dev.poke(table, &log_table_bytes(LogConvention::Remapped));
             let output = dev.alloc(len);
             let bystander = dev.alloc(64);
-            let kernel = LogTransformKernel {
-                input,
-                output,
-                table,
-                len,
-                convention: LogConvention::Remapped,
-            };
+            let kernel = LogTransformKernel { input, output, table, len };
             assert_eq!(kernel.grid().blocks, 8);
             dev.launch_at(fidelity, &kernel, kernel.grid(), 2, &[output]);
             assert_eq!(dev.poison.overlaps(output), fidelity == Fidelity::Timing, "{fidelity:?}");

@@ -34,7 +34,7 @@ pub enum SourceLayout {
 impl SourceLayout {
     /// Byte address of word `w` of source block `i`.
     #[inline]
-    pub fn addr(self, buf: DeviceBuffer, n: usize, k: usize, i: usize, w: usize) -> u64 {
+    pub(crate) fn addr(self, buf: DeviceBuffer, n: usize, k: usize, i: usize, w: usize) -> u64 {
         match self {
             SourceLayout::RowMajor => buf.addr(i * k + w * 4),
             SourceLayout::ColumnMajor => {
@@ -46,7 +46,7 @@ impl SourceLayout {
 
     /// Transposes a row-major `n × k` source into this layout (host-side
     /// preparation for uploads).
-    pub fn arrange(self, data: &[u8], n: usize, k: usize) -> Vec<u8> {
+    pub(crate) fn arrange(self, data: &[u8], n: usize, k: usize) -> Vec<u8> {
         assert_eq!(data.len(), n * k);
         match self {
             SourceLayout::RowMajor => data.to_vec(),
@@ -65,7 +65,7 @@ impl SourceLayout {
 }
 
 /// Threads per block for the Fig. 2 partitioning.
-pub const ENCODE_BLOCK_THREADS: usize = 256;
+pub(crate) const ENCODE_BLOCK_THREADS: usize = 256;
 
 /// The loop-based encoding kernel.
 ///

@@ -61,14 +61,8 @@ impl TableVariant {
         !matches!(self, TableVariant::Tb0)
     }
 
-    /// Dynamic shared memory required per block (for the default replica
-    /// count; see [`TableVariant::shared_bytes_with`] for ablations).
-    pub fn shared_bytes(self) -> usize {
-        self.shared_bytes_with(TB5_REPLICAS)
-    }
-
     /// Dynamic shared memory for an explicit Tb5 replica count.
-    pub fn shared_bytes_with(self, replicas: usize) -> usize {
+    pub(crate) fn shared_bytes_with(self, replicas: usize) -> usize {
         match self {
             TableVariant::Tb0 | TableVariant::Tb4 => 0,
             TableVariant::Tb1 | TableVariant::Tb2 | TableVariant::Tb3 => TABLE_BYTES,
@@ -99,13 +93,13 @@ impl TableVariant {
 }
 
 /// Byte-table length for the shared/texture exp tables.
-pub const TABLE_BYTES: usize = 512;
+pub(crate) const TABLE_BYTES: usize = 512;
 /// Word-width entries per replica for Table-based-5 (covers index 0..=508).
-pub const TB5_ENTRIES: usize = 509;
+pub(crate) const TB5_ENTRIES: usize = 509;
 /// Replica count for Table-based-5.
 pub const TB5_REPLICAS: usize = 8;
 /// Threads per block for table-based encoding.
-pub const TABLE_BLOCK_THREADS: usize = 256;
+pub(crate) const TABLE_BLOCK_THREADS: usize = 256;
 
 /// The table-based encoding kernel.
 ///
@@ -581,7 +575,7 @@ mod tests {
     #[test]
     fn tb5_fits_in_shared_memory() {
         let spec = DeviceSpec::gtx280();
-        let need = TableVariant::Tb5.shared_bytes();
+        let need = TableVariant::Tb5.shared_bytes_with(TB5_REPLICAS);
         assert!(need <= spec.shared_mem_usable(), "{need} must fit");
         // ... but only barely, as the paper stresses.
         assert!(need > spec.shared_mem_usable() - 64);

@@ -19,7 +19,7 @@
 //!   coefficient copies, partitioned payload), including the `atomicMin`
 //!   pivot search (Sec. 5.4.2) and aggressive coefficient caching
 //!   (Sec. 5.4.3).
-//! * [`decode_multi`] — parallel multi-segment decoding (Sec. 5.2): stage 1
+//! * `decode_multi` — parallel multi-segment decoding (Sec. 5.2): stage 1
 //!   inverts each segment's coefficient matrix via Gauss-Jordan on `[C|I]`
 //!   (one or two segments per SM), stage 2 recovers the data with an
 //!   encode-like matrix multiplication.
@@ -46,8 +46,8 @@
 
 pub mod ablation;
 pub mod api;
-pub mod costs;
-pub mod decode_multi;
+mod costs;
+mod decode_multi;
 pub mod decode_single;
 mod device;
 pub mod encode_loop;

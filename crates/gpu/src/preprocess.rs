@@ -7,7 +7,7 @@
 //!
 //! The transformation is a byte-wise map through the log table (either the
 //! `0xFF`-sentinel [`nc_gf256::tables::LOG`] for Table-based-1/2 or the
-//! remapped [`nc_gf256::tables::RLOG`] for Table-based-3/4/5). The kernel
+//! remapped `nc_gf256::tables::RLOG` for Table-based-3/4/5). The kernel
 //! loads the 256-byte table into shared memory once per block, then streams
 //! the buffer through it word by word.
 
@@ -28,7 +28,7 @@ pub enum LogConvention {
 impl LogConvention {
     /// Transforms a single byte.
     #[inline]
-    pub fn apply(self, b: u8) -> u8 {
+    pub(crate) fn apply(self, b: u8) -> u8 {
         match self {
             LogConvention::Sentinel => to_log(b),
             LogConvention::Remapped => to_rlog(b) as u8,
@@ -37,7 +37,7 @@ impl LogConvention {
 }
 
 /// Threads per block for preprocessing.
-pub const PREPROCESS_BLOCK_THREADS: usize = 256;
+pub(crate) const PREPROCESS_BLOCK_THREADS: usize = 256;
 
 /// Transforms `input` (any byte buffer: a segment or a coefficient matrix)
 /// into the log domain at `output`.
@@ -45,7 +45,7 @@ pub const PREPROCESS_BLOCK_THREADS: usize = 256;
 /// `table` must hold the 256-byte log table for the chosen convention (the
 /// host uploads it once; see [`crate::api`]).
 #[derive(Debug, Clone, Copy)]
-pub struct LogTransformKernel {
+pub(crate) struct LogTransformKernel {
     /// Input bytes (normal domain).
     pub input: DeviceBuffer,
     /// Output bytes (log domain), same length as `input`.
@@ -54,14 +54,12 @@ pub struct LogTransformKernel {
     pub table: DeviceBuffer,
     /// Bytes to transform (must be a multiple of 4).
     pub len: usize,
-    /// Sentinel convention.
-    pub convention: LogConvention,
 }
 
 impl LogTransformKernel {
     /// Launch geometry: one thread per 4-byte word, 256-thread blocks, and
     /// 256 bytes of shared memory for the table.
-    pub fn grid(&self) -> GridConfig {
+    pub(crate) fn grid(&self) -> GridConfig {
         GridConfig {
             blocks: (self.len / 4).div_ceil(PREPROCESS_BLOCK_THREADS),
             threads_per_block: PREPROCESS_BLOCK_THREADS,
@@ -157,7 +155,7 @@ mod tests {
         let table = gpu.alloc(256);
         gpu.upload(input, &data);
         gpu.upload(table, &log_table_bytes(convention));
-        let kernel = LogTransformKernel { input, output, table, len, convention };
+        let kernel = LogTransformKernel { input, output, table, len };
         gpu.launch(&kernel, kernel.grid());
         let (got, _) = gpu.download(output);
         let want: Vec<u8> = data.iter().map(|&b| convention.apply(b)).collect();

@@ -224,8 +224,8 @@ pub struct BatchSocket {
 impl BatchSocket {
     /// Binds one batching socket on `addr`. `slot_bytes` caps the largest
     /// datagram a receive can deliver — size it from
-    /// [`crate::wire::ack_wire_bytes`] (servers receive only feedback) or
-    /// [`MAX_DATAGRAM_BYTES`] (anything).
+    /// `crate::wire::ack_wire_bytes` (servers receive only feedback) or
+    /// `MAX_DATAGRAM_BYTES` (anything).
     ///
     /// # Errors
     ///
@@ -238,7 +238,7 @@ impl BatchSocket {
     /// Wraps an existing socket, connected or not; `slot_bytes` as for
     /// [`bind`](BatchSocket::bind). On a connected socket every send goes
     /// to the peer whatever address it was queued with.
-    pub fn from_socket(socket: UdpSocket, slot_bytes: usize) -> BatchSocket {
+    pub(crate) fn from_socket(socket: UdpSocket, slot_bytes: usize) -> BatchSocket {
         BatchSocket {
             connected: socket.peer_addr().is_ok(),
             segment: crate::sysio::probe_segmentation(&socket),
@@ -260,7 +260,7 @@ impl BatchSocket {
     /// # Errors
     ///
     /// Address resolution or socket errors.
-    pub fn group(
+    pub(crate) fn group(
         addr: impl ToSocketAddrs,
         shards: usize,
         slot_bytes: usize,
@@ -532,7 +532,7 @@ pub struct FaultStats {
 /// implementation. `admit` returns the datagrams to put on the wire *now*;
 /// reordered datagrams surface on later admits.
 #[derive(Debug)]
-pub struct FaultInjector<T> {
+pub(crate) struct FaultInjector<T> {
     profile: FaultProfile,
     rng: StdRng,
     seq: u64,
@@ -543,7 +543,7 @@ pub struct FaultInjector<T> {
 impl<T: Clone> FaultInjector<T> {
     /// A new injector; identical `(profile, seed)` pairs replay the exact
     /// same fault pattern.
-    pub fn new(profile: FaultProfile, seed: u64) -> FaultInjector<T> {
+    pub(crate) fn new(profile: FaultProfile, seed: u64) -> FaultInjector<T> {
         FaultInjector {
             profile,
             rng: StdRng::seed_from_u64(seed),
@@ -556,7 +556,7 @@ impl<T: Clone> FaultInjector<T> {
     /// Passes one datagram through the fault model; returns what reaches
     /// the wire now (possibly nothing, possibly previously held datagrams,
     /// possibly duplicates).
-    pub fn admit(&mut self, tag: T, bytes: &[u8]) -> Vec<(T, Vec<u8>)> {
+    pub(crate) fn admit(&mut self, tag: T, bytes: &[u8]) -> Vec<(T, Vec<u8>)> {
         self.seq += 1;
         self.stats.admitted += 1;
         let mut out = self.release_due();
@@ -601,13 +601,8 @@ impl<T: Clone> FaultInjector<T> {
         out
     }
 
-    /// Releases every held datagram immediately (end-of-stream flush).
-    pub fn flush(&mut self) -> Vec<(T, Vec<u8>)> {
-        self.held.drain(..).map(|(_, tag, bytes)| (tag, bytes)).collect()
-    }
-
     /// Fault counters so far.
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         self.stats
     }
 
@@ -623,7 +618,7 @@ impl<T: Clone> FaultInjector<T> {
 }
 
 /// A [`Channel`] whose *outgoing* datagrams pass through a seeded
-/// [`FaultInjector`]. Wrap the data-path end (the sender's channel) to
+/// `FaultInjector`. Wrap the data-path end (the sender's channel) to
 /// model a lossy forward link; wrap both ends for a symmetric lossy link.
 ///
 /// The fault model sees datagrams one by one in send order, so a burst
@@ -651,11 +646,6 @@ impl<C: Channel> FaultyChannel<C> {
     /// Fault counters so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.injector.stats()
-    }
-
-    /// The wrapped channel.
-    pub fn into_inner(self) -> C {
-        self.inner
     }
 }
 
@@ -901,7 +891,7 @@ mod tests {
         }
         // ...but held datagrams drain as later sends push the clock.
         assert!(total > 0, "held datagrams never released");
-        total += injector.flush().len();
+        total += injector.held.len();
         assert_eq!(total, 21, "every admitted datagram eventually surfaces");
     }
 

@@ -18,17 +18,18 @@
 //! | Module | Role |
 //! |---|---|
 //! | [`wire`] | versioned datagram codec: magic, session ids, CRC-32, typed payloads |
-//! | [`codecs`] | coding-backend registry: the announce's codec id → dense RLNC or FFT16 |
+//! | `codecs` | coding-backend registry: the announce's codec id → dense RLNC or FFT16 |
 //! | [`channel`] | the I/O seam: one batched socket type, memory pairs, fault injection |
-//! | [`pacing`] | token-bucket wire pacing + adaptive redundancy control |
+//! | `pacing` | token-bucket wire pacing + adaptive redundancy control |
 //! | [`session`] | sans-I/O rateless sender state machine |
 //! | [`receiver`] | sans-I/O receiver state machine + [`run_receiver`], the client with one session |
 //! | `step` | the one scheduler both roles run on: sessions polled only when a datagram touched them or their quoted wait ran out |
-//! | [`client`] | the receiving role: many receiver sessions on one step, over one [`channel::Channel`], from one thread |
+//! | `client` | the receiving role ([`Client`]): many receiver sessions on one step, over one [`channel::Channel`], from one thread |
 //! | [`sender`] | blocking sender driver over any [`channel::Channel`] |
 //! | [`server`] | serving vocabulary: [`ServerConfig`], [`ServedTransfer`] (per-session stats) |
 //! | `sysio` | the platform seam: `SO_REUSEPORT` groups + `sendmmsg`/`recvmmsg` on Linux, `std` fallback elsewhere |
 //! | [`shard`] | the server: one socket, step and scoped thread per shard (one shard is a single-socket server), batched syscalls |
+//! | [`streaming`] | the paper's Sec. 5.1.1 media scenario: stream profiles, NIC model, peer-capacity planner, paced delivery and its assessment |
 //!
 //! There is **no retransmission path**. Loss is repaired by sending fresh
 //! coded frames for whichever segments still lack rank — the rateless
@@ -72,16 +73,17 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod client;
-pub mod codecs;
+mod client;
+mod codecs;
 mod metrics;
-pub mod pacing;
+mod pacing;
 pub mod receiver;
 pub mod sender;
 pub mod server;
 pub mod session;
 pub mod shard;
 mod step;
+pub mod streaming;
 mod sysio;
 pub mod wire;
 

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 /// A classic token bucket over bytes.
 #[derive(Clone, Debug)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     /// Refill rate in bytes/second; `f64::INFINITY` disables pacing.
     rate: f64,
     /// Bucket capacity in bytes (burst allowance).
@@ -24,14 +24,14 @@ pub struct TokenBucket {
 impl TokenBucket {
     /// A bucket refilling at `rate_bytes_per_s` with `burst_bytes`
     /// capacity (the bucket starts full).
-    pub fn new(rate_bytes_per_s: f64, burst_bytes: f64) -> TokenBucket {
+    pub(crate) fn new(rate_bytes_per_s: f64, burst_bytes: f64) -> TokenBucket {
         assert!(rate_bytes_per_s > 0.0, "token rate must be positive");
         assert!(burst_bytes > 0.0, "burst must be positive");
         TokenBucket { rate: rate_bytes_per_s, burst: burst_bytes, tokens: burst_bytes, last: None }
     }
 
     /// A bucket that never delays (no pacing).
-    pub fn unlimited() -> TokenBucket {
+    pub(crate) fn unlimited() -> TokenBucket {
         TokenBucket { rate: f64::INFINITY, burst: f64::INFINITY, tokens: f64::INFINITY, last: None }
     }
 
@@ -43,7 +43,7 @@ impl TokenBucket {
     /// the bucket can never hold more than `burst`, so demanding more
     /// would make the frame wait forever. The oversized frame instead
     /// drains the bucket completely, which still bounds the long-run rate.
-    pub fn request(&mut self, bytes: usize, now: Instant) -> Duration {
+    pub(crate) fn request(&mut self, bytes: usize, now: Instant) -> Duration {
         if self.rate.is_infinite() {
             return Duration::ZERO;
         }
@@ -73,7 +73,7 @@ impl TokenBucket {
 /// moving average of observed delivery and exposes that factor (clamped),
 /// plus helpers to turn "frames still missing" into a send budget.
 #[derive(Clone, Debug)]
-pub struct RedundancyController {
+pub(crate) struct RedundancyController {
     loss_estimate: f64,
     alpha: f64,
     max_factor: f64,
@@ -85,7 +85,7 @@ const MAX_LOSS: f64 = 0.95;
 
 impl RedundancyController {
     /// A controller starting from a prior loss guess (0 for a clean link).
-    pub fn new(initial_loss_guess: f64) -> RedundancyController {
+    pub(crate) fn new(initial_loss_guess: f64) -> RedundancyController {
         RedundancyController {
             loss_estimate: initial_loss_guess.clamp(0.0, MAX_LOSS),
             alpha: 0.3,
@@ -102,7 +102,7 @@ impl RedundancyController {
     /// were sent) is treated as zero loss, not negative loss. The estimate
     /// is re-clamped to `[0, MAX_LOSS]` after every fold so no sequence of
     /// observations can push it outside the range `factor()` assumes.
-    pub fn observe(&mut self, sent: u64, received: u64) {
+    pub(crate) fn observe(&mut self, sent: u64, received: u64) {
         if sent == 0 {
             return;
         }
@@ -112,18 +112,18 @@ impl RedundancyController {
     }
 
     /// Current loss estimate in `[0, 0.95]`.
-    pub fn loss_estimate(&self) -> f64 {
+    pub(crate) fn loss_estimate(&self) -> f64 {
         self.loss_estimate
     }
 
     /// Frames to send per innovative frame needed: `1/(1-loss)`, clamped.
-    pub fn factor(&self) -> f64 {
+    pub(crate) fn factor(&self) -> f64 {
         (1.0 / (1.0 - self.loss_estimate.min(0.95))).min(self.max_factor)
     }
 
     /// Send budget covering `missing` still-needed innovative frames, with
     /// a small constant floor so tiny remainders still make progress.
-    pub fn budget_for(&self, missing: usize) -> u64 {
+    pub(crate) fn budget_for(&self, missing: usize) -> u64 {
         ((missing as f64 * self.factor()).ceil() as u64).max(2)
     }
 }

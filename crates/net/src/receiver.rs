@@ -3,7 +3,7 @@
 //! [`Channel`].
 //!
 //! The receiver requests the stream, learns its shape *and coding
-//! backend* from the announce (see [`crate::codecs`]), absorbs coded
+//! backend* from the announce (see `crate::codecs`), absorbs coded
 //! frames into the negotiated [`StreamCodecReceiver`], and feeds completion
 //! back: small ACK datagrams carrying cumulative counters and a
 //! per-segment bitmap (so the sender stops spending encode budget on
@@ -25,7 +25,7 @@ use crate::wire::{Datagram, DatagramRef, Payload, SegmentBitmap, StreamMeta, Wir
 
 /// Send an ACK after this many data datagrams: the count rule, which
 /// paces ACKs while frames flow.
-pub const ACK_EVERY: u64 = 8;
+pub(crate) const ACK_EVERY: u64 = 8;
 
 /// The ACK timer's floor. The timer ACKs when
 /// `max(ACK_INTERVAL, ACK_EVERY x mean frame gap)` has passed since the
@@ -35,13 +35,13 @@ pub const ACK_EVERY: u64 = 8;
 /// peer gets a frame every ~9.4 ms) at most every
 /// `ACK_EVERY x ACK_INTERVAL`, so its count rule fires first. With no
 /// frames arriving the timer still fires ("nothing arrived" ACKs).
-pub const ACK_INTERVAL: Duration = Duration::from_millis(10);
+pub(crate) const ACK_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Re-send the initial request at this interval until announced.
-pub const REQUEST_INTERVAL: Duration = Duration::from_millis(20);
+pub(crate) const REQUEST_INTERVAL: Duration = Duration::from_millis(20);
 
 /// How many times to repeat the final FIN (it may be lost).
-pub const FIN_REPEATS: u32 = 3;
+pub(crate) const FIN_REPEATS: u32 = 3;
 
 /// Tuning knobs for a receiver session.
 #[derive(Clone, Debug)]
@@ -171,7 +171,7 @@ impl ReceiverSession {
     }
 
     /// The stream id this session asks for.
-    pub fn session_id(&self) -> u64 {
+    pub(crate) fn session_id(&self) -> u64 {
         self.session
     }
 

@@ -8,7 +8,7 @@
 //! bursts bounded by [`BURST_PER_STEP`](crate::BURST_PER_STEP), so a fast
 //! peer cannot starve a slow one.
 //! Outgoing datagrams can optionally pass through a seeded
-//! [`FaultInjector`](crate::channel::FaultInjector) — the same fault model
+//! `FaultInjector` — the same fault model
 //! the in-process tests use, applied per-destination. The serve loop itself
 //! lives in [`crate::shard`].
 

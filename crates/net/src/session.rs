@@ -67,13 +67,13 @@ impl Default for SenderConfig {
 }
 
 /// How often a session re-sends the announce until the first ACK.
-pub const ANNOUNCE_INTERVAL: Duration = Duration::from_millis(20);
+pub(crate) const ANNOUNCE_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Floor on quoted feedback waits. Waits are computed from the earliest
 /// live timer (stall grace, announce retry, idle timeout, deadline); this
 /// only stops a timer landing immediately from degenerating the driver
 /// into a spin loop.
-pub const ACK_WAIT: Duration = Duration::from_millis(2);
+pub(crate) const ACK_WAIT: Duration = Duration::from_millis(2);
 
 /// With no feedback for this long, a session trickles a little extra
 /// budget to every incomplete segment (keeps the stream alive through ACK
@@ -135,7 +135,7 @@ impl SenderReport {
 
     /// Application goodput in bytes/second (original bytes over session
     /// wall time), for completed sessions.
-    pub fn goodput_bytes_per_s(&self) -> Option<f64> {
+    pub(crate) fn goodput_bytes_per_s(&self) -> Option<f64> {
         (self.outcome == SenderOutcome::Completed && !self.elapsed.is_zero())
             .then(|| self.original_len as f64 / self.elapsed.as_secs_f64())
     }
@@ -252,21 +252,6 @@ impl SenderSession {
             ended: None,
             pacing_waits: Histogram::new(),
         })
-    }
-
-    /// The session id.
-    pub fn session_id(&self) -> u64 {
-        self.session
-    }
-
-    /// Whether the receiver confirmed full recovery.
-    pub fn is_complete(&self) -> bool {
-        self.outcome == Some(SenderOutcome::Completed)
-    }
-
-    /// Whether the session has ended (any outcome).
-    pub fn is_finished(&self) -> bool {
-        self.outcome.is_some()
     }
 
     /// The stream shape this session announces.
@@ -481,7 +466,7 @@ impl SenderSession {
     /// A point-in-time [`Snapshot`] of this session's own metrics, under
     /// `session.*` names. The [`ShardedServer`](crate::shard::ShardedServer)
     /// attaches one to every finished transfer.
-    pub fn metrics_snapshot(&self, now: Instant) -> Snapshot {
+    pub(crate) fn metrics_snapshot(&self, now: Instant) -> Snapshot {
         let report = self.report(now);
         let mut snap = Snapshot::default();
         let counters: [(&str, u64); 8] = [
@@ -867,7 +852,7 @@ mod tests {
         let mut s = session(SenderConfig::default());
         let now = Instant::now();
         s.handle_datagram(&Datagram::new(666, Payload::Fin { received: 1, innovative: 1 }), now);
-        assert!(!s.is_finished());
+        assert_eq!(s.outcome, None);
     }
 
     #[test]

@@ -221,11 +221,6 @@ impl ShardedServer {
         self.sockets[0].local_addr()
     }
 
-    /// Number of shards actually bound.
-    pub fn shards(&self) -> usize {
-        self.sockets.len()
-    }
-
     /// Publishes a stream under `session` id (before serving). Any codec
     /// backend works — the announce carries its id.
     pub fn publish(&mut self, session: u64, encoder: Arc<dyn StreamCodecSender>) {

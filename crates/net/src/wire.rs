@@ -35,30 +35,30 @@ use core::fmt;
 use nc_rlnc::codec::CodecId;
 
 /// First bytes of every datagram.
-pub const MAGIC: [u8; 4] = *b"NCNC";
+pub(crate) const MAGIC: [u8; 4] = *b"NCNC";
 /// Current protocol version (always emitted; see `OLDEST_VERSION`).
-pub const VERSION: u8 = 2;
+pub(crate) const VERSION: u8 = 2;
 /// Oldest version still accepted on decode (v1 = pre-codec-negotiation;
 /// its announces imply dense RLNC).
-pub const OLDEST_VERSION: u8 = 1;
+pub(crate) const OLDEST_VERSION: u8 = 1;
 /// Header bytes before the payload.
 pub const HEADER_BYTES: usize = 20;
 /// Largest datagram this transport will emit (UDP/IPv4 payload ceiling).
-pub const MAX_DATAGRAM_BYTES: usize = 65_507;
+pub(crate) const MAX_DATAGRAM_BYTES: usize = 65_507;
 /// Sanity cap on advertised stream shape (segments and blocks), so one
 /// hostile announce cannot trigger a giant allocation.
-pub const MAX_SEGMENTS: usize = 1 << 20;
+pub(crate) const MAX_SEGMENTS: usize = 1 << 20;
 /// Sanity cap on `n` (blocks per generation) in an announce.
-pub const MAX_BLOCKS: usize = 1 << 14;
+pub(crate) const MAX_BLOCKS: usize = 1 << 14;
 /// Sanity cap on `k` (block size) in an announce.
-pub const MAX_BLOCK_SIZE: usize = 1 << 16;
+pub(crate) const MAX_BLOCK_SIZE: usize = 1 << 16;
 
 /// Wire size of an ACK datagram for a stream of `segments` segments — the
 /// largest receiver→sender datagram (header, received/innovative counters,
 /// and the completion bitmap with its length prefix). A server that only
 /// receives feedback sizes its batched receive slots from this instead of
 /// [`MAX_DATAGRAM_BYTES`], shrinking per-socket slot memory ~300x.
-pub const fn ack_wire_bytes(segments: usize) -> usize {
+pub(crate) const fn ack_wire_bytes(segments: usize) -> usize {
     HEADER_BYTES + 8 + 8 + 4 + segments.div_ceil(8)
 }
 
@@ -71,7 +71,7 @@ pub enum WireError {
         /// Bytes actually present.
         actual: usize,
     },
-    /// The first four bytes are not [`MAGIC`] — an alien datagram.
+    /// The first four bytes are not `MAGIC` — an alien datagram.
     BadMagic,
     /// Unsupported protocol version.
     BadVersion {
@@ -90,7 +90,7 @@ pub enum WireError {
         /// Which kind failed to parse.
         kind: &'static str,
     },
-    /// An encode would exceed [`MAX_DATAGRAM_BYTES`].
+    /// An encode would exceed `MAX_DATAGRAM_BYTES`.
     TooLarge {
         /// Bytes the encode would need.
         needed: usize,
@@ -396,7 +396,7 @@ impl StreamMeta {
     /// # Errors
     ///
     /// [`WireError::LimitExceeded`] naming the offending field.
-    pub fn validate(&self) -> Result<(), WireError> {
+    pub(crate) fn validate(&self) -> Result<(), WireError> {
         if self.blocks == 0 || self.blocks as usize > MAX_BLOCKS {
             return Err(WireError::LimitExceeded { field: "blocks" });
         }
@@ -431,32 +431,27 @@ impl SegmentBitmap {
     }
 
     /// Number of segments tracked.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bits
-    }
-
-    /// Whether the bitmap tracks zero segments.
-    pub fn is_empty(&self) -> bool {
-        self.bits == 0
     }
 
     /// Marks segment `i` complete (out-of-range indices are ignored — the
     /// bitmap's shape is fixed by the receiver, not by wire input).
-    pub fn set(&mut self, i: usize) {
+    pub(crate) fn set(&mut self, i: usize) {
         if i < self.bits {
             self.bytes[i / 8] |= 1 << (i % 8);
         }
     }
 
     /// Whether segment `i` is complete (out-of-range reads as false).
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         i < self.bits && self.bytes[i / 8] & (1 << (i % 8)) != 0
     }
 
     /// Number of complete segments: a popcount per byte (padding bits
     /// past `len()` are never set — `set` ignores them and the wire form
     /// rejects them).
-    pub fn count_complete(&self) -> usize {
+    pub(crate) fn count_complete(&self) -> usize {
         self.bytes.iter().map(|byte| byte.count_ones() as usize).sum()
     }
 
@@ -465,7 +460,7 @@ impl SegmentBitmap {
     /// Segments past `len()` are ignored: when `other` is longer, the bits
     /// of the last shared byte beyond `len()` are masked off, so padding
     /// stays clear.
-    pub fn union_with(&mut self, other: &SegmentBitmap) -> usize {
+    pub(crate) fn union_with(&mut self, other: &SegmentBitmap) -> usize {
         let shared = self.bytes.len().min(other.bytes.len());
         for (mine, theirs) in self.bytes[..shared].iter_mut().zip(&other.bytes) {
             *mine |= theirs;
@@ -557,17 +552,6 @@ impl<B> Payload<B> {
             Payload::Fin { .. } => 5,
         }
     }
-
-    /// Human-readable kind name (diagnostics).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Payload::Request => "request",
-            Payload::Announce(_) => "announce",
-            Payload::Data(_) => "data",
-            Payload::Ack { .. } => "ack",
-            Payload::Fin { .. } => "fin",
-        }
-    }
 }
 
 /// One datagram: a session id plus a typed payload.
@@ -596,7 +580,7 @@ impl Datagram {
     /// # Errors
     ///
     /// [`WireError::TooLarge`] if the result would exceed
-    /// [`MAX_DATAGRAM_BYTES`] (the caller's coding config is too big for
+    /// `MAX_DATAGRAM_BYTES` (the caller's coding config is too big for
     /// one UDP datagram).
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let payload_bytes = match &self.payload {
@@ -790,12 +774,7 @@ mod tests {
     fn all_kinds_roundtrip() {
         for datagram in sample_datagrams() {
             let wire = datagram.encode().unwrap();
-            assert_eq!(
-                Datagram::decode(&wire).unwrap(),
-                datagram,
-                "{}",
-                datagram.payload.kind_name()
-            );
+            assert_eq!(Datagram::decode(&wire).unwrap(), datagram, "{datagram:?}");
         }
     }
 
@@ -811,8 +790,7 @@ mod tests {
                     bad[byte] ^= 1 << bit;
                     assert!(
                         Datagram::decode(&bad).is_err(),
-                        "bit flip at {byte}.{bit} of {} went undetected",
-                        datagram.payload.kind_name()
+                        "bit flip at {byte}.{bit} of {datagram:?} went undetected"
                     );
                 }
             }

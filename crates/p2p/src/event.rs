@@ -6,11 +6,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Simulation time in microseconds.
-pub type Micros = u64;
+pub(crate) type Micros = u64;
 
 /// The event queue: a deterministic min-heap keyed on `(time, seq)`.
 #[derive(Debug)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Reverse<(Micros, u64)>>,
     payloads: std::collections::HashMap<(Micros, u64), E>,
     seq: u64,
@@ -19,7 +19,7 @@ pub struct EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty queue at time zero.
-    pub fn new() -> EventQueue<E> {
+    pub(crate) fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             payloads: std::collections::HashMap::new(),
@@ -28,18 +28,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The current simulation time.
-    #[inline]
-    pub fn now(&self) -> Micros {
-        self.now
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
     ///
     /// Panics when scheduling into the past.
-    pub fn schedule(&mut self, at: Micros, event: E) {
+    pub(crate) fn schedule(&mut self, at: Micros, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
         let key = (at, self.seq);
         self.seq += 1;
@@ -48,27 +42,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` `delay` microseconds from now.
-    pub fn schedule_in(&mut self, delay: Micros, event: E) {
+    pub(crate) fn schedule_in(&mut self, delay: Micros, event: E) {
         let at = self.now + delay;
         self.schedule(at, event);
     }
 
     /// Pops the earliest event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(Micros, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(Micros, E)> {
         let Reverse(key) = self.heap.pop()?;
         self.now = key.0;
         let event = self.payloads.remove(&key).expect("payload for queued key");
         Some((key.0, event))
-    }
-
-    /// Pending event count.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -109,9 +93,9 @@ mod tests {
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         q.schedule(100, ());
-        assert_eq!(q.now(), 0);
+        assert_eq!(q.now, 0);
         q.pop();
-        assert_eq!(q.now(), 100);
+        assert_eq!(q.now, 100);
         q.schedule_in(50, ());
         assert_eq!(q.pop().unwrap().0, 150);
     }

@@ -10,18 +10,18 @@
 //! buffered segments form exactly the batch a `nc_gpu::GpuMultiDecoder`
 //! chews through.
 //!
-//! * [`topology`] — random swarm graphs with per-peer upload capacity.
-//! * [`event`] — the discrete-event engine (integer-microsecond clock).
-//! * [`swarm`] — the simulation: a seed serves coded blocks; peers recode
+//! * `topology` — random swarm graphs with per-peer upload capacity.
+//! * `event` — the discrete-event engine (integer-microsecond clock).
+//! * `swarm` — the simulation: a seed serves coded blocks; peers recode
 //!   and forward; metrics capture completion times and the
 //!   linear-dependence overhead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
-pub mod swarm;
-pub mod topology;
+mod event;
+mod swarm;
+mod topology;
 
 pub use swarm::{SwarmConfig, SwarmReport, SwarmSim};
 pub use topology::Topology;

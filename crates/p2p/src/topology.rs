@@ -75,12 +75,12 @@ impl Topology {
     }
 
     /// Outgoing neighbors of a node.
-    pub fn neighbors(&self, node: usize) -> &[usize] {
+    pub(crate) fn neighbors(&self, node: usize) -> &[usize] {
         &self.neighbors[node]
     }
 
     /// Upload capacity of a node in bits/second.
-    pub fn upload_bps(&self, node: usize) -> f64 {
+    pub(crate) fn upload_bps(&self, node: usize) -> f64 {
         self.upload_bps[node]
     }
 

@@ -219,11 +219,6 @@ pub struct PooledBuf {
 }
 
 impl PooledBuf {
-    /// Extracts the underlying vector, opting out of recycling.
-    pub fn into_vec(mut self) -> Vec<u8> {
-        self.vec.take().expect("buffer present until into_vec")
-    }
-
     fn bytes(&self) -> &[u8] {
         self.vec.as_deref().expect("buffer present until into_vec")
     }
@@ -324,7 +319,7 @@ impl std::fmt::Debug for BlockArena {
 
 impl BlockArena {
     /// An arena with its own (non-global) shelves.
-    pub fn new(max_retained: usize) -> BlockArena {
+    pub(crate) fn new(max_retained: usize) -> BlockArena {
         BlockArena { coeffs: BytesPool::new(max_retained), payloads: BytesPool::new(max_retained) }
     }
 
@@ -342,16 +337,6 @@ impl BlockArena {
     /// A zeroed payload vector of length `k`.
     pub fn take_payload(&self, k: usize) -> Vec<u8> {
         self.payloads.take_vec(k)
-    }
-
-    /// A coefficient vector holding a copy of `src`.
-    pub fn copy_coeffs(&self, src: &[u8]) -> Vec<u8> {
-        self.coeffs.take_vec_copy(src)
-    }
-
-    /// A payload vector holding a copy of `src`.
-    pub fn copy_payload(&self, src: &[u8]) -> Vec<u8> {
-        self.payloads.take_vec_copy(src)
     }
 
     /// Recycles a coefficient vector whose bytes have been consumed.
@@ -443,15 +428,6 @@ mod tests {
         let v = pool.take_vec(1024); // too big for the shelved 4-byte vec
         assert_eq!(v.len(), 1024);
         assert_eq!(pool.retained(), 1, "the small vec stays shelved");
-    }
-
-    #[test]
-    fn into_vec_opts_out_of_recycling() {
-        let pool = BytesPool::new(4);
-        let buf = pool.take_copy(b"keep");
-        let v = buf.into_vec();
-        assert_eq!(v, b"keep");
-        assert_eq!(pool.retained(), 0);
     }
 
     #[test]

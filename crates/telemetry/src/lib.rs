@@ -52,7 +52,7 @@ mod registry;
 mod snapshot;
 
 pub use json::JsonError;
-pub use metrics::{Counter, Gauge, Histogram, Span, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram, Span};
 pub use registry::{Registry, Scoped};
 pub use snapshot::{HistogramSnapshot, Snapshot};
 

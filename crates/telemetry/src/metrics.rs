@@ -19,7 +19,7 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A counter at zero.
-    pub const fn new() -> Counter {
+    pub(crate) const fn new() -> Counter {
         Counter(AtomicU64::new(0))
     }
 
@@ -53,7 +53,7 @@ pub struct Gauge(AtomicU64);
 
 impl Gauge {
     /// A gauge at `0.0`.
-    pub const fn new() -> Gauge {
+    pub(crate) const fn new() -> Gauge {
         Gauge(AtomicU64::new(0))
     }
 
@@ -74,7 +74,7 @@ impl Gauge {
 
 /// Number of buckets in a [`Histogram`]: one per bit length of a `u64`
 /// value (bucket 0 holds the value 0, bucket `i` holds `[2^(i-1), 2^i)`).
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A fixed-bucket (power-of-two) histogram of `u64` samples.
 ///
@@ -234,11 +234,6 @@ impl Span<'_> {
             self.histogram.record_duration(start.elapsed());
         }
     }
-
-    /// Abandons the span without recording anything.
-    pub fn cancel(mut self) {
-        self.start = None;
-    }
 }
 
 impl Drop for Span<'_> {
@@ -341,14 +336,6 @@ mod tests {
         }
         assert_eq!(h.count(), 1);
         assert!(h.sum() >= 2_000_000, "recorded {} ns", h.sum());
-    }
-
-    #[test]
-    fn span_cancel_records_nothing() {
-        crate::set_enabled(true);
-        let h = Histogram::new();
-        h.span().cancel();
-        assert_eq!(h.count(), 0);
     }
 
     #[test]

@@ -152,11 +152,6 @@ pub struct Scoped<'r> {
 }
 
 impl Scoped<'_> {
-    /// The scope's name prefix (without the trailing separator).
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
     fn full(&self, name: &str) -> String {
         let mut full = String::with_capacity(self.prefix.len() + 1 + name.len());
         full.push_str(&self.prefix);
@@ -173,11 +168,6 @@ impl Scoped<'_> {
     /// The gauge registered under `<prefix>.<name>`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
         self.registry.gauge(&self.full(name))
-    }
-
-    /// The histogram registered under `<prefix>.<name>`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.registry.histogram(&self.full(name))
     }
 }
 
@@ -238,11 +228,7 @@ mod tests {
         // The scoped handle and the fully-qualified name are the same metric.
         r.counter("net.shard0.rx").inc();
         assert_eq!(r.snapshot().counter("net.shard0.rx"), Some(3));
-        assert_eq!(shard.prefix(), "net.shard0");
         shard.gauge("depth").set(1.0);
-        shard.histogram("lag").record(5);
-        let s = r.snapshot();
-        assert_eq!(s.gauge("net.shard0.depth"), Some(1.0));
-        assert_eq!(s.histogram("net.shard0.lag").map(|h| h.count), Some(1));
+        assert_eq!(r.snapshot().gauge("net.shard0.depth"), Some(1.0));
     }
 }

@@ -27,16 +27,7 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
-impl HistogramSnapshot {
-    /// Mean sample value, `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
+impl HistogramSnapshot {}
 
 /// Every metric of one [`crate::Registry`] at a point in time.
 ///
@@ -230,10 +221,5 @@ mod tests {
         let s = Snapshot::from_json(r#"{"counters":{"only":7}}"#).unwrap();
         assert_eq!(s.counter("only"), Some(7));
         assert!(s.gauges.is_empty());
-    }
-
-    #[test]
-    fn mean_is_safe_on_empty() {
-        assert_eq!(HistogramSnapshot::default().mean(), 0.0);
     }
 }

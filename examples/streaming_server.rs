@@ -11,12 +11,12 @@
 //! ```
 
 use extreme_nc::gpu::api::EncodeScheme;
+use extreme_nc::net::streaming::{assess, sender_config_for, CapacityPlan, Nic, StreamProfile};
 use extreme_nc::net::{
     Client, ReceiverConfig, ServerConfig, ShardedServer, ShardedServerConfig, UdpChannel,
 };
 use extreme_nc::prelude::*;
 use extreme_nc::rlnc::stream::StreamEncoder;
-use extreme_nc::streaming::{assess, sender_config_for, CapacityPlan, Nic, StreamProfile};
 use std::sync::Arc;
 use std::time::Duration;
 

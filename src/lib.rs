@@ -10,12 +10,13 @@
 //! | [`gpu_sim`] | The SIMT GPU simulator standing in for CUDA hardware |
 //! | [`gpu`] | The paper's GPU kernels: encode ladder, two decoders |
 //! | [`cpu`] | Real multi-threaded CPU coding |
-//! | [`cpu_model`] | The analytic Mac Pro baseline model |
-//! | [`streaming`] | Media profiles, NIC and peer-capacity planning, paced media delivery over [`net`] |
-//! | [`net`] | Lossy-datagram coded transport: UDP, fault injection, sessions |
+//! | [`net`] | Lossy-datagram coded transport: UDP, fault injection, sessions; [`net::streaming`] plans peer capacity and paces media delivery |
 //! | [`p2p`] | The Avalanche-style content-distribution swarm |
 //! | [`telemetry`] | Zero-dependency metrics: counters, histograms, JSON snapshots |
 //! | [`pool`] | Buffer recycling: recycled byte and coded-block shelves |
+//!
+//! The analytic Mac Pro baseline of Figs. 4(b), 9 and 10 is
+//! `nc_bench::cpu_model`, next to the figure harness that plots it.
 //!
 //! Start with the runnable examples:
 //!
@@ -34,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub use nc_cpu as cpu;
-pub use nc_cpu_model as cpu_model;
 pub use nc_fft as fft;
 pub use nc_gf256 as gf256;
 pub use nc_gpu as gpu;
@@ -43,7 +43,6 @@ pub use nc_net as net;
 pub use nc_p2p as p2p;
 pub use nc_pool as pool;
 pub use nc_rlnc as rlnc;
-pub use nc_streaming as streaming;
 pub use nc_telemetry as telemetry;
 
 /// The most common imports in one place.

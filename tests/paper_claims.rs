@@ -3,10 +3,10 @@
 //! the *shape* of every result (who wins, by roughly what factor, where
 //! crossovers fall), not decimal places.
 
-use extreme_nc::cpu_model::{CpuModel, EncodeStrategy};
 use extreme_nc::gpu::api::EncodeScheme;
 use extreme_nc::gpu::decode_single::DecodeOptions;
 use extreme_nc::prelude::*;
+use nc_bench::cpu_model::{CpuModel, EncodeStrategy};
 use nc_bench::runners::{gpu_decode_single_rate, gpu_encode_rate, workload_blocks};
 
 fn mb(x: f64) -> f64 {

@@ -2,11 +2,11 @@
 //! delivery, swarm distribution, and the streaming planner's peer counts
 //! fitting the load they admit.
 
+use extreme_nc::net::streaming::{CapacityPlan, Nic, StreamProfile};
 use extreme_nc::p2p::{SwarmConfig, SwarmSim, Topology};
 use extreme_nc::prelude::*;
 use extreme_nc::rlnc::stream::{StreamDecoder, StreamEncoder};
 use extreme_nc::rlnc::{StreamCodecReceiver, StreamCodecSender};
-use extreme_nc::streaming::{CapacityPlan, Nic, StreamProfile};
 use rand::{Rng, SeedableRng};
 
 #[test]
