@@ -1,6 +1,6 @@
 //! The LCH additive FFT/IFFT over a contiguous arena of shards, plus the
-//! formal derivative — the three transforms the systematic encoder and
-//! the erasure decoder are built from.
+//! derivative fold — the transforms the systematic encoder and the
+//! erasure decoder are built from.
 //!
 //! These are *region* transforms: each point of the transform is a whole
 //! shard (split-plane GF(2^16) symbols, see [`crate::simd`]), and a
@@ -20,13 +20,35 @@
 //!
 //! # Groups
 //!
-//! Layer `dist` pairs index `i` with `i + dist`; the `dist` butterflies
-//! of the *group* starting at `r` (`r` a multiple of `2·dist`) all use
-//! `skew[r + dist + skew_delta - 1]`, where `skew_delta` shifts the
-//! evaluation points of the whole transform (the encoder evaluates chunk
-//! `c` of the data over the coset starting at `m + c·m`). One
-//! [`Multiplier`] is built per group and applied to all of its
-//! butterflies — never one per butterfly.
+//! A transform runs over a power-of-two run of arena shards
+//! `[lo, lo + size)`. Layer `dist` pairs index `i` with `i + dist`; the
+//! `dist` butterflies of the *group* starting at `r` (`r - lo` a multiple
+//! of `2·dist`) all use `skew[r - lo + dist + skew_delta - 1]`, where
+//! `skew_delta` shifts the evaluation points of the whole transform (the
+//! encoder evaluates chunk `c` of the data over the coset starting at
+//! `m + c·m`). One [`Multiplier`] is built per group and applied to all
+//! of its butterflies — never one per butterfly.
+//!
+//! The *top group* `(lo, size/2)` of a transform at `skew_delta = 0`
+//! uses `skew[size/2 - 1]` whether it is an IFFT's or an FFT's, and its
+//! two halves are the size-`size/2` transforms at `skew_delta` 0 and
+//! `size/2`. That is what lets the codec peel the top layer off:
+//!
+//! * the encoder's IFFT (coset `m + c·m`) is followed by the FFT's top
+//!   group (coset 0). An IFFT butterfly with `a` then an FFT butterfly
+//!   with `b` is `t = (a ^ b)·(x ^ y); x ^= t; y ^= t`, so
+//!   [`Transforms::ifft_merging_fft_top`] runs the two as one group,
+//!   one multiply per pair in the IFFT's last column-tile pass, and the
+//!   FFT runs as its two halves;
+//! * the decoder's IFFT top, formal derivative and FFT top (all at
+//!   `skew_delta = 0`) collapse to one fold: with `l`, `u` the outputs of
+//!   the two half IFFTs, the two half FFTs take `u ^ S(l)` (lower points)
+//!   and `l ^ S(u)` (upper points), where `S(v)[p]` is the XOR of
+//!   `v[p + 2^b]` over the zero bits `b` of `p` — the derivative's shift
+//!   terms at half size ([`fold_shifts`]). `S(S(v)) = 0` (the shifts
+//!   commute and each squares to zero), so both folds can run in place
+//!   one after the other: folding `S(l)` into `u` first leaves `S` of
+//!   the upper storage unchanged.
 //!
 //! # Order: depth first, a few layers per pass
 //!
@@ -55,7 +77,7 @@
 //!
 //! A group whose shards lie wholly outside the *live* range is skipped:
 //! for the IFFT the live range is the non-zero input prefix
-//! `[0, truncated)` (all-zero sub-trees stay zero — the standard LCH
+//! `[lo, truncated)` (all-zero sub-trees stay zero — the standard LCH
 //! truncation that makes encode cost scale with the data, not the
 //! transform); for the FFT it is the range of outputs the caller will
 //! read (sub-trees that only feed unread outputs are never computed).
@@ -92,8 +114,8 @@ const ALIGN: usize = 64;
 /// buffer.
 ///
 /// One allocation instead of one `Vec` per shard: a group's `dist`
-/// butterflies run over two adjacent byte runs, the derivative's XORs are
-/// one call each, and the buffer pool shelves one vector.
+/// butterflies run over two adjacent byte runs, the fold's XORs are one
+/// call each, and the buffer pool shelves one vector.
 #[derive(Debug)]
 pub struct Arena {
     bytes: Vec<u8>,
@@ -185,18 +207,147 @@ impl Arena {
         let (head, tail) = self.bytes[self.start..].split_at_mut(y0 * self.shard_bytes);
         (&mut head[x0 * self.shard_bytes..][..run], &mut tail[..run])
     }
+
+    /// `self[into + i] ^= self[from + i]` for the `count` shards of two
+    /// disjoint runs, in either order.
+    fn xor_run(&mut self, into: usize, from: usize, count: usize) {
+        if into < from {
+            let (x, y) = self.runs_mut(into, from, count);
+            simd::xor_assign(x, y);
+        } else {
+            let (y, x) = self.runs_mut(from, into, count);
+            simd::xor_assign(x, y);
+        }
+    }
+}
+
+/// What every transform of one codec call shares: the field tables, the
+/// kernel and the block size walked layer at a time (see the module
+/// docs).
+pub struct Transforms<'a> {
+    t: &'a Tables,
+    kernel: Gf16Kernel,
+    block: usize,
+}
+
+impl<'a> Transforms<'a> {
+    /// Transforms on `kernel` that walk sub-transforms of at most `block`
+    /// shards layer at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not a power of two of at least 2.
+    pub fn new(t: &'a Tables, kernel: Gf16Kernel, block: usize) -> Transforms<'a> {
+        assert!(block.is_power_of_two() && block >= 2, "block size");
+        Transforms { t, kernel, block }
+    }
+
+    /// In-place additive IFFT of `work[shards]` (time → "novel basis"
+    /// coefficients). The run's length must be a power of two; shards
+    /// from arena index `truncated` on must be zero (their groups are
+    /// skipped); `skew_delta` selects the evaluation coset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's length is not a power of two or the run ends
+    /// past the arena.
+    pub fn ifft(
+        &self,
+        work: &mut Arena,
+        shards: Range<usize>,
+        truncated: usize,
+        skew_delta: usize,
+    ) {
+        self.walk(work, &shards, skew_delta, shards.start..truncated, true, None);
+    }
+
+    /// [`Transforms::ifft`] followed by the top group of the FFT over the
+    /// same shards at `fft_skew_delta`, the two top groups run as one
+    /// merged butterfly per pair (see the module docs). What is left of
+    /// that FFT is its two halves.
+    ///
+    /// # Panics
+    ///
+    /// As [`Transforms::ifft`].
+    pub fn ifft_merging_fft_top(
+        &self,
+        work: &mut Arena,
+        shards: Range<usize>,
+        truncated: usize,
+        skew_delta: usize,
+        fft_skew_delta: usize,
+    ) {
+        // A one-shard transform has no top group.
+        let fft_top =
+            (shards.len() > 1).then(|| self.t.skew[shards.len() / 2 + fft_skew_delta - 1]);
+        self.walk(work, &shards, skew_delta, shards.start..truncated, true, fft_top);
+    }
+
+    /// In-place additive FFT of `work[shards]` (coefficients →
+    /// evaluations); the inverse of [`Transforms::ifft`] for matching
+    /// shards and `skew_delta`. Only the arena shards in `outputs` are
+    /// guaranteed to hold evaluations afterwards: groups that feed no
+    /// output in that range are skipped, and the shards they would have
+    /// written hold intermediate values.
+    ///
+    /// # Panics
+    ///
+    /// As [`Transforms::ifft`].
+    pub fn fft(
+        &self,
+        work: &mut Arena,
+        shards: Range<usize>,
+        outputs: Range<usize>,
+        skew_delta: usize,
+    ) {
+        self.walk(work, &shards, skew_delta, outputs, false, None);
+    }
+
+    fn walk(
+        &self,
+        work: &mut Arena,
+        shards: &Range<usize>,
+        skew_delta: usize,
+        live: Range<usize>,
+        inverse: bool,
+        merge: Option<u16>,
+    ) {
+        let size = shards.len();
+        assert!(size.is_power_of_two() && shards.end <= work.len(), "transform shards");
+        let walk = Walk { tf: self, origin: shards.start, size, skew_delta, live, inverse, merge };
+        walk.transform(work, shards.start, size);
+    }
+}
+
+/// What one group does to each of its pairs `(x, y)`.
+#[derive(Default)]
+enum Butterfly {
+    /// A skipped group, or a merged top whose two constants cancel.
+    #[default]
+    Identity,
+    /// The zero-multiplier sentinel: `y ^= x`.
+    Xor,
+    Ifft(Multiplier),
+    Fft(Multiplier),
+    /// An IFFT top merged with an FFT top, see
+    /// [`Multiplier::merged_butterflies`].
+    Merged(Multiplier),
 }
 
 /// What one transform's walk carries down the group tree.
 struct Walk<'a> {
-    t: &'a Tables,
-    kernel: Gf16Kernel,
+    tf: &'a Transforms<'a>,
+    /// Arena index of the transform's shard 0.
+    origin: usize,
+    size: usize,
     skew_delta: usize,
-    block: usize,
     /// Groups wholly outside this shard range are skipped.
     live: Range<usize>,
     /// IFFT (children before parents, `y ^= x; x ^= m·y`) or FFT.
     inverse: bool,
+    /// The skew (log domain) of an FFT top group merged into this IFFT's
+    /// top group.
+    merge: Option<u16>,
 }
 
 impl Walk<'_> {
@@ -204,28 +355,35 @@ impl Walk<'_> {
         lo < self.live.end && lo + size > self.live.start
     }
 
-    /// The shared multiplier of group `(r, dist)`, `None` for the
-    /// zero-multiplier sentinel.
-    fn multiplier(&self, r: usize, dist: usize) -> Option<Multiplier> {
-        let log_m = self.t.skew[r + dist + self.skew_delta - 1];
-        (log_m != MODULUS).then(|| Multiplier::new(self.kernel, self.t, log_m))
+    /// The butterfly of group `(r, dist)`: one shared multiplier.
+    fn group(&self, r: usize, dist: usize) -> Butterfly {
+        let t = self.tf.t;
+        let log_m = t.skew[r - self.origin + dist + self.skew_delta - 1];
+        let multiplier = |log_m| Multiplier::new(self.tf.kernel, t, log_m);
+        match self.merge {
+            Some(fft_top) if 2 * dist == self.size => {
+                let element = |log: u16| if log == MODULUS { 0 } else { t.exp[usize::from(log)] };
+                match t.log[usize::from(element(log_m) ^ element(fft_top))] {
+                    MODULUS => Butterfly::Identity,
+                    sum => Butterfly::Merged(multiplier(sum)),
+                }
+            }
+            _ if log_m == MODULUS => Butterfly::Xor,
+            _ if self.inverse => Butterfly::Ifft(multiplier(log_m)),
+            _ => Butterfly::Fft(multiplier(log_m)),
+        }
     }
 
     /// Butterflies `count` shards from `x0` against `count` from `y0`.
-    fn butterflies(
-        &self,
-        work: &mut Arena,
-        x0: usize,
-        y0: usize,
-        count: usize,
-        multiplier: &Option<Multiplier>,
-    ) {
+    fn butterflies(&self, work: &mut Arena, x0: usize, y0: usize, count: usize, op: &Butterfly) {
         let shard_bytes = work.shard_bytes;
         let (x, y) = work.runs_mut(x0, y0, count);
-        match multiplier {
-            Some(m) if self.inverse => m.ifft_butterflies(x, y, shard_bytes),
-            Some(m) => m.fft_butterflies(x, y, shard_bytes),
-            None => simd::xor_assign(y, x),
+        match op {
+            Butterfly::Identity => {}
+            Butterfly::Xor => simd::xor_assign(y, x),
+            Butterfly::Ifft(m) => m.ifft_butterflies(x, y, shard_bytes),
+            Butterfly::Fft(m) => m.fft_butterflies(x, y, shard_bytes),
+            Butterfly::Merged(m) => m.merged_butterflies(x, y, shard_bytes),
         }
     }
 
@@ -234,7 +392,8 @@ impl Walk<'_> {
         if !self.touches(lo, size) {
             return;
         }
-        if size <= self.block {
+        let block = self.tf.block;
+        if size <= block {
             // Layer at a time: ascending distances for the IFFT,
             // descending for the FFT; a group is one contiguous call.
             let layers = size.ilog2();
@@ -242,13 +401,13 @@ impl Walk<'_> {
                 let dist = 1 << if self.inverse { step } else { layers - 1 - step };
                 for r in (lo..lo + size).step_by(2 * dist) {
                     if self.touches(r, 2 * dist) {
-                        self.butterflies(work, r, r + dist, dist, &self.multiplier(r, dist));
+                        self.butterflies(work, r, r + dist, dist, &self.group(r, dist));
                     }
                 }
             }
             return;
         }
-        let child = (size >> RADIX_LAYERS).max(self.block);
+        let child = (size >> RADIX_LAYERS).max(block);
         if !self.inverse {
             self.upper_layers(work, lo, size, child);
         }
@@ -271,12 +430,12 @@ impl Walk<'_> {
         let kids = size / child;
         let layers = kids.ilog2() as usize;
         // Layer l has `kids >> (l + 1)` groups, stored from `kids - (kids >> l)`.
-        let mut multipliers: [Option<Multiplier>; (1 << RADIX_LAYERS) - 1] = Default::default();
+        let mut groups: [Butterfly; (1 << RADIX_LAYERS) - 1] = Default::default();
         for l in 0..layers {
             for g in 0..kids >> (l + 1) {
                 let (r, dist) = (lo + g * (child << (l + 1)), child << l);
                 if self.touches(r, 2 * dist) {
-                    multipliers[kids - (kids >> l) + g] = self.multiplier(r, dist);
+                    groups[kids - (kids >> l) + g] = self.group(r, dist);
                 }
             }
         }
@@ -291,9 +450,9 @@ impl Walk<'_> {
                     if !self.touches(r, 2 * dist) {
                         continue;
                     }
-                    let multiplier = &multipliers[kids - (kids >> l) + g];
+                    let op = &groups[kids - (kids >> l) + g];
                     for x0 in (r + first..r + dist).step_by(child) {
-                        self.butterflies(work, x0, x0 + dist, columns, multiplier);
+                        self.butterflies(work, x0, x0 + dist, columns, op);
                     }
                 }
             }
@@ -301,92 +460,38 @@ impl Walk<'_> {
     }
 }
 
-fn check(work: &Arena, size: usize, block: usize) {
-    assert!(size.is_power_of_two() && size <= work.len(), "transform size");
+/// `work[into + p] ^= S(work[from..from + size])[p]` for every `p <
+/// size`, where `S(v)[p]` is the XOR of `v[p + 2^b]` over the zero bits
+/// `b < log2(size)` of `p` — the shift terms of the formal derivative
+/// of a polynomial whose novel-basis coefficients are `v` (the
+/// derivative is `v ^ S(v)`), which is how the decoder folds the
+/// derivative across the two halves of its transform (see the module
+/// docs). The two runs must not overlap.
+///
+/// The target is finished a block of `block` shards at a time, in one
+/// visit while it is cache resident: first the terms inside the block
+/// (step `i` folds the source run `[i, i + w)` onto the target run
+/// `[i - w, i)`, `w` the lowest set bit of `i`), then one term from each
+/// later source block that differs in a single zero bit.
+///
+/// # Panics
+///
+/// Panics if `size` or `block` is not a power of two, `block < 2`, the
+/// runs overlap, or either ends past the arena.
+pub fn fold_shifts(work: &mut Arena, from: usize, into: usize, size: usize, block: usize) {
+    assert!(size.is_power_of_two() && from.max(into) + size <= work.len(), "fold size");
+    assert!(from + size <= into || into + size <= from, "fold runs overlap");
     assert!(block.is_power_of_two() && block >= 2, "block size");
-}
-
-/// In-place additive IFFT of `work[..size]` (time → "novel basis"
-/// coefficients) on `kernel`. `size` must be a power of two; shards from
-/// index `truncated` on must be zero (their groups are skipped);
-/// `skew_delta` selects the evaluation coset; `block` is the sub-transform
-/// size walked layer at a time (see the module docs).
-///
-/// # Panics
-///
-/// Panics if `size` or `block` is not a power of two, `block < 2`, or the
-/// arena holds fewer than `size` shards.
-pub fn ifft(
-    t: &Tables,
-    kernel: Gf16Kernel,
-    work: &mut Arena,
-    size: usize,
-    truncated: usize,
-    skew_delta: usize,
-    block: usize,
-) {
-    check(work, size, block);
-    Walk { t, kernel, skew_delta, block, live: 0..truncated, inverse: true }
-        .transform(work, 0, size);
-}
-
-/// In-place additive FFT of `work[..size]` (coefficients → evaluations)
-/// on `kernel`; the inverse of [`ifft`] for matching `size` and
-/// `skew_delta`. Only the shards in `outputs` are guaranteed to hold
-/// evaluations afterwards: groups that feed no output in that range are
-/// skipped, and the shards they would have written hold intermediate
-/// values.
-///
-/// # Panics
-///
-/// As [`ifft`].
-pub fn fft(
-    t: &Tables,
-    kernel: Gf16Kernel,
-    work: &mut Arena,
-    size: usize,
-    outputs: Range<usize>,
-    skew_delta: usize,
-    block: usize,
-) {
-    check(work, size, block);
-    Walk { t, kernel, skew_delta, block, live: outputs, inverse: false }.transform(work, 0, size);
-}
-
-/// In-place formal derivative of the polynomial whose novel-basis
-/// coefficients are `work[..size]` — the step that turns the decoder's
-/// product polynomial into one revealing the erased values (Lin–Chung–Han
-/// erasure decoding): `out[p] = in[p] ^ XOR in[p | 1 << b]` over the zero
-/// bits `b < log2(size)` of `p`.
-///
-/// Every term reads an *input* shard at a higher index than the one it
-/// is folded into, so blocks of `block` shards are finished one at a time
-/// in ascending order: first the folds inside the block (step `i` folds
-/// the run `[i, i + w)` into `[i - w, i)`, `w` the lowest set bit of `i`
-/// — the in-order walk of the block's tree), then one fold from each
-/// later block that differs in a single zero bit, all still untouched.
-/// A block is written once, while it is cache resident; the plain
-/// `1..size` loop (`block >= size`) re-writes the low half of the set
-/// once per layer.
-///
-/// # Panics
-///
-/// Panics if `size` or `block` is not a power of two, `block < 2`, or the
-/// arena holds fewer than `size` shards.
-pub fn formal_derivative(work: &mut Arena, size: usize, block: usize) {
-    check(work, size, block);
     let block = block.min(size);
     for lo in (0..size).step_by(block) {
         for i in 1..block {
             let width = 1 << i.trailing_zeros();
-            let (x, y) = work.runs_mut(lo + i - width, lo + i, width);
-            simd::xor_assign(x, y);
+            work.xor_run(into + lo + i - width, from + lo + i, width);
         }
         let mut bit = block;
         while bit < size {
             if lo & bit == 0 {
-                let (x, y) = work.runs_mut(lo, lo + bit, block);
-                simd::xor_assign(x, y);
+                work.xor_run(into + lo, from + lo + bit, block);
             }
             bit <<= 1;
         }
@@ -419,15 +524,15 @@ mod tests {
     #[test]
     fn fft_inverts_ifft_at_every_delta_and_block() {
         let t = tables();
-        let kernel = simd::active_kernel();
         for size in [2usize, 4, 16, 64] {
             for delta in [0usize, size, 4 * size] {
                 for block in [2usize, 8, 64] {
+                    let tf = Transforms::new(&t, simd::active_kernel(), block);
                     let original = arena(size, 34, 0x5EED ^ size as u64);
                     let mut work = arena(size, 34, 0x5EED ^ size as u64);
-                    ifft(&t, kernel, &mut work, size, size, delta, block);
+                    tf.ifft(&mut work, 0..size, size, delta);
                     assert_ne!(work.as_bytes(), original.as_bytes(), "transform must do something");
-                    fft(&t, kernel, &mut work, size, 0..size, delta, block);
+                    tf.fft(&mut work, 0..size, 0..size, delta);
                     assert_eq!(work.as_bytes(), original.as_bytes(), "size {size}, delta {delta}");
                 }
             }
@@ -437,33 +542,45 @@ mod tests {
     #[test]
     fn truncated_ifft_matches_zero_padded_full_ifft() {
         let t = tables();
-        let kernel = simd::active_kernel();
         let size = 32;
         let keep = 9; // non-power-of-two prefix
         for block in [2usize, 4, 32] {
+            let tf = Transforms::new(&t, simd::active_kernel(), block);
             let mut padded = arena(keep, 66, 77);
             padded.pad_zeroed(size);
             let mut truncated = arena(keep, 66, 77);
             truncated.pad_zeroed(size);
-            ifft(&t, kernel, &mut padded, size, size, size, block);
-            ifft(&t, kernel, &mut truncated, size, keep, size, block);
+            tf.ifft(&mut padded, 0..size, size, size);
+            tf.ifft(&mut truncated, 0..size, keep, size);
             assert_eq!(padded.as_bytes(), truncated.as_bytes());
         }
     }
 
     #[test]
-    fn formal_derivative_of_constant_is_zero() {
+    fn fold_of_a_constant_adds_nothing() {
         // In the novel basis, coefficient 0 is the constant term; the
-        // derivative of a constant polynomial has no terms at all.
+        // derivative of a constant polynomial has no terms at all, and
+        // every shift term reads a source shard above index 0.
         let size = 16;
-        let mut work = Arena::new(BytesPool::global(), size, 10);
+        let mut work = Arena::new(BytesPool::global(), 2 * size, 10);
         work.push(&[0xAB; 10]);
-        work.pad_zeroed(size);
-        formal_derivative(&mut work, size, 4);
-        // Every XOR source above index 0 is zero: the constant term stays,
-        // no derivative term appears.
+        work.pad_zeroed(2 * size);
+        fold_shifts(&mut work, 0, size, size, 4);
         assert_eq!(work.shard(0), [0xAB; 10]);
         assert!(work.as_bytes()[10..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn folding_twice_cancels() {
+        // S(S(v)) = 0: the decoder folds both halves in place, one after
+        // the other, on this identity.
+        for (size, block) in [(2usize, 2usize), (16, 4), (64, 8), (64, 64)] {
+            let mut work = arena(size, 6, size as u64);
+            work.pad_zeroed(3 * size);
+            fold_shifts(&mut work, 0, size, size, block);
+            fold_shifts(&mut work, size, 2 * size, size, block);
+            assert!(work.as_bytes()[2 * size * 6..].iter().all(|&b| b == 0), "size {size}");
+        }
     }
 
     #[test]

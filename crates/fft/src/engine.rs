@@ -3,12 +3,16 @@
 //! A segment is `original_count` equal-length shards (the *original*
 //! data) plus `recovery_count` parity shards. Encoding evaluates the data
 //! polynomial over recovery cosets with one truncated IFFT per m-sized
-//! chunk and a final FFT — O((n/m)·m log m + m log m) region operations —
-//! and decoding recovers any erased originals from any mix of surviving
+//! chunk, each ending in the FFT's merged top group, and the two halves
+//! of the final FFT — O((n/m)·m log m + m log m) region operations — and
+//! decoding recovers any erased originals from any mix of surviving
 //! shards via the Lin–Chung–Han construction: an error-locator built with
-//! two Walsh-Hadamard transforms against the precomputed `log_walsh`
-//! table, one big IFFT, a formal derivative, and one big FFT. Compare
-//! dense RLNC's O(n²) coefficient work per segment and O(n³) Gaussian
+//! two Walsh-Hadamard transforms at the transform's length against the
+//! precomputed `log_walsh` folds, then the IFFT, formal derivative and
+//! FFT with their top layers peeled off — two half IFFTs, one derivative
+//! fold per half that holds erased originals into the other half's
+//! storage, and one half FFT there (see [`crate::afft`]). Compare dense
+//! RLNC's O(n²) coefficient work per segment and O(n³) Gaussian
 //! elimination.
 //!
 //! The working set of a call is one contiguous [`Arena`] taken from the
@@ -17,12 +21,13 @@
 //! are pool vectors filled by copy (no zeroing pass). Both paths record
 //! wall time into the `fft.encode_ns` / `fft.decode_ns` histograms; a
 //! decode whose originals all survived is the *systematic fast path* —
-//! counted in `fft.systematic_fast_path` and answered by pure copy.
+//! counted in `fft.systematic_fast_path` and answered by pure copy; the
+//! others count the halves they fold in `fft.decode_folds`.
 
-use crate::afft::{block_shards, fft, formal_derivative, ifft, Arena};
+use crate::afft::{block_shards, fold_shifts, Arena, Transforms};
 use crate::metrics::metrics;
 use crate::simd::{self, Gf16Kernel};
-use crate::tables::{add_mod, fwht, tables, MODULUS, ORDER};
+use crate::tables::{fwht, tables, Tables, MODULUS, ORDER};
 use nc_pool::BytesPool;
 use nc_rlnc::Error;
 use std::time::Instant;
@@ -79,13 +84,15 @@ pub fn encode_segment_with_kernel(
     let started = Instant::now();
     let t = tables();
     let pool = BytesPool::global();
-    let block = block_shards(shard_bytes);
+    let tf = Transforms::new(&t, kernel, block_shards(shard_bytes));
 
-    // Accumulate Σ_c IFFT(chunk c over coset m + c·m) into `work`.
+    // Accumulate Σ_c IFFT(chunk c over coset m + c·m) into `work`, each
+    // chunk ending in the final FFT's top group (it is linear, so it may
+    // run before the sum).
     let transform = |arena: &mut Arena, c: usize, chunk: &[&[u8]]| {
         chunk.iter().for_each(|shard| arena.push(shard));
         arena.pad_zeroed(m);
-        ifft(&t, kernel, arena, m, chunk.len(), m + c * m, block);
+        tf.ifft_merging_fft_top(arena, 0..m, chunk.len(), m + c * m, 0);
     };
     let mut work = Arena::new(pool, m, shard_bytes);
     transform(&mut work, 0, &original[..original.len().min(m)]);
@@ -99,9 +106,14 @@ pub fn encode_segment_with_kernel(
         scratch.recycle(pool);
     }
 
-    // Evaluate over the recovery coset (points 0..m); only the first
-    // `recovery_count` outputs are computed and leave the function.
-    fft(&t, kernel, &mut work, m, 0..recovery_count, 0, block);
+    // Evaluate over the recovery coset (points 0..m) with the FFT's two
+    // halves; only the first `recovery_count` outputs are computed and
+    // leave the function.
+    let half = m / 2;
+    if half > 0 {
+        tf.fft(&mut work, 0..half, 0..recovery_count, 0);
+        tf.fft(&mut work, half..m, 0..recovery_count, half);
+    }
     let recovery = (0..recovery_count).map(|i| pool.take_vec_copy(work.shard(i))).collect();
     work.recycle(pool);
 
@@ -168,36 +180,7 @@ pub fn decode_segment_with_kernel(
     let t = tables();
     let pool = BytesPool::global();
     let n_fft = (m + original_count).next_power_of_two();
-    let block = block_shards(shard_bytes);
-
-    // Error locator: 1 at every erased position (padding recovery
-    // positions count as erased), then two FWHTs against log_walsh turn
-    // the indicator into the log-domain evaluations of the locator
-    // polynomial at the field points. Only the first `n_fft` evaluations
-    // are read, so the second transform runs at length `n_fft` over the
-    // product folded modulo `n_fft` instead of at length `ORDER`.
-    let mut indicator = vec![0u16; ORDER];
-    for (e, r) in indicator.iter_mut().zip(recovery.iter()) {
-        if r.is_none() {
-            *e = 1;
-        }
-    }
-    for e in indicator.iter_mut().take(m).skip(recovery_count) {
-        *e = 1;
-    }
-    for (i, o) in original.iter().enumerate() {
-        if o.is_none() {
-            indicator[m + i] = 1;
-        }
-    }
-    fwht(&mut indicator, m + original_count);
-    let mut err_loc = vec![0u16; n_fft];
-    for (i, (&e, &w)) in indicator.iter().zip(t.log_walsh.iter()).enumerate() {
-        let product = ((u32::from(e) * u32::from(w)) % u32::from(MODULUS)) as u16;
-        let folded = &mut err_loc[i % n_fft];
-        *folded = add_mod(*folded, product);
-    }
-    fwht(&mut err_loc, n_fft);
+    let err_loc = error_locator(&t, original, recovery, m, n_fft);
 
     // The work arena, filled in position order: present shards scaled by
     // the locator, erased and padding positions zero. Nothing else is
@@ -214,12 +197,29 @@ pub fn decode_segment_with_kernel(
     original.iter().enumerate().for_each(|(i, o)| place(m + i, o));
     work.pad_zeroed(n_fft);
 
-    // Only the erased originals are read back, so only the outputs from
-    // the first to the last of them are evaluated.
+    // IFFT, formal derivative and FFT with the top layers peeled off (see
+    // `crate::afft`): half `k` of the points is evaluated in the other
+    // half's storage, so erased original `p` is read back from `p ^ half`.
+    // Only the halves holding erased originals are folded and evaluated,
+    // and only from the first to the last of those.
+    let half = n_fft / 2;
     let last_erased = original.iter().rposition(Option::is_none).expect("one is erased");
-    ifft(&t, kernel, &mut work, n_fft, m + original_count, 0, block);
-    formal_derivative(&mut work, n_fft, block);
-    fft(&t, kernel, &mut work, n_fft, m + first_erased..m + last_erased + 1, 0, block);
+    let erased = m + first_erased..m + last_erased + 1;
+    let points = |k: usize| erased.start.max(k * half)..erased.end.min(k * half + half);
+    let block = block_shards(shard_bytes);
+    let tf = Transforms::new(&t, kernel, block);
+    for k in 0..2 {
+        tf.ifft(&mut work, k * half..k * half + half, m + original_count, k * half);
+    }
+    let folded = (0..2).filter(|&k| !points(k).is_empty());
+    for k in folded.clone() {
+        fold_shifts(&mut work, k * half, (1 - k) * half, half, block);
+    }
+    for k in folded.clone() {
+        let (wanted, storage) = (points(k), (1 - k) * half);
+        let outputs = (wanted.start ^ half)..((wanted.end - 1) ^ half) + 1;
+        tf.fft(&mut work, storage..storage + half, outputs, k * half);
+    }
 
     let out = original
         .iter()
@@ -227,7 +227,7 @@ pub fn decode_segment_with_kernel(
         .map(|(i, o)| match o {
             Some(shard) => pool.take_vec_copy(shard),
             None => {
-                let mut recovered = pool.take_vec_copy(work.shard(m + i));
+                let mut recovered = pool.take_vec_copy(work.shard((m + i) ^ half));
                 let unscale = MODULUS - err_loc[m + i];
                 simd::mul_assign_with_kernel(kernel, &t, &mut recovered, unscale);
                 recovered
@@ -239,7 +239,45 @@ pub fn decode_segment_with_kernel(
     let mx = metrics();
     mx.decode_ns.record(started.elapsed().as_nanos() as u64);
     mx.decodes.inc();
+    mx.decode_folds.add(folded.count() as u64);
     Ok(out)
+}
+
+/// The decoder's error locator in the log domain at the first `n_fft`
+/// field points: 1 at every erased position (padding recovery positions
+/// count as erased), then two FWHTs against `log_walsh` turn the
+/// indicator into the log-domain evaluations of the locator polynomial.
+/// The indicator is zero from `n_fft` on, so its length-2^16 transform
+/// at `j·n_fft + r` is its length-`n_fft` transform at `r`, and the
+/// product folded modulo `n_fft` is that times `log_walsh` folded modulo
+/// `n_fft`: both passes run at length `n_fft`.
+fn error_locator(
+    t: &Tables,
+    original: &[Option<&[u8]>],
+    recovery: &[Option<&[u8]>],
+    m: usize,
+    n_fft: usize,
+) -> Vec<u16> {
+    let mut err_loc = vec![0u16; n_fft];
+    for (e, r) in err_loc.iter_mut().zip(recovery) {
+        if r.is_none() {
+            *e = 1;
+        }
+    }
+    for e in err_loc.iter_mut().take(m).skip(recovery.len()) {
+        *e = 1;
+    }
+    for (e, o) in err_loc[m..].iter_mut().zip(original) {
+        if o.is_none() {
+            *e = 1;
+        }
+    }
+    fwht(&mut err_loc, m + original.len());
+    for (e, &w) in err_loc.iter_mut().zip(t.log_walsh_folded(n_fft)) {
+        *e = ((u32::from(*e) * u32::from(w)) % u32::from(MODULUS)) as u16;
+    }
+    fwht(&mut err_loc, n_fft);
+    err_loc
 }
 
 #[cfg(all(test, not(nc_check)))]
@@ -287,6 +325,38 @@ mod tests {
         roundtrip(5, 3, &[4, 0]); // non-power-of-two both ways
         roundtrip(13, 7, &[12, 3, 9]);
         roundtrip(70, 6, &[69, 0]); // multiple IFFT chunks (m=8 < n=70)
+    }
+
+    #[test]
+    fn error_locator_matches_the_length_2_16_transform() {
+        // The construction before the folds: the indicator's FWHT at the
+        // field's full length, times `log_walsh`, folded modulo `n_fft`.
+        let t = tables();
+        let data = segment(70, 2, 3);
+        for (erase, lose) in
+            [(&[0usize, 69][..], &[1usize][..]), (&[5, 6, 60], &[]), (&[], &[0, 5])]
+        {
+            let original: Vec<Option<&[u8]>> =
+                (0..70).map(|i| (!erase.contains(&i)).then(|| data[i].as_slice())).collect();
+            let recovery: Vec<Option<&[u8]>> =
+                (0..6).map(|i| (!lose.contains(&i)).then(|| data[i].as_slice())).collect();
+            let (m, n_fft) = (8, 128);
+            let mut indicator = vec![0u16; ORDER];
+            for p in lose.iter().copied().chain(6..m).chain(erase.iter().map(|i| m + i)) {
+                indicator[p] = 1;
+            }
+            fwht(&mut indicator, ORDER);
+            let mut want = vec![0u16; n_fft];
+            for (i, (&e, &w)) in indicator.iter().zip(t.log_walsh_folded(ORDER)).enumerate() {
+                let product = ((u32::from(e) * u32::from(w)) % u32::from(MODULUS)) as u16;
+                want[i % n_fft] = crate::tables::add_mod(want[i % n_fft], product);
+            }
+            fwht(&mut want, n_fft);
+            let got = error_locator(&t, &original, &recovery, m, n_fft);
+            // Equal as residues: log 0 and log MODULUS both multiply by one.
+            let residues = |v: &[u16]| v.iter().map(|x| x % MODULUS).collect::<Vec<_>>();
+            assert_eq!(residues(&got), residues(&want), "erase {erase:?} lose {lose:?}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   [`simd::Multiplier`]: fused butterflies on GFNI / AVX2 / SSSE3 / NEON
 //!   with a portable fallback, runtime-dispatched like `nc_gf256::simd`,
 //!   overridable with `NC_GF16_BACKEND`.
-//! * [`afft`] — the additive FFT/IFFT and the formal derivative over one
+//! * [`afft`] — the additive FFT/IFFT and the derivative fold over one
 //!   contiguous [`afft::Arena`] of shards, walked depth first so every
 //!   cache level is passed over a few times, not once per layer.
 //! * [`engine`] — [`engine::encode_segment`] / [`engine::decode_segment`]:

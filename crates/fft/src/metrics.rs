@@ -19,6 +19,9 @@ pub(crate) struct FftMetrics {
     pub systematic_fast_path: Arc<Counter>,
     /// Segments that went through the full FFT erasure decode.
     pub decodes: Arc<Counter>,
+    /// Halves of the decode transform folded, 1 or 2 per decode: one per
+    /// half of the evaluation points that holds erased originals.
+    pub decode_folds: Arc<Counter>,
     /// Recovery shards produced by encodes.
     pub recovery_shards: Arc<Counter>,
     /// Which GF(2^16) rung the process dispatches to
@@ -38,6 +41,7 @@ pub(crate) fn metrics() -> &'static FftMetrics {
             decode_ns: r.histogram("fft.decode_ns"),
             systematic_fast_path: r.counter("fft.systematic_fast_path"),
             decodes: r.counter("fft.decodes"),
+            decode_folds: r.counter("fft.decode_folds"),
             recovery_shards: r.counter("fft.recovery_shards"),
             kernel_id: r.gauge("fft.kernel_id"),
             backend_override_unavailable: r.counter("fft.backend_override_unavailable"),

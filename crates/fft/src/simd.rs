@@ -42,15 +42,20 @@
 //!
 //! # Operations
 //!
-//! Every rung implements four multiplying operations over two equally long runs of
+//! Every rung implements five multiplying operations over two equally long runs of
 //! shards `x`, `y` with one body (compile-time `OP`):
 //!
 //! ```text
-//! mul_add:         x ^= m·y
-//! mul_into:        x  = m·y          (x == y is the in-place multiply)
-//! ifft butterfly:  y ^= x;  x ^= m·y
-//! fft  butterfly:  x ^= m·y;  y ^= x
+//! mul_add:           x ^= m·y
+//! mul_into:          x  = m·y          (x == y is the in-place multiply)
+//! ifft butterfly:    y ^= x;  x ^= m·y
+//! fft  butterfly:    x ^= m·y;  y ^= x
+//! merged butterfly:  t = m·(x ^ y);  x ^= t;  y ^= t
 //! ```
+//!
+//! The merged butterfly is an IFFT butterfly with constant `a` followed by
+//! an FFT butterfly with constant `b`, `m = a ^ b` (the encoder's two top
+//! groups, see [`crate::afft`]).
 //!
 //! plus the plain `x ^= y` of [`xor_assign`], which rides the same bodies
 //! for their vector width.
@@ -227,6 +232,7 @@ const MUL_INTO: u8 = 1;
 const IFFT: u8 = 2;
 const FFT: u8 = 3;
 const XOR: u8 = 4;
+const MERGED: u8 = 5;
 
 /// Multiplication by one constant, prepared for one kernel: build it once
 /// per constant, apply it to every shard that shares the constant.
@@ -467,17 +473,7 @@ impl Multiplier {
     /// Panics if the runs differ in length, `shard_bytes` is odd or zero,
     /// or it does not divide the run length.
     pub fn ifft_butterflies(&self, x: &mut [u8], y: &mut [u8], shard_bytes: usize) {
-        check_regions(x.len(), y.len(), shard_bytes);
-        let (px, py, len) = (x.as_mut_ptr(), y.as_mut_ptr(), x.len());
-        // SAFETY: equal lengths, a whole number of even-length shards
-        // (just checked); `x` and `y` are distinct mutable borrows.
-        let done = unsafe { self.vector::<IFFT>(px, py, len, shard_bytes) };
-        if done < shard_bytes / 2 {
-            let t16 = self.t16();
-            for (x, y) in x.chunks_exact_mut(shard_bytes).zip(y.chunks_exact_mut(shard_bytes)) {
-                portable_ifft(x, y, &t16, done);
-            }
-        }
+        self.butterflies::<IFFT>(x, y, shard_bytes, portable_ifft);
     }
 
     /// The fused FFT butterfly `x ^= m·y; y ^= x` over a run of shards.
@@ -486,14 +482,39 @@ impl Multiplier {
     ///
     /// As [`Multiplier::ifft_butterflies`].
     pub fn fft_butterflies(&self, x: &mut [u8], y: &mut [u8], shard_bytes: usize) {
+        self.butterflies::<FFT>(x, y, shard_bytes, portable_fft);
+    }
+
+    /// An IFFT butterfly with constant `a` followed by an FFT butterfly
+    /// with constant `b`, for `m = a ^ b`: `t = m·(x ^ y); x ^= t;
+    /// y ^= t` over a run of shards — one multiply and one pass where the
+    /// two butterflies take two of each.
+    ///
+    /// # Panics
+    ///
+    /// As [`Multiplier::ifft_butterflies`].
+    pub fn merged_butterflies(&self, x: &mut [u8], y: &mut [u8], shard_bytes: usize) {
+        self.butterflies::<MERGED>(x, y, shard_bytes, portable_merged);
+    }
+
+    /// Runs butterfly `OP` over two runs of shards, finishing each shard's
+    /// planes with `portable` past what the vector body covered.
+    fn butterflies<const OP: u8>(
+        &self,
+        x: &mut [u8],
+        y: &mut [u8],
+        shard_bytes: usize,
+        portable: fn(&mut [u8], &mut [u8], &NibbleTables, usize),
+    ) {
         check_regions(x.len(), y.len(), shard_bytes);
         let (px, py, len) = (x.as_mut_ptr(), y.as_mut_ptr(), x.len());
-        // SAFETY: as `ifft_butterflies`.
-        let done = unsafe { self.vector::<FFT>(px, py, len, shard_bytes) };
+        // SAFETY: equal lengths, a whole number of even-length shards
+        // (just checked); `x` and `y` are distinct mutable borrows.
+        let done = unsafe { self.vector::<OP>(px, py, len, shard_bytes) };
         if done < shard_bytes / 2 {
             let t16 = self.t16();
             for (x, y) in x.chunks_exact_mut(shard_bytes).zip(y.chunks_exact_mut(shard_bytes)) {
-                portable_fft(x, y, &t16, done);
+                portable(x, y, &t16, done);
             }
         }
     }
@@ -661,13 +682,26 @@ fn portable_fft(x: &mut [u8], y: &mut [u8], t16: &NibbleTables, from: usize) {
     }
 }
 
+fn portable_merged(x: &mut [u8], y: &mut [u8], t16: &NibbleTables, from: usize) {
+    let half = x.len() / 2;
+    let (xlo, xhi) = x.split_at_mut(half);
+    let (ylo, yhi) = y.split_at_mut(half);
+    for i in from..half {
+        let p = product(t16, xlo[i] ^ ylo[i], xhi[i] ^ yhi[i]);
+        xlo[i] ^= p as u8;
+        xhi[i] ^= (p >> 8) as u8;
+        ylo[i] ^= p as u8;
+        yhi[i] ^= (p >> 8) as u8;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // x86 / x86-64: SSSE3 and AVX2 PSHUFB bodies.
 // ---------------------------------------------------------------------------
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    use super::{ByteTables, FFT, IFFT, MUL_ADD, XOR};
+    use super::{ByteTables, FFT, IFFT, MERGED, MUL_ADD, XOR};
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
@@ -712,11 +746,13 @@ mod x86 {
                     let mut s_hi = _mm_loadu_si128(y_hi.cast());
                     let mut d_lo = _mm_loadu_si128(x_lo.cast());
                     let mut d_hi = _mm_loadu_si128(x_hi.cast());
-                    if OP == IFFT {
+                    if OP == IFFT || OP == MERGED {
                         s_lo = _mm_xor_si128(s_lo, d_lo);
                         s_hi = _mm_xor_si128(s_hi, d_hi);
-                        _mm_storeu_si128(y_lo.cast(), s_lo);
-                        _mm_storeu_si128(y_hi.cast(), s_hi);
+                        if OP == IFFT {
+                            _mm_storeu_si128(y_lo.cast(), s_lo);
+                            _mm_storeu_si128(y_hi.cast(), s_hi);
+                        }
                     }
                     let n0 = _mm_and_si128(s_lo, mask);
                     let n1 = _mm_and_si128(_mm_srli_epi64::<4>(s_lo), mask);
@@ -733,7 +769,7 @@ mod x86 {
                     if OP == XOR {
                         d_lo = _mm_xor_si128(d_lo, s_lo);
                         d_hi = _mm_xor_si128(d_hi, s_hi);
-                    } else if OP == MUL_ADD || OP == IFFT || OP == FFT {
+                    } else if OP == MUL_ADD || OP == IFFT || OP == FFT || OP == MERGED {
                         d_lo = _mm_xor_si128(d_lo, p_lo);
                         d_hi = _mm_xor_si128(d_hi, p_hi);
                     } else {
@@ -742,7 +778,7 @@ mod x86 {
                     }
                     _mm_storeu_si128(x_lo.cast(), d_lo);
                     _mm_storeu_si128(x_hi.cast(), d_hi);
-                    if OP == FFT {
+                    if OP == FFT || OP == MERGED {
                         _mm_storeu_si128(y_lo.cast(), _mm_xor_si128(s_lo, d_lo));
                         _mm_storeu_si128(y_hi.cast(), _mm_xor_si128(s_hi, d_hi));
                     }
@@ -789,11 +825,13 @@ mod x86 {
                     let mut s_hi = _mm256_loadu_si256(y_hi.cast());
                     let mut d_lo = _mm256_loadu_si256(x_lo.cast());
                     let mut d_hi = _mm256_loadu_si256(x_hi.cast());
-                    if OP == IFFT {
+                    if OP == IFFT || OP == MERGED {
                         s_lo = _mm256_xor_si256(s_lo, d_lo);
                         s_hi = _mm256_xor_si256(s_hi, d_hi);
-                        _mm256_storeu_si256(y_lo.cast(), s_lo);
-                        _mm256_storeu_si256(y_hi.cast(), s_hi);
+                        if OP == IFFT {
+                            _mm256_storeu_si256(y_lo.cast(), s_lo);
+                            _mm256_storeu_si256(y_hi.cast(), s_hi);
+                        }
                     }
                     let n0 = _mm256_and_si256(s_lo, mask);
                     let n1 = _mm256_and_si256(_mm256_srli_epi64::<4>(s_lo), mask);
@@ -822,7 +860,7 @@ mod x86 {
                     if OP == XOR {
                         d_lo = _mm256_xor_si256(d_lo, s_lo);
                         d_hi = _mm256_xor_si256(d_hi, s_hi);
-                    } else if OP == MUL_ADD || OP == IFFT || OP == FFT {
+                    } else if OP == MUL_ADD || OP == IFFT || OP == FFT || OP == MERGED {
                         d_lo = _mm256_xor_si256(d_lo, p_lo);
                         d_hi = _mm256_xor_si256(d_hi, p_hi);
                     } else {
@@ -831,7 +869,7 @@ mod x86 {
                     }
                     _mm256_storeu_si256(x_lo.cast(), d_lo);
                     _mm256_storeu_si256(x_hi.cast(), d_hi);
-                    if OP == FFT {
+                    if OP == FFT || OP == MERGED {
                         _mm256_storeu_si256(y_lo.cast(), _mm256_xor_si256(s_lo, d_lo));
                         _mm256_storeu_si256(y_hi.cast(), _mm256_xor_si256(s_hi, d_hi));
                     }
@@ -850,7 +888,7 @@ mod x86 {
 
 #[cfg(target_arch = "x86_64")]
 mod gfni {
-    use super::{FFT, IFFT, MUL_ADD, XOR};
+    use super::{FFT, IFFT, MERGED, MUL_ADD, XOR};
     use std::arch::x86_64::*;
 
     /// One 64-symbol (or `k`-masked shorter) chunk of `OP`.
@@ -890,11 +928,13 @@ mod gfni {
             let mut s_hi = load(y_hi);
             let mut d_lo = load(x_lo);
             let mut d_hi = load(x_hi);
-            if OP == IFFT {
+            if OP == IFFT || OP == MERGED {
                 s_lo = _mm512_xor_si512(s_lo, d_lo);
                 s_hi = _mm512_xor_si512(s_hi, d_hi);
-                store(y_lo, s_lo);
-                store(y_hi, s_hi);
+                if OP == IFFT {
+                    store(y_lo, s_lo);
+                    store(y_hi, s_hi);
+                }
             }
             let (al, bh) = (
                 _mm512_gf2p8affine_epi64_epi8::<0>(s_lo, a),
@@ -907,7 +947,7 @@ mod gfni {
             if OP == XOR {
                 d_lo = _mm512_xor_si512(d_lo, s_lo);
                 d_hi = _mm512_xor_si512(d_hi, s_hi);
-            } else if OP == MUL_ADD || OP == IFFT || OP == FFT {
+            } else if OP == MUL_ADD || OP == IFFT || OP == FFT || OP == MERGED {
                 // Three-way XOR in one VPTERNLOGQ (truth table 0x96).
                 d_lo = _mm512_ternarylogic_epi64::<0x96>(d_lo, al, bh);
                 d_hi = _mm512_ternarylogic_epi64::<0x96>(d_hi, cl, dh);
@@ -917,7 +957,7 @@ mod gfni {
             }
             store(x_lo, d_lo);
             store(x_hi, d_hi);
-            if OP == FFT {
+            if OP == FFT || OP == MERGED {
                 store(y_lo, _mm512_xor_si512(s_lo, d_lo));
                 store(y_hi, _mm512_xor_si512(s_hi, d_hi));
             }
@@ -978,7 +1018,7 @@ mod gfni {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{ByteTables, FFT, IFFT, MUL_ADD, XOR};
+    use super::{ByteTables, FFT, IFFT, MERGED, MUL_ADD, XOR};
     use std::arch::aarch64::*;
 
     /// Runs `OP` over all full 16-symbol chunks of every shard.
@@ -1017,11 +1057,13 @@ mod neon {
                     let mut s_hi = vld1q_u8(y_hi);
                     let mut d_lo = vld1q_u8(x_lo);
                     let mut d_hi = vld1q_u8(x_hi);
-                    if OP == IFFT {
+                    if OP == IFFT || OP == MERGED {
                         s_lo = veorq_u8(s_lo, d_lo);
                         s_hi = veorq_u8(s_hi, d_hi);
-                        vst1q_u8(y_lo, s_lo);
-                        vst1q_u8(y_hi, s_hi);
+                        if OP == IFFT {
+                            vst1q_u8(y_lo, s_lo);
+                            vst1q_u8(y_hi, s_hi);
+                        }
                     }
                     let n0 = vandq_u8(s_lo, mask);
                     let n1 = vshrq_n_u8(s_lo, 4);
@@ -1038,7 +1080,7 @@ mod neon {
                     if OP == XOR {
                         d_lo = veorq_u8(d_lo, s_lo);
                         d_hi = veorq_u8(d_hi, s_hi);
-                    } else if OP == MUL_ADD || OP == IFFT || OP == FFT {
+                    } else if OP == MUL_ADD || OP == IFFT || OP == FFT || OP == MERGED {
                         d_lo = veorq_u8(d_lo, p_lo);
                         d_hi = veorq_u8(d_hi, p_hi);
                     } else {
@@ -1047,7 +1089,7 @@ mod neon {
                     }
                     vst1q_u8(x_lo, d_lo);
                     vst1q_u8(x_hi, d_hi);
-                    if OP == FFT {
+                    if OP == FFT || OP == MERGED {
                         vst1q_u8(y_lo, veorq_u8(s_lo, d_lo));
                         vst1q_u8(y_hi, veorq_u8(s_hi, d_hi));
                     }

@@ -19,11 +19,13 @@
 //! * `skew[·]` holds the per-butterfly twist constants of the additive
 //!   FFT, stored in the log domain (`MODULUS` = "multiply by zero", which
 //!   degenerates the butterfly to a pure XOR),
-//! * `log_walsh` is the Walsh-Hadamard transform (mod [`MODULUS`]) of the
-//!   log table — the decoder builds its error-locator polynomial with two
-//!   `fwht` passes against it instead of an O(n²) product.
+//! * `log_walsh` holds the Walsh-Hadamard transform (mod [`MODULUS`]) of
+//!   the log table — the decoder builds its error-locator polynomial with
+//!   two `fwht` passes against it instead of an O(n²) product — folded
+//!   modulo every power of two, so both passes run at the decode's
+//!   transform length.
 //!
-//! Tables cost ~512 KiB and are built once per process behind a
+//! Tables cost ~650 KiB and are built once per process behind a
 //! [`crate::cell::TableCell`] (model-checked concurrent init);
 //! construction takes a few milliseconds.
 
@@ -57,8 +59,11 @@ pub struct Tables {
     /// Additive-FFT butterfly constants, log domain, indexed by
     /// `group_start + distance + delta - 1` (see [`crate::afft`]).
     pub skew: Box<[u16; ORDER]>,
-    /// Walsh-Hadamard transform (mod [`MODULUS`]) of the log table.
-    pub log_walsh: Box<[u16; ORDER]>,
+    /// The Walsh-Hadamard transform (mod [`MODULUS`]) of the log table
+    /// at `[ORDER, 2·ORDER)`, and below it the transform folded modulo
+    /// each smaller power of two `n` at `[n, 2n)` (entry 0 is unused; see
+    /// [`Tables::log_walsh_folded`]).
+    log_walsh: Box<[u16; 2 * ORDER]>,
     /// `nibble_forms[j][v]`: the multiplier table forms of the constant
     /// `v << 4j`. They are linear in the constant, so
     /// [`crate::simd::Multiplier`] builds any constant's forms as the XOR
@@ -159,10 +164,18 @@ impl Tables {
 
         // LogWalsh: FWHT of the log table, reused by every decode to turn
         // the error-locator construction into two more FWHTs.
-        let mut log_walsh = vec![0u16; ORDER].into_boxed_slice();
-        log_walsh.copy_from_slice(&log[..]);
-        log_walsh[0] = 0;
-        fwht(&mut log_walsh, ORDER);
+        let mut log_walsh = vec![0u16; 2 * ORDER].into_boxed_slice();
+        log_walsh[ORDER..].copy_from_slice(&log[..]);
+        log_walsh[ORDER] = 0;
+        fwht(&mut log_walsh[ORDER..], ORDER);
+        // Each fold halves the one above it: fold `n` at `[n, 2n)` from
+        // fold `2n` at `[2n, 4n)`, 2^15 + 2^14 + … + 1 entries.
+        for n in (0..BITS).rev().map(|b| 1usize << b) {
+            let (narrow, wide) = log_walsh.split_at_mut(2 * n);
+            for (r, fold) in narrow[n..].iter_mut().enumerate() {
+                *fold = add_mod(wide[r], wide[r + n]);
+            }
+        }
 
         // The 16 products m·2^j of each nibble constant m as two byte
         // vectors (byte j of `lo` / `hi` is the low / high product byte).
@@ -179,8 +192,8 @@ impl Tables {
             })
         }));
 
-        fn into_array(b: Box<[u16]>) -> Box<[u16; ORDER]> {
-            b.try_into().expect("built with ORDER entries")
+        fn into_array<const N: usize>(b: Box<[u16]>) -> Box<[u16; N]> {
+            b.try_into().expect("built with N entries")
         }
         Tables {
             log: into_array(log),
@@ -189,6 +202,13 @@ impl Tables {
             log_walsh: into_array(log_walsh),
             nibble_forms,
         }
+    }
+
+    /// The Walsh-Hadamard transform (mod [`MODULUS`]) of the log table
+    /// folded modulo `n`, a power of two up to [`ORDER`]: entry `r` is
+    /// the sum of its entries `j·n + r` over `j`.
+    pub(crate) fn log_walsh_folded(&self, n: usize) -> &[u16] {
+        &self.log_walsh[n..2 * n]
     }
 
     /// Field multiply of representations `a · b`.
@@ -251,8 +271,10 @@ fn mul_log_tables(log: &[u16], exp: &[u16], x: u16, log_m: u16) -> u16 {
 /// skipped (the nonzero prefix is re-rounded up after every layer). At
 /// length [`ORDER`] the transform is aligned with the field's
 /// evaluation-point domain; its first `n` outputs (`n` a power of two)
-/// equal the length-`n` transform of the input folded modulo `n`, which
-/// is how the decoder avoids the layers it would not read.
+/// equal the length-`n` transform of the input folded modulo `n`, and
+/// an input that is zero from `n` on has output `j·n + r` equal to the
+/// length-`n` transform's output `r` — which is how the decoder runs
+/// both of its passes at its own transform length.
 pub(crate) fn fwht(data: &mut [u16], truncated: usize) {
     let len = data.len();
     debug_assert!(len.is_power_of_two());
@@ -383,6 +405,21 @@ mod tests {
         // Equal as residues: 0 and MODULUS are the same log.
         for (a, b) in full[..n].iter().zip(&folded) {
             assert_eq!(a % MODULUS, b % MODULUS);
+        }
+    }
+
+    #[test]
+    fn log_walsh_folds_sum_every_residue_class() {
+        let t = tables();
+        for n in [1usize, 2, 64, 4096, ORDER / 2, ORDER] {
+            let mut want = vec![0u16; n];
+            for (i, &w) in t.log_walsh_folded(ORDER).iter().enumerate() {
+                want[i % n] = add_mod(want[i % n], w);
+            }
+            // Equal as residues: 0 and MODULUS are the same log.
+            for (a, b) in t.log_walsh_folded(n).iter().zip(&want) {
+                assert_eq!(a % MODULUS, b % MODULUS, "n {n}");
+            }
         }
     }
 

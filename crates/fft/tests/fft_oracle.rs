@@ -15,13 +15,20 @@
 //!
 //! Erasure decoding needs no separate reference: the original data *is*
 //! the oracle. Seeded loss patterns — non-power-of-two shard counts,
-//! arbitrary survivor subsets, all-parity-lost — must reproduce it
-//! bit-exactly or fail cleanly.
+//! arbitrary survivor subsets, all-parity-lost, erased originals in
+//! either half of the decode transform or in both — must reproduce it
+//! bit-exactly or fail cleanly, and fold exactly the halves that hold
+//! erased originals (`fft.decode_folds`).
+//!
+//! `PROPTEST_CASES=1024` deepens every property (CI runs it so in
+//! release mode).
 
 use nc_fft::{decode_segment, encode_segment, tables, Tables};
+use nc_rlnc::Error;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
 
 /// Symbol `i` of a shard stored in the split lo/hi plane layout the
 /// region kernels use: low product bytes first, high bytes in the
@@ -80,6 +87,38 @@ fn random_segment(n: usize, shard_bytes: usize, rng: &mut impl Rng) -> Vec<Vec<u
     (0..n).map(|_| (0..shard_bytes).map(|_| rng.gen()).collect()).collect()
 }
 
+/// Decodes one segment and checks the halves it folded against the
+/// erased originals: original `i` sits at point `m + i` of a length-`n_fft`
+/// transform, and each half of those points that holds an erased
+/// original is folded once. Decodes in this file run one at a time, so
+/// the delta of the process-wide `fft.decode_folds` counter is this
+/// call's own. Returns the decode and the halves folded.
+fn decode(
+    original: &[Option<&[u8]>],
+    recovery: &[Option<&[u8]>],
+) -> (Result<Vec<Vec<u8>>, Error>, u64) {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let folds = nc_telemetry::default_registry().counter("fft.decode_folds");
+    let before = folds.get();
+    let decoded = decode_segment(original, recovery);
+    let folded = folds.get() - before;
+
+    let m = recovery.len().next_power_of_two();
+    let half = (m + original.len()).next_power_of_two() / 2;
+    let upper = |i: usize| m + i >= half;
+    let erased: Vec<usize> = (0..original.len()).filter(|&i| original[i].is_none()).collect();
+    let want = if decoded.is_ok() {
+        u64::from(erased.iter().any(|&i| !upper(i))) + u64::from(erased.iter().any(|&i| upper(i)))
+    } else {
+        0
+    };
+    if nc_telemetry::enabled() {
+        assert_eq!(folded, want, "halves folded for erased originals {erased:?}");
+    }
+    (decoded, want)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -136,8 +175,8 @@ proptest! {
             (0..n).map(|i| (!lost.contains(&i)).then(|| data[i].as_slice())).collect();
         let available: Vec<Option<&[u8]>> =
             (0..recovery).map(|i| kept.contains(&i).then(|| encoded[i].as_slice())).collect();
-        let decoded = decode_segment(&original, &available).expect("enough survivors");
-        prop_assert_eq!(&decoded, &data, "lost={:?} kept={:?}", lost, kept);
+        let (decoded, _) = decode(&original, &available);
+        prop_assert_eq!(&decoded.expect("enough survivors"), &data, "lost={:?} kept={:?}", lost, kept);
     }
 
     /// All parity lost but every original present: the systematic layout
@@ -148,8 +187,9 @@ proptest! {
         let data = random_segment(n, 8, &mut rng);
         let original: Vec<Option<&[u8]>> = data.iter().map(|s| Some(s.as_slice())).collect();
         let available: Vec<Option<&[u8]>> = vec![None; recovery];
-        let decoded = decode_segment(&original, &available).expect("originals all present");
-        prop_assert_eq!(&decoded, &data);
+        let (decoded, folds) = decode(&original, &available);
+        prop_assert_eq!(&decoded.expect("originals all present"), &data);
+        prop_assert_eq!(folds, 0, "the systematic fast path folds nothing");
     }
 }
 
@@ -193,7 +233,49 @@ fn recovery_only_decode_reproduces_every_original() {
         let original: Vec<Option<&[u8]>> = vec![None; n];
         let available: Vec<Option<&[u8]>> =
             (0..recovery).map(|i| kept.contains(&i).then(|| encoded[i].as_slice())).collect();
-        let decoded = decode_segment(&original, &available).expect("n recovery shards suffice");
-        assert_eq!(decoded, data, "n={n} r={recovery} kept={kept:?}");
+        let (decoded, _) = decode(&original, &available);
+        assert_eq!(
+            decoded.expect("n recovery shards suffice"),
+            data,
+            "n={n} r={recovery} kept={kept:?}"
+        );
+    }
+}
+
+/// Erased originals only in the upper half of the decode transform, only
+/// in the lower half, and on both sides of it. 70 originals against 6
+/// recovery shards is `m = 8` and `n_fft = 128`: original `i` sits at
+/// point `8 + i`, so originals from 56 on are in the upper half. At
+/// 100:100 (`m = 128`, `n_fft = 256`) and 1000:100 (`m = 128`,
+/// `n_fft = 2048`, upper from original 896) the same split recurs.
+#[test]
+fn erasures_fold_the_halves_that_hold_them() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x4A1F);
+    let cases: [(usize, usize, &[usize], u64); 10] = [
+        (70, 6, &[60, 69], 1),
+        (70, 6, &[56], 1),
+        (70, 6, &[10, 20, 55], 1),
+        (70, 6, &[10, 60], 2),
+        (70, 6, &[0, 55, 56, 69], 2),
+        (100, 100, &[0, 99], 1),
+        (1000, 100, &[900, 999], 1),
+        (1000, 100, &[3, 500, 895], 1),
+        (1000, 100, &[895, 896], 2),
+        (1000, 100, &[0, 450, 999], 2),
+    ];
+    for (n, recovery, erase, folds) in cases {
+        let data = random_segment(n, 8, &mut rng);
+        let refs: Vec<&[u8]> = data.iter().map(|s| s.as_slice()).collect();
+        let encoded = encode_segment(&refs, recovery).expect("valid geometry");
+        let original: Vec<Option<&[u8]>> =
+            (0..n).map(|i| (!erase.contains(&i)).then(|| data[i].as_slice())).collect();
+        let mut kept: Vec<usize> = (0..recovery).collect();
+        kept.shuffle(&mut rng);
+        kept.truncate(erase.len());
+        let available: Vec<Option<&[u8]>> =
+            (0..recovery).map(|i| kept.contains(&i).then(|| encoded[i].as_slice())).collect();
+        let (decoded, folded) = decode(&original, &available);
+        assert_eq!(decoded.expect("enough survivors"), data, "n={n} r={recovery} erase={erase:?}");
+        assert_eq!(folded, folds, "n={n} r={recovery} erase={erase:?}");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Part one: every rung this host can run, on every operation
 //! (`mul_add_assign`, `mul_into`, `mul_assign`, `xor_assign`, the fused
-//! IFFT and FFT butterflies), must equal a symbol-by-symbol scalar walk
+//! IFFT, FFT and merged butterflies), must equal a symbol-by-symbol scalar walk
 //! through `Tables::mul_log` — at lengths on both sides of every vector
 //! width and for the log coefficients with special meaning (0 and
 //! `MODULUS` are both ×1 under wrap semantics). Rungs the host lacks are
@@ -12,10 +12,12 @@
 //! Part two: the transforms must not depend on how they are walked. Every
 //! forced block size must produce the bytes of a per-shard,
 //! layer-at-a-time reference written here from nothing but the portable
-//! `mul_add` and XOR — with shifted cosets, truncated inputs and
-//! restricted output ranges.
+//! `mul_add` and XOR — with shifted cosets, truncated inputs, restricted
+//! output ranges, runs that start inside the arena and the encoder's
+//! merged top group. The derivative fold, XOR only, runs on the rung the
+//! process dispatches to (`NC_GF16_BACKEND` forces one per CI step).
 
-use nc_fft::afft::{self, Arena};
+use nc_fft::afft::{fold_shifts, Arena, Transforms};
 use nc_fft::simd::{self, Gf16Kernel, Multiplier};
 use nc_fft::{tables, Tables, MODULUS};
 use nc_pool::BytesPool;
@@ -130,6 +132,12 @@ fn fused_butterflies_match_the_scalar_walk_on_every_rung() {
                 let want_x = xor(&x0, &times_m(&y0));
                 let want_y = xor(&y0, &want_x);
                 assert_eq!((x, y), (want_x, want_y), "fft butterfly ({context})");
+
+                // Merged: t = m·(x ^ y); x ^= t; y ^= t.
+                let (mut x, mut y) = (x0.clone(), y0.clone());
+                mul.merged_butterflies(&mut x, &mut y, shard_bytes);
+                let t = times_m(&xor(&x0, &y0));
+                assert_eq!((x, y), (xor(&x0, &t), xor(&y0, &t)), "merged butterfly ({context})");
             }
         }
     }
@@ -180,31 +188,42 @@ fn reference_fft(t: &Tables, work: &mut Shards, size: usize, delta: usize) {
     let mut dist = size / 2;
     while dist >= 1 {
         for r in (0..size).step_by(2 * dist) {
-            let log_m = t.skew[r + dist + delta - 1];
-            for i in r..r + dist {
-                let (x, y) = pair(work, i, i + dist);
-                if log_m != MODULUS {
-                    simd::mul_add_assign_with_kernel(Gf16Kernel::Portable, t, x, y, log_m);
-                }
-                *y = xor(y, x);
-            }
+            fft_group(t, work, r, dist, t.skew[r + dist + delta - 1]);
         }
         dist /= 2;
     }
 }
 
-fn reference_derivative(work: &mut Shards, size: usize) {
-    for i in 1..size {
-        let width = ((i ^ (i - 1)) + 1) >> 1;
-        for j in 0..width {
-            let (x, y) = pair(work, i - width + j, i + j);
-            *x = xor(x, y);
+/// The FFT butterflies of group `(r, dist)` with skew `log_m`.
+fn fft_group(t: &Tables, work: &mut Shards, r: usize, dist: usize, log_m: u16) {
+    for i in r..r + dist {
+        let (x, y) = pair(work, i, i + dist);
+        if log_m != MODULUS {
+            simd::mul_add_assign_with_kernel(Gf16Kernel::Portable, t, x, y, log_m);
         }
+        *y = xor(y, x);
     }
 }
 
-fn arena_of(shards: &Shards) -> Arena {
-    let mut arena = Arena::new(BytesPool::global(), shards.len(), shards[0].len());
+/// `S(src)[p]`: the XOR of `src[p + 2^b]` over the zero bits `b` of `p`.
+fn reference_shifts(src: &Shards) -> Shards {
+    let size = src.len();
+    (0..size)
+        .map(|p| {
+            let mut acc = vec![0u8; src[0].len()];
+            for b in (0..size.ilog2()).map(|b| 1 << b).filter(|b| p & b == 0) {
+                acc = xor(&acc, &src[p + b]);
+            }
+            acc
+        })
+        .collect()
+}
+
+/// An arena holding `lead` random shards, then `shards`.
+fn arena_of(rng: &mut StdRng, lead: usize, shards: &Shards) -> Arena {
+    let bytes = shards[0].len();
+    let mut arena = Arena::new(BytesPool::global(), lead + shards.len(), bytes);
+    (0..lead).for_each(|_| arena.push(&random_bytes(rng, bytes)));
     shards.iter().for_each(|s| arena.push(s));
     arena
 }
@@ -224,6 +243,12 @@ fn blocks(size: usize) -> [usize; 4] {
     [2, 4, 8, size.max(2)]
 }
 
+/// Where a transform's run starts in its arena: at shard 0, and after
+/// `size` other shards (the decoder's upper half).
+fn leads(size: usize) -> [usize; 2] {
+    [0, size]
+}
+
 #[test]
 fn blocked_ifft_matches_the_reference_at_every_block_size() {
     let t = tables();
@@ -239,13 +264,48 @@ fn blocked_ifft_matches_the_reference_at_every_block_size() {
                     input[truncated..].iter_mut().for_each(|s| s.fill(0));
                     let mut want = input.clone();
                     reference_ifft(&t, &mut want, size, truncated, delta);
+                    for (block, lead) in
+                        blocks(size).into_iter().zip(leads(size).into_iter().cycle())
+                    {
+                        let mut work = arena_of(&mut rng, lead, &input);
+                        let tf = Transforms::new(&t, kernel, block);
+                        tf.ifft(&mut work, lead..lead + size, lead + truncated, delta);
+                        assert_eq!(
+                            shards_of(&work)[lead..],
+                            want,
+                            "{kernel:?} size {size} truncated {truncated} delta {delta} block {block} lead {lead}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn merged_ifft_matches_the_ifft_then_the_fft_top_group() {
+    let t = tables();
+    let mut rng = StdRng::seed_from_u64(0x3E76);
+    for kernel in rungs() {
+        for (size, shard_bytes) in SHAPES {
+            for truncated in [size, size / 2 + 1, 1] {
+                // The encoder's chunk cosets against the recovery coset
+                // (0), and a second FFT coset.
+                for (delta, fft_delta) in [(size, 0), (3 * size, 0), (size, 2 * size)] {
+                    let mut input: Shards =
+                        (0..size).map(|_| random_bytes(&mut rng, shard_bytes)).collect();
+                    input[truncated..].iter_mut().for_each(|s| s.fill(0));
+                    let mut want = input.clone();
+                    reference_ifft(&t, &mut want, size, truncated, delta);
+                    fft_group(&t, &mut want, 0, size / 2, t.skew[size / 2 + fft_delta - 1]);
                     for block in blocks(size) {
-                        let mut work = arena_of(&input);
-                        afft::ifft(&t, kernel, &mut work, size, truncated, delta, block);
+                        let mut work = arena_of(&mut rng, 0, &input);
+                        let tf = Transforms::new(&t, kernel, block);
+                        tf.ifft_merging_fft_top(&mut work, 0..size, truncated, delta, fft_delta);
                         assert_eq!(
                             shards_of(&work),
                             want,
-                            "{kernel:?} size {size} truncated {truncated} delta {delta} block {block}"
+                            "{kernel:?} size {size} truncated {truncated} delta {delta} fft {fft_delta} block {block}"
                         );
                     }
                 }
@@ -276,13 +336,17 @@ fn blocked_fft_matches_the_reference_inside_every_output_range() {
                 let mut want = input.clone();
                 reference_fft(&t, &mut want, size, delta);
                 for outputs in ranges.iter().filter(|r| !r.is_empty()) {
-                    for block in blocks(size) {
-                        let mut work = arena_of(&input);
-                        afft::fft(&t, kernel, &mut work, size, outputs.clone(), delta, block);
+                    for (block, lead) in
+                        blocks(size).into_iter().zip(leads(size).into_iter().cycle())
+                    {
+                        let mut work = arena_of(&mut rng, lead, &input);
+                        let tf = Transforms::new(&t, kernel, block);
+                        let shifted = lead + outputs.start..lead + outputs.end;
+                        tf.fft(&mut work, lead..lead + size, shifted.clone(), delta);
                         assert_eq!(
-                            shards_of(&work)[outputs.clone()],
+                            shards_of(&work)[shifted],
                             want[outputs.clone()],
-                            "{kernel:?} size {size} outputs {outputs:?} delta {delta} block {block}"
+                            "{kernel:?} size {size} outputs {outputs:?} delta {delta} block {block} lead {lead}"
                         );
                     }
                 }
@@ -292,29 +356,51 @@ fn blocked_fft_matches_the_reference_inside_every_output_range() {
 }
 
 #[test]
-fn blocked_formal_derivative_matches_the_reference_at_every_block_size() {
+fn derivative_fold_matches_the_reference_at_every_block_size() {
     let mut rng = StdRng::seed_from_u64(0xDE71);
     for (size, shard_bytes) in SHAPES {
-        let input: Shards = (0..size).map(|_| random_bytes(&mut rng, shard_bytes)).collect();
-        let mut want = input.clone();
-        reference_derivative(&mut want, size);
+        let src: Shards = (0..size).map(|_| random_bytes(&mut rng, shard_bytes)).collect();
+        let dst: Shards = (0..size).map(|_| random_bytes(&mut rng, shard_bytes)).collect();
+        let want: Shards =
+            dst.iter().zip(reference_shifts(&src)).map(|(d, s)| xor(d, &s)).collect();
         for block in blocks(size) {
-            let mut work = arena_of(&input);
-            afft::formal_derivative(&mut work, size, block);
-            assert_eq!(shards_of(&work), want, "size {size} block {block}");
+            // Source below the target (the decoder's lower half folded
+            // into the upper), and above it.
+            let both: Shards = src.iter().chain(&dst).cloned().collect();
+            let mut work = arena_of(&mut rng, 0, &both);
+            fold_shifts(&mut work, 0, size, size, block);
+            assert_eq!(
+                shards_of(&work),
+                [src.clone(), want.clone()].concat(),
+                "up, size {size} block {block}"
+            );
+
+            let both: Shards = dst.iter().chain(&src).cloned().collect();
+            let mut work = arena_of(&mut rng, 0, &both);
+            fold_shifts(&mut work, size, 0, size, block);
+            assert_eq!(
+                shards_of(&work),
+                [want.clone(), src.clone()].concat(),
+                "down, size {size} block {block}"
+            );
         }
     }
 }
 
 #[test]
-fn transforms_touch_only_their_first_size_shards() {
-    // An arena larger than the transform: the tail is left alone.
+fn transforms_touch_only_their_own_shards() {
+    // The transforms run over [8, 24) and fold [8, 16) onto [24, 32) of a
+    // 40-shard arena: the shards outside are left alone.
     let t = tables();
     let mut rng = StdRng::seed_from_u64(0x7A11);
-    let input: Shards = (0..24).map(|_| random_bytes(&mut rng, 18)).collect();
-    let mut work = arena_of(&input);
-    afft::ifft(&t, simd::active_kernel(), &mut work, 16, 16, 16, 4);
-    afft::formal_derivative(&mut work, 16, 4);
-    afft::fft(&t, simd::active_kernel(), &mut work, 16, 0..16, 0, 4);
-    assert_eq!(shards_of(&work)[16..], input[16..]);
+    let input: Shards = (0..40).map(|_| random_bytes(&mut rng, 18)).collect();
+    let mut work = arena_of(&mut rng, 0, &input);
+    let tf = Transforms::new(&t, simd::active_kernel(), 4);
+    tf.ifft(&mut work, 8..24, 24, 16);
+    tf.ifft_merging_fft_top(&mut work, 8..24, 24, 16, 0);
+    fold_shifts(&mut work, 8, 24, 8, 4);
+    tf.fft(&mut work, 8..24, 8..24, 0);
+    let after = shards_of(&work);
+    assert_eq!(after[..8], input[..8]);
+    assert_eq!(after[32..], input[32..]);
 }
