@@ -92,7 +92,8 @@ fn random_segment(n: usize, shard_bytes: usize, rng: &mut impl Rng) -> Vec<Vec<u
 /// transform, and each half of those points that holds an erased
 /// original is folded once. Decodes in this file run one at a time, so
 /// the delta of the process-wide `fft.decode_folds` counter is this
-/// call's own. Returns the decode and the halves folded.
+/// call's own (checked unless `NC_TELEMETRY` is off). Returns the decode
+/// and the number of halves holding erased originals.
 fn decode(
     original: &[Option<&[u8]>],
     recovery: &[Option<&[u8]>],
