@@ -25,32 +25,32 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CpuModel {
     /// Core count participating in coding (one thread per core).
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// Core clock in Hz.
-    pub clock_hz: f64,
+    pub(crate) clock_hz: f64,
     /// Aggregate last-level cache in bytes (4 × 6 MB on the dual
     /// Harpertown Mac Pro).
-    pub l2_bytes: usize,
+    pub(crate) l2_bytes: usize,
     /// Effective streaming memory bandwidth in bytes/second (dual 1.6 GHz
     /// FSB, practically ~10 GB/s).
-    pub mem_bandwidth: f64,
+    pub(crate) mem_bandwidth: f64,
     /// Cycles per byte of SIMD loop-based multiply-accumulate (amortized
     /// over 16-byte lanes, including loads/stores).
-    pub cycles_per_byte_mult: f64,
+    pub(crate) cycles_per_byte_mult: f64,
     /// Cycles per byte in decoding row operations (slightly above encode:
     /// read-modify-write rows instead of streaming accumulation).
-    pub cycles_per_byte_decode: f64,
+    pub(crate) cycles_per_byte_decode: f64,
     /// Ditto for the sync-free multi-segment decode path.
-    pub cycles_per_byte_decode_ms: f64,
+    pub(crate) cycles_per_byte_decode_ms: f64,
     /// Per-coded-block barrier/fork cost of the partitioned-block encode
     /// scheme, in cycles.
-    pub partitioned_block_overhead: f64,
+    pub(crate) partitioned_block_overhead: f64,
     /// Per-received-block synchronization cost of progressive decoding, in
     /// cycles.
-    pub decode_block_overhead: f64,
+    pub(crate) decode_block_overhead: f64,
     /// Throughput multiplier of the table-based encode relative to
     /// loop-based SIMD — the paper measures "up to 43%" of bandwidth lost.
-    pub table_penalty: f64,
+    pub(crate) table_penalty: f64,
 }
 
 /// Encode partitioning strategies of Fig. 10.

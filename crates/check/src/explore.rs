@@ -20,9 +20,9 @@ pub struct Failure {
     /// [`replay`].
     pub trace: String,
     /// Step-by-step schedule log of the failing execution.
-    pub log: Vec<String>,
+    pub(crate) log: Vec<String>,
     /// How many executions ran before this one failed.
-    pub executions: usize,
+    pub(crate) executions: usize,
 }
 
 impl std::fmt::Display for Failure {
@@ -62,11 +62,11 @@ pub struct Report {
     /// Executions run.
     pub executions: usize,
     /// Distinct `(state, budget)` pairs that opened a branch.
-    pub distinct_states: usize,
+    pub(crate) distinct_states: usize,
     /// Branch points collapsed by state-hash deduplication.
-    pub pruned: usize,
+    pub(crate) pruned: usize,
     /// Longest decision path seen.
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
     /// False when a bound (executions / time) stopped the search before
     /// the schedule tree was exhausted.
     pub completed: bool,
@@ -89,13 +89,13 @@ pub struct Check {
     /// Voluntary preemption bound per execution (forced switches are
     /// free). 2 catches almost every real scheduling bug; raise it for
     /// deeper sweeps.
-    pub preemptions: usize,
+    pub(crate) preemptions: usize,
     /// Per-execution step cap (livelock detector).
-    pub max_steps: usize,
+    pub(crate) max_steps: usize,
     /// Total executions before giving up (incomplete, not failing).
-    pub max_executions: usize,
+    pub(crate) max_executions: usize,
     /// Wall-clock budget for the whole search.
-    pub time_budget: Duration,
+    pub(crate) time_budget: Duration,
 }
 
 impl Default for Check {

@@ -73,8 +73,3 @@ mod sched;
 pub use explore::{check, replay, Check, Failure, Report};
 #[cfg(nc_check)]
 pub use sched::FailureKind;
-
-/// `true` when this build routes the shims through the model checker
-/// (`RUSTFLAGS="--cfg nc_check"`), `false` in normal builds. Lets shared
-/// test helpers branch without duplicating the cfg.
-pub const ENABLED: bool = cfg!(nc_check);

@@ -158,13 +158,13 @@ pub enum FailureKind {
 
 #[derive(Clone, Debug)]
 pub(crate) struct FailureRec {
-    pub kind: FailureKind,
+    pub(crate) kind: FailureKind,
 }
 
 pub(crate) struct Settings {
-    pub preemptions: usize,
-    pub max_steps: usize,
-    pub log: bool,
+    pub(crate) preemptions: usize,
+    pub(crate) max_steps: usize,
+    pub(crate) log: bool,
 }
 
 struct State {
@@ -218,13 +218,13 @@ pub(crate) fn set_ctx(v: Option<(Arc<Inner>, usize)>) {
 
 /// Outcome of one execution, handed back to the explorer.
 pub(crate) struct ExecResult {
-    pub path: Vec<Dec>,
-    pub branches: Vec<(usize, Vec<Dec>)>,
-    pub failure: Option<FailureRec>,
-    pub fresh_states: usize,
-    pub pruned: usize,
-    pub visited: HashSet<(u64, u64)>,
-    pub log: Vec<String>,
+    pub(crate) path: Vec<Dec>,
+    pub(crate) branches: Vec<(usize, Vec<Dec>)>,
+    pub(crate) failure: Option<FailureRec>,
+    pub(crate) fresh_states: usize,
+    pub(crate) pruned: usize,
+    pub(crate) visited: HashSet<(u64, u64)>,
+    pub(crate) log: Vec<String>,
 }
 
 impl Inner {

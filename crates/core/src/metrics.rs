@@ -12,24 +12,24 @@ use nc_telemetry::{Counter, Histogram};
 pub(crate) struct CoreMetrics {
     /// Coded blocks produced by [`crate::Encoder`] (all paths: random,
     /// caller-supplied coefficients, systematic).
-    pub blocks_coded: Arc<Counter>,
+    pub(crate) blocks_coded: Arc<Counter>,
     /// The subset of `blocks_coded` that are systematic: a source block
     /// verbatim under unit coefficients, no field work (the dense stream
     /// sender's frames `seq < n`).
-    pub blocks_systematic: Arc<Counter>,
+    pub(crate) blocks_systematic: Arc<Counter>,
     /// Source blocks the dense [`crate::stream::StreamDecoder`] had to
     /// solve at completion because they did not arrive verbatim.
-    pub rows_solved: Arc<Counter>,
+    pub(crate) rows_solved: Arc<Counter>,
     /// Coded blocks offered to the progressive [`crate::Decoder`].
-    pub blocks_received: Arc<Counter>,
+    pub(crate) blocks_received: Arc<Counter>,
     /// Arrivals that increased decoder rank.
-    pub blocks_innovative: Arc<Counter>,
+    pub(crate) blocks_innovative: Arc<Counter>,
     /// Arrivals that reduced to zero and were discarded.
-    pub blocks_dependent: Arc<Counter>,
+    pub(crate) blocks_dependent: Arc<Counter>,
     /// [`crate::TwoStageDecoder`] stage 1 — `[C | I]` inversion time.
-    pub stage1_invert_ns: Arc<Histogram>,
+    pub(crate) stage1_invert_ns: Arc<Histogram>,
     /// [`crate::TwoStageDecoder`] stage 2 — `C⁻¹ · x` multiplication time.
-    pub stage2_multiply_ns: Arc<Histogram>,
+    pub(crate) stage2_multiply_ns: Arc<Histogram>,
 }
 
 pub(crate) fn metrics() -> &'static CoreMetrics {

@@ -10,12 +10,12 @@ use nc_telemetry::{Counter, Histogram};
 
 pub(crate) struct CpuMetrics {
     /// Segments fully decoded by [`crate::ParallelSegmentDecoder`].
-    pub segments_decoded: Arc<Counter>,
+    pub(crate) segments_decoded: Arc<Counter>,
     /// Segments whose decode returned an error.
-    pub segment_errors: Arc<Counter>,
+    pub(crate) segment_errors: Arc<Counter>,
     /// Time a decode wave spends joining its worker threads (the
     /// multi-segment barrier).
-    pub segment_barrier_wait_ns: Arc<Histogram>,
+    pub(crate) segment_barrier_wait_ns: Arc<Histogram>,
 }
 
 pub(crate) fn metrics() -> &'static CpuMetrics {

@@ -47,4 +47,4 @@ pub mod tables;
 
 pub use engine::{decode_segment, encode_segment};
 pub use stream::{Fft16Codec, Fft16StreamReceiver, Fft16StreamSender};
-pub use tables::{tables, Tables, MODULUS, ORDER};
+pub use tables::{tables, Tables, MODULUS};

@@ -11,25 +11,25 @@ use nc_telemetry::{Counter, Gauge, Histogram};
 
 pub(crate) struct FftMetrics {
     /// Wall time of one segment encode (IFFT sweep + FFT), nanoseconds.
-    pub encode_ns: Arc<Histogram>,
+    pub(crate) encode_ns: Arc<Histogram>,
     /// Wall time of one segment erasure decode, nanoseconds.
-    pub decode_ns: Arc<Histogram>,
+    pub(crate) decode_ns: Arc<Histogram>,
     /// Segments reassembled by pure copy because every original shard
     /// arrived (the systematic fast path — no field work at all).
-    pub systematic_fast_path: Arc<Counter>,
+    pub(crate) systematic_fast_path: Arc<Counter>,
     /// Segments that went through the full FFT erasure decode.
-    pub decodes: Arc<Counter>,
+    pub(crate) decodes: Arc<Counter>,
     /// Halves of the decode transform folded, 1 or 2 per decode: one per
     /// half of the evaluation points that holds erased originals.
-    pub decode_folds: Arc<Counter>,
+    pub(crate) decode_folds: Arc<Counter>,
     /// Recovery shards produced by encodes.
-    pub recovery_shards: Arc<Counter>,
+    pub(crate) recovery_shards: Arc<Counter>,
     /// Which GF(2^16) rung the process dispatches to
     /// ([`crate::simd::Gf16Kernel::id`]), set when it is first selected.
-    pub kernel_id: Arc<Gauge>,
+    pub(crate) kernel_id: Arc<Gauge>,
     /// `NC_GF16_BACKEND` values that were ignored (unknown name, or a rung
     /// this CPU lacks).
-    pub backend_override_unavailable: Arc<Counter>,
+    pub(crate) backend_override_unavailable: Arc<Counter>,
 }
 
 pub(crate) fn metrics() -> &'static FftMetrics {

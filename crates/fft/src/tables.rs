@@ -36,7 +36,7 @@ use nc_check::sync::Arc;
 /// Field bit width.
 pub(crate) const BITS: usize = 16;
 /// Number of field elements.
-pub const ORDER: usize = 1 << BITS;
+pub(crate) const ORDER: usize = 1 << BITS;
 /// Multiplicative group order; also the `log[0]` / "zero multiplier"
 /// sentinel in log-domain tables.
 pub const MODULUS: u16 = (ORDER - 1) as u16;
@@ -53,9 +53,9 @@ const CANTOR_BASIS: [u16; BITS] = [
 /// The runtime lookup tables (see module docs).
 pub struct Tables {
     /// `log[x]` for representation `x`; `log[0] == MODULUS`.
-    pub log: Box<[u16; ORDER]>,
+    pub(crate) log: Box<[u16; ORDER]>,
     /// `exp[l]` for log `l`; `exp[MODULUS] == exp[0]`.
-    pub exp: Box<[u16; ORDER]>,
+    pub(crate) exp: Box<[u16; ORDER]>,
     /// Additive-FFT butterfly constants, log domain, indexed by
     /// `group_start + distance + delta - 1` (see [`crate::afft`]).
     pub skew: Box<[u16; ORDER]>,

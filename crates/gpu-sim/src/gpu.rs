@@ -35,7 +35,7 @@ pub struct GridConfig {
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct TransferStats {
     /// Bytes moved.
-    pub bytes: usize,
+    pub(crate) bytes: usize,
     /// Modeled transfer seconds (latency + bytes / bandwidth).
     pub seconds: f64,
 }

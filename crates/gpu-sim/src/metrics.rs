@@ -6,13 +6,13 @@ use nc_telemetry::{Counter, Histogram};
 
 pub(crate) struct SimMetrics {
     /// Kernel launches executed (full and sampled).
-    pub launches: Arc<Counter>,
+    pub(crate) launches: Arc<Counter>,
     /// Thread blocks functionally executed on the host.
-    pub blocks_executed: Arc<Counter>,
+    pub(crate) blocks_executed: Arc<Counter>,
     /// Modeled device time per launch, in nanoseconds.
-    pub modeled_time_ns: Arc<Histogram>,
+    pub(crate) modeled_time_ns: Arc<Histogram>,
     /// Host wall-clock spent simulating each launch, in nanoseconds.
-    pub host_time_ns: Arc<Histogram>,
+    pub(crate) host_time_ns: Arc<Histogram>,
 }
 
 pub(crate) fn metrics() -> &'static SimMetrics {

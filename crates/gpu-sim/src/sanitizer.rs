@@ -71,14 +71,14 @@ const LINT_MIN_OPS: u64 = 32;
 pub struct SanitizerConfig {
     /// Validate global addresses against allocations and track
     /// initialization of device memory.
-    pub memcheck: bool,
+    pub(crate) memcheck: bool,
     /// Detect cross-warp shared-memory hazards between barriers.
-    pub racecheck: bool,
+    pub(crate) racecheck: bool,
     /// Emit performance lints (never [`Severity::Error`]).
-    pub perf_lints: bool,
+    pub(crate) perf_lints: bool,
     /// Distinct sites reported per diagnostic kind per launch; further
     /// sites are counted and summarized instead of listed.
-    pub max_sites_per_kind: usize,
+    pub(crate) max_sites_per_kind: usize,
 }
 
 impl Default for SanitizerConfig {
@@ -169,7 +169,7 @@ pub struct Diagnostic {
     /// [`crate::Gpu::launch_checked`]).
     pub kernel: String,
     /// Block index of the first occurrence, when block-attributable.
-    pub block: Option<usize>,
+    pub(crate) block: Option<usize>,
     /// Human-readable evidence.
     pub detail: String,
     /// Dynamic occurrences folded into this site.

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecCounters {
     /// Warp instructions issued (ALU work, address math, branches).
-    pub warp_instructions: u64,
+    pub(crate) warp_instructions: u64,
     /// Global-memory transactions after coalescing.
     pub gmem_transactions: u64,
     /// Bytes moved to/from device memory (transaction granularity).
@@ -24,13 +24,13 @@ pub struct ExecCounters {
     /// measured from the kernels' actual address streams.
     pub smem_conflict_cycles: u64,
     /// Texture fetches that hit the cache.
-    pub tex_hits: u64,
+    pub(crate) tex_hits: u64,
     /// Texture fetches that missed and went to device memory.
-    pub tex_misses: u64,
+    pub(crate) tex_misses: u64,
     /// `__syncthreads()`-style barriers executed.
-    pub syncs: u64,
+    pub(crate) syncs: u64,
     /// Atomic operations on shared memory.
-    pub shared_atomics: u64,
+    pub(crate) shared_atomics: u64,
 }
 
 impl ExecCounters {
@@ -75,9 +75,9 @@ pub struct LaunchStats {
     /// Blocks launched.
     pub grid_blocks: usize,
     /// Threads per block.
-    pub block_threads: usize,
+    pub(crate) block_threads: usize,
     /// Resident blocks per SM the occupancy calculation allowed.
-    pub resident_blocks_per_sm: usize,
+    pub(crate) resident_blocks_per_sm: usize,
     /// Resident warps per SM.
     pub resident_warps_per_sm: usize,
     /// Aggregate counters over all blocks.
@@ -91,7 +91,7 @@ pub struct LaunchStats {
     /// DRAM-bandwidth-limited cycles on the critical SM.
     pub memory_cycles: u64,
     /// Memory-latency cycles the occupancy could not hide.
-    pub exposed_latency_cycles: u64,
+    pub(crate) exposed_latency_cycles: u64,
     /// This launch's sanitizer findings, when the sanitizer was enabled
     /// (see `crate::sanitizer`); `None` for uninstrumented launches.
     pub sanitizer: Option<crate::sanitizer::SanitizerReport>,

@@ -514,17 +514,11 @@ impl GpuProgressiveDecoder {
 pub struct MultiDecodeOutcome {
     /// Recovered segments (functional fidelity only).
     pub recovered: Option<Vec<Vec<u8>>>,
-    /// Stage-1 (inversion) seconds.
-    pub stage1_s: f64,
-    /// Stage-2 (recovery multiplication) seconds.
-    pub stage2_s: f64,
     /// Decoded-output bandwidth in bytes/second (`segments·n·k` over the
     /// two kernel stages; PCIe excluded as in the paper's rates).
     pub rate: f64,
     /// Stage-1 share of the decoding task — the Fig. 9 annotations.
     pub stage1_share: f64,
-    /// Full pipeline breakdown.
-    pub pipeline: PipelineStats,
 }
 
 /// Host driver for the two-stage multi-segment decoder (Sec. 5.2).
@@ -613,7 +607,6 @@ impl GpuMultiDecoder {
         fidelity: Fidelity,
     ) -> MultiDecodeOutcome {
         assert!(n.is_multiple_of(4) && k.is_multiple_of(4), "n and k must be multiples of 4");
-        let mut pipeline = PipelineStats::new();
         self.dev.reset();
         let aug = self.dev.alloc(s_count * n * 2 * n);
         let coded = self.dev.alloc(s_count * n * k);
@@ -623,17 +616,14 @@ impl GpuMultiDecoder {
         // 1 GiB. Each segment is recovered and downloaded in turn, exactly
         // as a memory-constrained deployment would stream results out.
         let out = self.dev.alloc(n * k);
-        let t = self.dev.upload(aug, aug_host);
-        pipeline.record("pcie: coefficient upload", t.seconds);
-        let t = self.dev.upload(coded, coded_host);
-        pipeline.record("pcie: coded blocks upload", t.seconds);
+        self.dev.upload(aug, aug_host);
+        self.dev.upload(coded, coded_host);
 
         // ---- Stage 1: invert every C_s on the device.
         let invert = InvertKernel { aug, n, segments: s_count };
         // A sampled launch inverts only a sample of segments; the
         // augmented matrix then holds measurement garbage.
         let s1 = self.dev.launch_at(fidelity, &invert, invert.grid(), 2, &[aug]);
-        pipeline.record("stage1: [C|I] inversion", s1.elapsed_s);
 
         // ---- Stage 1.5: gather the inverses into a dense matrix buffer
         // (device-side reshuffle; zero PCIe).
@@ -681,9 +671,7 @@ impl GpuMultiDecoder {
                             };
                             let st = self.dev.launch(&recover, recover.grid());
                             mul_s += st.elapsed_s;
-                            let (bytes, t) = self.dev.download(out);
-                            recovered_host.push(bytes);
-                            pipeline.record(format!("pcie: segment {seg} download"), t.seconds);
+                            recovered_host.push(self.dev.download(out).0);
                         }
                     }
                     Fidelity::Timing => {
@@ -698,7 +686,6 @@ impl GpuMultiDecoder {
                         mul_s = st.elapsed_s * s_count as f64;
                     }
                 }
-                pipeline.record("stage2: recovery multiplication (loop)", mul_s);
                 mul_s
             }
             Stage2Scheme::TableBased => {
@@ -738,7 +725,6 @@ impl GpuMultiDecoder {
                         coded_host.iter().map(|&b| nc_gf256::logdomain::to_rlog(b) as u8).collect();
                     self.dev.poke(coded_log, &host_log);
                 }
-                pipeline.record("stage2: coded blocks to log domain", sx.elapsed_s);
                 let ki = LogTransformKernel {
                     input: inv,
                     output: inv_log,
@@ -746,7 +732,6 @@ impl GpuMultiDecoder {
                     len: s_count * n * n,
                 };
                 let si = self.dev.launch(&ki, ki.grid());
-                pipeline.record("stage2: inverses to log domain", si.elapsed_s);
 
                 let mut mul_s = 0.0;
                 match fidelity {
@@ -765,9 +750,7 @@ impl GpuMultiDecoder {
                                 tb5_replicas: crate::encode_table::TB5_REPLICAS,
                             };
                             mul_s += self.dev.launch(&kernel, kernel.grid()).elapsed_s;
-                            let (bytes, t) = self.dev.download(out);
-                            recovered_host.push(bytes);
-                            pipeline.record(format!("pcie: segment {seg} download"), t.seconds);
+                            recovered_host.push(self.dev.download(out).0);
                         }
                     }
                     Fidelity::Timing => {
@@ -791,7 +774,6 @@ impl GpuMultiDecoder {
                         mul_s = t * (n as f64 / m_exec as f64) * s_count as f64;
                     }
                 }
-                pipeline.record("stage2: recovery multiplication (table)", mul_s);
                 sx.elapsed_s + si.elapsed_s + mul_s
             }
         };
@@ -809,11 +791,8 @@ impl GpuMultiDecoder {
         let total = stage1_s + stage2_s;
         MultiDecodeOutcome {
             recovered,
-            stage1_s,
-            stage2_s,
             rate: (s_count * n * k) as f64 / total,
             stage1_share: stage1_s / total,
-            pipeline,
         }
     }
 }

@@ -30,11 +30,11 @@ use crate::costs;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InvertKernel {
     /// The augmented matrices (`segments × n × 2n` bytes).
-    pub aug: DeviceBuffer,
+    pub(crate) aug: DeviceBuffer,
     /// Generation size (multiple of 4).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Number of segments (= thread blocks).
-    pub segments: usize,
+    pub(crate) segments: usize,
 }
 
 impl InvertKernel {
@@ -183,17 +183,17 @@ impl Kernel for InvertKernel {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RecoverKernel {
     /// Inverted coefficient matrices.
-    pub inv: DeviceBuffer,
+    pub(crate) inv: DeviceBuffer,
     /// Coded payload matrices.
-    pub coded: DeviceBuffer,
+    pub(crate) coded: DeviceBuffer,
     /// Recovered output.
-    pub out: DeviceBuffer,
+    pub(crate) out: DeviceBuffer,
     /// Generation size (multiple of 4).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Block size in bytes (multiple of 4).
-    pub k: usize,
+    pub(crate) k: usize,
     /// Segment count.
-    pub segments: usize,
+    pub(crate) segments: usize,
 }
 
 /// Threads per block for the recovery multiplication.

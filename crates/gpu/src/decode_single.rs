@@ -50,23 +50,23 @@ pub(crate) struct DecodeStepKernel {
     /// Per-SM row storage: `sm_blocks × n` rows of
     /// `DecodeStepKernel::row_stride_words` words each (private
     /// coefficient copy first, data partition second).
-    pub rows: DeviceBuffer,
+    pub(crate) rows: DeviceBuffer,
     /// The incoming coded block: `n` coefficient bytes then `k` payload.
-    pub incoming: DeviceBuffer,
+    pub(crate) incoming: DeviceBuffer,
     /// One result word: the pivot column claimed, or [`NO_PIVOT`].
-    pub result: DeviceBuffer,
+    pub(crate) result: DeviceBuffer,
     /// Generation size (multiple of 4).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Block size in bytes (multiple of 4).
-    pub k: usize,
+    pub(crate) k: usize,
     /// Number of thread blocks = SMs (Fig. 3: one block per SM).
-    pub sm_blocks: usize,
+    pub(crate) sm_blocks: usize,
     /// Rows already absorbed (the rank before this step).
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Pivot columns of the absorbed rows, in row order.
-    pub pivot_cols: Vec<u32>,
+    pub(crate) pivot_cols: Vec<u32>,
     /// Sec. 5.4 switches.
-    pub options: DecodeOptions,
+    pub(crate) options: DecodeOptions,
 }
 
 impl DecodeStepKernel {

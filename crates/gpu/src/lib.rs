@@ -54,7 +54,5 @@ pub mod encode_loop;
 pub mod encode_table;
 pub mod preprocess;
 
-pub use api::{
-    EncodeScheme, Fidelity, GpuEncoder, GpuMultiDecoder, GpuProgressiveDecoder, PipelineError,
-};
+pub use api::{Fidelity, GpuEncoder, GpuMultiDecoder, GpuProgressiveDecoder};
 pub use encode_table::TableVariant;

@@ -47,13 +47,13 @@ pub(crate) const PREPROCESS_BLOCK_THREADS: usize = 256;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LogTransformKernel {
     /// Input bytes (normal domain).
-    pub input: DeviceBuffer,
+    pub(crate) input: DeviceBuffer,
     /// Output bytes (log domain), same length as `input`.
-    pub output: DeviceBuffer,
+    pub(crate) output: DeviceBuffer,
     /// 256-byte log table in device memory.
-    pub table: DeviceBuffer,
+    pub(crate) table: DeviceBuffer,
     /// Bytes to transform (must be a multiple of 4).
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 impl LogTransformKernel {

@@ -473,16 +473,16 @@ impl Channel for MemoryChannel {
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct FaultProfile {
     /// Probability the datagram is silently dropped.
-    pub drop: f64,
+    pub(crate) drop: f64,
     /// Probability the datagram is delivered twice.
-    pub duplicate: f64,
+    pub(crate) duplicate: f64,
     /// Probability the datagram is held back behind later traffic
     /// (reordering / latency jitter).
-    pub reorder: f64,
+    pub(crate) reorder: f64,
     /// Maximum number of later sends a reordered datagram is held behind.
-    pub reorder_depth: usize,
+    pub(crate) reorder_depth: usize,
     /// Probability one random bit of the datagram is flipped.
-    pub bit_flip: f64,
+    pub(crate) bit_flip: f64,
 }
 
 impl FaultProfile {
@@ -518,11 +518,11 @@ pub struct FaultStats {
     /// Datagrams dropped.
     pub dropped: u64,
     /// Extra deliveries from duplication.
-    pub duplicated: u64,
+    pub(crate) duplicated: u64,
     /// Datagrams held back for reordering.
     pub reordered: u64,
     /// Datagrams with a bit flipped.
-    pub bit_flipped: u64,
+    pub(crate) bit_flipped: u64,
 }
 
 /// Deterministic, seedable fault injection over opaque datagrams.

@@ -85,51 +85,9 @@ pub(crate) fn pump<C: Channel, S: Session>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::drive;
-    use crate::wire::{Datagram, DatagramRef, Payload, StreamMeta};
-    use nc_rlnc::codec::StreamCodecSender;
-    use nc_rlnc::stream::StreamEncoder;
-    use nc_rlnc::CodingConfig;
-    use rand::SeedableRng;
-    use std::collections::VecDeque;
+    use crate::sim::{addr, drive, Node, Stream};
+    use crate::wire::{DatagramRef, Payload};
     use std::time::Duration;
-
-    /// A dense 16 x 64 B stream of `segments` segments: its announce and
-    /// its systematic frames, segments interleaved round-robin as a sender
-    /// sends them, each under any session id.
-    struct Stream {
-        meta: StreamMeta,
-        frames: Vec<Vec<u8>>,
-    }
-
-    impl Stream {
-        fn new(segments: usize) -> Stream {
-            let coding = CodingConfig::new(16, 64).unwrap();
-            let data: Vec<u8> = (0..segments * 16 * 64).map(|i| (i % 251) as u8).collect();
-            let encoder = StreamEncoder::new(coding, &data).unwrap();
-            let meta = StreamMeta {
-                blocks: 16,
-                block_size: 64,
-                total_segments: segments as u32,
-                original_len: data.len() as u64,
-                codec: encoder.codec(),
-            };
-            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-            let frames = (0..16u64)
-                .flat_map(|seq| (0..segments).map(move |segment| (segment, seq)))
-                .map(|(segment, seq)| encoder.frame_wire(segment, seq, &mut rng))
-                .collect();
-            Stream { meta, frames }
-        }
-
-        fn announce(&self, session: u64) -> Vec<u8> {
-            Datagram::new(session, Payload::Announce(self.meta)).encode().unwrap()
-        }
-
-        fn data(&self, session: u64, frame: usize) -> Vec<u8> {
-            Datagram::new(session, Payload::Data(self.frames[frame].clone())).encode().unwrap()
-        }
-    }
 
     fn is_ack(bytes: &[u8]) -> Option<u64> {
         match DatagramRef::parse(bytes).ok()?.payload {
@@ -164,17 +122,12 @@ mod tests {
         arrivals.sort_by_key(|&(at, id, _)| (at, id));
         let delivered = arrivals.len() as u64;
         let (mut steps, mut polls, mut acks) = (0u64, 0u64, 0u64);
-        drive(
-            &mut step,
-            VecDeque::from(arrivals),
-            t0 + Duration::from_millis(320),
-            |_, _| None,
-            |_, _, bytes| {
-                acks += u64::from(is_ack(&bytes).is_some());
-                nc_pool::BytesPool::global().recycle(bytes);
-            },
-            |step, emitted| {
-                let stats = step.stats();
+        let mut node = Node {
+            step: &mut step,
+            open: |_, _| None,
+            watch: |step, _, sent| {
+                let (stats, emitted) = (step.stats(), sent.len() as u64);
+                acks += sent.iter().filter(|(_, bytes)| is_ack(bytes).is_some()).count() as u64;
                 assert!(stats.turns <= stats.due + stats.arrived, "{stats:?}");
                 // Every poll either sent a datagram or ended a turn.
                 assert!(stats.polls <= emitted + stats.turns as u64, "{stats:?}");
@@ -182,7 +135,9 @@ mod tests {
                 steps += 1;
                 polls += stats.polls;
             },
-        );
+        };
+        let arrivals = arrivals.into_iter().map(|(at, _, bytes)| (at, addr(1), bytes));
+        drive(&mut [&mut node], t0, arrivals, None, t0 + Duration::from_millis(320));
         assert_eq!(step.sessions(), PEERS as usize, "every session still receiving");
         println!(
             "{PEERS} paced receivers, 320 ms: {steps} steps, {:.1} polls per step, \

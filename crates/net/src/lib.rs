@@ -26,7 +26,7 @@
 //! | `step` | the one scheduler both roles run on: sessions polled only when a datagram touched them or their quoted wait ran out |
 //! | `client` | the receiving role ([`Client`]): many receiver sessions on one step, over one [`channel::Channel`], from one thread |
 //! | [`sender`] | blocking sender driver over any [`channel::Channel`] |
-//! | [`server`] | serving vocabulary: [`ServerConfig`], [`ServedTransfer`] (per-session stats) |
+//! | [`server`] | serving vocabulary: [`ServerConfig`], [`ServedTransfer`](server::ServedTransfer) (per-session stats) |
 //! | `sysio` | the platform seam: `SO_REUSEPORT` groups + `sendmmsg`/`recvmmsg` on Linux, `std` fallback elsewhere |
 //! | [`shard`] | the server: one socket, step and scoped thread per shard (one shard is a single-socket server), batched syscalls |
 //! | [`streaming`] | the paper's Sec. 5.1.1 media scenario: stream profiles, NIC model, peer-capacity planner, paced delivery and its assessment |
@@ -82,25 +82,21 @@ pub mod sender;
 pub mod server;
 pub mod session;
 pub mod shard;
+#[cfg(test)]
+mod sim;
 mod step;
 pub mod streaming;
 mod sysio;
 pub mod wire;
 
-pub use channel::{
-    memory_pair, BatchSocket, Channel, FaultProfile, FaultStats, FaultyChannel, MemoryChannel,
-    UdpChannel,
-};
+pub use channel::{memory_pair, BatchSocket, FaultProfile, FaultyChannel, UdpChannel};
 pub use client::Client;
 pub use codecs::{codec_for, make_sender};
 pub use nc_pool::PooledBuf;
 pub use nc_rlnc::codec::CodecId;
-pub use receiver::{
-    run_receiver, ReceiverConfig, ReceiverOutcome, ReceiverReport, ReceiverSession,
-};
+pub use receiver::{run_receiver, ReceiverConfig, ReceiverReport, ReceiverSession};
 pub use sender::{run_sender, send_stream};
-pub use server::{ServedTransfer, ServerConfig};
-pub use session::{SenderConfig, SenderOutcome, SenderReport, SenderSession};
+pub use server::ServerConfig;
+pub use session::{SenderConfig, SenderOutcome, SenderSession};
 pub use shard::{ShardedServer, ShardedServerConfig};
-pub use step::{Event, BURST_PER_STEP};
-pub use wire::{Datagram, Payload, SegmentBitmap, StreamMeta, WireError};
+pub use step::BURST_PER_STEP;

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use crate::channel::Channel;
 use crate::client::pump;
 use crate::codecs::codec_for;
-pub use crate::step::Event;
+use crate::step::Event;
 use crate::step::{Session, Step};
 use crate::wire::{Datagram, DatagramRef, Payload, SegmentBitmap, StreamMeta, WireError};
 
@@ -58,7 +58,7 @@ impl Default for ReceiverConfig {
     }
 }
 
-/// The receiver's name for [`Event`].
+/// What [`ReceiverSession::poll`] asks its driver to do.
 pub type ReceiverEvent = Event;
 
 /// How a receiver session ended.
@@ -236,7 +236,7 @@ impl ReceiverSession {
         }
     }
 
-    /// Advances the state machine (see [`Event`]).
+    /// Advances the state machine (see [`ReceiverEvent`]).
     pub fn poll(&mut self, now: Instant) -> Event {
         if self.outcome.is_some() {
             return Event::Finished;
@@ -482,7 +482,7 @@ pub fn run_receiver<C: Channel>(
 mod tests {
     use super::*;
 
-    use crate::step::drive;
+    use crate::sim::{addr, drive, Node, Stream};
     use nc_rlnc::codec::CodecId;
 
     fn announce() -> Datagram {
@@ -624,28 +624,8 @@ mod tests {
     /// its announce and its first `n` (systematic) data datagrams per
     /// segment, segments interleaved round-robin as the sender sends them.
     fn stream(segments: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
-        use nc_rlnc::codec::StreamCodecSender;
-        use rand::SeedableRng;
-        let coding = CodingConfig::new(16, 64).unwrap();
-        let data: Vec<u8> = (0..segments * 16 * 64).map(|i| (i % 251) as u8).collect();
-        let encoder = nc_rlnc::stream::StreamEncoder::new(coding, &data).unwrap();
-        let meta = StreamMeta {
-            blocks: 16,
-            block_size: 64,
-            total_segments: segments as u32,
-            original_len: data.len() as u64,
-            codec: encoder.codec(),
-        };
-        let announce = Datagram::new(5, Payload::Announce(meta)).encode().unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let frames = (0..16u64)
-            .flat_map(|seq| (0..segments).map(move |segment| (segment, seq)))
-            .map(|(segment, seq)| {
-                let frame = encoder.frame_wire(segment, seq, &mut rng);
-                Datagram::new(5, Payload::Data(frame)).encode().unwrap()
-            })
-            .collect();
-        (announce, frames)
+        let stream = Stream::new(segments);
+        (stream.announce(5), (0..stream.frames.len()).map(|i| stream.data(5, i)).collect())
     }
 
     /// Drives `r` alone on a step in virtual time, as `run_receiver`
@@ -658,22 +638,17 @@ mod tests {
         let mut acks = Vec::new();
         let mut step = Step::new();
         step.insert(5, r);
-        let arrivals = arrivals.iter().map(|(at, bytes)| (*at, 5, bytes.clone())).collect();
+        let t0 = arrivals[0].0;
+        let arrivals = arrivals.iter().map(|(at, bytes)| (*at, addr(1), bytes.clone()));
         let is_ack = |bytes: &[u8]| {
             matches!(DatagramRef::parse(bytes), Ok(Datagram { payload: Payload::Ack { .. }, .. }))
         };
-        drive(
-            &mut step,
-            arrivals,
-            end,
-            |_, _| None,
-            |now, _, bytes| {
-                if is_ack(&bytes) {
-                    acks.push(now);
-                }
-            },
-            |_, _| {},
-        );
+        let mut node = Node {
+            step: &mut step,
+            open: |_, _| None,
+            watch: |_, now, sent| acks.extend(sent.iter().filter(|(_, b)| is_ack(b)).map(|_| now)),
+        };
+        drive(&mut [&mut node], t0, arrivals, None, end);
         acks
     }
 

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::channel::Channel;
-use crate::session::{Event, SenderConfig, SenderReport, SenderSession};
+use crate::session::{SenderConfig, SenderReport, SenderSession};
+use crate::step::Event;
 use crate::step::Session;
 use crate::sysio::MAX_BATCH;
 use crate::wire::WireError;

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use crate::metrics::metrics;
 use crate::pacing::{RedundancyController, TokenBucket};
-pub use crate::step::Event;
+use crate::step::Event;
 use crate::step::Session;
 use crate::wire::{
     seal_data, Datagram, DatagramRef, Payload, SegmentBitmap, StreamMeta, WireError, HEADER_BYTES,
@@ -80,7 +80,7 @@ pub(crate) const ACK_WAIT: Duration = Duration::from_millis(2);
 /// loss).
 pub const STALL_GRACE: Duration = Duration::from_millis(100);
 
-/// The sender's name for [`Event`].
+/// What [`SenderSession::poll`] asks its driver to do.
 pub type SenderEvent = Event;
 
 /// How a sender session ended.
@@ -108,21 +108,21 @@ pub struct SenderReport {
     /// ACK datagrams received.
     pub acks_received: u64,
     /// Data datagrams the receiver reported as received.
-    pub peer_received: u64,
+    pub(crate) peer_received: u64,
     /// Frames the receiver reported as innovative.
-    pub peer_innovative: u64,
+    pub(crate) peer_innovative: u64,
     /// Segments in the stream.
     pub segments_total: usize,
     /// Segments the receiver confirmed complete.
     pub segments_completed: usize,
     /// Unpadded stream length in bytes.
-    pub original_len: usize,
+    pub(crate) original_len: usize,
     /// Wall-clock duration of the session.
     pub elapsed: Duration,
     /// Final EMA loss estimate of the redundancy controller.
     pub loss_estimate: f64,
     /// Final redundancy factor (`1/(1-loss)`, clamped).
-    pub redundancy_factor: f64,
+    pub(crate) redundancy_factor: f64,
 }
 
 impl SenderReport {
@@ -306,7 +306,7 @@ impl SenderSession {
         }
     }
 
-    /// Advances the state machine (see [`Event`]).
+    /// Advances the state machine (see [`SenderEvent`]).
     pub fn poll(&mut self, now: Instant) -> Event {
         if std::mem::take(&mut self.feedback_pending) {
             self.fold_feedback();

@@ -47,9 +47,6 @@ impl<S: Session> Session for &mut S {
     }
 }
 
-#[cfg(test)]
-pub(crate) use tests::drive;
-
 /// One owned session and its place in the step's schedule.
 pub(crate) struct Slot<S> {
     pub(crate) session: S,
@@ -143,16 +140,16 @@ impl<K: Copy + Eq + Hash + Ord> DueIndex<K> {
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) struct StepStats {
     /// Sessions whose armed due had come.
-    pub due: usize,
+    pub(crate) due: usize,
     /// Sessions a delivered datagram touched (or that were inserted)
     /// since the previous step.
-    pub arrived: usize,
+    pub(crate) arrived: usize,
     /// Sessions polled: each got one turn.
-    pub turns: usize,
+    pub(crate) turns: usize,
     /// `Session::poll` calls.
-    pub polls: u64,
+    pub(crate) polls: u64,
     /// Turns whose first poll returned `Wait`: the session sent nothing.
-    pub idle_polls: u64,
+    pub(crate) idle_polls: u64,
 }
 
 /// How one session's turn ended.
@@ -315,48 +312,5 @@ impl<K: Copy + Eq + Hash + Ord, S: Session> Step<K, S> {
         self.stats = stats;
         result?;
         Ok(if self.ready.is_empty() { self.index.next_due(&self.slots) } else { Some(now) })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::VecDeque;
-
-    /// Runs `step` in virtual time, as a shell that wakes exactly when
-    /// asked would: each arrival is delivered at its instant (a key with
-    /// no session gets the one `open` makes of the bytes, if any), and
-    /// the step runs at every arrival and at every due it returns, until
-    /// `end`. `on_emit` sees every datagram sent, `after` every step with
-    /// the datagrams it sent. The step tests of both roles run on it.
-    pub(crate) fn drive<K: Copy + Eq + Hash + Ord, S: Session>(
-        step: &mut Step<K, S>,
-        mut arrivals: VecDeque<(Instant, K, Vec<u8>)>,
-        end: Instant,
-        mut open: impl FnMut(&[u8], Instant) -> Option<S>,
-        mut on_emit: impl FnMut(Instant, K, Vec<u8>),
-        mut after: impl FnMut(&Step<K, S>, u64),
-    ) {
-        let mut due = None;
-        loop {
-            let arrival = arrivals.front().map(|(at, ..)| *at);
-            let Some(now) = [arrival, due].into_iter().flatten().min() else { break };
-            if now > end {
-                break;
-            }
-            while arrivals.front().is_some_and(|(at, ..)| *at <= now) {
-                let (_, key, bytes) = arrivals.pop_front().unwrap();
-                step.deliver(key, &bytes, now, || open(&bytes, now));
-                nc_pool::BytesPool::global().recycle(bytes);
-            }
-            let mut emitted = 0u64;
-            let mut emit = |key, bytes| {
-                emitted += 1;
-                on_emit(now, key, bytes);
-                Ok(())
-            };
-            due = step.step(now, &mut emit, &mut |_, _, _| {}).unwrap();
-            after(step, emitted);
-        }
     }
 }

@@ -127,14 +127,14 @@ impl Nic {
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct CapacityPlan {
     /// Coded-output bandwidth of the encoder, bytes/second.
-    pub encoding_rate: f64,
+    pub(crate) encoding_rate: f64,
     /// Peers the *computation* can feed.
     pub compute_peers: usize,
     /// Peers the *network egress* can feed.
-    pub network_peers: usize,
+    pub(crate) network_peers: usize,
     /// Whether computation saturates the NIC (the paper's argument that
     /// the GPU frees the CPU entirely).
-    pub nic_saturated: bool,
+    pub(crate) nic_saturated: bool,
 }
 
 impl CapacityPlan {
@@ -188,13 +188,13 @@ pub fn sender_config_for(profile: StreamProfile, headroom: f64) -> SenderConfig 
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct DeliveryAssessment {
     /// Application goodput achieved, bytes/second.
-    pub goodput_bytes_per_s: f64,
+    pub(crate) goodput_bytes_per_s: f64,
     /// Goodput the profile requires, bytes/second.
-    pub required_bytes_per_s: f64,
+    pub(crate) required_bytes_per_s: f64,
     /// Did the transfer keep up with the stream rate?
     pub sustained: bool,
     /// Coded frames sent per innovative frame delivered.
-    pub overhead_ratio: f64,
+    pub(crate) overhead_ratio: f64,
 }
 
 /// Judges a sender report against the profile it was supposed to serve.

@@ -373,16 +373,16 @@ pub(crate) fn seal_data(datagram: &mut [u8], session: u64) {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct StreamMeta {
     /// Blocks per generation (`n`).
-    pub blocks: u32,
+    pub(crate) blocks: u32,
     /// Block size in bytes (`k`).
-    pub block_size: u32,
+    pub(crate) block_size: u32,
     /// Number of segments in the stream.
-    pub total_segments: u32,
+    pub(crate) total_segments: u32,
     /// Unpadded byte length of the stream.
-    pub original_len: u64,
+    pub(crate) original_len: u64,
     /// Coding backend the sender will frame data with (one byte on the
     /// wire; absent in v1 announces, which imply dense RLNC).
-    pub codec: CodecId,
+    pub(crate) codec: CodecId,
 }
 
 impl StreamMeta {

@@ -10,11 +10,11 @@ use nc_telemetry::Counter;
 
 pub(crate) struct PoolMetrics {
     /// Buffer requests served from a recycled allocation.
-    pub buffer_hits: Arc<Counter>,
+    pub(crate) buffer_hits: Arc<Counter>,
     /// Buffer requests that had to allocate fresh.
-    pub buffer_misses: Arc<Counter>,
+    pub(crate) buffer_misses: Arc<Counter>,
     /// Capacity (bytes) returned to a pool shelf by recycling.
-    pub bytes_recycled: Arc<Counter>,
+    pub(crate) bytes_recycled: Arc<Counter>,
 }
 
 pub(crate) fn metrics() -> &'static PoolMetrics {

@@ -12,9 +12,9 @@ use std::fmt;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset in the input where parsing failed (0 for shape errors).
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: &'static str,
+    pub(crate) message: &'static str,
 }
 
 impl JsonError {

@@ -11,7 +11,6 @@
 //! | [`gpu`] | The paper's GPU kernels: encode ladder, two decoders |
 //! | [`cpu`] | Real multi-threaded CPU coding |
 //! | [`net`] | Lossy-datagram coded transport: UDP, fault injection, sessions; [`net::streaming`] plans peer capacity and paces media delivery |
-//! | [`p2p`] | The Avalanche-style content-distribution swarm |
 //! | [`telemetry`] | Zero-dependency metrics: counters, histograms, JSON snapshots |
 //! | [`pool`] | Buffer recycling: recycled byte and coded-block shelves |
 //!
@@ -23,7 +22,6 @@
 //! ```bash
 //! cargo run --release --example quickstart
 //! cargo run --release --example streaming_server
-//! cargo run --release --example p2p_swarm
 //! cargo run --release --example gpu_pipeline
 //! cargo run --release --example udp_file_transfer
 //! ```
@@ -40,7 +38,6 @@ pub use nc_gf256 as gf256;
 pub use nc_gpu as gpu;
 pub use nc_gpu_sim as gpu_sim;
 pub use nc_net as net;
-pub use nc_p2p as p2p;
 pub use nc_pool as pool;
 pub use nc_rlnc as rlnc;
 pub use nc_telemetry as telemetry;

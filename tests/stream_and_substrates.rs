@@ -1,9 +1,8 @@
 //! Integration of the stream-transfer layer with the substrates: lossy
-//! delivery, swarm distribution, and the streaming planner's peer counts
+//! delivery, recoding relays, and the streaming planner's peer counts
 //! fitting the load they admit.
 
 use extreme_nc::net::streaming::{CapacityPlan, Nic, StreamProfile};
-use extreme_nc::p2p::{SwarmConfig, SwarmSim, Topology};
 use extreme_nc::prelude::*;
 use extreme_nc::rlnc::stream::{StreamDecoder, StreamEncoder};
 use extreme_nc::rlnc::{StreamCodecReceiver, StreamCodecSender};
@@ -37,18 +36,32 @@ fn lossy_stream_transfer_recovers_exactly() {
 }
 
 #[test]
-fn swarm_distribution_matches_direct_decode() {
-    // The same generation distributed through a recoding swarm and decoded
-    // directly must agree — network coding is transparent to content.
-    let coding = CodingConfig::new(8, 32).expect("valid");
-    let topo = Topology::chain(2, 20e6, 20e6);
-    let mut cfg = SwarmConfig::new(coding);
-    cfg.segments = 3;
-    let mut sim = SwarmSim::new(topo, cfg, 77);
-    let report = sim.run();
-    assert_eq!(report.completed_peers, 2, "{report:?}");
-    // (Data integrity is asserted inside the simulator on completion.)
-    assert!(report.overhead_ratio() < 0.5);
+fn a_sink_fed_by_two_partial_relays_decodes_bit_exact() {
+    // Relays A and B each buffer a different half of a generation's coded
+    // blocks. A's recodes alone cannot lift the sink past half rank;
+    // recodes from both complete the generation.
+    let config = CodingConfig::new(8, 32).expect("valid");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+    let data: Vec<u8> = (0..config.segment_bytes()).map(|_| rng.gen()).collect();
+    let encoder = Encoder::new(Segment::from_bytes(config, data.clone()).expect("sized"));
+    let (mut a, mut b) = (Recoder::new(config), Recoder::new(config));
+    for relay in [&mut a, &mut b] {
+        for _ in 0..config.blocks() / 2 {
+            relay.push(encoder.encode(&mut rng)).expect("well-formed");
+        }
+    }
+    let mut sink = Decoder::new(config);
+    for _ in 0..2 * config.blocks() {
+        sink.push(a.recode(&mut rng).expect("buffered")).expect("well-formed");
+    }
+    assert_eq!(sink.rank(), config.blocks() / 2, "A alone holds half the generation");
+    for relay in [&b, &a].into_iter().cycle().take(4 * config.blocks()) {
+        if sink.is_complete() {
+            break;
+        }
+        sink.push(relay.recode(&mut rng).expect("buffered")).expect("well-formed");
+    }
+    assert_eq!(sink.recover().expect("complete"), data);
 }
 
 #[test]
