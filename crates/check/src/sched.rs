@@ -207,9 +207,12 @@ thread_local! {
 }
 
 /// The scheduler (and model-thread id) attached to the current OS thread,
-/// if it is part of a running model execution.
+/// if it is part of a running model execution. `None` too once the
+/// thread's locals are being torn down: a shimmed lock taken from another
+/// thread-local's destructor (a buffer magazine emptying into its shelf)
+/// runs unmodelled, like any access outside an execution.
 pub(crate) fn ctx() -> Option<(Arc<Inner>, usize)> {
-    CTX.with(|c| c.borrow().clone())
+    CTX.try_with(|c| c.borrow().clone()).ok().flatten()
 }
 
 pub(crate) fn set_ctx(v: Option<(Arc<Inner>, usize)>) {

@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 use crate::channel::Channel;
 use crate::client::pump;
 use crate::codecs::codec_for;
+use crate::session::ANNOUNCE_INTERVAL;
 use crate::step::Event;
 use crate::step::{Session, Step};
 use crate::wire::{Datagram, DatagramRef, Payload, SegmentBitmap, StreamMeta, WireError};
@@ -37,7 +38,9 @@ pub(crate) const ACK_EVERY: u64 = 8;
 /// frames arriving the timer still fires ("nothing arrived" ACKs).
 pub(crate) const ACK_INTERVAL: Duration = Duration::from_millis(10);
 
-/// Re-send the initial request at this interval until announced.
+/// Re-send the initial request at this interval until announced. Data
+/// that arrives before the announce prompts one at once, at most once
+/// per [`ANNOUNCE_INTERVAL`].
 pub(crate) const REQUEST_INTERVAL: Duration = Duration::from_millis(20);
 
 /// How many times to repeat the final FIN (it may be lost).
@@ -91,6 +94,7 @@ pub struct ReceiverReport {
     /// shape, or length) — rejected rather than re-negotiated mid-stream.
     pub conflicting_announces: u64,
     /// Data frames that arrived before the announce (undecodable; lost).
+    /// Counted in `received` too, which the ACKs report.
     pub pre_announce: u64,
     /// ACK datagrams sent.
     pub acks_sent: u64,
@@ -101,6 +105,9 @@ pub struct ReceiverReport {
 enum State {
     AwaitAnnounce {
         last_request: Option<Instant>,
+        /// When data that came before the announce last prompted a
+        /// request out of turn.
+        nudged_at: Option<Instant>,
     },
     Receiving {
         /// The announce's negotiated backend, behind the codec seam: dense
@@ -148,7 +155,7 @@ impl ReceiverSession {
         ReceiverSession {
             session,
             config,
-            state: State::AwaitAnnounce { last_request: None },
+            state: State::AwaitAnnounce { last_request: None, nudged_at: None },
             received: 0,
             innovative: 0,
             corrupt: 0,
@@ -263,7 +270,7 @@ impl ReceiverSession {
                     Event::Finished
                 }
             }
-            State::AwaitAnnounce { last_request } => {
+            State::AwaitAnnounce { last_request, .. } => {
                 if now.duration_since(self.last_activity) >= self.config.idle_timeout {
                     self.outcome = Some(ReceiverOutcome::IdleTimeout);
                     return Event::Finished;
@@ -377,8 +384,21 @@ impl ReceiverSession {
 
     fn handle_frame(&mut self, frame_bytes: &[u8], now: Instant) {
         let State::Receiving { decoder, completed } = &mut self.state else {
-            if matches!(self.state, State::AwaitAnnounce { .. }) {
+            if let State::AwaitAnnounce { last_request, nudged_at } = &mut self.state {
+                // Received, though undecodable: the ACKs count it, so the
+                // sender does not read the frames it sent ahead of a lost
+                // announce as link loss.
+                self.received += 1;
                 self.pre_announce += 1;
+                // The sender is streaming, so its announce was lost or
+                // overtaken: ask again at this poll rather than at the
+                // next retry (a sender not yet ACKed answers a repeat
+                // request with its announce), at most once per announce
+                // interval.
+                if nudged_at.is_none_or(|at| now.duration_since(at) >= ANNOUNCE_INTERVAL) {
+                    *nudged_at = Some(now);
+                    *last_request = None;
+                }
             }
             return; // Done: late frames are ignored
         };
@@ -405,7 +425,7 @@ impl ReceiverSession {
                 self.completed_at = Some(now);
                 self.ack_pending = false;
                 // The decoder is finished with: take its buffer, not a copy.
-                let idle = State::AwaitAnnounce { last_request: None };
+                let idle = State::AwaitAnnounce { last_request: None, nudged_at: None };
                 let State::Receiving { decoder, .. } = std::mem::replace(&mut self.state, idle)
                 else {
                     unreachable!("matched as receiving above")
@@ -508,6 +528,35 @@ mod tests {
         assert!(matches!(r.poll(t0), Event::Wait(_)));
         r.handle_bytes(&announce().encode().unwrap(), t0);
         assert!(!r.is_complete());
+    }
+
+    #[test]
+    fn data_before_the_announce_asks_again_at_once_once_per_announce_interval() {
+        let (_, frames) = stream(2);
+        let t0 = Instant::now();
+        let mut r = ReceiverSession::new(5, ReceiverConfig::default(), t0);
+        let is_request = |event| match event {
+            Event::Transmit(bytes) => {
+                matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Request)
+            }
+            _ => false,
+        };
+        assert!(is_request(r.poll(t0)), "the opening request");
+        let t1 = t0 + Duration::from_millis(1);
+        r.handle_bytes(&frames[0], t1);
+        assert!(is_request(r.poll(t1)), "data came first: the announce was lost");
+        let t2 = t1 + ANNOUNCE_INTERVAL / 2;
+        r.handle_bytes(&frames[1], t2);
+        assert!(matches!(r.poll(t2), Event::Wait(_)), "not again within the interval");
+        let t3 = t1 + ANNOUNCE_INTERVAL;
+        r.handle_bytes(&frames[2], t3);
+        assert!(is_request(r.poll(t3)));
+        let report = r.report();
+        assert_eq!(
+            (report.pre_announce, report.received),
+            (3, 3),
+            "counted, and acked, as received"
+        );
     }
 
     #[test]

@@ -66,7 +66,9 @@ impl Default for SenderConfig {
     }
 }
 
-/// How often a session re-sends the announce until the first ACK.
+/// How often a session re-sends the announce until the first ACK. A
+/// repeat `Request` before that ACK is answered at once instead (the
+/// receiver sends one as soon as data reaches it before the announce).
 pub(crate) const ANNOUNCE_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Floor on quoted feedback waits. Waits are computed from the earliest
@@ -157,6 +159,9 @@ pub struct SenderSession {
     /// Wire size of one data datagram (constant per coding config).
     data_datagram_bytes: usize,
     announce_at: Option<Instant>,
+    /// The receiver's first `Request` (the one that opens the stream)
+    /// has arrived; a later one, before any ACK, asks for the announce.
+    requested: bool,
     acked_once: bool,
     /// An ACK arrived since the last `poll`, which folds it in.
     feedback_pending: bool,
@@ -236,6 +241,7 @@ impl SenderSession {
             next_segment: 0,
             data_datagram_bytes,
             announce_at: None,
+            requested: false,
             acked_once: false,
             feedback_pending: false,
             visible_sent: 0,
@@ -276,6 +282,13 @@ impl SenderSession {
         match &datagram.payload {
             Payload::Request => {
                 self.last_activity = now;
+                // A repeat request before any ACK: the receiver has no
+                // announce (it was lost, or data overtook it). Announce
+                // at this poll rather than at the next retry.
+                if self.requested && !self.acked_once {
+                    self.announce_at = None;
+                }
+                self.requested = true;
             }
             Payload::Ack { received, innovative, completed } => {
                 self.last_activity = now;
@@ -630,6 +643,32 @@ mod tests {
         assert_eq!(datagram.session, 77);
         let Event::Transmit(bytes) = s.poll(now) else { panic!("expected data") };
         assert!(matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Data(_)));
+    }
+
+    #[test]
+    fn a_repeat_request_before_any_ack_is_answered_with_the_announce() {
+        let mut s = session(SenderConfig::default());
+        let now = Instant::now();
+        let request = Datagram::new(77, Payload::Request);
+        let is_announce = |event| match event {
+            Event::Transmit(bytes) => {
+                matches!(Datagram::decode(&bytes).unwrap().payload, Payload::Announce(_))
+            }
+            _ => false,
+        };
+        s.handle_datagram(&request, now); // the one that opened the stream
+        assert!(is_announce(s.poll(now)));
+        assert!(!is_announce(s.poll(now)), "data follows");
+        s.handle_datagram(&request, now);
+        assert!(is_announce(s.poll(now)), "the receiver has no announce: send it now");
+        let completed = SegmentBitmap::new(s.meta().total_segments as usize);
+        s.handle_datagram(
+            &Datagram::new(77, Payload::Ack { received: 1, innovative: 1, completed }),
+            now,
+        );
+        s.handle_datagram(&request, now);
+        assert!(!is_announce(s.poll(now)), "an ACK proved the announce arrived");
+        assert_eq!(s.report(now).announces_sent, 2);
     }
 
     #[test]

@@ -810,6 +810,86 @@ mod tests {
         println!("{sent:?} datagrams sent (server, client), {received} frames received, {ended:?}");
     }
 
+    /// A node whose first announce the wire loses.
+    struct LosesFirstAnnounce<'a> {
+        node: &'a mut dyn Run,
+        lost: bool,
+    }
+
+    impl Run for LosesFirstAnnounce<'_> {
+        fn deliver(&mut self, from: SocketAddr, bytes: &[u8], now: Instant) {
+            self.node.deliver(from, bytes, now);
+        }
+
+        fn run(&mut self, now: Instant, send: &mut dyn FnMut(Vec<u8>)) -> Option<Instant> {
+            let lost = &mut self.lost;
+            self.node.run(now, &mut |bytes| {
+                if is_announce(&bytes) && !*lost {
+                    *lost = true;
+                    nc_pool::BytesPool::global().recycle(bytes);
+                } else {
+                    send(bytes);
+                }
+            })
+        }
+    }
+
+    fn is_announce(bytes: &[u8]) -> bool {
+        DatagramRef::parse(bytes).is_ok_and(|d| matches!(d.payload, Payload::Announce(_)))
+    }
+
+    /// A 16-segment stream served by one server step to one client step
+    /// over a lossless 1 ms link that loses the server's first announce
+    /// if `lose`: what the client recovered, how many announces the
+    /// server sent, and when the client completed.
+    fn announce_round(lose: bool) -> (Option<Vec<u8>>, usize, Duration) {
+        let world = World::new(ServerConfig::default(), 16);
+        let t0 = Instant::now();
+        let mut receiver = ReceiverSession::new(1, ReceiverConfig::default(), t0);
+        let (mut server, mut client) = (world.step(), Step::new());
+        client.insert(1, &mut receiver);
+        let (mut announces, mut completed) = (0, None);
+        let open = |bytes: &[u8], now| world.open(bytes, now);
+        let mut server_node = Node {
+            step: &mut server,
+            open,
+            watch: |_, _, out| announces += out.iter().filter(|(_, b)| is_announce(b)).count(),
+        };
+        let mut client_node = Node {
+            step: &mut client,
+            open: |_, _| None,
+            watch: |step, now, _| {
+                let done = step.slots.get(&1).is_none_or(|slot| slot.session.is_complete());
+                if done && completed.is_none() {
+                    completed = Some(now - t0);
+                }
+            },
+        };
+        let mut lossy = LosesFirstAnnounce { node: &mut server_node, lost: !lose };
+        let coin = rand::SeedableRng::seed_from_u64(1);
+        let link = Link { delay: Duration::from_millis(1), loss: 0.0, coin };
+        let nodes: &mut [&mut dyn Run] = &mut [&mut lossy, &mut client_node];
+        drive(nodes, t0, [], Some(link), t0 + Duration::from_secs(10));
+        assert_eq!((server.sessions(), client.sessions()), (0, 0), "both sides finished");
+        (receiver.into_recovered(), announces, completed.expect("the client completed"))
+    }
+
+    #[test]
+    fn a_lost_announce_is_answered_within_a_round_trip_of_the_first_data() {
+        let data: Vec<u8> = (0..16 * 16 * 64).map(|i| (i % 247) as u8).collect();
+        let (recovered, announces, lossless) = announce_round(false);
+        assert_eq!(recovered.as_deref(), Some(data.as_slice()), "bit-exact");
+        assert_eq!(announces, 1, "a lossless run announces once");
+        let (recovered, announces, lost) = announce_round(true);
+        assert_eq!(recovered.as_deref(), Some(data.as_slice()), "bit-exact");
+        assert_eq!(announces, 2, "one lost, one answering the receiver's early request");
+        // Data reaches the receiver at 2 ms, its request the server at
+        // 3 ms and the announce the receiver at 4 ms; waiting for the
+        // announce retry would put it past 21 ms.
+        assert!(lost < Duration::from_millis(10), "completed at {lost:?}");
+        println!("completed at {lossless:?} lossless, {lost:?} with the first announce lost");
+    }
+
     #[test]
     fn shard_owner_is_deterministic_and_in_range() {
         let peer: SocketAddr = "10.1.2.3:4567".parse().unwrap();

@@ -8,13 +8,26 @@
 //! allocation straight back. Shelves are bucketed by power-of-two
 //! capacity class, each bucket behind its own lock, so the take/recycle
 //! fast path is an O(1) pop and concurrent workers recycling
-//! different-sized buffers never contend. [`BlockArena`] is the coded-block
-//! specialization: a process-wide pair of shelves (coefficients,
-//! payloads) so the vectors an [`Encoder`] mints come back from the
-//! [`Decoder`] that consumes them.
+//! different-sized buffers never contend. A bucket's occupancy is
+//! readable without its lock, so a miss locks only buckets that hold
+//! something.
+//!
+//! The process-wide pool ([`BytesPool::global`]) also keeps a small
+//! *magazine* per thread in front of its shelf: a take looks there first
+//! and a recycle lands there first, so a thread that takes and recycles
+//! datagram-sized buffers (a shard loop, a client, an FFT call) touches
+//! no lock and no shared count until its magazine runs empty or full. A
+//! magazine holds at most 64 buffers in each class up to 64 KiB and
+//! empties into the shelf when its thread exits.
+//!
+//! [`BlockArena`] is the coded-block specialization: a process-wide pair
+//! of shelves (coefficients, payloads) so the vectors an [`Encoder`]
+//! mints come back from the [`Decoder`] that consumes them.
 //!
 //! [`Encoder`]: https://docs.rs/nc-rlnc
 //! [`Decoder`]: https://docs.rs/nc-rlnc
+
+use std::cell::RefCell;
 
 // Shim-layer imports (std re-exports normally, model-checker types under
 // `--cfg nc_check`) so the shelf locking and retained-count protocol are
@@ -38,9 +51,46 @@ const BUCKETS: usize = usize::BITS as usize;
 /// handed-out buffer can be (at most ~2^`BUCKET_PROBES`× the request).
 const BUCKET_PROBES: usize = 3;
 
+/// Classes a thread magazine keeps: every class up to the 64 KiB one,
+/// which covers any datagram. Larger buffers (the FFT's multi-MiB
+/// arenas) go to the shelf.
+const MAGAZINE_CLASSES: usize = 17;
+
+/// Buffers a thread magazine keeps per class; a recycle past this goes to
+/// the shelf. Bounds what one thread holds back from the others at 64
+/// buffers a class.
+const MAGAZINE_SLOTS: usize = 64;
+
 /// The capacity class a vector of capacity `c >= 1` shelves into.
 fn class_of(c: usize) -> usize {
     c.ilog2() as usize
+}
+
+/// The classes a take of `min_capacity` probes, below `limit`. The
+/// request's own class can hold capacities on either side of it, so it
+/// is scanned newest-first (the most recently recycled allocation is the
+/// most likely to still be warm in cache) with a capacity check; in
+/// every higher class any entry fits. The window keeps a miss O(1) and
+/// stops tiny requests from consuming huge allocations.
+fn probe_window(min_capacity: usize, limit: usize) -> std::ops::Range<usize> {
+    let class = class_of(min_capacity.max(1));
+    class..(class + 1 + BUCKET_PROBES).min(limit)
+}
+
+/// Removes the newest entry of `vecs` with at least `min_capacity`.
+fn take_fitting(vecs: &mut Vec<Vec<u8>>, min_capacity: usize) -> Option<Vec<u8>> {
+    let i = vecs.iter().rposition(|v| v.capacity() >= min_capacity)?;
+    Some(vecs.swap_remove(i))
+}
+
+/// One capacity class of a shelf.
+struct Bucket {
+    vecs: Mutex<Vec<Vec<u8>>>,
+    /// `vecs.len()`, stored under the lock at every push and pop, so a
+    /// take can pass over an empty bucket without locking it. A stale
+    /// read only turns a hit into a miss or costs one empty lock, which a
+    /// take racing a recycle could meet anyway.
+    len: AtomicUsize,
 }
 
 struct Shelf {
@@ -48,12 +98,110 @@ struct Shelf {
     /// and recyclers of different sizes never contend and a take is a
     /// handful of O(1) pops instead of a linear scan of every shelved
     /// vector under one pool-wide mutex.
-    buckets: Vec<Mutex<Vec<Vec<u8>>>>,
+    buckets: Vec<Bucket>,
     /// Total shelved count across buckets; bounds retention without
     /// taking any bucket lock. Incremented *before* a recycle's push and
     /// decremented *after* a take's pop, so it can never underflow.
     retained: AtomicUsize,
     max_retained: usize,
+    /// Whether takes and recycles go through the calling thread's
+    /// magazine first (the global pool only).
+    magazines: bool,
+}
+
+impl Shelf {
+    /// Pops a shelved vector with at least `min_capacity`, if any.
+    fn take(&self, min_capacity: usize) -> Option<Vec<u8>> {
+        let popped =
+            self.buckets[probe_window(min_capacity, BUCKETS)].iter().find_map(|bucket| {
+                if bucket.len.load(Ordering::Acquire) == 0 {
+                    return None;
+                }
+                let mut vecs = bucket.vecs.lock().expect("pool shelf lock");
+                let v = take_fitting(&mut vecs, min_capacity)?;
+                bucket.len.store(vecs.len(), Ordering::Release);
+                Some(v)
+            })?;
+        self.retained.fetch_sub(1, Ordering::AcqRel);
+        Some(popped)
+    }
+
+    /// Shelves `vec` (capacity >= 1); dropped instead when the shelf is
+    /// full. Returns whether it was kept.
+    fn put(&self, vec: Vec<u8>) -> bool {
+        // Claim a retention slot before pushing so the count bounds the
+        // shelf without holding any bucket lock; losing the claim means
+        // the shelf is full and the allocation simply drops.
+        let claimed = self
+            .retained
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < self.max_retained).then_some(n + 1)
+            })
+            .is_ok();
+        if claimed {
+            let bucket = &self.buckets[class_of(vec.capacity())];
+            let mut vecs = bucket.vecs.lock().expect("pool shelf lock");
+            vecs.push(vec);
+            bucket.len.store(vecs.len(), Ordering::Release);
+        }
+        claimed
+    }
+}
+
+/// One thread's buffers in front of the global pool's shelf, per class
+/// up to [`MAGAZINE_CLASSES`], at most [`MAGAZINE_SLOTS`] each.
+struct Magazine {
+    classes: [Vec<Vec<u8>>; MAGAZINE_CLASSES],
+}
+
+impl Magazine {
+    const fn new() -> Magazine {
+        Magazine { classes: [const { Vec::new() }; MAGAZINE_CLASSES] }
+    }
+
+    /// A held vector with at least `min_capacity`, probing the same
+    /// classes a shelf take does.
+    fn take(&mut self, min_capacity: usize) -> Option<Vec<u8>> {
+        let window = probe_window(min_capacity, MAGAZINE_CLASSES);
+        // A request above the magazine's classes finds nothing: `get_mut`
+        // rejects a window that starts past the last class.
+        self.classes.get_mut(window)?.iter_mut().find_map(|vecs| take_fitting(vecs, min_capacity))
+    }
+
+    /// Moves `vec` (capacity >= 1) in if its class has room; otherwise
+    /// leaves it where it is.
+    fn put(&mut self, vec: &mut Option<Vec<u8>>) {
+        let Some(class) = vec.as_ref().and_then(|v| self.classes.get_mut(class_of(v.capacity())))
+        else {
+            return;
+        };
+        if class.len() == MAGAZINE_SLOTS {
+            return;
+        }
+        if class.capacity() == 0 {
+            // All the slots at once: the class's list never grows on a
+            // later recycle, so a warm datapath stays allocation-free.
+            class.reserve_exact(MAGAZINE_SLOTS);
+        }
+        class.extend(vec.take());
+    }
+}
+
+impl Drop for Magazine {
+    /// A thread's exit hands what it held to the shared shelf, where the
+    /// threads that outlive it can take it.
+    fn drop(&mut self) {
+        let shelf = &BytesPool::global().shelf;
+        for vec in self.classes.iter_mut().flat_map(std::mem::take) {
+            shelf.put(vec);
+        }
+    }
+}
+
+thread_local! {
+    /// The calling thread's magazine for [`BytesPool::global`]. Const
+    /// storage: a thread's first touch allocates nothing.
+    static MAGAZINE: RefCell<Magazine> = const { RefCell::new(Magazine::new()) };
 }
 
 /// A shelf of recycled byte buffers.
@@ -84,22 +232,38 @@ impl std::fmt::Debug for BytesPool {
 impl BytesPool {
     /// A new pool retaining at most `max_retained` recycled vectors.
     pub fn new(max_retained: usize) -> BytesPool {
+        BytesPool::with_shelf(max_retained, false)
+    }
+
+    fn with_shelf(max_retained: usize, magazines: bool) -> BytesPool {
+        let buckets = (0..BUCKETS)
+            .map(|_| Bucket { vecs: Mutex::new(Vec::new()), len: AtomicUsize::new(0) })
+            .collect();
         BytesPool {
             shelf: Arc::new(Shelf {
-                buckets: (0..BUCKETS).map(|_| Mutex::new(Vec::new())).collect(),
+                buckets,
                 retained: AtomicUsize::new(0),
                 max_retained,
+                magazines,
             }),
         }
     }
 
-    /// The process-wide pool used by the transport receive path.
+    /// The process-wide pool the datagram, FFT and receive paths share.
+    ///
+    /// Unlike a [`BytesPool::new`] pool, it keeps a magazine per thread in
+    /// front of its shelf: up to 64 buffers in each capacity class up to
+    /// 64 KiB. A take looks there before the shelf and a recycle lands
+    /// there while it has room, so a thread that recycles what it takes
+    /// touches no lock. A thread's magazine empties into the shelf when
+    /// the thread exits.
     pub fn global() -> &'static BytesPool {
         static GLOBAL: OnceLock<BytesPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| BytesPool::new(DEFAULT_MAX_RETAINED))
+        GLOBAL.get_or_init(|| BytesPool::with_shelf(DEFAULT_MAX_RETAINED, true))
     }
 
-    /// Number of vectors currently shelved.
+    /// Number of vectors currently on the shared shelf (not counting
+    /// what threads' magazines hold).
     pub fn retained(&self) -> usize {
         self.shelf.retained.load(Ordering::Acquire)
     }
@@ -149,63 +313,40 @@ impl BytesPool {
         PooledBuf { vec: Some(vec), pool: self.clone() }
     }
 
-    /// Returns a vector's allocation to the shelf (dropped instead when
-    /// the shelf is full or the allocation is empty).
+    /// Returns a vector's allocation to the pool (dropped instead when
+    /// the shelf is full or the allocation is empty). The global pool
+    /// puts it in the calling thread's magazine while that has room.
     pub fn recycle(&self, vec: Vec<u8>) {
         let capacity = vec.capacity();
         if capacity == 0 {
             return;
         }
-        // Claim a retention slot before pushing so the count bounds the
-        // shelf without holding any bucket lock; losing the claim means
-        // the shelf is full and the allocation simply drops.
-        let claimed = self
-            .shelf
-            .retained
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                (n < self.shelf.max_retained).then_some(n + 1)
-            })
-            .is_ok();
-        if claimed {
+        let mut vec = Some(vec);
+        if self.shelf.magazines {
+            // `try_with`: during thread teardown the magazine may be gone
+            // already, and the buffer goes to the shelf.
+            let _ = MAGAZINE.try_with(|m| m.borrow_mut().put(&mut vec));
+        }
+        let kept = vec.is_none_or(|vec| self.shelf.put(vec));
+        if kept {
             metrics().bytes_recycled.add(capacity as u64);
-            let mut bucket =
-                self.shelf.buckets[class_of(capacity)].lock().expect("pool shelf lock");
-            bucket.push(vec);
         }
     }
 
-    /// Pops a shelved vector with at least `min_capacity`, if any,
+    /// Takes a recycled vector with at least `min_capacity`, if any,
     /// recording the hit or miss.
     fn grab(&self, min_capacity: usize) -> Option<Vec<u8>> {
-        let class = class_of(min_capacity.max(1));
-        // The requested size's own class can hold capacities on either
-        // side of `min_capacity`, so scan it newest-first (the most
-        // recently recycled allocation is the most likely to still be
-        // warm in cache) with a capacity check...
-        {
-            let mut bucket = self.shelf.buckets[class].lock().expect("pool shelf lock");
-            if let Some(i) = bucket.iter().rposition(|v| v.capacity() >= min_capacity) {
-                let v = bucket.swap_remove(i);
-                drop(bucket);
-                self.shelf.retained.fetch_sub(1, Ordering::AcqRel);
-                metrics().buffer_hits.inc();
-                return Some(v);
-            }
+        let held = if self.shelf.magazines {
+            MAGAZINE.try_with(|m| m.borrow_mut().take(min_capacity)).ok().flatten()
+        } else {
+            None
+        };
+        let found = held.or_else(|| self.shelf.take(min_capacity));
+        match found {
+            Some(_) => metrics().buffer_hits.inc(),
+            None => metrics().buffer_misses.inc(),
         }
-        // ...while every higher class guarantees a fit, so a plain pop
-        // suffices there. The probe window keeps a miss O(1) and stops
-        // tiny requests from consuming huge allocations.
-        for c in (class + 1)..(class + 1 + BUCKET_PROBES).min(BUCKETS) {
-            let popped = self.shelf.buckets[c].lock().expect("pool shelf lock").pop();
-            if let Some(v) = popped {
-                debug_assert!(v.capacity() >= min_capacity);
-                self.shelf.retained.fetch_sub(1, Ordering::AcqRel);
-                metrics().buffer_hits.inc();
-                return Some(v);
-            }
-        }
-        metrics().buffer_misses.inc();
-        None
+        found
     }
 }
 
@@ -441,6 +582,92 @@ mod tests {
         assert_eq!(a, vec![b'a', b'b', b'c']);
         assert_eq!(a, b"abc"[..]);
         assert!(a != b"abd");
+    }
+
+    /// The global pool, held by one test at a time: these tests read its
+    /// shared shelf count, and the test threads run side by side.
+    fn global_pool() -> (std::sync::MutexGuard<'static, ()>, &'static BytesPool) {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let guard = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        (guard, BytesPool::global())
+    }
+
+    #[test]
+    fn a_recycle_then_take_on_one_thread_skips_the_shelf() {
+        let (_serial, pool) = global_pool();
+        let before = pool.retained();
+        let v = Vec::with_capacity(3000);
+        let at = v.as_ptr();
+        pool.recycle(v);
+        assert_eq!(pool.retained(), before, "the buffer went to this thread's magazine");
+        let v = pool.take_vec(3000);
+        assert_eq!(v.as_ptr(), at, "the take got it back");
+        assert_eq!(pool.retained(), before, "the shelf was not touched");
+    }
+
+    #[test]
+    fn a_magazine_class_holds_at_most_its_slots() {
+        let (_serial, pool) = global_pool();
+        let before = pool.retained();
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    for _ in 0..MAGAZINE_SLOTS + 3 {
+                        pool.recycle(Vec::with_capacity(5000));
+                    }
+                    assert_eq!(pool.retained(), before + 3, "the class's overflow is shelved");
+                    MAGAZINE.with(|m| {
+                        let class = &mut m.borrow_mut().classes[class_of(5000)];
+                        assert_eq!(class.len(), MAGAZINE_SLOTS);
+                        // Freed here rather than shelved at exit.
+                        class.clear();
+                    });
+                })
+                .join()
+                .expect("recycling thread");
+        });
+        // A large buffer is never kept back by a magazine.
+        pool.recycle(Vec::with_capacity(1 << 17));
+        assert_eq!(pool.retained(), before + 4, "a 128 KiB buffer goes to the shelf");
+        for _ in 0..3 {
+            assert!(pool.take_vec(5000).capacity() >= 5000);
+        }
+        assert!(pool.take_vec(1 << 17).capacity() >= 1 << 17);
+        assert_eq!(pool.retained(), before);
+    }
+
+    #[test]
+    fn a_threads_magazine_reaches_the_shelf_when_it_exits() {
+        let (_serial, pool) = global_pool();
+        let before = pool.retained();
+        let held: Vec<usize> = std::thread::scope(|scope| {
+            // An explicit join waits for the thread's thread-local
+            // destructors; the scope's own wait ends when the closure
+            // returns.
+            scope
+                .spawn(|| {
+                    let held: Vec<usize> = (0..5)
+                        .map(|_| {
+                            let v = Vec::<u8>::with_capacity(7000);
+                            let at = v.as_ptr() as usize;
+                            pool.recycle(v);
+                            at
+                        })
+                        .collect();
+                    assert_eq!(pool.retained(), before, "held in the thread's magazine");
+                    held
+                })
+                .join()
+                .expect("recycling thread")
+        });
+        assert_eq!(pool.retained(), before + 5, "the exit shelved all five");
+        let taken: Vec<Vec<u8>> = (0..5).map(|_| pool.take_vec(7000)).collect();
+        assert_eq!(pool.retained(), before);
+        let mut taken: Vec<usize> = taken.iter().map(|v| v.as_ptr() as usize).collect();
+        let mut held = held;
+        taken.sort_unstable();
+        held.sort_unstable();
+        assert_eq!(taken, held, "this thread took the exited thread's buffers off the shelf");
     }
 
     #[test]

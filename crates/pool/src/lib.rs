@@ -14,8 +14,14 @@
 //!   an encoder allocates come back from the decoder that consumes them.
 //!
 //! Both record into [`nc_telemetry`] under `pool.*`: buffer-pool hits,
-//! misses and bytes recycled. Threads are not this crate's business: the
-//! shard loops and the `nc-cpu` coders run on `std::thread::scope`.
+//! misses and bytes recycled. The crate spawns no threads, but
+//! [`BytesPool::global`] keeps a magazine per calling thread in front of
+//! its shared shelf: at most 64 buffers in each capacity class up to
+//! 64 KiB, so a shard loop or client that recycles the datagrams it takes
+//! touches no lock or shared count, and the thread's exit (a scoped shard
+//! or client thread ends with every `serve`) hands what it held to the
+//! shelf. Pools made with [`BytesPool::new`], and [`BlockArena`], keep
+//! the shelf alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
