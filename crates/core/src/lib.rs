@@ -83,6 +83,12 @@ pub use segment::{CodingConfig, Segment};
 pub use stats::DecodeStats;
 pub use two_stage::TwoStageDecoder;
 
+/// The GF(2^8) arithmetic and the one GF kernel ladder (`NC_GF_BACKEND`)
+/// this crate codes on. Crates built on this one reach it here: `nc-fft`
+/// runs its GF(2^16) region operations as the two-plane case of the same
+/// bodies ([`gf256::planes`]), on the same rung.
+pub use nc_gf256 as gf256;
+
 /// Convenient glob-import surface: `use nc_rlnc::prelude::*;`.
 pub mod prelude {
     pub use crate::{

@@ -82,9 +82,10 @@
 //! transform); for the FFT it is the range of outputs the caller will
 //! read (sub-trees that only feed unread outputs are never computed).
 
-use crate::simd::{self, Gf16Kernel, Multiplier};
+use crate::simd::{self, Multiplier};
 use crate::tables::{Tables, MODULUS};
 use nc_pool::BytesPool;
+use nc_rlnc::gf256::{region, simd::Rung};
 use std::ops::Range;
 
 /// Bytes of shards the innermost loops keep resident — a layer-at-a-time
@@ -197,7 +198,7 @@ impl Arena {
     ///
     /// Panics if the arenas differ in size.
     pub(crate) fn xor_assign(&mut self, other: &Arena) {
-        simd::xor_assign(&mut self.bytes[self.start..], other.as_bytes());
+        region::add_assign(&mut self.bytes[self.start..], other.as_bytes());
     }
 
     /// The disjoint runs of `count` shards from `x0` and from `y0`
@@ -213,33 +214,33 @@ impl Arena {
     fn xor_run(&mut self, into: usize, from: usize, count: usize) {
         if into < from {
             let (x, y) = self.runs_mut(into, from, count);
-            simd::xor_assign(x, y);
+            region::add_assign(x, y);
         } else {
             let (y, x) = self.runs_mut(from, into, count);
-            simd::xor_assign(x, y);
+            region::add_assign(x, y);
         }
     }
 }
 
 /// What every transform of one codec call shares: the field tables, the
-/// kernel and the block size walked layer at a time (see the module
+/// GF rung and the block size walked layer at a time (see the module
 /// docs).
 pub struct Transforms<'a> {
     t: &'a Tables,
-    kernel: Gf16Kernel,
+    rung: Rung,
     block: usize,
 }
 
 impl<'a> Transforms<'a> {
-    /// Transforms on `kernel` that walk sub-transforms of at most `block`
+    /// Transforms on `rung` that walk sub-transforms of at most `block`
     /// shards layer at a time.
     ///
     /// # Panics
     ///
     /// Panics if `block` is not a power of two of at least 2.
-    pub fn new(t: &'a Tables, kernel: Gf16Kernel, block: usize) -> Transforms<'a> {
+    pub fn new(t: &'a Tables, rung: Rung, block: usize) -> Transforms<'a> {
         assert!(block.is_power_of_two() && block >= 2, "block size");
-        Transforms { t, kernel, block }
+        Transforms { t, rung, block }
     }
 
     /// In-place additive IFFT of `work[shards]` (time → "novel basis"
@@ -359,7 +360,7 @@ impl Walk<'_> {
     fn group(&self, r: usize, dist: usize) -> Butterfly {
         let t = self.tf.t;
         let log_m = t.skew[r - self.origin + dist + self.skew_delta - 1];
-        let multiplier = |log_m| Multiplier::new(self.tf.kernel, t, log_m);
+        let multiplier = |log_m| simd::multiplier(self.tf.rung, t, log_m);
         match self.merge {
             Some(fft_top) if 2 * dist == self.size => {
                 let element = |log: u16| if log == MODULUS { 0 } else { t.exp[usize::from(log)] };
@@ -380,7 +381,7 @@ impl Walk<'_> {
         let (x, y) = work.runs_mut(x0, y0, count);
         match op {
             Butterfly::Identity => {}
-            Butterfly::Xor => simd::xor_assign(y, x),
+            Butterfly::Xor => region::add_assign_on(self.tf.rung, y, x),
             Butterfly::Ifft(m) => m.ifft_butterflies(x, y, shard_bytes),
             Butterfly::Fft(m) => m.fft_butterflies(x, y, shard_bytes),
             Butterfly::Merged(m) => m.merged_butterflies(x, y, shard_bytes),
@@ -527,7 +528,7 @@ mod tests {
         for size in [2usize, 4, 16, 64] {
             for delta in [0usize, size, 4 * size] {
                 for block in [2usize, 8, 64] {
-                    let tf = Transforms::new(&t, simd::active_kernel(), block);
+                    let tf = Transforms::new(&t, Rung::active(), block);
                     let original = arena(size, 34, 0x5EED ^ size as u64);
                     let mut work = arena(size, 34, 0x5EED ^ size as u64);
                     tf.ifft(&mut work, 0..size, size, delta);
@@ -545,7 +546,7 @@ mod tests {
         let size = 32;
         let keep = 9; // non-power-of-two prefix
         for block in [2usize, 4, 32] {
-            let tf = Transforms::new(&t, simd::active_kernel(), block);
+            let tf = Transforms::new(&t, Rung::active(), block);
             let mut padded = arena(keep, 66, 77);
             padded.pad_zeroed(size);
             let mut truncated = arena(keep, 66, 77);

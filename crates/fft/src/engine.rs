@@ -26,9 +26,10 @@
 
 use crate::afft::{block_shards, fold_shifts, Arena, Transforms};
 use crate::metrics::metrics;
-use crate::simd::{self, Gf16Kernel};
+use crate::simd;
 use crate::tables::{fwht, tables, Tables, MODULUS, ORDER};
 use nc_pool::BytesPool;
+use nc_rlnc::gf256::simd::Rung;
 use nc_rlnc::Error;
 use std::time::Instant;
 
@@ -52,20 +53,19 @@ fn shard_bytes_of<'a, I: Iterator<Item = &'a [u8]>>(mut shards: I) -> Result<usi
 }
 
 /// Produces `recovery_count` parity shards for `original` on the active
-/// kernel.
+/// GF rung.
 ///
 /// Shards must all be the same non-zero even length (GF(2^16) symbols).
 /// Capacity bound: with `m = recovery_count.next_power_of_two()`, the
 /// evaluation cosets `m·1 .. m·(chunks+1)` must fit the field, i.e.
 /// `m + original.len()` rounded up to chunks of `m` stays ≤ 2^16.
 pub fn encode_segment(original: &[&[u8]], recovery_count: usize) -> Result<Vec<Vec<u8>>, Error> {
-    encode_segment_with_kernel(simd::active_kernel(), original, recovery_count)
+    encode_segment_on(Rung::active(), original, recovery_count)
 }
 
-/// [`encode_segment`] on an explicit kernel (tests, ablation); a kernel
-/// the host lacks runs portably.
-pub fn encode_segment_with_kernel(
-    kernel: Gf16Kernel,
+/// [`encode_segment`] on an explicit rung (tests, ablation).
+pub fn encode_segment_on(
+    rung: Rung,
     original: &[&[u8]],
     recovery_count: usize,
 ) -> Result<Vec<Vec<u8>>, Error> {
@@ -84,7 +84,7 @@ pub fn encode_segment_with_kernel(
     let started = Instant::now();
     let t = tables();
     let pool = BytesPool::global();
-    let tf = Transforms::new(&t, kernel, block_shards(shard_bytes));
+    let tf = Transforms::new(&t, rung, block_shards(shard_bytes));
 
     // Accumulate Σ_c IFFT(chunk c over coset m + c·m) into `work`, each
     // chunk ending in the final FFT's top group (it is linear, so it may
@@ -124,7 +124,7 @@ pub fn encode_segment_with_kernel(
 }
 
 /// Recovers the full original shard list from whatever survived, on the
-/// active kernel.
+/// active GF rung.
 ///
 /// `original[i]` / `recovery[i]` are `None` where the shard was lost.
 /// Succeeds whenever the erased originals are covered by surviving
@@ -137,13 +137,12 @@ pub fn decode_segment(
     original: &[Option<&[u8]>],
     recovery: &[Option<&[u8]>],
 ) -> Result<Vec<Vec<u8>>, Error> {
-    decode_segment_with_kernel(simd::active_kernel(), original, recovery)
+    decode_segment_on(Rung::active(), original, recovery)
 }
 
-/// [`decode_segment`] on an explicit kernel (tests, ablation); a kernel
-/// the host lacks runs portably.
-pub fn decode_segment_with_kernel(
-    kernel: Gf16Kernel,
+/// [`decode_segment`] on an explicit rung (tests, ablation).
+pub fn decode_segment_on(
+    rung: Rung,
     original: &[Option<&[u8]>],
     recovery: &[Option<&[u8]>],
 ) -> Result<Vec<Vec<u8>>, Error> {
@@ -190,7 +189,7 @@ pub fn decode_segment_with_kernel(
         work.pad_zeroed(position);
         if let Some(shard) = shard {
             work.push(shard);
-            simd::mul_assign_with_kernel(kernel, &t, work.shard_mut(position), err_loc[position]);
+            simd::mul_assign_on(rung, &t, work.shard_mut(position), err_loc[position]);
         }
     };
     recovery.iter().enumerate().for_each(|(i, r)| place(i, r));
@@ -207,7 +206,7 @@ pub fn decode_segment_with_kernel(
     let erased = m + first_erased..m + last_erased + 1;
     let points = |k: usize| erased.start.max(k * half)..erased.end.min(k * half + half);
     let block = block_shards(shard_bytes);
-    let tf = Transforms::new(&t, kernel, block);
+    let tf = Transforms::new(&t, rung, block);
     for k in 0..2 {
         tf.ifft(&mut work, k * half..k * half + half, m + original_count, k * half);
     }
@@ -229,7 +228,7 @@ pub fn decode_segment_with_kernel(
             None => {
                 let mut recovered = pool.take_vec_copy(work.shard((m + i) ^ half));
                 let unscale = MODULUS - err_loc[m + i];
-                simd::mul_assign_with_kernel(kernel, &t, &mut recovered, unscale);
+                simd::mul_assign_on(rung, &t, &mut recovered, unscale);
                 recovered
             }
         })

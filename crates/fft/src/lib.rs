@@ -17,10 +17,10 @@
 //!
 //! * [`tables`](mod@tables) — field construction: Cantor-basis log/exp, FFT skews,
 //!   LogWalsh; built once behind a model-checked [`cell::TableCell`].
-//! * [`simd`] — split-plane region kernels and the per-constant
-//!   [`simd::Multiplier`]: fused butterflies on GFNI / AVX2 / SSSE3 / NEON
-//!   with a portable fallback, runtime-dispatched like `nc_gf256::simd`,
-//!   overridable with `NC_GF16_BACKEND`.
+//! * [`simd`] — a constant's 2×2 block form ([`simd::multiplier`], from
+//!   the tables) and the split-plane region operations on it: `nc-gf256`'s
+//!   two-plane bodies, fused butterflies included, on the one rung
+//!   `NC_GF_BACKEND` picks for both fields; no kernel of its own.
 //! * [`afft`] — the additive FFT/IFFT and the derivative fold over one
 //!   contiguous [`afft::Arena`] of shards, walked depth first so every
 //!   cache level is passed over a few times, not once per layer.
@@ -31,10 +31,10 @@
 //! * [`stream`] — [`Fft16Codec`]: the [`nc_rlnc::codec::ErasureCodec`]
 //!   implementation nc-net negotiates per stream.
 //!
-//! The whole crate is `#![deny(unsafe_code)]` except the SIMD module,
-//! which carries the same per-block SAFETY discipline as `nc-gf256`.
+//! The whole crate is `#![forbid(unsafe_code)]`: its kernels are
+//! `nc-gf256`'s, reached through `nc_rlnc::gf256`.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod afft;

@@ -3,11 +3,12 @@
 //! Process-wide aggregates in the default registry under `fft.*` names;
 //! the stream layer additionally publishes the negotiated codec id per
 //! session through `session.codec_id` in the transport's per-session
-//! snapshots (see `nc-net`).
+//! snapshots (see `nc-net`). Which GF rung ran is `nc-gf256`'s
+//! `gf.kernel_id` gauge: both fields run on the one rung.
 
 use std::sync::{Arc, OnceLock};
 
-use nc_telemetry::{Counter, Gauge, Histogram};
+use nc_telemetry::{Counter, Histogram};
 
 pub(crate) struct FftMetrics {
     /// Wall time of one segment encode (IFFT sweep + FFT), nanoseconds.
@@ -24,12 +25,6 @@ pub(crate) struct FftMetrics {
     pub(crate) decode_folds: Arc<Counter>,
     /// Recovery shards produced by encodes.
     pub(crate) recovery_shards: Arc<Counter>,
-    /// Which GF(2^16) rung the process dispatches to
-    /// ([`crate::simd::Gf16Kernel::id`]), set when it is first selected.
-    pub(crate) kernel_id: Arc<Gauge>,
-    /// `NC_GF16_BACKEND` values that were ignored (unknown name, or a rung
-    /// this CPU lacks).
-    pub(crate) backend_override_unavailable: Arc<Counter>,
 }
 
 pub(crate) fn metrics() -> &'static FftMetrics {
@@ -43,8 +38,6 @@ pub(crate) fn metrics() -> &'static FftMetrics {
             decodes: r.counter("fft.decodes"),
             decode_folds: r.counter("fft.decode_folds"),
             recovery_shards: r.counter("fft.recovery_shards"),
-            kernel_id: r.gauge("fft.kernel_id"),
-            backend_override_unavailable: r.counter("fft.backend_override_unavailable"),
         }
     })
 }

@@ -30,8 +30,8 @@
 //! construction takes a few milliseconds.
 
 use crate::cell::TableCell;
-use crate::simd::MultiplierForm;
 use nc_check::sync::Arc;
+use nc_rlnc::gf256::planes::Blocks;
 
 /// Field bit width.
 pub(crate) const BITS: usize = 16;
@@ -64,11 +64,10 @@ pub struct Tables {
     /// each smaller power of two `n` at `[n, 2n)` (entry 0 is unused; see
     /// [`Tables::log_walsh_folded`]).
     log_walsh: Box<[u16; 2 * ORDER]>,
-    /// `nibble_forms[j][v]`: the multiplier table forms of the constant
-    /// `v << 4j`. They are linear in the constant, so
-    /// [`crate::simd::Multiplier`] builds any constant's forms as the XOR
-    /// of four entries, one per nibble (10 KiB).
-    pub(crate) nibble_forms: Box<[[MultiplierForm; 16]; 4]>,
+    /// `nibble_forms[j][v]`: the 2×2 block form of the constant `v << 4j`.
+    /// Forms are linear in the constant, so [`crate::simd::multiplier`] sums
+    /// any constant's from four entries, one per nibble (10 KiB).
+    pub(crate) nibble_forms: Box<[[Blocks<2>; 16]; 4]>,
 }
 
 impl std::fmt::Debug for Tables {
@@ -177,18 +176,19 @@ impl Tables {
             }
         }
 
-        // The 16 products m·2^j of each nibble constant m as two byte
-        // vectors (byte j of `lo` / `hi` is the low / high product byte).
+        // The 16 products m·2^j of each nibble constant m, as the columns
+        // of its blocks: byte j % 8 of column [o][j / 8] is byte o of m·2^j.
         let nibble_forms = Box::new(std::array::from_fn(|j| {
             std::array::from_fn(|v| {
                 let m = (v as u16) << (4 * j);
-                let (mut lo, mut hi) = (0u128, 0u128);
+                let mut columns = [[0u64; 2]; 2];
                 for bit in 0..BITS {
-                    let p = u128::from(mul_tables(&log, &exp, m, 1 << bit));
-                    lo |= (p & 0xFF) << (8 * bit);
-                    hi |= (p >> 8) << (8 * bit);
+                    let p = mul_tables(&log, &exp, m, 1 << bit);
+                    for (o, row) in columns.iter_mut().enumerate() {
+                        row[bit / 8] |= u64::from((p >> (8 * o)) as u8) << (8 * (bit % 8));
+                    }
                 }
-                MultiplierForm::from_products(lo, hi)
+                Blocks::from_columns(columns)
             })
         }));
 

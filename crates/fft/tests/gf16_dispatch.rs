@@ -1,13 +1,13 @@
-//! Equivalence suite for the GF(2^16) dispatch ladder and the blocked
+//! Equivalence suite for GF(2^16) on the GF rung ladder and the blocked
 //! transforms built on it.
 //!
-//! Part one: every rung this host can run, on every operation
-//! (`mul_add_assign`, `mul_into`, `mul_assign`, `xor_assign`, the fused
-//! IFFT, FFT and merged butterflies), must equal a symbol-by-symbol scalar walk
-//! through `Tables::mul_log` — at lengths on both sides of every vector
-//! width and for the log coefficients with special meaning (0 and
-//! `MODULUS` are both ×1 under wrap semantics). Rungs the host lacks are
-//! printed as skipped, never silently passed.
+//! Part one: every rung this host can run (the ones it lacks are printed),
+//! on every operation (`mul_add_assign`, `mul_into`, `mul_assign`, the
+//! fused IFFT, FFT and merged butterflies), must equal a symbol-by-symbol
+//! scalar walk through `Tables::mul_log`, at lengths on both sides of every
+//! vector width and for the log coefficients 0 and `MODULUS` (both ×1).
+//! The active rung is the one `NC_GF_BACKEND` asks for, GF(2^8)'s; the
+//! byte-at-a-time rungs run the portable walk.
 //!
 //! Part two: the transforms must not depend on how they are walked. Every
 //! forced block size must produce the bytes of a per-shard,
@@ -15,12 +15,13 @@
 //! `mul_add` and XOR — with shifted cosets, truncated inputs, restricted
 //! output ranges, runs that start inside the arena and the encoder's
 //! merged top group. The derivative fold, XOR only, runs on the rung the
-//! process dispatches to (`NC_GF16_BACKEND` forces one per CI step).
+//! process dispatches to (`NC_GF_BACKEND` forces one per CI step).
 
 use nc_fft::afft::{fold_shifts, Arena, Transforms};
-use nc_fft::simd::{self, Gf16Kernel, Multiplier};
+use nc_fft::simd;
 use nc_fft::{tables, Tables, MODULUS};
 use nc_pool::BytesPool;
+use nc_rlnc::gf256::simd::{Kernel, Rung};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -32,19 +33,17 @@ fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
     bytes
 }
 
-/// Every rung worth testing; the ones this host lacks are reported.
-fn rungs() -> Vec<Gf16Kernel> {
-    let all = [
-        Gf16Kernel::Gfni,
-        Gf16Kernel::Avx2,
-        Gf16Kernel::Ssse3,
-        Gf16Kernel::Neon,
-        Gf16Kernel::Portable,
-    ];
-    for kernel in all.iter().filter(|k| !k.is_available()) {
+/// Every rung this host can run; the ones it lacks are reported.
+fn rungs() -> Vec<Rung> {
+    for kernel in Kernel::ALL.into_iter().filter(|&k| Rung::new(k).is_none()) {
         eprintln!("skipped: {} rung not available on this host", kernel.name());
     }
-    all.into_iter().filter(|k| k.is_available()).collect()
+    Kernel::available()
+}
+
+/// The portable rung: the references' multiply.
+fn portable() -> Rung {
+    Rung::new(Kernel::Portable).expect("needs no ISA")
 }
 
 /// `m · src` symbol by symbol over the split-plane layout.
@@ -68,29 +67,29 @@ fn every_rung_matches_the_scalar_walk_on_every_operation() {
     let t = tables();
     let mut rng = StdRng::seed_from_u64(0x6F16);
     let random_log = rng.gen_range(2..MODULUS - 1);
-    for kernel in rungs() {
+    for rung in rungs() {
         for len in LENGTHS {
             let src = random_bytes(&mut rng, len);
             let dst0 = random_bytes(&mut rng, len);
             for log_m in [0, 1, MODULUS - 1, MODULUS, random_log] {
                 let product = scalar_product(&t, &src, log_m);
-                let context = format!("{kernel:?}, len {len}, log_m {log_m}");
+                let context = format!("{rung:?}, len {len}, log_m {log_m}");
 
                 let mut dst = dst0.clone();
-                simd::mul_add_assign_with_kernel(kernel, &t, &mut dst, &src, log_m);
+                simd::mul_add_assign_on(rung, &t, &mut dst, &src, log_m);
                 assert_eq!(dst, xor(&dst0, &product), "mul_add_assign ({context})");
 
                 let mut dst = dst0.clone();
-                simd::mul_into_with_kernel(kernel, &t, &mut dst, &src, log_m);
+                simd::mul_into_on(rung, &t, &mut dst, &src, log_m);
                 assert_eq!(dst, product, "mul_into ({context})");
 
                 let mut dst = src.clone(); // in place: source and destination alias
-                simd::mul_assign_with_kernel(kernel, &t, &mut dst, log_m);
+                simd::mul_assign_on(rung, &t, &mut dst, log_m);
                 assert_eq!(dst, product, "mul_assign ({context})");
 
                 // The prepared form takes the same coefficients without
                 // the region entry points' ×1 fast paths.
-                let mul = Multiplier::new(kernel, &t, log_m);
+                let mul = simd::multiplier(rung, &t, log_m);
                 let mut dst = dst0.clone();
                 mul.mul_add(&mut dst, &src);
                 assert_eq!(dst, xor(&dst0, &product), "Multiplier::mul_add ({context})");
@@ -103,18 +102,51 @@ fn every_rung_matches_the_scalar_walk_on_every_operation() {
 }
 
 #[test]
+fn one_override_picks_the_rung_of_both_fields() {
+    // Whatever `NC_GF_BACKEND` this process was started with (CI pins it
+    // per lane): GF(2^16) runs on the rung GF(2^8) resolves, which is the
+    // one asked for when the host has it and `available()[0]` otherwise.
+    let value = std::env::var("NC_GF_BACKEND").ok().map(|v| v.trim().to_ascii_lowercase());
+    let named = match value.as_deref() {
+        Some("table") => Some("portable"),
+        other => other,
+    };
+    let forced = Kernel::ALL.into_iter().find(|k| Some(k.name()) == named).and_then(Rung::new);
+    let rung = forced.unwrap_or(Kernel::available()[0]);
+    assert_eq!(simd::active_kernel().name(), nc_rlnc::gf256::simd::active_kernel().name());
+    assert_eq!(Rung::active(), rung, "NC_GF_BACKEND={value:?}");
+
+    // What the active-rung entry point runs is that rung, byte for byte.
+    let (t, mut rng) = (tables(), StdRng::seed_from_u64(0x0E12));
+    let (src, mut active) = (random_bytes(&mut rng, 4098), random_bytes(&mut rng, 4098));
+    let mut explicit = active.clone();
+    simd::mul_add_assign(&t, &mut active, &src, 0x1D2C);
+    simd::mul_add_assign_on(rung, &t, &mut explicit, &src, 0x1D2C);
+    assert_eq!(active, explicit);
+
+    // Two planes run each vector rung's own body; the byte-at-a-time
+    // references have none and run the portable walk (their bytes are
+    // checked against the scalar walk with every other rung's above).
+    for rung in Kernel::available() {
+        let walk = [Kernel::Portable, Kernel::Nibble, Kernel::LoopWide, Kernel::LogExp];
+        let want = if walk.contains(&rung.kernel()) { Kernel::Portable } else { rung.kernel() };
+        assert_eq!(rung.body(2), want, "{rung:?}");
+    }
+}
+
+#[test]
 fn fused_butterflies_match_the_scalar_walk_on_every_rung() {
     let t = tables();
     let mut rng = StdRng::seed_from_u64(0xB0FF);
     let random_log = rng.gen_range(2..MODULUS - 1);
-    for kernel in rungs() {
+    for rung in rungs() {
         for shard_bytes in LENGTHS {
             // Three shards per run: planes are per shard, not per run.
             let x0 = random_bytes(&mut rng, 3 * shard_bytes);
             let y0 = random_bytes(&mut rng, 3 * shard_bytes);
             for log_m in [0, 1, MODULUS - 1, MODULUS, random_log] {
-                let mul = Multiplier::new(kernel, &t, log_m);
-                let context = format!("{kernel:?}, shard {shard_bytes}, log_m {log_m}");
+                let mul = simd::multiplier(rung, &t, log_m);
+                let context = format!("{rung:?}, shard {shard_bytes}, log_m {log_m}");
                 let times_m = |run: &[u8]| -> Vec<u8> {
                     run.chunks(shard_bytes).flat_map(|s| scalar_product(&t, s, log_m)).collect()
                 };
@@ -143,18 +175,6 @@ fn fused_butterflies_match_the_scalar_walk_on_every_rung() {
     }
 }
 
-#[test]
-fn xor_assign_is_plain_xor_at_every_length() {
-    let mut rng = StdRng::seed_from_u64(0x0A0A);
-    for len in LENGTHS.into_iter().chain([0, 1, 63, 65, 129, 4097]) {
-        let a = random_bytes(&mut rng, len);
-        let b = random_bytes(&mut rng, len);
-        let mut dst = a.clone();
-        simd::xor_assign(&mut dst, &b);
-        assert_eq!(dst, xor(&a, &b), "len {len}");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Transforms: per-shard, layer-at-a-time references (the shape the code
 // had before it was blocked), against every forced block size.
@@ -176,7 +196,7 @@ fn reference_ifft(t: &Tables, work: &mut Shards, size: usize, truncated: usize, 
                 let (x, y) = pair(work, i, i + dist);
                 *y = xor(y, x);
                 if log_m != MODULUS {
-                    simd::mul_add_assign_with_kernel(Gf16Kernel::Portable, t, x, y, log_m);
+                    simd::mul_add_assign_on(portable(), t, x, y, log_m);
                 }
             }
         }
@@ -199,7 +219,7 @@ fn fft_group(t: &Tables, work: &mut Shards, r: usize, dist: usize, log_m: u16) {
     for i in r..r + dist {
         let (x, y) = pair(work, i, i + dist);
         if log_m != MODULUS {
-            simd::mul_add_assign_with_kernel(Gf16Kernel::Portable, t, x, y, log_m);
+            simd::mul_add_assign_on(portable(), t, x, y, log_m);
         }
         *y = xor(y, x);
     }
@@ -253,7 +273,7 @@ fn leads(size: usize) -> [usize; 2] {
 fn blocked_ifft_matches_the_reference_at_every_block_size() {
     let t = tables();
     let mut rng = StdRng::seed_from_u64(0x1FF7);
-    for kernel in rungs() {
+    for rung in rungs() {
         for (size, shard_bytes) in SHAPES {
             // Full input, a ragged prefix, and a single live shard.
             for truncated in [size, size * 5 / 8 + 1, 1] {
@@ -268,12 +288,12 @@ fn blocked_ifft_matches_the_reference_at_every_block_size() {
                         blocks(size).into_iter().zip(leads(size).into_iter().cycle())
                     {
                         let mut work = arena_of(&mut rng, lead, &input);
-                        let tf = Transforms::new(&t, kernel, block);
+                        let tf = Transforms::new(&t, rung, block);
                         tf.ifft(&mut work, lead..lead + size, lead + truncated, delta);
                         assert_eq!(
                             shards_of(&work)[lead..],
                             want,
-                            "{kernel:?} size {size} truncated {truncated} delta {delta} block {block} lead {lead}"
+                            "{rung:?} size {size} truncated {truncated} delta {delta} block {block} lead {lead}"
                         );
                     }
                 }
@@ -286,7 +306,7 @@ fn blocked_ifft_matches_the_reference_at_every_block_size() {
 fn merged_ifft_matches_the_ifft_then_the_fft_top_group() {
     let t = tables();
     let mut rng = StdRng::seed_from_u64(0x3E76);
-    for kernel in rungs() {
+    for rung in rungs() {
         for (size, shard_bytes) in SHAPES {
             for truncated in [size, size / 2 + 1, 1] {
                 // The encoder's chunk cosets against the recovery coset
@@ -300,12 +320,12 @@ fn merged_ifft_matches_the_ifft_then_the_fft_top_group() {
                     fft_group(&t, &mut want, 0, size / 2, t.skew[size / 2 + fft_delta - 1]);
                     for block in blocks(size) {
                         let mut work = arena_of(&mut rng, 0, &input);
-                        let tf = Transforms::new(&t, kernel, block);
+                        let tf = Transforms::new(&t, rung, block);
                         tf.ifft_merging_fft_top(&mut work, 0..size, truncated, delta, fft_delta);
                         assert_eq!(
                             shards_of(&work),
                             want,
-                            "{kernel:?} size {size} truncated {truncated} delta {delta} fft {fft_delta} block {block}"
+                            "{rung:?} size {size} truncated {truncated} delta {delta} fft {fft_delta} block {block}"
                         );
                     }
                 }
@@ -318,7 +338,7 @@ fn merged_ifft_matches_the_ifft_then_the_fft_top_group() {
 fn blocked_fft_matches_the_reference_inside_every_output_range() {
     let t = tables();
     let mut rng = StdRng::seed_from_u64(0xFF71);
-    for kernel in rungs() {
+    for rung in rungs() {
         for (size, shard_bytes) in SHAPES {
             // All outputs; a prefix (the encoder); the decoder's
             // `[m, m + original_count)` with m = size / 2, with a smaller
@@ -340,13 +360,13 @@ fn blocked_fft_matches_the_reference_inside_every_output_range() {
                         blocks(size).into_iter().zip(leads(size).into_iter().cycle())
                     {
                         let mut work = arena_of(&mut rng, lead, &input);
-                        let tf = Transforms::new(&t, kernel, block);
+                        let tf = Transforms::new(&t, rung, block);
                         let shifted = lead + outputs.start..lead + outputs.end;
                         tf.fft(&mut work, lead..lead + size, shifted.clone(), delta);
                         assert_eq!(
                             shards_of(&work)[shifted],
                             want[outputs.clone()],
-                            "{kernel:?} size {size} outputs {outputs:?} delta {delta} block {block} lead {lead}"
+                            "{rung:?} size {size} outputs {outputs:?} delta {delta} block {block} lead {lead}"
                         );
                     }
                 }
@@ -395,7 +415,7 @@ fn transforms_touch_only_their_own_shards() {
     let mut rng = StdRng::seed_from_u64(0x7A11);
     let input: Shards = (0..40).map(|_| random_bytes(&mut rng, 18)).collect();
     let mut work = arena_of(&mut rng, 0, &input);
-    let tf = Transforms::new(&t, simd::active_kernel(), 4);
+    let tf = Transforms::new(&t, Rung::active(), 4);
     tf.ifft(&mut work, 8..24, 24, 16);
     tf.ifft_merging_fft_top(&mut work, 8..24, 24, 16, 0);
     fold_shifts(&mut work, 8, 24, 8, 4);

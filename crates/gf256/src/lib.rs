@@ -19,6 +19,11 @@
 //!   real GFNI/AVX-512/AVX2/SSSE3/NEON kernels (the modern equivalent of
 //!   the paper's SSE2 CPU baseline), a portable table loop and three scalar
 //!   reference rungs, resolved once per process.
+//! * **Plane region operations** in [`planes`]: the same bodies for a
+//!   field whose symbols span several byte planes — the GF(2^16) of
+//!   `nc-fft`, its multiply-by-constant a 2×2 grid of the 8×8 blocks a
+//!   GF(2^8) constant is one of — including the additive FFT's fused
+//!   butterflies.
 //!
 //! The field is Rijndael's: polynomial x^8 + x^4 + x^3 + x + 1 (0x11B),
 //! generator 0x03. Addition is XOR; every non-zero element has a
@@ -46,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod logdomain;
+pub mod planes;
 pub mod region;
 pub mod scalar;
 pub mod simd;

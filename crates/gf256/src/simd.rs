@@ -1,73 +1,85 @@
-//! The GF(2^8) kernel ladder: one enum of rungs, resolved once.
+//! The GF kernel ladder: one enum of rungs, resolved once, and one body per
+//! instruction set for both fields the workspace codes over.
 //!
 //! The paper's CPU baseline codes 16 bytes per instruction with SSE2; the
 //! modern equivalent (Günther et al., *Galois Field Arithmetics for Linear
 //! Network Coding using AVX512*, and the Leopard/`reed-solomon-simd`
-//! lineage) splits each source byte into nibbles and resolves both halves
-//! with one in-register shuffle each:
+//! lineage) resolves `x ↦ c·x` on a byte with two 16-entry half-byte
+//! product tables, one in-register shuffle each:
 //!
 //! ```text
 //! product = PSHUFB(lo_table, src & 0x0F) ^ PSHUFB(hi_table, src >> 4)
 //! ```
 //!
-//! where `lo_table[i] = c·i` and `hi_table[i] = c·(i<<4)` are the two
-//! 16-entry half-byte product tables. [`Kernel`] names every way this crate
-//! can run a region operation, fastest first:
+//! That table pair — or the one `GF2P8AFFINEQB` matrix computing the same
+//! product — is one *8×8 block*, a GF(2)-linear map on bytes. A constant of
+//! a field whose symbols span `P` byte planes is a `P × P` grid of blocks
+//! ([`Blocks`]): GF(2^8) is the 1×1 case ([`crate::region`]), `nc-fft`'s
+//! GF(2^16) over lo/hi planes the 2×2 case ([`crate::planes`]). [`Kernel`]
+//! names every way this crate can run a region operation, fastest first:
 //!
-//! | `NC_GF_BACKEND` | id | rung |
-//! |---|---|---|
-//! | `gfni` | 5 | `GF2P8AFFINEQB`, the field as an instruction (512-bit EVEX with AVX-512BW, else 256-bit VEX — `simd_gfni.rs`) |
-//! | `avx512` | 4 | 64-byte `VPSHUFB` with `k`-masked tails (`simd_avx512.rs`) |
-//! | `avx2` | 2 | 32-byte `VPSHUFB` |
-//! | `neon` | 3 | AArch64 16-byte `TBL` |
-//! | `ssse3` | 1 | 16-byte `PSHUFB` |
-//! | `portable` / `table` | 0 | one L1-resident 256-byte product-table row per coefficient |
-//! | `nibble` | 8 | the two half-byte tables, one byte at a time (the shuffle technique in scalar form) |
-//! | `loopwide` | 7 | loop-based multiply over 8-byte lanes (the paper's Sec. 4 loop-based CPU form) |
-//! | `logexp` | 6 | log/exp lookups per byte (the paper's Fig. 1 baseline) |
-//! | unset / empty / `auto` / `simd` | | the first of these the host has |
+//! | `NC_GF_BACKEND` | id | GF(2^8) rung | two planes (GF(2^16)) |
+//! |---|---|---|---|
+//! | `gfni` | 5 | `GF2P8AFFINEQB`, the field as an instruction (512-bit EVEX with AVX-512BW, else 256-bit VEX) | the same body |
+//! | `avx512` | 4 | 64-byte `VPSHUFB` with `k`-masked tails | the same body |
+//! | `avx2` | 2 | 32-byte `VPSHUFB` | the same body |
+//! | `neon` | 3 | AArch64 16-byte `TBL` | the same body |
+//! | `ssse3` | 1 | 16-byte `PSHUFB` | the same body |
+//! | `portable` / `table` | 0 | one L1-resident 256-byte product-table row per coefficient | the portable symbol walk |
+//! | `nibble` | 8 | the two half-byte tables, one byte at a time | the portable symbol walk |
+//! | `loopwide` | 7 | loop-based multiply over 8-byte lanes (the paper's Sec. 4 form) | the portable symbol walk |
+//! | `logexp` | 6 | log/exp lookups per byte (the paper's Fig. 1 baseline) | the portable symbol walk |
+//! | unset / empty / `auto` / `simd` | | the first of these the host has | |
 //!
 //! The last three exist for ablation and as references; every rung produces
-//! identical bytes (`tests/simd_dispatch.rs`).
+//! identical bytes (`tests/simd_dispatch.rs`, and `nc-fft`'s
+//! `tests/gf16_dispatch.rs` for two planes). [`Rung::body`] names the body
+//! a rung runs at a plane count.
 //!
 //! The rung is resolved **once** — `NC_GF_BACKEND`, then availability, then
 //! a loud fallback — into a [`Rung`]: a kernel this host was *verified* to
-//! run, which only [`Rung::new`] can make. [`crate::region`]'s operations
-//! load that one value and `match` on it; nothing on the per-call path asks
-//! the CPU what it supports, and the `unsafe` bodies below discharge their
+//! run, which only [`Rung::new`] can make. Both fields' operations load
+//! that one value and `match` on it; nothing on the per-call path asks the
+//! CPU what it supports, and the `unsafe` bodies discharge their
 //! `target_feature` obligation against the `Rung` invariant. A forced
 //! kernel the host cannot run is **not** silently honored: resolution logs
-//! the downgrade to stderr and bumps the `gf.backend_override_unavailable`
-//! telemetry counter, and the rung that runs is exported as the
-//! `gf.kernel_id` gauge (see [`Kernel::id`]) — [`active_kernel`] is, by
-//! construction, what `region::*` executes.
+//! the downgrade to stderr and bumps `gf.backend_override_unavailable`, and
+//! the rung that runs is the `gf.kernel_id` gauge ([`Kernel::id`]).
 //!
-//! Every ISA rung has one body, generic over the operation (`MUL_ADD`:
-//! `dst ^= c·src`, `MUL_INTO`: `dst = c·src` with `dst == src` allowed,
-//! `XOR`: `dst ^= src`), plus a four-source blocked axpy (`dot4_*`) behind
-//! [`crate::region::dot_assign`] that keeps [`DOT_BLOCK`] coefficients'
-//! tables in registers and streams each destination line once per block.
-//! The GFNI rung adds the register tile of eight outputs behind
-//! [`crate::region::matrix_mul_add`].
+//! There is one vector body, written once against the `Isa` trait (a
+//! vector register's loads, stores and XOR, and one block applied to one
+//! vector) and generic over the operation — `MUL_ADD` (`x ^= m·y`),
+//! `MUL_INTO` (`x = m·y`, `x == y` allowed), `XOR`, and the fused
+//! additive-FFT butterflies of [`crate::planes`] — and the plane count.
+//! Each rung instantiates it, and the four-source blocked axpy behind
+//! [`crate::region::dot_assign`] ([`DOT_BLOCK`] blocks in registers, each
+//! destination line streamed once per block), in a `#[target_feature]`
+//! entry point. The GFNI rung adds the register tile of eight outputs
+//! behind [`crate::region::matrix_mul_add`].
 
-// All `unsafe` in the crate lives in this module and its two x86-64
-// children (`simd_avx512.rs`, `simd_gfni.rs`): each block is a straight
-// mapping to documented vendor intrinsics, with the safety argument
-// (the `Rung` invariant + in-bounds pointer arithmetic) stated per block.
+// All `unsafe` in the crate lives in this module and its children
+// (`simd_x86.rs`, `simd_gfni.rs`, `simd_neon.rs`): each block is a
+// straight mapping to documented vendor intrinsics, with the safety
+// argument (the `Rung` invariant + in-bounds pointer arithmetic) stated per
+// block.
 #![allow(unsafe_code)]
 
 use crate::scalar::{mul_loop, mul_table};
-use crate::tables::MUL;
+use crate::tables::{const_mul, MUL};
 use crate::wide::mul_word64;
 use std::sync::OnceLock;
 
-#[cfg(target_arch = "x86_64")]
-#[path = "simd_avx512.rs"]
-mod simd_avx512;
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[path = "simd_x86.rs"]
+mod simd_x86;
 
 #[cfg(target_arch = "x86_64")]
 #[path = "simd_gfni.rs"]
 mod simd_gfni;
+
+#[cfg(target_arch = "aarch64")]
+#[path = "simd_neon.rs"]
+mod simd_neon;
 
 /// One way of running the region operations: a rung of the ladder.
 ///
@@ -176,7 +188,7 @@ impl Kernel {
 }
 
 /// A [`Kernel`] this host was verified to run — the value the explicit
-/// `region::*_on` family takes.
+/// `region::*_on` family and [`crate::planes::Multiplier`] take.
 ///
 /// Only `Rung::new` makes one, and only after `Kernel::is_available`
 /// said yes, so holding a `Rung` *is* the proof the vector bodies need: no
@@ -202,8 +214,22 @@ impl Rung {
         self.kernel
     }
 
-    /// The rung every `region` operation without an explicit one runs:
-    /// resolved once per process and cached.
+    /// The kernel whose body runs a region operation over `planes` byte
+    /// planes on this rung: the rung's own, except that the byte-at-a-time
+    /// rungs (`portable`, `nibble`, `loopwide`, `logexp`) run a multi-plane
+    /// operation on the portable symbol walk over the constant's nibble
+    /// tables — they are GF(2^8) references, with no two-plane form of
+    /// their own.
+    #[inline]
+    pub fn body(self, planes: usize) -> Kernel {
+        match self.kernel {
+            Kernel::LogExp | Kernel::LoopWide | Kernel::Nibble if planes > 1 => Kernel::Portable,
+            kernel => kernel,
+        }
+    }
+
+    /// The rung every region operation without an explicit one runs, in
+    /// both fields: resolved once per process and cached.
     ///
     /// Honors `NC_GF_BACKEND` (any [`Kernel::name`], `table` for
     /// `portable`; unset, empty, `auto` or `simd` detect). A value that
@@ -231,7 +257,8 @@ impl Rung {
     }
 }
 
-/// The kernel of [`Rung::active`]: what `region::*` runs in this process.
+/// The kernel of [`Rung::active`]: what `region::*` and `planes::*` run in
+/// this process.
 #[inline]
 pub fn active_kernel() -> Kernel {
     Rung::active().kernel
@@ -261,18 +288,150 @@ fn resolve_override(value: Option<&str>) -> (Rung, Option<&'static str>) {
 pub const DOT_BLOCK: usize = 4;
 
 // ---------------------------------------------------------------------------
-// The safe seam `region` calls: each function checks the lengths its
-// `unsafe` body relies on, then dispatches on the rung.
+// A constant as blocks.
 // ---------------------------------------------------------------------------
 
-/// `dst ^= c · src`.
-pub(crate) const MUL_ADD: u8 = 0;
-/// `dst = c · src`; `dst == src` is the in-place multiply.
-pub(crate) const MUL_INTO: u8 = 1;
-/// `dst ^= src` (the coefficient is ignored).
-pub(crate) const XOR: u8 = 2;
+/// Multiplication by one constant as a `P × P` grid of 8×8 GF(2) blocks over
+/// `P` byte planes: block `(o, i)` maps input plane `i` into output plane
+/// `o`, and output plane `o` is the XOR of its row. GF(2^8) is the 1×1
+/// case; a GF(2^16) constant over lo/hi planes is the 2×2 case
+/// `out_lo = A·lo ^ B·hi`, `out_hi = C·lo ^ D·hi`.
+///
+/// Each block is held in both forms a body consumes: two 16-entry
+/// half-byte product tables (the shuffle rungs and the portable walk) and
+/// one `GF2P8AFFINEQB` matrix (the GFNI rung). Both are linear in the
+/// constant, so the form of a sum of constants is the XOR of theirs
+/// ([`crate::planes::Multiplier::sum`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Blocks<const P: usize> {
+    /// Block `(o, i)`'s tables for the low and the high nibble of a byte of
+    /// plane `i`: entry `v` is the plane-`o` byte of the image of `v` (of
+    /// `v << 4`).
+    nibbles: [[[[u8; 16]; 2]; P]; P],
+    /// Block `(o, i)` in `GF2P8AFFINEQB` operand layout.
+    affine: [[u64; P]; P],
+}
 
-/// Runs `OP` over two equally long regions.
+impl<const P: usize> Blocks<P> {
+    /// The zero map.
+    pub const ZERO: Blocks<P> = Blocks { nibbles: [[[[0; 16]; 2]; P]; P], affine: [[0; P]; P] };
+
+    /// The blocks of the linear map given column by column: byte `j` of
+    /// `columns[o][i]` is the plane-`o` byte of the image of bit `j` of
+    /// plane `i` (a linear map is fixed by the images of the bits).
+    pub const fn from_columns(columns: [[u64; P]; P]) -> Blocks<P> {
+        let mut blocks = Blocks::ZERO;
+        let mut o = 0;
+        while o < P {
+            let mut i = 0;
+            while i < P {
+                let column = columns[o][i];
+                // `GF2P8AFFINEQB` computes output bit r of a byte as
+                // parity(matrix.byte[7 - r] & input): row r must select the
+                // input bits j whose image has bit r set. The eight column
+                // bytes are the transpose of that; `swap_bytes` then puts
+                // row r into byte 7 - r.
+                blocks.affine[o][i] = transpose8(column).swap_bytes();
+                // Entry v of a nibble table is the XOR of the column bytes
+                // of the set bits of v (bits 4..8 for the high nibble).
+                let mut v = 0;
+                while v < 16 {
+                    let mut b = 0;
+                    while b < 4 {
+                        if v >> b & 1 == 1 {
+                            blocks.nibbles[o][i][0][v] ^= (column >> (8 * b)) as u8;
+                            blocks.nibbles[o][i][1][v] ^= (column >> (8 * (b + 4))) as u8;
+                        }
+                        b += 1;
+                    }
+                    v += 1;
+                }
+                i += 1;
+            }
+            o += 1;
+        }
+        blocks
+    }
+
+    /// The sum of the constants whose blocks are `parts` (forms are linear
+    /// in the constant), in the forms `rung`'s `P`-plane body reads: the
+    /// matrices on GFNI, the nibble tables on every other rung and on the
+    /// 256-bit GFNI body's walked tails. The form no body reads stays zero.
+    pub(crate) fn sum_for(rung: Rung, parts: &[&Blocks<P>]) -> Blocks<P> {
+        let gfni = rung.body(P) == Kernel::Gfni;
+        let mut sum = Blocks::ZERO;
+        for part in parts {
+            if !(gfni && rung.wide) {
+                // Flat, so the XOR runs a vector at a time.
+                let tables = sum.nibbles.as_flattened_mut().as_flattened_mut().as_flattened_mut();
+                let part = part.nibbles.as_flattened().as_flattened().as_flattened();
+                tables.iter_mut().zip(part).for_each(|(a, b)| *a ^= b);
+            }
+            if gfni {
+                let matrices = sum.affine.as_flattened_mut();
+                matrices.iter_mut().zip(part.affine.as_flattened()).for_each(|(a, b)| *a ^= b);
+            }
+        }
+        sum
+    }
+}
+
+/// Transposes an 8×8 bit-matrix held one row per byte.
+const fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// The block of every GF(2^8) coefficient, built at compile time: a region
+/// operation reads the 40 bytes of its coefficient's, and the zero and one
+/// coefficients need no special case.
+static BYTE_BLOCKS: [Blocks<1>; 256] = byte_blocks();
+
+const fn byte_blocks() -> [Blocks<1>; 256] {
+    let mut all = [Blocks::ZERO; 256];
+    let mut c = 0;
+    while c < 256 {
+        let mut column = 0u64;
+        let mut j = 0;
+        while j < 8 {
+            column |= (const_mul(c as u8, 1 << j) as u64) << (8 * j);
+            j += 1;
+        }
+        all[c] = Blocks::from_columns([[column]]);
+        c += 1;
+    }
+    all
+}
+
+/// The 1×1 block of `x ↦ c·x` in GF(2^8).
+#[inline]
+fn byte_block(c: u8) -> &'static Blocks<1> {
+    &BYTE_BLOCKS[usize::from(c)]
+}
+
+// ---------------------------------------------------------------------------
+// The safe seam `region` and `planes` call: each function checks the lengths
+// its `unsafe` body relies on, then dispatches on the rung.
+// ---------------------------------------------------------------------------
+
+/// `x ^= m · y`.
+pub(crate) const MUL_ADD: u8 = 0;
+/// `x = m · y`; `x == y` is the in-place multiply.
+pub(crate) const MUL_INTO: u8 = 1;
+/// `x ^= y` (the constant is ignored).
+pub(crate) const XOR: u8 = 2;
+/// The IFFT butterfly `y ^= x; x ^= m·y`.
+pub(crate) const IFFT: u8 = 3;
+/// The FFT butterfly `x ^= m·y; y ^= x`.
+pub(crate) const FFT: u8 = 4;
+/// An IFFT butterfly then an FFT butterfly: `t = m·(x ^ y); x ^= t; y ^= t`.
+pub(crate) const MERGED: u8 = 5;
+
+/// Runs `OP` over two equally long GF(2^8) regions.
 ///
 /// # Panics
 ///
@@ -281,8 +440,8 @@ pub(crate) const XOR: u8 = 2;
 pub(crate) fn apply<const OP: u8>(rung: Rung, dst: &mut [u8], src: &[u8], c: u8) {
     assert_eq!(dst.len(), src.len(), "region length mismatch");
     // SAFETY: `dst` and `src` are distinct borrows, both of the length just
-    // asserted.
-    unsafe { run::<OP>(rung, dst.as_mut_ptr(), src.as_ptr(), dst.len(), c) }
+    // asserted; the single-region ops only read through `src`.
+    unsafe { run::<OP>(rung, dst.as_mut_ptr(), src.as_ptr().cast_mut(), dst.len(), c) }
 }
 
 /// `dst = c · dst`: `MUL_INTO` with the region as its own source.
@@ -309,22 +468,28 @@ pub(crate) fn dot4(
 ) -> bool {
     assert!(srcs.iter().all(|src| src.len() == dst.len()), "region length mismatch");
     // SAFETY: a `Rung` holds an ISA kernel only after `Rung::new` detected
-    // its features on this host (`wide`: the AVX-512 side too); the assert
-    // above is the bodies' equal-length contract.
-    unsafe {
+    // its features on this host (`wide`: the AVX-512 side too), which is
+    // each entry's `target_feature` contract; the assert above is the
+    // bodies' equal-length contract.
+    let done = unsafe {
         match rung.kernel {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Gfni => simd_gfni::dot4(rung.wide, dst, srcs, cs),
+            Kernel::Gfni if rung.wide => simd_x86::dot4_gfni512(dst, srcs, cs),
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => simd_avx512::dot4(dst, srcs, cs),
+            Kernel::Gfni => simd_x86::dot4_gfni256(dst, srcs, cs),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => simd_x86::dot4_avx512(dst, srcs, cs),
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Kernel::Avx2 => x86::dot4_avx2(dst, srcs, cs),
+            Kernel::Avx2 => simd_x86::dot4_avx2(dst, srcs, cs),
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Kernel::Ssse3 => x86::dot4_ssse3(dst, srcs, cs),
+            Kernel::Ssse3 => simd_x86::dot4_ssse3(dst, srcs, cs),
             #[cfg(target_arch = "aarch64")]
-            Kernel::Neon => neon::dot4_neon(dst, srcs, cs),
+            Kernel::Neon => simd_neon::dot4(dst, srcs, cs),
             _ => return false,
         }
+    };
+    for (src, &c) in srcs.iter().zip(&cs) {
+        portable_mul_add(&mut dst[done..], &src[done..], c);
     }
     true
 }
@@ -368,48 +533,417 @@ pub(crate) fn matrix_tiles(
     }
 }
 
-/// Runs `OP` with coefficient `c` over `len` bytes on `rung`.
+/// Runs the single-source `OP` (`MUL_ADD`, `MUL_INTO`) with `form` over one
+/// shard of `P` planes read from `src`; panics as
+/// [`crate::planes::Multiplier::mul_add`].
+pub(crate) fn apply_planes<const OP: u8, const P: usize>(
+    rung: Rung,
+    form: &Blocks<P>,
+    dst: &mut [u8],
+    src: &[u8],
+) {
+    check_planes::<P>(dst.len(), src.len(), dst.len());
+    let (x, y, len) = (dst.as_mut_ptr(), src.as_ptr().cast_mut(), dst.len());
+    // SAFETY: equal lengths that are whole symbols, one shard (just
+    // checked); `dst` and `src` are distinct borrows, and the single-source
+    // ops only read through `src`.
+    unsafe { run_planes::<OP, P>(rung, x, y, len, len, form) }
+}
+
+/// `dst = m · dst` over one shard of `P` planes: `MUL_INTO` with the region
+/// as its own source; panics as [`crate::planes::Multiplier::mul_assign`].
+pub(crate) fn apply_planes_in_place<const P: usize>(rung: Rung, form: &Blocks<P>, dst: &mut [u8]) {
+    check_planes::<P>(dst.len(), dst.len(), dst.len());
+    let (p, len) = (dst.as_mut_ptr(), dst.len());
+    // SAFETY: one shard of whole symbols, read and written through one
+    // pointer — the form `MUL_INTO` allows.
+    unsafe { run_planes::<MUL_INTO, P>(rung, p, p, len, len, form) }
+}
+
+/// Runs the butterfly `OP` with `form` over two runs of `shard_bytes`-byte
+/// shards of `P` planes; panics as
+/// [`crate::planes::Multiplier::ifft_butterflies`].
+pub(crate) fn butterflies<const OP: u8, const P: usize>(
+    rung: Rung,
+    form: &Blocks<P>,
+    x: &mut [u8],
+    y: &mut [u8],
+    shard_bytes: usize,
+) {
+    check_planes::<P>(x.len(), y.len(), shard_bytes);
+    let (px, py, len) = (x.as_mut_ptr(), y.as_mut_ptr(), x.len());
+    // SAFETY: equal lengths, a whole number of shards of whole symbols
+    // (just checked); `x` and `y` are distinct mutable borrows.
+    unsafe { run_planes::<OP, P>(rung, px, py, len, shard_bytes, form) }
+}
+
+/// The length contract every plane body relies on.
+fn check_planes<const P: usize>(x_len: usize, y_len: usize, shard_bytes: usize) {
+    assert_eq!(x_len, y_len, "region length mismatch");
+    assert!(shard_bytes.is_multiple_of(P), "plane regions carry whole symbols");
+    assert!(x_len == 0 || (shard_bytes != 0 && x_len.is_multiple_of(shard_bytes)), "whole shards");
+}
+
+/// Runs `OP` with the constant `form` over every `shard`-byte shard of a
+/// `len`-byte region of `P` planes on `rung`.
 ///
 /// # Safety
 ///
-/// `dst` must be valid for reads and writes of `len` bytes and `src` for
-/// reads of `len` bytes; the two must be the same pointer (`MUL_INTO` only)
-/// or not overlap.
-#[inline]
-unsafe fn run<const OP: u8>(rung: Rung, dst: *mut u8, src: *const u8, len: usize, c: u8) {
-    // SAFETY: a `Rung` holds an ISA kernel only after `Rung::new` detected
-    // its features on this host (`wide`: the AVX-512 side too), which is
-    // each body's `target_feature` contract; the region contract is the
-    // caller's, forwarded unchanged, and a vector body reports
-    // `done <= len`, so the tail stays inside it.
+/// `x` must be valid for reads and writes of `len` bytes; `y` for reads of
+/// `len` bytes, and for writes too under the butterflies (which alone write
+/// it). The two must be the same pointer (`MUL_INTO` only) or not overlap.
+/// `shard` must be a multiple of `P` that divides `len`, and non-zero
+/// unless `len` is.
+unsafe fn run_planes<const OP: u8, const P: usize>(
+    rung: Rung,
+    x: *mut u8,
+    y: *mut u8,
+    len: usize,
+    shard: usize,
+    form: &Blocks<P>,
+) {
+    // One plane: every byte is a symbol, so a run of shards is one shard.
+    let shard = if P == 1 { len } else { shard };
+    // SAFETY: the region contract is the caller's, forwarded unchanged; the
+    // vector body reports `done <= shard / P`, the walk's `from` contract.
     unsafe {
-        let done = match rung.kernel {
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Gfni if rung.wide => return simd_gfni::body_512::<OP>(dst, src, len, c),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Gfni => simd_gfni::body_256::<OP>(dst, src, len, c),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => return simd_avx512::body::<OP>(dst, src, len, c),
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Kernel::Avx2 => x86::body_avx2::<OP>(dst, src, len, c),
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            Kernel::Ssse3 => x86::body_ssse3::<OP>(dst, src, len, c),
-            #[cfg(target_arch = "aarch64")]
-            Kernel::Neon => neon::body::<OP>(dst, src, len, c),
-            Kernel::LogExp => return bytewise::<OP>(dst, src, len, |s| mul_table(c, s)),
+        let done = vector::<OP, P>(rung, x, y, len, shard, form);
+        if done < shard / P {
+            let by_input = by_input(form);
+            walk::<OP, P>(x, y, len, shard, done, |s| product(&by_input, s));
+        }
+    }
+}
+
+/// Runs `OP` with coefficient `c` over `len` bytes of GF(2^8) on `rung`.
+///
+/// # Safety
+///
+/// Region contract as [`run_planes`] for one plane and one shard of `len`
+/// bytes (`y` is only read).
+#[inline]
+unsafe fn run<const OP: u8>(rung: Rung, dst: *mut u8, src: *mut u8, len: usize, c: u8) {
+    // SAFETY: the region contract is the caller's, forwarded unchanged, and
+    // a vector body reports `done <= len`, so the walk stays inside it.
+    unsafe {
+        match rung.kernel {
+            Kernel::LogExp => return walk::<OP, 1>(dst, src, len, len, 0, |[s]| [mul_table(c, s)]),
             Kernel::LoopWide => return loop_wide::<OP>(dst, src, len, c),
             Kernel::Nibble => {
-                let (lo, hi) = nibble_tables(c);
-                let product = |s: u8| lo[usize::from(s & 0x0F)] ^ hi[usize::from(s >> 4)];
-                return bytewise::<OP>(dst, src, len, product);
+                let [[[lo, hi]]] = &byte_block(c).nibbles;
+                let product = |[s]: [u8; 1]| [lo[usize::from(s & 0x0F)] ^ hi[usize::from(s >> 4)]];
+                return walk::<OP, 1>(dst, src, len, len, 0, product);
             }
-            // `Portable` — and the ISA names foreign to this target, which
-            // `Rung::new` never admits.
-            _ => 0,
-        };
+            _ => {}
+        }
         // The portable rung, and the sub-vector tail of the shuffle rungs.
-        let row = &MUL[usize::from(c)];
-        bytewise::<OP>(dst.add(done), src.add(done), len - done, |s| row[usize::from(s)]);
+        let done = vector::<OP, 1>(rung, dst, src, len, len, byte_block(c));
+        if done < len {
+            let row = &MUL[usize::from(c)];
+            walk::<OP, 1>(dst, src, len, len, done, |[s]| [row[usize::from(s)]]);
+        }
+    }
+}
+
+/// Runs the vector body `rung` has for `P` planes over every shard and
+/// returns how many leading symbols of each plane it did: all of them on
+/// the masked rungs, the full vectors on the others, none on a rung with no
+/// vector body. The caller walks the rest.
+///
+/// # Safety
+///
+/// Region contract as [`body`].
+#[inline]
+unsafe fn vector<const OP: u8, const P: usize>(
+    rung: Rung,
+    x: *mut u8,
+    y: *mut u8,
+    len: usize,
+    shard: usize,
+    form: &Blocks<P>,
+) -> usize {
+    // SAFETY: a `Rung` holds an ISA kernel only after `Rung::new` detected
+    // its features on this host (`wide`: the AVX-512 side too), which is
+    // each entry's `target_feature` contract; the region contract is the
+    // caller's, forwarded unchanged.
+    unsafe {
+        match rung.body(P) {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Gfni if rung.wide => simd_x86::body_gfni512::<OP, P>(x, y, len, shard, form),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Gfni => simd_x86::body_gfni256::<OP, P>(x, y, len, shard, form),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => simd_x86::body_avx512::<OP, P>(x, y, len, shard, form),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Kernel::Avx2 => simd_x86::body_avx2::<OP, P>(x, y, len, shard, form),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            Kernel::Ssse3 => simd_x86::body_ssse3::<OP, P>(x, y, len, shard, form),
+            #[cfg(target_arch = "aarch64")]
+            Kernel::Neon => simd_neon::body::<OP, P>(x, y, len, shard, form),
+            // `Portable` and the byte-at-a-time rungs — and the ISA names
+            // foreign to this target, which `Rung::new` never admits.
+            _ => 0,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The one vector body, generic over the instruction set, the operation and
+// the plane count.
+// ---------------------------------------------------------------------------
+
+/// One vector register: its loads, stores and XOR. The methods run
+/// instructions the caller proves by holding the [`Rung`] whose ISA uses
+/// the register, through pointers it vouches for; `#[inline(always)]`, they
+/// compile into the `#[target_feature]` entry point of the body.
+trait Lanes: Copy {
+    /// Bytes per vector.
+    const WIDTH: usize;
+    /// Whether the body finishes each plane under a byte mask
+    /// ([`Lanes::load_tail`]); otherwise the caller walks the tail.
+    const MASKED: bool = false;
+
+    /// `WIDTH` bytes at `p`.
+    unsafe fn load(p: *const u8) -> Self;
+    /// Stores the vector at `p`.
+    unsafe fn store(self, p: *mut u8);
+    /// The `n < WIDTH` bytes at `p`, zero above (masked registers only).
+    unsafe fn load_tail(_p: *const u8, _n: usize) -> Self {
+        unreachable!("only a masked ISA has tail loads")
+    }
+    /// Stores the low `n < WIDTH` bytes at `p` (masked registers only).
+    unsafe fn store_tail(self, _p: *mut u8, _n: usize) {
+        unreachable!("only a masked ISA has tail stores")
+    }
+    /// `self ^ other`.
+    unsafe fn xor(self, other: Self) -> Self;
+
+    /// A whole vector at `p`, or its low `n` bytes when `TAIL`.
+    #[inline(always)]
+    unsafe fn load_some<const TAIL: bool>(p: *const u8, n: usize) -> Self {
+        // SAFETY: the caller's contract, forwarded.
+        unsafe {
+            if TAIL {
+                Self::load_tail(p, n)
+            } else {
+                Self::load(p)
+            }
+        }
+    }
+    /// Stores a whole vector at `p`, or its low `n` bytes when `TAIL`.
+    #[inline(always)]
+    unsafe fn store_some<const TAIL: bool>(self, p: *mut u8, n: usize) {
+        // SAFETY: the caller's contract, forwarded.
+        unsafe {
+            if TAIL {
+                self.store_tail(p, n)
+            } else {
+                self.store(p)
+            }
+        }
+    }
+}
+
+/// One instruction set as the generic bodies use it, under [`Lanes`]'
+/// contract: a vector register and one 8×8 block applied to one vector.
+trait Isa {
+    type V: Lanes;
+    /// One block in registers: its two nibble tables, or its matrix.
+    type Block: Copy;
+    /// A source vector prepared once for every block of its column: its two
+    /// nibble index vectors, or itself.
+    type Split: Copy;
+
+    /// The block whose forms are `nibbles` and `matrix`, in registers.
+    unsafe fn block(nibbles: &[[u8; 16]; 2], matrix: u64) -> Self::Block;
+    /// `s` prepared for [`Isa::apply`].
+    unsafe fn split(s: Self::V) -> Self::Split;
+    /// The block applied to every byte of a prepared vector.
+    unsafe fn apply(block: Self::Block, s: Self::Split) -> Self::V;
+}
+
+/// `OP` over every full vector of every plane of every shard — and, on a
+/// masked ISA, each plane's tail under a byte mask; returns how many
+/// leading symbols of each plane it did.
+///
+/// # Safety
+///
+/// The host must have `I`'s instructions; region contract as
+/// [`run_planes`], with `shard == len` when `P == 1`.
+#[inline(always)]
+unsafe fn body<I: Isa, const OP: u8, const P: usize>(
+    x: *mut u8,
+    y: *mut u8,
+    len: usize,
+    shard: usize,
+    form: &Blocks<P>,
+) -> usize {
+    let (width, masked) = (I::V::WIDTH, I::V::MASKED);
+    let plane = shard / P;
+    let full = plane / width * width;
+    // SAFETY: the instructions are the caller's to vouch for. A shard at
+    // `base` has `base + shard <= len`, so its plane `p` is the bytes
+    // `[base + p·plane, base + (p + 1)·plane)` of both regions: a full chunk
+    // at offset `k` touches `[k, k + width)` with `k + width <= full <=
+    // plane` of each, the tail chunk `[full, plane)` under the mask.
+    unsafe {
+        let mut blocks = [[I::block(&form.nibbles[0][0], form.affine[0][0]); P]; P];
+        for (o, row) in blocks.iter_mut().enumerate() {
+            for (i, block) in row.iter_mut().enumerate() {
+                *block = I::block(&form.nibbles[o][i], form.affine[o][i]);
+            }
+        }
+        let mut base = 0;
+        while base < len {
+            let (xs, ys) = (x.add(base), y.add(base));
+            let mut k = 0;
+            while k < full {
+                chunk::<I, OP, P, false>(xs.add(k), ys.add(k), plane, 0, &blocks);
+                k += width;
+            }
+            if masked && full < plane {
+                chunk::<I, OP, P, true>(xs.add(full), ys.add(full), plane, plane - full, &blocks);
+            }
+            if P == 1 {
+                break; // one shard: no shard loop to keep registers for
+            }
+            base += shard;
+        }
+    }
+    if masked {
+        plane
+    } else {
+        full
+    }
+}
+
+/// `OP` on one vector of each of the `P` planes that start at `x` and `y`,
+/// `plane` bytes apart (the low `n` bytes of each when `TAIL`).
+///
+/// # Safety
+///
+/// The host must have `I`'s instructions; those bytes of every plane must
+/// be readable in both regions and writable in `x` (in `y` too under the
+/// butterflies), and the regions the same (`MUL_INTO` only) or disjoint.
+#[inline(always)]
+unsafe fn chunk<I: Isa, const OP: u8, const P: usize, const TAIL: bool>(
+    x: *mut u8,
+    y: *mut u8,
+    plane: usize,
+    n: usize,
+    blocks: &[[I::Block; P]; P],
+) {
+    // SAFETY: every access is one vector (or its low `n` bytes) of a plane
+    // the caller vouches for; the whole chunk is loaded before its first
+    // store, so `x == y` is sound.
+    unsafe {
+        let mut s: [I::V; P] = [I::V::load_some::<TAIL>(y, n); P];
+        let mut d: [I::V; P] = [I::V::load_some::<TAIL>(x, n); P];
+        for p in 1..P {
+            s[p] = I::V::load_some::<TAIL>(y.add(p * plane), n);
+            d[p] = I::V::load_some::<TAIL>(x.add(p * plane), n);
+        }
+        if OP == IFFT || OP == MERGED {
+            for p in 0..P {
+                s[p] = s[p].xor(d[p]);
+            }
+        }
+        if OP == IFFT {
+            for (p, &s) in s.iter().enumerate() {
+                s.store_some::<TAIL>(y.add(p * plane), n);
+            }
+        }
+        let mut out = d;
+        if OP == XOR {
+            for p in 0..P {
+                out[p] = d[p].xor(s[p]);
+            }
+        } else {
+            let mut split = [I::split(s[0]); P];
+            for i in 1..P {
+                split[i] = I::split(s[i]);
+            }
+            for (o, row) in blocks.iter().enumerate() {
+                let mut product = I::apply(row[0], split[0]);
+                for i in 1..P {
+                    product = product.xor(I::apply(row[i], split[i]));
+                }
+                out[o] = if OP == MUL_INTO { product } else { d[o].xor(product) };
+            }
+        }
+        for (p, &out) in out.iter().enumerate() {
+            out.store_some::<TAIL>(x.add(p * plane), n);
+        }
+        if OP == FFT || OP == MERGED {
+            for p in 0..P {
+                s[p].xor(out[p]).store_some::<TAIL>(y.add(p * plane), n);
+            }
+        }
+    }
+}
+
+/// `dst ^= Σ_j cs[j] · srcs[j]` in GF(2^8) over every full vector of `dst`
+/// (every byte on a masked ISA), the four blocks held in registers and each
+/// destination vector loaded and stored once; returns the bytes done.
+///
+/// # Safety
+///
+/// The host must have `I`'s instructions; every source must be as long as
+/// `dst`.
+#[inline(always)]
+unsafe fn dot4_body<I: Isa>(
+    dst: &mut [u8],
+    srcs: &[&[u8]; DOT_BLOCK],
+    cs: [u8; DOT_BLOCK],
+) -> usize {
+    let (len, width) = (dst.len(), I::V::WIDTH);
+    let full = len / width * width;
+    let (d, s) = (dst.as_mut_ptr(), srcs.map(<[u8]>::as_ptr));
+    // SAFETY: the instructions are the caller's to vouch for; every access
+    // is a vector at `i + width <= full <= len`, or the `len - full` bytes
+    // at `full` under the mask, of regions that are all `len` long.
+    unsafe {
+        let block = |c: u8| I::block(&byte_block(c).nibbles[0][0], byte_block(c).affine[0][0]);
+        let mut blocks = [block(cs[0]); DOT_BLOCK];
+        for j in 1..DOT_BLOCK {
+            blocks[j] = block(cs[j]);
+        }
+        let mut i = 0;
+        while i < full {
+            fold4::<I, false>(d.add(i), &s, i, 0, &blocks);
+            i += width;
+        }
+        if I::V::MASKED && full < len {
+            fold4::<I, true>(d.add(full), &s, full, len - full, &blocks);
+            return len;
+        }
+    }
+    full
+}
+
+/// One vector (the low `n` bytes when `TAIL`) of [`dot4_body`] at offset
+/// `i`.
+///
+/// # Safety
+///
+/// The host must have `I`'s instructions; those bytes at `d` and at
+/// `s[j] + i` must be valid.
+#[inline(always)]
+unsafe fn fold4<I: Isa, const TAIL: bool>(
+    d: *mut u8,
+    s: &[*const u8; DOT_BLOCK],
+    i: usize,
+    n: usize,
+    blocks: &[I::Block; DOT_BLOCK],
+) {
+    // SAFETY: the caller's contract, forwarded.
+    unsafe {
+        let mut acc = I::V::load_some::<TAIL>(d, n);
+        for (src, &block) in s.iter().zip(blocks) {
+            let v = I::V::load_some::<TAIL>(src.add(i), n);
+            acc = acc.xor(I::apply(block, I::split(v)));
+        }
+        acc.store_some::<TAIL>(d, n);
     }
 }
 
@@ -418,30 +952,99 @@ unsafe fn run<const OP: u8>(rung: Rung, dst: *mut u8, src: *const u8, len: usize
 // tail.
 // ---------------------------------------------------------------------------
 
-/// `OP` one byte at a time, `product(s)` being `c · s`.
+/// `a ^= b`, plane by plane.
+#[inline]
+fn xor_into<const P: usize>(a: &mut [u8; P], b: [u8; P]) {
+    a.iter_mut().zip(b).for_each(|(a, b)| *a ^= b);
+}
+
+/// `OP` one symbol at a time over every `shard`-byte shard of a `len`-byte
+/// region, from symbol `from` of each plane on; `product(s)` is the constant
+/// times the symbol whose plane bytes are `s`.
 ///
 /// # Safety
 ///
-/// Region contract as [`run`].
+/// Region contract as [`run_planes`]; `from <= shard / P`.
 #[inline]
-unsafe fn bytewise<const OP: u8>(
-    dst: *mut u8,
-    src: *const u8,
+unsafe fn walk<const OP: u8, const P: usize>(
+    x: *mut u8,
+    y: *mut u8,
     len: usize,
-    product: impl Fn(u8) -> u8,
+    shard: usize,
+    from: usize,
+    product: impl Fn([u8; P]) -> [u8; P],
 ) {
-    for i in 0..len {
-        // SAFETY: `i < len`, inside both regions; the source byte is read
-        // before the destination byte is written, so `dst == src` is sound.
-        unsafe {
-            let (d, s) = (dst.add(i), *src.add(i));
-            *d = match OP {
-                MUL_ADD => *d ^ product(s),
-                MUL_INTO => product(s),
-                _ => *d ^ s,
-            };
+    let plane = shard / P;
+    let mut base = 0;
+    while base < len {
+        for k in from..plane {
+            let at = |p: usize| base + p * plane + k;
+            // SAFETY: `at(p) < base + shard <= len` for every plane `p`,
+            // inside both regions; every byte of a symbol is read before
+            // any is written, so `x == y` is sound.
+            unsafe {
+                let (mut s, mut d) = ([0u8; P], [0u8; P]);
+                for p in 0..P {
+                    (s[p], d[p]) = (*y.add(at(p)), *x.add(at(p)));
+                }
+                match OP {
+                    MUL_ADD => xor_into(&mut d, product(s)),
+                    MUL_INTO => d = product(s),
+                    XOR => xor_into(&mut d, s),
+                    IFFT => {
+                        xor_into(&mut s, d);
+                        xor_into(&mut d, product(s));
+                    }
+                    FFT => {
+                        xor_into(&mut d, product(s));
+                        xor_into(&mut s, d);
+                    }
+                    _ => {
+                        let mut sum = s;
+                        xor_into(&mut sum, d);
+                        let t = product(sum);
+                        xor_into(&mut d, t);
+                        xor_into(&mut s, t);
+                    }
+                }
+                for p in 0..P {
+                    *x.add(at(p)) = d[p];
+                    if matches!(OP, IFFT | FFT | MERGED) {
+                        *y.add(at(p)) = s[p];
+                    }
+                }
+            }
+        }
+        base += shard;
+    }
+}
+
+/// The nibble tables of `form` regrouped by input: entry `[i][n][v]` holds
+/// the `P` output bytes of value `v` in nibble `n` of plane `i`, so the
+/// walk pays two lookups per input plane.
+fn by_input<const P: usize>(form: &Blocks<P>) -> [[[[u8; P]; 16]; 2]; P] {
+    let mut by_input = [[[[0u8; P]; 16]; 2]; P];
+    for (o, row) in form.nibbles.iter().enumerate() {
+        for (i, tables) in row.iter().enumerate() {
+            for (n, table) in tables.iter().enumerate() {
+                for (v, &byte) in table.iter().enumerate() {
+                    by_input[i][n][v][o] = byte;
+                }
+            }
         }
     }
+    by_input
+}
+
+/// The constant of [`by_input`]'s tables times the symbol `s`.
+#[inline]
+fn product<const P: usize>(by_input: &[[[[u8; P]; 16]; 2]; P], s: [u8; P]) -> [u8; P] {
+    let mut out = [0u8; P];
+    for (tables, s) in by_input.iter().zip(s) {
+        xor_into(&mut out, tables[0][usize::from(s & 0x0F)]);
+        xor_into(&mut out, tables[1][usize::from(s >> 4)]);
+    }
+    out
 }
 
 /// `OP` over 8-byte lanes with the loop-based word multiply, byte tail by
@@ -450,7 +1053,7 @@ unsafe fn bytewise<const OP: u8>(
 /// # Safety
 ///
 /// Region contract as [`run`].
-unsafe fn loop_wide<const OP: u8>(dst: *mut u8, src: *const u8, len: usize, c: u8) {
+unsafe fn loop_wide<const OP: u8>(dst: *mut u8, src: *mut u8, len: usize, c: u8) {
     let mut i = 0;
     // SAFETY: every word access is bounded by `i + 8 <= len` and uses the
     // unaligned forms; the source word is read before the destination word
@@ -467,311 +1070,17 @@ unsafe fn loop_wide<const OP: u8>(dst: *mut u8, src: *const u8, len: usize, c: u
             });
             i += 8;
         }
-        bytewise::<OP>(dst.add(i), src.add(i), len - i, |s| mul_loop(c, s));
+        let tail = len - i;
+        walk::<OP, 1>(dst.add(i), src.add(i), tail, tail, 0, |[s]| [mul_loop(c, s)]);
     }
 }
 
 /// `dst ^= c · src` by product-table row over safe slices: the tail of the
-/// blocked (`dot4_*`) and tiled bodies.
+/// blocked (`dot4`) and tiled bodies.
 fn portable_mul_add(dst: &mut [u8], src: &[u8], c: u8) {
     let row = &MUL[c as usize];
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= row[*s as usize];
-    }
-}
-
-/// Builds the two 16-entry half-byte product tables for coefficient `c`:
-/// `lo[i] = c·i` and `hi[i] = c·(i << 4)` — exactly what `PSHUFB`/`TBL`
-/// resolve per nibble.
-#[inline]
-fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
-    let row = &MUL[c as usize];
-    let mut lo = [0u8; 16];
-    let mut hi = [0u8; 16];
-    for i in 0..16 {
-        lo[i] = row[i];
-        hi[i] = row[i << 4];
-    }
-    (lo, hi)
-}
-
-// ---------------------------------------------------------------------------
-// x86 / x86-64: SSSE3 and AVX2 PSHUFB kernels.
-// ---------------------------------------------------------------------------
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-mod x86 {
-    use super::{nibble_tables, portable_mul_add, MUL_INTO, XOR};
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86::*;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// Runs `OP` over all full 16-byte chunks; returns the number of bytes
-    /// processed so the caller finishes the tail portably.
-    ///
-    /// # Safety
-    ///
-    /// The host must support SSSE3; region contract as [`super::run`].
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn body_ssse3<const OP: u8>(
-        dst: *mut u8,
-        src: *const u8,
-        len: usize,
-        c: u8,
-    ) -> usize {
-        let (lo, hi) = nibble_tables(c);
-        let full = len / 16 * 16;
-        // SAFETY: table loads read 16 bytes from 16-byte arrays; every
-        // region access is bounded by `i + 16 <= full <= len`; a chunk's
-        // source vector is loaded before the chunk is stored, so
-        // `dst == src` is sound; unaligned loadu/storeu forms throughout.
-        unsafe {
-            let lo_t = _mm_loadu_si128(lo.as_ptr().cast());
-            let hi_t = _mm_loadu_si128(hi.as_ptr().cast());
-            let mask = _mm_set1_epi8(0x0F);
-            let mut i = 0;
-            while i < full {
-                let s = _mm_loadu_si128(src.add(i).cast());
-                let mut out = s;
-                if OP != XOR {
-                    let lo_idx = _mm_and_si128(s, mask);
-                    let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                    out = _mm_xor_si128(
-                        _mm_shuffle_epi8(lo_t, lo_idx),
-                        _mm_shuffle_epi8(hi_t, hi_idx),
-                    );
-                }
-                if OP != MUL_INTO {
-                    out = _mm_xor_si128(out, _mm_loadu_si128(dst.add(i).cast()));
-                }
-                _mm_storeu_si128(dst.add(i).cast(), out);
-                i += 16;
-            }
-        }
-        full
-    }
-
-    /// Runs `OP` over all full 32-byte chunks; returns the number of bytes
-    /// processed.
-    ///
-    /// # Safety
-    ///
-    /// The host must support AVX2; region contract as [`super::run`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn body_avx2<const OP: u8>(
-        dst: *mut u8,
-        src: *const u8,
-        len: usize,
-        c: u8,
-    ) -> usize {
-        let (lo, hi) = nibble_tables(c);
-        let full = len / 32 * 32;
-        // SAFETY: as `body_ssse3` with 32-byte chunks
-        // (`i + 32 <= full <= len`); table loads read 16 bytes from 16-byte
-        // arrays, then broadcast in-register.
-        unsafe {
-            let lo_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-            let hi_t = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-            let mask = _mm256_set1_epi8(0x0F);
-            let mut i = 0;
-            while i < full {
-                let s = _mm256_loadu_si256(src.add(i).cast());
-                let mut out = s;
-                if OP != XOR {
-                    let lo_idx = _mm256_and_si256(s, mask);
-                    let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
-                    out = _mm256_xor_si256(
-                        _mm256_shuffle_epi8(lo_t, lo_idx),
-                        _mm256_shuffle_epi8(hi_t, hi_idx),
-                    );
-                }
-                if OP != MUL_INTO {
-                    out = _mm256_xor_si256(out, _mm256_loadu_si256(dst.add(i).cast()));
-                }
-                _mm256_storeu_si256(dst.add(i).cast(), out);
-                i += 32;
-            }
-        }
-        full
-    }
-
-    /// Four-source blocked axpy: all eight half-byte tables live in `ymm`
-    /// registers for the whole sweep, and each 32-byte destination chunk is
-    /// loaded and stored once for the four sources.
-    ///
-    /// # Safety: host must support AVX2; all slices must be equal length.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot4_avx2(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-        let len = dst.len();
-        let mut i = 0;
-        // SAFETY: table loads read 16 bytes from 16-byte arrays; every
-        // region access is bounded by `i + 32 <= len`, and the caller
-        // guarantees all four sources equal `dst`'s length.
-        unsafe {
-            let mut lo_t = [_mm256_setzero_si256(); 4];
-            let mut hi_t = [_mm256_setzero_si256(); 4];
-            for j in 0..4 {
-                let (lo, hi) = nibble_tables(cs[j]);
-                lo_t[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-                hi_t[j] = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-            }
-            let mask = _mm256_set1_epi8(0x0F);
-            while i + 32 <= len {
-                let mut acc = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-                for j in 0..4 {
-                    let s = _mm256_loadu_si256(srcs[j].as_ptr().add(i).cast());
-                    let lo_idx = _mm256_and_si256(s, mask);
-                    let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
-                    acc = _mm256_xor_si256(
-                        acc,
-                        _mm256_xor_si256(
-                            _mm256_shuffle_epi8(lo_t[j], lo_idx),
-                            _mm256_shuffle_epi8(hi_t[j], hi_idx),
-                        ),
-                    );
-                }
-                _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc);
-                i += 32;
-            }
-        }
-        for j in 0..4 {
-            portable_mul_add(&mut dst[i..], &srcs[j][i..], cs[j]);
-        }
-    }
-
-    /// # Safety: host must support SSSE3; all slices must be equal length.
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn dot4_ssse3(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-        let len = dst.len();
-        let mut i = 0;
-        // SAFETY: table loads read 16 bytes from 16-byte arrays; every
-        // region access is bounded by `i + 16 <= len`, and the caller
-        // guarantees all four sources equal `dst`'s length.
-        unsafe {
-            let mut lo_t = [_mm_setzero_si128(); 4];
-            let mut hi_t = [_mm_setzero_si128(); 4];
-            for j in 0..4 {
-                let (lo, hi) = nibble_tables(cs[j]);
-                lo_t[j] = _mm_loadu_si128(lo.as_ptr().cast());
-                hi_t[j] = _mm_loadu_si128(hi.as_ptr().cast());
-            }
-            let mask = _mm_set1_epi8(0x0F);
-            while i + 16 <= len {
-                let mut acc = _mm_loadu_si128(dst.as_ptr().add(i).cast());
-                for j in 0..4 {
-                    let s = _mm_loadu_si128(srcs[j].as_ptr().add(i).cast());
-                    let lo_idx = _mm_and_si128(s, mask);
-                    let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                    acc = _mm_xor_si128(
-                        acc,
-                        _mm_xor_si128(
-                            _mm_shuffle_epi8(lo_t[j], lo_idx),
-                            _mm_shuffle_epi8(hi_t[j], hi_idx),
-                        ),
-                    );
-                }
-                _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), acc);
-                i += 16;
-            }
-        }
-        for j in 0..4 {
-            portable_mul_add(&mut dst[i..], &srcs[j][i..], cs[j]);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AArch64 NEON TBL kernels. NEON is mandatory on AArch64, so the only
-// unsafety is the raw-pointer access, bounded like x86's.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{nibble_tables, portable_mul_add, MUL_INTO, XOR};
-    use std::arch::aarch64::*;
-
-    /// Runs `OP` over all full 16-byte chunks; returns the number of bytes
-    /// processed so the caller finishes the tail portably.
-    ///
-    /// # Safety
-    ///
-    /// Region contract as [`super::run`].
-    pub(super) unsafe fn body<const OP: u8>(
-        dst: *mut u8,
-        src: *const u8,
-        len: usize,
-        c: u8,
-    ) -> usize {
-        let (lo, hi) = nibble_tables(c);
-        let full = len / 16 * 16;
-        // SAFETY: NEON is architecturally guaranteed on AArch64; table
-        // loads read 16 bytes from 16-byte arrays; every region access is
-        // bounded by `i + 16 <= full <= len`; a chunk's source vector is
-        // loaded before the chunk is stored, so `dst == src` is sound.
-        unsafe {
-            let lo_t = vld1q_u8(lo.as_ptr());
-            let hi_t = vld1q_u8(hi.as_ptr());
-            let mask = vdupq_n_u8(0x0F);
-            let mut i = 0;
-            while i < full {
-                let s = vld1q_u8(src.add(i));
-                let mut out = s;
-                if OP != XOR {
-                    out = veorq_u8(
-                        vqtbl1q_u8(lo_t, vandq_u8(s, mask)),
-                        vqtbl1q_u8(hi_t, vshrq_n_u8(s, 4)),
-                    );
-                }
-                if OP != MUL_INTO {
-                    out = veorq_u8(out, vld1q_u8(dst.add(i)));
-                }
-                vst1q_u8(dst.add(i), out);
-                i += 16;
-            }
-        }
-        full
-    }
-
-    /// Four-source blocked axpy, 16 bytes per step.
-    ///
-    /// # Safety
-    ///
-    /// All slices must be equal length.
-    pub(super) unsafe fn dot4_neon(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-        let len = dst.len();
-        let tables: Vec<([u8; 16], [u8; 16])> = cs.iter().map(|&c| nibble_tables(c)).collect();
-        // SAFETY: as above — mandatory NEON, every access bounded by
-        // `i + 16 <= len`, sources asserted equal-length by the caller.
-        let i = unsafe {
-            let mut lo_t = [vdupq_n_u8(0); 4];
-            let mut hi_t = [vdupq_n_u8(0); 4];
-            for j in 0..4 {
-                lo_t[j] = vld1q_u8(tables[j].0.as_ptr());
-                hi_t[j] = vld1q_u8(tables[j].1.as_ptr());
-            }
-            let mask = vdupq_n_u8(0x0F);
-            let mut i = 0;
-            while i + 16 <= len {
-                let mut acc = vld1q_u8(dst.as_ptr().add(i));
-                for j in 0..4 {
-                    let s = vld1q_u8(srcs[j].as_ptr().add(i));
-                    acc = veorq_u8(
-                        acc,
-                        veorq_u8(
-                            vqtbl1q_u8(lo_t[j], vandq_u8(s, mask)),
-                            vqtbl1q_u8(hi_t[j], vshrq_n_u8(s, 4)),
-                        ),
-                    );
-                }
-                vst1q_u8(dst.as_mut_ptr().add(i), acc);
-                i += 16;
-            }
-            i
-        };
-        for j in 0..4 {
-            portable_mul_add(&mut dst[i..], &srcs[j][i..], cs[j]);
-        }
     }
 }
 
@@ -836,6 +1145,24 @@ mod tests {
         assert_eq!(resolve_override(Some("sse9")), (best, Some("is not a known backend")));
     }
 
+    #[test]
+    fn byte_blocks_match_the_mul_table_in_both_forms() {
+        // Both forms of every coefficient's block, applied in scalar code,
+        // against the ground-truth product table.
+        fn affine(matrix: u64, x: u8) -> u8 {
+            let rows = matrix.to_le_bytes();
+            (0..8).map(|i| ((rows[7 - i] & x).count_ones() as u8 & 1) << i).sum()
+        }
+        for c in 0..=255u8 {
+            let Blocks { nibbles: [[[lo, hi]]], affine: [[matrix]] } = *byte_block(c);
+            for x in 0..=255u8 {
+                let want = MUL[usize::from(c)][usize::from(x)];
+                assert_eq!(lo[usize::from(x & 0x0F)] ^ hi[usize::from(x >> 4)], want, "{c} {x}");
+                assert_eq!(affine(matrix, x), want, "c={c}, x={x}");
+            }
+        }
+    }
+
     /// The three single-source ops and the in-place form on `rung`, against
     /// the product table.
     fn check_against_the_mul_table(rung: Rung) {
@@ -862,12 +1189,122 @@ mod tests {
         }
     }
 
+    /// A two-plane map from its 32 column bytes, and the image of the
+    /// symbol `lo | hi << 8` under it, bit by bit from the columns alone.
+    fn linear_map(columns: [[u64; 2]; 2], lo: u8, hi: u8) -> [u8; 2] {
+        let mut out = [0u8; 2];
+        for (o, out) in out.iter_mut().enumerate() {
+            for (i, byte) in [lo, hi].into_iter().enumerate() {
+                let column = columns[o][i].to_le_bytes();
+                (0..8).filter(|j| byte >> j & 1 == 1).for_each(|j| *out ^= column[j]);
+            }
+        }
+        out
+    }
+
+    /// Arbitrary 16×16 GF(2) maps (a GF(2^16) constant is one), by column.
+    fn maps() -> impl Iterator<Item = [[u64; 2]; 2]> {
+        [0x0123_4567_89AB_CDEFu64, 0xFEDC_BA98_7654_3210, 0x8000_0000_0000_0001]
+            .map(|seed| {
+                let column =
+                    |k: u32| seed.rotate_left(13 * k) ^ u64::from(k).wrapping_mul(0x9E37_79B9);
+                [[column(0), column(1)], [column(2), column(3)]]
+            })
+            .into_iter()
+    }
+
+    /// Shard lengths on both sides of every vector width.
+    const SHARDS: [usize; 10] = [2, 30, 32, 34, 64, 66, 126, 128, 130, 258];
+
+    /// The `(x, y)` each two-plane op leaves on `rung`, from the same start:
+    /// the six ops over a run of three shards (the planes are per shard),
+    /// then the in-place multiply of `y0`.
+    fn two_plane_ops(rung: Rung, form: &Blocks<2>, shard: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let bytes = |salt: usize| -> Vec<u8> {
+            (0..3 * shard).map(|i| (i * 37 + salt * 101 + shard) as u8).collect()
+        };
+        type Op = fn(Rung, &Blocks<2>, &mut [u8], &mut [u8], usize);
+        let ops: [Op; 6] = [
+            butterflies::<MUL_ADD, 2>,
+            butterflies::<MUL_INTO, 2>,
+            butterflies::<XOR, 2>,
+            butterflies::<IFFT, 2>,
+            butterflies::<FFT, 2>,
+            butterflies::<MERGED, 2>,
+        ];
+        let mut out: Vec<_> = ops
+            .iter()
+            .map(|op| {
+                let (mut x, mut y) = (bytes(1), bytes(2));
+                op(rung, form, &mut x, &mut y, shard);
+                (x, y)
+            })
+            .collect();
+        let mut x = bytes(2);
+        x.chunks_mut(shard).for_each(|x| apply_planes_in_place(rung, form, x));
+        out.push((x, Vec::new()));
+        out
+    }
+
+    /// Every two-plane op and butterfly on `rung` against the portable walk,
+    /// the rung's form a sum of two parts summed in only the forms it reads.
+    fn check_two_planes(rung: Rung) {
+        let portable = Rung::new(Kernel::Portable).expect("needs no ISA");
+        for columns in maps() {
+            let part = |mask: u64| Blocks::from_columns(columns.map(|row| row.map(|c| c & mask)));
+            let form = Blocks::sum_for(
+                rung,
+                &[&part(0x5A5A_5A5A_5A5A_5A5A), &part(!0x5A5A_5A5A_5A5A_5A5A)],
+            );
+            for shard in SHARDS {
+                let want = two_plane_ops(portable, &Blocks::from_columns(columns), shard);
+                assert_eq!(two_plane_ops(rung, &form, shard), want, "{rung:?}, shard {shard}");
+            }
+        }
+    }
+
     #[test]
     fn scalar_rungs_match_the_mul_table() {
         // The raw-pointer scalar loops, in a unit test so Miri (which skips
         // the target-feature rungs and the integration suite) runs them.
         for kernel in [Kernel::Portable, Kernel::Nibble, Kernel::LoopWide, Kernel::LogExp] {
             check_against_the_mul_table(Rung::new(kernel).expect("needs no ISA"));
+        }
+    }
+
+    #[test]
+    fn scalar_walk_multiplies_two_planes_by_the_linear_map() {
+        // The portable walk, the reference of every two-plane body, against
+        // the map applied bit by bit.
+        let portable = Rung::new(Kernel::Portable).expect("needs no ISA");
+        for columns in maps() {
+            for shard in SHARDS {
+                let src: Vec<u8> = (0..shard).map(|i| (i * 37 + 11) as u8).collect();
+                let mut dst = vec![0u8; shard];
+                apply_planes::<MUL_INTO, 2>(
+                    portable,
+                    &Blocks::from_columns(columns),
+                    &mut dst,
+                    &src,
+                );
+                let half = shard / 2;
+                for k in 0..half {
+                    let want = linear_map(columns, src[k], src[half + k]);
+                    assert_eq!([dst[k], dst[half + k]], want, "shard {shard}, symbol {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_rung_runs_two_planes_like_the_portable_walk() {
+        // The vector rungs run their own bodies; the byte-at-a-time
+        // references have no two-plane form and run the portable walk.
+        let walk = [Kernel::Portable, Kernel::Nibble, Kernel::LoopWide, Kernel::LogExp];
+        for rung in Kernel::available() {
+            let body = if walk.contains(&rung.kernel()) { Kernel::Portable } else { rung.kernel() };
+            assert_eq!((rung.body(1), rung.body(2)), (rung.kernel(), body), "{rung:?}");
+            check_two_planes(rung);
         }
     }
 
@@ -881,5 +1318,17 @@ mod tests {
             return;
         };
         check_against_the_mul_table(Rung { wide: false, ..gfni });
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_256_bit_gfni_body_runs_two_planes_bit_exact() {
+        // The same hand-built narrow rung on every two-plane op and
+        // butterfly, at head and tail lengths of its 32-byte vector.
+        let Some(gfni) = Rung::new(Kernel::Gfni) else {
+            println!("SKIPPED: CPU lacks gfni+avx2");
+            return;
+        };
+        check_two_planes(Rung { wide: false, ..gfni });
     }
 }

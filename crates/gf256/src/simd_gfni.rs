@@ -1,267 +1,14 @@
-//! GFNI kernels: GF(2^8) region arithmetic as single instructions.
-//!
-//! The Galois Field New Instructions compute this crate's field *exactly*:
-//! `GF2P8MULB` multiplies packed bytes modulo x^8 + x^4 + x^3 + x + 1 —
-//! the Rijndael polynomial 0x11B. The
-//! multiply-by-a-constant map `x ↦ c·x` is GF(2)-linear, so it is also an
-//! 8×8 bit-matrix executed with `GF2P8AFFINEQB` ([`affine_matrix`] builds
-//! the matrix per Günther et al., *GF Arithmetics for LNC using AVX512*):
-//! one instruction per vector with no tables at all, and the spelling every
-//! body here uses, since a region op multiplies by one constant.
-//!
-//! Two body widths share each op:
-//!
-//! * a 512-bit EVEX path (requires `gfni + avx512f + avx512bw`) with
-//!   `k`-masked byte loads/stores for the tail, and
-//! * a 256-bit VEX path (requires `gfni + avx2`) with a portable tail,
-//!   for GFNI parts without AVX-512 (e.g. pre-Ice-Lake previews or
-//!   AVX10.1/256 configurations).
-//!
-//! Holding a [`super::Rung`] for `Gfni` proves `gfni` and AVX2; its `wide`
-//! flag, resolved with it, proves the AVX-512 side and picks the 512-bit
-//! bodies.
+//! The GFNI register tile behind [`crate::region::matrix_mul_add`]: eight
+//! output rows accumulate in registers while the sources stream past once,
+//! each product one `GF2P8AFFINEQB` of a coefficient's block (Günther et
+//! al., *GF Arithmetics for LNC using AVX512*). The 512-bit EVEX tile (the
+//! `wide` side of a [`super::Rung`] for `Gfni`: AVX-512F/BW too) masks its
+//! last strip; the 256-bit VEX one (GFNI + AVX2) leaves a portable tail.
 
-use super::{portable_mul_add, MUL_INTO, XOR};
-use crate::tables::xtime;
+use super::{byte_block, portable_mul_add};
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
-
-/// The 8×8 GF(2)-bit-matrix of the linear map `x ↦ c·x` over GF(2^8),
-/// packed in `GF2P8AFFINEQB`'s operand layout.
-///
-/// The instruction computes output bit `i` of each byte as
-/// `parity(matrix.byte[7 - i] & input)`, so byte `7 - i` must select the
-/// input bits `k` for which `c·2^k` has bit `i` set — i.e. the matrix
-/// columns are `c·2^k`, built by repeated [`xtime`].
-const fn build_affine_matrix(c: u8) -> u64 {
-    let mut rows = [0u8; 8];
-    let mut pow = c; // c · 2^k
-    let mut k = 0;
-    while k < 8 {
-        let mut i = 0;
-        while i < 8 {
-            if pow >> i & 1 == 1 {
-                rows[7 - i] |= 1 << k;
-            }
-            i += 1;
-        }
-        pow = xtime(pow);
-        k += 1;
-    }
-    u64::from_le_bytes(rows)
-}
-
-const fn build_affine_table() -> [u64; 256] {
-    let mut table = [0u64; 256];
-    let mut c = 0;
-    while c < 256 {
-        table[c] = build_affine_matrix(c as u8);
-        c += 1;
-    }
-    table
-}
-
-/// [`build_affine_matrix`] for every coefficient, evaluated at compile
-/// time: the kernels below pay one 8-byte load per coefficient, and the
-/// zero and one coefficients need no special case (the zero matrix and
-/// the identity).
-static AFFINE: [u64; 256] = build_affine_table();
-
-/// The `GF2P8AFFINEQB` matrix operand for `x ↦ c·x`.
-#[inline]
-pub(crate) fn affine_matrix(c: u8) -> u64 {
-    AFFINE[c as usize]
-}
-
-// ---------------------------------------------------------------------------
-// 512-bit EVEX bodies (gfni + avx512f + avx512bw), masked tails.
-// ---------------------------------------------------------------------------
-
-/// One 64-byte (or `k`-masked shorter) chunk of `OP`, `a` being the
-/// broadcast `GF2P8AFFINEQB` matrix of the coefficient.
-///
-/// # Safety
-///
-/// The host must support GFNI + AVX-512F + AVX-512BW; `d` and `s` must be
-/// valid for the lanes `k` selects (all 64 when `!MASKED`).
-#[inline]
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn chunk_512<const OP: u8, const MASKED: bool>(
-    d: *mut u8,
-    s: *const u8,
-    k: __mmask64,
-    a: __m512i,
-) {
-    // SAFETY: every access goes through `load_512` or the matching store
-    // on lanes the caller vouches for; the source vector is loaded before
-    // the store, so `d == s` is sound.
-    unsafe {
-        let s = load_512::<MASKED>(s, k);
-        let mut out = if OP == XOR { s } else { _mm512_gf2p8affine_epi64_epi8::<0>(s, a) };
-        if OP != MUL_INTO {
-            out = _mm512_xor_si512(out, load_512::<MASKED>(d, k));
-        }
-        if MASKED {
-            _mm512_mask_storeu_epi8(d.cast(), k, out);
-        } else {
-            _mm512_storeu_si512(d.cast(), out);
-        }
-    }
-}
-
-/// Runs `OP` over every byte: full 64-byte chunks plus one masked tail
-/// pass.
-///
-/// # Safety
-///
-/// The host must support GFNI + AVX-512F + AVX-512BW; region contract as
-/// [`super::run`].
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-pub(super) unsafe fn body_512<const OP: u8>(dst: *mut u8, src: *const u8, len: usize, c: u8) {
-    let full = len / 64 * 64;
-    // SAFETY: full chunks keep `i + 64 <= full <= len`; the tail chunk is
-    // masked to the `len - full < 64` remaining lanes.
-    unsafe {
-        let a = _mm512_set1_epi64(affine_matrix(c) as i64);
-        let mut i = 0;
-        while i < full {
-            chunk_512::<OP, false>(dst.add(i), src.add(i), !0, a);
-            i += 64;
-        }
-        if full < len {
-            chunk_512::<OP, true>(dst.add(full), src.add(full), (1u64 << (len - full)) - 1, a);
-        }
-    }
-}
-
-/// Four-source blocked axpy: four affine matrices stay in registers and
-/// each 64-byte destination chunk streams once for the four sources.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports GFNI + AVX-512F + AVX-512BW and
-/// all slices equal length.
-#[target_feature(enable = "gfni,avx512f,avx512bw")]
-unsafe fn dot4_512(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-    let len = dst.len();
-    // SAFETY: accesses bounded by `i + 64 <= len` or the `rem`-lane mask;
-    // the caller guarantees all four sources equal `dst`'s length.
-    unsafe {
-        let mut a = [_mm512_setzero_si512(); 4];
-        for j in 0..4 {
-            a[j] = _mm512_set1_epi64(affine_matrix(cs[j]) as i64);
-        }
-        let mut i = 0;
-        while i + 64 <= len {
-            let mut acc = _mm512_loadu_si512(dst.as_ptr().add(i).cast());
-            for j in 0..4 {
-                let s = _mm512_loadu_si512(srcs[j].as_ptr().add(i).cast());
-                acc = _mm512_xor_si512(acc, _mm512_gf2p8affine_epi64_epi8::<0>(s, a[j]));
-            }
-            _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), acc);
-            i += 64;
-        }
-        let rem = len - i;
-        if rem > 0 {
-            let k: __mmask64 = (1u64 << rem) - 1;
-            let mut acc = _mm512_maskz_loadu_epi8(k, dst.as_ptr().add(i).cast());
-            for j in 0..4 {
-                let s = _mm512_maskz_loadu_epi8(k, srcs[j].as_ptr().add(i).cast());
-                acc = _mm512_xor_si512(acc, _mm512_gf2p8affine_epi64_epi8::<0>(s, a[j]));
-            }
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(i).cast(), k, acc);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 256-bit VEX bodies (gfni + avx2), portable tails.
-// ---------------------------------------------------------------------------
-
-/// Runs `OP` over all full 32-byte chunks; returns the number of bytes
-/// processed so the caller finishes the tail portably.
-///
-/// # Safety
-///
-/// The host must support GFNI + AVX2; region contract as [`super::run`].
-#[target_feature(enable = "gfni,avx2")]
-pub(super) unsafe fn body_256<const OP: u8>(
-    dst: *mut u8,
-    src: *const u8,
-    len: usize,
-    c: u8,
-) -> usize {
-    let full = len / 32 * 32;
-    // SAFETY: every access is bounded by `i + 32 <= full <= len`; a chunk's
-    // source vector is loaded before the chunk is stored, so `dst == src`
-    // is sound; unaligned loadu/storeu forms throughout.
-    unsafe {
-        let a = _mm256_set1_epi64x(affine_matrix(c) as i64);
-        let mut i = 0;
-        while i < full {
-            let s = _mm256_loadu_si256(src.add(i).cast());
-            let mut out = if OP == XOR { s } else { _mm256_gf2p8affine_epi64_epi8::<0>(s, a) };
-            if OP != MUL_INTO {
-                out = _mm256_xor_si256(out, _mm256_loadu_si256(dst.add(i).cast()));
-            }
-            _mm256_storeu_si256(dst.add(i).cast(), out);
-            i += 32;
-        }
-    }
-    full
-}
-
-/// Four-source blocked axpy at the width `wide` names.
-///
-/// # Safety
-///
-/// Host must support GFNI + AVX2, and AVX-512F + AVX-512BW when `wide`; all
-/// slices must be equal length.
-pub(super) unsafe fn dot4(wide: bool, dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) {
-    if wide {
-        // SAFETY: `wide` is the caller's gfni+avx512f+avx512bw guarantee;
-        // it also guarantees all slices equal length.
-        unsafe { dot4_512(dst, srcs, cs) }
-        return;
-    }
-    // SAFETY: the caller guarantees gfni+avx and that all four sources
-    // equal `dst`'s length, which is `dot4_256`'s contract.
-    let i = unsafe { dot4_256(dst, srcs, cs) };
-    for j in 0..4 {
-        portable_mul_add(&mut dst[i..], &srcs[j][i..], cs[j]);
-    }
-}
-
-/// 256-bit four-source fold; returns bytes processed.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports GFNI + AVX and all slices equal
-/// length.
-#[target_feature(enable = "gfni,avx")]
-unsafe fn dot4_256(dst: &mut [u8], srcs: &[&[u8]; 4], cs: [u8; 4]) -> usize {
-    let len = dst.len();
-    // SAFETY: every access is bounded by `i + 32 <= len`; the caller
-    // guarantees all four sources equal `dst`'s length.
-    unsafe {
-        let mut a = [_mm256_setzero_si256(); 4];
-        for j in 0..4 {
-            a[j] = _mm256_set1_epi64x(affine_matrix(cs[j]) as i64);
-        }
-        let mut i = 0;
-        while i + 32 <= len {
-            let mut acc = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-            for j in 0..4 {
-                let s = _mm256_loadu_si256(srcs[j].as_ptr().add(i).cast());
-                acc = _mm256_xor_si256(acc, _mm256_gf2p8affine_epi64_epi8::<0>(s, a[j]));
-            }
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), acc);
-            i += 32;
-        }
-        i
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Matrix tile: TILE_ROWS outputs accumulate in registers while the sources
@@ -296,7 +43,7 @@ pub(super) unsafe fn matrix_tiles(
     for (tile, rows) in outs.chunks_exact_mut(TILE_ROWS).zip(coeffs.chunks_exact(TILE_ROWS)) {
         for (t, row) in rows.iter().enumerate() {
             for (i, &c) in row.iter().enumerate() {
-                mats[i * TILE_ROWS + t] = AFFINE[c as usize];
+                mats[i * TILE_ROWS + t] = byte_block(c).affine[0][0];
             }
         }
         let tile: &mut [&mut [u8]; TILE_ROWS] = tile.try_into().expect("chunks_exact tile");
@@ -535,28 +282,6 @@ mod tests {
                     assert_eq!(done, TILE_ROWS, "one full tile, one row left over");
                     assert_eq!(outs[..done], want[..done], "wide={wide}, n={n}, len={len}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn affine_matrix_matches_mul_table() {
-        // The bit-matrix construction must agree with the ground-truth
-        // product table for every (c, x) pair, independent of GFNI
-        // hardware: apply the matrix in scalar code.
-        fn apply(matrix: u64, x: u8) -> u8 {
-            let rows = matrix.to_le_bytes();
-            let mut out = 0u8;
-            for i in 0..8 {
-                let parity = (rows[7 - i] & x).count_ones() as u8 & 1;
-                out |= parity << i;
-            }
-            out
-        }
-        for c in 0..=255u8 {
-            let m = affine_matrix(c);
-            for x in 0..=255u8 {
-                assert_eq!(apply(m, x), MUL[c as usize][x as usize], "c={c}, x={x}");
             }
         }
     }

@@ -525,25 +525,22 @@ pub struct FaultStats {
     pub(crate) bit_flipped: u64,
 }
 
-/// Deterministic, seedable fault injection over opaque datagrams.
-///
-/// Generic over a `tag` so point-to-point channels (`tag = ()`) and a
-/// multi-receiver server socket (`tag = SocketAddr`) share one
-/// implementation. `admit` returns the datagrams to put on the wire *now*;
-/// reordered datagrams surface on later admits.
+/// Deterministic, seedable fault injection over opaque datagrams, the
+/// model behind [`FaultyChannel`]. `admit` returns the datagrams to put on
+/// the wire *now*; reordered datagrams surface on later admits.
 #[derive(Debug)]
-pub(crate) struct FaultInjector<T> {
+pub(crate) struct FaultInjector {
     profile: FaultProfile,
     rng: StdRng,
     seq: u64,
-    held: Vec<(u64, T, Vec<u8>)>,
+    held: Vec<(u64, Vec<u8>)>,
     stats: FaultStats,
 }
 
-impl<T: Clone> FaultInjector<T> {
+impl FaultInjector {
     /// A new injector; identical `(profile, seed)` pairs replay the exact
     /// same fault pattern.
-    pub(crate) fn new(profile: FaultProfile, seed: u64) -> FaultInjector<T> {
+    pub(crate) fn new(profile: FaultProfile, seed: u64) -> FaultInjector {
         FaultInjector {
             profile,
             rng: StdRng::seed_from_u64(seed),
@@ -556,7 +553,7 @@ impl<T: Clone> FaultInjector<T> {
     /// Passes one datagram through the fault model; returns what reaches
     /// the wire now (possibly nothing, possibly previously held datagrams,
     /// possibly duplicates).
-    pub(crate) fn admit(&mut self, tag: T, bytes: &[u8]) -> Vec<(T, Vec<u8>)> {
+    pub(crate) fn admit(&mut self, bytes: &[u8]) -> Vec<Vec<u8>> {
         self.seq += 1;
         self.stats.admitted += 1;
         let mut out = self.release_due();
@@ -587,17 +584,17 @@ impl<T: Clone> FaultInjector<T> {
                 // duplicate delivery.
                 self.stats.duplicated += 1;
                 crate::metrics::metrics().frames_duplicated.inc();
-                out.push((tag.clone(), pool.take_vec_copy(&bytes)));
+                out.push(pool.take_vec_copy(&bytes));
             }
-            self.held.push((self.seq + delay, tag, bytes));
+            self.held.push((self.seq + delay, bytes));
             return out;
         }
         if duplicate {
             self.stats.duplicated += 1;
             crate::metrics::metrics().frames_duplicated.inc();
-            out.push((tag.clone(), pool.take_vec_copy(&bytes)));
+            out.push(pool.take_vec_copy(&bytes));
         }
-        out.push((tag, bytes));
+        out.push(bytes);
         out
     }
 
@@ -608,11 +605,11 @@ impl<T: Clone> FaultInjector<T> {
 
     /// Moves every held datagram whose release point has come out of
     /// `held`, in the order it was held.
-    fn release_due(&mut self) -> Vec<(T, Vec<u8>)> {
+    fn release_due(&mut self) -> Vec<Vec<u8>> {
         let seq = self.seq;
         self.held
-            .extract_if(.., |(release_at, _, _)| *release_at <= seq)
-            .map(|(_, tag, bytes)| (tag, bytes))
+            .extract_if(.., |(release_at, _)| *release_at <= seq)
+            .map(|(_, bytes)| bytes)
             .collect()
     }
 }
@@ -627,7 +624,7 @@ impl<T: Clone> FaultInjector<T> {
 #[derive(Debug)]
 pub struct FaultyChannel<C> {
     inner: C,
-    injector: FaultInjector<()>,
+    injector: FaultInjector,
     /// What the injector put on the wire this call, handed on in one
     /// [`Channel::send_batch`]; empty between calls.
     wire: Vec<Vec<u8>>,
@@ -640,7 +637,7 @@ impl<C: Channel> FaultyChannel<C> {
     }
 
     fn admit(&mut self, bytes: &[u8]) {
-        self.wire.extend(self.injector.admit((), bytes).into_iter().map(|((), wire)| wire));
+        self.wire.extend(self.injector.admit(bytes));
     }
 
     /// Fault counters so far.
@@ -851,10 +848,10 @@ mod tests {
     fn fault_injection_is_deterministic() {
         let profile = FaultProfile::hostile(0.2);
         let run = |seed| {
-            let mut injector: FaultInjector<()> = FaultInjector::new(profile, seed);
+            let mut injector = FaultInjector::new(profile, seed);
             let mut delivered = Vec::new();
             for i in 0..500u32 {
-                for ((), bytes) in injector.admit((), &i.to_le_bytes()) {
+                for bytes in injector.admit(&i.to_le_bytes()) {
                     delivered.push(bytes);
                 }
             }
@@ -870,9 +867,9 @@ mod tests {
 
     #[test]
     fn drop_rate_is_approximately_honored() {
-        let mut injector: FaultInjector<()> = FaultInjector::new(FaultProfile::lossy(0.2), 7);
+        let mut injector = FaultInjector::new(FaultProfile::lossy(0.2), 7);
         for i in 0..5000u32 {
-            injector.admit((), &i.to_le_bytes());
+            injector.admit(&i.to_le_bytes());
         }
         let dropped = injector.stats().dropped as f64 / 5000.0;
         assert!((0.15..0.25).contains(&dropped), "drop rate {dropped}");
@@ -881,13 +878,13 @@ mod tests {
     #[test]
     fn reordering_holds_and_releases() {
         let profile = FaultProfile::lossless().with_reorder(1.0, 3);
-        let mut injector: FaultInjector<()> = FaultInjector::new(profile, 1);
+        let mut injector = FaultInjector::new(profile, 1);
         // Every datagram is held, so early admits release nothing...
-        let first = injector.admit((), b"a");
+        let first = injector.admit(b"a");
         assert!(first.is_empty());
         let mut total = first.len();
         for _ in 0..20 {
-            total += injector.admit((), b"x").len();
+            total += injector.admit(b"x").len();
         }
         // ...but held datagrams drain as later sends push the clock.
         assert!(total > 0, "held datagrams never released");

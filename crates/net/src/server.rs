@@ -6,15 +6,11 @@
 //! `Request` for a published id gets its own independent sender session
 //! keyed by `(peer address, session id)`; sessions take turns with
 //! bursts bounded by [`BURST_PER_STEP`](crate::BURST_PER_STEP), so a fast
-//! peer cannot starve a slow one.
-//! Outgoing datagrams can optionally pass through a seeded
-//! `FaultInjector` — the same fault model
-//! the in-process tests use, applied per-destination. The serve loop itself
-//! lives in [`crate::shard`].
+//! peer cannot starve a slow one. The serve loop itself lives in
+//! [`crate::shard`].
 
 use std::net::SocketAddr;
 
-use crate::channel::FaultProfile;
 use crate::session::{SenderConfig, SenderReport};
 
 /// Tuning knobs for the server's sessions.
@@ -22,8 +18,6 @@ use crate::session::{SenderConfig, SenderReport};
 pub struct ServerConfig {
     /// Per-session sender tuning (pacing, redundancy, timeouts).
     pub sender: SenderConfig,
-    /// Seeded fault profile applied to *outgoing* datagrams, if any.
-    pub faults: Option<(FaultProfile, u64)>,
     /// Kernel receive-buffer size to request on the server socket(s), so
     /// feedback bursts from many concurrent receivers survive until the
     /// next batched drain. `None` keeps the kernel default; best-effort

@@ -49,7 +49,7 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::channel::{BatchSocket, FaultInjector};
+use crate::channel::BatchSocket;
 use crate::server::{ServedTransfer, ServerConfig};
 use crate::session::{SenderConfig, SenderSession};
 use crate::step::Step;
@@ -337,10 +337,6 @@ fn shard_main(
             open_session(&shared.content, &shared.seed, sender, bytes, now)
         });
     };
-    let mut injector: Option<FaultInjector<SocketAddr>> = config
-        .server
-        .faults
-        .map(|(profile, seed)| FaultInjector::new(profile, seed.wrapping_add(shard as u64)));
     let mut next_due: Option<Instant> = None;
 
     while !shared.ledger.stopped() {
@@ -388,18 +384,9 @@ fn shard_main(
             }
         });
 
-        let mut emit = |(to, _): Key, bytes: Vec<u8>| match &mut injector {
-            Some(injector) => {
-                for (to, wire) in injector.admit(to, &bytes) {
-                    socket.queue(to, wire)?;
-                }
-                nc_pool::BytesPool::global().recycle(bytes);
-                Ok(())
-            }
-            // No faults: hand the encoded frame to the batch without
-            // copying; `flush` recycles it.
-            None => socket.queue(to, bytes),
-        };
+        // Hand the encoded frame to the batch without copying; `flush`
+        // recycles it.
+        let mut emit = |(to, _): Key, bytes: Vec<u8>| socket.queue(to, bytes);
         let mut finished = |(peer, session): Key, sender: SenderSession, max_burst: u64| {
             let mut metrics = sender.metrics_snapshot(now);
             metrics.counters.insert("session.max_burst_per_step".into(), max_burst);
@@ -436,7 +423,7 @@ mod tests {
     use crate::channel::UdpChannel;
     use crate::client::Client;
     use crate::receiver::{ReceiverConfig, ReceiverSession};
-    use crate::session::{ACK_WAIT, ANNOUNCE_INTERVAL, STALL_GRACE};
+    use crate::session::{SenderReport, ACK_WAIT, ANNOUNCE_INTERVAL, STALL_GRACE};
     use crate::sim::{drive, Link, Node, Run};
     use crate::step::BURST_PER_STEP;
     use crate::wire::Datagram;
@@ -776,17 +763,23 @@ mod tests {
     /// A 16-segment stream served by one server step to one client step
     /// over a 3 ms link that drops a seeded 10 % of datagrams, with no
     /// socket: what the client recovered and how many data frames it
-    /// received, the datagrams each side sent, and when the last event ran.
-    fn converse(seed: u64) -> (Option<Vec<u8>>, u64, [u64; 2], Duration) {
+    /// received, the datagrams each side sent, when the last event ran, and
+    /// the server session's report as of the last step it was live in.
+    fn converse(seed: u64) -> (Option<Vec<u8>>, u64, [u64; 2], Duration, Option<SenderReport>) {
         let world = World::new(ServerConfig::default(), 16);
         let t0 = Instant::now();
         let mut receiver = ReceiverSession::new(1, ReceiverConfig::default(), t0);
         let (mut server, mut client) = (world.step(), Step::new());
         client.insert(1, &mut receiver);
-        let (mut served, mut asked) = (0, 0);
+        let (mut served, mut asked, mut report) = (0, 0, None);
         let open = |bytes: &[u8], now| world.open(bytes, now);
-        let mut server_node =
-            Node { step: &mut server, open, watch: |_, _, out| served += out.len() as u64 };
+        let watch = |step: &Step<Key, SenderSession>, now, out: &[(Key, Vec<u8>)]| {
+            served += out.len() as u64;
+            if let Some(slot) = step.slots.values().next() {
+                report = Some(slot.session.report(now));
+            }
+        };
+        let mut server_node = Node { step: &mut server, open, watch };
         let mut client_node =
             Node { step: &mut client, open: |_, _| None, watch: |_, _, out| asked += out.len() };
         let coin = rand::SeedableRng::seed_from_u64(seed);
@@ -795,17 +788,21 @@ mod tests {
         let ended = drive(nodes, t0, [], Some(link), t0 + Duration::from_secs(10));
         assert_eq!((server.sessions(), client.sessions()), (0, 0), "both sides finished");
         let received = receiver.report().received;
-        (receiver.into_recovered(), received, [served, asked as u64], ended)
+        (receiver.into_recovered(), received, [served, asked as u64], ended, report)
     }
 
     #[test]
     fn a_server_step_and_a_client_step_converse_over_a_lossy_link() {
-        let (recovered, received, sent, ended) = converse(7);
+        let (recovered, received, sent, ended, report) = converse(7);
         let data: Vec<u8> = (0..16 * 16 * 64).map(|i| (i % 247) as u8).collect();
         assert_eq!(recovered.as_deref(), Some(data.as_slice()), "bit-exact");
         assert!(received < sent[0] * 19 / 20, "{received} of {sent:?} arrived: nothing lost");
         assert!(ended < Duration::from_secs(1), "finished at {ended:?}");
-        let (_, _, again, again_ended) = converse(7);
+        // More frames sent than the receiver found innovative: the loss
+        // sat on the path and the sender made up for it.
+        let overhead = report.and_then(|r| r.overhead_ratio()).expect("the client reported");
+        assert!(overhead > 1.0, "the lossy link was exercised: overhead {overhead}");
+        let (_, _, again, again_ended, _) = converse(7);
         assert_eq!((again, again_ended), (sent, ended), "the same seed, the same transcript");
         println!("{sent:?} datagrams sent (server, client), {received} frames received, {ended:?}");
     }
@@ -948,24 +945,6 @@ mod tests {
             if cfg!(target_os = "linux") {
                 assert_eq!(shard_threads(), Vec::<String>::new(), "call {call} left shard threads");
             }
-        }
-    }
-
-    #[test]
-    fn sharded_server_survives_outgoing_faults() {
-        use crate::channel::FaultProfile;
-        for (shards, faults) in
-            [(2, (FaultProfile::lossy(0.15), 3)), (1, (FaultProfile::hostile(0.2), 11))]
-        {
-            let config = ShardedServerConfig {
-                shards,
-                server: ServerConfig { faults: Some(faults), ..ServerConfig::default() },
-            };
-            let transfers = serve_to(1, 20_000, config);
-            // More frames sent than the receiver found innovative: the
-            // fault model sat on the path.
-            let overhead = transfers[0].report.overhead_ratio().expect("completed");
-            assert!(overhead > 1.0, "fault model was exercised: overhead {overhead}");
         }
     }
 
